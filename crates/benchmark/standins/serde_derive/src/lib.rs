@@ -1,0 +1,15 @@
+//! Stand-in derives: the workspace only *derives* `Serialize` (nothing in
+//! the `nsbench` build serializes through serde), so the derives expand
+//! to nothing.
+
+use proc_macro::TokenStream;
+
+#[proc_macro_derive(Serialize, attributes(serde))]
+pub fn derive_serialize(_input: TokenStream) -> TokenStream {
+    TokenStream::new()
+}
+
+#[proc_macro_derive(Deserialize, attributes(serde))]
+pub fn derive_deserialize(_input: TokenStream) -> TokenStream {
+    TokenStream::new()
+}

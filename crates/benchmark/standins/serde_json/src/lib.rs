@@ -1,0 +1,1 @@
+//! Resolution-only stand-in: no target built by `nsbench` compiles against this crate.
