@@ -19,10 +19,9 @@
 //! `net.sent.bytes` — that counter stays the payload ground truth used by
 //! the simulator and the observability closed-form tests.
 //!
-//! The CRC32 (IEEE 802.3, reflected polynomial `0xEDB88320`) is computed
-//! in-crate; `ns-tensor` carries an identical implementation for checkpoint
-//! payloads (the crates do not depend on each other) and a cross-crate
-//! agreement test in `ns-runtime` pins the two together.
+//! The CRC32 (IEEE 802.3, reflected polynomial `0xEDB88320`) computed here
+//! is the only one in the workspace: `ns-runtime` checksums checkpoint
+//! payloads and durable-store files with the same [`crc32`] / [`Crc32`].
 
 use crate::fabric::MessageKind;
 use std::cell::RefCell;

@@ -1,15 +1,18 @@
 //! Engine-agnostic distributed execution of a dependency plan.
 //!
 //! One OS thread per worker; real tensors move over the `ns-net` fabric.
-//! Per layer, the executor realizes the paper's forward
-//! *synchronize-compute* mode (masters push dependency rows, mirrors
-//! assemble their input matrix, then the layer's tape segment runs) and
-//! the backward *compute-synchronize* mode (the tape segment's input
-//! gradient is split into locally-routed rows and mirror gradients pushed
-//! back to masters, where they are aggregated in fixed peer order for
-//! determinism). Parameter gradients are combined with a ring all-reduce
-//! and every worker applies an identical optimizer step, keeping the
-//! replicated parameter stores bitwise in sync.
+//! Each thread is a `Worker` whose `epoch()` is the phase list the
+//! ledger and the trace report: per layer `fwd_comm → fwd_compute`, then
+//! `head`, per layer `bwd_compute → bwd_comm`, then `sync_wait`,
+//! `opt_step`. The forward *synchronize-compute* mode (masters push
+//! dependency rows, mirrors assemble their input matrix, then the layer's
+//! tape segment runs) and the backward *compute-synchronize* mode (the
+//! tape segment's input gradient is split into locally-routed rows and
+//! mirror gradients pushed back to masters) share one push/pull pair;
+//! receives always fold in fixed peer order for determinism. Parameter
+//! gradients are combined with a ring all-reduce and every worker applies
+//! an identical optimizer step, keeping the replicated parameter stores
+//! bitwise in sync.
 //!
 //! Failure semantics: workers never panic on fabric trouble. Every
 //! receive runs under a timeout with bounded exponential-backoff retries
@@ -27,18 +30,17 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use ns_gnn::loss::{accuracy, softmax_cross_entropy};
-use ns_gnn::GnnModel;
+use ns_gnn::loss::{accuracy, softmax_cross_entropy, LossResult};
+use ns_gnn::{GnnModel, LayerRun};
 use ns_graph::Dataset;
 use ns_metrics::{span, LayerSplit, MetricsFrame, MetricsRecorder, Phase, RunMetrics};
 use ns_net::fault::FaultPlan;
 use ns_net::policy::{Backoff, BreakerState, Budget, CircuitBreaker};
-use ns_net::{
-    Endpoint, Fabric, Message, MessageKind, NetError, NetStats, ParallelEnqueue, KIND_NAMES,
-};
+use ns_net::{Endpoint, Fabric, Message, MessageKind, NetError, ParallelEnqueue};
 use ns_tensor::{Adam, AdamState, Optimizer, ParamStore, Sgd, Tensor};
 
 use crate::error::{FailureCause, Result, RuntimeError};
+use crate::obs::export_net_stats;
 use crate::plan::WorkerPlan;
 
 /// Which optimizer each worker replica runs.
@@ -302,6 +304,9 @@ struct WorkerFailure {
     in_sync: bool,
 }
 
+type WorkerResult<T> = std::result::Result<T, WorkerFailure>;
+type NetResult<T> = std::result::Result<T, NetError>;
+
 /// The per-worker optimizer, concrete so Adam state can be exported for
 /// checkpointing.
 enum Opt {
@@ -481,11 +486,7 @@ impl<'a> RecvCtx<'a> {
 /// and the straggler-eviction policy read (they take per-message wait
 /// quantiles and minimize across receivers, which separates a peer that
 /// delays *every* message from one merely stalled behind it).
-fn recv_retry(
-    ep: &Endpoint,
-    src: usize,
-    ctx: &RecvCtx<'_>,
-) -> std::result::Result<Message, NetError> {
+fn recv_retry(ep: &Endpoint, src: usize, ctx: &RecvCtx<'_>) -> NetResult<Message> {
     if !ctx.breakers.borrow_mut()[src].allow() {
         // Fail fast: the peer's breaker is Open. No window is spent, so
         // a run degrading around a dead link stops paying the full
@@ -535,9 +536,23 @@ fn recv_retry(
     res
 }
 
+/// `dst = src` (`add == false`) or `dst += src` (`add == true`),
+/// element-wise — the one difference between the receive side of a
+/// forward and a backward exchange, and between the all-gather and
+/// reduce-scatter halves of the ring.
+fn write_slice(dst: &mut [f32], src: &[f32], add: bool) {
+    if add {
+        for (d, v) in dst.iter_mut().zip(src) {
+            *d += v;
+        }
+    } else {
+        dst.copy_from_slice(src);
+    }
+}
+
 /// Copies the virtual-flat range `[lo, hi)` of the concatenated gradient
 /// tensors into a pooled buffer, without materializing the full flat
-/// vector — the memory-pressure substitute for slicing a staged copy.
+/// vector.
 fn gather_range(grads: &[Tensor], lo: usize, hi: usize) -> Vec<f32> {
     let mut out = ns_tensor::pool::take_scratch(hi - lo);
     let mut filled = 0;
@@ -555,8 +570,7 @@ fn gather_range(grads: &[Tensor], lo: usize, hi: usize) -> Vec<f32> {
 }
 
 /// Writes (`add == false`) or accumulates (`add == true`) `data` into
-/// the virtual-flat range starting at `lo`, element-for-element the same
-/// operation the staged-copy path performs on its flat buffer.
+/// the virtual-flat range starting at `lo`.
 fn apply_range(grads: &mut [Tensor], lo: usize, data: &[f32], add: bool) {
     let hi = lo + data.len();
     let mut base = 0;
@@ -565,352 +579,245 @@ fn apply_range(grads: &mut [Tensor], lo: usize, data: &[f32], add: bool) {
         let s = lo.max(base);
         let e = hi.min(base + glen);
         if s < e {
-            let dst = &mut g.data_mut()[s - base..e - base];
-            let src = &data[s - lo..e - lo];
-            if add {
-                for (d, v) in dst.iter_mut().zip(src) {
-                    *d += v;
-                }
-            } else {
-                dst.copy_from_slice(src);
-            }
+            write_slice(&mut g.data_mut()[s - base..e - base], &data[s - lo..e - lo], add);
         }
         base += glen;
     }
 }
 
-/// Ring all-reduce over the flattened parameter gradients. All workers
-/// return identical sums (deterministic chunk-wise accumulation order).
-///
-/// Under memory pressure ([`ns_tensor::pool::under_pressure`]) the flat
-/// staging copy is skipped and every chunk is gathered from / applied to
-/// the gradient tensors in place. Wire messages and the element-wise
-/// accumulation order are bit-identical to the staged path, so each
-/// worker chooses independently without breaking the protocol or
-/// determinism.
-fn ring_allreduce(
-    ep: &Endpoint,
-    ctx: &RecvCtx<'_>,
-    grads: &mut [Tensor],
-) -> std::result::Result<bool, NetError> {
-    let m = ep.world();
-    if m == 1 {
-        return Ok(false);
-    }
-    let me = ep.id();
-    let right = (me + 1) % m;
-    let left = (me + m - 1) % m;
-    let n: usize = grads.iter().map(Tensor::len).sum();
-    let low_mem = ns_tensor::pool::under_pressure();
-    // Flatten into a pooled buffer (same length every epoch, so after the
-    // first epoch this take is always served from the free list).
-    let mut flat = if low_mem {
-        Vec::new()
-    } else {
-        let mut f = ns_tensor::pool::take_scratch(n);
-        let mut off = 0;
-        for g in grads.iter() {
-            f[off..off + g.len()].copy_from_slice(g.data());
-            off += g.len();
-        }
-        f
+/// Receives one gradient-sync payload from `src`; any other message kind
+/// is a protocol desync.
+fn recv_allreduce(ep: &Endpoint, src: usize, ctx: &RecvCtx<'_>) -> NetResult<Vec<f32>> {
+    let msg = recv_retry(ep, src, ctx)?;
+    let got = msg.kind.name();
+    let MessageKind::AllReduce { data, .. } = msg.kind else {
+        return Err(NetError::UnexpectedKind { peer: src, expected: "AllReduce", got });
     };
-    let chunk_bounds: Vec<(usize, usize)> = (0..m)
-        .map(|c| {
-            let lo = c * n / m;
-            let hi = (c + 1) * n / m;
-            (lo, hi)
-        })
-        .collect();
-    // Outgoing chunk copies are pooled too; the peer that receives one
-    // recycles it after accumulating (below), closing the loop.
-    let chunk_of = |grads: &[Tensor], flat: &[f32], c: usize| {
-        let (lo, hi) = chunk_bounds[c];
-        if low_mem {
-            gather_range(grads, lo, hi)
-        } else {
-            let mut s = ns_tensor::pool::take_scratch(hi - lo);
-            s.copy_from_slice(&flat[lo..hi]);
-            s
-        }
-    };
-
-    // Reduce-scatter.
-    for s in 0..m - 1 {
-        let send_c = (me + m - s) % m;
-        let recv_c = (me + m - s - 1) % m;
-        ep.send(
-            right,
-            MessageKind::AllReduce { round: s as u32, data: chunk_of(grads, &flat, send_c) },
-        )?;
-        let msg = recv_retry(ep, left, ctx)?;
-        let got = msg.kind.name();
-        let MessageKind::AllReduce { data, .. } = msg.kind else {
-            return Err(NetError::UnexpectedKind { peer: left, expected: "AllReduce", got });
-        };
-        let (lo, hi) = chunk_bounds[recv_c];
-        if low_mem {
-            apply_range(grads, lo, &data, true);
-        } else {
-            for (dst, src) in flat[lo..hi].iter_mut().zip(data.iter()) {
-                *dst += src;
-            }
-        }
-        ns_tensor::pool::recycle(data);
-    }
-    // All-gather.
-    for s in 0..m - 1 {
-        let send_c = (me + 1 + m - s) % m;
-        let recv_c = (me + m - s) % m;
-        ep.send(
-            right,
-            MessageKind::AllReduce {
-                round: (m - 1 + s) as u32,
-                data: chunk_of(grads, &flat, send_c),
-            },
-        )?;
-        let msg = recv_retry(ep, left, ctx)?;
-        let got = msg.kind.name();
-        let MessageKind::AllReduce { data, .. } = msg.kind else {
-            return Err(NetError::UnexpectedKind { peer: left, expected: "AllReduce", got });
-        };
-        let (lo, _hi) = chunk_bounds[recv_c];
-        if low_mem {
-            apply_range(grads, lo, &data, false);
-        } else {
-            flat[lo.._hi].copy_from_slice(&data);
-        }
-        ns_tensor::pool::recycle(data);
-    }
-    if !low_mem {
-        // Unflatten.
-        let mut off = 0;
-        for g in grads.iter_mut() {
-            let len = g.len();
-            g.data_mut().copy_from_slice(&flat[off..off + len]);
-            off += len;
-        }
-        ns_tensor::pool::recycle(flat);
-    }
-    Ok(low_mem)
+    Ok(data)
 }
 
-/// Parameter-server gradient combination: every worker pushes its full
-/// gradient vector to worker 0, which reduces in ascending worker order
-/// (deterministic) and broadcasts the sum. All workers end with
-/// identical gradients, exactly as [`ring_allreduce`] produces.
-fn ps_reduce(
-    ep: &Endpoint,
-    ctx: &RecvCtx<'_>,
-    grads: &mut [Tensor],
-) -> std::result::Result<(), NetError> {
+/// Ring all-reduce over the virtual-flat concatenation of the parameter
+/// gradients. All workers return identical sums (deterministic chunk-wise
+/// accumulation order). Every chunk is gathered from / applied to the
+/// gradient tensors in place — no flat staging copy exists. Outgoing
+/// chunk copies come from the pool (same lengths every epoch, so after
+/// the first epoch every take is served from the free list); the peer
+/// that receives one recycles it after applying, closing the loop.
+fn ring_allreduce(ep: &Endpoint, ctx: &RecvCtx<'_>, grads: &mut [Tensor]) -> NetResult<()> {
     let m = ep.world();
     if m == 1 {
         return Ok(());
     }
     let me = ep.id();
+    let right = (me + 1) % m;
+    let left = (me + m - 1) % m;
     let n: usize = grads.iter().map(Tensor::len).sum();
-    let mut flat = ns_tensor::pool::take_scratch(n);
-    let mut off = 0;
-    for g in grads.iter() {
-        flat[off..off + g.len()].copy_from_slice(g.data());
-        off += g.len();
-    }
-    // Full-vector copies shipped to peers come from the pool and are
-    // recycled by the receiver, like the ring chunks above.
-    let copy_of = |flat: &[f32]| {
-        let mut c = ns_tensor::pool::take_scratch(flat.len());
-        c.copy_from_slice(flat);
-        c
+    let bounds = |c: usize| (c * n / m, (c + 1) * n / m);
+    // One ring step: ship chunk `send_c` to the right, then overwrite or
+    // accumulate chunk `recv_c` with what arrives from the left.
+    let step = |grads: &mut [Tensor], round: usize, send_c: usize, recv_c: usize, add: bool| {
+        let (lo, hi) = bounds(send_c);
+        ep.send(
+            right,
+            MessageKind::AllReduce { round: round as u32, data: gather_range(grads, lo, hi) },
+        )?;
+        let data = recv_allreduce(ep, left, ctx)?;
+        apply_range(grads, bounds(recv_c).0, &data, add);
+        ns_tensor::pool::recycle(data);
+        Ok(())
     };
-    if me == 0 {
-        for src in 1..m {
-            let msg = recv_retry(ep, src, ctx)?;
-            let got = msg.kind.name();
-            let MessageKind::AllReduce { data, .. } = msg.kind else {
-                return Err(NetError::UnexpectedKind { peer: src, expected: "AllReduce", got });
-            };
-            for (a, b) in flat.iter_mut().zip(data.iter()) {
-                *a += b;
-            }
-            ns_tensor::pool::recycle(data);
-        }
-        for dst in 1..m {
-            ep.send(dst, MessageKind::AllReduce { round: 1, data: copy_of(&flat) })?;
-        }
-    } else {
-        ep.send(0, MessageKind::AllReduce { round: 0, data: copy_of(&flat) })?;
-        let msg = recv_retry(ep, 0, ctx)?;
-        let got = msg.kind.name();
-        let MessageKind::AllReduce { data, .. } = msg.kind else {
-            return Err(NetError::UnexpectedKind { peer: 0, expected: "AllReduce", got });
-        };
-        ns_tensor::pool::recycle(std::mem::replace(&mut flat, data));
+    // Reduce-scatter.
+    for s in 0..m - 1 {
+        step(grads, s, (me + m - s) % m, (me + m - s - 1) % m, true)?;
     }
-    let mut off = 0;
-    for g in grads.iter_mut() {
-        let len = g.len();
-        g.data_mut().copy_from_slice(&flat[off..off + len]);
-        off += len;
+    // All-gather.
+    for s in 0..m - 1 {
+        step(grads, m - 1 + s, (me + 1 + m - s) % m, (me + m - s) % m, false)?;
     }
-    ns_tensor::pool::recycle(flat);
     Ok(())
 }
 
-/// Copies an endpoint's [`NetStats`] snapshot into recorder counters:
-/// `net.sent.{msgs,bytes}` totals plus per-kind (`.rows`, `.grads`, …)
-/// and per-peer (`.peer<k>`) breakdowns, fault-injection counts, and
-/// receiver-side duplicate suppressions.
-fn export_net_stats(rec: &MetricsRecorder, stats: &NetStats) {
-    rec.incr("net.sent.msgs", stats.sent_msgs);
-    rec.incr("net.sent.bytes", stats.sent_bytes);
-    rec.incr("net.encode.frames", stats.encode_frames);
-    rec.incr("net.encode.bytes", stats.encode_bytes);
-    for (k, name) in KIND_NAMES.iter().enumerate() {
-        if stats.sent_msgs_by_kind[k] > 0 {
-            rec.incr(&format!("net.sent.msgs.{name}"), stats.sent_msgs_by_kind[k]);
-            rec.incr(&format!("net.sent.bytes.{name}"), stats.sent_bytes_by_kind[k]);
-        }
-    }
-    for (peer, &msgs) in stats.sent_msgs_by_peer.iter().enumerate() {
-        if msgs > 0 {
-            rec.incr(&format!("net.sent.msgs.peer{peer}"), msgs);
-            rec.incr(&format!("net.sent.bytes.peer{peer}"), stats.sent_bytes_by_peer[peer]);
-        }
-    }
-    if stats.delays_injected > 0 {
-        rec.incr("net.fault.delays", stats.delays_injected);
-    }
-    if stats.dups_injected > 0 {
-        rec.incr("net.fault.dups", stats.dups_injected);
-    }
-    if stats.dups_suppressed > 0 {
-        rec.incr("net.recv.dups_suppressed", stats.dups_suppressed);
-    }
-    if stats.corrupts_injected > 0 {
-        rec.incr("net.fault.corrupts", stats.corrupts_injected);
-    }
-    if stats.severed_msgs > 0 {
-        rec.incr("net.fault.severed", stats.severed_msgs);
-    }
-    if stats.crc_failures > 0 {
-        rec.incr("integrity.crc_fail", stats.crc_failures);
-    }
-    if stats.rereads > 0 {
-        rec.incr("integrity.reread", stats.rereads);
-    }
-}
-
-/// One worker's training loop over all epochs. Returns the trained
-/// replica and exported optimizer state, or the worker's typed failure —
-/// and, either way, the worker's [`MetricsFrame`] (fabric traffic meters
-/// are folded in on every exit path). The endpoint is dropped on exit,
-/// so peers blocked on this worker wake with `PeerDisconnected` instead
-/// of hanging.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    plan: &WorkerPlan,
-    model: &GnnModel,
-    dataset: &Dataset,
-    ep: Endpoint,
-    epochs: usize,
-    cfg: &ExecConfig,
-    run: &RunState,
-    origin: Instant,
-    wd: Option<&Watchdog>,
-    tx: mpsc::Sender<(usize, usize, WorkerReport)>,
-) -> (
-    std::result::Result<(ParamStore, Option<AdamState>), WorkerFailure>,
-    MetricsFrame,
-) {
-    let rec = MetricsRecorder::new(ep.id(), origin);
-    let ctx = RecvCtx::new(&ep, run, &rec, &run.recv);
-    let res = worker_body(plan, model, dataset, &ep, epochs, cfg, run, &ctx, &rec, wd, tx);
-    if let Some(wd) = wd {
-        wd.finish(ep.id());
-    }
-    ctx.export(&ep, &run.fault);
-    export_net_stats(&rec, &ep.stats());
-    drop(ep);
-    (res, rec.finish())
-}
-
-/// The instrumented body of [`worker_loop`], split out so the fabric
-/// meters can be snapshotted after it returns, clean or failed.
-#[allow(clippy::too_many_arguments)]
-fn worker_body(
-    plan: &WorkerPlan,
-    model: &GnnModel,
-    dataset: &Dataset,
-    ep: &Endpoint,
-    epochs: usize,
-    cfg: &ExecConfig,
-    run: &RunState,
-    ctx: &RecvCtx<'_>,
-    rec: &MetricsRecorder,
-    wd: Option<&Watchdog>,
-    tx: mpsc::Sender<(usize, usize, WorkerReport)>, // (epoch, worker, report)
-) -> std::result::Result<(ParamStore, Option<AdamState>), WorkerFailure> {
+/// Parameter-server gradient combination: every worker pushes its full
+/// gradient vector to worker 0, which reduces in ascending worker order
+/// (deterministic) and broadcasts the sum. All workers end with
+/// identical gradients, exactly as [`ring_allreduce`] produces. The
+/// full-vector copies shipped to peers come from the pool and are
+/// recycled by the receiver, like the ring chunks above.
+fn ps_reduce(ep: &Endpoint, ctx: &RecvCtx<'_>, grads: &mut [Tensor]) -> NetResult<()> {
     let m = ep.world();
-    let me = ep.id();
-    let dims = model.dims();
-    let num_layers = model.num_layers();
-    let mut store = run.init_params.clone().unwrap_or_else(|| model.fresh_store());
-    let mut opt = Opt::new(cfg, run.opt_state.clone());
-    let fail = |epoch: usize, in_sync: bool, e: NetError| WorkerFailure {
-        worker: me,
-        epoch,
-        cause: FailureCause::Net(e),
-        in_sync,
-    };
+    if m == 1 {
+        return Ok(());
+    }
+    let n: usize = grads.iter().map(Tensor::len).sum();
+    if ep.id() == 0 {
+        for src in 1..m {
+            let data = recv_allreduce(ep, src, ctx)?;
+            apply_range(grads, 0, &data, true);
+            ns_tensor::pool::recycle(data);
+        }
+        for dst in 1..m {
+            ep.send(dst, MessageKind::AllReduce { round: 1, data: gather_range(grads, 0, n) })?;
+        }
+    } else {
+        ep.send(0, MessageKind::AllReduce { round: 0, data: gather_range(grads, 0, n) })?;
+        let data = recv_allreduce(ep, 0, ctx)?;
+        apply_range(grads, 0, &data, false);
+        ns_tensor::pool::recycle(data);
+    }
+    Ok(())
+}
 
-    // Local feature matrix (owned rows + prefetched cached features —
-    // DepCache's one-time dependency retrieval, Algorithm 2 line 5).
-    let features = dataset.features.gather_rows(&plan.feature_rows);
-    rec.incr("dep.rows.cached", plan.prefetched_features() as u64);
-    // The pool size every parallel kernel on this worker will use.
-    rec.incr("compute.threads", ns_par::threads() as u64);
+/// Direction of a per-layer dependency exchange (§4.1). The two are one
+/// protocol mirrored: the schedule a worker sends by going forward is the
+/// one it receives by going backward, and forward receives overwrite rows
+/// where backward receives accumulate into them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Dir {
+    /// `GetFromDepNbr`: masters push rows, mirrors assemble their input.
+    Fwd,
+    /// `PostToDepNbr`: mirrors push gradients, masters accumulate.
+    Bwd,
+}
 
-    // Labels and loss weights over owned rows.
-    let total_train = dataset.num_train().max(1);
-    let owned_labels: Vec<u32> =
-        plan.owned.iter().map(|&v| dataset.labels[v as usize]).collect();
-    let loss_weights: Vec<f32> = plan
-        .owned
-        .iter()
-        .map(|&v| if dataset.train_mask[v as usize] { 1.0 / total_train as f32 } else { 0.0 })
-        .collect();
-    let masks: [Vec<bool>; 3] = [
-        plan.owned.iter().map(|&v| dataset.train_mask[v as usize]).collect(),
-        plan.owned.iter().map(|&v| dataset.val_mask[v as usize]).collect(),
-        plan.owned.iter().map(|&v| dataset.test_mask[v as usize]).collect(),
-    ];
+/// What every worker thread of one [`train_epochs_run`] call shares.
+#[derive(Clone, Copy)]
+struct Job<'a> {
+    dataset: &'a Dataset,
+    model: &'a GnnModel,
+    epochs: usize,
+    cfg: &'a ExecConfig,
+    run: &'a RunState,
+    origin: Instant,
+    wd: Option<&'a Watchdog>,
+}
 
-    // Buffer-pool meters: the pool counters are process-wide, so worker 0
-    // exports the per-epoch deltas for the whole process (every worker's
-    // tensors share one pool). `alloc.steady_state` is the final epoch's
-    // fresh-buffer count — ~0 once shapes have stabilized (DESIGN.md §14).
-    let mut pool_base = ns_tensor::pool::stats();
-    let mut last_fresh_delta = 0u64;
+/// One worker's execution context: everything an epoch reads or updates.
+/// [`Worker::epoch`] is the phase list; each phase method opens the
+/// [`Phase`] span of the same name.
+struct Worker<'a> {
+    plan: &'a WorkerPlan,
+    model: &'a GnnModel,
+    ep: &'a Endpoint,
+    cfg: &'a ExecConfig,
+    run: &'a RunState,
+    ctx: RecvCtx<'a>,
+    rec: &'a MetricsRecorder,
+    wd: Option<&'a Watchdog>,
+    store: ParamStore,
+    opt: Opt,
+    /// Local feature matrix (owned rows + prefetched cached features —
+    /// DepCache's one-time dependency retrieval, Algorithm 2 line 5).
+    features: Tensor,
+    /// Labels, loss weights and train/val/test masks over owned rows.
+    owned_labels: Vec<u32>,
+    loss_weights: Vec<f32>,
+    masks: [Vec<bool>; 3],
+    /// Buffer-pool meters: the pool counters are process-wide, so worker 0
+    /// exports the per-epoch deltas for the whole process (every worker's
+    /// tensors share one pool). `alloc.steady_state` is the final epoch's
+    /// fresh-buffer count — ~0 once shapes have stabilized (DESIGN.md §14).
+    pool_base: ns_tensor::pool::PoolStats,
+    last_fresh_delta: u64,
+}
 
-    for epoch in 0..epochs {
-        let abs_epoch = run.epoch_offset + epoch;
-        ep.set_epoch(abs_epoch);
-        rec.set_epoch(abs_epoch as u32);
-        if let Some(wd) = wd {
+impl<'a> Worker<'a> {
+    /// Runs one worker to completion. Returns the trained replica and
+    /// exported optimizer state, or the worker's typed failure — and,
+    /// either way, the worker's [`MetricsFrame`] (fabric traffic meters are
+    /// folded in on every exit path). The endpoint is dropped on exit, so
+    /// peers blocked on this worker wake with `PeerDisconnected` instead
+    /// of hanging.
+    fn run(
+        job: Job<'_>,
+        plan: &WorkerPlan,
+        ep: Endpoint,
+        tx: mpsc::Sender<(usize, usize, WorkerReport)>, // (epoch, worker, report)
+    ) -> (WorkerResult<(ParamStore, Option<AdamState>)>, MetricsFrame) {
+        let rec = MetricsRecorder::new(ep.id(), job.origin);
+        let res = {
+            let mut w = Worker::new(job, plan, &ep, &rec);
+            let res = w.train(job.epochs, tx);
+            if let Some(wd) = job.wd {
+                wd.finish(ep.id());
+            }
+            w.ctx.export(&ep, &job.run.fault);
+            res.map(|()| (w.store, w.opt.export()))
+        };
+        export_net_stats(&rec, &ep.stats());
+        drop(ep);
+        (res, rec.finish())
+    }
+
+    fn new(job: Job<'a>, plan: &'a WorkerPlan, ep: &'a Endpoint, rec: &'a MetricsRecorder) -> Self {
+        let Job { dataset, model, cfg, run, wd, .. } = job;
+        rec.incr("dep.rows.cached", plan.prefetched_features() as u64);
+        // The pool size every parallel kernel on this worker will use.
+        rec.incr("compute.threads", ns_par::threads() as u64);
+        let train_weight = 1.0 / dataset.num_train().max(1) as f32;
+        let owned = |mask: &Vec<bool>| plan.owned.iter().map(|&v| mask[v as usize]).collect();
+        Worker {
+            plan,
+            model,
+            ep,
+            cfg,
+            run,
+            ctx: RecvCtx::new(ep, run, rec, &run.recv),
+            rec,
+            wd,
+            store: run.init_params.clone().unwrap_or_else(|| model.fresh_store()),
+            opt: Opt::new(cfg, run.opt_state.clone()),
+            features: dataset.features.gather_rows(&plan.feature_rows),
+            owned_labels: plan.owned.iter().map(|&v| dataset.labels[v as usize]).collect(),
+            loss_weights: plan
+                .owned
+                .iter()
+                .map(|&v| if dataset.train_mask[v as usize] { train_weight } else { 0.0 })
+                .collect(),
+            masks: [&dataset.train_mask, &dataset.val_mask, &dataset.test_mask].map(owned),
+            pool_base: ns_tensor::pool::stats(),
+            last_fresh_delta: 0,
+        }
+    }
+
+    fn fail(&self, cause: FailureCause, in_sync: bool) -> WorkerFailure {
+        WorkerFailure { worker: self.ep.id(), epoch: self.ep.epoch(), cause, in_sync }
+    }
+
+    /// The training loop over all epochs, reporting each to the coordinator.
+    fn train(
+        &mut self,
+        epochs: usize,
+        tx: mpsc::Sender<(usize, usize, WorkerReport)>,
+    ) -> WorkerResult<()> {
+        for epoch in 0..epochs {
+            self.begin_epoch(self.run.epoch_offset + epoch)?;
+            let report = self.epoch()?;
+            // The coordinator holds the receiver for the whole scope; a send
+            // can only fail after a coordinator bug, and metric loss is not
+            // worth crashing a worker over.
+            let _ = tx.send((epoch, self.ep.id(), report));
+        }
+        if self.ep.id() == 0 && epochs > 0 {
+            self.rec.incr("alloc.steady_state", self.last_fresh_delta);
+        }
+        Ok(())
+    }
+
+    /// Stamps the epoch on the endpoint, recorder and watchdog, then acts
+    /// out any fault injected at this worker's epoch boundary.
+    fn begin_epoch(&self, abs_epoch: usize) -> WorkerResult<()> {
+        let me = self.ep.id();
+        self.ep.set_epoch(abs_epoch);
+        self.rec.set_epoch(abs_epoch as u32);
+        if let Some(wd) = self.wd {
             wd.beat(me);
         }
-        if run.fault.kill_epoch(me) == Some(abs_epoch) {
+        if self.run.fault.kill_epoch(me) == Some(abs_epoch) {
             // Injected crash: return without sending anything this epoch.
             // Dropping the endpoint disconnects every peer channel.
-            return Err(WorkerFailure {
-                worker: me,
-                epoch: abs_epoch,
-                cause: FailureCause::Killed,
-                in_sync: false,
-            });
+            return Err(self.fail(FailureCause::Killed, false));
         }
-        if run.fault.hang_epoch(me) == Some(abs_epoch) {
+        if self.run.fault.hang_epoch(me) == Some(abs_epoch) {
             // Injected hang: wedge outside the fabric (no send, no recv)
             // so only the watchdog can see it. The cancel flag stands in
             // for the supervisor's SIGKILL; the hard cap keeps
@@ -918,210 +825,45 @@ fn worker_body(
             // receive budgets fail first).
             const HANG_HARD_CAP: Duration = Duration::from_secs(10);
             let stuck_at = Instant::now();
-            loop {
-                if wd.map_or(false, |wd| wd.cancelled(me))
-                    || stuck_at.elapsed() >= HANG_HARD_CAP
-                {
-                    break;
-                }
+            while !self.wd.is_some_and(|wd| wd.cancelled(me))
+                && stuck_at.elapsed() < HANG_HARD_CAP
+            {
                 std::thread::sleep(Duration::from_millis(2));
             }
-            return Err(WorkerFailure {
-                worker: me,
-                epoch: abs_epoch,
-                cause: FailureCause::Hung,
-                in_sync: false,
-            });
+            return Err(self.fail(FailureCause::Hung, false));
         }
+        Ok(())
+    }
+
+    /// One training epoch as its phase list: per layer
+    /// `fwd_comm → fwd_compute`, then `head`, per layer (descending)
+    /// `bwd_compute → bwd_comm`, then `sync_wait` and `opt_step`. The
+    /// ledger's `exec.*_s` metrics, the trace spans and the simulator's
+    /// task DAG (`taskgraph.rs`) follow the same list (DESIGN.md §3.5).
+    fn epoch(&mut self) -> WorkerResult<WorkerReport> {
         let t0 = Instant::now();
-        // ---- forward ----
+        let num_layers = self.model.num_layers();
         let mut runs = Vec::with_capacity(num_layers);
-        let mut prev = features.clone();
-        for lz in 0..num_layers {
-            let lp = &plan.layers[lz];
-            rec.incr("dep.rows.local", lp.local_src.len() as u64);
-            rec.incr("dep.rows.fetched", lp.recv_row_count() as u64);
-            // Dependency exchange and input assembly run under one
-            // FwdComm span (the local-row copies are memcpy noise next
-            // to the fabric traffic they interleave with).
-            let input = {
-                let _comm = span!(rec, Phase::FwdComm, lz);
-                // GetFromDepNbr, send side: masters push their rows. With
-                // lock-free enqueuing, every peer's buffer fills in one
-                // chunk-stealing parallel job before the ring-order flush.
-                let mut enq = enqueue_payloads(cfg, rec, &prev, &lp.send_rows);
-                for j in peer_order(me, m, cfg.ring_order) {
-                    if lp.send_ids[j].is_empty() {
-                        continue;
-                    }
-                    let data = match enq.as_mut() {
-                        Some(q) => q.take(j),
-                        None => prev.gather_rows(&lp.send_rows[j]).into_vec(),
-                    };
-                    ep.send(
-                        j,
-                        MessageKind::Rows {
-                            layer: lz as u32,
-                            ids: lp.send_ids[j].clone(),
-                            cols: prev.cols() as u32,
-                            data,
-                        },
-                    )
-                    .map_err(|e| fail(abs_epoch, false, e))?;
-                }
-                // Assemble the layer-input matrix.
-                let d_in = dims[lz];
-                let mut input = Tensor::zeros(lp.input_ids.len(), d_in);
-                for &(pr, ir) in &lp.local_src {
-                    input
-                        .row_mut(ir as usize)
-                        .copy_from_slice(prev.row(pr as usize));
-                }
-                for j in 0..m {
-                    if lp.recv_ids[j].is_empty() {
-                        continue;
-                    }
-                    let msg = recv_retry(ep, j, ctx)
-                        .map_err(|e| fail(abs_epoch, false, e))?;
-                    let got = msg.kind.name();
-                    let MessageKind::Rows { layer, ids, cols, data } = msg.kind else {
-                        return Err(fail(
-                            abs_epoch,
-                            false,
-                            NetError::UnexpectedKind { peer: j, expected: "Rows", got },
-                        ));
-                    };
-                    assert_eq!(layer as usize, lz, "layer mismatch");
-                    assert_eq!(cols as usize, d_in, "width mismatch");
-                    assert_eq!(ids, lp.recv_ids[j], "id schedule mismatch");
-                    for (k, &r) in lp.recv_rows[j].iter().enumerate() {
-                        input
-                            .row_mut(r as usize)
-                            .copy_from_slice(&data[k * d_in..(k + 1) * d_in]);
-                    }
-                    // The payload buffer was pooled by the sender's
-                    // enqueue path; hand it back for next epoch's sends.
-                    ns_tensor::pool::recycle(data);
-                }
-                input
-            };
-            let run_seg = {
-                let _fwd = span!(rec, Phase::FwdCompute, lz);
-                model.layer(lz).forward(&store, &lp.topo, input)
-            };
-            prev = run_seg.output().clone();
+        let mut act = self.features.clone();
+        for l in 0..num_layers {
+            let input = self.fwd_comm(l, &act)?;
+            let run_seg = self.fwd_compute(l, input);
+            act = run_seg.output().clone();
             runs.push(run_seg);
         }
-
-        // ---- prediction head ----
-        let logits = prev;
-        let (head, counts) = {
-            let _head = span!(rec, Phase::Head);
-            let head = softmax_cross_entropy(&logits, &owned_labels, &loss_weights);
-            let counts = [
-                accuracy(&logits, &owned_labels, &masks[0]),
-                accuracy(&logits, &owned_labels, &masks[1]),
-                accuracy(&logits, &owned_labels, &masks[2]),
-            ];
-            (head, counts)
-        };
-
-        // ---- backward ----
-        let mut grads = store.zero_grads();
+        let (head, counts) = self.head(&act);
+        let mut grads = self.store.zero_grads();
         let mut g = head.logit_grad;
-        for lz in (0..num_layers).rev() {
+        for l in (0..num_layers).rev() {
             let run_seg = runs.pop().expect("one run per layer");
-            let fwd_graph_ns = run_seg.fwd_graph_ns();
-            let fwd_nn_ns = run_seg.fwd_nn_ns();
-            let (input_grad, bwd_graph_ns, bwd_nn_ns) = {
-                let _bwd = span!(rec, Phase::BwdCompute, lz);
-                let (input_grad, _, bg, bn) = run_seg.backward_split(g, &mut grads);
-                (input_grad, bg, bn)
-            };
-            rec.add_layer_split(
-                lz,
-                LayerSplit { fwd_graph_ns, fwd_nn_ns, bwd_graph_ns, bwd_nn_ns },
-            );
-            let lp = &plan.layers[lz];
-            if lz == 0 {
+            let input_grad = self.bwd_compute(l, run_seg, g, &mut grads);
+            if l == 0 {
                 // Feature gradients are not propagated anywhere.
                 break;
             }
-            let _comm = span!(rec, Phase::BwdComm, lz);
-            let d = dims[lz];
-            // PostToDepNbr: mirror gradients return to their masters,
-            // assembled the same way as the forward rows.
-            let mut enq = enqueue_payloads(cfg, rec, &input_grad, &lp.recv_rows);
-            for j in peer_order(me, m, cfg.ring_order) {
-                if lp.recv_ids[j].is_empty() {
-                    continue;
-                }
-                let data = match enq.as_mut() {
-                    Some(q) => q.take(j),
-                    None => input_grad.gather_rows(&lp.recv_rows[j]).into_vec(),
-                };
-                ep.send(
-                    j,
-                    MessageKind::Grads {
-                        layer: lz as u32,
-                        ids: lp.recv_ids[j].clone(),
-                        cols: d as u32,
-                        data,
-                    },
-                )
-                .map_err(|e| fail(abs_epoch, false, e))?;
-            }
-            // Route local rows into the previous layer's output gradient.
-            let prev_rows = plan.layers[lz - 1].compute.len();
-            let mut g_prev = Tensor::zeros(prev_rows, d);
-            for &(pr, ir) in &lp.local_src {
-                let src = input_grad.row(ir as usize);
-                let dst = g_prev.row_mut(pr as usize);
-                for (a, &b) in dst.iter_mut().zip(src) {
-                    *a += b;
-                }
-            }
-            // Aggregate mirror gradients in fixed peer order (determinism).
-            for j in 0..m {
-                if lp.send_ids[j].is_empty() {
-                    continue;
-                }
-                let msg = recv_retry(ep, j, ctx)
-                    .map_err(|e| fail(abs_epoch, false, e))?;
-                let got = msg.kind.name();
-                let MessageKind::Grads { layer, ids, cols, data } = msg.kind else {
-                    return Err(fail(
-                        abs_epoch,
-                        false,
-                        NetError::UnexpectedKind { peer: j, expected: "Grads", got },
-                    ));
-                };
-                assert_eq!(layer as usize, lz);
-                assert_eq!(cols as usize, d);
-                assert_eq!(ids, lp.send_ids[j]);
-                for (k, &pr) in lp.send_rows[j].iter().enumerate() {
-                    let dst = g_prev.row_mut(pr as usize);
-                    for (a, &b) in dst.iter_mut().zip(&data[k * d..(k + 1) * d]) {
-                        *a += b;
-                    }
-                }
-                ns_tensor::pool::recycle(data);
-            }
-            g = g_prev;
+            g = self.bwd_comm(l, &input_grad)?;
         }
-
-        // ---- parameter update ----
-        {
-            let _sync = span!(rec, Phase::SyncWait);
-            let low_mem = match cfg.sync {
-                SyncMode::AllReduce => ring_allreduce(ep, ctx, &mut grads),
-                SyncMode::ParameterServer => ps_reduce(ep, ctx, &mut grads).map(|()| false),
-            }
-            .map_err(|e| fail(abs_epoch, true, e))?;
-            if low_mem {
-                rec.incr("alloc.sync_low_mem", 1);
-            }
-        }
+        self.sync_wait(&mut grads)?;
         // Divergence guard: a non-finite loss or gradient must never reach
         // the optimizer step, where it would poison the parameters of every
         // replica. The all-reduce already spread any NaN to all workers, so
@@ -1130,48 +872,179 @@ fn worker_body(
         if !head.loss.is_finite()
             || grads.iter().any(|g| g.data().iter().any(|v| !v.is_finite()))
         {
-            rec.incr("guard.nan_events", 1);
-            return Err(WorkerFailure {
-                worker: me,
-                epoch: abs_epoch,
-                cause: FailureCause::Diverged,
-                in_sync: false,
-            });
+            self.rec.incr("guard.nan_events", 1);
+            return Err(self.fail(FailureCause::Diverged, false));
         }
-        {
-            let _opt = span!(rec, Phase::OptStep);
-            opt.step(&mut store, &grads);
+        self.opt_step(&grads);
+        self.export_epoch_meters();
+        Ok(WorkerReport { loss: head.loss, counts, wall_s: t0.elapsed().as_secs_f64() })
+    }
+
+    /// Forward dependency exchange and input assembly for layer `l`
+    /// (synchronize-compute). The local-row copies are memcpy noise next
+    /// to the fabric traffic they interleave with, so they share the span.
+    fn fwd_comm(&self, l: usize, act: &Tensor) -> WorkerResult<Tensor> {
+        let lp = &self.plan.layers[l];
+        self.rec.incr("dep.rows.local", lp.local_src.len() as u64);
+        self.rec.incr("dep.rows.fetched", lp.recv_row_count() as u64);
+        let _span = span!(self.rec, Phase::FwdComm, l);
+        let net = |e| self.fail(FailureCause::Net(e), false);
+        self.push(Dir::Fwd, l, act).map_err(net)?;
+        let mut input = Tensor::zeros(lp.input_ids.len(), act.cols());
+        for &(pr, ir) in &lp.local_src {
+            input.row_mut(ir as usize).copy_from_slice(act.row(pr as usize));
         }
+        self.pull(Dir::Fwd, l, &mut input).map_err(net)?;
+        Ok(input)
+    }
 
-        // Attribute this epoch's intra-worker parallelism to this worker.
-        export_par_stats(rec);
+    /// Layer `l`'s tape forward pass over the assembled input.
+    fn fwd_compute(&self, l: usize, input: Tensor) -> LayerRun {
+        let _span = span!(self.rec, Phase::FwdCompute, l);
+        self.model.layer(l).forward(&self.store, &self.plan.layers[l].topo, input)
+    }
 
-        if me == 0 {
-            let now = ns_tensor::pool::stats();
-            last_fresh_delta = now.fresh - pool_base.fresh;
-            rec.incr("alloc.fresh", now.fresh - pool_base.fresh);
-            rec.incr("alloc.fresh_bytes", now.fresh_bytes - pool_base.fresh_bytes);
-            rec.incr("alloc.reused", now.reused - pool_base.reused);
-            rec.incr("alloc.recycled", now.recycled - pool_base.recycled);
-            rec.incr("alloc.shed", now.shed - pool_base.shed);
-            rec.incr("alloc.shed_bytes", now.shed_bytes - pool_base.shed_bytes);
-            pool_base = now;
-        }
+    /// Prediction head: loss over owned rows plus train/val/test accuracy.
+    fn head(&self, logits: &Tensor) -> (LossResult, [(usize, usize); 3]) {
+        let _span = span!(self.rec, Phase::Head);
+        let head = softmax_cross_entropy(logits, &self.owned_labels, &self.loss_weights);
+        let counts = [0, 1, 2].map(|k| accuracy(logits, &self.owned_labels, &self.masks[k]));
+        (head, counts)
+    }
 
-        let report = WorkerReport {
-            loss: head.loss,
-            counts,
-            wall_s: t0.elapsed().as_secs_f64(),
+    /// Layer `l`'s tape backward pass: accumulates parameter gradients
+    /// into `grads` and returns the gradient of the layer input.
+    fn bwd_compute(&self, l: usize, run: LayerRun, g: Tensor, grads: &mut [Tensor]) -> Tensor {
+        let (fwd_graph_ns, fwd_nn_ns) = (run.fwd_graph_ns(), run.fwd_nn_ns());
+        let (input_grad, bwd_graph_ns, bwd_nn_ns) = {
+            let _span = span!(self.rec, Phase::BwdCompute, l);
+            let (input_grad, _, bg, bn) = run.backward_split(g, grads);
+            (input_grad, bg, bn)
         };
-        // The coordinator holds the receiver for the whole scope; a send
-        // can only fail after a coordinator bug, and metric loss is not
-        // worth crashing a worker over.
-        let _ = tx.send((epoch, me, report));
+        let split = LayerSplit { fwd_graph_ns, fwd_nn_ns, bwd_graph_ns, bwd_nn_ns };
+        self.rec.add_layer_split(l, split);
+        input_grad
     }
-    if me == 0 && epochs > 0 {
-        rec.incr("alloc.steady_state", last_fresh_delta);
+
+    /// Backward dependency exchange for layer `l` (compute-synchronize):
+    /// mirror gradients return to their masters and the locally-routed
+    /// rows join them in the previous layer's output gradient.
+    fn bwd_comm(&self, l: usize, input_grad: &Tensor) -> WorkerResult<Tensor> {
+        let _span = span!(self.rec, Phase::BwdComm, l);
+        let net = |e| self.fail(FailureCause::Net(e), false);
+        self.push(Dir::Bwd, l, input_grad).map_err(net)?;
+        let prev_rows = self.plan.layers[l - 1].compute.len();
+        let mut g_prev = Tensor::zeros(prev_rows, input_grad.cols());
+        for &(pr, ir) in &self.plan.layers[l].local_src {
+            write_slice(g_prev.row_mut(pr as usize), input_grad.row(ir as usize), true);
+        }
+        self.pull(Dir::Bwd, l, &mut g_prev).map_err(net)?;
+        Ok(g_prev)
     }
-    Ok((store, opt.export()))
+
+    /// Combines parameter gradients across workers.
+    fn sync_wait(&self, grads: &mut [Tensor]) -> WorkerResult<()> {
+        let _span = span!(self.rec, Phase::SyncWait);
+        match self.cfg.sync {
+            SyncMode::AllReduce => ring_allreduce(self.ep, &self.ctx, grads),
+            SyncMode::ParameterServer => ps_reduce(self.ep, &self.ctx, grads),
+        }
+        .map_err(|e| self.fail(FailureCause::Net(e), true))
+    }
+
+    /// The identical optimizer step every replica applies.
+    fn opt_step(&mut self, grads: &[Tensor]) {
+        let _span = span!(self.rec, Phase::OptStep);
+        self.opt.step(&mut self.store, grads);
+    }
+
+    /// Send half of a dependency exchange: ships `src`'s scheduled rows of
+    /// layer `l` to every peer that depends on them. With lock-free
+    /// enqueuing, every peer's buffer fills in one chunk-stealing parallel
+    /// job before the flush; sends go out in ring order (or ascending, the
+    /// Fig. 9 ablation).
+    fn push(&self, dir: Dir, l: usize, src: &Tensor) -> NetResult<()> {
+        let lp = &self.plan.layers[l];
+        let (rows, ids) = match dir {
+            Dir::Fwd => (&lp.send_rows, &lp.send_ids),
+            Dir::Bwd => (&lp.recv_rows, &lp.recv_ids),
+        };
+        let (layer, cols) = (l as u32, src.cols() as u32);
+        let mut enq = enqueue_payloads(self.cfg, self.rec, src, rows);
+        for j in peer_order(self.ep.id(), self.ep.world(), self.cfg.ring_order) {
+            if ids[j].is_empty() {
+                continue;
+            }
+            let data = match enq.as_mut() {
+                Some(q) => q.take(j),
+                None => src.gather_rows(&rows[j]).into_vec(),
+            };
+            let ids = ids[j].clone();
+            let kind = match dir {
+                Dir::Fwd => MessageKind::Rows { layer, ids, cols, data },
+                Dir::Bwd => MessageKind::Grads { layer, ids, cols, data },
+            };
+            self.ep.send(j, kind)?;
+        }
+        Ok(())
+    }
+
+    /// Receive half of a dependency exchange: each payload is checked
+    /// against the plan's schedule, written (forward) or accumulated
+    /// (backward) into `dst`, then recycled — the buffer was pooled by the
+    /// sender's enqueue path and serves next epoch's sends.
+    ///
+    /// Accumulation-order invariant: the caller routes local rows first,
+    /// then peers fold in here in ascending id order, whatever order the
+    /// sends went out in — so float sums are identical across runs,
+    /// engines and send schedules.
+    fn pull(&self, dir: Dir, l: usize, dst: &mut Tensor) -> NetResult<()> {
+        let lp = &self.plan.layers[l];
+        let (rows, ids, expected) = match dir {
+            Dir::Fwd => (&lp.recv_rows, &lp.recv_ids, "Rows"),
+            Dir::Bwd => (&lp.send_rows, &lp.send_ids, "Grads"),
+        };
+        let d = dst.cols();
+        for j in 0..self.ep.world() {
+            if ids[j].is_empty() {
+                continue;
+            }
+            let msg = recv_retry(self.ep, j, &self.ctx)?;
+            let got = msg.kind.name();
+            let (layer, got_ids, cols, data) = match (dir, msg.kind) {
+                (Dir::Fwd, MessageKind::Rows { layer, ids, cols, data })
+                | (Dir::Bwd, MessageKind::Grads { layer, ids, cols, data }) => {
+                    (layer, ids, cols, data)
+                }
+                _ => return Err(NetError::UnexpectedKind { peer: j, expected, got }),
+            };
+            assert_eq!(layer as usize, l, "layer mismatch");
+            assert_eq!(cols as usize, d, "width mismatch");
+            assert_eq!(got_ids, ids[j], "id schedule mismatch");
+            for (k, &r) in rows[j].iter().enumerate() {
+                write_slice(dst.row_mut(r as usize), &data[k * d..(k + 1) * d], dir == Dir::Bwd);
+            }
+            ns_tensor::pool::recycle(data);
+        }
+        Ok(())
+    }
+
+    /// End-of-epoch meters: this worker's intra-worker parallelism, and
+    /// (worker 0 only) the process-wide buffer-pool deltas.
+    fn export_epoch_meters(&mut self) {
+        export_par_stats(self.rec);
+        if self.ep.id() == 0 {
+            let (now, base) = (ns_tensor::pool::stats(), self.pool_base);
+            self.last_fresh_delta = now.fresh - base.fresh;
+            self.rec.incr("alloc.fresh", now.fresh - base.fresh);
+            self.rec.incr("alloc.fresh_bytes", now.fresh_bytes - base.fresh_bytes);
+            self.rec.incr("alloc.reused", now.reused - base.reused);
+            self.rec.incr("alloc.recycled", now.recycled - base.recycled);
+            self.rec.incr("alloc.shed", now.shed - base.shed);
+            self.rec.incr("alloc.shed_bytes", now.shed_bytes - base.shed_bytes);
+            self.pool_base = now;
+        }
+    }
 }
 
 /// Picks the root-cause failure: earliest epoch first, injected kills
@@ -1236,12 +1109,13 @@ pub fn train_epochs_run(
 
     crossbeam::thread::scope(|s| {
         let wd = watchdog.as_ref();
+        let job = Job { dataset, model, epochs, cfg, run, origin, wd };
         let supervisor = wd.map(|wd| s.spawn(move |_| wd.run()));
         let mut handles = Vec::new();
         for (plan, ep) in plans.iter().zip(endpoints) {
             let tx = tx.clone();
             handles.push(s.spawn(move |_| {
-                worker_loop(plan, model, dataset, ep, epochs, cfg, run, origin, wd, tx)
+                Worker::run(job, plan, ep, tx)
             }));
         }
         drop(tx);
@@ -1670,35 +1544,77 @@ mod tests {
     }
 
     #[test]
-    fn low_memory_allreduce_matches_the_staged_path() {
-        let _pool = crate::pool_test_guard();
+    fn send_schedule_and_enqueue_path_do_not_change_numerics_or_bytes() {
         let ds = small_dataset();
-        let plans = plans_for(&ds, 2);
+        // Four workers: workers 1 and 2 send in a different order under
+        // ring and ascending schedules, and masters with mirrors on
+        // several peers accumulate gradients from all of them.
+        let plans = plans_for(&ds, 4);
         let model =
             GnnModel::two_layer(ModelKind::Gcn, ds.feature_dim(), 16, ds.num_classes, 3);
-        let cfg = ExecConfig::default();
-        let clean = train_epochs(&ds, &model, &plans, 2, &cfg).unwrap();
-        // Shrink the pool budget until it reads as under pressure; every
-        // worker flips to the in-place all-reduce path.
-        let old = ns_tensor::pool::stats().cap_bytes as usize;
-        ns_tensor::pool::set_cap_bytes(1);
-        assert!(ns_tensor::pool::under_pressure());
-        let squeezed = train_epochs(&ds, &model, &plans, 2, &cfg);
-        ns_tensor::pool::set_cap_bytes(if old == 0 {
-            ns_tensor::pool::default_cap_bytes()
-        } else {
-            old
-        });
-        let squeezed = squeezed.unwrap();
-        for (a, b) in clean.0.iter().zip(squeezed.0.iter()) {
-            assert!((a.loss - b.loss).abs() < 1e-12, "{} vs {}", a.loss, b.loss);
+        let train = |on: bool| {
+            let cfg = ExecConfig { ring_order: on, lock_free: on, ..Default::default() };
+            train_epochs_run(&ds, &model, &plans, 3, &cfg, &RunState::default()).unwrap()
+        };
+        let (on, on_store, _, on_rm) = train(true);
+        let (off, off_store, _, off_rm) = train(false);
+        for (a, b) in on.iter().zip(off.iter()) {
+            assert_eq!(a.loss.to_bits(), b.loss.to_bits(), "{} vs {}", a.loss, b.loss);
         }
-        for ((_, _, a), (_, _, b)) in clean.1.iter().zip(squeezed.1.iter()) {
-            assert_eq!(
-                a.max_abs_diff(b),
-                0.0,
-                "in-place all-reduce must be bit-identical to the staged path"
-            );
+        for ((_, _, a), (_, _, b)) in on_store.iter().zip(off_store.iter()) {
+            assert_eq!(a.data(), b.data(), "accumulation order must not follow send order");
+        }
+        for (w, frame) in &on_rm.frames {
+            let bytes = frame.counter("net.sent.bytes");
+            assert!(bytes > 0);
+            assert_eq!(bytes, off_rm.frames[w].counter("net.sent.bytes"), "worker {w}");
+        }
+    }
+
+    #[test]
+    fn ring_allreduce_sums_ragged_tensors_exactly() {
+        // 23 elements over 3 workers: chunks [0,7) [7,15) [15,23). Chunk 0
+        // spans the first three tensors exactly, chunk 1 straddles the
+        // last two, and four of the five tensors are smaller than a chunk.
+        const LENS: [usize; 5] = [3, 2, 2, 5, 11];
+        const WORLD: usize = 3;
+        // Small integers, so every partial sum is exact in f32 and the
+        // oracle below is independent of accumulation order.
+        let value = |w: usize, i: usize| ((i * 7 + w * 13) % 19) as i32 - 9;
+        let run = RunState::default();
+        let reduced: Vec<Vec<Tensor>> = std::thread::scope(|s| {
+            let handles: Vec<_> = Fabric::new(WORLD)
+                .into_endpoints()
+                .into_iter()
+                .map(|ep| {
+                    let run = &run;
+                    s.spawn(move || {
+                        let mut base = 0;
+                        let mut grads: Vec<Tensor> = LENS
+                            .iter()
+                            .map(|&len| {
+                                let data =
+                                    (base..base + len).map(|i| value(ep.id(), i) as f32).collect();
+                                base += len;
+                                Tensor::from_vec(1, len, data)
+                            })
+                            .collect();
+                        let rec = MetricsRecorder::new(ep.id(), Instant::now());
+                        let ctx = RecvCtx::new(&ep, run, &rec, &run.recv);
+                        ring_allreduce(&ep, &ctx, &mut grads).unwrap();
+                        grads
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (w, grads) in reduced.iter().enumerate() {
+            let flat: Vec<f32> = grads.iter().flat_map(|g| g.data().iter().copied()).collect();
+            assert_eq!(flat.len(), LENS.iter().sum::<usize>());
+            for (i, &got) in flat.iter().enumerate() {
+                let want: i32 = (0..WORLD).map(|src| value(src, i)).sum();
+                assert_eq!(got, want as f32, "worker {w}, element {i}");
+            }
         }
     }
 }

@@ -3,10 +3,12 @@
 //! modeled-clock track of the Chrome trace, and the derived summaries
 //! (communication/computation share, utilization time-series) that the
 //! figure benches print are computed here instead of being re-derived
-//! ad hoc at every call site.
+//! ad hoc at every call site. The fabric-counter exporter shared by the
+//! training workers and the serving shards lives here too.
 
-use ns_metrics::SimSpan;
+use ns_metrics::{MetricsRecorder, SimSpan};
 use ns_net::sim::{ResourceKind, SimReport};
+use ns_net::{NetStats, KIND_NAMES};
 
 /// Resource label for each slot of `SimReport::busy[worker]`, matching
 /// the track names the trace sink renders.
@@ -76,6 +78,51 @@ pub fn utilization_trace(
     // `makespan / bucket` can round up to an extra sliver bucket.
     series.truncate(buckets);
     series
+}
+
+/// Copies an endpoint's [`NetStats`] snapshot into recorder counters:
+/// `net.sent.{msgs,bytes}` totals plus per-kind (`.rows`, `.grads`, …)
+/// and per-peer (`.peer<k>`) breakdowns, fault-injection counts, and
+/// receiver-side duplicate suppressions. Training workers and serving
+/// shards (and the serve frontend) all export through this one function.
+pub(crate) fn export_net_stats(rec: &MetricsRecorder, stats: &NetStats) {
+    rec.incr("net.sent.msgs", stats.sent_msgs);
+    rec.incr("net.sent.bytes", stats.sent_bytes);
+    rec.incr("net.encode.frames", stats.encode_frames);
+    rec.incr("net.encode.bytes", stats.encode_bytes);
+    for (k, name) in KIND_NAMES.iter().enumerate() {
+        if stats.sent_msgs_by_kind[k] > 0 {
+            rec.incr(&format!("net.sent.msgs.{name}"), stats.sent_msgs_by_kind[k]);
+            rec.incr(&format!("net.sent.bytes.{name}"), stats.sent_bytes_by_kind[k]);
+        }
+    }
+    for (peer, &msgs) in stats.sent_msgs_by_peer.iter().enumerate() {
+        if msgs > 0 {
+            rec.incr(&format!("net.sent.msgs.peer{peer}"), msgs);
+            rec.incr(&format!("net.sent.bytes.peer{peer}"), stats.sent_bytes_by_peer[peer]);
+        }
+    }
+    if stats.delays_injected > 0 {
+        rec.incr("net.fault.delays", stats.delays_injected);
+    }
+    if stats.dups_injected > 0 {
+        rec.incr("net.fault.dups", stats.dups_injected);
+    }
+    if stats.dups_suppressed > 0 {
+        rec.incr("net.recv.dups_suppressed", stats.dups_suppressed);
+    }
+    if stats.corrupts_injected > 0 {
+        rec.incr("net.fault.corrupts", stats.corrupts_injected);
+    }
+    if stats.severed_msgs > 0 {
+        rec.incr("net.fault.severed", stats.severed_msgs);
+    }
+    if stats.crc_failures > 0 {
+        rec.incr("integrity.crc_fail", stats.crc_failures);
+    }
+    if stats.rereads > 0 {
+        rec.incr("integrity.reread", stats.rereads);
+    }
 }
 
 #[cfg(test)]

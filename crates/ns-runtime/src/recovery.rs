@@ -109,7 +109,7 @@ impl Checkpoint {
     pub fn capture(next_epoch: usize, store: &ParamStore, opt: Option<AdamState>) -> Self {
         let mut bytes = Vec::new();
         checkpoint::save(store, &mut bytes).expect("Vec<u8> writes are infallible");
-        let crc = checkpoint::crc32(&bytes);
+        let crc = ns_net::crc32(&bytes);
         Self { next_epoch, bytes, crc, opt }
     }
 
@@ -123,7 +123,7 @@ impl Checkpoint {
         if self.bytes.is_empty() {
             return Ok((None, None));
         }
-        let computed = checkpoint::crc32(&self.bytes);
+        let computed = ns_net::crc32(&self.bytes);
         if computed != self.crc {
             return Err(CheckpointError::CrcMismatch {
                 offset: 0,
@@ -159,7 +159,7 @@ impl Checkpoint {
     /// surfaces damage as a typed [`CheckpointError`] instead of
     /// panicking.
     pub fn from_raw(next_epoch: usize, bytes: Vec<u8>, opt: Option<AdamState>) -> Self {
-        let crc = checkpoint::crc32(&bytes);
+        let crc = ns_net::crc32(&bytes);
         Self { next_epoch, bytes, crc, opt }
     }
 

@@ -50,9 +50,10 @@ use ns_metrics::{MetricsFrame, MetricsRecorder, RunMetrics};
 use ns_net::fabric::{Endpoint, Fabric, MessageKind, NetError};
 use ns_net::fault::FaultPlan;
 use ns_net::policy::{BreakerState, Budget, CircuitBreaker};
-use ns_net::KIND_NAMES;
 use ns_tensor::{ParamStore, Tensor};
 use rustc_hash::FxHashMap;
+
+use crate::obs::export_net_stats;
 
 pub mod load;
 
@@ -885,7 +886,7 @@ impl<'a> Frontend<'a> {
         for w in 1..=self.cfg.shards {
             let _ = ep.send(w, MessageKind::Control(CTRL_SHUTDOWN));
         }
-        export_net_stats(&self.rec, ep);
+        export_net_stats(&self.rec, &ep.stats());
         self.rec.finish()
     }
 }
@@ -1009,7 +1010,7 @@ impl ShardWorker<'_, '_> {
                                 // endpoint; peers see PeerDisconnected.
                                 rec.incr("serve.shard.killed", 1);
                                 export_cache_stats(&rec, &cache);
-                                export_net_stats(&rec, &ep);
+                                export_net_stats(&rec, &ep.stats());
                                 health.export(&rec, &ep);
                                 return rec.finish();
                             }
@@ -1062,7 +1063,7 @@ impl ShardWorker<'_, '_> {
             }
         }
         export_cache_stats(&rec, &cache);
-        export_net_stats(&rec, &ep);
+        export_net_stats(&rec, &ep.stats());
         health.export(&rec, &ep);
         rec.finish()
     }
@@ -1327,39 +1328,12 @@ impl ShardWorker<'_, '_> {
     }
 }
 
-/// Copies an endpoint's traffic counters into `net.*` recorder series —
-/// the serving twin of the trainer's exporter (which is private to
-/// `exec`), covering the serve-path message kinds.
 /// Folds the shard's feature-cache meters into its metric frame.
 fn export_cache_stats(rec: &MetricsRecorder, cache: &FeatureCache) {
     rec.incr("serve.cache.hits", cache.hits);
     rec.incr("serve.cache.misses", cache.misses);
     rec.incr("serve.cache.evictions", cache.evictions);
     rec.incr("serve.cache.shed", cache.sheds);
-}
-
-fn export_net_stats(rec: &MetricsRecorder, ep: &Endpoint) {
-    let stats = ep.stats();
-    rec.incr("net.sent.msgs", stats.sent_msgs);
-    rec.incr("net.sent.bytes", stats.sent_bytes);
-    for (k, name) in KIND_NAMES.iter().enumerate() {
-        if stats.sent_msgs_by_kind[k] > 0 {
-            rec.incr(&format!("net.sent.msgs.{name}"), stats.sent_msgs_by_kind[k]);
-            rec.incr(&format!("net.sent.bytes.{name}"), stats.sent_bytes_by_kind[k]);
-        }
-    }
-    if stats.crc_failures > 0 {
-        rec.incr("integrity.crc_fail", stats.crc_failures);
-    }
-    if stats.rereads > 0 {
-        rec.incr("integrity.reread", stats.rereads);
-    }
-    if stats.dups_suppressed > 0 {
-        rec.incr("net.recv.dups_suppressed", stats.dups_suppressed);
-    }
-    if stats.severed_msgs > 0 {
-        rec.incr("net.fault.severed", stats.severed_msgs);
-    }
 }
 
 #[cfg(test)]

@@ -20,10 +20,9 @@
 //! checksummed callers like the durable store in `ns-runtime`, the
 //! expected-vs-computed CRC pair). The original `io::Result` entry points
 //! are kept as thin wrappers via `From<CheckpointError> for io::Error`.
-//! The [`crc32`] helper is the same IEEE CRC32 the `ns-net` wire layer
-//! computes — the crates do not depend on each other, so each carries its
-//! own table; a cross-crate agreement test in `ns-runtime` pins them
-//! together.
+//! This crate computes no checksum itself: checksummed callers use
+//! `ns_net::crc32`, the one CRC32 in the workspace, and report a mismatch
+//! through [`CheckpointError::CrcMismatch`].
 
 use std::io::{self, Read, Write};
 
@@ -31,35 +30,6 @@ use crate::nn::ParamStore;
 use crate::tensor::Tensor;
 
 const MAGIC: &[u8; 8] = b"NTSCKPT1";
-
-const CRC_POLY: u32 = 0xEDB8_8320;
-
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { CRC_POLY ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = build_crc_table();
-
-/// CRC32 (IEEE 802.3) of `bytes`, used to checksum checkpoint payloads.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
 
 /// Why a checkpoint stream failed to load.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -321,12 +291,6 @@ mod tests {
             }
             other => panic!("expected Io(UnexpectedEof), got {other:?}"),
         }
-    }
-
-    #[test]
-    fn crc32_matches_known_vector() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]
