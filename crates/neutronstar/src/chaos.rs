@@ -306,7 +306,7 @@ fn generate_partition(rng: &mut SplitMix64, seed: u64, cfg: &ChaosConfig) -> Cha
     );
     let mut faults = Vec::new();
     let n = cfg.workers as u64;
-    let mut pair = |rng: &mut SplitMix64| {
+    let pair = |rng: &mut SplitMix64| {
         let a = rng.below(n) as usize;
         let b = (a + 1 + rng.below(n - 1) as usize) % cfg.workers;
         (a, b)

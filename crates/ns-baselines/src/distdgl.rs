@@ -23,7 +23,7 @@ use rand::{Rng, SeedableRng};
 use rustc_hash::{FxHashMap, FxHashSet};
 
 use ns_gnn::loss::{accuracy, softmax_cross_entropy};
-use ns_gnn::{GnnModel, LayerTopology};
+use ns_gnn::{GnnModel, LayerInput, LayerTopology};
 use ns_graph::Dataset;
 use ns_net::ClusterSpec;
 use ns_tensor::{Adam, Optimizer};
@@ -230,8 +230,12 @@ impl<'a> DistDglLike<'a> {
 
                 // Forward.
                 let input = ds.features.gather_rows(&block.input_ids);
-                let run0 = self.model.layer(0).forward(&store, &block.topos[0], input);
-                let h1 = run0.output().clone();
+                let run0 = self.model.layer(0).forward(
+                    &store,
+                    &block.topos[0],
+                    LayerInput::Constant(input),
+                );
+                let h1 = LayerInput::Tracked(run0.output().clone());
                 let run1 = self.model.layer(1).forward(&store, &block.topos[1], h1);
                 let logits = run1.output().clone();
 
@@ -248,7 +252,8 @@ impl<'a> DistDglLike<'a> {
                 // Backward + per-batch gradient sync.
                 let mut grads = store.zero_grads();
                 let (g1, _) = run1.backward(head.logit_grad, &mut grads);
-                let _ = run0.backward(g1, &mut grads);
+                let g1 = g1.expect("layer 1 tracks its input");
+                run0.backward(g1, &mut grads);
                 opt.step(&mut store, &grads);
                 if epoch == 0 {
                     let (e, v) = run_flops_estimate(&block, self.model);
@@ -315,8 +320,9 @@ impl<'a> DistDglLike<'a> {
             );
         }
         let topo = LayerTopology::from_adjacency(n, &lists, pos_self);
-        let run0 = self.model.layer(0).forward(store, &topo, ds.features.clone());
-        let h1 = run0.output().clone();
+        let features = LayerInput::Constant(ds.features.clone());
+        let run0 = self.model.layer(0).forward(store, &topo, features);
+        let h1 = LayerInput::Constant(run0.output().clone());
         let run1 = self.model.layer(1).forward(store, &topo, h1);
         let labels: Vec<u32> = all.iter().map(|&v| ds.labels[v as usize]).collect();
         let (c, t) = accuracy(run1.output(), &labels, &ds.test_mask);

@@ -8,6 +8,7 @@
 //! baselines at full-neighborhood fidelity, as DistDGL-style systems do
 //! for their reported accuracies.
 
+use crate::layers::LayerInput;
 use crate::loss::accuracy;
 use crate::model::GnnModel;
 use crate::topology::LayerTopology;
@@ -59,7 +60,7 @@ pub fn infer(dataset: &Dataset, model: &GnnModel, store: &ParamStore) -> Inferen
     let topo = full_graph_topology(dataset);
     let mut h = dataset.features.clone();
     for lz in 0..model.num_layers() {
-        let run = model.layer(lz).forward(store, &topo, h);
+        let run = model.layer(lz).forward(store, &topo, LayerInput::Constant(h));
         h = run.output().clone();
     }
     let predictions = h.argmax_rows();

@@ -5,8 +5,11 @@
 //! `LayerRun::backward` with the gradient of the layer's *output*
 //! (obtained from the next layer locally, and/or accumulated from remote
 //! mirrors via `PostToDepNbr`) and receives the gradient of the layer's
-//! *input* rows, which it routes back across workers. Parameter gradients
-//! accumulate into the id-indexed gradient vector for the all-reduce.
+//! *input* rows, which it routes back across workers — if it asked for
+//! one: the caller says through [`LayerInput`] whether anybody reads the
+//! input gradient, and a layer fed raw features or serving inputs computes
+//! none. Parameter gradients accumulate into the id-indexed gradient
+//! vector for the all-reduce.
 
 use rand::rngs::StdRng;
 #[cfg(test)]
@@ -18,6 +21,33 @@ use ns_tensor::{Tape, Tensor, Var};
 
 use crate::ops;
 use crate::topology::LayerTopology;
+
+/// A layer's input rows, and whether the caller will read their gradient.
+/// Forward values and parameter gradients are bitwise the same either way.
+pub enum LayerInput {
+    /// The previous layer's output: the backward pass yields its gradient.
+    Tracked(Tensor),
+    /// Rows nobody differentiates (raw features, inference): the backward
+    /// pass skips every adjoint that only feeds the input gradient.
+    Constant(Tensor),
+}
+
+/// What one layer's backward pass produced, besides the parameter
+/// gradients it accumulated.
+pub struct LayerBackward {
+    /// Gradient of the layer's input rows: `Some` iff the forward pass was
+    /// given [`LayerInput::Tracked`].
+    pub input_grad: Option<Tensor>,
+    /// FLOPs spent.
+    pub flops: u64,
+    /// Wall time attributed to graph operators, nanoseconds.
+    pub graph_ns: u64,
+    /// Wall time attributed to NN operators, nanoseconds.
+    pub nn_ns: u64,
+    /// Operand gradients skipped because only the (unwanted) input
+    /// gradient depended on them (`ns_tensor::Tape::pruned`).
+    pub pruned: u64,
+}
 
 /// The in-flight state of one layer's forward pass on one worker.
 pub struct LayerRun {
@@ -55,32 +85,26 @@ impl LayerRun {
     /// Runs the backward pass seeded with `output_grad`; accumulates
     /// parameter gradients into `grads` (parallel to the store) and
     /// returns `(input_gradient, backward_flops)`.
-    pub fn backward(self, output_grad: Tensor, grads: &mut [Tensor]) -> (Tensor, u64) {
-        let (input_grad, flops, _, _) = self.backward_split(output_grad, grads);
-        (input_grad, flops)
+    pub fn backward(self, output_grad: Tensor, grads: &mut [Tensor]) -> (Option<Tensor>, u64) {
+        let out = self.backward_split(output_grad, grads);
+        (out.input_grad, out.flops)
     }
 
     /// Like [`LayerRun::backward`], additionally returning the backward
-    /// pass's graph-op vs NN-op wall-time split:
-    /// `(input_gradient, backward_flops, bwd_graph_ns, bwd_nn_ns)`.
-    pub fn backward_split(
-        mut self,
-        output_grad: Tensor,
-        grads: &mut [Tensor],
-    ) -> (Tensor, u64, u64, u64) {
-        let before = self.tape.flops();
-        let (graph_before, nn_before) = (self.tape.graph_op_ns(), self.tape.nn_op_ns());
-        self.tape.backward_from(self.output, output_grad);
-        let flops = self.tape.flops() - before;
-        let bwd_graph_ns = self.tape.graph_op_ns() - graph_before;
-        let bwd_nn_ns = self.tape.nn_op_ns() - nn_before;
-        self.bindings.collect_grads(&mut self.tape, grads);
-        let shape = self.tape.value(self.input).shape();
-        let input_grad = self
-            .tape
-            .take_grad(self.input)
-            .unwrap_or_else(|| Tensor::zeros(shape.0, shape.1));
-        (input_grad, flops, bwd_graph_ns, bwd_nn_ns)
+    /// pass's graph-op vs NN-op wall-time split and pruned-gradient count.
+    pub fn backward_split(mut self, output_grad: Tensor, grads: &mut [Tensor]) -> LayerBackward {
+        let tape = &mut self.tape;
+        let (flops, pruned) = (tape.flops(), tape.pruned());
+        let (graph_ns, nn_ns) = (tape.graph_op_ns(), tape.nn_op_ns());
+        tape.backward_from(self.output, output_grad);
+        let (flops, pruned) = (tape.flops() - flops, tape.pruned() - pruned);
+        let (graph_ns, nn_ns) = (tape.graph_op_ns() - graph_ns, tape.nn_op_ns() - nn_ns);
+        self.bindings.collect_grads(tape, grads);
+        let input_grad = tape.needs_grad(self.input).then(|| {
+            let (rows, cols) = tape.value(self.input).shape();
+            tape.take_grad(self.input).unwrap_or_else(|| Tensor::zeros(rows, cols))
+        });
+        LayerBackward { input_grad, flops, graph_ns, nn_ns, pruned }
     }
 }
 
@@ -95,7 +119,7 @@ pub trait GnnLayer: Send + Sync {
 
     /// Records the forward pass over `topo` with input rows `h`
     /// (`topo.n_src x in_dim`).
-    fn forward(&self, store: &ParamStore, topo: &LayerTopology, h: Tensor) -> LayerRun;
+    fn forward(&self, store: &ParamStore, topo: &LayerTopology, h: LayerInput) -> LayerRun;
 
     /// Analytic per-edge FLOP estimate (edge function + aggregation), used
     /// by the cost model before any data exists.
@@ -114,11 +138,18 @@ pub trait GnnLayer: Send + Sync {
     fn edge_tensor_width(&self) -> usize;
 }
 
-fn start_run(h: Tensor) -> (Tape, Bindings, Var) {
+/// Checks the input's shape and records it on a fresh tape: a leaf when
+/// its gradient is wanted, a constant when not.
+fn start_run(h: LayerInput, topo: &LayerTopology, in_dim: usize) -> (Tape, Bindings, Var) {
     let mut tape = Tape::new();
-    let bindings = Bindings::new();
-    let input = tape.leaf(h);
-    (tape, bindings, input)
+    let (LayerInput::Tracked(t) | LayerInput::Constant(t)) = &h;
+    assert_eq!(t.cols(), in_dim, "layer input width");
+    assert_eq!(t.rows(), topo.n_src, "layer input rows");
+    let input = match h {
+        LayerInput::Tracked(t) => tape.leaf(t),
+        LayerInput::Constant(t) => tape.constant(t),
+    };
+    (tape, Bindings::new(), input)
 }
 
 fn finish_run(tape: Tape, bindings: Bindings, input: Var, output: Var) -> LayerRun {
@@ -160,10 +191,8 @@ impl GnnLayer for GcnLayer {
         self.lin.out_features()
     }
 
-    fn forward(&self, store: &ParamStore, topo: &LayerTopology, h: Tensor) -> LayerRun {
-        assert_eq!(h.cols(), self.in_dim(), "gcn input width");
-        assert_eq!(h.rows(), topo.n_src, "gcn input rows");
-        let (mut tape, mut binds, input) = start_run(h);
+    fn forward(&self, store: &ParamStore, topo: &LayerTopology, h: LayerInput) -> LayerRun {
+        let (mut tape, mut binds, input) = start_run(h, topo, self.in_dim());
         // EdgeForward (weighted copy) fused with GatherByDst: the copy
         // edge function needs no materialized edge tensor, so it runs as
         // one SpMM — the fusion real GNN backends apply.
@@ -222,10 +251,8 @@ impl GnnLayer for GinLayer {
         self.mlp.out_features()
     }
 
-    fn forward(&self, store: &ParamStore, topo: &LayerTopology, h: Tensor) -> LayerRun {
-        assert_eq!(h.cols(), self.in_dim(), "gin input width");
-        assert_eq!(h.rows(), topo.n_src, "gin input rows");
-        let (mut tape, mut binds, input) = start_run(h);
+    fn forward(&self, store: &ParamStore, topo: &LayerTopology, h: LayerInput) -> LayerRun {
+        let (mut tape, mut binds, input) = start_run(h, topo, self.in_dim());
         // EdgeForward (plain copy) fused with GatherByDst (SpMM).
         let agg = ops::aggregate_neighbors(&mut tape, input, topo, false);
         // VertexForward: (1+ε)h_v + agg, then the MLP.
@@ -375,10 +402,8 @@ impl GnnLayer for GatLayer {
         self.head_dim * self.heads.len()
     }
 
-    fn forward(&self, store: &ParamStore, topo: &LayerTopology, h: Tensor) -> LayerRun {
-        assert_eq!(h.cols(), self.in_dim(), "gat input width");
-        assert_eq!(h.rows(), topo.n_src, "gat input rows");
-        let (mut tape, mut binds, input) = start_run(h);
+    fn forward(&self, store: &ParamStore, topo: &LayerTopology, h: LayerInput) -> LayerRun {
+        let (mut tape, mut binds, input) = start_run(h, topo, self.in_dim());
         let mut agg = self.heads[0].attend(&mut tape, &mut binds, store, input, topo);
         for head in &self.heads[1..] {
             let next = head.attend(&mut tape, &mut binds, store, input, topo);
@@ -449,10 +474,8 @@ impl GnnLayer for SageLayer {
         self.lin.out_features()
     }
 
-    fn forward(&self, store: &ParamStore, topo: &LayerTopology, h: Tensor) -> LayerRun {
-        assert_eq!(h.cols(), self.in_dim(), "sage input width");
-        assert_eq!(h.rows(), topo.n_src, "sage input rows");
-        let (mut tape, mut binds, input) = start_run(h);
+    fn forward(&self, store: &ParamStore, topo: &LayerTopology, h: LayerInput) -> LayerRun {
+        let (mut tape, mut binds, input) = start_run(h, topo, self.in_dim());
         let agg = ops::aggregate_neighbors_with(&mut tape, input, topo, self.aggregator);
         let self_h = ops::gather_dst_self(&mut tape, input, topo);
         let cat = tape.concat_cols(self_h, agg);
@@ -511,7 +534,7 @@ mod tests {
         coeff: &Tensor,
     ) -> Tensor {
         let f = |x: &Tensor| -> f32 {
-            layer.forward(store, topo, x.clone()).output().mul(coeff).sum()
+            layer.forward(store, topo, LayerInput::Constant(x.clone())).output().mul(coeff).sum()
         };
         let mut g = Tensor::zeros(h.rows(), h.cols());
         let eps = 1e-3;
@@ -528,11 +551,12 @@ mod tests {
     fn check_layer_gradients(layer: &dyn GnnLayer, store: &ParamStore, tol: f32) {
         let t = topo();
         let h = input(4, layer.in_dim());
-        let run = layer.forward(store, &t, h.clone());
+        let run = layer.forward(store, &t, LayerInput::Tracked(h.clone()));
         assert_eq!(run.output().shape(), (3, layer.out_dim()));
         let coeff = input(3, layer.out_dim());
         let mut grads = store.zero_grads();
         let (input_grad, back_flops) = run.backward(coeff.clone(), &mut grads);
+        let input_grad = input_grad.expect("tracked input");
         assert!(back_flops > 0);
         let numeric = numeric_input_grad(layer, store, &t, &h, &coeff);
         let diff = input_grad.max_abs_diff(&numeric);
@@ -552,7 +576,7 @@ mod tests {
         *store.value_mut(bid) = Tensor::scalar(1.0);
         let t = topo();
         let h = Tensor::from_vec(4, 1, vec![1., 2., 3., 4.]);
-        let run = layer.forward(&store, &t, h);
+        let run = layer.forward(&store, &t, LayerInput::Constant(h));
         // dst0 = (1*1 + 4*0.5) * 2 + 1 = 7; dst1 = 2*2+1 = 5;
         // dst2 = (0.25 + 0.5 + 1.5) * 2 + 1 = 5.5.
         assert_eq!(run.output().data(), &[7., 5., 5.5]);
@@ -592,7 +616,7 @@ mod tests {
         *store.value_mut(layer.heads[0].w) = Tensor::from_vec(2, 2, vec![1., 0., 0., 1.]);
         let t = topo();
         let h = Tensor::full(4, 2, 3.0);
-        let run = layer.forward(&store, &t, h);
+        let run = layer.forward(&store, &t, LayerInput::Constant(h));
         for v in run.output().data() {
             assert!((v - 3.0).abs() < 1e-5, "{v}");
         }
@@ -614,9 +638,10 @@ mod tests {
         }
         let t = topo();
         let h = input(4, 2);
-        let base = layer.forward(&store, &t, h.clone()).output().clone();
+        let base = layer.forward(&store, &t, LayerInput::Constant(h.clone())).output().clone();
         *store.value_mut(layer.eps) = Tensor::scalar(1.0);
-        let shifted = layer.forward(&store, &t, h.clone()).output().clone();
+        let shifted =
+            layer.forward(&store, &t, LayerInput::Constant(h.clone())).output().clone();
         // Difference is exactly ε · h_self pushed through the affine map.
         let expected = h.gather_rows(&[0, 1, 2]);
         assert!(base.max_abs_diff(&shifted) > 1e-4);
@@ -660,7 +685,7 @@ mod tests {
         let layer = GatLayer::multi_head(&mut store, "gat", 3, 4, 3, true, &mut r);
         assert_eq!(layer.num_heads(), 3);
         assert_eq!(layer.out_dim(), 12);
-        let run = layer.forward(&store, &topo(), input(4, 3));
+        let run = layer.forward(&store, &topo(), LayerInput::Constant(input(4, 3)));
         assert_eq!(run.output().shape(), (3, 12));
     }
 
@@ -670,6 +695,49 @@ mod tests {
         let mut r = rng();
         let layer = GatLayer::multi_head(&mut store, "gat", 3, 2, 2, true, &mut r);
         check_layer_gradients(&layer, &store, 2e-2);
+    }
+
+    /// Backward with and without the input gradient: same output, bitwise
+    /// the same parameter gradients, strictly less work without.
+    fn check_constant_input(layer: &dyn GnnLayer, store: &ParamStore) {
+        let t = topo();
+        let h = input(4, layer.in_dim());
+        let coeff = input(3, layer.out_dim());
+        let backward = |h: LayerInput| {
+            let run = layer.forward(store, &t, h);
+            let output = run.output().clone();
+            let mut grads = store.zero_grads();
+            (output, run.backward_split(coeff.clone(), &mut grads), grads)
+        };
+        let (out_on, on, grads_on) = backward(LayerInput::Tracked(h.clone()));
+        let (out_off, off, grads_off) = backward(LayerInput::Constant(h));
+        assert_eq!(out_on.data(), out_off.data());
+        assert!(on.input_grad.is_some() && off.input_grad.is_none());
+        assert!(grads_on.iter().any(|g| g.norm() > 0.0));
+        for (a, b) in grads_on.iter().zip(&grads_off) {
+            assert_eq!(a.data(), b.data(), "parameter gradients must not move");
+        }
+        assert_eq!(on.pruned, 0, "a tracked input prunes nothing");
+        assert!(off.pruned > 0, "a constant input must prune something");
+        assert!(off.flops < on.flops, "{} vs {}", off.flops, on.flops);
+    }
+
+    #[test]
+    fn constant_input_leaves_parameter_gradients_bitwise_equal() {
+        use crate::ops::Aggregator;
+        let mut r = rng();
+        let mut store = ParamStore::new();
+        let layers: Vec<Box<dyn GnnLayer>> = vec![
+            Box::new(GcnLayer::new(&mut store, "gcn", 3, 2, true, &mut r)),
+            Box::new(GinLayer::new(&mut store, "gin", 3, 2, false, &mut r)),
+            Box::new(GatLayer::new(&mut store, "gat1", 3, 2, true, &mut r)),
+            Box::new(GatLayer::multi_head(&mut store, "gat3", 3, 2, 3, true, &mut r)),
+            Box::new(SageLayer::new(&mut store, "mean", 3, 2, Aggregator::Mean, true, &mut r)),
+            Box::new(SageLayer::new(&mut store, "max", 3, 2, Aggregator::Max, false, &mut r)),
+        ];
+        for layer in &layers {
+            check_constant_input(layer.as_ref(), &store);
+        }
     }
 
     #[test]
@@ -687,7 +755,7 @@ mod tests {
         let mut store = ParamStore::new();
         let mut r = rng();
         let layer = GcnLayer::new(&mut store, "g", 3, 2, true, &mut r);
-        let run = layer.forward(&store, &topo(), input(4, 3));
+        let run = layer.forward(&store, &topo(), LayerInput::Constant(input(4, 3)));
         assert!(run.forward_flops() > 0);
     }
 }

@@ -17,7 +17,7 @@
 //!   `backward` accepts the output gradient (arriving from the next layer
 //!   or from remote mirrors) and yields the input gradient — the
 //!   per-layer *synchronize-compute / compute-synchronize* contract of
-//!   §4.1.
+//!   §4.1 — when the caller asked for one ([`LayerInput`]).
 //! * [`model`] — layer stacks with the paper's 2-layer defaults.
 //! * [`loss`] — softmax cross-entropy prediction head and accuracy.
 
@@ -28,7 +28,9 @@ pub mod model;
 pub mod ops;
 pub mod topology;
 
-pub use layers::{GatLayer, GcnLayer, GinLayer, GnnLayer, LayerRun, SageLayer};
+pub use layers::{
+    GatLayer, GcnLayer, GinLayer, GnnLayer, LayerBackward, LayerInput, LayerRun, SageLayer,
+};
 pub use ops::Aggregator;
 pub use model::{GnnModel, ModelKind};
 pub use topology::LayerTopology;

@@ -22,13 +22,22 @@ pub struct LossResult {
 /// worker typically uses `1 / total_train_vertices` so that the
 /// cluster-wide sum is the mean training loss).
 pub fn softmax_cross_entropy(logits: &Tensor, labels: &[u32], weights: &[f32]) -> LossResult {
+    softmax_cross_entropy_shared(logits, labels.to_vec().into(), weights.to_vec().into())
+}
+
+/// [`softmax_cross_entropy`] for a caller that evaluates the same rows
+/// every epoch and keeps their labels and weights shared, so the head
+/// copies neither.
+pub fn softmax_cross_entropy_shared(
+    logits: &Tensor,
+    labels: Arc<[u32]>,
+    weights: Arc<[f32]>,
+) -> LossResult {
     assert_eq!(labels.len(), logits.rows(), "label count");
     assert_eq!(weights.len(), logits.rows(), "weight count");
     let mut tape = Tape::new();
     let x = tape.leaf(logits.clone());
     let lp = tape.log_softmax_rows(x);
-    let labels: Arc<[u32]> = labels.to_vec().into();
-    let weights: Arc<[f32]> = weights.to_vec().into();
     let loss = tape.nll_loss(lp, labels, weights);
     let value = tape.value(loss).scalar_value() as f64;
     tape.backward(loss);
@@ -42,12 +51,17 @@ pub fn softmax_cross_entropy(logits: &Tensor, labels: &[u32], weights: &[f32]) -
 /// Counts correct argmax predictions among rows where `mask` is true.
 /// Returns `(correct, total)`.
 pub fn accuracy(logits: &Tensor, labels: &[u32], mask: &[bool]) -> (usize, usize) {
-    assert_eq!(labels.len(), logits.rows());
-    assert_eq!(mask.len(), logits.rows());
-    let pred = logits.argmax_rows();
+    count_correct(&logits.argmax_rows(), labels, mask)
+}
+
+/// [`accuracy`] over predictions already taken (`logits.argmax_rows()`),
+/// for a caller that scores several masks against one argmax.
+pub fn count_correct(pred: &[usize], labels: &[u32], mask: &[bool]) -> (usize, usize) {
+    assert_eq!(labels.len(), pred.len());
+    assert_eq!(mask.len(), pred.len());
     let mut correct = 0;
     let mut total = 0;
-    for r in 0..logits.rows() {
+    for r in 0..pred.len() {
         if mask[r] {
             total += 1;
             if pred[r] == labels[r] as usize {

@@ -124,6 +124,7 @@ impl GnnModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::LayerInput;
     use crate::topology::LayerTopology;
     use ns_tensor::Tensor;
 
@@ -173,7 +174,7 @@ mod tests {
         let store = m.fresh_store();
         let mut h = Tensor::full(2, 3, 1.0);
         for l in 0..m.num_layers() {
-            let run = m.layer(l).forward(&store, &topo, h);
+            let run = m.layer(l).forward(&store, &topo, LayerInput::Constant(h));
             h = run.output().clone();
         }
         assert_eq!(h.shape(), (2, 2));

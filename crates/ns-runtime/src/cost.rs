@@ -17,7 +17,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use ns_gnn::{GnnModel, LayerTopology};
+use ns_gnn::{GnnModel, LayerInput, LayerTopology};
 use ns_net::ClusterSpec;
 use ns_tensor::Tensor;
 
@@ -137,7 +137,9 @@ fn measure_layer(model: &GnnModel, lz: usize, topo: &LayerTopology, seed: u64) -
         layer.in_dim(),
         (0..topo.n_src * layer.in_dim()).map(|_| rng.random::<f32>() - 0.5).collect(),
     );
-    let run = layer.forward(&store, topo, h);
+    // The probe prices a full layer: input gradient included, as every
+    // layer but the first pays it.
+    let run = layer.forward(&store, topo, LayerInput::Tracked(h));
     let fwd = run.forward_flops();
     let seed_grad = Tensor::full(topo.n_dst, layer.out_dim(), 1.0);
     let mut grads = store.zero_grads();

@@ -27,11 +27,11 @@
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use ns_gnn::loss::{accuracy, softmax_cross_entropy, LossResult};
-use ns_gnn::{GnnModel, LayerRun};
+use ns_gnn::loss::{count_correct, softmax_cross_entropy_shared, LossResult};
+use ns_gnn::{GnnModel, LayerInput, LayerRun};
 use ns_graph::Dataset;
 use ns_metrics::{span, LayerSplit, MetricsFrame, MetricsRecorder, Phase, RunMetrics};
 use ns_net::fault::FaultPlan;
@@ -689,6 +689,10 @@ struct Job<'a> {
     run: &'a RunState,
     origin: Instant,
     wd: Option<&'a Watchdog>,
+    /// Also compute the gradient of the layer-0 input, which nobody reads.
+    /// `false` in every run; `exec::tests` sets it to check that pruning
+    /// that gradient changes no value that is read.
+    feature_grad: bool,
 }
 
 /// One worker's execution context: everything an epoch reads or updates.
@@ -703,14 +707,15 @@ struct Worker<'a> {
     ctx: RecvCtx<'a>,
     rec: &'a MetricsRecorder,
     wd: Option<&'a Watchdog>,
+    feature_grad: bool,
     store: ParamStore,
     opt: Opt,
     /// Local feature matrix (owned rows + prefetched cached features —
     /// DepCache's one-time dependency retrieval, Algorithm 2 line 5).
     features: Tensor,
     /// Labels, loss weights and train/val/test masks over owned rows.
-    owned_labels: Vec<u32>,
-    loss_weights: Vec<f32>,
+    owned_labels: Arc<[u32]>,
+    loss_weights: Arc<[f32]>,
     masks: [Vec<bool>; 3],
     /// Buffer-pool meters: the pool counters are process-wide, so worker 0
     /// exports the per-epoch deltas for the whole process (every worker's
@@ -749,7 +754,7 @@ impl<'a> Worker<'a> {
     }
 
     fn new(job: Job<'a>, plan: &'a WorkerPlan, ep: &'a Endpoint, rec: &'a MetricsRecorder) -> Self {
-        let Job { dataset, model, cfg, run, wd, .. } = job;
+        let Job { dataset, model, cfg, run, wd, feature_grad, .. } = job;
         rec.incr("dep.rows.cached", plan.prefetched_features() as u64);
         // The pool size every parallel kernel on this worker will use.
         rec.incr("compute.threads", ns_par::threads() as u64);
@@ -764,6 +769,7 @@ impl<'a> Worker<'a> {
             ctx: RecvCtx::new(ep, run, rec, &run.recv),
             rec,
             wd,
+            feature_grad,
             store: run.init_params.clone().unwrap_or_else(|| model.fresh_store()),
             opt: Opt::new(cfg, run.opt_state.clone()),
             features: dataset.features.gather_rows(&plan.feature_rows),
@@ -843,15 +849,13 @@ impl<'a> Worker<'a> {
     fn epoch(&mut self) -> WorkerResult<WorkerReport> {
         let t0 = Instant::now();
         let num_layers = self.model.num_layers();
-        let mut runs = Vec::with_capacity(num_layers);
-        let mut act = self.features.clone();
+        let mut runs: Vec<LayerRun> = Vec::with_capacity(num_layers);
         for l in 0..num_layers {
-            let input = self.fwd_comm(l, &act)?;
-            let run_seg = self.fwd_compute(l, input);
-            act = run_seg.output().clone();
-            runs.push(run_seg);
+            let act = runs.last().map_or(&self.features, LayerRun::output);
+            let input = self.fwd_comm(l, act)?;
+            runs.push(self.fwd_compute(l, input));
         }
-        let (head, counts) = self.head(&act);
+        let (head, counts) = self.head(runs.last().map_or(&self.features, LayerRun::output));
         let mut grads = self.store.zero_grads();
         let mut g = head.logit_grad;
         for l in (0..num_layers).rev() {
@@ -861,7 +865,7 @@ impl<'a> Worker<'a> {
                 // Feature gradients are not propagated anywhere.
                 break;
             }
-            g = self.bwd_comm(l, &input_grad)?;
+            g = self.bwd_comm(l, &input_grad.expect("layers above 0 track their input"))?;
         }
         self.sync_wait(&mut grads)?;
         // Divergence guard: a non-finite loss or gradient must never reach
@@ -898,32 +902,52 @@ impl<'a> Worker<'a> {
         Ok(input)
     }
 
-    /// Layer `l`'s tape forward pass over the assembled input.
+    /// Layer `l`'s tape forward pass over the assembled input. Layer 0's
+    /// input is features, whose gradient nobody reads: recording it as a
+    /// constant lets the backward pass skip the adjoints that feed only it.
     fn fwd_compute(&self, l: usize, input: Tensor) -> LayerRun {
         let _span = span!(self.rec, Phase::FwdCompute, l);
+        let input = if l > 0 || self.feature_grad {
+            LayerInput::Tracked(input)
+        } else {
+            LayerInput::Constant(input)
+        };
         self.model.layer(l).forward(&self.store, &self.plan.layers[l].topo, input)
     }
 
     /// Prediction head: loss over owned rows plus train/val/test accuracy.
     fn head(&self, logits: &Tensor) -> (LossResult, [(usize, usize); 3]) {
         let _span = span!(self.rec, Phase::Head);
-        let head = softmax_cross_entropy(logits, &self.owned_labels, &self.loss_weights);
-        let counts = [0, 1, 2].map(|k| accuracy(logits, &self.owned_labels, &self.masks[k]));
+        let head = softmax_cross_entropy_shared(
+            logits,
+            Arc::clone(&self.owned_labels),
+            Arc::clone(&self.loss_weights),
+        );
+        let pred = logits.argmax_rows();
+        let counts = [0, 1, 2].map(|k| count_correct(&pred, &self.owned_labels, &self.masks[k]));
         (head, counts)
     }
 
     /// Layer `l`'s tape backward pass: accumulates parameter gradients
-    /// into `grads` and returns the gradient of the layer input.
-    fn bwd_compute(&self, l: usize, run: LayerRun, g: Tensor, grads: &mut [Tensor]) -> Tensor {
+    /// into `grads` and returns the gradient of the layer input, if
+    /// [`Worker::fwd_compute`] tracked it (every layer but 0).
+    fn bwd_compute(
+        &self,
+        l: usize,
+        run: LayerRun,
+        g: Tensor,
+        grads: &mut [Tensor],
+    ) -> Option<Tensor> {
         let (fwd_graph_ns, fwd_nn_ns) = (run.fwd_graph_ns(), run.fwd_nn_ns());
-        let (input_grad, bwd_graph_ns, bwd_nn_ns) = {
+        let back = {
             let _span = span!(self.rec, Phase::BwdCompute, l);
-            let (input_grad, _, bg, bn) = run.backward_split(g, grads);
-            (input_grad, bg, bn)
+            run.backward_split(g, grads)
         };
+        let (bwd_graph_ns, bwd_nn_ns) = (back.graph_ns, back.nn_ns);
         let split = LayerSplit { fwd_graph_ns, fwd_nn_ns, bwd_graph_ns, bwd_nn_ns };
         self.rec.add_layer_split(l, split);
-        input_grad
+        self.rec.incr("compute.bwd_pruned", back.pruned);
+        back.input_grad
     }
 
     /// Backward dependency exchange for layer `l` (compute-synchronize):
@@ -1090,6 +1114,19 @@ pub fn train_epochs_run(
     cfg: &ExecConfig,
     run: &RunState,
 ) -> Result<(Vec<EpochMetrics>, ParamStore, Option<AdamState>, RunMetrics)> {
+    run_workers(dataset, model, plans, epochs, cfg, run, false)
+}
+
+/// [`train_epochs_run`], with the [`Job::feature_grad`] test hook exposed.
+fn run_workers(
+    dataset: &Dataset,
+    model: &GnnModel,
+    plans: &[WorkerPlan],
+    epochs: usize,
+    cfg: &ExecConfig,
+    run: &RunState,
+    feature_grad: bool,
+) -> Result<(Vec<EpochMetrics>, ParamStore, Option<AdamState>, RunMetrics)> {
     let m = plans.len();
     if m == 0 {
         return Err(RuntimeError::InvalidConfig("no worker plans".into()));
@@ -1109,7 +1146,7 @@ pub fn train_epochs_run(
 
     crossbeam::thread::scope(|s| {
         let wd = watchdog.as_ref();
-        let job = Job { dataset, model, epochs, cfg, run, origin, wd };
+        let job = Job { dataset, model, epochs, cfg, run, origin, wd, feature_grad };
         let supervisor = wd.map(|wd| s.spawn(move |_| wd.run()));
         let mut handles = Vec::new();
         for (plan, ep) in plans.iter().zip(endpoints) {
@@ -1568,6 +1605,53 @@ mod tests {
             let bytes = frame.counter("net.sent.bytes");
             assert!(bytes > 0);
             assert_eq!(bytes, off_rm.frames[w].counter("net.sent.bytes"), "worker {w}");
+        }
+    }
+
+    #[test]
+    fn pruning_the_feature_gradient_changes_no_live_value() {
+        let ds = small_dataset();
+        let part = Partitioner::Chunk.partition(&ds.graph, 2);
+        // Hybrid: cache the even-id dependencies, communicate the odd ones.
+        let even: rustc_hash::FxHashSet<u32> =
+            (0..ds.graph.num_vertices() as u32).filter(|v| v % 2 == 0).collect();
+        let hybrid = DepDecision::Sets(vec![vec![even; 2]; 2]);
+        const EPOCHS: usize = 2;
+        for decision in [DepDecision::CacheAll, DepDecision::CommAll, hybrid] {
+            let plans = build_plans(&ds.graph, &part, 2, &decision).unwrap();
+            for kind in [ModelKind::Gcn, ModelKind::Gat] {
+                let what = format!("{} {}", decision.label(), kind.name());
+                let model = GnnModel::two_layer(kind, ds.feature_dim(), 16, ds.num_classes, 3);
+                // `true` is the all-gradients run: layer 0 computes the
+                // feature gradient and the executor drops it.
+                let train = |feature_grad: bool| {
+                    let (cfg, run) = (ExecConfig::default(), RunState::default());
+                    run_workers(&ds, &model, &plans, EPOCHS, &cfg, &run, feature_grad).unwrap()
+                };
+                let (pruned, pruned_store, _, pruned_rm) = train(false);
+                let (full, full_store, _, full_rm) = train(true);
+                for (a, b) in pruned.iter().zip(full.iter()) {
+                    assert_eq!(a.loss.to_bits(), b.loss.to_bits(), "{what}");
+                }
+                for ((_, name, a), (_, _, b)) in pruned_store.iter().zip(full_store.iter()) {
+                    assert_eq!(a.data(), b.data(), "{what}: {name}");
+                }
+                for (w, frame) in &pruned_rm.frames {
+                    let full_frame = &full_rm.frames[w];
+                    let bytes = frame.counter("net.sent.bytes");
+                    assert!(bytes > 0);
+                    assert_eq!(bytes, full_frame.counter("net.sent.bytes"), "{what}: worker {w}");
+                    let skipped = frame.counter("compute.bwd_pruned");
+                    assert!(skipped > 0, "{what}: layer 0 must prune");
+                    assert_eq!(skipped % EPOCHS as u64, 0, "{what}: same count every epoch");
+                    if kind == ModelKind::Gcn {
+                        // Exactly the `g·Wᵀ` of layer 0's matmul; the
+                        // aggregation adjoint behind it never gets a gradient.
+                        assert_eq!(skipped, EPOCHS as u64, "{what}");
+                    }
+                    assert_eq!(full_frame.counter("compute.bwd_pruned"), 0, "{what}");
+                }
+            }
         }
     }
 

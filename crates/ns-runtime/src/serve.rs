@@ -43,11 +43,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use ns_gnn::{GnnModel, LayerTopology};
+use ns_gnn::{GnnModel, LayerInput, LayerTopology};
 use ns_graph::khop::khop_in_closure;
-use ns_graph::{CsrGraph, Dataset, Partitioner, Partitioning};
+use ns_graph::{Dataset, Partitioner, Partitioning};
 use ns_metrics::{MetricsFrame, MetricsRecorder, RunMetrics};
-use ns_net::fabric::{Endpoint, Fabric, MessageKind, NetError};
+use ns_net::fabric::{Endpoint, Fabric, MessageKind};
 use ns_net::fault::FaultPlan;
 use ns_net::policy::{BreakerState, Budget, CircuitBreaker};
 use ns_tensor::{ParamStore, Tensor};
@@ -1136,7 +1136,8 @@ impl ShardWorker<'_, '_> {
                 .collect();
             let dst_in_rows: Vec<u32> = dst_set.iter().map(|&v| row_of(v)).collect();
             let topo = LayerTopology::from_adjacency(src_set.len(), &lists, dst_in_rows);
-            let run = model.layer(lz).forward(&self.deploy.params, &topo, h);
+            let run =
+                model.layer(lz).forward(&self.deploy.params, &topo, LayerInput::Constant(h));
             h = run.output().clone();
         }
         // cum[0] is the sorted, deduped seed set; map each query seed to

@@ -27,9 +27,10 @@ impl Var {
 }
 
 /// Differentiable operators recorded on the tape.
+#[derive(Clone)]
 enum Op {
-    /// Leaf: activation input (gradient tracked so it can be shipped
-    /// upstream) or trainable parameter.
+    /// No operands: a [`Tape::leaf`] (trainable parameter, or an activation
+    /// input whose gradient is shipped upstream) or a [`Tape::constant`].
     Leaf,
     MatMul(Var, Var),
     Add(Var, Var),
@@ -75,16 +76,51 @@ enum Op {
     SumAll(Var),
 }
 
+impl Op {
+    /// The nodes this operator reads.
+    fn operands(&self) -> [Option<Var>; 3] {
+        match *self {
+            Op::Leaf => [None; 3],
+            Op::MatMul(a, b)
+            | Op::Add(a, b)
+            | Op::Sub(a, b)
+            | Op::Mul(a, b)
+            | Op::AddRowBroadcast(a, b)
+            | Op::MulColBroadcast(a, b)
+            | Op::ConcatCols(a, b) => [Some(a), Some(b), None],
+            Op::Scale(x, _)
+            | Op::Relu(x)
+            | Op::LeakyRelu(x, _)
+            | Op::Elu(x, _)
+            | Op::GatherRows(x, _)
+            | Op::ScatterAddRows(x, _)
+            | Op::WeightedAggregate { x, .. }
+            | Op::MaxAggregate { x, .. }
+            | Op::SegmentSoftmax(x, _)
+            | Op::LogSoftmaxRows(x)
+            | Op::NllLoss { log_probs: x, .. }
+            | Op::SumAll(x) => [Some(x), None, None],
+            Op::EpsCombine { eps, h, agg } => [Some(eps), Some(h), Some(agg)],
+        }
+    }
+}
+
 struct Node {
     op: Op,
     value: Tensor,
     grad: Option<Tensor>,
+    /// Does any [`Tape::leaf`] feed this node? Fixed when the node is
+    /// recorded; the backward pass computes a gradient for a node only if
+    /// this is set.
+    needs_grad: bool,
 }
 
 /// Append-only autograd arena.
 pub struct Tape {
     nodes: Vec<Node>,
     flops: u64,
+    /// Operand gradients the backward passes skipped. See [`Tape::pruned`].
+    pruned: u64,
     /// Wall time accrued to graph operators (gather/scatter/aggregate/
     /// segment-softmax), forward and backward combined. See [`Tape::graph_op_ns`].
     graph_ns: u64,
@@ -100,6 +136,7 @@ impl Default for Tape {
         Tape {
             nodes: Vec::new(),
             flops: 0,
+            pruned: 0,
             graph_ns: 0,
             nn_ns: 0,
             last_event: Instant::now(),
@@ -159,7 +196,23 @@ impl Tape {
         self.nn_ns
     }
 
+    /// Operand gradients the backward passes so far did not compute because
+    /// no [`Tape::leaf`] feeds the operand: one per operand of every
+    /// adjoint that ran. Exact and monotonically increasing; zero on a
+    /// tape without [`Tape::constant`]s.
+    pub fn pruned(&self) -> u64 {
+        self.pruned
+    }
+
+    /// Records an operator node. It needs a gradient iff one of its
+    /// operands does, which is known here in O(1): operands are earlier
+    /// nodes, so the backward pass never walks the graph to find out.
     fn push(&mut self, op: Op, value: Tensor, flops: u64) -> Var {
+        let needs_grad = op.operands().iter().flatten().any(|v| self.nodes[v.0].needs_grad);
+        self.push_node(op, value, flops, needs_grad)
+    }
+
+    fn push_node(&mut self, op: Op, value: Tensor, flops: u64, needs_grad: bool) -> Var {
         let now = Instant::now();
         let dt = now.duration_since(self.last_event).as_nanos() as u64;
         self.last_event = now;
@@ -169,14 +222,23 @@ impl Tape {
             self.nn_ns += dt;
         }
         self.flops += flops;
-        self.nodes.push(Node { op, value, grad: None });
+        self.nodes.push(Node { op, value, grad: None, needs_grad });
         Var(self.nodes.len() - 1)
     }
 
     /// Records a leaf holding `value`. Leaves accumulate gradients, which
     /// the caller reads back with [`Tape::grad`] / [`Tape::take_grad`].
     pub fn leaf(&mut self, value: Tensor) -> Var {
-        self.push(Op::Leaf, value, 0)
+        self.push_node(Op::Leaf, value, 0, true)
+    }
+
+    /// Records `value` as an input nobody wants the gradient of (raw
+    /// features, serving inputs). Forward results are those of a
+    /// [`Tape::leaf`]; the backward pass computes nothing for it or for
+    /// any node that depends on constants alone, and its [`Tape::grad`]
+    /// stays `None`.
+    pub fn constant(&mut self, value: Tensor) -> Var {
+        self.push_node(Op::Leaf, value, 0, false)
     }
 
     /// The forward value of `v`.
@@ -184,7 +246,14 @@ impl Tape {
         &self.nodes[v.0].value
     }
 
-    /// The accumulated gradient of `v`, if any backward pass reached it.
+    /// Whether a backward pass computes a gradient for `v`: true iff some
+    /// [`Tape::leaf`] feeds it.
+    pub fn needs_grad(&self, v: Var) -> bool {
+        self.nodes[v.0].needs_grad
+    }
+
+    /// The accumulated gradient of `v`, if any backward pass reached it
+    /// (never, for a node no [`Tape::leaf`] feeds).
     pub fn grad(&self, v: Var) -> Option<&Tensor> {
         self.nodes[v.0].grad.as_ref()
     }
@@ -398,6 +467,22 @@ impl Tape {
         }
     }
 
+    /// Operand `v`'s share of a node's adjoint: if `v` needs a gradient,
+    /// adds `grad(self)` into it and `flops` into the FLOP meter; otherwise
+    /// computes nothing and counts one pruned operand gradient. `grad`
+    /// reads operand values through the `&Tape` it is handed, so no arm
+    /// copies a value out of the arena to get past the borrow of the
+    /// accumulation slot.
+    fn give(&mut self, v: Var, flops: u64, grad: impl FnOnce(&Tape) -> Tensor) {
+        if !self.nodes[v.0].needs_grad {
+            self.pruned += 1;
+            return;
+        }
+        self.flops += flops;
+        let g = grad(self);
+        self.accumulate(v, g);
+    }
+
     /// Runs the backward pass from a scalar node, seeding it with gradient
     /// `1.0`.
     pub fn backward(&mut self, loss: Var) {
@@ -411,200 +496,140 @@ impl Tape {
 
     /// Runs the backward pass seeding node `root` with gradient `seed`.
     ///
-    /// Gradients accumulate into every node reachable from `root`,
-    /// including leaves. May be called multiple times; gradients add up.
+    /// Gradients accumulate into every [`Tape::leaf`] reachable from
+    /// `root`, and nowhere else: an operand that no `leaf` feeds (see
+    /// [`Tape::constant`]) gets no gradient computed, so a `root` that
+    /// depends on constants alone runs no operator adjoint at all. Every
+    /// gradient that *is* computed is the one the all-`leaf` tape would
+    /// compute, bit for bit. May be called multiple times; gradients add up.
     pub fn backward_from(&mut self, root: Var, seed: Tensor) {
         assert_eq!(
             self.nodes[root.0].value.shape(),
             seed.shape(),
             "backward_from: seed shape mismatch"
         );
+        if !self.nodes[root.0].needs_grad {
+            return;
+        }
         self.accumulate(root, seed);
         // Graph-op vs NN-op wall-time attribution for the backward scan:
-        // accrue each node's elapsed time locally and fold into the tape
-        // counters once at the end (the node borrow blocks accruing inline).
-        let mut graph_acc = 0u64;
-        let mut nn_acc = 0u64;
+        // each node's elapsed time accrues to its kind.
         let mut last = Instant::now();
         for i in (0..=root.0).rev() {
-            // Drain the gradient of interior nodes as we propagate it, so a
-            // later `backward_from` call only pushes newly-seeded gradient.
             // Leaves keep their accumulated gradients for the caller.
-            let g = if matches!(self.nodes[i].op, Op::Leaf) {
-                match self.nodes[i].grad.clone() {
-                    Some(g) => g,
-                    None => continue,
-                }
-            } else {
-                match self.nodes[i].grad.take() {
-                    Some(g) => g,
-                    None => continue,
-                }
+            // Interior nodes are drained as their gradient is propagated,
+            // so a later `backward_from` call only pushes newly-seeded
+            // gradient.
+            let op = match &self.nodes[i].op {
+                Op::Leaf => continue,
+                op => op.clone(),
             };
-            let node_is_graph = is_graph_op(&self.nodes[i].op);
-            // Count backward flops roughly symmetrical to forward.
-            match &self.nodes[i].op {
-                Op::Leaf => {}
+            let Some(mut g) = self.nodes[i].grad.take() else { continue };
+            let node_is_graph = is_graph_op(&op);
+            let n = g.len() as u64;
+            // Backward flops are counted roughly symmetrical to forward,
+            // per operand gradient actually computed.
+            match op {
+                Op::Leaf => unreachable!("leaves are skipped above"),
                 Op::MatMul(a, b) => {
-                    let (a, b) = (*a, *b);
-                    let va = self.nodes[a.0].value.clone();
-                    let vb = self.nodes[b.0].value.clone();
-                    self.flops +=
-                        4 * va.rows() as u64 * va.cols() as u64 * vb.cols() as u64;
-                    let da = g.matmul_nt(&vb);
-                    let db = va.matmul_tn(&g);
-                    self.accumulate(a, da);
-                    self.accumulate(b, db);
+                    let (m, k) = self.nodes[a.0].value.shape();
+                    let flops = 2 * m as u64 * k as u64 * g.cols() as u64;
+                    self.give(a, flops, |t| g.matmul_nt(t.value(b)));
+                    self.give(b, flops, |t| t.value(a).matmul_tn(&g));
                 }
                 Op::Add(a, b) => {
-                    let (a, b) = (*a, *b);
-                    self.flops += 2 * g.len() as u64;
-                    self.accumulate(a, g.clone());
-                    self.accumulate(b, g);
+                    self.give(a, n, |_| g.clone());
+                    self.give(b, n, |_| g);
                 }
                 Op::Sub(a, b) => {
-                    let (a, b) = (*a, *b);
-                    self.flops += 2 * g.len() as u64;
-                    self.accumulate(a, g.clone());
-                    self.accumulate(b, g.scale(-1.0));
+                    self.give(a, n, |_| g.clone());
+                    self.give(b, n, |_| g.scale(-1.0));
                 }
                 Op::Mul(a, b) => {
-                    let (a, b) = (*a, *b);
-                    self.flops += 2 * g.len() as u64;
-                    let da = g.mul(&self.nodes[b.0].value);
-                    let db = g.mul(&self.nodes[a.0].value);
-                    self.accumulate(a, da);
-                    self.accumulate(b, db);
+                    self.give(a, n, |t| g.mul(t.value(b)));
+                    self.give(b, n, |t| g.mul(t.value(a)));
                 }
-                Op::Scale(a, s) => {
-                    let (a, s) = (*a, *s);
-                    self.flops += g.len() as u64;
-                    self.accumulate(a, g.scale(s));
-                }
+                Op::Scale(a, s) => self.give(a, n, |_| g.scale(s)),
                 Op::AddRowBroadcast(x, bias) => {
-                    let (x, bias) = (*x, *bias);
-                    self.flops += 2 * g.len() as u64;
-                    self.accumulate(bias, g.sum_rows());
-                    self.accumulate(x, g);
+                    self.give(bias, n, |_| g.sum_rows());
+                    self.give(x, n, |_| g);
                 }
                 Op::MulColBroadcast(x, coeff) => {
-                    let (x, coeff) = (*x, *coeff);
-                    self.flops += 4 * g.len() as u64;
-                    let vx = self.nodes[x.0].value.clone();
-                    let vc = self.nodes[coeff.0].value.clone();
-                    let dx = g.mul_col_broadcast(&vc);
-                    let mut dc = Tensor::zeros(vx.rows(), 1);
-                    for r in 0..vx.rows() {
-                        let dot: f32 = g
-                            .row(r)
-                            .iter()
-                            .zip(vx.row(r).iter())
-                            .map(|(a, b)| a * b)
-                            .sum();
-                        dc.set(r, 0, dot);
-                    }
-                    self.accumulate(x, dx);
-                    self.accumulate(coeff, dc);
+                    self.give(x, 2 * n, |t| g.mul_col_broadcast(t.value(coeff)));
+                    self.give(coeff, 2 * n, |t| {
+                        let vx = t.value(x);
+                        let mut dc = Tensor::zeros(vx.rows(), 1);
+                        for r in 0..vx.rows() {
+                            let dot: f32 =
+                                g.row(r).iter().zip(vx.row(r)).map(|(a, b)| a * b).sum();
+                            dc.set(r, 0, dot);
+                        }
+                        dc
+                    });
                 }
-                Op::Relu(x) => {
-                    let x = *x;
-                    self.flops += g.len() as u64;
-                    let mut dx = g.clone();
-                    for (d, &v) in dx.data_mut().iter_mut().zip(self.nodes[i].value.data()) {
-                        if v <= 0.0 {
+                Op::Relu(x) => self.give(x, n, |t| {
+                    for (d, &y) in g.data_mut().iter_mut().zip(t.nodes[i].value.data()) {
+                        if y <= 0.0 {
                             *d = 0.0;
                         }
                     }
-                    self.accumulate(x, dx);
-                }
-                Op::LeakyRelu(x, alpha) => {
-                    let (x, alpha) = (*x, *alpha);
-                    self.flops += g.len() as u64;
-                    let vx = self.nodes[x.0].value.clone();
-                    let mut dx = g.clone();
-                    for (d, &v) in dx.data_mut().iter_mut().zip(vx.data()) {
+                    g
+                }),
+                Op::LeakyRelu(x, alpha) => self.give(x, n, |t| {
+                    for (d, &v) in g.data_mut().iter_mut().zip(t.value(x).data()) {
                         if v <= 0.0 {
                             *d *= alpha;
                         }
                     }
-                    self.accumulate(x, dx);
-                }
-                Op::Elu(x, alpha) => {
-                    let (x, alpha) = (*x, *alpha);
-                    self.flops += 2 * g.len() as u64;
-                    let vx = self.nodes[x.0].value.clone();
-                    let vy = self.nodes[i].value.clone();
-                    let mut dx = g.clone();
+                    g
+                }),
+                Op::Elu(x, alpha) => self.give(x, 2 * n, |t| {
+                    let (vx, vy) = (t.value(x), &t.nodes[i].value);
                     for ((d, &xin), &yout) in
-                        dx.data_mut().iter_mut().zip(vx.data()).zip(vy.data())
+                        g.data_mut().iter_mut().zip(vx.data()).zip(vy.data())
                     {
                         if xin <= 0.0 {
                             // d/dx alpha(e^x - 1) = alpha e^x = y + alpha
                             *d *= yout + alpha;
                         }
                     }
-                    self.accumulate(x, dx);
-                }
+                    g
+                }),
                 Op::GatherRows(x, idx) => {
-                    let x = *x;
-                    let idx = Arc::clone(idx);
-                    self.flops += g.len() as u64;
-                    let n = self.nodes[x.0].value.rows();
-                    let dx = g.scatter_add_rows(&idx, n);
-                    self.accumulate(x, dx);
+                    self.give(x, n, |t| g.scatter_add_rows(&idx, t.value(x).rows()))
                 }
-                Op::ScatterAddRows(x, idx) => {
-                    let x = *x;
-                    let idx = Arc::clone(idx);
-                    self.flops += g.len() as u64;
-                    let dx = g.gather_rows(&idx);
-                    self.accumulate(x, dx);
-                }
+                Op::ScatterAddRows(x, idx) => self.give(x, n, |_| g.gather_rows(&idx)),
                 Op::WeightedAggregate { x, edge_src, dst_offsets, weights } => {
-                    let x = *x;
-                    let edge_src = Arc::clone(edge_src);
-                    let dst_offsets = Arc::clone(dst_offsets);
-                    let weights = weights.clone();
-                    self.flops += 2 * edge_src.len() as u64 * g.cols() as u64;
-                    let n_src = self.nodes[x.0].value.rows();
-                    let dx = g.weighted_aggregate_transpose(
-                        &edge_src,
-                        &dst_offsets,
-                        weights.as_deref(),
-                        n_src,
-                    );
-                    self.accumulate(x, dx);
+                    let flops = 2 * edge_src.len() as u64 * g.cols() as u64;
+                    self.give(x, flops, |t| {
+                        g.weighted_aggregate_transpose(
+                            &edge_src,
+                            &dst_offsets,
+                            weights.as_deref(),
+                            t.value(x).rows(),
+                        )
+                    });
                 }
-                Op::MaxAggregate { x, edge_src, argmax } => {
-                    let x = *x;
-                    let edge_src = Arc::clone(edge_src);
-                    let argmax = Arc::clone(argmax);
-                    self.flops += g.len() as u64;
-                    let (rows, cols) = self.nodes[x.0].value.shape();
+                Op::MaxAggregate { x, edge_src, argmax } => self.give(x, n, |t| {
+                    let (rows, cols) = t.value(x).shape();
                     let mut dx = Tensor::zeros(rows, cols);
-                    for (i, &winner) in argmax.iter().enumerate() {
+                    for (o, &winner) in argmax.iter().enumerate() {
                         if winner == u32::MAX {
                             continue;
                         }
                         let src = edge_src[winner as usize] as usize;
-                        let c = i % cols;
-                        dx.data_mut()[src * cols + c] += g.data()[i];
+                        dx.data_mut()[src * cols + o % cols] += g.data()[o];
                     }
-                    self.accumulate(x, dx);
-                }
+                    dx
+                }),
                 Op::ConcatCols(a, b) => {
-                    let (a, b) = (*a, *b);
                     let wa = self.nodes[a.0].value.cols();
-                    let (ga, gb) = g.split_cols(wa);
-                    self.accumulate(a, ga);
-                    self.accumulate(b, gb);
+                    self.give(a, 0, |_| g.slice_cols(0, wa));
+                    self.give(b, 0, |_| g.slice_cols(wa, g.cols()));
                 }
-                Op::SegmentSoftmax(x, offsets) => {
-                    let x = *x;
-                    let offsets = Arc::clone(offsets);
-                    self.flops += 4 * g.len() as u64;
+                Op::SegmentSoftmax(x, offsets) => self.give(x, 4 * n, |t| {
                     // dx = y * (g - sum_segment(g * y))
-                    let y = self.nodes[i].value.clone();
+                    let y = &t.nodes[i].value;
                     let mut dx = Tensor::zeros(y.rows(), 1);
                     for w in offsets.windows(2) {
                         let (s, e) = (w[0], w[1]);
@@ -616,71 +641,58 @@ impl Tape {
                             dx.data_mut()[r] = y.data()[r] * (g.data()[r] - dot);
                         }
                     }
-                    self.accumulate(x, dx);
-                }
-                Op::LogSoftmaxRows(x) => {
-                    let x = *x;
-                    self.flops += 4 * g.len() as u64;
+                    dx
+                }),
+                Op::LogSoftmaxRows(x) => self.give(x, 4 * n, |t| {
                     // dx = g - softmax(x) * rowsum(g)
-                    let y = self.nodes[i].value.clone();
-                    let mut dx = g.clone();
+                    let y = &t.nodes[i].value;
                     for r in 0..y.rows() {
                         let gsum: f32 = g.row(r).iter().sum();
-                        for (d, &lsm) in dx.row_mut(r).iter_mut().zip(y.row(r).iter()) {
+                        for (d, &lsm) in g.row_mut(r).iter_mut().zip(y.row(r)) {
                             *d -= lsm.exp() * gsum;
                         }
                     }
-                    self.accumulate(x, dx);
-                }
+                    g
+                }),
                 Op::EpsCombine { eps, h, agg } => {
-                    let (eps, h, agg) = (*eps, *h, *agg);
-                    self.flops += 3 * g.len() as u64;
-                    let e = self.nodes[eps.0].value.scalar_value();
-                    let vh = self.nodes[h.0].value.clone();
-                    let deps: f32 = g
-                        .data()
-                        .iter()
-                        .zip(vh.data().iter())
-                        .map(|(a, b)| a * b)
-                        .sum();
-                    self.accumulate(eps, Tensor::scalar(deps));
-                    self.accumulate(h, g.scale(1.0 + e));
-                    self.accumulate(agg, g);
+                    self.give(eps, n, |t| {
+                        let dot: f32 =
+                            g.data().iter().zip(t.value(h).data()).map(|(a, b)| a * b).sum();
+                        Tensor::scalar(dot)
+                    });
+                    self.give(h, n, |t| g.scale(1.0 + t.value(eps).scalar_value()));
+                    self.give(agg, n, |_| g);
                 }
                 Op::NllLoss { log_probs, labels, weights } => {
-                    let log_probs = *log_probs;
-                    let labels = Arc::clone(labels);
-                    let weights = Arc::clone(weights);
-                    let gs = g.scalar_value();
-                    let lp = &self.nodes[log_probs.0].value;
-                    self.flops += lp.rows() as u64;
-                    let mut dx = Tensor::zeros(lp.rows(), lp.cols());
-                    for (r, (&y, &w)) in labels.iter().zip(weights.iter()).enumerate() {
-                        if w != 0.0 {
-                            dx.set(r, y as usize, -w * gs);
+                    let rows = labels.len() as u64;
+                    self.give(log_probs, rows, |t| {
+                        let gs = g.scalar_value();
+                        let lp = t.value(log_probs);
+                        let mut dx = Tensor::zeros(lp.rows(), lp.cols());
+                        for (r, (&y, &w)) in labels.iter().zip(weights.iter()).enumerate() {
+                            if w != 0.0 {
+                                dx.set(r, y as usize, -w * gs);
+                            }
                         }
-                    }
-                    self.accumulate(log_probs, dx);
+                        dx
+                    });
                 }
                 Op::SumAll(x) => {
-                    let x = *x;
-                    let gs = g.scalar_value();
-                    let shape = self.nodes[x.0].value.shape();
-                    self.flops += (shape.0 * shape.1) as u64;
-                    self.accumulate(x, Tensor::full(shape.0, shape.1, gs));
+                    let (rows, cols) = self.nodes[x.0].value.shape();
+                    self.give(x, (rows * cols) as u64, |_| {
+                        Tensor::full(rows, cols, g.scalar_value())
+                    });
                 }
             }
             let now = Instant::now();
             let dt = now.duration_since(last).as_nanos() as u64;
             last = now;
             if node_is_graph {
-                graph_acc += dt;
+                self.graph_ns += dt;
             } else {
-                nn_acc += dt;
+                self.nn_ns += dt;
             }
         }
-        self.graph_ns += graph_acc;
-        self.nn_ns += nn_acc;
         self.last_event = last;
     }
 }
@@ -932,6 +944,103 @@ mod tests {
         tape.backward_from(y, Tensor::scalar(1.0));
         tape.backward_from(y, Tensor::scalar(1.0));
         assert_eq!(tape.grad(x).unwrap().scalar_value(), 4.0);
+    }
+
+    /// Every operator with two or more operands, with its operand shapes.
+    type NaryOp = (&'static str, fn(&mut Tape, &[Var]) -> Var, &'static [(usize, usize)]);
+    const NARY_OPS: [NaryOp; 8] = [
+        ("matmul", |t, v| t.matmul(v[0], v[1]), &[(3, 4), (4, 2)]),
+        ("add", |t, v| t.add(v[0], v[1]), &[(3, 4), (3, 4)]),
+        ("sub", |t, v| t.sub(v[0], v[1]), &[(3, 4), (3, 4)]),
+        ("mul", |t, v| t.mul(v[0], v[1]), &[(3, 4), (3, 4)]),
+        ("add_row_broadcast", |t, v| t.add_row_broadcast(v[0], v[1]), &[(3, 4), (1, 4)]),
+        ("mul_col_broadcast", |t, v| t.mul_col_broadcast(v[0], v[1]), &[(3, 4), (3, 1)]),
+        ("concat_cols", |t, v| t.concat_cols(v[0], v[1]), &[(3, 4), (3, 2)]),
+        ("eps_combine", |t, v| t.eps_combine(v[0], v[1], v[2]), &[(1, 1), (3, 4), (3, 4)]),
+    ];
+
+    fn ramp(rows: usize, cols: usize, salt: usize) -> Tensor {
+        let data = (0..rows * cols).map(|i| ((i * 7 + salt * 5) % 13) as f32 / 4.0 - 1.5).collect();
+        Tensor::from_vec(rows, cols, data)
+    }
+
+    /// Records `op` over ramp operands, operand `constant` (if any) as a
+    /// constant and the rest as leaves, and runs one seeded backward pass.
+    fn run_nary(op: &NaryOp, constant: Option<usize>) -> (Tape, Vec<Var>) {
+        let (_, build, shapes) = op;
+        let mut tape = Tape::new();
+        let vars: Vec<Var> = shapes
+            .iter()
+            .enumerate()
+            .map(|(k, &(r, c))| {
+                let value = ramp(r, c, k);
+                if constant == Some(k) { tape.constant(value) } else { tape.leaf(value) }
+            })
+            .collect();
+        let out = build(&mut tape, &vars);
+        let (r, c) = tape.value(out).shape();
+        tape.backward_from(out, ramp(r, c, 9));
+        (tape, vars)
+    }
+
+    #[test]
+    fn constant_operand_leaves_the_other_gradients_bitwise_equal() {
+        for op in &NARY_OPS {
+            let (all_leaf, leaf_vars) = run_nary(op, None);
+            assert_eq!(all_leaf.pruned(), 0, "{}", op.0);
+            for c in 0..op.2.len() {
+                let (tape, vars) = run_nary(op, Some(c));
+                for k in 0..vars.len() {
+                    if k == c {
+                        assert!(!tape.needs_grad(vars[k]));
+                        assert!(tape.grad(vars[k]).is_none(), "{} operand {k}", op.0);
+                    } else {
+                        assert_eq!(
+                            tape.grad(vars[k]).unwrap().data(),
+                            all_leaf.grad(leaf_vars[k]).unwrap().data(),
+                            "{} operand {k} with operand {c} constant",
+                            op.0
+                        );
+                    }
+                }
+                assert_eq!(tape.pruned(), 1, "{} operand {c}", op.0);
+                assert!(tape.flops() <= all_leaf.flops(), "{} operand {c}", op.0);
+            }
+        }
+    }
+
+    #[test]
+    fn constant_only_chain_runs_no_backward_arm() {
+        let mut tape = Tape::new();
+        let x = tape.constant(ramp(3, 4, 0));
+        let w = tape.constant(ramp(4, 2, 1));
+        let y = tape.matmul(x, w);
+        let z = tape.relu(y);
+        let loss = tape.sum_all(z);
+        let forward_flops = tape.flops();
+        tape.backward(loss);
+        // An adjoint that ran would have added flops or counted a pruned
+        // operand.
+        assert_eq!(tape.flops(), forward_flops);
+        assert_eq!(tape.pruned(), 0);
+        for v in [x, w, y, z, loss] {
+            assert!(!tape.needs_grad(v));
+            assert!(tape.grad(v).is_none());
+        }
+    }
+
+    #[test]
+    fn repeated_backward_accumulates_beside_a_constant() {
+        let mut tape = Tape::new();
+        let x = tape.constant(ramp(3, 4, 0));
+        let w = tape.leaf(ramp(4, 2, 1));
+        let y = tape.matmul(x, w);
+        tape.backward_from(y, ramp(3, 2, 2));
+        let once = tape.grad(w).unwrap().clone();
+        tape.backward_from(y, ramp(3, 2, 2));
+        assert_eq!(tape.grad(w).unwrap().data(), once.scale(2.0).data());
+        assert!(tape.grad(x).is_none());
+        assert_eq!(tape.pruned(), 2);
     }
 
     #[test]

@@ -572,19 +572,20 @@ impl Tensor {
         out
     }
 
-    /// Splits columns at `at`: returns (`[.., ..at]`, `[.., at..]`). One
-    /// pass of row copies into two preallocated outputs.
-    pub fn split_cols(&self, at: usize) -> (Tensor, Tensor) {
-        assert!(at <= self.cols, "split_cols: at > cols");
-        let rcols = self.cols - at;
-        let mut left = Tensor::scratch(self.rows, at);
-        let mut right = Tensor::scratch(self.rows, rcols);
+    /// Copies columns `lo..hi` of every row into a new tensor.
+    pub fn slice_cols(&self, lo: usize, hi: usize) -> Tensor {
+        assert!(lo <= hi && hi <= self.cols, "slice_cols: bad column range");
+        let w = hi - lo;
+        let mut out = Tensor::scratch(self.rows, w);
         for r in 0..self.rows {
-            let row = self.row(r);
-            left.data[r * at..(r + 1) * at].copy_from_slice(&row[..at]);
-            right.data[r * rcols..(r + 1) * rcols].copy_from_slice(&row[at..]);
+            out.data[r * w..(r + 1) * w].copy_from_slice(&self.row(r)[lo..hi]);
         }
-        (left, right)
+        out
+    }
+
+    /// Splits columns at `at`: returns (`[.., ..at]`, `[.., at..]`).
+    pub fn split_cols(&self, at: usize) -> (Tensor, Tensor) {
+        (self.slice_cols(0, at), self.slice_cols(at, self.cols))
     }
 
     /// ReLU.

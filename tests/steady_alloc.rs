@@ -73,8 +73,10 @@ fn warm_training_pass_allocates_zero_fresh_tensor_buffers() {
          (fresh-buffer deltas per pass: {deltas:?})"
     );
     let raced: u64 = deltas.iter().sum();
+    // Twelve quiet runs raced in 0 buffers; eight runs against two
+    // busy-looping processes on the 2-core box raced in at most 1.
     assert!(
-        raced <= 8,
+        raced <= 4,
         "losing a drop/take race explains a few fresh buffers, not {raced} \
          (deltas per pass: {deltas:?})"
     );
