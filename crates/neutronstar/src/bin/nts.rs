@@ -109,8 +109,8 @@ fn run_chaos(ca: &ChaosArgs) {
         let _ = std::fs::remove_dir_all(&ckpt_base);
     }
     println!(
-        "{:<6} {:<6} {:>10} {:>5} {:>7} {:>7} {:>5} {:>5}  {}",
-        "seed", "pass", "loss", "rec", "member", "replans", "crc", "fall", "schedule"
+        "{:<6} {:<6} {:>10} {:>5} {:>7} {:>7} {:>5} {:>5}  schedule",
+        "seed", "pass", "loss", "rec", "member", "replans", "crc", "fall"
     );
     let mut failures = 0usize;
     for o in &outcomes {

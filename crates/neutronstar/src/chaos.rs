@@ -495,7 +495,7 @@ pub fn baseline(cfg: &ChaosConfig) -> Result<Baseline, String> {
     let report = train(cfg, &ds, &model, FaultPlan::default(), false, None)
         .map_err(|e| format!("baseline run failed: {e}"))?;
     let peak_bytes = ns_tensor::pool::stats().peak_bytes;
-    Ok(Baseline { final_loss: report.final_loss() as f64, peak_bytes })
+    Ok(Baseline { final_loss: report.final_loss(), peak_bytes })
 }
 
 /// Checks the report of a chaos run against the soak invariants,
@@ -528,7 +528,7 @@ fn check_invariants(
             report.epochs.len()
         ));
     }
-    let loss = report.final_loss() as f64;
+    let loss = report.final_loss();
     if !loss.is_finite() {
         pass[TERMINATION] = false;
         v.push(format!("non-finite final loss {loss}"));
@@ -763,26 +763,20 @@ fn check_invariants(
                     );
                 }
             }
-            Fault::Hang { .. } => {
-                if report.metrics.total_counter("watchdog.trips") == 0 {
-                    pass[RESOURCE] = false;
-                    v.push(
-                        "hang scheduled but the liveness watchdog never tripped"
-                            .to_string(),
-                    );
-                }
+            Fault::Hang { .. } if report.metrics.total_counter("watchdog.trips") == 0 => {
+                pass[RESOURCE] = false;
+                v.push("hang scheduled but the liveness watchdog never tripped".to_string());
             }
-            Fault::SlowDisk { .. } => {
+            Fault::SlowDisk { .. }
                 if cfg.ckpt_base.is_some()
-                    && report.metrics.total_counter("ckpt.slow_disk_penalty_ns") == 0
-                {
-                    pass[RESOURCE] = false;
-                    v.push(
-                        "slow disk scheduled with a durable store but no save penalty \
-                         was metered"
-                            .to_string(),
-                    );
-                }
+                    && report.metrics.total_counter("ckpt.slow_disk_penalty_ns") == 0 =>
+            {
+                pass[RESOURCE] = false;
+                v.push(
+                    "slow disk scheduled with a durable store but no save penalty \
+                     was metered"
+                        .to_string(),
+                );
             }
             _ => {}
         }
@@ -818,7 +812,7 @@ pub fn run_schedule(
     };
     let mut plan = FaultPlan::default().with_seed(schedule.seed);
     for f in &schedule.faults {
-        plan = plan.with_fault(f.clone());
+        plan = plan.with_fault(*f);
     }
     // Each seed gets its own durable store so parallel soak runs never
     // share generations; the directory is scratch and removed after.
@@ -846,7 +840,7 @@ pub fn run_schedule(
             ChaosOutcome {
                 seed: schedule.seed,
                 schedule: describe,
-                final_loss: report.final_loss() as f64,
+                final_loss: report.final_loss(),
                 recoveries: report.recoveries.len(),
                 membership_events: report.membership.len(),
                 replans: report.replans.len(),

@@ -115,3 +115,30 @@ fn killed_shard_degrades_latency_but_answers_stay_exact_and_complete() {
         );
     }
 }
+
+#[test]
+fn long_run_keeps_its_feature_cache() {
+    // Every batch builds a closure-sized feature matrix whose buffer is
+    // parked in the process-wide tensor pool on drop; closure sizes differ,
+    // so nothing takes those buffers back and the pool fills with them.
+    // Parked buffers are slack, not pressure: 12k queries at the default
+    // budget must never shed a cached row, and the last third must hit the
+    // cache as often as the first.
+    let (ds, model, params) = train_and_load("longrun");
+    let cfg = ServeConfig { shards: 2, ..ServeConfig::default() };
+    let deploy = ServeDeployment::new(&ds, &model, params, cfg).expect("deployment");
+    let load = OpenLoop { queries: 4_000, rate_qps: 1.0, seed: 7, zipf_s: 0.9 };
+    let seeds = load.seeds(ds.graph.num_vertices() as u32);
+    let thirds: Vec<_> = (0..3).map(|_| deploy.answer_all(&seeds).expect("serve")).collect();
+    for (i, third) in thirds.iter().enumerate() {
+        assert_eq!(third.answers.len(), seeds.len());
+        assert_eq!(
+            third.metrics.total_counter("serve.cache.shed"),
+            0,
+            "third {i} shed cache rows with no fault injected"
+        );
+    }
+    let (first, last) = (thirds[0].cache_hit_ratio(), thirds[2].cache_hit_ratio());
+    assert!(first > 0.5, "Zipf 0.9 seeds over a cache that holds the graph: {first}");
+    assert!(last >= first - 0.02, "hit ratio decayed over the run: {first} -> {last}");
+}

@@ -292,6 +292,8 @@ pub struct Message {
     /// messages whose sequence number they have already seen (duplicate
     /// suppression).
     pub seq: u64,
+    /// When the sender handed the message to the fabric.
+    pub sent_at: Instant,
     /// Earliest delivery time injected by the fault plan; `None` delivers
     /// immediately.
     pub deliver_at: Option<Instant>,
@@ -301,6 +303,20 @@ pub struct Message {
     pub crc: u32,
     /// Payload.
     pub kind: MessageKind,
+}
+
+impl Message {
+    /// How much of a receive that began at `since` the *link* is
+    /// answerable for: the time this message spent in flight (handed to
+    /// the fabric, not yet deliverable) while the receiver was already
+    /// blocked. Time the receiver spent blocked before the send is the
+    /// sender's lateness — its compute, or a stall behind someone else —
+    /// and time after delivery is the receiver's own (wake-up, CRC
+    /// verification); neither says anything about the link.
+    pub fn link_wait(&self, since: Instant) -> Duration {
+        let arrived = self.deliver_at.unwrap_or(self.sent_at);
+        arrived.saturating_duration_since(self.sent_at.max(since))
+    }
 }
 
 /// One worker's handle onto the mesh.
@@ -389,8 +405,9 @@ impl Endpoint {
             seq,
             self.link_now_ms(),
         );
-        let deliver_at = (fate.delay_ms > 0)
-            .then(|| Instant::now() + Duration::from_millis(fate.delay_ms));
+        let sent_at = Instant::now();
+        let deliver_at =
+            (fate.delay_ms > 0).then(|| sent_at + Duration::from_millis(fate.delay_ms));
         {
             let mut st = self.stats.borrow_mut();
             st.sent_msgs += 1;
@@ -431,7 +448,7 @@ impl Endpoint {
             st.encode_bytes += frame.len() as u64;
             wire::frame_crc(&frame)
         };
-        let mut msg = Message { src: self.me, seq, deliver_at, crc, kind };
+        let mut msg = Message { src: self.me, seq, sent_at, deliver_at, crc, kind };
         if fate.corrupt {
             // Ship a bit-flipped physical copy now (stamped with the clean
             // CRC, so the receiver's verification fails) and push the clean

@@ -569,7 +569,7 @@ impl FaultPlan {
                             // The simulator has no link-layer clock: a
                             // `duty` fraction of transfers pay the expected
                             // residual down-time.
-                            fate.delay_ms += ((*period_ms as f64 * *duty) as u64 + 1) / 2;
+                            fate.delay_ms += ((*period_ms as f64 * *duty) as u64).div_ceil(2);
                         }
                     }
                 }

@@ -480,12 +480,13 @@ impl<'a> RecvCtx<'a> {
 /// the peer's [`CircuitBreaker`] short-circuits the operation entirely
 /// while the peer keeps failing. Blocked time goes to the
 /// `net.recv.wait_ns` histogram and spent retries to the
-/// `net.recv.retries` counter, on every exit path. The wait is
-/// additionally attributed to the sending peer as a per-peer histogram
-/// (`net.recv.wait_ns.peer<k>`) — the signal the measured-cost replanner
-/// and the straggler-eviction policy read (they take per-message wait
-/// quantiles and minimize across receivers, which separates a peer that
-/// delays *every* message from one merely stalled behind it).
+/// `net.recv.retries` counter, on every exit path. The part of the wait
+/// the message spent in flight ([`Message::link_wait`]; all of it when
+/// nothing arrived) is additionally attributed to the sending peer as a
+/// per-peer histogram (`net.recv.wait_ns.peer<k>`) — the signal the
+/// measured-cost replanner and the straggler-eviction policy read. A
+/// peer that is merely late to send (heavier partition, stalled behind
+/// someone else, descheduled) adds nothing to it.
 fn recv_retry(ep: &Endpoint, src: usize, ctx: &RecvCtx<'_>) -> NetResult<Message> {
     if !ctx.breakers.borrow_mut()[src].allow() {
         // Fail fast: the peer's breaker is Open. No window is spent, so
@@ -528,7 +529,12 @@ fn recv_retry(ep: &Endpoint, src: usize, ctx: &RecvCtx<'_>) -> NetResult<Message
     }
     let waited_ns = t0.elapsed().as_nanos() as u64;
     ctx.rec.observe("net.recv.wait_ns", waited_ns);
-    ctx.rec.observe(&format!("net.recv.wait_ns.peer{src}"), waited_ns);
+    let link_ns = match &res {
+        Ok(msg) => msg.link_wait(t0).as_nanos() as u64,
+        // Nothing arrived: the whole wait is the peer's.
+        Err(_) => waited_ns,
+    };
+    ctx.rec.observe(&format!("net.recv.wait_ns.peer{src}"), link_ns);
     match &res {
         Ok(_) => ctx.breakers.borrow_mut()[src].record_success(),
         Err(_) => ctx.breakers.borrow_mut()[src].record_failure(),

@@ -9,7 +9,7 @@
 //! * a per-peer communication multiplier (`peer_mult[p]`): how much more
 //!   expensive fetching a dependency from peer `p` currently is than the
 //!   cluster median, derived from the attributed per-peer receive-wait
-//!   counters (`net.recv.wait_ns.peer<k>` / `net.recv.msgs.peer<k>`), and
+//!   histograms (`net.recv.wait_ns.peer<k>`), and
 //! * a global `comm_factor`: the drift of the mean per-message wait
 //!   relative to the run's first chunk, folded into `T_c` via
 //!   [`CostFactors::with_comm_scale`](crate::cost::CostFactors::with_comm_scale).
@@ -91,17 +91,19 @@ impl PeerWaitStats {
 }
 
 /// Aggregates the executor's per-peer `net.recv.wait_ns.peer<k>`
-/// histograms into a robust per-peer wait estimate. The wait is
-/// *attributed to the sender*, doubly robustly: for every (receiver,
-/// peer) pair the **upper-quartile** (p75) per-message wait is taken,
-/// then the **minimum across receivers**. A genuine straggler delays
-/// every burst it sends, so every receiver's upper quartile stays high
-/// and the minimum stays high too. A healthy peer caught in the
-/// straggler's BSP cascade can show inflated waits at *some* receivers,
-/// but always has at least one clean observer — in particular the
-/// straggler itself, which runs ahead of its own delayed sends and
-/// therefore finds its peers' messages already queued — so the minimum
-/// collapses back to near zero. The coordinator frame (checkpoint
+/// histograms into a robust per-peer wait estimate. What the executor
+/// records there is already *attributed to the sender's link*: only the
+/// part of a receive during which the message was in flight
+/// (`ns_net::Message::link_wait`), so a healthy peer that is late to
+/// send — it owns the heavier partition, it sits behind the straggler in
+/// the BSP or ring cascade, its thread lost a core — reads zero at every
+/// observer, however long they blocked on it. On top of that, for every
+/// (receiver, peer) pair the **upper-quartile** (p75) per-message wait is
+/// taken, then the **minimum across receivers**: a slow *member* delays
+/// every burst on every one of its links, so every receiver's upper
+/// quartile stays high and the minimum stays high too, while a single
+/// slow or flapping *link* leaves the peer's other observers clean and
+/// the minimum collapses to zero. The coordinator frame (checkpoint
 /// bookkeeping) is skipped.
 pub fn peer_waits(run: &RunMetrics, workers: usize) -> PeerWaitStats {
     let mut min_median = vec![f64::INFINITY; workers];

@@ -250,20 +250,21 @@ impl<T> SubmitQueue<T> {
         self.cv.notify_all();
     }
 
-    /// Pops one item, waiting until `deadline`. `Ok(None)` means closed
-    /// *and* drained — the consumer can stop.
-    pub fn pop_deadline(&self, deadline: Instant) -> Result<Option<T>, ()> {
+    /// Pops one item, waiting until `deadline`; `Ok(None)` means nothing
+    /// arrived in time. [`ServeError::Closed`] means closed *and* drained —
+    /// the consumer can stop.
+    pub fn pop_deadline(&self, deadline: Instant) -> Result<Option<T>, ServeError> {
         let mut inner = self.inner.lock().unwrap();
         loop {
             if let Some(item) = inner.buf.pop_front() {
                 return Ok(Some(item));
             }
             if inner.closed {
-                return Ok(None);
+                return Err(ServeError::Closed);
             }
             let now = Instant::now();
             if now >= deadline {
-                return Err(());
+                return Ok(None);
             }
             let (guard, _) = self.cv.wait_timeout(inner, deadline - now).unwrap();
             inner = guard;
@@ -794,7 +795,8 @@ impl<'a> Frontend<'a> {
                             batch.iter().map(|t| (t.qid, t.seed)).collect();
                         self.route(ep, &pairs, &mut alive, &mut pending, &mut deaths);
                     }
-                    Ok(None) => {
+                    Ok(None) => {}
+                    Err(_) => {
                         // Closed and drained: just await outstanding
                         // replies without spinning the lock.
                         queue_done = true;
@@ -802,7 +804,6 @@ impl<'a> Frontend<'a> {
                             std::thread::sleep(Duration::from_micros(50));
                         }
                     }
-                    Err(()) => {}
                 }
             } else {
                 std::thread::sleep(Duration::from_micros(50));
@@ -1374,14 +1375,14 @@ mod tests {
         assert_eq!(q.try_push(2), Err(ServeError::Closed));
         let deadline = Instant::now() + Duration::from_millis(10);
         assert_eq!(q.pop_deadline(deadline), Ok(Some(1)));
-        assert_eq!(q.pop_deadline(deadline), Ok(None));
+        assert_eq!(q.pop_deadline(deadline), Err(ServeError::Closed));
     }
 
     #[test]
     fn submit_queue_pop_times_out_when_empty_and_open() {
         let q: SubmitQueue<u32> = SubmitQueue::new(8);
         let deadline = Instant::now() + Duration::from_millis(5);
-        assert_eq!(q.pop_deadline(deadline), Err(()));
+        assert_eq!(q.pop_deadline(deadline), Ok(None));
     }
 
     #[test]

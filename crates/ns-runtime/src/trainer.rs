@@ -1,32 +1,26 @@
 //! High-level training entry point combining planning, simulation, and
 //! real execution.
 
-use std::time::{Duration, Instant};
-
-use rustc_hash::FxHashSet;
+mod supervisor;
 
 use ns_gnn::GnnModel;
-use ns_metrics::{span, MetricsRecorder, Phase, RunMetrics, COORDINATOR};
 use ns_graph::{Dataset, Partitioner};
+use ns_metrics::RunMetrics;
 use ns_net::fault::FaultPlan;
-use ns_net::membership::{self, MembershipEvent, MembershipView};
+use ns_net::membership::MembershipEvent;
 use ns_net::sim::{simulate, ResourceKind, SimReport};
-use ns_net::{ClusterSpec, ExecOptions, Fabric};
-use ns_tensor::ParamStore;
+use ns_net::{ClusterSpec, ExecOptions};
 
 use crate::cost::{probe_threaded, CostFactors};
-use crate::error::{FailureCause, Result, RuntimeError};
-use crate::feedback::{self, DecisionDelta};
-use crate::exec::{
-    train_epochs_run, EpochMetrics, ExecConfig, OptimizerKind, RecvConfig, RunState, SyncMode,
-    WatchdogConfig,
-};
+use crate::error::{Result, RuntimeError};
+use crate::exec::{OptimizerKind, RecvConfig, SyncMode, WatchdogConfig};
 use crate::hybrid::{partition_dependencies, HybridConfig, HybridInfo};
 use crate::memory::check_device_fit;
 use crate::plan::{build_plans, DepDecision, WorkerPlan};
-use crate::recovery::{Checkpoint, RecoveryConfig};
-use crate::store::{CheckpointStore, StoreConfig};
+use crate::recovery::RecoveryConfig;
+use crate::store::StoreConfig;
 use crate::taskgraph::{build_epoch_task_graph, TgConfig};
+use supervisor::Supervisor;
 
 /// Which dependency-management engine to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -269,7 +263,23 @@ fn plan_engine(
         return Err(RuntimeError::InvalidConfig("zero workers".into()));
     }
     let part = cfg.partitioner.partition(&dataset.graph, workers);
-    let (mut decision, hybrid_info) = match engine {
+    // Algorithm 4 under a caching budget of `budget` bytes.
+    let split = |budget: u64| {
+        partition_dependencies(
+            &dataset.graph,
+            &part,
+            model.dims(),
+            costs,
+            dataset.scale,
+            cfg.cluster.device.mem_bytes,
+            &HybridConfig {
+                memory_budget_bytes: Some(budget),
+                ratio_override: cfg.hybrid.ratio_override,
+                peer_comm_mult: peer_mult.map(<[f64]>::to_vec),
+            },
+        )
+    };
+    let (decision, hybrid_info) = match engine {
         EngineKind::DepCache => (DepDecision::CacheAll, None),
         EngineKind::DepComm => (DepDecision::CommAll, None),
         EngineKind::Hybrid => {
@@ -278,19 +288,7 @@ fn plan_engine(
             } else {
                 u64::MAX
             };
-            let (d, info) = partition_dependencies(
-                &dataset.graph,
-                &part,
-                model.dims(),
-                costs,
-                dataset.scale,
-                cfg.cluster.device.mem_bytes,
-                &HybridConfig {
-                    memory_budget_bytes: Some(budget),
-                    ratio_override: cfg.hybrid.ratio_override,
-                    peer_comm_mult: peer_mult.map(<[f64]>::to_vec),
-                },
-            )?;
+            let (d, info) = split(budget)?;
             (d, Some(info))
         }
     };
@@ -314,52 +312,29 @@ fn plan_engine(
             cfg.cluster.device.mem_bytes,
         )
     };
-    let mut plans = build_plans(&dataset.graph, &part, model.num_layers(), &decision)?;
-    let mut hybrid_info = hybrid_info;
-    match check(&plans) {
-        Ok(()) => {}
-        Err(first_err) => {
-            // Algorithm 4's internal memory estimate is deliberately
-            // coarse (it accrues subtree bytes, not the full working
-            // set). When the compiled plan still exceeds the device in
-            // *automatic* hybrid mode, shrink the caching budget and
-            // re-partition — the paper's constraint S is exactly this
-            // knob. Ratio-override mode (Fig. 11) and the pure engines
-            // surface the OOM instead, as the paper's tables do.
-            if engine != EngineKind::Hybrid || cfg.hybrid.ratio_override.is_some() {
-                return Err(first_err);
-            }
-            let mut budget = cfg.cluster.device.mem_bytes / 2;
-            let mut done = false;
-            for _ in 0..6 {
-                let (d, info) = partition_dependencies(
-                    &dataset.graph,
-                    &part,
-                    model.dims(),
-                    costs,
-                    dataset.scale,
-                    cfg.cluster.device.mem_bytes,
-                    &HybridConfig {
-                        memory_budget_bytes: Some(budget),
-                        ratio_override: None,
-                        peer_comm_mult: peer_mult.map(<[f64]>::to_vec),
-                    },
-                )?;
-                plans = build_plans(&dataset.graph, &part, model.num_layers(), &d)?;
-                hybrid_info = Some(info);
-                decision = d;
-                if check(&plans).is_ok() {
-                    done = true;
-                    break;
-                }
-                budget /= 2;
-            }
-            if !done {
-                return Err(first_err);
-            }
-        }
+    let plans = build_plans(&dataset.graph, &part, model.num_layers(), &decision)?;
+    let Err(first_err) = check(&plans) else {
+        return Ok((plans, hybrid_info, decision));
+    };
+    // Algorithm 4's internal memory estimate is deliberately coarse (it
+    // accrues subtree bytes, not the full working set). When the compiled
+    // plan still exceeds the device in *automatic* hybrid mode, shrink the
+    // caching budget and re-partition — the paper's constraint S is
+    // exactly this knob. Ratio-override mode (Fig. 11) and the pure
+    // engines surface the OOM instead, as the paper's tables do.
+    if engine != EngineKind::Hybrid || cfg.hybrid.ratio_override.is_some() {
+        return Err(first_err);
     }
-    Ok((plans, hybrid_info, decision))
+    let mut budget = cfg.cluster.device.mem_bytes / 2;
+    for _ in 0..6 {
+        let (decision, info) = split(budget)?;
+        let plans = build_plans(&dataset.graph, &part, model.num_layers(), &decision)?;
+        if check(&plans).is_ok() {
+            return Ok((plans, Some(info), decision));
+        }
+        budget /= 2;
+    }
+    Err(first_err)
 }
 
 /// The distributed trainer: plans once, simulates once, then trains for
@@ -372,20 +347,6 @@ pub struct Trainer<'a> {
     costs: CostFactors,
     hybrid_info: Option<HybridInfo>,
     decision: DepDecision,
-}
-
-/// Upper bound on measured-cost drift replans per run, so an unlucky
-/// oscillating cluster cannot spend more time partitioning than training.
-const MAX_DRIFT_REPLANS: usize = 4;
-
-/// What the recovering epoch loop hands back to [`Trainer::train`].
-struct ElasticOutcome {
-    metrics: Vec<EpochMetrics>,
-    params: ParamStore,
-    recoveries: Vec<(usize, usize, String)>,
-    run_metrics: RunMetrics,
-    membership: Vec<MembershipEvent>,
-    replans: Vec<ReplanEvent>,
 }
 
 impl<'a> Trainer<'a> {
@@ -441,478 +402,24 @@ impl<'a> Trainer<'a> {
         }
     }
 
-    /// Replans on `workers` active members, degrading Hybrid to DepComm
-    /// when the shrunk cluster can no longer fit the cached working set —
-    /// trading extra communication for staying alive rather than
-    /// surfacing `DeviceOom` mid-recovery. `costs` and `peer_mult` let the
-    /// measured-cost replanner feed calibrated factors in; plain recovery
-    /// passes the probed costs unchanged.
-    fn replan(
-        &self,
-        engine: EngineKind,
-        workers: usize,
-        costs: &CostFactors,
-        peer_mult: Option<&[f64]>,
-    ) -> Result<(Vec<WorkerPlan>, EngineKind, DepDecision)> {
-        match plan_engine(self.dataset, self.model, &self.cfg, engine, workers, costs, peer_mult)
-        {
-            Ok((plans, _, decision)) => Ok((plans, engine, decision)),
-            Err(RuntimeError::DeviceOom { .. }) if engine == EngineKind::Hybrid => {
-                let (plans, _, decision) = plan_engine(
-                    self.dataset,
-                    self.model,
-                    &self.cfg,
-                    EngineKind::DepComm,
-                    workers,
-                    costs,
-                    None,
-                )?;
-                Ok((plans, EngineKind::DepComm, decision))
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Attributes the migration between two dependency decisions over the
-    /// same `workers`-way partitioning to the owners of the moved
-    /// dependencies (see [`feedback::diff_decisions`]).
-    fn decision_delta(
-        &self,
-        old: &DepDecision,
-        new: &DepDecision,
-        workers: usize,
-    ) -> DecisionDelta {
-        let part = self.cfg.partitioner.partition(&self.dataset.graph, workers);
-        let num_layers = self.model.num_layers();
-        let deps: Vec<Vec<Vec<u32>>> = (0..workers)
-            .map(|i| {
-                let owned_vec = part.part_vertices(i);
-                let owned: FxHashSet<u32> = owned_vec.iter().copied().collect();
-                let closure =
-                    ns_graph::khop::khop_in_closure(&self.dataset.graph, &owned_vec, num_layers);
-                (0..num_layers)
-                    .map(|lz| {
-                        closure.layers[num_layers - lz]
-                            .iter()
-                            .copied()
-                            .filter(|u| !owned.contains(u))
-                            .collect()
-                    })
-                    .collect()
-            })
-            .collect();
-        feedback::diff_decisions(old, new, workers, num_layers, &deps, |u| part.owner(u))
-    }
-
-    /// Runs the rejoin handshake for original `slot` against the current
-    /// checkpoint: a fresh two-node fabric (coordinator = 0, joiner = 1),
-    /// two threads, three control round trips, then the checkpointed
-    /// state is what the joiner resumes from. Returns the bytes the
-    /// rejoin put on the wire (handshake control traffic plus the state
-    /// snapshot).
-    fn run_rejoin_handshake(&self, slot: usize, ckpt: &Checkpoint) -> Result<u64> {
-        let timeout = Duration::from_millis(self.cfg.recv.timeout_ms.max(100));
-        let mut eps = Fabric::new(2).into_endpoints();
-        let joiner_ep = eps.pop().expect("fabric endpoint 1");
-        let coord_ep = eps.pop().expect("fabric endpoint 0");
-        let resume = ckpt.next_epoch;
-        let state_bytes = ckpt.param_bytes() as u64;
-        let net_err = |e| RuntimeError::WorkerFailed {
-            worker: slot,
-            epoch: resume,
-            cause: FailureCause::Net(e),
-        };
-        crossbeam::thread::scope(|s| {
-            let joiner = s.spawn(move |_| {
-                membership::request_rejoin(&joiner_ep, 0, slot, timeout)
-            });
-            let announced =
-                membership::admit_rejoin(&coord_ep, 1, resume, state_bytes, timeout)
-                    .map_err(net_err)?;
-            let offer = joiner.join().expect("joiner thread").map_err(net_err)?;
-            debug_assert_eq!(announced, slot);
-            debug_assert_eq!(offer.resume_epoch, resume);
-            Ok(offer.state_bytes + membership::REJOIN_HANDSHAKE_BYTES)
-        })
-        .expect("rejoin scope")
-    }
-
-    /// The checkpointed epoch loop: run chunks of `checkpoint_every`
-    /// epochs, snapshot after each, and on a worker failure roll back to
-    /// the last checkpoint and resume on the survivors.
-    ///
-    /// With the elastic knobs on, each successful checkpoint boundary
-    /// additionally runs the self-healing pass:
-    ///
-    /// 1. **Straggler eviction** (`evict_stragglers`): the peer whose
-    ///    attributed per-message receive wait exceeds `straggler_factor`
-    ///    times the cluster median is voluntarily removed and the plan
-    ///    rebuilt over the remainder.
-    /// 2. **Rejoin** (`rejoin`): every missing member (failed or evicted)
-    ///    re-admits through the [`membership`] handshake, its state is
-    ///    restored from the checkpoint, and the plan is rebuilt over the
-    ///    restored world — retrying the *configured* engine first, so a
-    ///    run degraded to DepComm upgrades back once members return.
-    /// 3. **Measured-cost drift replan** (Hybrid only, membership
-    ///    unchanged): the chunk's receive-wait statistics are calibrated
-    ///    into [`CostFactors`] corrections and, past the thresholds in
-    ///    [`feedback`], Algorithm 4 re-runs with them — a slow peer's
-    ///    dependencies shift from communicated to cached.
-    ///
-    /// Observability: one trace-clock origin is threaded through every
-    /// chunk so all spans land on a single timeline, and a coordinator
-    /// recorder times checkpoint capture/restore and counts rollbacks,
-    /// membership transitions (`membership.*`), and replans (`replan.*`).
-    /// Frames from a *failed* chunk are discarded with its metrics (the
-    /// chunk is atomic); the rollback itself is what gets recorded.
-    #[allow(clippy::type_complexity)]
-    fn train_recovering(&self, epochs: usize, exec_cfg: &ExecConfig) -> Result<ElasticOutcome> {
-        let cadence = self.cfg.recovery.checkpoint_every;
-        let mut plans = self.plans.clone();
-        let mut engine = self.cfg.engine;
-        let mut decision = self.decision.clone();
-        let mut fault = self.cfg.fault.clone();
-        let mut view = MembershipView::new(self.cfg.cluster.workers);
-        let mut ckpt = Checkpoint::initial();
-        let mut metrics: Vec<EpochMetrics> = Vec::new();
-        let mut recoveries = Vec::new();
-        let mut replans: Vec<ReplanEvent> = Vec::new();
-        let mut restarts = 0usize;
-        let mut drift_replans = 0usize;
-        let mut baseline_mean: Option<f64> = None;
-        let origin = Instant::now();
-        let coord = MetricsRecorder::new(COORDINATOR, origin);
-        let mut run_metrics = RunMetrics::new();
-        let mut store = match &self.cfg.store.dir {
-            Some(dir) => Some(
-                CheckpointStore::open(dir, self.cfg.store.keep)
-                    .map_err(|e| RuntimeError::StoreIo(e.to_string()))?,
-            ),
-            None => None,
-        };
-        // Rolls the recovery point back. With a durable store this reads
-        // the *disk* (the honest process-restart path): the newest good
-        // generation wins, damaged ones are skipped as metered fallbacks,
-        // and a deeper-than-memory rollback truncates the already-collected
-        // epoch metrics to the resumed epoch.
-        let rollback = |ckpt: &mut Checkpoint,
-                        metrics: &mut Vec<EpochMetrics>,
-                        store: &Option<CheckpointStore>,
-                        coord: &MetricsRecorder| {
-            let Some(store) = store else { return };
-            let report = store.load_latest();
-            if report.fallbacks > 0 {
-                coord.incr("ckpt.fallbacks", report.fallbacks);
-            }
-            let resumed = match report.checkpoint {
-                Some(loaded) => loaded,
-                None => Checkpoint::initial(),
-            };
-            if resumed.next_epoch < ckpt.next_epoch {
-                metrics.truncate(resumed.next_epoch);
-            }
-            *ckpt = resumed;
-        };
-        while ckpt.next_epoch < epochs {
-            let chunk = cadence.min(epochs - ckpt.next_epoch);
-            coord.set_epoch(ckpt.next_epoch as u32);
-            let (init_params, opt_state) = {
-                let _load = span!(&coord, Phase::CkptLoad);
-                ckpt.restore()
-                    .map_err(|e| RuntimeError::CheckpointCorrupt(e.to_string()))?
-            };
-            let run = RunState {
-                epoch_offset: ckpt.next_epoch,
-                init_params,
-                opt_state,
-                fault: fault.clone(),
-                recv: self.cfg.recv,
-                origin: Some(origin),
-                watchdog: self.cfg.watchdog,
-            };
-            // Injected memory pressure arms at chunk granularity: the cap
-            // lands before the chunk's workers spawn and lifts after they
-            // have all joined, when nothing holds pooled buffers — the
-            // shrink itself can then never invalidate a live tensor. A
-            // window that touches *any* epoch of the chunk arms the whole
-            // chunk (tightest cap wins), so sub-cadence windows are never
-            // silently skipped. The high-water mark since arming is
-            // exported at every disarm.
-            let mem_cap = (ckpt.next_epoch..ckpt.next_epoch + chunk)
-                .filter_map(|e| fault.mem_cap_at(e))
-                .min();
-            if let Some(cap) = mem_cap {
-                ns_tensor::pool::set_cap_bytes(cap);
-            }
-            let chunk_result =
-                train_epochs_run(self.dataset, self.model, &plans, chunk, exec_cfg, &run);
-            if mem_cap.is_some() {
-                coord.observe("alloc.peak_bytes", ns_tensor::pool::stats().peak_bytes);
-                ns_tensor::pool::set_cap_bytes(ns_tensor::pool::default_cap_bytes());
-            }
-            match chunk_result {
-                Ok((chunk_metrics, store_params, opt, chunk_run)) => {
-                    metrics.extend(chunk_metrics);
-                    let boundary = ckpt.next_epoch + chunk;
-                    {
-                        let _save = span!(&coord, Phase::CkptSave);
-                        coord.incr("recovery.checkpoints", 1);
-                        ckpt = Checkpoint::capture(boundary, &store_params, opt);
-                        if let Some(st) = store.as_mut() {
-                            st.set_disk_fate(
-                                fault.disk_full_at(boundary),
-                                fault.slow_disk_factor(),
-                            );
-                            // Degrade, don't die: ENOSPC squeezes retention
-                            // toward keep-last-1 and retries; only a failure
-                            // of the squeezed retry defers the generation
-                            // (durability thins, training continues).
-                            let outcome = st
-                                .save_degrading(&ckpt, plans.len())
-                                .map_err(|e| RuntimeError::StoreIo(e.to_string()))?;
-                            if outcome.enospc_hits > 0 {
-                                coord.incr("ckpt.enospc", outcome.enospc_hits);
-                            }
-                            if outcome.squeezed {
-                                coord.incr("ckpt.retention_squeezed", 1);
-                            }
-                            if outcome.deferred {
-                                coord.incr("ckpt.deferred", 1);
-                            }
-                            if let Some(receipt) = outcome.receipt {
-                                coord.observe("ckpt.fsync_ns", receipt.fsync_ns);
-                                if receipt.slow_penalty_ns > 0 {
-                                    coord.incr(
-                                        "ckpt.slow_disk_penalty_ns",
-                                        receipt.slow_penalty_ns,
-                                    );
-                                }
-                                // Injected on-disk bit rot (chaos `corrupt:ckpt`
-                                // faults) lands on the persisted copy only; the
-                                // in-memory checkpoint stays clean, exactly like
-                                // real silent disk corruption.
-                                if let Some(bits) = fault.ckpt_fate(boundary) {
-                                    st.damage_latest(bits)
-                                        .map_err(|e| RuntimeError::StoreIo(e.to_string()))?;
-                                }
-                            }
-                        }
-                    }
-                    // Self-healing boundary pass, driven by this chunk's
-                    // measured per-peer receive waits.
-                    let stats = feedback::peer_waits(&chunk_run, plans.len());
-                    run_metrics.merge(chunk_run);
-                    let mut membership_changed = false;
-                    let mut just_evicted = None;
-                    if self.cfg.recovery.evict_stragglers
-                        && view.active_count() > 1
-                        && boundary < epochs
-                    {
-                        if let Some(rank) =
-                            feedback::pick_straggler(&stats, self.cfg.recovery.straggler_factor)
-                        {
-                            // The eviction cures the straggle at the
-                            // source: a modeled replacement host takes the
-                            // slot, so the injected straggle fault retires
-                            // with the member.
-                            fault.retire_straggle(rank);
-                            // Link faults pinned to the evicted slot retire
-                            // with it too: the survivors renumber, so a
-                            // stale partition/flap would sever the wrong
-                            // (healthy) replacement forever.
-                            fault.retire_links(rank);
-                            let slot = view.mark_evicted(rank, boundary);
-                            coord.incr("membership.evictions", 1);
-                            membership_changed = true;
-                            just_evicted = Some(slot);
-                        }
-                    }
-                    if self.cfg.recovery.rejoin && !view.is_full() {
-                        for slot in view.missing() {
-                            if Some(slot) == just_evicted {
-                                continue; // re-admits at the *next* boundary
-                            }
-                            let wire_bytes = self.run_rejoin_handshake(slot, &ckpt)?;
-                            view.admit(slot, boundary);
-                            coord.incr("membership.rejoins", 1);
-                            coord.incr("membership.rejoin.bytes", wire_bytes);
-                            membership_changed = true;
-                        }
-                        if view.is_full() {
-                            // Full world again: retry the configured
-                            // engine (replan() still degrades if needed).
-                            engine = self.cfg.engine;
-                        }
-                    }
-                    if membership_changed {
-                        let (p, e, d) =
-                            self.replan(engine, view.active_count(), &self.costs, None)?;
-                        plans = p;
-                        engine = e;
-                        decision = d;
-                        // Old wait statistics describe the old world.
-                        baseline_mean = None;
-                    } else if engine == EngineKind::Hybrid
-                        && boundary < epochs
-                        && drift_replans < MAX_DRIFT_REPLANS
-                    {
-                        let calib = feedback::calibrate(&stats, baseline_mean);
-                        if baseline_mean.is_none() {
-                            baseline_mean = Some(calib.mean_wait_ns);
-                        }
-                        if calib.triggers_replan() {
-                            let scaled = self.costs.with_comm_scale(calib.comm_factor);
-                            let (p, e, d) = self.replan(
-                                engine,
-                                plans.len(),
-                                &scaled,
-                                Some(&calib.peer_mult),
-                            )?;
-                            let delta = self.decision_delta(&decision, &d, plans.len());
-                            coord.incr("replan.events", 1);
-                            coord.incr(
-                                "replan.moved_to_cached",
-                                delta.total_to_cached() as u64,
-                            );
-                            coord.incr("replan.moved_to_comm", delta.total_to_comm() as u64);
-                            replans.push(ReplanEvent {
-                                epoch: boundary,
-                                reason: "drift",
-                                comm_factor: calib.comm_factor,
-                                peer_mult: calib.peer_mult,
-                                moved_to_cached: delta.moved_to_cached,
-                                moved_to_comm: delta.moved_to_comm,
-                                engine: e.name().to_string(),
-                            });
-                            plans = p;
-                            engine = e;
-                            decision = d;
-                            drift_replans += 1;
-                        }
-                    }
-                }
-                Err(RuntimeError::WorkerFailed { worker, epoch, cause })
-                    if restarts < self.cfg.recovery.max_restarts && plans.len() > 1 =>
-                {
-                    // Chunks are atomic: the failed chunk contributed no
-                    // metrics, so `metrics` already matches
-                    // `ckpt.next_epoch` and rollback is just a replan +
-                    // re-run from the checkpoint. The dead worker leaves
-                    // the cluster (until it rejoins at a boundary); its
-                    // kill fault is retired so the resumed run (with
-                    // re-numbered workers) does not re-fire it. Any
-                    // remaining faults address the *new* numbering.
-                    restarts += 1;
-                    coord.incr("recovery.rollbacks", 1);
-                    coord.incr("membership.failures", 1);
-                    if cause == FailureCause::Hung {
-                        // The worker frames of a failed chunk are discarded,
-                        // so the surviving coordinator recorder carries the
-                        // actionable-trip count: one per hung worker the
-                        // watchdog routed into recovery.
-                        coord.incr("watchdog.trips", 1);
-                    }
-                    let slot = view.mark_failed(worker, epoch);
-                    fault.retire_kill(worker, epoch);
-                    fault.retire_hang(worker, epoch);
-                    // A partitioned (not killed) worker surfaces here too —
-                    // its receives time out just like a death. Retiring the
-                    // slot's link faults lets the re-admitted member run on
-                    // the survivors' renumbered links without re-severing.
-                    fault.retire_links(worker);
-                    let (new_plans, new_engine, new_decision) =
-                        self.replan(engine, view.active_count(), &self.costs, None)?;
-                    plans = new_plans;
-                    engine = new_engine;
-                    decision = new_decision;
-                    baseline_mean = None;
-                    rollback(&mut ckpt, &mut metrics, &store, &coord);
-                    recoveries.push((slot, ckpt.next_epoch, engine.name().to_string()));
-                }
-                Err(RuntimeError::Diverged { worker, .. })
-                    if restarts < self.cfg.recovery.max_restarts =>
-                {
-                    // Divergence is a fault of the *state*, not a member:
-                    // nobody leaves the cluster and no replan is needed —
-                    // the run just rolls back to the last good checkpoint.
-                    // A deterministic divergence re-trips the guard each
-                    // attempt and surfaces once the restart budget is spent.
-                    restarts += 1;
-                    coord.incr("guard.nan_events", 1);
-                    coord.incr("recovery.rollbacks", 1);
-                    rollback(&mut ckpt, &mut metrics, &store, &coord);
-                    recoveries.push((worker, ckpt.next_epoch, engine.name().to_string()));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        let (final_params, _) = {
-            let _load = span!(&coord, Phase::CkptLoad);
-            ckpt.restore()
-                .map_err(|e| RuntimeError::CheckpointCorrupt(e.to_string()))?
-        };
-        run_metrics.absorb(coord.finish());
-        Ok(ElasticOutcome {
-            metrics,
-            params: final_params.unwrap_or_else(|| self.model.fresh_store()),
-            recoveries,
-            run_metrics,
-            membership: view.events().to_vec(),
-            replans,
-        })
-    }
-
     /// Runs `epochs` epochs of real distributed training and returns the
-    /// full report. With [`RecoveryConfig`] enabled, worker failures roll
-    /// back to the last checkpoint and training resumes on the surviving
-    /// workers; otherwise they surface as
-    /// [`RuntimeError::WorkerFailed`] / [`RuntimeError::SyncTimeout`].
+    /// full report. The epochs run in chunks under one supervisor loop
+    /// (`trainer/supervisor.rs`, DESIGN.md §9): with [`RecoveryConfig`]
+    /// enabled a chunk is `checkpoint_every` epochs, a lost worker or a
+    /// diverged step rolls back to the last checkpoint and training
+    /// resumes (on the survivors, if a member was lost), and each
+    /// checkpoint boundary may evict a straggler, re-admit missing members
+    /// and replan. With recovery disabled the same loop runs one chunk of
+    /// all the epochs with no restart budget, so failures surface as
+    /// [`RuntimeError::WorkerFailed`] / [`RuntimeError::SyncTimeout`] /
+    /// [`RuntimeError::Diverged`].
     pub fn train(&self, epochs: usize) -> Result<TrainingReport> {
         let sim = self.simulate_epoch();
-        let exec_cfg = ExecConfig {
-            lr: self.cfg.lr,
-            optimizer: self.cfg.optimizer,
-            ring_order: self.cfg.opts.ring,
-            lock_free: self.cfg.opts.lock_free,
-            sync: self.cfg.sync,
-        };
-        let outcome = if self.cfg.recovery.enabled() {
-            self.train_recovering(epochs, &exec_cfg)?
-        } else {
-            let run = RunState {
-                fault: self.cfg.fault.clone(),
-                recv: self.cfg.recv,
-                watchdog: self.cfg.watchdog,
-                ..Default::default()
-            };
-            let (m, p, _, rm) = train_epochs_run(
-                self.dataset,
-                self.model,
-                &self.plans,
-                epochs,
-                &exec_cfg,
-                &run,
-            )?;
-            ElasticOutcome {
-                metrics: m,
-                params: p,
-                recoveries: Vec::new(),
-                run_metrics: rm,
-                membership: Vec::new(),
-                replans: Vec::new(),
-            }
-        };
-        let ElasticOutcome {
-            metrics,
-            params: final_params,
-            recoveries,
-            mut run_metrics,
-            membership,
-            replans,
-        } = outcome;
+        let mut out = Supervisor::new(self, epochs)?.run()?;
         // Lay the modeled-clock timeline alongside the real-clock spans.
-        run_metrics.sim_spans = crate::obs::sim_spans(&sim.report);
-        let epochs_out = metrics
+        out.run_metrics.sim_spans = crate::obs::sim_spans(&sim.report);
+        let epochs_out = out
+            .metrics
             .into_iter()
             .enumerate()
             .map(|(i, m)| EpochStats {
@@ -924,6 +431,7 @@ impl<'a> Trainer<'a> {
                 wall_s: m.wall_s,
             })
             .collect();
+        let total = |f: fn(&WorkerPlan) -> usize| -> usize { self.plans.iter().map(f).sum() };
         Ok(TrainingReport {
             engine: self.cfg.engine.name().to_string(),
             dataset: self.dataset.name.clone(),
@@ -932,24 +440,16 @@ impl<'a> Trainer<'a> {
             epochs: epochs_out,
             sim,
             plan: PlanSummary {
-                replica_slots: self.plans.iter().map(WorkerPlan::replica_slots).sum(),
-                prefetched_features: self
-                    .plans
-                    .iter()
-                    .map(WorkerPlan::prefetched_features)
-                    .sum(),
-                comm_rows_per_epoch: self
-                    .plans
-                    .iter()
-                    .map(WorkerPlan::forward_comm_rows)
-                    .sum(),
+                replica_slots: total(WorkerPlan::replica_slots),
+                prefetched_features: total(WorkerPlan::prefetched_features),
+                comm_rows_per_epoch: total(WorkerPlan::forward_comm_rows),
                 hybrid: self.hybrid_info.clone(),
             },
-            final_params,
-            recoveries,
-            membership,
-            replans,
-            metrics: run_metrics,
+            final_params: out.params.unwrap_or_else(|| self.model.fresh_store()),
+            recoveries: out.recoveries,
+            membership: out.membership,
+            replans: out.replans,
+            metrics: out.run_metrics,
         })
     }
 }
@@ -957,8 +457,10 @@ impl<'a> Trainer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::CheckpointStore;
     use ns_gnn::ModelKind;
     use ns_graph::datasets::by_name;
+    use ns_metrics::{Phase, COORDINATOR};
 
     fn dataset() -> Dataset {
         by_name("google").unwrap().materialize(0.002, 11)
@@ -1374,25 +876,86 @@ mod tests {
             .unwrap()
             .train(4)
             .unwrap();
+        // Cadence 2 crosses a checkpoint restore mid-run; cadence 4 is the
+        // same single chunk the disabled run takes, plus a checkpoint.
+        for cadence in [2, 4] {
+            let mut c = cfg(EngineKind::DepComm, 3);
+            c.recovery = RecoveryConfig::every(cadence);
+            let chunked = Trainer::prepare(&ds, &m, c).unwrap().train(4).unwrap();
+            assert_eq!(plain.epochs.len(), chunked.epochs.len());
+            for (a, b) in plain.epochs.iter().zip(chunked.epochs.iter()) {
+                // Chunking round-trips params + Adam state exactly, so the
+                // trajectory is identical, bit for bit.
+                assert_eq!(
+                    a.loss.to_bits(),
+                    b.loss.to_bits(),
+                    "cadence {cadence}, epoch {}: {} vs {}",
+                    a.epoch,
+                    a.loss,
+                    b.loss
+                );
+            }
+            for ((_, _, a), (_, _, b)) in
+                plain.final_params.iter().zip(chunked.final_params.iter())
+            {
+                assert_eq!(a.max_abs_diff(b), 0.0);
+            }
+            let coord = chunked.metrics.frames.get(&COORDINATOR).expect("coordinator frame");
+            assert_eq!(coord.counter("recovery.checkpoints"), 4 / cadence as u64);
+        }
+        // The run without recovery went through the same loop and left no
+        // trace of it: no coordinator frame, no checkpoint span, and none
+        // of the supervisor's meters on any frame.
+        assert!(!plain.metrics.frames.contains_key(&COORDINATOR));
+        for frame in plain.metrics.frames.values() {
+            for key in frame.counters.keys().chain(frame.histograms.keys()) {
+                let supervised = ["recovery.", "ckpt.", "membership.", "replan."];
+                assert!(!supervised.iter().any(|p| key.starts_with(p)), "{key}");
+            }
+            assert_eq!(frame.phase_total_ns(Phase::CkptSave), 0);
+            assert_eq!(frame.phase_total_ns(Phase::CkptLoad), 0);
+            assert!(frame
+                .spans
+                .iter()
+                .all(|s| s.phase != Phase::CkptSave && s.phase != Phase::CkptLoad));
+        }
+    }
+
+    #[test]
+    fn last_member_failing_surfaces_the_failure() {
+        use ns_net::fault::Fault;
+        let ds = dataset();
+        let m = model(&ds);
+        let mut c = cfg(EngineKind::DepComm, 2);
+        // Worker 1 dies first and is dropped; the survivor (now worker 0)
+        // dies two epochs later with restart budget to spare. There is
+        // nobody left to replan on, so the failure itself must come back —
+        // not a planning error about zero workers.
+        c.fault = FaultPlan::kill(1, 1).with_fault(Fault::Kill { worker: 0, epoch: 3 });
+        c.recovery = RecoveryConfig { max_restarts: 5, ..RecoveryConfig::every(1) };
+        let trainer = Trainer::prepare(&ds, &m, c).unwrap();
+        let err = trainer.train(5).unwrap_err();
+        assert!(
+            matches!(err, RuntimeError::WorkerFailed { worker: 0, epoch: 3, .. }),
+            "unexpected: {err:?}"
+        );
+    }
+
+    #[test]
+    fn worker_failure_past_restart_budget_surfaces_the_failure() {
+        use ns_net::fault::Fault;
+        let ds = dataset();
+        let m = model(&ds);
         let mut c = cfg(EngineKind::DepComm, 3);
-        c.recovery = RecoveryConfig::every(2);
-        let chunked = Trainer::prepare(&ds, &m, c).unwrap().train(4).unwrap();
-        assert_eq!(plain.epochs.len(), chunked.epochs.len());
-        for (a, b) in plain.epochs.iter().zip(chunked.epochs.iter()) {
-            // Chunking round-trips params + Adam state exactly, so the
-            // trajectory is identical.
-            assert!(
-                (a.loss - b.loss).abs() < 1e-12,
-                "epoch {}: {} vs {}",
-                a.epoch,
-                a.loss,
-                b.loss
-            );
-        }
-        for ((_, _, a), (_, _, b)) in
-            plain.final_params.iter().zip(chunked.final_params.iter())
-        {
-            assert_eq!(a.max_abs_diff(b), 0.0);
-        }
+        c.fault = FaultPlan::kill(1, 1).with_fault(Fault::Kill { worker: 0, epoch: 3 });
+        c.recovery = RecoveryConfig { max_restarts: 1, ..RecoveryConfig::every(1) };
+        let trainer = Trainer::prepare(&ds, &m, c).unwrap();
+        let err = trainer.train(5).unwrap_err();
+        // The first kill spends the one restart; the second comes back as
+        // the error it was, with two members still standing.
+        assert!(
+            matches!(err, RuntimeError::WorkerFailed { worker: 0, epoch: 3, .. }),
+            "unexpected: {err:?}"
+        );
     }
 }

@@ -1,0 +1,499 @@
+//! The supervisor behind [`Trainer::train`]: one chunk loop for every run.
+//!
+//! A run is a sequence of *chunks* of `checkpoint_every` epochs. The
+//! supervisor owns what outlives a chunk, and [`Supervisor::run`] is the
+//! list of what happens around one: `run_chunk`, then on success
+//! `checkpoint` and `heal`, on failure `recover`. Every decision a run
+//! re-makes after start-up — roll back, drop a member, evict a straggler,
+//! re-admit, replan — is taken in one of those. A run without recovery is
+//! the same loop with one chunk of all the epochs and no restart budget: it
+//! serializes no checkpoint, heals nothing and adds no coordinator frame.
+//!
+//! Two invariants. **Chunks are atomic**: a failed chunk contributes no
+//! epoch metrics and no recorder frames, so the report always ends where
+//! the recovery point begins and a rollback is just "replan, re-run from
+//! the checkpoint". **Eviction re-admits at the next boundary, never the
+//! same one.** One trace-clock origin is threaded through every chunk so
+//! all spans land on one timeline (DESIGN.md §9 has the step/meter table).
+
+use std::borrow::Cow;
+use std::time::{Duration, Instant};
+
+use rustc_hash::FxHashSet;
+
+use ns_metrics::{span, MetricsRecorder, Phase, RunMetrics, COORDINATOR};
+use ns_net::fault::FaultPlan;
+use ns_net::membership::{self, MembershipEvent, MembershipView};
+use ns_net::Fabric;
+use ns_tensor::{AdamState, ParamStore};
+
+use super::{plan_engine, EngineKind, ReplanEvent, Trainer};
+use crate::cost::CostFactors;
+use crate::error::{FailureCause, Result, RuntimeError};
+use crate::exec::{train_epochs_run, EpochMetrics, ExecConfig, RunState};
+use crate::feedback::{self, DecisionDelta, PeerWaitStats};
+use crate::plan::{DepDecision, WorkerPlan};
+use crate::recovery::Checkpoint;
+use crate::store::CheckpointStore;
+
+/// Upper bound on measured-cost drift replans per run, so an unlucky
+/// oscillating cluster cannot spend more time partitioning than training.
+const MAX_DRIFT_REPLANS: usize = 4;
+
+/// What the supervised epoch loop hands back to [`Trainer::train`].
+#[derive(Default)]
+pub(super) struct ElasticOutcome {
+    pub metrics: Vec<EpochMetrics>,
+    /// The last good chunk's parameters (`None` when no chunk finished).
+    pub params: Option<ParamStore>,
+    pub recoveries: Vec<(usize, usize, String)>,
+    pub run_metrics: RunMetrics,
+    pub membership: Vec<MembershipEvent>,
+    pub replans: Vec<ReplanEvent>,
+}
+
+/// The plan a chunk runs under: compiled per-worker plans, the engine that
+/// compiled them (the configured one unless it degraded), and the
+/// dependency decision a later drift replan diffs against. Borrowed from
+/// the trainer until the first replan.
+struct ActivePlan<'t> {
+    plans: Cow<'t, [WorkerPlan]>,
+    engine: EngineKind,
+    decision: Cow<'t, DepDecision>,
+}
+
+fn store_io(e: std::io::Error) -> RuntimeError {
+    RuntimeError::StoreIo(e.to_string())
+}
+
+pub(super) struct Supervisor<'t, 'a> {
+    trainer: &'t Trainer<'a>,
+    exec_cfg: ExecConfig,
+    epochs: usize,
+    /// Epochs per chunk and restart budget (all, and none, without recovery).
+    cadence: usize,
+    max_restarts: usize,
+    // The plan the next chunk runs under.
+    active: ActivePlan<'t>,
+    // Who is in the cluster, and which injected faults are still armed.
+    view: MembershipView,
+    fault: FaultPlan,
+    // The recovery point: between chunks the state *is* the checkpoint
+    // (`report.params` only saves deserializing the last one at the end).
+    ckpt: Checkpoint,
+    store: Option<CheckpointStore>,
+    // Budgets.
+    restarts: usize,
+    drift_replans: usize,
+    baseline_mean: Option<f64>,
+    // The report under construction, and the coordinator's own frame.
+    report: ElasticOutcome,
+    coord: MetricsRecorder,
+}
+
+impl<'t, 'a> Supervisor<'t, 'a> {
+    pub(super) fn new(trainer: &'t Trainer<'a>, epochs: usize) -> Result<Self> {
+        let cfg = &trainer.cfg;
+        let recovering = cfg.recovery.enabled();
+        let (cadence, max_restarts) = if recovering {
+            (cfg.recovery.checkpoint_every, cfg.recovery.max_restarts)
+        } else {
+            (epochs, 0)
+        };
+        let store = match &cfg.store.dir {
+            Some(dir) if recovering => {
+                Some(CheckpointStore::open(dir, cfg.store.keep).map_err(store_io)?)
+            }
+            _ => None,
+        };
+        Ok(Self {
+            trainer,
+            exec_cfg: ExecConfig {
+                lr: cfg.lr,
+                optimizer: cfg.optimizer,
+                ring_order: cfg.opts.ring,
+                lock_free: cfg.opts.lock_free,
+                sync: cfg.sync,
+            },
+            epochs,
+            cadence,
+            max_restarts,
+            active: ActivePlan {
+                plans: Cow::Borrowed(&trainer.plans),
+                engine: cfg.engine,
+                decision: Cow::Borrowed(&trainer.decision),
+            },
+            view: MembershipView::new(cfg.cluster.workers),
+            fault: cfg.fault.clone(),
+            ckpt: Checkpoint::initial(),
+            store,
+            restarts: 0,
+            drift_replans: 0,
+            baseline_mean: None,
+            report: ElasticOutcome::default(),
+            coord: MetricsRecorder::new(COORDINATOR, Instant::now()),
+        })
+    }
+
+    /// The run, as the list of what happens around its chunks.
+    pub(super) fn run(mut self) -> Result<ElasticOutcome> {
+        let recovering = self.trainer.cfg.recovery.enabled();
+        while self.ckpt.next_epoch < self.epochs {
+            match self.run_chunk() {
+                // No recovery point to advance: the one chunk was the run.
+                Ok(_) if !recovering => break,
+                Ok((boundary, opt, waits)) => {
+                    self.checkpoint(boundary, opt)?;
+                    self.heal(boundary, &waits)?;
+                }
+                Err(e) => self.recover(e)?,
+            }
+        }
+        if recovering {
+            self.report.run_metrics.absorb(self.coord.finish());
+        }
+        self.report.membership = self.view.events().to_vec();
+        Ok(self.report)
+    }
+
+    /// Runs the next chunk from the recovery point under the active plan.
+    /// Only a chunk that succeeds touches the report; it returns its end
+    /// epoch, optimizer state and measured per-peer receive waits.
+    fn run_chunk(&mut self) -> Result<(usize, Option<AdamState>, PeerWaitStats)> {
+        let start = self.ckpt.next_epoch;
+        let chunk = self.cadence.min(self.epochs - start);
+        self.coord.set_epoch(start as u32);
+        let (init_params, opt_state) = {
+            let _load = span!(&self.coord, Phase::CkptLoad);
+            self.ckpt
+                .restore()
+                .map_err(|e| RuntimeError::CheckpointCorrupt(e.to_string()))?
+        };
+        let run = RunState {
+            epoch_offset: start,
+            init_params,
+            opt_state,
+            fault: self.fault.clone(),
+            recv: self.trainer.cfg.recv,
+            origin: Some(self.coord.origin()),
+            watchdog: self.trainer.cfg.watchdog,
+        };
+        // Injected memory pressure arms at chunk granularity: the cap
+        // lands before the chunk's workers spawn and lifts after they
+        // have all joined, when nothing holds pooled buffers — the
+        // shrink itself can then never invalidate a live tensor. A
+        // window that touches *any* epoch of the chunk arms the whole
+        // chunk (tightest cap wins), so sub-cadence windows are never
+        // silently skipped. The high-water mark since arming is
+        // exported at every disarm.
+        let mem_cap = (start..start + chunk).filter_map(|e| self.fault.mem_cap_at(e)).min();
+        if let Some(cap) = mem_cap {
+            ns_tensor::pool::set_cap_bytes(cap);
+        }
+        let result = train_epochs_run(
+            self.trainer.dataset,
+            self.trainer.model,
+            &self.active.plans,
+            chunk,
+            &self.exec_cfg,
+            &run,
+        );
+        if mem_cap.is_some() {
+            self.coord.observe("alloc.peak_bytes", ns_tensor::pool::stats().peak_bytes);
+            ns_tensor::pool::set_cap_bytes(ns_tensor::pool::default_cap_bytes());
+        }
+        let (chunk_metrics, params, opt, chunk_run) = result?;
+        let waits = feedback::peer_waits(&chunk_run, self.active.plans.len());
+        self.report.metrics.extend(chunk_metrics);
+        self.report.run_metrics.merge(chunk_run);
+        self.report.params = Some(params);
+        Ok((start + chunk, opt, waits))
+    }
+
+    /// Advances the recovery point to `boundary`: captures the chunk's
+    /// parameters and optimizer state, and with a durable store persists
+    /// them as the next generation.
+    fn checkpoint(&mut self, boundary: usize, opt: Option<AdamState>) -> Result<()> {
+        let _save = span!(&self.coord, Phase::CkptSave);
+        self.coord.incr("recovery.checkpoints", 1);
+        let params = self.report.params.as_ref().expect("a finished chunk left its parameters");
+        self.ckpt = Checkpoint::capture(boundary, params, opt);
+        let Some(st) = self.store.as_mut() else { return Ok(()) };
+        st.set_disk_fate(self.fault.disk_full_at(boundary), self.fault.slow_disk_factor());
+        // Degrade, don't die: ENOSPC squeezes retention toward keep-last-1
+        // and retries; only a failure of the squeezed retry defers the
+        // generation (durability thins, training continues).
+        let outcome = st.save_degrading(&self.ckpt, self.active.plans.len()).map_err(store_io)?;
+        if outcome.enospc_hits > 0 {
+            self.coord.incr("ckpt.enospc", outcome.enospc_hits);
+        }
+        if outcome.squeezed {
+            self.coord.incr("ckpt.retention_squeezed", 1);
+        }
+        if outcome.deferred {
+            self.coord.incr("ckpt.deferred", 1);
+        }
+        let Some(receipt) = outcome.receipt else { return Ok(()) };
+        self.coord.observe("ckpt.fsync_ns", receipt.fsync_ns);
+        if receipt.slow_penalty_ns > 0 {
+            self.coord.incr("ckpt.slow_disk_penalty_ns", receipt.slow_penalty_ns);
+        }
+        // Injected on-disk bit rot (chaos `corrupt:ckpt` faults) lands on
+        // the persisted copy only; the in-memory checkpoint stays clean,
+        // exactly like real silent disk corruption.
+        if let Some(bits) = self.fault.ckpt_fate(boundary) {
+            st.damage_latest(bits).map_err(store_io)?;
+        }
+        Ok(())
+    }
+
+    /// The self-healing boundary pass, driven by the chunk's measured
+    /// per-peer receive waits: evict a straggler, re-admit whoever is
+    /// missing, then rebuild the plan — over the new membership if it
+    /// changed, else on measured cost drift.
+    fn heal(&mut self, boundary: usize, waits: &PeerWaitStats) -> Result<()> {
+        let evicted = self.evict_straggler(boundary, waits);
+        let rejoined = self.rejoin_missing(boundary, evicted)?;
+        if evicted.is_some() || rejoined {
+            self.replan_members()
+        } else {
+            self.drift_replan(boundary, waits)
+        }
+    }
+
+    /// The one place an error becomes an action. A lost member, while the
+    /// restart budget lasts and someone survives it: drop the member,
+    /// replan on the survivors, roll back. Diverged state within budget:
+    /// roll back only. Anything else surfaces as it came.
+    fn recover(&mut self, err: RuntimeError) -> Result<()> {
+        if self.restarts >= self.max_restarts {
+            return Err(err);
+        }
+        let culprit = match err {
+            RuntimeError::WorkerFailed { worker, epoch, cause } if self.active.plans.len() > 1 => {
+                self.coord.incr("membership.failures", 1);
+                if cause == FailureCause::Hung {
+                    // The worker frames of a failed chunk are discarded,
+                    // so the coordinator carries the actionable-trip
+                    // count: one per hung worker routed into recovery.
+                    self.coord.incr("watchdog.trips", 1);
+                }
+                // The dead worker leaves the cluster (until it rejoins at
+                // a boundary); its kill fault is retired so the resumed
+                // run, with re-numbered workers, does not re-fire it. Any
+                // remaining faults address the *new* numbering.
+                let slot = self.view.mark_failed(worker, epoch);
+                self.fault.retire_kill(worker, epoch);
+                self.fault.retire_hang(worker, epoch);
+                // A partitioned (not killed) worker surfaces here too — its
+                // receives time out just like a death. Retiring the slot's
+                // link faults lets the re-admitted member run on the
+                // survivors' renumbered links without re-severing.
+                self.fault.retire_links(worker);
+                self.replan_members()?;
+                slot
+            }
+            RuntimeError::Diverged { worker, .. } => {
+                // Divergence is a fault of the *state*, not a member:
+                // nobody leaves the cluster and no replan is needed. A
+                // deterministic divergence re-trips the guard each attempt
+                // and surfaces once the restart budget is spent.
+                self.coord.incr("guard.nan_events", 1);
+                worker
+            }
+            other => return Err(other),
+        };
+        self.restarts += 1;
+        self.coord.incr("recovery.rollbacks", 1);
+        self.rollback();
+        let engine = self.active.engine.name().to_string();
+        self.report.recoveries.push((culprit, self.ckpt.next_epoch, engine));
+        Ok(())
+    }
+
+    /// Rolls the recovery point back. In memory it already is the last
+    /// checkpoint. With a durable store this reads the *disk* (the honest
+    /// process-restart path): the newest good generation wins, damaged
+    /// ones are skipped as metered fallbacks, and a deeper-than-memory
+    /// rollback truncates the already-collected epoch metrics to the
+    /// resumed epoch.
+    fn rollback(&mut self) {
+        let Some(store) = &self.store else { return };
+        let report = store.load_latest();
+        if report.fallbacks > 0 {
+            self.coord.incr("ckpt.fallbacks", report.fallbacks);
+        }
+        let resumed = report.checkpoint.unwrap_or_else(Checkpoint::initial);
+        if resumed.next_epoch < self.ckpt.next_epoch {
+            self.report.metrics.truncate(resumed.next_epoch);
+        }
+        self.ckpt = resumed;
+    }
+
+    /// Straggler eviction: the peer whose attributed per-message receive
+    /// wait exceeds `straggler_factor` times the cluster median leaves
+    /// voluntarily. Returns its original slot.
+    fn evict_straggler(&mut self, boundary: usize, waits: &PeerWaitStats) -> Option<usize> {
+        let policy = &self.trainer.cfg.recovery;
+        if !policy.evict_stragglers || self.view.active_count() <= 1 || boundary >= self.epochs {
+            return None;
+        }
+        let rank = feedback::pick_straggler(waits, policy.straggler_factor)?;
+        // The eviction cures the straggle at the source: a modeled
+        // replacement host takes the slot, so the injected straggle fault
+        // retires with the member. Link faults pinned to the slot retire
+        // with it too: the survivors renumber, so a stale partition/flap
+        // would sever the wrong (healthy) replacement forever.
+        self.fault.retire_straggle(rank);
+        self.fault.retire_links(rank);
+        self.coord.incr("membership.evictions", 1);
+        Some(self.view.mark_evicted(rank, boundary))
+    }
+
+    /// Rejoin: every missing member (failed or evicted), except the one
+    /// evicted at this very boundary, re-admits through the [`membership`]
+    /// handshake and resumes from the checkpoint. True if anyone did.
+    fn rejoin_missing(&mut self, boundary: usize, just_evicted: Option<usize>) -> Result<bool> {
+        if !self.trainer.cfg.recovery.rejoin || self.view.is_full() {
+            return Ok(false);
+        }
+        let mut admitted = false;
+        for slot in self.view.missing() {
+            if Some(slot) == just_evicted {
+                continue;
+            }
+            let wire_bytes = self.rejoin_handshake(slot)?;
+            self.view.admit(slot, boundary);
+            self.coord.incr("membership.rejoins", 1);
+            self.coord.incr("membership.rejoin.bytes", wire_bytes);
+            admitted = true;
+        }
+        if self.view.is_full() {
+            // Full world again: retry the configured engine, so a run
+            // degraded to DepComm upgrades back (`plan_for` still degrades
+            // if needed).
+            self.active.engine = self.trainer.cfg.engine;
+        }
+        Ok(admitted)
+    }
+
+    /// Rebuilds the plan over whoever is active now, on the probed costs.
+    fn replan_members(&mut self) -> Result<()> {
+        self.active = self.plan_for(&self.trainer.costs, None)?;
+        // Old wait statistics describe the old world.
+        self.baseline_mean = None;
+        Ok(())
+    }
+
+    /// Measured-cost drift replan (Hybrid only, membership unchanged): the
+    /// chunk's receive waits are calibrated into [`CostFactors`]
+    /// corrections and, past the thresholds in [`feedback`], Algorithm 4
+    /// re-runs with them — a slow peer's dependencies shift from
+    /// communicated to cached.
+    fn drift_replan(&mut self, boundary: usize, waits: &PeerWaitStats) -> Result<()> {
+        if self.active.engine != EngineKind::Hybrid
+            || boundary >= self.epochs
+            || self.drift_replans >= MAX_DRIFT_REPLANS
+        {
+            return Ok(());
+        }
+        let calib = feedback::calibrate(waits, self.baseline_mean);
+        self.baseline_mean.get_or_insert(calib.mean_wait_ns);
+        if !calib.triggers_replan() {
+            return Ok(());
+        }
+        let scaled = self.trainer.costs.with_comm_scale(calib.comm_factor);
+        let next = self.plan_for(&scaled, Some(&calib.peer_mult))?;
+        let delta = self.decision_delta(&next.decision);
+        self.coord.incr("replan.events", 1);
+        self.coord.incr("replan.moved_to_cached", delta.total_to_cached() as u64);
+        self.coord.incr("replan.moved_to_comm", delta.total_to_comm() as u64);
+        self.report.replans.push(ReplanEvent {
+            epoch: boundary,
+            reason: "drift",
+            comm_factor: calib.comm_factor,
+            peer_mult: calib.peer_mult,
+            moved_to_cached: delta.moved_to_cached,
+            moved_to_comm: delta.moved_to_comm,
+            engine: next.engine.name().to_string(),
+        });
+        self.active = next;
+        self.drift_replans += 1;
+        Ok(())
+    }
+
+    /// Plans the active engine over the active members, degrading Hybrid to
+    /// DepComm when the shrunk cluster can no longer fit the cached working
+    /// set — trading extra communication for staying alive rather than
+    /// surfacing `DeviceOom` mid-recovery. `costs` and `peer_mult` let the
+    /// drift replan feed calibrated factors in; membership replans pass
+    /// the probed costs unchanged.
+    fn plan_for(&self, costs: &CostFactors, peer_mult: Option<&[f64]>) -> Result<ActivePlan<'t>> {
+        let (t, workers) = (self.trainer, self.view.active_count());
+        let plan = |engine, peer_mult| -> Result<ActivePlan<'t>> {
+            let (plans, _, decision) =
+                plan_engine(t.dataset, t.model, &t.cfg, engine, workers, costs, peer_mult)?;
+            Ok(ActivePlan { plans: Cow::Owned(plans), engine, decision: Cow::Owned(decision) })
+        };
+        match plan(self.active.engine, peer_mult) {
+            Err(RuntimeError::DeviceOom { .. }) if self.active.engine == EngineKind::Hybrid => {
+                plan(EngineKind::DepComm, None)
+            }
+            planned => planned,
+        }
+    }
+
+    /// Attributes the migration from the active dependency decision to
+    /// `new`, over the same partitioning, to the owners of the moved
+    /// dependencies (see [`feedback::diff_decisions`]).
+    fn decision_delta(&self, new: &DepDecision) -> DecisionDelta {
+        let (graph, workers) = (&self.trainer.dataset.graph, self.view.active_count());
+        let part = self.trainer.cfg.partitioner.partition(graph, workers);
+        let num_layers = self.trainer.model.num_layers();
+        let deps: Vec<Vec<Vec<u32>>> = (0..workers)
+            .map(|i| {
+                let owned_vec = part.part_vertices(i);
+                let owned: FxHashSet<u32> = owned_vec.iter().copied().collect();
+                let closure = ns_graph::khop::khop_in_closure(graph, &owned_vec, num_layers);
+                let remote = |lz: usize| -> Vec<u32> {
+                    let layer = &closure.layers[num_layers - lz];
+                    layer.iter().copied().filter(|u| !owned.contains(u)).collect()
+                };
+                (0..num_layers).map(remote).collect()
+            })
+            .collect();
+        let old = &self.active.decision;
+        feedback::diff_decisions(old, new, workers, num_layers, &deps, |u| part.owner(u))
+    }
+
+    /// Runs the rejoin handshake for original `slot` against the current
+    /// checkpoint: a fresh two-node fabric (coordinator = 0, joiner = 1),
+    /// two threads, three control round trips, then the checkpointed
+    /// state is what the joiner resumes from. Returns the bytes the
+    /// rejoin put on the wire (handshake control traffic plus the state
+    /// snapshot).
+    fn rejoin_handshake(&self, slot: usize) -> Result<u64> {
+        let timeout = Duration::from_millis(self.trainer.cfg.recv.timeout_ms.max(100));
+        let mut eps = Fabric::new(2).into_endpoints();
+        let joiner_ep = eps.pop().expect("fabric endpoint 1");
+        let coord_ep = eps.pop().expect("fabric endpoint 0");
+        let resume = self.ckpt.next_epoch;
+        let state_bytes = self.ckpt.param_bytes() as u64;
+        let net_err = |e| RuntimeError::WorkerFailed {
+            worker: slot,
+            epoch: resume,
+            cause: FailureCause::Net(e),
+        };
+        crossbeam::thread::scope(|s| {
+            let joiner =
+                s.spawn(move |_| membership::request_rejoin(&joiner_ep, 0, slot, timeout));
+            let announced = membership::admit_rejoin(&coord_ep, 1, resume, state_bytes, timeout)
+                .map_err(net_err)?;
+            let offer = joiner.join().expect("joiner thread").map_err(net_err)?;
+            debug_assert_eq!(announced, slot);
+            debug_assert_eq!(offer.resume_epoch, resume);
+            Ok(offer.state_bytes + membership::REJOIN_HANDSHAKE_BYTES)
+        })
+        .expect("rejoin scope")
+    }
+}

@@ -14,7 +14,7 @@ use ns_graph::Dataset;
 use ns_net::fault::{Fault, FaultPlan};
 use ns_net::ClusterSpec;
 use ns_runtime::{EngineKind, RecoveryConfig, Trainer, TrainerConfig};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// The replan trigger reads wall-clock receive waits; running both tests
 /// concurrently makes them each other's stragglers. Serialize them.
@@ -30,7 +30,7 @@ fn model(ds: &Dataset) -> GnnModel {
 
 #[test]
 fn straggler_shifts_its_dependencies_toward_caching() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let ds = dataset();
     let m = model(&ds);
     let mut cfg = TrainerConfig::new(EngineKind::Hybrid, ClusterSpec::aliyun_ecs(3));
@@ -90,7 +90,7 @@ fn flap_partitioned_worker_is_evicted_heals_and_rejoins() {
     // evict it, which retires its link faults (the modeled replacement
     // host has fresh links), and rejoin must re-admit it at the next
     // checkpoint boundary — with no circuit breaker left open anywhere.
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let ds = dataset();
     let m = model(&ds);
     let mut cfg = TrainerConfig::new(EngineKind::DepComm, ClusterSpec::aliyun_ecs(3));
@@ -143,7 +143,7 @@ fn flap_partitioned_worker_is_evicted_heals_and_rejoins() {
 
 #[test]
 fn healthy_run_never_replans() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let ds = dataset();
     let m = model(&ds);
     let mut cfg = TrainerConfig::new(EngineKind::Hybrid, ClusterSpec::aliyun_ecs(3));

@@ -18,9 +18,8 @@
 //! Integrity: parse failures surface as a typed [`CheckpointError`]
 //! carrying the byte offset where the stream went wrong (and, for
 //! checksummed callers like the durable store in `ns-runtime`, the
-//! expected-vs-computed CRC pair). The original `io::Result` entry points
-//! are kept as thin wrappers via `From<CheckpointError> for io::Error`.
-//! This crate computes no checksum itself: checksummed callers use
+//! expected-vs-computed CRC pair). This crate computes no checksum
+//! itself: checksummed callers use
 //! `ns_net::crc32`, the one CRC32 in the workspace, and report a mismatch
 //! through [`CheckpointError::CrcMismatch`].
 
@@ -80,18 +79,6 @@ impl std::fmt::Display for CheckpointError {
 }
 
 impl std::error::Error for CheckpointError {}
-
-impl From<CheckpointError> for io::Error {
-    fn from(e: CheckpointError) -> Self {
-        let kind = match &e {
-            CheckpointError::Io { kind, .. } => *kind,
-            CheckpointError::Corrupt { .. } | CheckpointError::CrcMismatch { .. } => {
-                io::ErrorKind::InvalidData
-            }
-        };
-        io::Error::new(kind, e.to_string())
-    }
-}
 
 /// Reader wrapper tracking the stream offset, so errors can say *where*
 /// the bytes went bad.
@@ -181,12 +168,6 @@ pub fn load_typed(r: &mut dyn Read) -> Result<ParamStore, CheckpointError> {
     Ok(store)
 }
 
-/// Deserializes a [`ParamStore`] from `r` (the `io::Result` wrapper around
-/// [`load_typed`]).
-pub fn load(r: &mut dyn Read) -> io::Result<ParamStore> {
-    load_typed(r).map_err(io::Error::from)
-}
-
 /// Restores checkpointed values into an *existing* store (e.g. one freshly
 /// built by a model constructor) by matching parameter names. Errors if
 /// any name or shape disagrees — a checkpoint for a different
@@ -216,11 +197,6 @@ pub fn restore_into_typed(
     Ok(())
 }
 
-/// The `io::Result` wrapper around [`restore_into_typed`].
-pub fn restore_into(store: &mut ParamStore, r: &mut dyn Read) -> io::Result<()> {
-    restore_into_typed(store, r).map_err(io::Error::from)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,7 +219,7 @@ mod tests {
         let store = sample_store();
         let mut buf = Vec::new();
         save(&store, &mut buf).unwrap();
-        let loaded = load(&mut buf.as_slice()).unwrap();
+        let loaded = load_typed(&mut buf.as_slice()).unwrap();
         assert_eq!(loaded.len(), store.len());
         for ((_, n1, v1), (_, n2, v2)) in store.iter().zip(loaded.iter()) {
             assert_eq!(n1, n2);
@@ -261,15 +237,13 @@ mod tests {
         // Perturb, then restore.
         let id = fresh.find("eps").unwrap();
         *fresh.value_mut(id) = Tensor::scalar(99.0);
-        restore_into(&mut fresh, &mut buf.as_slice()).unwrap();
+        restore_into_typed(&mut fresh, &mut buf.as_slice()).unwrap();
         assert_eq!(fresh.value(id).scalar_value(), 0.25);
     }
 
     #[test]
     fn bad_magic_rejected() {
-        let err = load(&mut b"NOTACKPT....".as_slice()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        // The typed API pins the offending offset.
+        // The error pins the offending offset.
         let terr = load_typed(&mut b"NOTACKPT....".as_slice()).unwrap_err();
         assert!(
             matches!(terr, CheckpointError::Corrupt { offset: 0, .. }),
@@ -294,14 +268,12 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_error_converts_to_io_error() {
+    fn checkpoint_error_is_a_std_error_that_says_what_and_where() {
         let e = CheckpointError::CrcMismatch { offset: 8, expected: 1, computed: 2 };
-        let io_err: io::Error = e.into();
-        assert_eq!(io_err.kind(), io::ErrorKind::InvalidData);
-        assert!(io_err.to_string().contains("CRC mismatch"));
+        let boxed: Box<dyn std::error::Error> = Box::new(e);
+        assert!(boxed.to_string().contains("CRC mismatch at byte 8"));
         let e = CheckpointError::Io { offset: 3, kind: io::ErrorKind::UnexpectedEof };
-        let io_err: io::Error = e.into();
-        assert_eq!(io_err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(e.to_string().contains("at byte 3"));
     }
 
     #[test]
@@ -314,7 +286,7 @@ mod tests {
         other.register("layer0.bias", Tensor::zeros(1, 4));
         other.register("eps", Tensor::scalar(0.0));
         let before = other.value(other.find("eps").unwrap()).scalar_value();
-        assert!(restore_into(&mut other, &mut buf.as_slice()).is_err());
+        assert!(restore_into_typed(&mut other, &mut buf.as_slice()).is_err());
         // Nothing was half-applied.
         assert_eq!(
             other.value(other.find("eps").unwrap()).scalar_value(),

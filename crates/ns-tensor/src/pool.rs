@@ -260,17 +260,22 @@ pub fn default_cap_bytes() -> usize {
     })
 }
 
-/// True when the pool footprint is within 25% of the budget — the signal
-/// the executor uses to shrink all-reduce chunks and the serve cache
-/// uses to shed rows, trading speed for staying under the cap.
+/// True when the bytes the pool cannot give back — buffers checked out
+/// and alive — are within 25% of the budget: the signal the checkpoint
+/// store uses to shrink its write bursts and the serve cache uses to shed
+/// rows, trading speed for staying under the cap. Parked buffers do not
+/// count. They are the pool's own slack, shed first whenever a take
+/// crosses the budget, so a pool that is merely full of them (a long
+/// serve run parks one odd-sized buffer per batch) has all the headroom
+/// its callers could ask for and nobody needs to degrade.
 pub fn under_pressure() -> bool {
     let g = lock();
-    g.footprint() * 4 >= g.cap_bytes * 3
+    g.in_use_bytes * 4 >= g.cap_bytes * 3
 }
 
 /// Advises a scratch length for divisible work (all-reduce chunking):
 /// `want` when the pool has headroom, a quarter of it (floored at one
-/// cache line) when the footprint is pressing the budget. More, smaller
+/// cache line) when live buffers are pressing the budget. More, smaller
 /// chunks keep the transfer correct while shrinking the concurrent
 /// scratch footprint.
 pub fn advise_chunk(want: usize) -> usize {

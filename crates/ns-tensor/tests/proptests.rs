@@ -173,7 +173,7 @@ proptest! {
         }
         let mut buf = Vec::new();
         checkpoint::save(&store, &mut buf).unwrap();
-        let loaded = checkpoint::load(&mut buf.as_slice()).unwrap();
+        let loaded = checkpoint::load_typed(&mut buf.as_slice()).unwrap();
         prop_assert_eq!(loaded.len(), store.len());
         for ((_, n1, v1), (_, n2, v2)) in store.iter().zip(loaded.iter()) {
             prop_assert_eq!(n1, n2);
@@ -182,8 +182,8 @@ proptest! {
         }
     }
 
-    /// Truncating a checkpoint anywhere yields `io::Error`, never a panic
-    /// or a silently short store.
+    /// Truncating a checkpoint anywhere yields a `CheckpointError`, never a
+    /// panic or a silently short store.
     #[test]
     fn truncated_checkpoint_is_an_error(
         seed in 0u64..200,
@@ -198,10 +198,10 @@ proptest! {
         checkpoint::save(&store, &mut buf).unwrap();
         let keep = ((buf.len() - 1) as f64 * cut) as usize;
         buf.truncate(keep);
-        prop_assert!(checkpoint::load(&mut buf.as_slice()).is_err());
+        prop_assert!(checkpoint::load_typed(&mut buf.as_slice()).is_err());
     }
 
-    /// Corrupting the magic yields `io::Error`, never a panic.
+    /// Corrupting the magic yields a `CheckpointError`, never a panic.
     #[test]
     fn corrupted_magic_is_an_error(seed in 0u64..200, byte in 0usize..8) {
         let mut store = ParamStore::new();
@@ -209,6 +209,6 @@ proptest! {
         let mut buf = Vec::new();
         checkpoint::save(&store, &mut buf).unwrap();
         buf[byte] ^= 0xA5;
-        prop_assert!(checkpoint::load(&mut buf.as_slice()).is_err());
+        prop_assert!(checkpoint::load_typed(&mut buf.as_slice()).is_err());
     }
 }

@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. "Elsewhere": a fresh process would rebuild the architecture and
     //    restore the weights by name.
     let mut restored = model.fresh_store();
-    checkpoint::restore_into(&mut restored, &mut bytes.as_slice())?;
+    checkpoint::restore_into_typed(&mut restored, &mut bytes.as_slice())?;
 
     // 4. Serve: full-graph single-machine inference with the restored
     //    parameters must reproduce the distributed trainer's accuracy.

@@ -117,3 +117,29 @@ fn training_under_a_measured_cap_respects_it() {
         "budget pressure must not change the numerics"
     );
 }
+
+#[test]
+fn parked_buffers_are_slack_not_pressure() {
+    let _guard = serial();
+    let _restore = RestoreCap;
+    // Park 64 MiB (zero pages, never touched), then arm a budget the
+    // footprint fills exactly. Nothing live is near it, and a take that
+    // needed the room would shed the parked buffer first — so nobody is
+    // asked to degrade.
+    let len = 16 << 20;
+    pool::recycle(pool::take_scratch(len));
+    let s = pool::stats();
+    assert!(s.resident_bytes >= (len * 4) as u64);
+    pool::set_cap_bytes((s.in_use_bytes + s.resident_bytes) as usize);
+    assert!(!pool::under_pressure(), "parked bytes can be given back");
+    assert_eq!(pool::advise_chunk(8192), 8192);
+    // A live buffer that does not fit beside the parked one evicts it
+    // instead of overshooting the budget.
+    let live = pool::take_scratch(len + 1);
+    let held = pool::stats();
+    assert!(held.shed > s.shed, "the take must shed the parked buffer");
+    assert!(held.peak_bytes <= held.cap_bytes + ((len + 1) * 4) as u64);
+    assert!(pool::under_pressure(), "now the bytes are live");
+    pool::recycle(live);
+    pool::clear();
+}
