@@ -10,6 +10,12 @@
 //! input gradient, and a layer fed raw features or serving inputs computes
 //! none. Parameter gradients accumulate into the id-indexed gradient
 //! vector for the all-reduce.
+//!
+//! Every layer is a parameter-free *prefix* (the operators that read only
+//! the input rows and the topology) followed by a *body* that starts at the
+//! first parameter bind. Over a constant input the prefix's values never
+//! change, so the backward pass hands them back as a [`LayerPrefix`] and a
+//! later `forward` can start from them ([`LayerInput::Prefix`]).
 
 use rand::rngs::StdRng;
 #[cfg(test)]
@@ -30,7 +36,18 @@ pub enum LayerInput {
     /// Rows nobody differentiates (raw features, inference): the backward
     /// pass skips every adjoint that only feeds the input gradient.
     Constant(Tensor),
+    /// The layer's prefix over a `Constant` input on the same topology, as
+    /// an earlier run's backward pass handed it back: the forward pass
+    /// records these values instead of recomputing them, and everything it
+    /// does compute is bitwise what `Constant` gives.
+    Prefix(LayerPrefix),
 }
+
+/// The values of a layer's parameter-free prefix ([`GnnLayer::prefix`])
+/// over a constant input. They depend on the input rows and the topology
+/// only, not on any parameter, so they can outlive the run that computed
+/// them for as long as both stay the same.
+pub struct LayerPrefix(Vec<Tensor>);
 
 /// What one layer's backward pass produced, besides the parameter
 /// gradients it accumulated.
@@ -47,13 +64,18 @@ pub struct LayerBackward {
     /// Operand gradients skipped because only the (unwanted) input
     /// gradient depended on them (`ns_tensor::Tape::pruned`).
     pub pruned: u64,
+    /// The prefix values the run computed or was given, moved out of its
+    /// tape: `Some` iff the input was not [`LayerInput::Tracked`].
+    pub prefix: Option<LayerPrefix>,
 }
 
 /// The in-flight state of one layer's forward pass on one worker.
 pub struct LayerRun {
     tape: Tape,
     bindings: Bindings,
-    input: Var,
+    /// `None` when the run started from a [`LayerPrefix`].
+    input: Option<Var>,
+    prefix: Vec<Var>,
     output: Var,
     forward_flops: u64,
     fwd_graph_ns: u64,
@@ -100,11 +122,15 @@ impl LayerRun {
         let (flops, pruned) = (tape.flops() - flops, tape.pruned() - pruned);
         let (graph_ns, nn_ns) = (tape.graph_op_ns() - graph_ns, tape.nn_op_ns() - nn_ns);
         self.bindings.collect_grads(tape, grads);
-        let input_grad = tape.needs_grad(self.input).then(|| {
-            let (rows, cols) = tape.value(self.input).shape();
-            tape.take_grad(self.input).unwrap_or_else(|| Tensor::zeros(rows, cols))
+        let input_grad = self.input.filter(|&input| tape.needs_grad(input)).map(|input| {
+            let (rows, cols) = tape.value(input).shape();
+            tape.take_grad(input).unwrap_or_else(|| Tensor::zeros(rows, cols))
         });
-        LayerBackward { input_grad, flops, graph_ns, nn_ns, pruned }
+        // The tape dies with `self`: a constant prefix moves out, uncopied.
+        let prefix = input_grad.is_none().then(|| {
+            LayerPrefix(self.prefix.iter().map(|&v| tape.take_value(v)).collect())
+        });
+        LayerBackward { input_grad, flops, graph_ns, nn_ns, pruned, prefix }
     }
 }
 
@@ -117,9 +143,48 @@ pub trait GnnLayer: Send + Sync {
     /// Output representation width (`d^{(l)}`).
     fn out_dim(&self) -> usize;
 
+    /// Records the layer's parameter-free prefix — every operator that
+    /// reads only `input` and `topo` — and returns the nodes [`body`]
+    /// continues from. The prefix ends where the layer binds its first
+    /// parameter; each layer says so here, once.
+    ///
+    /// [`body`]: GnnLayer::body
+    fn prefix(&self, tape: &mut Tape, input: Var, topo: &LayerTopology) -> Vec<Var>;
+
+    /// Records the rest of the layer, from the nodes [`GnnLayer::prefix`]
+    /// returned to the output.
+    fn body(
+        &self,
+        tape: &mut Tape,
+        binds: &mut Bindings,
+        store: &ParamStore,
+        topo: &LayerTopology,
+        prefix: &[Var],
+    ) -> Var;
+
     /// Records the forward pass over `topo` with input rows `h`
-    /// (`topo.n_src x in_dim`).
-    fn forward(&self, store: &ParamStore, topo: &LayerTopology, h: LayerInput) -> LayerRun;
+    /// (`topo.n_src x in_dim`): prefix, then body, on one tape. Given
+    /// [`LayerInput::Prefix`], the saved values stand in for the prefix.
+    fn forward(&self, store: &ParamStore, topo: &LayerTopology, h: LayerInput) -> LayerRun {
+        let (mut tape, mut bindings) = (Tape::new(), Bindings::new());
+        let record = |tape: &mut Tape, t: Tensor, tracked: bool| {
+            assert_eq!(t.cols(), self.in_dim(), "layer input width");
+            assert_eq!(t.rows(), topo.n_src, "layer input rows");
+            let input = if tracked { tape.leaf(t) } else { tape.constant(t) };
+            (Some(input), self.prefix(tape, input, topo))
+        };
+        let (input, prefix) = match h {
+            LayerInput::Tracked(t) => record(&mut tape, t, true),
+            LayerInput::Constant(t) => record(&mut tape, t, false),
+            LayerInput::Prefix(saved) => {
+                (None, saved.0.into_iter().map(|t| tape.constant(t)).collect())
+            }
+        };
+        let output = self.body(&mut tape, &mut bindings, store, topo, &prefix);
+        let forward_flops = tape.flops();
+        let (fwd_graph_ns, fwd_nn_ns) = (tape.graph_op_ns(), tape.nn_op_ns());
+        LayerRun { tape, bindings, input, prefix, output, forward_flops, fwd_graph_ns, fwd_nn_ns }
+    }
 
     /// Analytic per-edge FLOP estimate (edge function + aggregation), used
     /// by the cost model before any data exists.
@@ -136,27 +201,6 @@ pub trait GnnLayer: Send + Sync {
     /// beyond the static weight; parameterized edge functions (GAT) hold
     /// logits, attention coefficients and weighted messages.
     fn edge_tensor_width(&self) -> usize;
-}
-
-/// Checks the input's shape and records it on a fresh tape: a leaf when
-/// its gradient is wanted, a constant when not.
-fn start_run(h: LayerInput, topo: &LayerTopology, in_dim: usize) -> (Tape, Bindings, Var) {
-    let mut tape = Tape::new();
-    let (LayerInput::Tracked(t) | LayerInput::Constant(t)) = &h;
-    assert_eq!(t.cols(), in_dim, "layer input width");
-    assert_eq!(t.rows(), topo.n_src, "layer input rows");
-    let input = match h {
-        LayerInput::Tracked(t) => tape.leaf(t),
-        LayerInput::Constant(t) => tape.constant(t),
-    };
-    (tape, Bindings::new(), input)
-}
-
-fn finish_run(tape: Tape, bindings: Bindings, input: Var, output: Var) -> LayerRun {
-    let forward_flops = tape.flops();
-    let fwd_graph_ns = tape.graph_op_ns();
-    let fwd_nn_ns = tape.nn_op_ns();
-    LayerRun { tape, bindings, input, output, forward_flops, fwd_graph_ns, fwd_nn_ns }
 }
 
 /// Graph Convolutional Network layer (Kipf & Welling):
@@ -191,16 +235,24 @@ impl GnnLayer for GcnLayer {
         self.lin.out_features()
     }
 
-    fn forward(&self, store: &ParamStore, topo: &LayerTopology, h: LayerInput) -> LayerRun {
-        let (mut tape, mut binds, input) = start_run(h, topo, self.in_dim());
+    fn prefix(&self, tape: &mut Tape, input: Var, topo: &LayerTopology) -> Vec<Var> {
         // EdgeForward (weighted copy) fused with GatherByDst: the copy
         // edge function needs no materialized edge tensor, so it runs as
         // one SpMM — the fusion real GNN backends apply.
-        let agg = ops::aggregate_neighbors(&mut tape, input, topo, true);
+        vec![ops::aggregate_neighbors(tape, input, topo, true)]
+    }
+
+    fn body(
+        &self,
+        tape: &mut Tape,
+        binds: &mut Bindings,
+        store: &ParamStore,
+        _topo: &LayerTopology,
+        prefix: &[Var],
+    ) -> Var {
         // VertexForward: linear (+ ReLU).
-        let z = self.lin.forward(&mut tape, &mut binds, store, agg);
-        let out = if self.activation { tape.relu(z) } else { z };
-        finish_run(tape, binds, input, out)
+        let z = self.lin.forward(tape, binds, store, prefix[0]);
+        if self.activation { tape.relu(z) } else { z }
     }
 
     fn edge_flops_estimate(&self) -> u64 {
@@ -251,17 +303,28 @@ impl GnnLayer for GinLayer {
         self.mlp.out_features()
     }
 
-    fn forward(&self, store: &ParamStore, topo: &LayerTopology, h: LayerInput) -> LayerRun {
-        let (mut tape, mut binds, input) = start_run(h, topo, self.in_dim());
-        // EdgeForward (plain copy) fused with GatherByDst (SpMM).
-        let agg = ops::aggregate_neighbors(&mut tape, input, topo, false);
+    fn prefix(&self, tape: &mut Tape, input: Var, topo: &LayerTopology) -> Vec<Var> {
+        // EdgeForward (plain copy) fused with GatherByDst (SpMM), and each
+        // destination's own row for the combiner.
+        let agg = ops::aggregate_neighbors(tape, input, topo, false);
+        let self_h = ops::gather_dst_self(tape, input, topo);
+        vec![agg, self_h]
+    }
+
+    fn body(
+        &self,
+        tape: &mut Tape,
+        binds: &mut Bindings,
+        store: &ParamStore,
+        _topo: &LayerTopology,
+        prefix: &[Var],
+    ) -> Var {
+        let (agg, self_h) = (prefix[0], prefix[1]);
         // VertexForward: (1+ε)h_v + agg, then the MLP.
-        let self_h = ops::gather_dst_self(&mut tape, input, topo);
-        let eps = binds.bind(&mut tape, store, self.eps);
+        let eps = binds.bind(tape, store, self.eps);
         let comb = tape.eps_combine(eps, self_h, agg);
-        let z = self.mlp.forward(&mut tape, &mut binds, store, comb);
-        let out = if self.activation { tape.relu(z) } else { z };
-        finish_run(tape, binds, input, out)
+        let z = self.mlp.forward(tape, binds, store, comb);
+        if self.activation { tape.relu(z) } else { z }
     }
 
     fn edge_flops_estimate(&self) -> u64 {
@@ -402,15 +465,27 @@ impl GnnLayer for GatLayer {
         self.head_dim * self.heads.len()
     }
 
-    fn forward(&self, store: &ParamStore, topo: &LayerTopology, h: LayerInput) -> LayerRun {
-        let (mut tape, mut binds, input) = start_run(h, topo, self.in_dim());
-        let mut agg = self.heads[0].attend(&mut tape, &mut binds, store, input, topo);
+    fn prefix(&self, _tape: &mut Tape, input: Var, _topo: &LayerTopology) -> Vec<Var> {
+        // Attention starts at `W h`: nothing runs before the first bind,
+        // and the input rows themselves are what a later run reuses.
+        vec![input]
+    }
+
+    fn body(
+        &self,
+        tape: &mut Tape,
+        binds: &mut Bindings,
+        store: &ParamStore,
+        topo: &LayerTopology,
+        prefix: &[Var],
+    ) -> Var {
+        let input = prefix[0];
+        let mut agg = self.heads[0].attend(tape, binds, store, input, topo);
         for head in &self.heads[1..] {
-            let next = head.attend(&mut tape, &mut binds, store, input, topo);
+            let next = head.attend(tape, binds, store, input, topo);
             agg = tape.concat_cols(agg, next);
         }
-        let out = if self.activation { tape.elu(agg, 1.0) } else { agg };
-        finish_run(tape, binds, input, out)
+        if self.activation { tape.elu(agg, 1.0) } else { agg }
     }
 
     fn edge_flops_estimate(&self) -> u64 {
@@ -474,14 +549,22 @@ impl GnnLayer for SageLayer {
         self.lin.out_features()
     }
 
-    fn forward(&self, store: &ParamStore, topo: &LayerTopology, h: LayerInput) -> LayerRun {
-        let (mut tape, mut binds, input) = start_run(h, topo, self.in_dim());
-        let agg = ops::aggregate_neighbors_with(&mut tape, input, topo, self.aggregator);
-        let self_h = ops::gather_dst_self(&mut tape, input, topo);
-        let cat = tape.concat_cols(self_h, agg);
-        let z = self.lin.forward(&mut tape, &mut binds, store, cat);
-        let out = if self.activation { tape.relu(z) } else { z };
-        finish_run(tape, binds, input, out)
+    fn prefix(&self, tape: &mut Tape, input: Var, topo: &LayerTopology) -> Vec<Var> {
+        let agg = ops::aggregate_neighbors_with(tape, input, topo, self.aggregator);
+        let self_h = ops::gather_dst_self(tape, input, topo);
+        vec![tape.concat_cols(self_h, agg)]
+    }
+
+    fn body(
+        &self,
+        tape: &mut Tape,
+        binds: &mut Bindings,
+        store: &ParamStore,
+        _topo: &LayerTopology,
+        prefix: &[Var],
+    ) -> Var {
+        let z = self.lin.forward(tape, binds, store, prefix[0]);
+        if self.activation { tape.relu(z) } else { z }
     }
 
     fn edge_flops_estimate(&self) -> u64 {
@@ -713,6 +796,7 @@ mod tests {
         let (out_off, off, grads_off) = backward(LayerInput::Constant(h));
         assert_eq!(out_on.data(), out_off.data());
         assert!(on.input_grad.is_some() && off.input_grad.is_none());
+        assert!(on.prefix.is_none() && off.prefix.is_some());
         assert!(grads_on.iter().any(|g| g.norm() > 0.0));
         for (a, b) in grads_on.iter().zip(&grads_off) {
             assert_eq!(a.data(), b.data(), "parameter gradients must not move");
@@ -722,8 +806,8 @@ mod tests {
         assert!(off.flops < on.flops, "{} vs {}", off.flops, on.flops);
     }
 
-    #[test]
-    fn constant_input_leaves_parameter_gradients_bitwise_equal() {
+    /// One layer of every kind, over one store.
+    fn every_layer_kind() -> (ParamStore, Vec<Box<dyn GnnLayer>>) {
         use crate::ops::Aggregator;
         let mut r = rng();
         let mut store = ParamStore::new();
@@ -735,8 +819,52 @@ mod tests {
             Box::new(SageLayer::new(&mut store, "mean", 3, 2, Aggregator::Mean, true, &mut r)),
             Box::new(SageLayer::new(&mut store, "max", 3, 2, Aggregator::Max, false, &mut r)),
         ];
+        (store, layers)
+    }
+
+    #[test]
+    fn constant_input_leaves_parameter_gradients_bitwise_equal() {
+        let (store, layers) = every_layer_kind();
         for layer in &layers {
             check_constant_input(layer.as_ref(), &store);
+        }
+    }
+
+    /// Entering `forward` after the prefix, with the values a constant run
+    /// handed back, is that constant run again: same output, same parameter
+    /// gradients, same pruning, and the same values handed back once more.
+    #[test]
+    fn prefix_then_body_equals_forward() {
+        let (store, layers) = every_layer_kind();
+        let t = topo();
+        for layer in &layers {
+            let coeff = input(3, layer.out_dim());
+            let run_from = |h: LayerInput| {
+                let run = layer.forward(&store, &t, h);
+                let output = run.output().clone();
+                let mut grads = store.zero_grads();
+                (output, run.backward_split(coeff.clone(), &mut grads), grads)
+            };
+            let (want_out, want, want_grads) =
+                run_from(LayerInput::Constant(input(4, layer.in_dim())));
+            let mut saved = want.prefix.expect("a constant run hands its prefix back");
+            let want_prefix: Vec<Tensor> = saved.0.to_vec();
+            assert!(want_prefix.iter().all(|p| !p.is_empty()));
+            // Twice: the handed-back values must survive a round trip.
+            for _ in 0..2 {
+                let (out, back, grads) = run_from(LayerInput::Prefix(saved));
+                assert_eq!(out.data(), want_out.data());
+                for (a, b) in grads.iter().zip(&want_grads) {
+                    assert_eq!(a.data(), b.data(), "parameter gradients must not move");
+                }
+                assert!(back.input_grad.is_none());
+                assert_eq!(back.pruned, want.pruned);
+                saved = back.prefix.expect("a prefix run hands its prefix back");
+                assert_eq!(saved.0.len(), want_prefix.len());
+                for (a, b) in saved.0.iter().zip(&want_prefix) {
+                    assert_eq!((a.shape(), a.data()), (b.shape(), b.data()));
+                }
+            }
         }
     }
 

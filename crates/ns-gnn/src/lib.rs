@@ -17,7 +17,9 @@
 //!   `backward` accepts the output gradient (arriving from the next layer
 //!   or from remote mirrors) and yields the input gradient — the
 //!   per-layer *synchronize-compute / compute-synchronize* contract of
-//!   §4.1 — when the caller asked for one ([`LayerInput`]).
+//!   §4.1 — when the caller asked for one ([`LayerInput`]). A layer is a
+//!   parameter-free prefix plus a body; over constant rows the prefix is
+//!   handed back ([`LayerPrefix`]) for the next `forward` to start from.
 //! * [`model`] — layer stacks with the paper's 2-layer defaults.
 //! * [`loss`] — softmax cross-entropy prediction head and accuracy.
 
@@ -29,7 +31,8 @@ pub mod ops;
 pub mod topology;
 
 pub use layers::{
-    GatLayer, GcnLayer, GinLayer, GnnLayer, LayerBackward, LayerInput, LayerRun, SageLayer,
+    GatLayer, GcnLayer, GinLayer, GnnLayer, LayerBackward, LayerInput, LayerPrefix, LayerRun,
+    SageLayer,
 };
 pub use ops::Aggregator;
 pub use model::{GnnModel, ModelKind};

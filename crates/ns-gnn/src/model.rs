@@ -75,7 +75,25 @@ impl GnnModel {
             };
             layers.push(layer);
         }
-        Self { kind, layers, init_store: store, dims: dims.to_vec() }
+        Self::from_layers(kind, layers, store)
+    }
+
+    /// A model over a hand-built layer stack — what [`GnnModel::new`] has
+    /// no spelling for (multi-head GAT, GraphSAGE-max). `init_store` is the
+    /// store the layers registered their parameters in; `kind` only labels
+    /// reports.
+    pub fn from_layers(
+        kind: ModelKind,
+        layers: Vec<Box<dyn GnnLayer>>,
+        init_store: ParamStore,
+    ) -> Self {
+        assert!(!layers.is_empty(), "need at least one layer");
+        let mut dims = vec![layers[0].in_dim()];
+        for layer in &layers {
+            assert_eq!(layer.in_dim(), dims[dims.len() - 1], "layer widths must chain");
+            dims.push(layer.out_dim());
+        }
+        Self { kind, layers, init_store, dims }
     }
 
     /// Convenience: a 2-layer model `in → hidden → classes`.

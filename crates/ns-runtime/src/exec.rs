@@ -4,7 +4,11 @@
 //! Each thread is a `Worker` whose `epoch()` is the phase list the
 //! ledger and the trace report: per layer `fwd_comm → fwd_compute`, then
 //! `head`, per layer `bwd_compute → bwd_comm`, then `sync_wait`,
-//! `opt_step`. The forward *synchronize-compute* mode (masters push
+//! `opt_step`. Layer 0 is the exception after a worker's first epoch: its
+//! input is the feature matrix, so its dependency exchange, input assembly
+//! and parameter-free prefix depend on the plan alone; they run once per
+//! plan and later epochs start the layer from the saved [`LayerPrefix`]
+//! ([`Layer0Carry`]). The forward *synchronize-compute* mode (masters push
 //! dependency rows, mirrors assemble their input matrix, then the layer's
 //! tape segment runs) and the backward *compute-synchronize* mode (the
 //! tape segment's input gradient is split into locally-routed rows and
@@ -31,7 +35,7 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use ns_gnn::loss::{count_correct, softmax_cross_entropy_shared, LossResult};
-use ns_gnn::{GnnModel, LayerInput, LayerRun};
+use ns_gnn::{GnnModel, LayerInput, LayerPrefix, LayerRun};
 use ns_graph::Dataset;
 use ns_metrics::{span, LayerSplit, MetricsFrame, MetricsRecorder, Phase, RunMetrics};
 use ns_net::fault::FaultPlan;
@@ -271,6 +275,51 @@ pub struct RunState {
     pub origin: Option<Instant>,
     /// Liveness watchdog policy (`None` = no supervisor thread).
     pub watchdog: Option<WatchdogConfig>,
+}
+
+/// Each worker's layer-0 prefix under one set of plans: what the first
+/// epoch's layer-0 exchange, input assembly and parameter-free operators
+/// produced. It depends on the dataset and the plans only — not on
+/// parameters, optimizer state or the epoch — so whoever owns the plans
+/// keeps it beside them, hands it to every chunk that runs under them and
+/// drops it with them. [`Default`] is "nothing computed yet".
+#[derive(Default)]
+pub(crate) struct Layer0Carry {
+    /// One slot per worker, in plan order; all filled or all empty, since
+    /// a worker that skips the exchange must not face a peer that runs it.
+    slots: Vec<Option<LayerPrefix>>,
+}
+
+impl Layer0Carry {
+    /// The slots for a run of `workers` workers, emptied unless every one
+    /// of them is filled (a chunk that failed mid-epoch loses the prefixes
+    /// its tapes held).
+    fn slots_for(&mut self, workers: usize) -> &mut [Option<LayerPrefix>] {
+        if self.slots.len() != workers || self.slots.iter().any(Option::is_none) {
+            self.slots = (0..workers).map(|_| None).collect();
+        }
+        &mut self.slots
+    }
+
+    /// Whether a run under the same plans would skip the layer-0 exchange.
+    #[cfg(test)]
+    pub(crate) fn is_filled(&self) -> bool {
+        !self.slots.is_empty() && self.slots.iter().all(Option::is_some)
+    }
+}
+
+/// What a run does with layer 0's input, the feature matrix.
+pub(crate) enum Layer0<'a> {
+    /// Every run: nobody reads the feature gradient, so the input is a
+    /// constant and the layer's prefix over it is computed in the first
+    /// epoch, then reused from `Layer0Carry`.
+    Constant(&'a mut Layer0Carry),
+    /// `exec::tests` only: also compute the feature gradient, which nobody
+    /// reads. A tracked input has no constant prefix, so every epoch runs
+    /// the exchange and the whole layer — the reference both the pruning
+    /// and the reuse are checked against.
+    #[cfg_attr(not(test), allow(dead_code))]
+    Tracked,
 }
 
 /// Numeric results of one epoch, aggregated over workers.
@@ -695,9 +744,7 @@ struct Job<'a> {
     run: &'a RunState,
     origin: Instant,
     wd: Option<&'a Watchdog>,
-    /// Also compute the gradient of the layer-0 input, which nobody reads.
-    /// `false` in every run; `exec::tests` sets it to check that pruning
-    /// that gradient changes no value that is read.
+    /// [`Layer0::Tracked`]: `false` in every run.
     feature_grad: bool,
 }
 
@@ -717,8 +764,14 @@ struct Worker<'a> {
     store: ParamStore,
     opt: Opt,
     /// Local feature matrix (owned rows + prefetched cached features —
-    /// DepCache's one-time dependency retrieval, Algorithm 2 line 5).
-    features: Tensor,
+    /// DepCache's one-time dependency retrieval, Algorithm 2 line 5). Only
+    /// layer 0's first epoch reads it: released once `prefix` exists, and
+    /// never gathered by a worker that inherits one.
+    features: Option<Tensor>,
+    /// This worker's [`Layer0Carry`] slot: empty until the first epoch's
+    /// backward pass hands layer 0's prefix back, and while an epoch's
+    /// tape holds it.
+    prefix: &'a mut Option<LayerPrefix>,
     /// Labels, loss weights and train/val/test masks over owned rows.
     owned_labels: Arc<[u32]>,
     loss_weights: Arc<[f32]>,
@@ -742,11 +795,12 @@ impl<'a> Worker<'a> {
         job: Job<'_>,
         plan: &WorkerPlan,
         ep: Endpoint,
+        prefix: &mut Option<LayerPrefix>,
         tx: mpsc::Sender<(usize, usize, WorkerReport)>, // (epoch, worker, report)
     ) -> (WorkerResult<(ParamStore, Option<AdamState>)>, MetricsFrame) {
         let rec = MetricsRecorder::new(ep.id(), job.origin);
         let res = {
-            let mut w = Worker::new(job, plan, &ep, &rec);
+            let mut w = Worker::new(job, plan, &ep, &rec, prefix);
             let res = w.train(job.epochs, tx);
             if let Some(wd) = job.wd {
                 wd.finish(ep.id());
@@ -759,9 +813,18 @@ impl<'a> Worker<'a> {
         (res, rec.finish())
     }
 
-    fn new(job: Job<'a>, plan: &'a WorkerPlan, ep: &'a Endpoint, rec: &'a MetricsRecorder) -> Self {
+    fn new(
+        job: Job<'a>,
+        plan: &'a WorkerPlan,
+        ep: &'a Endpoint,
+        rec: &'a MetricsRecorder,
+        prefix: &'a mut Option<LayerPrefix>,
+    ) -> Self {
         let Job { dataset, model, cfg, run, wd, feature_grad, .. } = job;
-        rec.incr("dep.rows.cached", plan.prefetched_features() as u64);
+        let features = prefix.is_none().then(|| {
+            rec.incr("dep.rows.cached", plan.prefetched_features() as u64);
+            dataset.features.gather_rows(&plan.feature_rows)
+        });
         // The pool size every parallel kernel on this worker will use.
         rec.incr("compute.threads", ns_par::threads() as u64);
         let train_weight = 1.0 / dataset.num_train().max(1) as f32;
@@ -778,7 +841,8 @@ impl<'a> Worker<'a> {
             feature_grad,
             store: run.init_params.clone().unwrap_or_else(|| model.fresh_store()),
             opt: Opt::new(cfg, run.opt_state.clone()),
-            features: dataset.features.gather_rows(&plan.feature_rows),
+            features,
+            prefix,
             owned_labels: plan.owned.iter().map(|&v| dataset.labels[v as usize]).collect(),
             loss_weights: plan
                 .owned
@@ -857,11 +921,14 @@ impl<'a> Worker<'a> {
         let num_layers = self.model.num_layers();
         let mut runs: Vec<LayerRun> = Vec::with_capacity(num_layers);
         for l in 0..num_layers {
-            let act = runs.last().map_or(&self.features, LayerRun::output);
-            let input = self.fwd_comm(l, act)?;
+            let input = match runs.last() {
+                Some(below) => LayerInput::Tracked(self.fwd_comm(l, below.output())?),
+                None => self.layer0_input()?,
+            };
             runs.push(self.fwd_compute(l, input));
         }
-        let (head, counts) = self.head(runs.last().map_or(&self.features, LayerRun::output));
+        let logits = runs.last().expect("a model has at least one layer").output();
+        let (head, counts) = self.head(logits);
         let mut grads = self.store.zero_grads();
         let mut g = head.logit_grad;
         for l in (0..num_layers).rev() {
@@ -890,6 +957,28 @@ impl<'a> Worker<'a> {
         Ok(WorkerReport { loss: head.loss, counts, wall_s: t0.elapsed().as_secs_f64() })
     }
 
+    /// Layer 0's input. Features never change, so what the layer computes
+    /// from them before its first parameter depends on the plan alone: the
+    /// first epoch runs [`Worker::fwd_comm`] over the features, which are
+    /// then released, and every later epoch (and every later chunk under
+    /// the same plans) starts from the prefix that epoch's backward pass
+    /// handed back. Only a [`Layer0::Tracked`] run keeps the features and
+    /// repeats the exchange.
+    fn layer0_input(&mut self) -> WorkerResult<LayerInput> {
+        if let Some(saved) = self.prefix.take() {
+            self.rec.incr("dep.rows.reused", self.plan.layers[0].input_ids.len() as u64);
+            return Ok(LayerInput::Prefix(saved));
+        }
+        let features = self.features.take().expect("features are held until layer 0's prefix is");
+        let input = self.fwd_comm(0, &features)?;
+        Ok(if self.feature_grad {
+            self.features = Some(features);
+            LayerInput::Tracked(input)
+        } else {
+            LayerInput::Constant(input)
+        })
+    }
+
     /// Forward dependency exchange and input assembly for layer `l`
     /// (synchronize-compute). The local-row copies are memcpy noise next
     /// to the fabric traffic they interleave with, so they share the span.
@@ -908,16 +997,10 @@ impl<'a> Worker<'a> {
         Ok(input)
     }
 
-    /// Layer `l`'s tape forward pass over the assembled input. Layer 0's
-    /// input is features, whose gradient nobody reads: recording it as a
-    /// constant lets the backward pass skip the adjoints that feed only it.
-    fn fwd_compute(&self, l: usize, input: Tensor) -> LayerRun {
+    /// Layer `l`'s tape forward pass over the assembled input, or from
+    /// layer 0's saved prefix on.
+    fn fwd_compute(&self, l: usize, input: LayerInput) -> LayerRun {
         let _span = span!(self.rec, Phase::FwdCompute, l);
-        let input = if l > 0 || self.feature_grad {
-            LayerInput::Tracked(input)
-        } else {
-            LayerInput::Constant(input)
-        };
         self.model.layer(l).forward(&self.store, &self.plan.layers[l].topo, input)
     }
 
@@ -935,10 +1018,11 @@ impl<'a> Worker<'a> {
     }
 
     /// Layer `l`'s tape backward pass: accumulates parameter gradients
-    /// into `grads` and returns the gradient of the layer input, if
-    /// [`Worker::fwd_compute`] tracked it (every layer but 0).
+    /// into `grads` and returns the gradient of the layer input, if the
+    /// forward pass tracked it (every layer but 0). Layer 0 instead hands
+    /// its constant prefix back for the next epoch.
     fn bwd_compute(
-        &self,
+        &mut self,
         l: usize,
         run: LayerRun,
         g: Tensor,
@@ -953,6 +1037,9 @@ impl<'a> Worker<'a> {
         let split = LayerSplit { fwd_graph_ns, fwd_nn_ns, bwd_graph_ns, bwd_nn_ns };
         self.rec.add_layer_split(l, split);
         self.rec.incr("compute.bwd_pruned", back.pruned);
+        if l == 0 {
+            *self.prefix = back.prefix;
+        }
         back.input_grad
     }
 
@@ -1120,18 +1207,23 @@ pub fn train_epochs_run(
     cfg: &ExecConfig,
     run: &RunState,
 ) -> Result<(Vec<EpochMetrics>, ParamStore, Option<AdamState>, RunMetrics)> {
-    run_workers(dataset, model, plans, epochs, cfg, run, false)
+    let layer0 = Layer0::Constant(&mut Layer0Carry::default());
+    run_workers(dataset, model, plans, epochs, cfg, run, layer0)
 }
 
-/// [`train_epochs_run`], with the [`Job::feature_grad`] test hook exposed.
-fn run_workers(
+/// [`train_epochs_run`], with what layer 0 keeps between calls (or the
+/// [`Layer0::Tracked`] test hook) exposed. `layer0`'s carry must have been
+/// filled under these `plans` or be empty; it is left filled by a run that
+/// finished an epoch, and by a failed one only if no worker failed while
+/// its tape held the prefix.
+pub(crate) fn run_workers(
     dataset: &Dataset,
     model: &GnnModel,
     plans: &[WorkerPlan],
     epochs: usize,
     cfg: &ExecConfig,
     run: &RunState,
-    feature_grad: bool,
+    layer0: Layer0<'_>,
 ) -> Result<(Vec<EpochMetrics>, ParamStore, Option<AdamState>, RunMetrics)> {
     let m = plans.len();
     if m == 0 {
@@ -1149,17 +1241,21 @@ fn run_workers(
     let origin = run.origin.unwrap_or_else(Instant::now);
     let t_run = Instant::now();
     let watchdog = run.watchdog.map(|wcfg| Watchdog::new(m, wcfg));
+    let mut untracked = Layer0Carry::default();
+    let (carry, feature_grad) = match layer0 {
+        Layer0::Constant(carry) => (carry, false),
+        Layer0::Tracked => (&mut untracked, true),
+    };
+    let slots = carry.slots_for(m);
 
     crossbeam::thread::scope(|s| {
         let wd = watchdog.as_ref();
         let job = Job { dataset, model, epochs, cfg, run, origin, wd, feature_grad };
         let supervisor = wd.map(|wd| s.spawn(move |_| wd.run()));
         let mut handles = Vec::new();
-        for (plan, ep) in plans.iter().zip(endpoints) {
+        for ((plan, ep), slot) in plans.iter().zip(endpoints).zip(slots) {
             let tx = tx.clone();
-            handles.push(s.spawn(move |_| {
-                Worker::run(job, plan, ep, tx)
-            }));
+            handles.push(s.spawn(move |_| Worker::run(job, plan, ep, slot, tx)));
         }
         drop(tx);
         // Aggregate metrics on the coordinating thread. The loop ends when
@@ -1614,28 +1710,43 @@ mod tests {
         }
     }
 
+    /// Hybrid decision over two workers and two layers: cache the
+    /// dependencies whose id has this `parity`, communicate the others.
+    fn parity_sets(ds: &Dataset, parity: u32) -> DepDecision {
+        let cached: rustc_hash::FxHashSet<u32> =
+            (0..ds.graph.num_vertices() as u32).filter(|v| v % 2 == parity).collect();
+        DepDecision::Sets(vec![vec![cached; 2]; 2])
+    }
+
+    /// Wire bytes and messages of one forward exchange of `plan`'s layer
+    /// `l`, `cols` wide: one `Rows` message per peer that depends on it.
+    fn rows_traffic(plan: &WorkerPlan, l: usize, cols: usize) -> (u64, u64) {
+        let sends = plan.layers[l].send_ids.iter().filter(|ids| !ids.is_empty());
+        let bytes = |ids: &Vec<u32>| {
+            ns_net::fabric::ROWS_HEADER_BYTES + (ids.len() * (1 + cols) * 4) as u64
+        };
+        (sends.clone().map(bytes).sum(), sends.count() as u64)
+    }
+
     #[test]
     fn pruning_the_feature_gradient_changes_no_live_value() {
         let ds = small_dataset();
         let part = Partitioner::Chunk.partition(&ds.graph, 2);
-        // Hybrid: cache the even-id dependencies, communicate the odd ones.
-        let even: rustc_hash::FxHashSet<u32> =
-            (0..ds.graph.num_vertices() as u32).filter(|v| v % 2 == 0).collect();
-        let hybrid = DepDecision::Sets(vec![vec![even; 2]; 2]);
         const EPOCHS: usize = 2;
-        for decision in [DepDecision::CacheAll, DepDecision::CommAll, hybrid] {
+        for decision in [DepDecision::CacheAll, DepDecision::CommAll, parity_sets(&ds, 0)] {
             let plans = build_plans(&ds.graph, &part, 2, &decision).unwrap();
             for kind in [ModelKind::Gcn, ModelKind::Gat] {
                 let what = format!("{} {}", decision.label(), kind.name());
                 let model = GnnModel::two_layer(kind, ds.feature_dim(), 16, ds.num_classes, 3);
-                // `true` is the all-gradients run: layer 0 computes the
-                // feature gradient and the executor drops it.
-                let train = |feature_grad: bool| {
+                let train = |layer0: Layer0<'_>| {
                     let (cfg, run) = (ExecConfig::default(), RunState::default());
-                    run_workers(&ds, &model, &plans, EPOCHS, &cfg, &run, feature_grad).unwrap()
+                    run_workers(&ds, &model, &plans, EPOCHS, &cfg, &run, layer0).unwrap()
                 };
-                let (pruned, pruned_store, _, pruned_rm) = train(false);
-                let (full, full_store, _, full_rm) = train(true);
+                let (pruned, pruned_store, _, pruned_rm) =
+                    train(Layer0::Constant(&mut Layer0Carry::default()));
+                // The all-gradients run: layer 0 computes the feature
+                // gradient and the executor drops it.
+                let (full, full_store, _, full_rm) = train(Layer0::Tracked);
                 for (a, b) in pruned.iter().zip(full.iter()) {
                     assert_eq!(a.loss.to_bits(), b.loss.to_bits(), "{what}");
                 }
@@ -1644,9 +1755,18 @@ mod tests {
                 }
                 for (w, frame) in &pruned_rm.frames {
                     let full_frame = &full_rm.frames[w];
+                    // A tracked layer-0 input also has no constant prefix:
+                    // that run ships its layer-0 rows in every epoch, the
+                    // pruned one in the first only.
+                    let (l0_bytes, _) = rows_traffic(&plans[*w], 0, ds.feature_dim());
+                    assert_eq!(l0_bytes == 0, decision.label() == "DepCache", "{what}");
                     let bytes = frame.counter("net.sent.bytes");
                     assert!(bytes > 0);
-                    assert_eq!(bytes, full_frame.counter("net.sent.bytes"), "{what}: worker {w}");
+                    assert_eq!(
+                        full_frame.counter("net.sent.bytes") - bytes,
+                        (EPOCHS as u64 - 1) * l0_bytes,
+                        "{what}: worker {w}"
+                    );
                     let skipped = frame.counter("compute.bwd_pruned");
                     assert!(skipped > 0, "{what}: layer 0 must prune");
                     assert_eq!(skipped % EPOCHS as u64, 0, "{what}: same count every epoch");
@@ -1658,6 +1778,168 @@ mod tests {
                     assert_eq!(full_frame.counter("compute.bwd_pruned"), 0, "{what}");
                 }
             }
+        }
+    }
+
+    /// Two-layer stacks of every layer kind, including the two
+    /// [`GnnModel::new`] cannot spell.
+    fn every_model_kind(ds: &Dataset) -> Vec<(&'static str, GnnModel)> {
+        use ns_gnn::{Aggregator, GatLayer, GnnLayer, SageLayer};
+        use rand::{rngs::StdRng, SeedableRng};
+        let (d, classes) = (ds.feature_dim(), ds.num_classes);
+        let stock = |kind| GnnModel::two_layer(kind, d, 16, classes, 3);
+        let gat3 = {
+            let (mut s, mut r) = (ParamStore::new(), StdRng::seed_from_u64(3));
+            let layers: Vec<Box<dyn GnnLayer>> = vec![
+                Box::new(GatLayer::multi_head(&mut s, "layer0", d, 4, 3, true, &mut r)),
+                Box::new(GatLayer::new(&mut s, "layer1", 12, classes, false, &mut r)),
+            ];
+            GnnModel::from_layers(ModelKind::Gat, layers, s)
+        };
+        let sage_max = {
+            let (mut s, mut r) = (ParamStore::new(), StdRng::seed_from_u64(3));
+            let max = Aggregator::Max;
+            let layers: Vec<Box<dyn GnnLayer>> = vec![
+                Box::new(SageLayer::new(&mut s, "layer0", d, 16, max, true, &mut r)),
+                Box::new(SageLayer::new(&mut s, "layer1", 16, classes, max, false, &mut r)),
+            ];
+            GnnModel::from_layers(ModelKind::Sage, layers, s)
+        };
+        vec![
+            ("GCN", stock(ModelKind::Gcn)),
+            ("GIN", stock(ModelKind::Gin)),
+            ("GAT x1", stock(ModelKind::Gat)),
+            ("GAT x3", gat3),
+            ("SAGE mean", stock(ModelKind::Sage)),
+            ("SAGE max", sage_max),
+        ]
+    }
+
+    #[test]
+    fn layer0_prefix_is_reused_bitwise() {
+        // Narrow features and a dense graph: 48 four-epoch runs stay cheap,
+        // and every worker has rows to ship at both layers.
+        let ds = by_name("twitter").unwrap().materialize(1e-5, 7);
+        let part = Partitioner::Chunk.partition(&ds.graph, 2);
+        const EPOCHS: u64 = 4;
+        let decisions =
+            [DepDecision::CacheAll, DepDecision::CommAll, parity_sets(&ds, 0), parity_sets(&ds, 1)];
+        for (d, decision) in decisions.iter().enumerate() {
+            let plans = build_plans(&ds.graph, &part, 2, decision).unwrap();
+            for (name, model) in every_model_kind(&ds) {
+                let what = format!("{} #{d} {name}", decision.label());
+                let train = |layer0: Layer0<'_>| {
+                    let (cfg, run) = (ExecConfig::default(), RunState::default());
+                    run_workers(&ds, &model, &plans, EPOCHS as usize, &cfg, &run, layer0).unwrap()
+                };
+                let mut carry = Layer0Carry::default();
+                let (reused, reused_store, _, reused_rm) = train(Layer0::Constant(&mut carry));
+                assert!(carry.is_filled(), "{what}: the run leaves every worker's prefix");
+                // The every-epoch reference: a tracked input has no prefix.
+                let (every, every_store, _, every_rm) = train(Layer0::Tracked);
+                for (a, b) in reused.iter().zip(every.iter()) {
+                    assert_eq!(a.loss.to_bits(), b.loss.to_bits(), "{what}");
+                }
+                for ((_, p, a), (_, _, b)) in reused_store.iter().zip(every_store.iter()) {
+                    assert_eq!(a.data(), b.data(), "{what}: {p}");
+                }
+                for (w, frame) in &reused_rm.frames {
+                    let (every_frame, plan) = (&every_rm.frames[w], &plans[*w]);
+                    for kind in ["grads", "allreduce"] {
+                        for unit in ["bytes", "msgs"] {
+                            let key = format!("net.sent.{unit}.{kind}");
+                            assert_eq!(frame.counter(&key), every_frame.counter(&key), "{what}");
+                        }
+                    }
+                    // Layer 0's rows go to each dependent peer once, layer
+                    // 1's every epoch.
+                    let (l0_bytes, l0_msgs) = rows_traffic(plan, 0, model.dims()[0]);
+                    let (l1_bytes, l1_msgs) = rows_traffic(plan, 1, model.dims()[1]);
+                    assert_eq!(l0_msgs == 0, decision.label() == "DepCache", "{what}");
+                    assert_eq!(frame.counter("net.sent.msgs.rows"), l0_msgs + EPOCHS * l1_msgs);
+                    assert_eq!(frame.counter("net.sent.bytes.rows"), l0_bytes + EPOCHS * l1_bytes);
+                    assert_eq!(
+                        every_frame.counter("net.sent.bytes.rows"),
+                        EPOCHS * (l0_bytes + l1_bytes)
+                    );
+                    // Every input row of every epoch is metered exactly once.
+                    let moved = |f: &MetricsFrame| {
+                        f.counter("dep.rows.local") + f.counter("dep.rows.fetched")
+                    };
+                    let l0_rows = plan.layers[0].input_ids.len() as u64;
+                    assert_eq!(frame.counter("dep.rows.reused"), (EPOCHS - 1) * l0_rows, "{what}");
+                    assert_eq!(moved(frame) + (EPOCHS - 1) * l0_rows, moved(every_frame), "{what}");
+                    let l1_rows = plan.layers[1].input_ids.len() as u64;
+                    assert_eq!(moved(every_frame), EPOCHS * (l0_rows + l1_rows), "{what}");
+                    assert_eq!(every_frame.counter("dep.rows.reused"), 0);
+                    let l0_exchanges = |f: &MetricsFrame| {
+                        f.spans.iter().filter(|s| s.phase == Phase::FwdComm && s.layer == 0).count()
+                    };
+                    assert_eq!(l0_exchanges(frame), 1, "{what}");
+                    assert_eq!(l0_exchanges(every_frame), EPOCHS as usize, "{what}");
+                }
+            }
+        }
+    }
+
+    /// The prefix outlives the call that built it: a second call under the
+    /// same plans moves no layer-0 row, gathers no features, and continues
+    /// the first bit for bit.
+    #[test]
+    fn a_carried_prefix_skips_the_exchange_in_the_next_call() {
+        let ds = small_dataset();
+        let plans = plans_for(&ds, 2);
+        let model =
+            GnnModel::two_layer(ModelKind::Gcn, ds.feature_dim(), 16, ds.num_classes, 3);
+        let cfg = ExecConfig::default();
+        let (full, full_store, _, _) =
+            train_epochs_run(&ds, &model, &plans, 4, &cfg, &RunState::default()).unwrap();
+        let mut carry = Layer0Carry::default();
+        let (head, mid_store, mid_opt, _) = run_workers(
+            &ds,
+            &model,
+            &plans,
+            2,
+            &cfg,
+            &RunState::default(),
+            Layer0::Constant(&mut carry),
+        )
+        .unwrap();
+        let resume = RunState {
+            epoch_offset: 2,
+            init_params: Some(mid_store),
+            opt_state: mid_opt,
+            ..Default::default()
+        };
+        let (tail, tail_store, _, tail_rm) =
+            run_workers(&ds, &model, &plans, 2, &cfg, &resume, Layer0::Constant(&mut carry))
+                .unwrap();
+        assert!(carry.is_filled());
+        for (a, b) in full.iter().zip(head.iter().chain(tail.iter())) {
+            assert_eq!(a.loss.to_bits(), b.loss.to_bits());
+        }
+        for ((_, _, a), (_, _, b)) in full_store.iter().zip(tail_store.iter()) {
+            assert_eq!(a.data(), b.data());
+        }
+        for (w, frame) in &tail_rm.frames {
+            let (_, l1_msgs) = rows_traffic(&plans[*w], 1, 16);
+            assert_eq!(frame.counter("net.sent.msgs.rows"), 2 * l1_msgs, "worker {w}");
+            assert_eq!(frame.counter("dep.rows.cached"), 0);
+            assert!(frame.spans.iter().all(|s| s.phase != Phase::FwdComm || s.layer != 0));
+        }
+        // A carry that lost a slot is rebuilt by everyone, not by one.
+        carry.slots[1] = None;
+        let (again, _, _, again_rm) =
+            run_workers(&ds, &model, &plans, 2, &cfg, &resume, Layer0::Constant(&mut carry))
+                .unwrap();
+        assert!(carry.is_filled());
+        for (a, b) in tail.iter().zip(again.iter()) {
+            assert_eq!(a.loss.to_bits(), b.loss.to_bits());
+        }
+        for (w, frame) in &again_rm.frames {
+            let (_, l0_msgs) = rows_traffic(&plans[*w], 0, ds.feature_dim());
+            let (_, l1_msgs) = rows_traffic(&plans[*w], 1, 16);
+            assert_eq!(frame.counter("net.sent.msgs.rows"), l0_msgs + 2 * l1_msgs, "worker {w}");
         }
     }
 

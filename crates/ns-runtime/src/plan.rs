@@ -126,7 +126,9 @@ impl WorkerPlan {
         self.feature_rows.len() - self.owned.len()
     }
 
-    /// Rows communicated per epoch in the forward direction.
+    /// Rows the plan communicates in the forward direction, all layers —
+    /// per epoch for the layers above 0, once for layer 0 (its input is
+    /// the feature matrix, which the executor fetches once per plan).
     pub fn forward_comm_rows(&self) -> usize {
         self.layers.iter().map(LayerPlan::recv_row_count).sum()
     }

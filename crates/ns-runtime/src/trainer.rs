@@ -159,7 +159,9 @@ pub struct PlanSummary {
     pub replica_slots: usize,
     /// Features prefetched beyond owned partitions.
     pub prefetched_features: usize,
-    /// Dependency rows communicated per epoch (forward direction).
+    /// Dependency rows the plan communicates in the forward direction,
+    /// all layers: what the first epoch under the plan receives. Later
+    /// epochs reuse layer 0's (`dep.rows.fetched` is the measured figure).
     pub comm_rows_per_epoch: usize,
     /// Hybrid partitioning statistics when the Hybrid engine ran.
     pub hybrid: Option<HybridInfo>,
@@ -462,15 +464,16 @@ mod tests {
     use ns_graph::datasets::by_name;
     use ns_metrics::{Phase, COORDINATOR};
 
-    fn dataset() -> Dataset {
+    // `pub(super)`: shared with `supervisor::tests`.
+    pub(super) fn dataset() -> Dataset {
         by_name("google").unwrap().materialize(0.002, 11)
     }
 
-    fn model(ds: &Dataset) -> GnnModel {
+    pub(super) fn model(ds: &Dataset) -> GnnModel {
         GnnModel::two_layer(ModelKind::Gcn, ds.feature_dim(), 32, ds.num_classes, 5)
     }
 
-    fn cfg(engine: EngineKind, workers: usize) -> TrainerConfig {
+    pub(super) fn cfg(engine: EngineKind, workers: usize) -> TrainerConfig {
         TrainerConfig::new(engine, ClusterSpec::aliyun_ecs(workers))
     }
 
@@ -919,6 +922,67 @@ mod tests {
                 .iter()
                 .all(|s| s.phase != Phase::CkptSave && s.phase != Phase::CkptLoad));
         }
+    }
+
+    /// The epochs in which this frame's worker ran the layer-0 exchange.
+    pub(super) fn layer0_exchange_epochs(frame: &ns_metrics::MetricsFrame) -> Vec<u32> {
+        let l0 = frame.spans.iter().filter(|s| s.phase == Phase::FwdComm && s.layer == 0);
+        l0.map(|s| s.epoch).collect()
+    }
+
+    #[test]
+    fn layer0_rows_go_out_once_per_train_call_however_it_is_chunked() {
+        let ds = dataset();
+        let m = model(&ds);
+        let train = |c: TrainerConfig| Trainer::prepare(&ds, &m, c).unwrap().train(4).unwrap();
+        let plain = train(cfg(EngineKind::Hybrid, 3));
+        let mut c = cfg(EngineKind::Hybrid, 3);
+        c.recovery = RecoveryConfig::every(1);
+        let chunked = train(c);
+        for (a, b) in plain.epochs.iter().zip(chunked.epochs.iter()) {
+            assert_eq!(a.loss.to_bits(), b.loss.to_bits(), "epoch {}", a.epoch);
+        }
+        for ((_, _, a), (_, _, b)) in plain.final_params.iter().zip(chunked.final_params.iter()) {
+            assert_eq!(a.data(), b.data());
+        }
+        // Four one-epoch chunks move what one four-epoch chunk moves: the
+        // prefix the first chunk built serves the other three, which
+        // neither exchange layer-0 rows nor gather features.
+        assert!(plain.plan.comm_rows_per_epoch > 0 && plain.plan.prefetched_features > 0);
+        let once_per_call =
+            ["net.sent.msgs.rows", "net.sent.bytes.rows", "dep.rows.cached", "dep.rows.reused"];
+        for key in once_per_call {
+            let sent = plain.metrics.total_counter(key);
+            assert!(sent > 0, "{key}");
+            assert_eq!(sent, chunked.metrics.total_counter(key), "{key}");
+        }
+        for report in [&plain, &chunked] {
+            for (w, frame) in &report.metrics.frames {
+                if *w != COORDINATOR {
+                    assert_eq!(layer0_exchange_epochs(frame), [0], "worker {w}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn survivors_replan_rebuilds_the_layer0_prefix_exactly_once() {
+        let ds = dataset();
+        let m = model(&ds);
+        let mut c = cfg(EngineKind::DepComm, 3);
+        c.fault = FaultPlan::kill(1, 3);
+        c.recovery = RecoveryConfig::every(1);
+        let report = Trainer::prepare(&ds, &m, c).unwrap().train(6).unwrap();
+        assert_eq!(report.epochs.len(), 6);
+        assert_eq!(report.recoveries, [(1, 3, "DepComm".to_string())]);
+        // Built at epoch 0 under three plans, dropped with them when the
+        // survivors replan, built again by the two survivors at the
+        // re-run epoch 3, reused everywhere else.
+        let frames = &report.metrics.frames;
+        assert_eq!(layer0_exchange_epochs(&frames[&0]), [0, 3]);
+        assert_eq!(layer0_exchange_epochs(&frames[&1]), [0, 3]);
+        assert_eq!(layer0_exchange_epochs(&frames[&2]), [0]);
+        assert!(report.final_loss() < report.epochs[0].loss);
     }
 
     #[test]

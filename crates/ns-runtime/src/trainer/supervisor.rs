@@ -30,7 +30,7 @@ use ns_tensor::{AdamState, ParamStore};
 use super::{plan_engine, EngineKind, ReplanEvent, Trainer};
 use crate::cost::CostFactors;
 use crate::error::{FailureCause, Result, RuntimeError};
-use crate::exec::{train_epochs_run, EpochMetrics, ExecConfig, RunState};
+use crate::exec::{run_workers, EpochMetrics, ExecConfig, Layer0, Layer0Carry, RunState};
 use crate::feedback::{self, DecisionDelta, PeerWaitStats};
 use crate::plan::{DepDecision, WorkerPlan};
 use crate::recovery::Checkpoint;
@@ -56,10 +56,16 @@ pub(super) struct ElasticOutcome {
 /// compiled them (the configured one unless it degraded), and the
 /// dependency decision a later drift replan diffs against. Borrowed from
 /// the trainer until the first replan.
+///
+/// `layer0` is what the workers computed from the features under `plans`
+/// alone. It lives here so that it outlives chunks and rollbacks, which
+/// keep the plan, and is dropped by construction wherever the plan is
+/// replaced (`replan_members`, `drift_replan`).
 struct ActivePlan<'t> {
     plans: Cow<'t, [WorkerPlan]>,
     engine: EngineKind,
     decision: Cow<'t, DepDecision>,
+    layer0: Layer0Carry,
 }
 
 fn store_io(e: std::io::Error) -> RuntimeError {
@@ -122,6 +128,7 @@ impl<'t, 'a> Supervisor<'t, 'a> {
                 plans: Cow::Borrowed(&trainer.plans),
                 engine: cfg.engine,
                 decision: Cow::Borrowed(&trainer.decision),
+                layer0: Layer0Carry::default(),
             },
             view: MembershipView::new(cfg.cluster.workers),
             fault: cfg.fault.clone(),
@@ -158,7 +165,8 @@ impl<'t, 'a> Supervisor<'t, 'a> {
 
     /// Runs the next chunk from the recovery point under the active plan.
     /// Only a chunk that succeeds touches the report; it returns its end
-    /// epoch, optimizer state and measured per-peer receive waits.
+    /// epoch, optimizer state and measured per-peer receive waits. Failed
+    /// or not, it leaves the plan's layer-0 prefixes behind for the next.
     fn run_chunk(&mut self) -> Result<(usize, Option<AdamState>, PeerWaitStats)> {
         let start = self.ckpt.next_epoch;
         let chunk = self.cadence.min(self.epochs - start);
@@ -180,8 +188,9 @@ impl<'t, 'a> Supervisor<'t, 'a> {
         };
         // Injected memory pressure arms at chunk granularity: the cap
         // lands before the chunk's workers spawn and lifts after they
-        // have all joined, when nothing holds pooled buffers — the
-        // shrink itself can then never invalidate a live tensor. A
+        // have all joined, when the only live pooled buffers are the
+        // layer-0 prefixes kept for the next chunk — the shrink sheds
+        // parked buffers and can never invalidate a live tensor. A
         // window that touches *any* epoch of the chunk arms the whole
         // chunk (tightest cap wins), so sub-cadence windows are never
         // silently skipped. The high-water mark since arming is
@@ -190,13 +199,14 @@ impl<'t, 'a> Supervisor<'t, 'a> {
         if let Some(cap) = mem_cap {
             ns_tensor::pool::set_cap_bytes(cap);
         }
-        let result = train_epochs_run(
+        let result = run_workers(
             self.trainer.dataset,
             self.trainer.model,
             &self.active.plans,
             chunk,
             &self.exec_cfg,
             &run,
+            Layer0::Constant(&mut self.active.layer0),
         );
         if mem_cap.is_some() {
             self.coord.observe("alloc.peak_bytes", ns_tensor::pool::stats().peak_bytes);
@@ -433,7 +443,12 @@ impl<'t, 'a> Supervisor<'t, 'a> {
         let plan = |engine, peer_mult| -> Result<ActivePlan<'t>> {
             let (plans, _, decision) =
                 plan_engine(t.dataset, t.model, &t.cfg, engine, workers, costs, peer_mult)?;
-            Ok(ActivePlan { plans: Cow::Owned(plans), engine, decision: Cow::Owned(decision) })
+            Ok(ActivePlan {
+                plans: Cow::Owned(plans),
+                engine,
+                decision: Cow::Owned(decision),
+                layer0: Layer0Carry::default(),
+            })
         };
         match plan(self.active.engine, peer_mult) {
             Err(RuntimeError::DeviceOom { .. }) if self.active.engine == EngineKind::Hybrid => {
@@ -495,5 +510,39 @@ impl<'t, 'a> Supervisor<'t, 'a> {
             Ok(offer.state_bytes + membership::REJOIN_HANDSHAKE_BYTES)
         })
         .expect("rejoin scope")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::recovery::RecoveryConfig;
+    use crate::trainer::tests::{cfg, dataset, layer0_exchange_epochs, model};
+
+    /// The layer-0 prefixes live and die with the active plan: a rollback
+    /// keeps both, a survivors replan replaces both.
+    #[test]
+    fn layer0_carry_survives_a_rollback_and_is_dropped_with_the_plan() {
+        let ds = dataset();
+        let model = model(&ds);
+        let mut cfg = cfg(EngineKind::DepComm, 3);
+        cfg.recovery = RecoveryConfig::every(1);
+        let trainer = Trainer::prepare(&ds, &model, cfg).unwrap();
+        let mut sup = Supervisor::new(&trainer, 4).unwrap();
+        assert!(!sup.active.layer0.is_filled(), "nothing is built before the first epoch");
+        let (boundary, opt, _) = sup.run_chunk().unwrap();
+        sup.checkpoint(boundary, opt).unwrap();
+        assert!(sup.active.layer0.is_filled());
+
+        sup.recover(RuntimeError::Diverged { worker: 0, epoch: 1 }).unwrap();
+        assert!(sup.active.layer0.is_filled(), "a rollback changes parameters, not the plan");
+        sup.run_chunk().unwrap();
+        let exchanged_at = layer0_exchange_epochs(&sup.report.run_metrics.frames[&0]);
+        assert_eq!(exchanged_at, [0], "the chunk after the rollback reuses the prefix");
+
+        let lost = RuntimeError::WorkerFailed { worker: 1, epoch: 1, cause: FailureCause::Killed };
+        sup.recover(lost).unwrap();
+        assert_eq!(sup.active.plans.len(), 2);
+        assert!(!sup.active.layer0.is_filled(), "new plans start without a prefix");
     }
 }

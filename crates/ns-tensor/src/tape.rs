@@ -246,6 +246,13 @@ impl Tape {
         &self.nodes[v.0].value
     }
 
+    /// Moves the forward value of `v` out of the tape, leaving an empty
+    /// tensor behind: for a caller that is done with the tape and wants a
+    /// value it recorded back without copying it.
+    pub fn take_value(&mut self, v: Var) -> Tensor {
+        std::mem::replace(&mut self.nodes[v.0].value, Tensor::from_vec(0, 0, Vec::new()))
+    }
+
     /// Whether a backward pass computes a gradient for `v`: true iff some
     /// [`Tape::leaf`] feeds it.
     pub fn needs_grad(&self, v: Var) -> bool {

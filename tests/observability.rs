@@ -14,17 +14,25 @@ use ns_net::KIND_NAMES;
 const WORKERS: usize = 4;
 const EPOCHS: usize = 2;
 
-fn metered_run() -> TrainingReport {
+/// The metered run, and the input rows of each worker's plan per layer.
+fn metered_run_and_input_rows() -> (TrainingReport, Vec<Vec<u64>>) {
     let ds = by_name("cora").unwrap().materialize(0.2, 7);
     let model =
         GnnModel::two_layer(ModelKind::Gcn, ds.feature_dim(), 16, ds.num_classes, 3);
-    TrainingSession::builder()
+    let session = TrainingSession::builder()
         .engine(EngineKind::Hybrid)
         .cluster(ClusterSpec::aliyun_ecs(WORKERS))
         .build(&ds, &model)
-        .expect("plan")
-        .train(EPOCHS)
-        .expect("train")
+        .expect("plan");
+    let input_rows = |plan: &ns_runtime::plan::WorkerPlan| {
+        plan.layers.iter().map(|l| l.input_ids.len() as u64).collect()
+    };
+    let rows = session.trainer().plans().iter().map(input_rows).collect();
+    (session.train(EPOCHS).expect("train"), rows)
+}
+
+fn metered_run() -> TrainingReport {
+    metered_run_and_input_rows().0
 }
 
 #[test]
@@ -61,7 +69,7 @@ fn frames_cover_every_worker_and_phase_times_fit_the_wall() {
 
 #[test]
 fn per_kind_and_per_peer_counters_partition_the_totals() {
-    let report = metered_run();
+    let (report, input_rows) = metered_run_and_input_rows();
     for frame in report.metrics.frames.values() {
         for unit in ["bytes", "msgs"] {
             let total = frame.counter(&format!("net.sent.{unit}"));
@@ -76,13 +84,23 @@ fn per_kind_and_per_peer_counters_partition_the_totals() {
                 .sum();
             assert_eq!(by_peer, total, "worker {} {unit} by peer", frame.worker);
         }
-        // Every received dependency row was metered as local, cached, or
-        // fetched — never silently unaccounted.
-        assert!(
-            frame.counter("dep.rows.local") > 0,
-            "worker {} metered no local rows",
+        // Every dependency row of every epoch is metered exactly once,
+        // never silently unaccounted: as local (copied out of the worker's
+        // own storage, cached replicas included), as fetched (received
+        // from its master), or — layer 0 after the first epoch, whose
+        // input is the unchanging feature matrix — as reused (served by
+        // the prefix saved from the epoch that did move the rows).
+        let [local, fetched, reused] =
+            ["local", "fetched", "reused"].map(|k| frame.counter(&format!("dep.rows.{k}")));
+        assert!(local > 0, "worker {} metered no local rows", frame.worker);
+        let rows = &input_rows[frame.worker];
+        assert_eq!(
+            local + fetched + reused,
+            EPOCHS as u64 * rows.iter().sum::<u64>(),
+            "worker {} dependency rows",
             frame.worker
         );
+        assert_eq!(reused, (EPOCHS as u64 - 1) * rows[0], "worker {} reused", frame.worker);
     }
 }
 
