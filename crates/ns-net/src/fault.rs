@@ -602,17 +602,6 @@ impl FaultPlan {
         })
     }
 
-    /// True when the plan contains any link-level fault (partition,
-    /// asymmetric partition, or flap).
-    pub fn has_link_faults(&self) -> bool {
-        self.faults.iter().any(|f| {
-            matches!(
-                f,
-                Fault::Partition { .. } | Fault::AsymPartition { .. } | Fault::Flap { .. }
-            )
-        })
-    }
-
     /// Removes every link fault (partition, asymmetric partition, flap)
     /// touching `worker`. The elastic trainer calls this when the member
     /// leaves the cluster: the modeled replacement host comes up with
@@ -680,20 +669,6 @@ impl FaultPlan {
                 _ => None,
             })
             .min()
-    }
-
-    /// True when the plan contains any resource fault (disk-full, slow
-    /// disk, memory pressure, or hang).
-    pub fn has_resource_faults(&self) -> bool {
-        self.faults.iter().any(|f| {
-            matches!(
-                f,
-                Fault::DiskFull { .. }
-                    | Fault::SlowDisk { .. }
-                    | Fault::MemPressure { .. }
-                    | Fault::Hang { .. }
-            )
-        })
     }
 
     /// Decides whether the checkpoint generation persisted at boundary
@@ -1285,7 +1260,6 @@ mod tests {
                 heal_epoch: 9,
             })
             .with_fault(Fault::Straggle { worker: 1, delay_ms: 5 });
-        assert!(plan.has_link_faults());
         plan.retire_links(1);
         assert_eq!(plan.faults.len(), 2, "both links touching w1 retire");
         assert!(plan.link_severed(1, 0, 2, 0), "w0-w2 link fault survives");
@@ -1295,7 +1269,7 @@ mod tests {
             "non-link faults are untouched"
         );
         plan.retire_links(2);
-        assert!(!plan.has_link_faults());
+        assert!(!plan.link_severed(1, 0, 2, 0), "the last link fault retires with w2");
     }
 
     #[test]
@@ -1370,8 +1344,6 @@ mod tests {
         for epoch in 0..6 {
             assert_eq!(plan.send_fate(epoch, 0, 1, Some(&kind), 1), SendFate::default());
         }
-        assert!(!plan.has_link_faults());
-        assert!(plan.has_resource_faults());
     }
 
     #[test]

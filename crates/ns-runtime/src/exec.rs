@@ -39,12 +39,12 @@ use ns_gnn::{GnnModel, LayerInput, LayerPrefix, LayerRun};
 use ns_graph::Dataset;
 use ns_metrics::{span, LayerSplit, MetricsFrame, MetricsRecorder, Phase, RunMetrics};
 use ns_net::fault::FaultPlan;
-use ns_net::policy::{Backoff, BreakerState, Budget, CircuitBreaker};
+use ns_net::policy::{Backoff, Budget, CircuitBreaker};
 use ns_net::{Endpoint, Fabric, Message, MessageKind, NetError, ParallelEnqueue};
 use ns_tensor::{Adam, AdamState, Optimizer, ParamStore, Sgd, Tensor};
 
 use crate::error::{FailureCause, Result, RuntimeError};
-use crate::obs::export_net_stats;
+use crate::obs::{export_breaker_stats, export_net_stats};
 use crate::plan::WorkerPlan;
 
 /// Which optimizer each worker replica runs.
@@ -479,47 +479,6 @@ impl<'a> RecvCtx<'a> {
             breakers: RefCell::new(breakers),
         }
     }
-
-    /// Folds the breakers' lifetime counters into the metrics frame and
-    /// flags breakers left Open whose link is *not* severed right now
-    /// (`net.breaker.stuck_open` — the liveness-invariant signal: an
-    /// Open breaker over a healed link means the probe machinery failed).
-    fn export(&self, ep: &Endpoint, fault: &FaultPlan) {
-        let epoch = ep.epoch();
-        let now_ms = ep.link_now_ms();
-        let me = ep.id();
-        let mut opens = 0u64;
-        let mut closes = 0u64;
-        let mut half_opens = 0u64;
-        let mut fast_fails = 0u64;
-        let mut stuck_open = 0u64;
-        for (peer, br) in self.breakers.borrow().iter().enumerate() {
-            let st = br.stats();
-            opens += st.opens;
-            closes += st.closes;
-            half_opens += st.half_opens;
-            fast_fails += st.fast_fails;
-            if br.state() == BreakerState::Open && !fault.link_severed(epoch, me, peer, now_ms)
-            {
-                stuck_open += 1;
-            }
-        }
-        if opens > 0 {
-            self.rec.incr("net.breaker.opens", opens);
-        }
-        if closes > 0 {
-            self.rec.incr("net.breaker.closes", closes);
-        }
-        if half_opens > 0 {
-            self.rec.incr("net.breaker.half_opens", half_opens);
-        }
-        if fast_fails > 0 {
-            self.rec.incr("net.breaker.fast_fails", fast_fails);
-        }
-        if stuck_open > 0 {
-            self.rec.incr("net.breaker.stuck_open", stuck_open);
-        }
-    }
 }
 
 /// Receives from `src` under the timeout/retry policy: a jittered
@@ -805,7 +764,7 @@ impl<'a> Worker<'a> {
             if let Some(wd) = job.wd {
                 wd.finish(ep.id());
             }
-            w.ctx.export(&ep, &job.run.fault);
+            export_breaker_stats(&rec, &ep, &w.ctx.breakers.borrow(), |_| false);
             res.map(|()| (w.store, w.opt.export()))
         };
         export_net_stats(&rec, &ep.stats());

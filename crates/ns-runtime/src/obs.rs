@@ -3,12 +3,14 @@
 //! modeled-clock track of the Chrome trace, and the derived summaries
 //! (communication/computation share, utilization time-series) that the
 //! figure benches print are computed here instead of being re-derived
-//! ad hoc at every call site. The fabric-counter exporter shared by the
-//! training workers and the serving shards lives here too.
+//! ad hoc at every call site. The fabric-counter and circuit-breaker
+//! exporters shared by the training workers and the serving shards live
+//! here too.
 
 use ns_metrics::{MetricsRecorder, SimSpan};
+use ns_net::policy::{BreakerState, BreakerStats, CircuitBreaker};
 use ns_net::sim::{ResourceKind, SimReport};
-use ns_net::{NetStats, KIND_NAMES};
+use ns_net::{Endpoint, NetStats, KIND_NAMES};
 
 /// Resource label for each slot of `SimReport::busy[worker]`, matching
 /// the track names the trace sink renders.
@@ -122,6 +124,48 @@ pub(crate) fn export_net_stats(rec: &MetricsRecorder, stats: &NetStats) {
     }
     if stats.rereads > 0 {
         rec.incr("integrity.reread", stats.rereads);
+    }
+}
+
+/// Folds per-peer circuit breakers' lifetime counters into
+/// `net.breaker.{opens,closes,half_opens,fast_fails}` and flags breakers
+/// left Open against a peer that is reachable right now
+/// (`net.breaker.stuck_open` — the liveness-invariant signal: an Open
+/// breaker over a healed link means the probe machinery failed). A peer
+/// for which `excused` holds may stay Open: serving passes its killed
+/// shards, whose links never come back; training excuses nobody.
+pub(crate) fn export_breaker_stats(
+    rec: &MetricsRecorder,
+    ep: &Endpoint,
+    breakers: &[CircuitBreaker],
+    excused: impl Fn(usize) -> bool,
+) {
+    let (epoch, now_ms) = (ep.epoch(), ep.link_now_ms());
+    let mut sum = BreakerStats::default();
+    let mut stuck_open = 0u64;
+    for (peer, br) in breakers.iter().enumerate() {
+        let st = br.stats();
+        sum.opens += st.opens;
+        sum.closes += st.closes;
+        sum.half_opens += st.half_opens;
+        sum.fast_fails += st.fast_fails;
+        if br.state() == BreakerState::Open
+            && !excused(peer)
+            && !ep.faults().link_severed(epoch, ep.id(), peer, now_ms)
+        {
+            stuck_open += 1;
+        }
+    }
+    for (key, n) in [
+        ("net.breaker.opens", sum.opens),
+        ("net.breaker.closes", sum.closes),
+        ("net.breaker.half_opens", sum.half_opens),
+        ("net.breaker.fast_fails", sum.fast_fails),
+        ("net.breaker.stuck_open", stuck_open),
+    ] {
+        if n > 0 {
+            rec.incr(key, n);
+        }
     }
 }
 

@@ -39,6 +39,7 @@
 //! rate, not as coordinated omission.
 
 use std::collections::VecDeque;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -49,11 +50,11 @@ use ns_graph::{Dataset, Partitioner, Partitioning};
 use ns_metrics::{MetricsFrame, MetricsRecorder, RunMetrics};
 use ns_net::fabric::{Endpoint, Fabric, MessageKind};
 use ns_net::fault::FaultPlan;
-use ns_net::policy::{BreakerState, Budget, CircuitBreaker};
+use ns_net::policy::{Budget, CircuitBreaker};
 use ns_tensor::{ParamStore, Tensor};
 use rustc_hash::FxHashMap;
 
-use crate::obs::export_net_stats;
+use crate::obs::{export_breaker_stats, export_net_stats};
 
 pub mod load;
 
@@ -348,25 +349,8 @@ impl FeatureCache {
         }
         self.tick += 1;
         if !self.map.contains_key(&v) {
-            while self.map.len() >= self.cap {
-                match self.recency.pop_front() {
-                    Some((old, t)) => {
-                        let live = self.map.get(&old).is_some_and(|(_, lt)| *lt == t);
-                        if live {
-                            self.map.remove(&old);
-                            self.evictions += 1;
-                        }
-                    }
-                    None => {
-                        // Recency queue exhausted (all entries stale):
-                        // drop an arbitrary row to make progress.
-                        if let Some(&k) = self.map.keys().next() {
-                            self.map.remove(&k);
-                            self.evictions += 1;
-                        }
-                        break;
-                    }
-                }
+            while self.map.len() >= self.cap && self.pop_lru() {
+                self.evictions += 1;
             }
         }
         self.recency.push_back((v, self.tick));
@@ -379,27 +363,26 @@ impl FeatureCache {
     /// tightens. Returns the number of rows dropped.
     pub fn shed_to(&mut self, target: usize) -> u64 {
         let mut dropped = 0u64;
-        while self.map.len() > target {
-            match self.recency.pop_front() {
-                Some((old, t)) => {
-                    let live = self.map.get(&old).is_some_and(|(_, lt)| *lt == t);
-                    if live {
-                        self.map.remove(&old);
-                        dropped += 1;
-                    }
-                }
-                None => {
-                    if let Some(&k) = self.map.keys().next() {
-                        self.map.remove(&k);
-                        dropped += 1;
-                    } else {
-                        break;
-                    }
-                }
-            }
+        while self.map.len() > target && self.pop_lru() {
+            dropped += 1;
         }
         self.sheds += dropped;
         dropped
+    }
+
+    /// Drops the least-recently-used row: pops the recency queue until an
+    /// entry whose tick matches the live map. False when nothing is cached.
+    fn pop_lru(&mut self) -> bool {
+        while let Some((old, t)) = self.recency.pop_front() {
+            if self.map.get(&old).is_some_and(|(_, lt)| *lt == t) {
+                self.map.remove(&old);
+                return true;
+            }
+        }
+        // Recency queue exhausted (all entries stale): drop an arbitrary
+        // row to make progress.
+        let any = self.map.keys().next().copied();
+        any.is_some_and(|k| self.map.remove(&k).is_some())
     }
 }
 
@@ -579,61 +562,41 @@ impl<'a> ServeDeployment<'a> {
     where
         F: FnOnce(&SubmitQueue<QueryTicket>, &AtomicU64) -> u64 + Send,
     {
-        let world = self.cfg.shards + 1;
-        let fabric = Fabric::with_faults(world, self.cfg.fault.clone());
-        let mut endpoints: Vec<Option<Endpoint>> =
-            fabric.into_endpoints().into_iter().map(Some).collect();
-        let frontend_ep = endpoints[0].take().unwrap();
+        let fabric = Fabric::with_faults(self.cfg.shards + 1, self.cfg.fault.clone());
+        let mut endpoints = fabric.into_endpoints().into_iter();
         let queue = SubmitQueue::new(self.cfg.queue_capacity);
         let rejected = AtomicU64::new(0);
         let origin = Instant::now();
-        let started = Instant::now();
+        let frontend_ep =
+            endpoints.next().expect("the fabric has the frontend's endpoint");
+        let mut front = Frontend::new(self, &queue, frontend_ep, origin);
+        let mut metrics = RunMetrics::new();
 
-        let result = std::thread::scope(|s| {
-            let mut shard_handles = Vec::with_capacity(self.cfg.shards);
-            for (w, slot) in endpoints.iter_mut().enumerate().skip(1) {
-                let ep = slot.take().unwrap();
-                let shard = ShardWorker {
-                    deploy: self,
-                    kill_at: self.cfg.fault.kill_epoch(w).map(|e| e as u32),
-                };
-                shard_handles.push(s.spawn(move || shard.run(ep, origin)));
-            }
-            let driver_handle = s.spawn(|| {
+        let offered = std::thread::scope(|s| {
+            let shards: Vec<_> = endpoints
+                .map(|ep| s.spawn(move || Shard::new(self, ep, origin).run()))
+                .collect();
+            let driver = s.spawn(|| {
                 let offered = driver(&queue, &rejected);
                 queue.close();
                 offered
             });
-
-            let front = Frontend {
-                cfg: &self.cfg,
-                parts: &self.parts,
-                queue: &queue,
-                rec: MetricsRecorder::new(0, origin),
-            };
-            let outcome = front.dispatch(&frontend_ep);
-            let offered = driver_handle.join().expect("load driver panicked");
-            let mut frames = Vec::new();
-            for h in shard_handles {
-                frames.push(h.join().expect("shard thread panicked"));
+            metrics.absorb(front.run());
+            let offered = driver.join().expect("load driver panicked");
+            for shard in shards {
+                metrics.absorb(shard.join().expect("shard thread panicked"));
             }
-            (outcome, offered, frames)
+            offered
         });
-        let (outcome, offered, frames) = result;
 
-        let (answers, frontend_frame, deaths, reroutes, lost) = outcome;
-        let mut metrics = RunMetrics::new();
-        metrics.absorb(frontend_frame);
-        for f in frames {
-            metrics.absorb(f);
+        if !front.pending.is_empty() {
+            return Err(ServeError::AllShardsLost { unanswered: front.pending.len() });
         }
+        let Frontend { answers, deaths, reroutes, .. } = front;
         let rejected = rejected.load(Ordering::Relaxed);
-        if lost > 0 {
-            return Err(ServeError::AllShardsLost { unanswered: lost });
-        }
         let mut latencies: Vec<u64> = answers.iter().map(|a| a.latency_us).collect();
         latencies.sort_unstable();
-        let wall_ms = started.elapsed().as_millis().max(1) as u64;
+        let wall_ms = origin.elapsed().as_millis().max(1) as u64;
         let dropped = offered - rejected - answers.len() as u64;
         Ok(ServeReport {
             achieved_qps: answers.len() as f64 / (wall_ms as f64 / 1000.0),
@@ -650,244 +613,237 @@ impl<'a> ServeDeployment<'a> {
     }
 }
 
-/// Frontend state: admission queue in, batches out, replies and
-/// reroutes back in.
+/// How long an event loop with nothing to do sleeps before polling again.
+const IDLE: Duration = Duration::from_micros(50);
+
+/// The frontend (fabric endpoint 0): admission queue in, batches out,
+/// replies and reroutes back in. [`Frontend::run`] is the stage list.
 struct Frontend<'a> {
     cfg: &'a ServeConfig,
     parts: &'a Partitioning,
     queue: &'a SubmitQueue<QueryTicket>,
+    ep: Endpoint,
     rec: MetricsRecorder,
+    /// Liveness by endpoint id (slot 0, the frontend itself, stays true).
+    alive: Vec<bool>,
+    /// Last time each shard was heard from; a shard is only declared
+    /// dead when it has an overdue batch AND has gone silent — a busy
+    /// shard making progress on other batches is not dead.
+    last_heard: Vec<Instant>,
+    /// Admitted queries not yet answered, by query id.
+    pending: FxHashMap<u32, Pending>,
+    answers: Vec<Answer>,
+    deaths: u64,
+    reroutes: u64,
 }
 
 struct Pending {
     seed: u32,
     sched: Instant,
+    /// Endpoint the query was last shipped to (0 until first routed).
     shard: usize,
     sent_at: Instant,
 }
 
-type FrontendOutcome = (Vec<Answer>, MetricsFrame, u64, u64, usize);
-
 impl<'a> Frontend<'a> {
+    fn new(
+        deploy: &'a ServeDeployment<'_>,
+        queue: &'a SubmitQueue<QueryTicket>,
+        ep: Endpoint,
+        origin: Instant,
+    ) -> Self {
+        let world = deploy.cfg.shards + 1;
+        Frontend {
+            cfg: &deploy.cfg,
+            parts: &deploy.parts,
+            queue,
+            ep,
+            rec: MetricsRecorder::new(0, origin),
+            alive: vec![true; world],
+            last_heard: vec![Instant::now(); world],
+            pending: FxHashMap::default(),
+            answers: Vec::new(),
+            deaths: 0,
+            reroutes: 0,
+        }
+    }
+
     /// Event loop: runs until the queue is closed+drained and every
-    /// admitted query is answered (or every shard has died).
-    fn dispatch(&self, ep: &Endpoint) -> FrontendOutcome {
-        let shards = self.cfg.shards;
-        let mut alive = vec![true; shards + 1];
-        let mut pending: FxHashMap<u32, Pending> = FxHashMap::default();
-        let mut answers: Vec<Answer> = Vec::new();
-        let mut deaths = 0u64;
-        let mut reroutes = 0u64;
-        let reply_timeout = Duration::from_millis(self.cfg.reply_timeout_ms);
-        let mut queue_done = false;
-        // Last time each shard was heard from; a shard is only declared
-        // dead when it has an overdue batch AND has gone silent — a busy
-        // shard making progress on other batches is not dead.
-        let mut last_heard = vec![Instant::now(); shards + 1];
-
+    /// admitted query is answered, or every shard has died (what is still
+    /// in `pending` then is the loss the caller reports).
+    fn run(&mut self) -> MetricsFrame {
         loop {
-            // 1. Drain replies from every live shard.
-            for w in 1..=shards {
-                if !alive[w] {
-                    continue;
-                }
-                while let Some(msg) = ep.try_recv_from(w) {
-                    last_heard[w] = Instant::now();
-                    if let MessageKind::Reply { qids, classes } = msg.kind {
-                        for (qid, class) in qids.into_iter().zip(classes) {
-                            // A reroute may produce two replies for one
-                            // qid; only the first one counts.
-                            if let Some(p) = pending.remove(&qid) {
-                                let latency_us =
-                                    p.sched.elapsed().as_micros().min(u64::MAX as u128)
-                                        as u64;
-                                self.rec.observe("serve.latency_us", latency_us);
-                                self.rec.incr("serve.answers", 1);
-                                answers.push(Answer {
-                                    qid,
-                                    seed: p.seed,
-                                    class,
-                                    latency_us,
-                                });
-                            } else {
-                                self.rec.incr("serve.replies.stale", 1);
-                            }
-                        }
-                    }
-                }
+            self.drain_replies();
+            self.reap_overdue();
+            if !self.alive[1..].contains(&true) {
+                return self.finish();
             }
-
-            // 2. Reply-deadline scan: declare shards with overdue
-            //    batches dead and reroute their outstanding queries.
-            let now = Instant::now();
-            let overdue: Vec<usize> = (1..=shards)
-                .filter(|&w| {
-                    alive[w]
-                        && now.duration_since(last_heard[w]) > reply_timeout
-                        && pending
-                            .values()
-                            .any(|p| p.shard == w && now - p.sent_at > reply_timeout)
-                })
-                .collect();
-            for w in overdue {
-                alive[w] = false;
-                deaths += 1;
-                self.rec.incr("serve.deaths", 1);
-            }
-            let orphaned: Vec<u32> = pending
-                .iter()
-                .filter(|(_, p)| !alive[p.shard])
-                .map(|(&qid, _)| qid)
-                .collect();
-            if !orphaned.is_empty() {
-                reroutes += orphaned.len() as u64;
-                self.rec.incr("serve.reroutes", orphaned.len() as u64);
-                let batch: Vec<(u32, u32)> =
-                    orphaned.iter().map(|qid| (*qid, pending[qid].seed)).collect();
-                self.route(ep, &batch, &mut alive, &mut pending, &mut deaths);
-            }
-
-            if !alive[1..=shards].iter().any(|&a| a) {
-                // Nobody left to answer; shut down and report the loss.
-                let lost = pending.len();
-                return (answers, self.finish(ep), deaths, reroutes, lost);
-            }
-
-            // 3. Admit a batch when under the inflight cap.
-            self.rec.observe("serve.queue.depth", self.queue.len() as u64);
-            if pending.len() < self.cfg.inflight_cap {
-                let first = self
-                    .queue
-                    .pop_deadline(Instant::now() + Duration::from_millis(1));
-                match first {
-                    Ok(Some(t0)) => {
-                        let mut batch = vec![t0];
-                        let window_end = Instant::now()
-                            + Duration::from_micros(self.cfg.batch_window_us);
-                        while batch.len() < self.cfg.batch_max
-                            && Instant::now() < window_end
-                        {
-                            match self.queue.try_pop() {
-                                Some(t) => batch.push(t),
-                                None => std::thread::sleep(Duration::from_micros(20)),
-                            }
-                        }
-                        self.rec.incr("serve.queries", batch.len() as u64);
-                        self.rec.incr("serve.batches", 1);
-                        self.rec.observe("serve.batch.size", batch.len() as u64);
-                        let now = Instant::now();
-                        for t in &batch {
-                            self.rec.observe(
-                                "serve.queue.wait_us",
-                                (now - t.enqueued).as_micros() as u64,
-                            );
-                            pending.insert(
-                                t.qid,
-                                Pending {
-                                    seed: t.seed,
-                                    sched: t.sched,
-                                    shard: 0, // assigned by route()
-                                    sent_at: now,
-                                },
-                            );
-                        }
-                        let pairs: Vec<(u32, u32)> =
-                            batch.iter().map(|t| (t.qid, t.seed)).collect();
-                        self.route(ep, &pairs, &mut alive, &mut pending, &mut deaths);
-                    }
-                    Ok(None) => {}
-                    Err(_) => {
-                        // Closed and drained: just await outstanding
-                        // replies without spinning the lock.
-                        queue_done = true;
-                        if !pending.is_empty() {
-                            std::thread::sleep(Duration::from_micros(50));
-                        }
-                    }
-                }
-            } else {
-                std::thread::sleep(Duration::from_micros(50));
-            }
-
-            if queue_done && pending.is_empty() {
-                return (answers, self.finish(ep), deaths, reroutes, 0);
+            let drained = self.admit_batch();
+            if drained && self.pending.is_empty() {
+                return self.finish();
             }
         }
+    }
+
+    /// Matches the replies waiting on live shards' links to their queries.
+    fn drain_replies(&mut self) {
+        for w in 1..=self.cfg.shards {
+            if !self.alive[w] {
+                continue;
+            }
+            while let Some(msg) = self.ep.try_recv_from(w) {
+                self.last_heard[w] = Instant::now();
+                let MessageKind::Reply { qids, classes } = msg.kind else { continue };
+                for (qid, class) in qids.into_iter().zip(classes) {
+                    // A reroute may produce two replies for one qid; only
+                    // the first one counts.
+                    let Some(p) = self.pending.remove(&qid) else {
+                        self.rec.incr("serve.replies.stale", 1);
+                        continue;
+                    };
+                    let latency_us =
+                        p.sched.elapsed().as_micros().min(u64::MAX as u128) as u64;
+                    self.rec.observe("serve.latency_us", latency_us);
+                    self.rec.incr("serve.answers", 1);
+                    self.answers.push(Answer { qid, seed: p.seed, class, latency_us });
+                }
+            }
+        }
+    }
+
+    /// Reply-deadline scan: declares shards with overdue batches dead
+    /// and reroutes the queries outstanding at dead shards.
+    fn reap_overdue(&mut self) {
+        let now = Instant::now();
+        let timeout = Duration::from_millis(self.cfg.reply_timeout_ms);
+        for w in 1..=self.cfg.shards {
+            let overdue = self.alive[w]
+                && now.duration_since(self.last_heard[w]) > timeout
+                && self
+                    .pending
+                    .values()
+                    .any(|p| p.shard == w && now - p.sent_at > timeout);
+            if overdue {
+                self.mark_dead(w);
+            }
+        }
+        let orphaned: Vec<(u32, u32)> = self
+            .pending
+            .iter()
+            .filter(|(_, p)| !self.alive[p.shard])
+            .map(|(&qid, p)| (qid, p.seed))
+            .collect();
+        if !orphaned.is_empty() {
+            self.reroutes += orphaned.len() as u64;
+            self.rec.incr("serve.reroutes", orphaned.len() as u64);
+            self.route(orphaned);
+        }
+    }
+
+    fn mark_dead(&mut self, w: usize) {
+        if std::mem::replace(&mut self.alive[w], false) {
+            self.deaths += 1;
+            self.rec.incr("serve.deaths", 1);
+        }
+    }
+
+    /// Admits one batch when under the inflight cap: the first query
+    /// opens the adaptive window, the window accretes up to `batch_max`,
+    /// the batch is routed. True when the queue is closed and drained.
+    fn admit_batch(&mut self) -> bool {
+        self.rec.observe("serve.queue.depth", self.queue.len() as u64);
+        if self.pending.len() >= self.cfg.inflight_cap {
+            std::thread::sleep(IDLE);
+            return false;
+        }
+        let patience = Instant::now() + Duration::from_millis(1);
+        let first = match self.queue.pop_deadline(patience) {
+            Ok(Some(first)) => first,
+            Ok(None) => return false,
+            Err(_) => {
+                // Closed and drained: just await outstanding replies
+                // without spinning the lock.
+                if !self.pending.is_empty() {
+                    std::thread::sleep(IDLE);
+                }
+                return true;
+            }
+        };
+        let mut batch = vec![first];
+        let window_end = Instant::now() + Duration::from_micros(self.cfg.batch_window_us);
+        while batch.len() < self.cfg.batch_max && Instant::now() < window_end {
+            match self.queue.try_pop() {
+                Some(t) => batch.push(t),
+                None => std::thread::sleep(Duration::from_micros(20)),
+            }
+        }
+        self.rec.incr("serve.queries", batch.len() as u64);
+        self.rec.incr("serve.batches", 1);
+        self.rec.observe("serve.batch.size", batch.len() as u64);
+        let now = Instant::now();
+        for t in &batch {
+            self.rec
+                .observe("serve.queue.wait_us", (now - t.enqueued).as_micros() as u64);
+            let p = Pending { seed: t.seed, sched: t.sched, shard: 0, sent_at: now };
+            self.pending.insert(t.qid, p);
+        }
+        self.route(batch.iter().map(|t| (t.qid, t.seed)).collect());
+        false
     }
 
     /// Groups `(qid, seed)` pairs by owning shard (falling back to the
     /// least-loaded survivor when the owner is dead) and ships them.
     /// Send failures mark the target dead and re-enter routing.
-    fn route(
-        &self,
-        ep: &Endpoint,
-        pairs: &[(u32, u32)],
-        alive: &mut [bool],
-        pending: &mut FxHashMap<u32, Pending>,
-        deaths: &mut u64,
-    ) {
+    fn route(&mut self, mut todo: Vec<(u32, u32)>) {
         let shards = self.cfg.shards;
-        let mut todo: Vec<(u32, u32)> = pairs.to_vec();
         while !todo.is_empty() {
-            let mut by_shard: FxHashMap<usize, (Vec<u32>, Vec<u32>)> =
-                FxHashMap::default();
+            let mut by_shard: FxHashMap<usize, Vec<(u32, u32)>> = FxHashMap::default();
             let mut load_of = vec![0usize; shards + 1];
-            for p in pending.values() {
-                if p.shard > 0 {
-                    load_of[p.shard] += 1;
-                }
+            for p in self.pending.values() {
+                load_of[p.shard] += 1;
             }
-            for &(qid, seed) in &todo {
-                let owner = self.parts.owner(seed) + 1;
-                let target = if alive[owner] {
+            for pair in todo.drain(..) {
+                let owner = self.parts.owner(pair.1) + 1;
+                let target = if self.alive[owner] {
                     owner
                 } else {
-                    match (1..=shards).filter(|&w| alive[w]).min_by_key(|&w| load_of[w])
-                    {
-                        Some(w) => w,
-                        None => return, // caller notices no shard is alive
-                    }
+                    let survivor = (1..=shards)
+                        .filter(|&w| self.alive[w])
+                        .min_by_key(|&w| load_of[w]);
+                    let Some(w) = survivor else { return }; // run() sees no shard alive
+                    w
                 };
                 load_of[target] += 1;
-                let entry = by_shard.entry(target).or_default();
-                entry.0.push(qid);
-                entry.1.push(seed);
+                by_shard.entry(target).or_default().push(pair);
             }
-            todo.clear();
             let now = Instant::now();
-            for (w, (qids, verts)) in by_shard {
-                for qid in &qids {
-                    if let Some(p) = pending.get_mut(qid) {
+            for (w, batch) in by_shard {
+                for (qid, _) in &batch {
+                    if let Some(p) = self.pending.get_mut(qid) {
                         p.shard = w;
                         p.sent_at = now;
                     }
                 }
-                match ep.send(w, MessageKind::Query { qids: qids.clone(), verts }) {
-                    Ok(_) => {}
-                    Err(_) => {
-                        // Shard already gone: mark it and re-route these.
-                        if alive[w] {
-                            alive[w] = false;
-                            *deaths += 1;
-                            self.rec.incr("serve.deaths", 1);
-                        }
-                        self.rec.incr("serve.reroutes", qids.len() as u64);
-                        for qid in qids {
-                            let seed = pending[&qid].seed;
-                            todo.push((qid, seed));
-                        }
-                    }
+                let (qids, verts) = batch.iter().copied().unzip();
+                if self.ep.send(w, MessageKind::Query { qids, verts }).is_err() {
+                    // Shard already gone: mark it and re-route these.
+                    self.mark_dead(w);
+                    self.rec.incr("serve.reroutes", batch.len() as u64);
+                    todo.extend(batch);
                 }
             }
         }
     }
 
     /// Broadcasts shutdown, folds fabric stats, and closes the frame.
-    fn finish(&self, ep: &Endpoint) -> MetricsFrame {
+    fn finish(&self) -> MetricsFrame {
+        // Nobody drains the queue from here on: a patient driver retrying
+        // on a full queue must see `Closed`, not spin on `Saturated`.
+        self.queue.close();
         for w in 1..=self.cfg.shards {
-            let _ = ep.send(w, MessageKind::Control(CTRL_SHUTDOWN));
+            let _ = self.ep.send(w, MessageKind::Control(CTRL_SHUTDOWN));
         }
-        export_net_stats(&self.rec, &ep.stats());
+        export_net_stats(&self.rec, &self.ep.stats());
         self.rec.finish()
     }
 }
@@ -938,172 +894,153 @@ impl PeerHealth {
         let p99 = load::percentile_us(&sorted, 99.0);
         p99.saturating_mul(8).clamp(5_000.min(half_deadline.max(1)), half_deadline.max(1))
     }
-
-    /// Folds breaker lifetime counters into the shard's frame, flagging
-    /// breakers left Open whose peer is neither killed nor currently
-    /// severed (`net.breaker.stuck_open` — the probe machinery failed).
-    fn export(&self, rec: &MetricsRecorder, ep: &Endpoint) {
-        let fault = ep.faults();
-        let epoch = ep.epoch();
-        let now_ms = ep.link_now_ms();
-        let me = ep.id();
-        let mut stuck = 0u64;
-        let mut opens = 0u64;
-        let mut closes = 0u64;
-        let mut half_opens = 0u64;
-        let mut fast_fails = 0u64;
-        for (peer, br) in self.breakers.iter().enumerate() {
-            let st = br.stats();
-            opens += st.opens;
-            closes += st.closes;
-            half_opens += st.half_opens;
-            fast_fails += st.fast_fails;
-            if br.state() == BreakerState::Open
-                && fault.kill_epoch(peer).is_none()
-                && !fault.link_severed(epoch, me, peer, now_ms)
-            {
-                stuck += 1;
-            }
-        }
-        if opens > 0 {
-            rec.incr("net.breaker.opens", opens);
-        }
-        if closes > 0 {
-            rec.incr("net.breaker.closes", closes);
-        }
-        if half_opens > 0 {
-            rec.incr("net.breaker.half_opens", half_opens);
-        }
-        if fast_fails > 0 {
-            rec.incr("net.breaker.fast_fails", fast_fails);
-        }
-        if stuck > 0 {
-            rec.incr("net.breaker.stuck_open", stuck);
-        }
-    }
 }
 
-/// One shard worker: owns a partition, answers inference batches from
-/// the frontend and layer-0 feature fetches from peers.
-struct ShardWorker<'a, 'b> {
-    deploy: &'a ServeDeployment<'b>,
+/// One shard worker (fabric endpoint `partition + 1`): owns a partition,
+/// answers inference batches from the frontend and layer-0 feature
+/// fetches from peers. [`Shard::run`] is the event loop and
+/// [`Shard::answer_batch`] the stage list.
+struct Shard<'a> {
+    deploy: &'a ServeDeployment<'a>,
     /// Kill-fault trigger: die upon receiving a batch whose max query id
     /// reaches this threshold.
     kill_at: Option<u32>,
+    ep: Endpoint,
+    rec: MetricsRecorder,
+    cache: FeatureCache,
+    health: PeerHealth,
 }
 
-impl ShardWorker<'_, '_> {
-    fn run(&self, ep: Endpoint, origin: Instant) -> MetricsFrame {
-        let me = ep.id();
-        let rec = MetricsRecorder::new(me, origin);
-        let mut cache = FeatureCache::new(self.deploy.cfg.cache_rows);
-        let mut health = PeerHealth::new(ep.world(), &self.deploy.cfg);
-        loop {
-            let mut worked = false;
-            // Frontend traffic: inference batches and shutdown.
-            if let Some(msg) = ep.try_recv_from(0) {
-                worked = true;
-                match msg.kind {
-                    MessageKind::Query { qids, verts } => {
-                        if let Some(at) = self.kill_at {
-                            if qids.iter().any(|&q| q >= at) {
-                                // Simulated crash: drop the batch and the
-                                // endpoint; peers see PeerDisconnected.
-                                rec.incr("serve.shard.killed", 1);
-                                export_cache_stats(&rec, &cache);
-                                export_net_stats(&rec, &ep.stats());
-                                health.export(&rec, &ep);
-                                return rec.finish();
-                            }
-                        }
-                        let t0 = Instant::now();
-                        let classes = self.answer_batch(
-                            &ep,
-                            &rec,
-                            &mut cache,
-                            &mut health,
-                            &verts,
-                        );
-                        rec.incr("serve.shard.queries", qids.len() as u64);
-                        rec.incr("serve.shard.batches", 1);
-                        rec.observe(
-                            "serve.shard.latency_us",
-                            t0.elapsed().as_micros() as u64,
-                        );
-                        if ep.send(0, MessageKind::Reply { qids, classes }).is_err() {
-                            break; // frontend gone — run is over
-                        }
-                        // Degrade, don't die: when the process-wide tensor
-                        // pool is past its pressure threshold, halve the
-                        // cache rather than compete with training for the
-                        // remaining budget. Misses repopulate after heal.
-                        if ns_tensor::pool::under_pressure() && cache.len() > 1 {
-                            cache.shed_to(cache.len() / 2);
-                        }
-                    }
-                    MessageKind::Control(v) if v == CTRL_SHUTDOWN => break,
-                    _ => {}
-                }
-            }
-            // Peer traffic: feature-fetch requests.
-            for src in 1..ep.world() {
-                if src == me {
-                    continue;
-                }
-                if let Some(msg) = ep.try_recv_from(src) {
-                    worked = true;
-                    if let MessageKind::Query { qids, verts } = msg.kind {
-                        if qids.is_empty() {
-                            self.serve_fetch(&ep, &rec, src, &verts);
-                        }
-                    }
-                }
-            }
-            if !worked {
-                std::thread::sleep(Duration::from_micros(50));
-            }
+impl<'a> Shard<'a> {
+    fn new(deploy: &'a ServeDeployment<'a>, ep: Endpoint, origin: Instant) -> Self {
+        Shard {
+            deploy,
+            kill_at: deploy.cfg.fault.kill_epoch(ep.id()).map(|e| e as u32),
+            rec: MetricsRecorder::new(ep.id(), origin),
+            cache: FeatureCache::new(deploy.cfg.cache_rows),
+            health: PeerHealth::new(ep.world(), &deploy.cfg),
+            ep,
         }
-        export_cache_stats(&rec, &cache);
-        export_net_stats(&rec, &ep.stats());
-        health.export(&rec, &ep);
-        rec.finish()
     }
 
-    /// Answers a peer's layer-0 feature fetch with a `Rows` reply.
-    fn serve_fetch(&self, ep: &Endpoint, rec: &MetricsRecorder, dst: usize, verts: &[u32]) {
-        let features = &self.deploy.dataset.features;
-        let d = self.deploy.dataset.feature_dim();
-        let mut data = Vec::with_capacity(verts.len() * d);
-        for &v in verts {
-            data.extend_from_slice(features.row(v as usize));
+    /// Event loop, until the frontend says stop or a kill fault fires.
+    /// Dropping the endpoint on return is what peers see as
+    /// `PeerDisconnected`.
+    fn run(mut self) -> MetricsFrame {
+        while let ControlFlow::Continue(batched) = self.poll_frontend() {
+            let served = self.serve_peers(None);
+            if !batched && !served {
+                std::thread::sleep(IDLE);
+            }
         }
-        rec.incr("serve.peer.serves", 1);
-        rec.incr("serve.peer.rows_served", verts.len() as u64);
-        // Best-effort: the requester may have fallen back already.
-        let _ = ep.send(
-            dst,
-            MessageKind::Rows { layer: 0, ids: verts.to_vec(), cols: d as u32, data },
-        );
+        self.finish()
+    }
+
+    /// Frontend traffic: one inference batch or the shutdown. `Break`
+    /// ends the run; `Continue` says whether a message was handled.
+    fn poll_frontend(&mut self) -> ControlFlow<(), bool> {
+        let Some(msg) = self.ep.try_recv_from(0) else {
+            return ControlFlow::Continue(false);
+        };
+        match msg.kind {
+            MessageKind::Query { qids, verts } => {
+                if self.kill_at.is_some_and(|at| qids.iter().any(|&q| q >= at)) {
+                    // Simulated crash: drop the batch and the endpoint.
+                    self.rec.incr("serve.shard.killed", 1);
+                    return ControlFlow::Break(());
+                }
+                self.answer_batch(qids, &verts)?;
+            }
+            MessageKind::Control(v) if v == CTRL_SHUTDOWN => {
+                return ControlFlow::Break(())
+            }
+            _ => {}
+        }
+        ControlFlow::Continue(true)
+    }
+
+    /// Peer traffic: polls every peer shard but `except` once. True when
+    /// anything arrived.
+    fn serve_peers(&mut self, except: Option<usize>) -> bool {
+        let mut worked = false;
+        for src in 1..self.ep.world() {
+            if src != self.ep.id() && Some(src) != except {
+                worked |= self.poll_peer(src).is_some();
+            }
+        }
+        worked
+    }
+
+    /// One non-blocking receive from peer shard `src`. A layer-0 feature
+    /// fetch is answered on the spot with a `Rows` reply, in the event
+    /// loop and inside a fetch of this shard's own alike. What arrived is
+    /// handed back for the fetch in flight that awaits its `Rows`.
+    fn poll_peer(&mut self, src: usize) -> Option<MessageKind> {
+        let kind = self.ep.try_recv_from(src)?.kind;
+        if let MessageKind::Query { qids, verts } = &kind {
+            if qids.is_empty() {
+                let features = &self.deploy.dataset.features;
+                let d = self.deploy.dataset.feature_dim();
+                let mut data = Vec::with_capacity(verts.len() * d);
+                for &v in verts {
+                    data.extend_from_slice(features.row(v as usize));
+                }
+                self.rec.incr("serve.peer.serves", 1);
+                self.rec.incr("serve.peer.rows_served", verts.len() as u64);
+                let rows = MessageKind::Rows {
+                    layer: 0,
+                    ids: verts.clone(),
+                    cols: d as u32,
+                    data,
+                };
+                // Best-effort: the requester may have fallen back already.
+                let _ = self.ep.send(src, rows);
+            }
+        }
+        Some(kind)
+    }
+
+    /// The one exit, for a kill as for a shutdown: folds the cache,
+    /// fabric and breaker meters into the frame and closes it.
+    fn finish(self) -> MetricsFrame {
+        self.rec.incr("serve.cache.hits", self.cache.hits);
+        self.rec.incr("serve.cache.misses", self.cache.misses);
+        self.rec.incr("serve.cache.evictions", self.cache.evictions);
+        self.rec.incr("serve.cache.shed", self.cache.sheds);
+        export_net_stats(&self.rec, &self.ep.stats());
+        // A killed peer's breaker is rightly open for good.
+        let killed = |peer| self.ep.faults().kill_epoch(peer).is_some();
+        export_breaker_stats(&self.rec, &self.ep, &self.health.breakers, killed);
+        self.rec.finish()
     }
 
     /// Computes exact predictions for `seeds` by running the model over
-    /// the seeds' `L`-hop in-closure sub-topology.
-    fn answer_batch(
-        &self,
-        ep: &Endpoint,
-        rec: &MetricsRecorder,
-        cache: &mut FeatureCache,
-        health: &mut PeerHealth,
-        seeds: &[u32],
-    ) -> Vec<u32> {
-        let model = self.deploy.model;
-        let graph = &self.deploy.dataset.graph;
-        let hops = model.num_layers();
-        let closure = khop_in_closure(graph, seeds, hops);
-        // cum[h] = union of closure layers 0..=h: the vertex set whose
-        // layer-(L-h) representations the forward computes. Cumulative
-        // union (rather than the raw closure layer) guarantees each
-        // destination's own input row is present for self terms.
+    /// the seeds' `L`-hop in-closure sub-topology, and replies. The three
+    /// timed stages add up to `serve.shard.latency_us`.
+    fn answer_batch(&mut self, qids: Vec<u32>, seeds: &[u32]) -> ControlFlow<()> {
+        let t0 = Instant::now();
+        let cum = self.timed("serve.shard.closure_us", |s| s.closure(seeds));
+        let full = cum.last().expect("the closure has at least the seed layer");
+        let x = self.timed("serve.shard.gather_us", |s| s.gather(full));
+        let classes = self.timed("serve.shard.forward_us", |s| s.forward(&cum, x, seeds));
+        self.reply(qids, classes, t0)
+    }
+
+    fn timed<T>(&mut self, histogram: &str, stage: impl FnOnce(&mut Self) -> T) -> T {
+        let t = Instant::now();
+        let out = stage(self);
+        self.rec.observe(histogram, t.elapsed().as_micros() as u64);
+        out
+    }
+
+    /// Algorithm 2's dependency retrieval for the batch. `cum[h]` is the
+    /// union of closure layers `0..=h`: the vertex set whose
+    /// layer-`(L-h)` representations the forward computes. Cumulative
+    /// union (rather than the raw closure layer) guarantees each
+    /// destination's own input row is present for self terms.
+    fn closure(&mut self, seeds: &[u32]) -> Vec<Vec<u32>> {
+        let hops = self.deploy.model.num_layers();
+        let closure = khop_in_closure(&self.deploy.dataset.graph, seeds, hops);
         let mut cum: Vec<Vec<u32>> = Vec::with_capacity(hops + 1);
         cum.push(closure.layers[0].clone());
         for h in 1..=hops {
@@ -1113,9 +1050,72 @@ impl ShardWorker<'_, '_> {
             u.dedup();
             cum.push(u);
         }
-        rec.incr("serve.shard.closure_rows", cum[hops].len() as u64);
+        self.rec.incr("serve.shard.closure_rows", cum[hops].len() as u64);
+        cum
+    }
 
-        let x = self.gather_features(ep, rec, cache, health, &cum[hops]);
+    /// Builds the `|verts| x d` layer-0 input matrix: owned rows are
+    /// read locally, foreign rows come from the LRU cache, a hedged
+    /// peer fetch, or (open breaker, lost hedge race, fetch deadline) the
+    /// replicated feature mirror.
+    fn gather(&mut self, verts: &[u32]) -> Tensor {
+        let my_part = self.ep.id() - 1;
+        let features = &self.deploy.dataset.features;
+        // Pool scratch: every row is overwritten below.
+        let mut x = Tensor::scratch(verts.len(), self.deploy.dataset.feature_dim());
+        let mut wants: FxHashMap<usize, Vec<(usize, u32)>> = FxHashMap::default();
+        let mut local = 0u64;
+        for (i, &v) in verts.iter().enumerate() {
+            let owner = self.deploy.parts.owner(v);
+            if owner == my_part {
+                x.row_mut(i).copy_from_slice(features.row(v as usize));
+                local += 1;
+            } else if let Some(row) = self.cache.lookup(v) {
+                x.row_mut(i).copy_from_slice(row);
+            } else {
+                wants.entry(owner + 1).or_default().push((i, v));
+            }
+        }
+        self.rec.incr("serve.rows.local", local);
+
+        for (peer, slots) in wants {
+            let want_ids: Vec<u32> = slots.iter().map(|&(_, v)| v).collect();
+            let fetched = if self.health.breakers[peer].allow() {
+                self.fetch_rows_hedged(peer, &want_ids)
+            } else {
+                // Open breaker: the link is known-bad; go to the mirror
+                // without burning a fetch deadline.
+                self.mirror_penalty();
+                None
+            };
+            let rows = match fetched {
+                Some(rows) => {
+                    self.rec.incr("serve.rows.fetched", want_ids.len() as u64);
+                    rows
+                }
+                None => {
+                    // Owner unreachable (or the mirror won the hedge):
+                    // read the replicated mirror. Its cold-store penalty
+                    // was charged where the fetch gave up.
+                    self.rec.incr("serve.rows.fallback", want_ids.len() as u64);
+                    self.rec.incr("serve.fallback.bursts", 1);
+                    want_ids.iter().map(|&v| features.row(v as usize).to_vec()).collect()
+                }
+            };
+            for ((i, v), row) in slots.into_iter().zip(rows) {
+                x.row_mut(i).copy_from_slice(&row);
+                self.cache.insert(v, row);
+            }
+        }
+        x
+    }
+
+    /// Runs the layers over the cumulative closure sets, full closure
+    /// inwards, and reads each seed's class off the last output.
+    fn forward(&self, cum: &[Vec<u32>], x: Tensor, seeds: &[u32]) -> Vec<u32> {
+        let model = self.deploy.model;
+        let graph = &self.deploy.dataset.graph;
+        let hops = model.num_layers();
         let mut h = x;
         for lz in 0..hops {
             let src_set = &cum[hops - lz];
@@ -1137,8 +1137,11 @@ impl ShardWorker<'_, '_> {
                 .collect();
             let dst_in_rows: Vec<u32> = dst_set.iter().map(|&v| row_of(v)).collect();
             let topo = LayerTopology::from_adjacency(src_set.len(), &lists, dst_in_rows);
-            let run =
-                model.layer(lz).forward(&self.deploy.params, &topo, LayerInput::Constant(h));
+            let run = model.layer(lz).forward(
+                &self.deploy.params,
+                &topo,
+                LayerInput::Constant(h),
+            );
             h = run.output().clone();
         }
         // cum[0] is the sorted, deduped seed set; map each query seed to
@@ -1146,196 +1149,110 @@ impl ShardWorker<'_, '_> {
         let preds = h.argmax_rows();
         seeds
             .iter()
-            .map(|s| {
-                let row = cum[0].binary_search(s).expect("seed row present");
-                preds[row] as u32
-            })
+            .map(|s| preds[cum[0].binary_search(s).expect("seed row present")] as u32)
             .collect()
     }
 
-    /// Builds the `|verts| x d` layer-0 input matrix: owned rows are
-    /// read locally, foreign rows come from the LRU cache, a hedged
-    /// peer fetch, or (when the peer's circuit breaker is open, the
-    /// mirror wins the hedge race, or the fetch deadline passes) the
-    /// replicated feature mirror behind a modeled slow-path penalty.
-    fn gather_features(
-        &self,
-        ep: &Endpoint,
-        rec: &MetricsRecorder,
-        cache: &mut FeatureCache,
-        health: &mut PeerHealth,
-        verts: &[u32],
-    ) -> Tensor {
-        let my_part = ep.id() - 1;
-        let dataset = self.deploy.dataset;
-        let parts = &self.deploy.parts;
-        let d = dataset.feature_dim();
-        let mut data = vec![0f32; verts.len() * d];
-        let mut wants: FxHashMap<usize, Vec<(usize, u32)>> = FxHashMap::default();
-        let mut local = 0u64;
-        for (i, &v) in verts.iter().enumerate() {
-            let owner = parts.owner(v);
-            if owner == my_part {
-                data[i * d..(i + 1) * d].copy_from_slice(dataset.features.row(v as usize));
-                local += 1;
-            } else if let Some(row) = cache.lookup(v) {
-                data[i * d..(i + 1) * d].copy_from_slice(row);
-            } else {
-                wants.entry(owner + 1).or_default().push((i, v));
-            }
+    /// Meters the batch and ships its answers. `Break` when the frontend
+    /// is gone — the run is over.
+    fn reply(
+        &mut self,
+        qids: Vec<u32>,
+        classes: Vec<u32>,
+        t0: Instant,
+    ) -> ControlFlow<()> {
+        self.rec.incr("serve.shard.queries", qids.len() as u64);
+        self.rec.incr("serve.shard.batches", 1);
+        self.rec.observe("serve.shard.latency_us", t0.elapsed().as_micros() as u64);
+        if self.ep.send(0, MessageKind::Reply { qids, classes }).is_err() {
+            return ControlFlow::Break(());
         }
-        rec.incr("serve.rows.local", local);
-
-        for (peer, slots) in wants {
-            let want_ids: Vec<u32> = slots.iter().map(|&(_, v)| v).collect();
-            let fetched = if health.breakers[peer].allow() {
-                self.fetch_rows_hedged(ep, rec, peer, &want_ids, health)
-            } else {
-                // Open breaker: the link is known-bad; go straight to
-                // the mirror without burning a fetch deadline. The
-                // cold-store penalty still applies.
-                std::thread::sleep(Duration::from_micros(
-                    self.deploy.cfg.slow_path_us,
-                ));
-                None
-            };
-            match fetched {
-                Some(rows) => {
-                    rec.incr("serve.rows.fetched", want_ids.len() as u64);
-                    for ((i, v), row) in slots.into_iter().zip(rows) {
-                        data[i * d..(i + 1) * d].copy_from_slice(&row);
-                        cache.insert(v, row);
-                    }
-                }
-                None => {
-                    // Owner unreachable (or the mirror won the hedge):
-                    // read the replicated mirror. Any cold-store penalty
-                    // was already charged where the fetch gave up.
-                    rec.incr("serve.rows.fallback", want_ids.len() as u64);
-                    rec.incr("serve.fallback.bursts", 1);
-                    for (i, v) in slots {
-                        data[i * d..(i + 1) * d]
-                            .copy_from_slice(dataset.features.row(v as usize));
-                        cache.insert(v, dataset.features.row(v as usize).to_vec());
-                    }
-                }
-            }
+        // Degrade, don't die: when the process-wide tensor pool is past
+        // its pressure threshold, halve the cache rather than compete
+        // with training for the budget. Misses repopulate after heal.
+        if ns_tensor::pool::under_pressure() && self.cache.len() > 1 {
+            self.cache.shed_to(self.cache.len() / 2);
         }
-        Tensor::from_vec(verts.len(), d, data)
+        ControlFlow::Continue(())
     }
 
     /// One hedged peer fetch: ships the want-list, then polls for the
     /// `Rows` reply while *also servicing incoming fetches* — two
-    /// shards fetching from each other must not deadlock. After a
-    /// p99-derived hedge delay with no reply, a mirror read is started
-    /// in parallel and the first side to finish wins
-    /// (`serve.hedge.{issued,wins}`). Returns `None` when the caller
-    /// should read the mirror: the mirror won the race, the peer is
-    /// unreachable, or the fetch budget ran out.
+    /// shards fetching from each other, or a fetch cycle across three or
+    /// more, must not deadlock. After a p99-derived hedge delay with no
+    /// reply, a mirror read is started in parallel and the first side to
+    /// finish wins (`serve.hedge.{issued,wins}`). Returns `None` when the
+    /// caller should read the mirror: the mirror won the race, the peer
+    /// is unreachable, or the fetch budget ran out.
     ///
     /// Breaker bookkeeping: a matching peer reply records a success;
     /// a hedge loss, deadline, or dead link records a failure — so a
     /// black-holed link opens the breaker after consecutive misses even
     /// though every query is still answered from the mirror.
-    fn fetch_rows_hedged(
-        &self,
-        ep: &Endpoint,
-        rec: &MetricsRecorder,
-        peer: usize,
-        want: &[u32],
-        health: &mut PeerHealth,
-    ) -> Option<Vec<Vec<f32>>> {
-        rec.incr("serve.fetch.requests", 1);
-        if ep
-            .send(peer, MessageKind::Query { qids: Vec::new(), verts: want.to_vec() })
-            .is_err()
-        {
-            health.breakers[peer].record_failure();
-            std::thread::sleep(Duration::from_micros(self.deploy.cfg.slow_path_us));
-            return None;
+    fn fetch_rows_hedged(&mut self, peer: usize, want: &[u32]) -> Option<Vec<Vec<f32>>> {
+        let cfg = &self.deploy.cfg;
+        self.rec.incr("serve.fetch.requests", 1);
+        let request = MessageKind::Query { qids: Vec::new(), verts: want.to_vec() };
+        if self.ep.send(peer, request).is_err() {
+            return self.fetch_failed(peer);
         }
         let t0 = Instant::now();
-        let budget = Budget::from_ms(self.deploy.cfg.fetch_timeout_ms);
-        let hedge_after = Duration::from_micros(health.hedge_delay_us(&self.deploy.cfg));
+        let budget = Budget::from_ms(cfg.fetch_timeout_ms);
+        let hedge_after = Duration::from_micros(self.health.hedge_delay_us(cfg));
         let mut mirror_ready: Option<Instant> = None;
         let d = self.deploy.dataset.feature_dim();
         loop {
-            if let Some(msg) = ep.try_recv_from(peer) {
-                match msg.kind {
-                    MessageKind::Rows { ids, data, .. } if ids == want => {
-                        let rows =
-                            data.chunks(d).map(|c| c.to_vec()).collect::<Vec<_>>();
-                        if rows.len() == want.len() {
-                            health.breakers[peer].record_success();
-                            health.observe_fetch(t0.elapsed().as_micros() as u64);
-                            return Some(rows);
-                        }
-                        health.breakers[peer].record_failure();
-                        std::thread::sleep(Duration::from_micros(
-                            self.deploy.cfg.slow_path_us,
-                        ));
-                        return None;
+            match self.poll_peer(peer) {
+                Some(MessageKind::Rows { ids, data, .. }) if ids == want => {
+                    if data.len() != want.len() * d {
+                        return self.fetch_failed(peer);
                     }
-                    MessageKind::Rows { .. } => {
-                        // Stale reply to an earlier fetch this shard
-                        // already abandoned — a healed flap can deliver
-                        // it long after the hedge won. Discard and keep
-                        // waiting for the answer to *this* want-list.
-                        rec.incr("serve.fetch.stale", 1);
-                    }
-                    MessageKind::Query { qids, verts } if qids.is_empty() => {
-                        // The peer is fetching from us at the same time.
-                        self.serve_fetch(ep, rec, peer, &verts);
-                    }
-                    _ => {}
+                    self.health.breakers[peer].record_success();
+                    self.health.observe_fetch(t0.elapsed().as_micros() as u64);
+                    return Some(data.chunks(d).map(<[f32]>::to_vec).collect());
                 }
+                // Stale reply to an earlier fetch this shard already
+                // abandoned — a healed flap can deliver it long after the
+                // hedge won. Discard and keep waiting for the answer to
+                // *this* want-list.
+                Some(MessageKind::Rows { .. }) => self.rec.incr("serve.fetch.stale", 1),
+                _ => {}
             }
-            // Service other peers' fetches so a fetch cycle across three
-            // or more shards cannot wedge either.
-            for src in 1..ep.world() {
-                if src == ep.id() || src == peer {
-                    continue;
-                }
-                if let Some(msg) = ep.try_recv_from(src) {
-                    if let MessageKind::Query { qids, verts } = msg.kind {
-                        if qids.is_empty() {
-                            self.serve_fetch(ep, rec, src, &verts);
-                        }
-                    }
-                }
-            }
+            self.serve_peers(Some(peer));
             if mirror_ready.is_none() && t0.elapsed() >= hedge_after {
                 // Tail-latency hedge: start the mirror read racing the
                 // peer reply instead of waiting out the full deadline.
-                rec.incr("serve.hedge.issued", 1);
-                mirror_ready = Some(
-                    Instant::now()
-                        + Duration::from_micros(self.deploy.cfg.slow_path_us),
-                );
+                self.rec.incr("serve.hedge.issued", 1);
+                mirror_ready =
+                    Some(Instant::now() + Duration::from_micros(cfg.slow_path_us));
             }
             if mirror_ready.is_some_and(|ready| Instant::now() >= ready) {
-                rec.incr("serve.hedge.wins", 1);
-                health.breakers[peer].record_failure();
+                self.rec.incr("serve.hedge.wins", 1);
+                self.health.breakers[peer].record_failure();
                 return None;
             }
             if budget.exhausted() {
-                rec.incr("serve.fetch.timeouts", 1);
-                rec.incr("net.deadline.exhausted", 1);
-                health.breakers[peer].record_failure();
-                std::thread::sleep(Duration::from_micros(self.deploy.cfg.slow_path_us));
-                return None;
+                self.rec.incr("serve.fetch.timeouts", 1);
+                self.rec.incr("net.deadline.exhausted", 1);
+                return self.fetch_failed(peer);
             }
             std::thread::sleep(Duration::from_micros(20));
         }
     }
-}
 
-/// Folds the shard's feature-cache meters into its metric frame.
-fn export_cache_stats(rec: &MetricsRecorder, cache: &FeatureCache) {
-    rec.incr("serve.cache.hits", cache.hits);
-    rec.incr("serve.cache.misses", cache.misses);
-    rec.incr("serve.cache.evictions", cache.evictions);
-    rec.incr("serve.cache.shed", cache.sheds);
+    /// A fetch that ends with neither rows nor a mirror read under way:
+    /// the breaker hears of it and the mirror read to come is charged.
+    fn fetch_failed(&mut self, peer: usize) -> Option<Vec<Vec<f32>>> {
+        self.health.breakers[peer].record_failure();
+        self.mirror_penalty();
+        None
+    }
+
+    /// The modeled cost of one mirror (cold-store) read burst, paid as
+    /// real latency on the shard's critical path.
+    fn mirror_penalty(&self) {
+        std::thread::sleep(Duration::from_micros(self.deploy.cfg.slow_path_us));
+    }
 }
 
 #[cfg(test)]
@@ -1457,28 +1374,81 @@ mod tests {
         let (ds, model) = cora_deploy();
         let store = model.fresh_store();
         let reference = infer(&ds, &model, &store);
-        let cfg = ServeConfig { shards: 3, cache_rows: 512, ..ServeConfig::default() };
-        let deploy = ServeDeployment::new(&ds, &model, store, cfg).unwrap();
         // Seeds spread across all three partitions, with repeats.
         let n = ds.graph.num_vertices() as u32;
         let seeds: Vec<u32> = (0..96u32).map(|i| (i * 131) % n).collect();
-        let report = deploy.answer_all(&seeds).unwrap();
-        assert_eq!(report.answers.len(), seeds.len());
-        assert_eq!(report.dropped, 0);
-        for a in &report.answers {
-            assert_eq!(
-                a.class as usize, reference.predictions[a.seed as usize],
-                "query {} seed {} diverged from full-graph inference",
-                a.qid, a.seed
-            );
+        for cache_rows in [4096, 0] {
+            for spec in [None, Some("kill:w1@e40"), Some("partition:w1-w2@e0-e1")] {
+                let mut fault = FaultPlan::default();
+                if let Some(spec) = spec {
+                    fault.push_spec(spec).unwrap();
+                }
+                // Patient deadlines: shards starved by the tests running
+                // beside this one must neither be declared dead nor, where
+                // "no fault, no mirror read" is asserted, lose a hedge race.
+                let mut cfg = ServeConfig {
+                    shards: 3,
+                    cache_rows,
+                    reply_timeout_ms: 1_000,
+                    fault,
+                    ..ServeConfig::default()
+                };
+                if spec.is_none() {
+                    cfg.fetch_timeout_ms = 2_000;
+                }
+                let deploy = ServeDeployment::new(&ds, &model, store.clone(), cfg).unwrap();
+                let report = deploy.answer_all(&seeds).unwrap();
+                let run = format!("cache_rows {cache_rows}, fault {spec:?}");
+                assert_eq!(report.answers.len(), seeds.len(), "{run}");
+                assert_eq!(report.dropped, 0, "{run}");
+                for a in &report.answers {
+                    assert_eq!(
+                        a.class as usize, reference.predictions[a.seed as usize],
+                        "query {} seed {} diverged from full-graph inference ({run})",
+                        a.qid, a.seed
+                    );
+                }
+                // Row conservation: every closure row a shard materialized
+                // came from exactly one of the four sources, and every
+                // cache miss ended as a peer fetch or a mirror read.
+                let count = |key: &str| report.metrics.total_counter(key);
+                let (local, hits) = (count("serve.rows.local"), count("serve.cache.hits"));
+                let (fetched, fallback) =
+                    (count("serve.rows.fetched"), count("serve.rows.fallback"));
+                assert_eq!(
+                    count("serve.shard.closure_rows"),
+                    local + hits + fetched + fallback,
+                    "{run}"
+                );
+                assert_eq!(count("serve.cache.misses"), fetched + fallback, "{run}");
+                assert_eq!(count("serve.answers"), seeds.len() as u64, "{run}");
+                assert!(count("serve.peer.rows_served") >= fetched, "{run}");
+                assert!(local > 0, "{run}");
+                assert!(fetched > 0, "3-way sharding must fetch foreign rows ({run})");
+                if spec.is_none() {
+                    assert_eq!(fallback, 0, "{run}");
+                }
+                // The stage histograms partition each shard's batch latency:
+                // one sample per batch, and since the stages are disjoint
+                // sub-intervals each floored to whole microseconds, the
+                // parts can only round down further than the whole does.
+                for frame in report.metrics.frames.values() {
+                    let batches = frame.counter("serve.shard.batches");
+                    if batches == 0 {
+                        continue; // the frontend, or a shard killed before its first batch
+                    }
+                    let whole = &frame.histograms["serve.shard.latency_us"];
+                    assert_eq!(whole.count, batches, "{run}");
+                    let mut parts = 0;
+                    for stage in ["closure_us", "gather_us", "forward_us"] {
+                        let h = &frame.histograms[&format!("serve.shard.{stage}")];
+                        assert_eq!(h.count, batches, "one {stage} sample per batch ({run})");
+                        parts += h.sum;
+                    }
+                    assert!(parts <= whole.sum, "stages {parts} > batch {} ({run})", whole.sum);
+                }
+            }
         }
-        // The serving path exercised remote rows: either fetched over
-        // the fabric or already cached.
-        let fetched = report.metrics.total_counter("serve.rows.fetched");
-        let local = report.metrics.total_counter("serve.rows.local");
-        assert!(local > 0);
-        assert!(fetched > 0, "3-way sharding must fetch foreign rows");
-        assert_eq!(report.metrics.total_counter("serve.rows.fallback"), 0);
     }
 
     #[test]
@@ -1541,6 +1511,20 @@ mod tests {
         // Post-death queries owned by the dead shard still answer, via
         // the survivor's mirror fallback.
         assert!(report.metrics.total_counter("serve.rows.fallback") > 0);
+    }
+
+    #[test]
+    fn losing_every_shard_is_an_error_not_a_hang() {
+        let (ds, model) = cora_deploy();
+        let mut fault = FaultPlan::default();
+        fault.push_spec("kill:w1@e0").unwrap();
+        // More seeds than the queue holds: once the only shard is gone the
+        // patient driver must be turned away, not left retrying forever.
+        let cfg = ServeConfig { shards: 1, queue_capacity: 4, fault, ..ServeConfig::default() };
+        let deploy = ServeDeployment::new(&ds, &model, model.fresh_store(), cfg).unwrap();
+        let seeds: Vec<u32> = (0..64).collect();
+        let err = deploy.answer_all(&seeds).unwrap_err();
+        assert!(matches!(err, ServeError::AllShardsLost { unanswered } if unanswered > 0));
     }
 
     #[test]

@@ -234,7 +234,7 @@ impl Tensor {
     /// that overwrite every element before the tensor escapes. The
     /// buffer is always initialized memory (pool reuse or fresh zeros),
     /// so this is safe — just meaningless until written.
-    pub(crate) fn scratch(rows: usize, cols: usize) -> Self {
+    pub fn scratch(rows: usize, cols: usize) -> Self {
         Self { rows, cols, data: crate::pool::take_scratch(rows * cols) }
     }
 

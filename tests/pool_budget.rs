@@ -143,3 +143,30 @@ fn parked_buffers_are_slack_not_pressure() {
     pool::recycle(live);
     pool::clear();
 }
+
+#[test]
+fn serving_returns_every_buffer_it_takes() {
+    let _guard = serial();
+    let _restore = RestoreCap;
+    let ds = by_name("cora").unwrap().materialize(0.25, 11);
+    let model = GnnModel::two_layer(ModelKind::Gcn, ds.feature_dim(), 16, ds.num_classes, 5);
+    let cfg = ns_runtime::ServeConfig { shards: 2, ..Default::default() };
+    let deploy =
+        ns_runtime::ServeDeployment::new(&ds, &model, model.fresh_store(), cfg).unwrap();
+    let n = ds.graph.num_vertices() as u32;
+    let seeds: Vec<u32> = (0..500u32).map(|i| (i * 137) % n).collect();
+    // Hold a buffer across the run: a drop that subtracts bytes nobody
+    // counted as taken then shows as a lower gauge instead of saturating
+    // unnoticed at zero.
+    let held = pool::take_scratch(1 << 20);
+    let before = pool::stats().in_use_bytes;
+    let report = deploy.answer_all(&seeds).unwrap();
+    assert_eq!(report.answers.len(), seeds.len());
+    drop(report);
+    assert_eq!(
+        pool::stats().in_use_bytes,
+        before,
+        "serve took and recycled different byte counts"
+    );
+    pool::recycle(held);
+}
