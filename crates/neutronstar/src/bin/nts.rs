@@ -8,7 +8,7 @@
 //! ```
 
 use neutronstar::chaos::{self, ChaosConfig};
-use neutronstar::cli::{parse, ChaosArgs, Command, RunArgs, ServeArgs, USAGE};
+use neutronstar::cli::{parse, usage, ChaosArgs, Command, RunArgs, ServeArgs};
 use neutronstar::metrics::{summary_table, to_chrome_trace, to_json};
 use neutronstar::prelude::*;
 use neutronstar::runtime::cost::probe_threaded;
@@ -19,7 +19,7 @@ use neutronstar::tensor::checkpoint;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match parse(&args) {
-        Ok(Command::Help) => print!("{USAGE}"),
+        Ok(Command::Help) => print!("{}", usage()),
         Ok(Command::Datasets) => datasets(),
         Ok(Command::Train(ra)) => run(&ra, Mode::Train),
         Ok(Command::Simulate(ra)) => run(&ra, Mode::Simulate),
@@ -27,7 +27,7 @@ fn main() {
         Ok(Command::Chaos(ca)) => run_chaos(&ca),
         Ok(Command::Serve(sa)) => run_serve(&sa),
         Err(msg) => {
-            eprintln!("error: {msg}\n\n{USAGE}");
+            eprintln!("error: {msg}\n\n{}", usage());
             std::process::exit(2);
         }
     }
@@ -134,17 +134,8 @@ fn run_chaos(ca: &ChaosArgs) {
     let passed = outcomes.iter().filter(|o| o.passed()).count();
     // Per-invariant pass counts: which guarantee broke, not just how
     // many seeds did.
-    const INVARIANTS: [&str; 7] = [
-        "termination",
-        "loss-tolerance",
-        "replay-bound",
-        "rejoin-world",
-        "zero-corruption",
-        "breaker-liveness",
-        "resource-degrade",
-    ];
     print!("invariants:");
-    for (i, name) in INVARIANTS.iter().enumerate() {
+    for (i, (name, _)) in chaos::INVARIANTS.iter().enumerate() {
         let ok = outcomes.iter().filter(|o| o.invariant_pass[i]).count();
         print!(" {name} {ok}/{}", outcomes.len());
     }

@@ -2,44 +2,23 @@
 //!
 //! Generates randomized-but-reproducible fault schedules (kills,
 //! stragglers, drops, delays, duplicates, optional rejoin), runs real
-//! recovering training under each, and checks the robustness invariants
-//! the elastic runtime promises:
+//! recovering training under each, and checks the seven robustness
+//! invariants the elastic runtime promises — [`INVARIANTS`], one
+//! documented function each, numbered in table order.
 //!
-//! 1. training terminates with every epoch accounted for and a finite
-//!    final loss;
-//! 2. the final loss lands within a tolerance of the fault-free
-//!    baseline (faults may reorder float summation and reroute
-//!    dependencies, but must not corrupt the numerics);
-//! 3. every restart replays at most `checkpoint_every - 1` epochs
-//!    (checkpoint-bounded rollback; each durable-generation fallback
-//!    relaxes the bound by one more cadence);
-//! 4. every rejoin restores the full world size;
-//! 5. zero silent corruptions: every injected bit-flip on the wire is
-//!    caught by a frame CRC (`integrity.crc_fail`), and every damaged
-//!    checkpoint generation is skipped via the store's fallback chain
-//!    (`ckpt.fallbacks`) rather than loaded;
-//! 6. liveness under healable partitions: a run whose link faults all
-//!    heal must terminate with baseline-quality loss and zero circuit
-//!    breakers left open against reachable peers
-//!    (`net.breaker.stuck_open` = 0);
-//! 7. resource exhaustion degrades, never aborts: a disk-full window
-//!    squeezes retention (`ckpt.enospc`, `ckpt.retention_squeezed`) and
-//!    leaves at least one loadable generation, an injected memory cap is
-//!    never exceeded by the pool high-water mark (`alloc.peak_bytes`),
-//!    and a hung worker is cancelled by the liveness watchdog
-//!    (`watchdog.trips`) and routed through membership recovery.
-//!
-//! Schedules are derived from a single `u64` seed via SplitMix64, so a
-//! failing seed reported by CI or `nts chaos` reproduces exactly.
+//! Schedules are derived from a single `u64` seed via SplitMix64 and
+//! logged as `--fault` spec strings, so a failing seed reported by CI or
+//! `nts chaos` reproduces exactly — by seed, or by pasting its schedule
+//! back into `nts train`/`nts simulate`.
 
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use ns_graph::datasets::by_name;
 use ns_graph::Dataset;
 use ns_gnn::{GnnModel, ModelKind};
-use ns_net::fault::{Fault, FaultPlan, MsgSel};
+use ns_net::fault::{Fault, FaultPlan, Link, MsgSel, Window};
 use ns_net::membership::MembershipEventKind;
+use ns_net::seeded::SplitMix64;
 use ns_net::ClusterSpec;
 use ns_runtime::{
     CheckpointStore, EngineKind, RecoveryConfig, RecvConfig, RuntimeError, StoreConfig,
@@ -113,82 +92,17 @@ pub struct ChaosSchedule {
 }
 
 impl ChaosSchedule {
-    /// Human-readable one-line summary of the schedule.
+    /// One-line summary: every fault as its canonical `--fault` spec
+    /// (each token parses back through `parse_fault`), then `+rejoin`.
     pub fn describe(&self) -> String {
-        let mut s = String::new();
-        for f in &self.faults {
-            if !s.is_empty() {
-                s.push(' ');
-            }
-            match f {
-                Fault::Kill { worker, epoch } => {
-                    let _ = write!(s, "kill:w{worker}@e{epoch}");
-                }
-                Fault::Straggle { worker, delay_ms } => {
-                    let _ = write!(s, "straggle:w{worker}:{delay_ms}ms");
-                }
-                Fault::Drop { p, .. } => {
-                    let _ = write!(s, "drop:{p:.2}");
-                }
-                Fault::Delay { delay_ms, .. } => {
-                    let _ = write!(s, "delay:{delay_ms}ms");
-                }
-                Fault::Duplicate { p, .. } => {
-                    let _ = write!(s, "dup:{p:.2}");
-                }
-                Fault::Corrupt { p, .. } => {
-                    let _ = write!(s, "corrupt:{p:.2}");
-                }
-                Fault::CorruptCkpt { epoch, p } => match epoch {
-                    Some(e) => {
-                        let _ = write!(s, "corrupt:ckpt:{p:.2}@e{e}");
-                    }
-                    None => {
-                        let _ = write!(s, "corrupt:ckpt:{p:.2}");
-                    }
-                },
-                Fault::Partition { .. }
-                | Fault::AsymPartition { .. }
-                | Fault::Flap { .. }
-                | Fault::DiskFull { .. }
-                | Fault::SlowDisk { .. }
-                | Fault::MemPressure { .. }
-                | Fault::Hang { .. } => {
-                    let _ = write!(s, "{}", f.to_spec());
-                }
-            }
-        }
+        let mut words: Vec<String> = self.faults.iter().map(Fault::to_string).collect();
         if self.rejoin {
-            s.push_str(" +rejoin");
+            words.push("+rejoin".to_string());
         }
-        if s.is_empty() {
-            s.push_str("(fault-free)");
+        if words.is_empty() {
+            words.push("(fault-free)".to_string());
         }
-        s
-    }
-}
-
-/// SplitMix64: the standard 64-bit mixing PRNG. Deterministic and
-/// dependency-free, so schedules reproduce everywhere.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[0, n)`.
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-
-    /// Uniform in `[0, 1)`.
-    fn unit(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        words.join(" ")
     }
 }
 
@@ -320,14 +234,11 @@ fn generate_partition(rng: &mut SplitMix64, seed: u64, cfg: &ChaosConfig) -> Cha
         // final epoch always runs with the link back up.
         let ck = cfg.checkpoint_every;
         let last_from = ck * ((cfg.epochs - 1) / ck) - 1;
-        let from_epoch = 1 + rng.below(last_from as u64) as usize;
-        let heal_epoch = ((from_epoch / ck) + 1) * ck;
-        debug_assert!(from_epoch < heal_epoch && heal_epoch < cfg.epochs);
-        if kind == 0 {
-            faults.push(Fault::Partition { a, b, from_epoch, heal_epoch });
-        } else {
-            faults.push(Fault::AsymPartition { src: a, dst: b, from_epoch, heal_epoch });
-        }
+        let from = 1 + rng.below(last_from as u64) as usize;
+        let heal = ((from / ck) + 1) * ck;
+        debug_assert!(from < heal && heal < cfg.epochs);
+        let link = Link { a, b, one_way: kind == 1 };
+        faults.push(Fault::Partition { link, window: Window { from, heal } });
     }
     // Flapping link: messages inside a down-window are held to the next
     // up-window, never lost, so flaps need no heal epoch to stay
@@ -336,7 +247,7 @@ fn generate_partition(rng: &mut SplitMix64, seed: u64, cfg: &ChaosConfig) -> Cha
         let (a, b) = pair(rng);
         let period_ms = 10 + rng.below(41);
         let duty = 0.1 + rng.unit() * 0.5;
-        faults.push(Fault::Flap { a, b, period_ms, duty });
+        faults.push(Fault::Flap { link: Link { a, b, one_way: false }, period_ms, duty });
     }
     if rng.unit() < 0.5 {
         faults.push(Fault::Delay { sel: MsgSel::any(), delay_ms: 1 + rng.below(5) });
@@ -371,7 +282,7 @@ fn generate_resource(
         let interior = (cfg.epochs / ck).saturating_sub(1);
         if interior >= 1 && rng.unit() < 0.7 {
             let b = ck * (1 + rng.below(interior as u64) as usize);
-            faults.push(Fault::DiskFull { from_epoch: b, heal_epoch: b + 1 });
+            faults.push(Fault::DiskFull { window: Window { from: b, heal: b + 1 } });
         }
         if rng.unit() < 0.5 {
             faults.push(Fault::SlowDisk { factor: 1.5 + rng.unit() * 2.5 });
@@ -384,9 +295,9 @@ fn generate_resource(
         } else {
             64 << 20
         };
-        let from_epoch = 1 + rng.below((cfg.epochs - 2) as u64) as usize;
-        let heal_epoch = (from_epoch + 1 + rng.below(2) as usize).min(cfg.epochs);
-        faults.push(Fault::MemPressure { cap_bytes, from_epoch, heal_epoch });
+        let from = 1 + rng.below((cfg.epochs - 2) as u64) as usize;
+        let heal = (from + 1 + rng.below(2) as usize).min(cfg.epochs);
+        faults.push(Fault::MemPressure { cap_bytes, window: Window { from, heal } });
     }
     if rng.unit() < 0.6 {
         let worker = rng.below(cfg.workers as u64) as usize;
@@ -498,322 +409,261 @@ pub fn baseline(cfg: &ChaosConfig) -> Result<Baseline, String> {
     Ok(Baseline { final_loss: report.final_loss(), peak_bytes })
 }
 
-/// Checks the report of a chaos run against the soak invariants,
-/// returning the violations and the per-invariant verdicts.
-fn check_invariants(
-    cfg: &ChaosConfig,
-    schedule: &ChaosSchedule,
-    base: &Baseline,
-    report: &TrainingReport,
-    durable_loadable: Option<bool>,
-) -> (Vec<String>, [bool; 7]) {
-    let mut v = Vec::new();
-    let mut pass = [true; 7];
-    // Indexed by invariant number minus one; a closure would fight the
-    // borrow checker, so each violation site marks its invariant inline.
-    const TERMINATION: usize = 0;
-    const LOSS: usize = 1;
-    const REPLAY: usize = 2;
-    const REJOIN: usize = 3;
-    const CORRUPTION: usize = 4;
-    const LIVENESS: usize = 5;
-    const RESOURCE: usize = 6;
+/// Everything an invariant check may read about one finished chaos run.
+pub struct Run<'a> {
+    /// The soak configuration the run used.
+    pub cfg: &'a ChaosConfig,
+    /// The schedule that was injected.
+    pub schedule: &'a ChaosSchedule,
+    /// The fault-free reference run.
+    pub base: &'a Baseline,
+    /// What training under the schedule reported.
+    pub report: &'a TrainingReport,
+    /// Whether the run's durable store still held a loadable generation
+    /// afterwards (`None`: the run had no store).
+    pub durable_loadable: Option<bool>,
+}
 
-    // 1. Termination: every epoch accounted for, finite loss.
-    if report.epochs.len() != cfg.epochs {
-        pass[TERMINATION] = false;
-        v.push(format!(
-            "expected {} epochs, got {}",
-            cfg.epochs,
-            report.epochs.len()
-        ));
+impl Run<'_> {
+    fn counter(&self, name: &str) -> u64 {
+        self.report.metrics.total_counter(name)
     }
-    let loss = report.final_loss();
+}
+
+/// One invariant's check: the violations it found in a run (none when the
+/// schedule never exercised the invariant, so it passes vacuously).
+pub type Check = fn(&Run) -> Vec<String>;
+
+/// The soak invariants as `(name, check)`: invariant *n* is
+/// `INVARIANTS[n - 1]`. `nts chaos` prints the names.
+pub const INVARIANTS: [(&str, Check); 7] = [
+    ("termination", termination),
+    ("loss-tolerance", loss_tolerance),
+    ("replay-bound", replay_bound),
+    ("rejoin-world", rejoin_world),
+    ("zero-corruption", zero_corruption),
+    ("breaker-liveness", breaker_liveness),
+    ("resource-degrade", resource_degrade),
+];
+
+/// Invariant 1: training terminates with every epoch accounted for and
+/// a finite final loss.
+fn termination(run: &Run) -> Vec<String> {
+    let mut v = Vec::new();
+    let (want, got) = (run.cfg.epochs, run.report.epochs.len());
+    if got != want {
+        v.push(format!("expected {want} epochs, got {got}"));
+    }
+    let loss = run.report.final_loss();
     if !loss.is_finite() {
-        pass[TERMINATION] = false;
         v.push(format!("non-finite final loss {loss}"));
     }
+    v
+}
 
-    // 2. Loss within tolerance of the fault-free baseline.
-    let rel = (loss - base.final_loss).abs() / base.final_loss.abs().max(1e-9);
-    if rel > cfg.loss_tolerance {
-        pass[LOSS] = false;
-        v.push(format!(
-            "final loss {loss:.6} deviates {:.1}% from baseline {:.6} (> {:.1}%)",
+/// Invariant 2: the final loss lands within the tolerance of the
+/// fault-free baseline — faults may reorder float summation and reroute
+/// dependencies, but must not corrupt the numerics.
+fn loss_tolerance(run: &Run) -> Vec<String> {
+    let (loss, base, tolerance) =
+        (run.report.final_loss(), run.base.final_loss, run.cfg.loss_tolerance);
+    let rel = (loss - base).abs() / base.abs().max(1e-9);
+    if rel > tolerance {
+        return vec![format!(
+            "final loss {loss:.6} deviates {:.1}% from baseline {base:.6} (> {:.1}%)",
             rel * 100.0,
-            base.final_loss,
-            cfg.loss_tolerance * 100.0
-        ));
+            tolerance * 100.0
+        )];
     }
+    Vec::new()
+}
 
-    // 3. Checkpoint-bounded replay: each recovery pairs (in order) with
-    // a Failed membership event carrying the epoch the failure surfaced
-    // in; the rollback may replay at most cadence-1 completed epochs.
-    // Every durable-generation fallback (a damaged newest generation the
-    // store skipped) legitimately adds one more cadence of replay.
-    let fallbacks = report.metrics.total_counter("ckpt.fallbacks");
-    let replay_bound = cfg.checkpoint_every * (1 + fallbacks as usize) - 1;
-    let failures: Vec<_> = report
+/// Invariant 3: checkpoint-bounded replay. Each recovery pairs (in order)
+/// with a Failed membership event carrying the epoch the failure surfaced
+/// in, and the rollback replays at most `checkpoint_every - 1` completed
+/// epochs. Every durable-generation fallback (a damaged newest
+/// generation the store skipped) legitimately adds one more cadence.
+fn replay_bound(run: &Run) -> Vec<String> {
+    let mut v = Vec::new();
+    let (cadence, recoveries) = (run.cfg.checkpoint_every, &run.report.recoveries);
+    let fallbacks = run.counter("ckpt.fallbacks");
+    let bound = cadence * (1 + fallbacks as usize) - 1;
+    let failures: Vec<_> = run
+        .report
         .membership
         .iter()
         .filter(|e| e.kind == MembershipEventKind::Failed)
         .collect();
-    if failures.len() != report.recoveries.len() {
-        pass[REPLAY] = false;
-        v.push(format!(
-            "{} Failed events but {} recoveries",
-            failures.len(),
-            report.recoveries.len()
-        ));
+    if failures.len() != recoveries.len() {
+        v.push(format!("{} Failed events but {} recoveries", failures.len(), recoveries.len()));
     }
-    for (fail, (worker, rollback_epoch, _)) in failures.iter().zip(&report.recoveries) {
+    for (fail, (worker, rollback_epoch, _)) in failures.iter().zip(recoveries) {
         if fail.worker != *worker {
-            pass[REPLAY] = false;
-            v.push(format!(
-                "failure of worker {} recovered as worker {worker}",
-                fail.worker
-            ));
+            v.push(format!("failure of worker {} recovered as worker {worker}", fail.worker));
         }
         if fail.epoch < *rollback_epoch {
-            pass[REPLAY] = false;
             v.push(format!(
                 "rollback to epoch {rollback_epoch} is after the failure at {}",
                 fail.epoch
             ));
-        } else if fail.epoch - rollback_epoch > replay_bound {
-            pass[REPLAY] = false;
+        } else if fail.epoch - rollback_epoch > bound {
             v.push(format!(
-                "restart replays {} epochs (failure at {}, rollback to \
-                 {rollback_epoch}); cadence {} with {fallbacks} fallbacks bounds \
-                 replay to {replay_bound}",
+                "restart replays {} epochs (failure at {}, rollback to {rollback_epoch}); \
+                 cadence {cadence} with {fallbacks} fallbacks bounds replay to {bound}",
                 fail.epoch - rollback_epoch,
                 fail.epoch,
-                cfg.checkpoint_every,
             ));
         }
     }
-    if report.recoveries.len() > RecoveryConfig::every(cfg.checkpoint_every).max_restarts {
-        pass[REPLAY] = false;
-        v.push(format!("{} recoveries exceed the restart budget", report.recoveries.len()));
+    if recoveries.len() > RecoveryConfig::every(cadence).max_restarts {
+        v.push(format!("{} recoveries exceed the restart budget", recoveries.len()));
     }
+    v
+}
 
-    // 4. Every rejoin restores the full world: replay the membership log
-    // against the world size. The trainer re-admits every missing member
-    // at one checkpoint boundary, logging one Rejoined event per slot, so
-    // the full-world check applies after the *last* Rejoined of each
-    // same-epoch batch, not after each individual event.
+/// Invariant 4: every rejoin restores the full world size, checked by
+/// replaying the membership log against the world. The trainer re-admits
+/// every missing member at one checkpoint boundary, logging one Rejoined
+/// event per slot, so the full-world check applies after the *last*
+/// Rejoined of each same-epoch batch, not after each individual event.
+fn rejoin_world(run: &Run) -> Vec<String> {
+    let mut v = Vec::new();
+    let (cfg, log) = (run.cfg, &run.report.membership);
     let mut active = cfg.workers;
-    for (i, e) in report.membership.iter().enumerate() {
+    for (i, e) in log.iter().enumerate() {
         match e.kind {
-            MembershipEventKind::Failed | MembershipEventKind::Evicted => {
-                active -= 1;
-            }
+            MembershipEventKind::Failed | MembershipEventKind::Evicted => active -= 1,
             MembershipEventKind::Rejoined => {
                 active += 1;
-                let batch_continues = report.membership.get(i + 1).is_some_and(|n| {
+                let batch_continues = log.get(i + 1).is_some_and(|n| {
                     n.kind == MembershipEventKind::Rejoined && n.epoch == e.epoch
                 });
                 if active != cfg.workers && !batch_continues {
-                    pass[REJOIN] = false;
                     v.push(format!(
-                        "world has {active}/{} members after worker {} rejoined at \
-                         epoch {}",
+                        "world has {active}/{} members after worker {} rejoined at epoch {}",
                         cfg.workers, e.worker, e.epoch
                     ));
                 }
             }
         }
     }
-    if schedule.rejoin && !report.membership.is_empty() {
+    if run.schedule.rejoin {
         // With rejoin on, any member lost before the last checkpoint
         // boundary must have been re-admitted by then.
         let last_boundary = (cfg.epochs / cfg.checkpoint_every) * cfg.checkpoint_every;
-        let lost_early = report
-            .membership
+        let lost_early = log
             .iter()
             .filter(|e| {
                 e.kind != MembershipEventKind::Rejoined
                     && e.epoch + cfg.checkpoint_every < last_boundary
             })
             .count();
-        let rejoined = report
-            .membership
-            .iter()
-            .filter(|e| e.kind == MembershipEventKind::Rejoined)
-            .count();
+        let rejoined = log.iter().filter(|e| e.kind == MembershipEventKind::Rejoined).count();
         if rejoined < lost_early {
-            pass[REJOIN] = false;
             v.push(format!(
-                "{lost_early} members lost with a boundary to spare but only \
-                 {rejoined} rejoined"
+                "{lost_early} members lost with a boundary to spare but only {rejoined} rejoined"
             ));
         }
     }
+    v
+}
 
-    // 5. Zero silent corruptions. Every wire bit-flip the plan injected
-    // must have tripped a receive-side CRC check, and a scheduled
-    // checkpoint corruption must have forced the rollback onto the
-    // fallback chain (loading the damaged generation would be silent
-    // acceptance).
-    let corrupts = report.metrics.total_counter("net.fault.corrupts");
-    let crc_fail = report.metrics.total_counter("integrity.crc_fail");
-    if corrupts > 0 && crc_fail == 0 {
-        pass[CORRUPTION] = false;
-        v.push(format!(
-            "{corrupts} corrupt frames injected but zero CRC failures detected"
-        ));
+/// Invariant 5: zero silent corruptions. Every bit-flip the plan injected
+/// on the wire tripped a receive-side frame CRC (`integrity.crc_fail`),
+/// and a scheduled checkpoint corruption forced the rollback onto the
+/// store's fallback chain (`ckpt.fallbacks`) — loading the damaged
+/// generation would be silent acceptance.
+fn zero_corruption(run: &Run) -> Vec<String> {
+    let mut v = Vec::new();
+    let corrupts = run.counter("net.fault.corrupts");
+    if corrupts > 0 && run.counter("integrity.crc_fail") == 0 {
+        v.push(format!("{corrupts} corrupt frames injected but zero CRC failures detected"));
     }
-    let ckpt_corruption_scheduled = schedule
-        .faults
-        .iter()
-        .any(|f| matches!(f, Fault::CorruptCkpt { .. }));
-    if ckpt_corruption_scheduled && fallbacks == 0 {
-        pass[CORRUPTION] = false;
+    let scheduled = run.schedule.faults.iter().any(|f| matches!(f, Fault::CorruptCkpt { .. }));
+    if scheduled && run.counter("ckpt.fallbacks") == 0 {
         v.push(
-            "checkpoint corruption scheduled but no durable-generation fallback \
-             recorded"
+            "checkpoint corruption scheduled but no durable-generation fallback recorded"
                 .to_string(),
         );
     }
+    v
+}
 
-    // 6. Liveness under healable partitions: when every scheduled link
-    // fault heals inside the run (flaps always deliver, so they count as
-    // healed by construction), no circuit breaker may finish the run
-    // latched open against a reachable peer. Invariants 1-2 already
-    // force termination at baseline-quality loss; this adds zero breaker
-    // deadlock — a stuck breaker would starve its link forever even
-    // though the network came back.
-    let has_link_faults = schedule.faults.iter().any(|f| {
-        matches!(
-            f,
-            Fault::Partition { .. } | Fault::AsymPartition { .. } | Fault::Flap { .. }
-        )
-    });
-    let all_heal = schedule.faults.iter().all(|f| match f {
-        Fault::Partition { heal_epoch, .. } | Fault::AsymPartition { heal_epoch, .. } => {
-            *heal_epoch < cfg.epochs
-        }
-        _ => true,
-    });
-    if has_link_faults && all_heal {
-        let stuck = report.metrics.total_counter("net.breaker.stuck_open");
-        if stuck > 0 {
-            pass[LIVENESS] = false;
-            v.push(format!(
-                "{stuck} circuit breaker(s) left open after their links healed"
-            ));
-        }
+/// Invariant 6: liveness under healable partitions. When every scheduled
+/// link fault heals inside the run (flaps always deliver, so they count
+/// as healed by construction), no circuit breaker may finish the run
+/// latched open against a reachable peer (`net.breaker.stuck_open` = 0).
+/// Invariants 1-2 already force termination at baseline-quality loss;
+/// this adds zero breaker deadlock — a stuck breaker would starve its
+/// link forever even though the network came back.
+fn breaker_liveness(run: &Run) -> Vec<String> {
+    let faults = &run.schedule.faults;
+    let has_link_faults =
+        faults.iter().any(|f| matches!(f, Fault::Partition { .. } | Fault::Flap { .. }));
+    let all_heal = faults
+        .iter()
+        .all(|f| !matches!(f, Fault::Partition { window, .. } if window.heal >= run.cfg.epochs));
+    let stuck = run.counter("net.breaker.stuck_open");
+    if has_link_faults && all_heal && stuck > 0 {
+        return vec![format!("{stuck} circuit breaker(s) left open after their links healed")];
     }
+    Vec::new()
+}
 
-    // 7. Resource exhaustion degrades, never aborts. Each scheduled
-    // resource fault must leave its proving meter behind: the pool's
-    // high-water mark stays under an enforced memory cap, a disk-full
-    // window forces retention squeezes yet leaves at least one loadable
-    // durable generation, a hung worker trips the watchdog, and a slow
-    // disk shows up as a bounded save penalty rather than a stall.
-    for f in &schedule.faults {
+/// Invariant 7: resource exhaustion degrades, never aborts. Each
+/// scheduled resource fault must leave its proving meters behind — a
+/// disk-full window forces retention squeezes, a hung worker trips the
+/// watchdog, a slow disk shows up as a bounded save penalty rather than a
+/// stall — and on top of the meters a disk-full run keeps at least one
+/// loadable durable generation and the pool's high-water mark
+/// (`alloc.peak_bytes`) stays under an enforced memory cap.
+fn resource_degrade(run: &Run) -> Vec<String> {
+    let mut v = Vec::new();
+    for f in &run.schedule.faults {
+        let proving: &[&str] = match f {
+            Fault::DiskFull { .. } => &["ckpt.enospc", "ckpt.retention_squeezed"],
+            Fault::SlowDisk { .. } if run.cfg.ckpt_base.is_some() => {
+                &["ckpt.slow_disk_penalty_ns"]
+            }
+            Fault::Hang { .. } => &["watchdog.trips"],
+            _ => &[],
+        };
+        for meter in proving.iter().filter(|m| run.counter(m) == 0) {
+            v.push(format!("{f} scheduled but {meter} never fired"));
+        }
         match f {
+            Fault::DiskFull { .. } if run.durable_loadable != Some(true) => {
+                v.push(format!("{f} run left no loadable durable generation"));
+            }
             Fault::MemPressure { cap_bytes, .. } => {
-                let peak = report
-                    .metrics
-                    .frames
-                    .values()
-                    .filter_map(|fr| fr.histograms.get("alloc.peak_bytes"))
-                    .map(|h| h.max)
-                    .max();
-                match peak {
-                    None => {
-                        pass[RESOURCE] = false;
-                        v.push(
-                            "memory pressure scheduled but no alloc.peak_bytes \
-                             observation recorded"
-                                .to_string(),
-                        );
-                    }
-                    Some(peak) if peak > *cap_bytes as u64 => {
-                        pass[RESOURCE] = false;
-                        v.push(format!(
-                            "pool high-water mark {peak} exceeds the enforced cap of \
-                             {cap_bytes} bytes"
-                        ));
-                    }
+                let frames = run.report.metrics.frames.values();
+                let peaks = frames.filter_map(|fr| fr.histograms.get("alloc.peak_bytes"));
+                match peaks.map(|h| h.max).max() {
+                    None => v.push(format!("{f} scheduled but alloc.peak_bytes never observed")),
+                    Some(peak) if peak > *cap_bytes as u64 => v.push(format!(
+                        "pool high-water mark {peak} exceeds the enforced cap of {cap_bytes} bytes"
+                    )),
                     Some(_) => {}
                 }
-            }
-            Fault::DiskFull { .. } => {
-                if report.metrics.total_counter("ckpt.enospc") == 0 {
-                    pass[RESOURCE] = false;
-                    v.push(
-                        "disk-full window scheduled over a checkpoint boundary but \
-                         ckpt.enospc never fired"
-                            .to_string(),
-                    );
-                }
-                if report.metrics.total_counter("ckpt.retention_squeezed") == 0 {
-                    pass[RESOURCE] = false;
-                    v.push(
-                        "disk-full window scheduled but retention was never squeezed"
-                            .to_string(),
-                    );
-                }
-                if durable_loadable != Some(true) {
-                    pass[RESOURCE] = false;
-                    v.push(
-                        "disk-full run left no loadable durable generation".to_string(),
-                    );
-                }
-            }
-            Fault::Hang { .. } if report.metrics.total_counter("watchdog.trips") == 0 => {
-                pass[RESOURCE] = false;
-                v.push("hang scheduled but the liveness watchdog never tripped".to_string());
-            }
-            Fault::SlowDisk { .. }
-                if cfg.ckpt_base.is_some()
-                    && report.metrics.total_counter("ckpt.slow_disk_penalty_ns") == 0 =>
-            {
-                pass[RESOURCE] = false;
-                v.push(
-                    "slow disk scheduled with a durable store but no save penalty \
-                     was metered"
-                        .to_string(),
-                );
             }
             _ => {}
         }
     }
-
-    (v, pass)
+    v
 }
 
-/// Runs one seeded schedule and checks the invariants against `base`.
-pub fn run_schedule(
+/// Trains under `schedule` against a scratch durable store of its own,
+/// returning the report and whether that store still loads afterwards.
+fn train_under(
     cfg: &ChaosConfig,
-    base: &Baseline,
     schedule: &ChaosSchedule,
-) -> ChaosOutcome {
-    let describe = schedule.describe();
-    let failed = |violations: Vec<String>| ChaosOutcome {
+) -> Result<(TrainingReport, Option<bool>), String> {
+    let (ds, model) = materialize(cfg)?;
+    let plan = FaultPlan {
         seed: schedule.seed,
-        schedule: describe.clone(),
-        final_loss: f64::NAN,
-        recoveries: 0,
-        membership_events: 0,
-        replans: 0,
-        crc_failures: 0,
-        ckpt_fallbacks: 0,
-        // A run that never produced a report fails termination; the
-        // other invariants are vacuous without one.
-        invariant_pass: [false, true, true, true, true, true, true],
-        violations,
+        faults: schedule.faults.clone(),
+        ..FaultPlan::default()
     };
-    let (ds, model) = match materialize(cfg) {
-        Ok(x) => x,
-        Err(e) => return failed(vec![e]),
-    };
-    let mut plan = FaultPlan::default().with_seed(schedule.seed);
-    for f in &schedule.faults {
-        plan = plan.with_fault(*f);
-    }
     // Each seed gets its own durable store so parallel soak runs never
     // share generations; the directory is scratch and removed after.
     let store_dir = cfg
@@ -825,33 +675,56 @@ pub fn run_schedule(
     // down: invariant 7 demands a disk-full run still leaves at least
     // one loadable generation behind.
     let durable_loadable = store_dir.as_ref().map(|dir| {
-        CheckpointStore::open(dir, 1)
-            .ok()
-            .map(|st| st.load_latest().checkpoint.is_some())
-            .unwrap_or(false)
+        CheckpointStore::open(dir, 1).is_ok_and(|st| st.load_latest().checkpoint.is_some())
     });
     if let Some(dir) = &store_dir {
         let _ = std::fs::remove_dir_all(dir);
     }
-    match result {
-        Ok(report) => {
-            let (violations, invariant_pass) =
-                check_invariants(cfg, schedule, base, &report, durable_loadable);
-            ChaosOutcome {
-                seed: schedule.seed,
-                schedule: describe,
-                final_loss: report.final_loss(),
-                recoveries: report.recoveries.len(),
-                membership_events: report.membership.len(),
-                replans: report.replans.len(),
-                crc_failures: report.metrics.total_counter("integrity.crc_fail"),
-                ckpt_fallbacks: report.metrics.total_counter("ckpt.fallbacks"),
-                invariant_pass,
-                violations,
+    let report = result.map_err(|e| format!("run failed: {e}"))?;
+    Ok((report, durable_loadable))
+}
+
+/// Runs one seeded schedule and checks the invariants against `base`.
+pub fn run_schedule(
+    cfg: &ChaosConfig,
+    base: &Baseline,
+    schedule: &ChaosSchedule,
+) -> ChaosOutcome {
+    let mut out = ChaosOutcome {
+        seed: schedule.seed,
+        schedule: schedule.describe(),
+        final_loss: f64::NAN,
+        recoveries: 0,
+        membership_events: 0,
+        replans: 0,
+        crc_failures: 0,
+        ckpt_fallbacks: 0,
+        invariant_pass: [true; 7],
+        violations: Vec::new(),
+    };
+    match train_under(cfg, schedule) {
+        Ok((report, durable_loadable)) => {
+            out.final_loss = report.final_loss();
+            out.recoveries = report.recoveries.len();
+            out.membership_events = report.membership.len();
+            out.replans = report.replans.len();
+            let run = Run { cfg, schedule, base, report: &report, durable_loadable };
+            out.crc_failures = run.counter("integrity.crc_fail");
+            out.ckpt_fallbacks = run.counter("ckpt.fallbacks");
+            for (pass, (_, check)) in out.invariant_pass.iter_mut().zip(INVARIANTS) {
+                let found = check(&run);
+                *pass = found.is_empty();
+                out.violations.extend(found);
             }
         }
-        Err(e) => failed(vec![format!("run failed: {e}")]),
+        // A run that never produced a report fails termination; the
+        // other invariants are vacuous without one.
+        Err(why) => {
+            out.invariant_pass[0] = false;
+            out.violations.push(why);
+        }
     }
+    out
 }
 
 /// Runs `count` schedules seeded `base_seed, base_seed+1, …` and returns
@@ -872,6 +745,7 @@ pub fn soak(cfg: &ChaosConfig, base_seed: u64, count: usize) -> Result<Vec<Chaos
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ns_net::fault::parse_fault;
 
     #[test]
     fn schedules_are_deterministic_per_seed() {
@@ -929,9 +803,7 @@ mod tests {
                     Fault::CorruptCkpt { .. } => {
                         panic!("ckpt corruption requires a durable store (ckpt_base)")
                     }
-                    Fault::Partition { .. }
-                    | Fault::AsymPartition { .. }
-                    | Fault::Flap { .. } => {
+                    Fault::Partition { .. } | Fault::Flap { .. } => {
                         panic!("link faults belong to the --partition matrix")
                     }
                     Fault::DiskFull { .. }
@@ -960,7 +832,7 @@ mod tests {
             assert_eq!(s.describe(), generate(seed, &cfg).describe());
             for f in &s.faults {
                 match f {
-                    Fault::DiskFull { from_epoch, heal_epoch } => {
+                    Fault::DiskFull { window: Window { from: from_epoch, heal: heal_epoch } } => {
                         disk_full += 1;
                         // Exactly one interior boundary inside the window,
                         // so ENOSPC provably fires yet the final boundary
@@ -973,7 +845,10 @@ mod tests {
                         slow_disk += 1;
                         assert!((1.5..=4.0).contains(factor));
                     }
-                    Fault::MemPressure { cap_bytes, from_epoch, heal_epoch } => {
+                    Fault::MemPressure {
+                        cap_bytes,
+                        window: Window { from: from_epoch, heal: heal_epoch },
+                    } => {
                         pressure += 1;
                         assert!(*cap_bytes > 0);
                         assert!(*from_epoch >= 1 && from_epoch < heal_epoch);
@@ -1014,7 +889,10 @@ mod tests {
             let mut link_faults = 0;
             for f in &s.faults {
                 match f {
-                    Fault::Partition { a, b, from_epoch, heal_epoch } => {
+                    Fault::Partition {
+                        link: Link { a, b, .. },
+                        window: Window { from: from_epoch, heal: heal_epoch },
+                    } => {
                         link_faults += 1;
                         assert!(*a < cfg.workers && *b < cfg.workers && a != b);
                         assert!(*from_epoch >= 1 && from_epoch < heal_epoch);
@@ -1024,14 +902,7 @@ mod tests {
                             "link must heal before the final epoch"
                         );
                     }
-                    Fault::AsymPartition { src, dst, from_epoch, heal_epoch } => {
-                        link_faults += 1;
-                        assert!(*src < cfg.workers && *dst < cfg.workers && src != dst);
-                        assert!(*from_epoch >= 1 && from_epoch < heal_epoch);
-                        assert_eq!(heal_epoch % cfg.checkpoint_every, 0);
-                        assert!(*heal_epoch < cfg.epochs);
-                    }
-                    Fault::Flap { a, b, period_ms, duty } => {
+                    Fault::Flap { link: Link { a, b, .. }, period_ms, duty } => {
                         link_faults += 1;
                         assert!(*a < cfg.workers && *b < cfg.workers && a != b);
                         assert!((10..=50).contains(period_ms));
@@ -1129,5 +1000,62 @@ mod tests {
         let outcome = run_schedule(&cfg, &base, &clean);
         assert!(outcome.passed(), "{:?}", outcome.violations);
         assert_eq!(outcome.recoveries, 0);
+    }
+
+    fn store() -> Option<PathBuf> {
+        Some(PathBuf::from("unused-by-generate"))
+    }
+
+    #[test]
+    fn described_schedules_parse_back() {
+        // The logged schedule is the replay contract: every token of
+        // `describe()` is a `--fault` spec that parses back to the fault
+        // it was printed from.
+        let matrices = [
+            ChaosConfig::default(),
+            ChaosConfig { ckpt_base: store(), ..ChaosConfig::default() },
+            ChaosConfig { partition: true, ..ChaosConfig::default() },
+            ChaosConfig { resource: true, ckpt_base: store(), ..ChaosConfig::default() },
+        ];
+        for cfg in &matrices {
+            for seed in 0..200 {
+                let s = generate(seed, cfg);
+                let line = s.describe();
+                let parsed: Vec<Fault> = line
+                    .split(' ')
+                    .filter(|w| !matches!(*w, "+rejoin" | "(fault-free)"))
+                    .map(|w| parse_fault(w).unwrap_or_else(|e| panic!("seed {seed} {line:?}: {e}")))
+                    .collect();
+                assert_eq!(parsed, s.faults, "seed {seed}: {line:?} does not replay");
+            }
+        }
+    }
+
+    #[test]
+    fn generated_schedules_are_pinned() {
+        // Taken from the parent of the PR that moved the generators onto
+        // `ns_net::seeded`: the streams are checked bit-for-bit, not
+        // claimed.
+        let pinned = [
+            (
+                ChaosConfig { ckpt_base: store(), ..ChaosConfig::default() },
+                0,
+                "kill:w1@e2 drop:any:0.13920279668589672 delay:any:8ms corrupt:ckpt:1@e2 +rejoin",
+            ),
+            (
+                ChaosConfig { partition: true, ..ChaosConfig::default() },
+                2,
+                "partition:w1->w2@e2-e4 flap:w1-w0:12ms:0.2088711044666662 delay:any:3ms +rejoin",
+            ),
+            (
+                ChaosConfig { resource: true, ckpt_base: store(), ..ChaosConfig::default() },
+                1,
+                "diskfull:e2-e3 slowdisk:1.7590759413003918 mempressure:67108864@e1-e3 \
+                 hang:w1@e2 +rejoin",
+            ),
+        ];
+        for (cfg, seed, want) in pinned {
+            assert_eq!(generate(seed, &cfg).describe(), want);
+        }
     }
 }

@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 
 use ns_gnn::ModelKind;
 use ns_graph::Partitioner;
-use ns_net::fault::{parse_fault, FaultPlan};
+use ns_net::fault::{parse_fault, FaultPlan, KindSel, GRAMMAR};
 use ns_net::{ClusterSpec, ExecOptions};
 use ns_runtime::exec::SyncMode;
 use ns_runtime::serve::load::OpenLoop;
@@ -341,8 +341,9 @@ impl RunArgs {
     }
 }
 
-/// Usage text.
-pub const USAGE: &str = "\
+/// Usage text; `{fault-help}` stands for the `--fault` help that
+/// [`usage`] renders from the fault grammar.
+const USAGE: &str = "\
 nts — NeutronStar reproduction CLI
 
 USAGE:
@@ -371,51 +372,7 @@ OPTIONS (train/simulate/probe):
   --sync <allreduce|ps>   gradient synchronization
   --seed <n>              RNG seed (default 42)
   --save <path>           write trained checkpoint (train only)
-  --fault <spec>          inject a deterministic fault (repeatable):
-                            kill:w<id>@e<epoch>      crash a worker
-                            straggle:w<id>:<ms>      slow every send
-                            drop:<kind>:<p>          drop+retransmit
-                            delay:<kind>:<ms>        fixed extra latency
-                            dup:<kind>:<p>           duplicate messages
-                            corrupt:<kind>:<p>       flip a bit per frame;
-                                                     caught by CRC, clean
-                                                     copy retransmitted
-                            corrupt:ckpt:<p>[@e<n>]  flip a bit in the
-                                                     durable generation
-                                                     saved at boundary n
-                            partition:w<a>-w<b>@e<f>-e<h>
-                                                     sever the link both
-                                                     ways from epoch f,
-                                                     heal at epoch h
-                            partition:w<a>->w<b>@e<f>-e<h>
-                                                     sever one direction
-                                                     only (half-open)
-                            flap:w<a>-w<b>:<ms>:<duty>
-                                                     link cycles with the
-                                                     given period; the
-                                                     first duty fraction
-                                                     of each period holds
-                                                     messages to the next
-                                                     up-window
-                            diskfull:e<f>-e<h>       checkpoint saves hit
-                                                     ENOSPC from boundary
-                                                     f until h; retention
-                                                     squeezes, never aborts
-                            slowdisk:<factor>        durable writes take
-                                                     factor x as long
-                            mempressure:<bytes>@e<f>-e<h>
-                                                     tensor-pool budget
-                                                     capped at <bytes> for
-                                                     epochs [f, h)
-                            hang:w<id>@e<epoch>      worker wedges outside
-                                                     the fabric until the
-                                                     liveness watchdog
-                                                     cancels it
-                          <kind> is rows|grads|allreduce|control|any;
-                          drop/delay/dup/corrupt accept @e<n> and
-                          @w<src>-w<dst>; see docs/FAULTS.md for the
-                          full grammar and worked examples
-  --checkpoint-every <n>  checkpoint cadence in epochs; 0 disables
+{fault-help}  --checkpoint-every <n>  checkpoint cadence in epochs; 0 disables
                           rollback recovery (default 0)
   --ckpt-dir <path>       persist each checkpoint as a CRC-versioned
                           generation under <path>; rollbacks reload
@@ -490,6 +447,24 @@ SERVE OPTIONS (serve):
   --metrics-out <path>    write run metrics as JSON
   --report <path>         write a bench-serve/v1 JSON report
 ";
+
+/// The usage text. The `--fault` forms and message kinds are rendered from
+/// [`GRAMMAR`] and [`KindSel::names`], so the help cannot drift from what
+/// [`parse_fault`] accepts.
+pub fn usage() -> String {
+    let mut help =
+        "  --fault <spec>          inject a deterministic fault (repeatable):\n".to_string();
+    for (syntax, effect) in GRAMMAR {
+        help += &format!("{:28}{syntax}\n{:32}{effect}\n", "", "");
+    }
+    help += &format!(
+        "{0:26}<kind>: {1};\n{0:26}<ms> takes an optional ms suffix; see\n\
+         {0:26}docs/FAULTS.md for worked examples\n",
+        "",
+        KindSel::names()
+    );
+    USAGE.replace("{fault-help}", &help)
+}
 
 fn parse_flag_value<'a>(
     flags: &'a BTreeMap<String, String>,
@@ -928,6 +903,20 @@ mod tests {
     }
 
     #[test]
+    fn usage_renders_every_fault_form_and_kind() {
+        let text = usage();
+        assert!(!text.contains("{fault-help}"), "placeholder left in the help");
+        for (syntax, effect) in GRAMMAR {
+            assert!(text.contains(syntax), "help lacks {syntax}");
+            assert!(text.contains(effect), "help lacks the effect of {syntax}");
+        }
+        for name in ns_net::KIND_NAMES {
+            assert!(text.contains(&format!("{name}|")), "help lacks kind {name}");
+        }
+        assert!(text.lines().all(|l| l.chars().count() <= 80), "help wraps at 80 columns");
+    }
+
+    #[test]
     fn recv_policy_flags() {
         let Command::Train(ra) =
             parse(&args("train --recv-timeout-ms 250 --recv-retries 5")).unwrap()
@@ -985,7 +974,7 @@ mod tests {
         let Command::Train(ra) = cmd else { panic!("expected train") };
         assert_eq!(ra.faults, vec!["corrupt:grads:0.25@e1", "corrupt:ckpt:1.0@e4"]);
         let plan = ra.fault_plan().unwrap();
-        let specs: Vec<String> = plan.faults.iter().map(|f| f.to_spec()).collect();
+        let specs: Vec<String> = plan.faults.iter().map(|f| f.to_string()).collect();
         assert_eq!(specs, vec!["corrupt:grads:0.25@e1", "corrupt:ckpt:1@e4"]);
         assert!(parse(&args("train --fault corrupt:ckpt:2.0"))
             .unwrap_err()

@@ -65,7 +65,7 @@ fn soak_seed_range_exercises_every_fault_kind() {
                 Fault::Delay { .. } => delays += 1,
                 Fault::Duplicate { .. } => dups += 1,
                 Fault::Corrupt { .. } | Fault::CorruptCkpt { .. } => corrupts += 1,
-                Fault::Partition { .. } | Fault::AsymPartition { .. } | Fault::Flap { .. } => {
+                Fault::Partition { .. } | Fault::Flap { .. } => {
                     panic!("default matrix must not schedule link faults")
                 }
                 Fault::DiskFull { .. }

@@ -10,7 +10,7 @@
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use neutronstar::chaos::{baseline, generate, run_schedule, ChaosConfig};
-use neutronstar::net::fault::Fault;
+use neutronstar::net::fault::{Fault, Window};
 
 const SOAK_SEEDS: u64 = 32;
 const BASE_SEED: u64 = 1000;
@@ -98,7 +98,7 @@ fn disk_full_run_keeps_a_loadable_generation() {
     let b = cfg.checkpoint_every;
     let schedule = neutronstar::chaos::ChaosSchedule {
         seed: 9,
-        faults: vec![Fault::DiskFull { from_epoch: b, heal_epoch: b + 1 }],
+        faults: vec![Fault::DiskFull { window: Window { from: b, heal: b + 1 } }],
         rejoin: true,
     };
     let outcome = run_schedule(&cfg, &base, &schedule);

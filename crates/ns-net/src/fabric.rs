@@ -684,7 +684,7 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{Fault, MsgSel};
+    use crate::fault::{parse_fault, Fault, MsgSel};
 
     #[test]
     fn point_to_point_delivery() {
@@ -995,7 +995,7 @@ mod tests {
     #[test]
     fn partitioned_send_succeeds_but_never_arrives() {
         let plan = FaultPlan::default()
-            .with_fault(Fault::Partition { a: 0, b: 1, from_epoch: 0, heal_epoch: 2 });
+            .with_fault(parse_fault("partition:w0-w1@e0-e2").unwrap());
         let eps = Fabric::with_faults(3, plan).into_endpoints();
         // Both directions of the severed link black-hole: the send call
         // succeeds, the receiver only ever times out.
@@ -1023,12 +1023,8 @@ mod tests {
 
     #[test]
     fn asym_partition_severs_only_the_named_direction() {
-        let plan = FaultPlan::default().with_fault(Fault::AsymPartition {
-            src: 0,
-            dst: 1,
-            from_epoch: 0,
-            heal_epoch: 10,
-        });
+        let plan =
+            FaultPlan::default().with_fault(parse_fault("partition:w0->w1@e0-e10").unwrap());
         let eps = Fabric::with_faults(2, plan).into_endpoints();
         assert!(eps[0].send(1, MessageKind::Control(1.0)).is_ok());
         assert!(eps[1].try_recv_from(0).is_none(), "0->1 is black-holed");
@@ -1046,7 +1042,7 @@ mod tests {
         // send at any instant is held until the next period boundary —
         // deterministically delayed, never lost.
         let plan = FaultPlan::default()
-            .with_fault(Fault::Flap { a: 0, b: 1, period_ms: 50, duty: 1.0 });
+            .with_fault(parse_fault("flap:w0-w1:50ms:1").unwrap());
         let eps = Fabric::with_faults(2, plan).into_endpoints();
         eps[0].send(1, MessageKind::Control(8.0)).unwrap();
         let st = eps[0].stats();

@@ -4,7 +4,7 @@
 //! goes wrong during a run: workers that crash at a given epoch, stragglers
 //! that delay every message they send, per-message drop / delay /
 //! duplicate faults selected at `(epoch, src, dst)` granularity, and
-//! link-level faults — epoch-bounded partitions (full or asymmetric) that
+//! link-level faults — epoch-bounded partitions (full or one-way) that
 //! black-hole a link, and flaps that oscillate one on a duty cycle. The same
 //! plan drives both the real [`fabric`](crate::fabric) (where a dropped
 //! message becomes a retransmission delay and a duplicate becomes a second
@@ -16,10 +16,133 @@
 //! `(plan seed, fault index, epoch, src, dst, seq)` — re-running a plan
 //! reproduces the exact same fault schedule, which is what makes the
 //! recovery-determinism tests possible.
+//!
+//! Every fault is also one line of text. The spec grammar is written once,
+//! here: [`GRAMMAR`] lists the forms, [`parse_fault`] reads them,
+//! `Display for Fault` prints the canonical text back, and the pieces the
+//! forms share — [`Window`], [`Link`], [`KindSel`], [`MsgSel`] — each parse,
+//! print and match in one place.
 
-use crate::fabric::MessageKind;
+use std::fmt;
+use std::str::FromStr;
 
-/// Which message kinds a selector applies to.
+use crate::fabric::{MessageKind, KIND_NAMES};
+use crate::seeded;
+
+/// Every `--fault` spec form as `(syntax, one-line effect)`. The CLI help,
+/// the unknown-type error and `docs/FAULTS.md` (by a drift test) all read
+/// this table; `<kind>` is a [`KindSel`] name, `<ms>` takes an optional
+/// `ms` suffix.
+pub const GRAMMAR: [(&str, &str); 14] = [
+    ("kill:w<id>@e<epoch>", "crash the worker at the top of the epoch"),
+    ("straggle:w<id>:<ms>", "delay every message the worker sends"),
+    ("drop:<kind>:<p>[@e<n>][@w<src>-w<dst>]", "lose + retransmit (charged as a delay)"),
+    ("delay:<kind>:<ms>[@e<n>][@w<src>-w<dst>]", "fixed extra latency"),
+    ("dup:<kind>:<p>[@e<n>][@w<src>-w<dst>]", "deliver twice; receivers dedup"),
+    ("corrupt:<kind>:<p>[@e<n>][@w<src>-w<dst>]", "flip a payload bit; CRC catches it"),
+    ("corrupt:ckpt:<p>[@e<n>]", "flip a bit in the generation saved at boundary n"),
+    ("partition:w<a>-w<b>@e<from>-e<heal>", "sever the link both ways for [from, heal)"),
+    ("partition:w<a>->w<b>@e<from>-e<heal>", "sever the a -> b direction only"),
+    ("flap:w<a>-w<b>:<period>ms:<duty>", "link down the first duty fraction of each period"),
+    ("diskfull:e<from>-e<heal>", "saves hit ENOSPC at boundaries in [from, heal)"),
+    ("slowdisk:<factor>", "durable writes take factor x as long (>= 1)"),
+    ("mempressure:<bytes>@e<from>-e<heal>", "cap the tensor pool at <bytes> for [from, heal)"),
+    ("hang:w<id>@e<epoch>", "wedge the worker until the watchdog cancels it"),
+];
+
+/// The distinct fault types of [`GRAMMAR`] (the text before the first
+/// `:`), in table order.
+fn heads() -> Vec<&'static str> {
+    let mut heads: Vec<_> =
+        GRAMMAR.iter().map(|(syntax, _)| syntax.split(':').next().unwrap_or(syntax)).collect();
+    heads.dedup();
+    heads
+}
+
+/// An epoch window `e<from>-e<heal>`: active for `from <= epoch < heal`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Window {
+    /// First epoch inside the window (inclusive).
+    pub from: usize,
+    /// Epoch at which the fault heals (exclusive; always `> from`).
+    pub heal: usize,
+}
+
+impl Window {
+    /// True while the window is active.
+    pub fn contains(&self, epoch: usize) -> bool {
+        (self.from..self.heal).contains(&epoch)
+    }
+}
+
+impl FromStr for Window {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        let (from_s, heal_s) = split(s, "-", "e<from>-e<heal>")?;
+        let (from, heal) = (parse_epoch(from_s)?, parse_epoch(heal_s)?);
+        if heal <= from {
+            return Err(format!("window e{from}-e{heal}: heal epoch must come after the start"));
+        }
+        Ok(Window { from, heal })
+    }
+}
+
+impl fmt::Display for Window {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "e{}-e{}", self.from, self.heal)
+    }
+}
+
+/// A link between two distinct workers: `w<a>-w<b>` carries both
+/// directions, `w<a>->w<b>` only `a -> b`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Link {
+    /// One end (the sending side when `one_way`).
+    pub a: usize,
+    /// The other end (the receiving side when `one_way`).
+    pub b: usize,
+    /// Only the `a -> b` direction is meant; `b -> a` still flows — the
+    /// asymmetric-route failure that defeats "ping works" health checks.
+    pub one_way: bool,
+}
+
+impl Link {
+    /// True when a `src -> dst` message travels over this link.
+    pub fn carries(&self, src: usize, dst: usize) -> bool {
+        (src == self.a && dst == self.b) || (!self.one_way && src == self.b && dst == self.a)
+    }
+
+    /// True when `worker` is one of the two ends.
+    pub fn touches(&self, worker: usize) -> bool {
+        self.a == worker || self.b == worker
+    }
+}
+
+impl FromStr for Link {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        let one_way = s.contains("->");
+        let (a_s, b_s) = split(s, if one_way { "->" } else { "-" }, "w<a>-w<b>")?;
+        let (a, b) = (parse_worker(a_s)?, parse_worker(b_s)?);
+        if a == b {
+            return Err(format!("link {s:?}: endpoints must differ"));
+        }
+        Ok(Link { a, b, one_way })
+    }
+}
+
+impl fmt::Display for Link {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "w{}{}w{}", self.a, if self.one_way { "->" } else { "-" }, self.b)
+    }
+}
+
+/// Which message kinds a selector applies to. The typed variants are
+/// declared in [`MessageKind::kind_index`] order, so a selector's
+/// discriminant is the index it matches and its name is
+/// [`KIND_NAMES`]`[index]`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KindSel {
     /// Forward dependency rows (`GetFromDepNbr`).
@@ -39,22 +162,45 @@ pub enum KindSel {
 }
 
 impl KindSel {
+    /// The typed selectors by discriminant, i.e. parallel to [`KIND_NAMES`].
+    const TYPED: [KindSel; 6] = [
+        KindSel::Rows,
+        KindSel::Grads,
+        KindSel::AllReduce,
+        KindSel::Control,
+        KindSel::Query,
+        KindSel::Reply,
+    ];
+
+    /// Every name `<kind>` accepts, `|`-separated, for help and error text.
+    pub fn names() -> String {
+        format!("{}|any", KIND_NAMES.join("|"))
+    }
+
     fn matches(self, kind: Option<&MessageKind>) -> bool {
-        let Some(kind) = kind else {
-            // The simulator meters bytes, not typed messages; kind-filtered
-            // faults apply to every modeled transfer there.
-            return true;
-        };
-        matches!(
-            (self, kind),
-            (KindSel::Any, _)
-                | (KindSel::Rows, MessageKind::Rows { .. })
-                | (KindSel::Grads, MessageKind::Grads { .. })
-                | (KindSel::AllReduce, MessageKind::AllReduce { .. })
-                | (KindSel::Control, MessageKind::Control(_))
-                | (KindSel::Query, MessageKind::Query { .. })
-                | (KindSel::Reply, MessageKind::Reply { .. })
-        )
+        // The simulator meters bytes, not typed messages (`None`);
+        // kind-filtered faults apply to every modeled transfer there.
+        self == KindSel::Any || kind.is_none_or(|k| k.kind_index() == self as usize)
+    }
+}
+
+impl FromStr for KindSel {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        if s == "any" || s == "*" {
+            return Ok(KindSel::Any);
+        }
+        let typed = KIND_NAMES.iter().position(|name| *name == s);
+        typed
+            .map(|i| Self::TYPED[i])
+            .ok_or_else(|| format!("unknown message kind {s:?} ({})", Self::names()))
+    }
+}
+
+impl fmt::Display for KindSel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(KIND_NAMES.get(*self as usize).unwrap_or(&"any"))
     }
 }
 
@@ -89,6 +235,40 @@ impl MsgSel {
             && self.epoch.is_none_or(|e| e == epoch)
             && self.src.is_none_or(|s| s == src)
             && self.dst.is_none_or(|d| d == dst)
+    }
+
+    /// Parses `<value>[@e<n>][@w<src>-w<dst>]` into a selector of `kind`
+    /// and the still-unparsed `<value>` text. Unlike a [`Link`], the pair
+    /// may name a worker's channel to itself.
+    fn scoped(kind: KindSel, s: &str) -> Result<(Self, &str), String> {
+        let mut parts = s.split('@');
+        let value = parts.next().unwrap_or_default();
+        let mut sel = MsgSel { kind, ..Self::any() };
+        for q in parts {
+            if q.starts_with('e') {
+                sel.epoch = Some(parse_epoch(q)?);
+            } else if q.starts_with('w') {
+                let (src, dst) = split(q, "-", "w<src>-w<dst>")?;
+                sel.src = Some(parse_worker(src)?);
+                sel.dst = Some(parse_worker(dst)?);
+            } else {
+                return Err(format!("unknown qualifier {q:?} (e<n> or w<s>-w<d>)"));
+            }
+        }
+        Ok((sel, value))
+    }
+
+    /// The `[@e<n>][@w<src>-w<dst>]` suffix this selector prints as (the
+    /// grammar names `src` and `dst` only as a pair).
+    fn qualifiers(&self) -> String {
+        let mut s = String::new();
+        if let Some(e) = self.epoch {
+            s += &format!("@e{e}");
+        }
+        if let (Some(src), Some(dst)) = (self.src, self.dst) {
+            s += &format!("@w{src}-w{dst}");
+        }
+        s
     }
 }
 
@@ -158,65 +338,43 @@ pub enum Fault {
         /// Per-generation corruption probability in `[0, 1]`.
         p: f64,
     },
-    /// The link between `a` and `b` is severed in *both* directions from
-    /// epoch `from_epoch` (inclusive) until `heal_epoch` (exclusive).
+    /// `link` is severed for the epochs in `window` — both directions, or
+    /// only `a -> b` when the link is one-way (replies still flow back).
     /// The fabric black-holes severed sends: the call succeeds (the
     /// sender cannot tell), the message is never delivered, and only
     /// receive timeouts, backoff budgets, and circuit breakers surface
     /// the outage — the honest network-partition failure mode. The
     /// simulator models severed transfers as retransmission stalls.
     Partition {
-        /// One end of the link.
-        a: usize,
-        /// The other end.
-        b: usize,
-        /// First epoch with the link down (inclusive).
-        from_epoch: usize,
-        /// Epoch at which the link heals (exclusive).
-        heal_epoch: usize,
+        /// The severed link (or direction).
+        link: Link,
+        /// Epochs with the link down.
+        window: Window,
     },
-    /// Like [`Fault::Partition`], but only the `src -> dst` direction is
-    /// severed; replies still flow `dst -> src` — the asymmetric-route
-    /// failure mode that defeats naive "ping works" health checks.
-    AsymPartition {
-        /// Sending side of the severed direction.
-        src: usize,
-        /// Receiving side of the severed direction.
-        dst: usize,
-        /// First epoch with the direction down (inclusive).
-        from_epoch: usize,
-        /// Epoch at which the direction heals (exclusive).
-        heal_epoch: usize,
-    },
-    /// The link between `a` and `b` oscillates: within every
-    /// `period_ms` window it is down for the first `duty` fraction and
-    /// up for the rest. A message sent while the link is down is held
-    /// and delivered at the next up-window (the transport retransmits
-    /// once the link returns), so a flap inflates tail latency — by up
-    /// to `duty * period_ms` per message — without losing messages.
-    /// The simulator charges the expected residual down-time instead.
+    /// `link` oscillates: within every `period_ms` window it is down for
+    /// the first `duty` fraction and up for the rest. A message sent
+    /// while the link is down is held and delivered at the next up-window
+    /// (the transport retransmits once the link returns), so a flap
+    /// inflates tail latency — by up to `duty * period_ms` per message —
+    /// without losing messages. The simulator charges the expected
+    /// residual down-time instead.
     Flap {
-        /// One end of the link.
-        a: usize,
-        /// The other end.
-        b: usize,
+        /// The flapping link (never one-way).
+        link: Link,
         /// Oscillation period, milliseconds (must be > 0).
         period_ms: u64,
         /// Fraction of each period the link is down, in `[0, 1]`.
         duty: f64,
     },
     /// The filesystem under the durable checkpoint store reports ENOSPC
-    /// for every write attempted at a boundary epoch in
-    /// `[from_epoch, heal_epoch)`. The store degrades instead of
-    /// aborting: it squeezes retention toward keep-last-1 to free space,
-    /// retries, and if the disk is still full defers the generation to
-    /// the next cadence (`ckpt.enospc` / `ckpt.retention_squeezed`
-    /// meter the degradation).
+    /// for every write attempted at a boundary epoch in `window`. The
+    /// store degrades instead of aborting: it squeezes retention toward
+    /// keep-last-1 to free space, retries, and if the disk is still full
+    /// defers the generation to the next cadence (`ckpt.enospc` /
+    /// `ckpt.retention_squeezed` meter the degradation).
     DiskFull {
-        /// First boundary epoch with the disk full (inclusive).
-        from_epoch: usize,
-        /// Boundary epoch at which space returns (exclusive).
-        heal_epoch: usize,
+        /// Boundary epochs with the disk full.
+        window: Window,
     },
     /// Every durable-store write takes `factor` times as long — a
     /// saturated or throttled device. Pure latency: no write fails, but
@@ -226,19 +384,16 @@ pub enum Fault {
         /// fsync-time multiplier (must be >= 1).
         factor: f64,
     },
-    /// The tensor-pool budget shrinks to `cap_bytes` for epochs in
-    /// `[from_epoch, heal_epoch)` — a co-tenant eating the machine's
-    /// memory. The pool sheds parked buffers, the executor switches to
-    /// the in-place all-reduce, and the serve cache drops cold rows to
-    /// stay under the cap instead of OOMing; `alloc.peak_bytes` proves
-    /// the budget held.
+    /// The tensor-pool budget shrinks to `cap_bytes` for the epochs in
+    /// `window` — a co-tenant eating the machine's memory. The pool sheds
+    /// parked buffers, the executor switches to the in-place all-reduce,
+    /// and the serve cache drops cold rows to stay under the cap instead
+    /// of OOMing; `alloc.peak_bytes` proves the budget held.
     MemPressure {
         /// Enforced pool budget while the pressure window is active.
         cap_bytes: usize,
-        /// First epoch under pressure (inclusive).
-        from_epoch: usize,
-        /// Epoch at which the budget is restored (exclusive).
-        heal_epoch: usize,
+        /// Epochs under pressure.
+        window: Window,
     },
     /// Worker `worker` wedges at the top of epoch `epoch` — stuck in
     /// compute or a syscall *outside* the fabric, where recv timeouts
@@ -254,83 +409,38 @@ pub enum Fault {
     },
 }
 
-impl Fault {
-    /// Canonical CLI spec text for this fault; [`parse_fault`] accepts the
-    /// output verbatim (round-trip identity, covered by tests).
-    pub fn to_spec(&self) -> String {
-        fn sel_suffix(sel: &MsgSel) -> String {
-            let mut s = String::new();
-            if let Some(e) = sel.epoch {
-                s.push_str(&format!("@e{e}"));
-            }
-            if let (Some(src), Some(dst)) = (sel.src, sel.dst) {
-                s.push_str(&format!("@w{src}-w{dst}"));
-            }
-            s
-        }
-        fn kind_name(k: KindSel) -> &'static str {
-            match k {
-                KindSel::Rows => "rows",
-                KindSel::Grads => "grads",
-                KindSel::AllReduce => "allreduce",
-                KindSel::Control => "control",
-                KindSel::Query => "query",
-                KindSel::Reply => "reply",
-                KindSel::Any => "any",
-            }
-        }
+/// Canonical CLI spec text: the only formatter of faults. [`parse_fault`]
+/// accepts the output verbatim (round-trip identity, covered by tests).
+impl fmt::Display for Fault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Fault::Kill { worker, epoch } => format!("kill:w{worker}@e{epoch}"),
-            Fault::Straggle { worker, delay_ms } => {
-                format!("straggle:w{worker}:{delay_ms}ms")
-            }
-            Fault::Drop { sel, p } => {
-                format!("drop:{}:{p}{}", kind_name(sel.kind), sel_suffix(sel))
-            }
+            Fault::Kill { worker, epoch } => write!(f, "kill:w{worker}@e{epoch}"),
+            Fault::Straggle { worker, delay_ms } => write!(f, "straggle:w{worker}:{delay_ms}ms"),
+            Fault::Drop { sel, p } => write!(f, "drop:{}:{p}{}", sel.kind, sel.qualifiers()),
             Fault::Delay { sel, delay_ms } => {
-                format!("delay:{}:{delay_ms}ms{}", kind_name(sel.kind), sel_suffix(sel))
+                write!(f, "delay:{}:{delay_ms}ms{}", sel.kind, sel.qualifiers())
             }
-            Fault::Duplicate { sel, p } => {
-                format!("dup:{}:{p}{}", kind_name(sel.kind), sel_suffix(sel))
+            Fault::Duplicate { sel, p } => write!(f, "dup:{}:{p}{}", sel.kind, sel.qualifiers()),
+            Fault::Corrupt { sel, p } => write!(f, "corrupt:{}:{p}{}", sel.kind, sel.qualifiers()),
+            Fault::CorruptCkpt { epoch, p } => {
+                let scope = MsgSel { epoch: *epoch, ..MsgSel::any() };
+                write!(f, "corrupt:ckpt:{p}{}", scope.qualifiers())
             }
-            Fault::Corrupt { sel, p } => {
-                format!("corrupt:{}:{p}{}", kind_name(sel.kind), sel_suffix(sel))
+            Fault::Partition { link, window } => write!(f, "partition:{link}@{window}"),
+            Fault::Flap { link, period_ms, duty } => write!(f, "flap:{link}:{period_ms}ms:{duty}"),
+            Fault::DiskFull { window } => write!(f, "diskfull:{window}"),
+            Fault::SlowDisk { factor } => write!(f, "slowdisk:{factor}"),
+            Fault::MemPressure { cap_bytes, window } => {
+                write!(f, "mempressure:{cap_bytes}@{window}")
             }
-            Fault::CorruptCkpt { epoch, p } => match epoch {
-                Some(e) => format!("corrupt:ckpt:{p}@e{e}"),
-                None => format!("corrupt:ckpt:{p}"),
-            },
-            Fault::Partition { a, b, from_epoch, heal_epoch } => {
-                format!("partition:w{a}-w{b}@e{from_epoch}-e{heal_epoch}")
-            }
-            Fault::AsymPartition { src, dst, from_epoch, heal_epoch } => {
-                format!("partition:w{src}->w{dst}@e{from_epoch}-e{heal_epoch}")
-            }
-            Fault::Flap { a, b, period_ms, duty } => {
-                format!("flap:w{a}-w{b}:{period_ms}ms:{duty}")
-            }
-            Fault::DiskFull { from_epoch, heal_epoch } => {
-                format!("diskfull:e{from_epoch}-e{heal_epoch}")
-            }
-            Fault::SlowDisk { factor } => format!("slowdisk:{factor}"),
-            Fault::MemPressure { cap_bytes, from_epoch, heal_epoch } => {
-                format!("mempressure:{cap_bytes}@e{from_epoch}-e{heal_epoch}")
-            }
-            Fault::Hang { worker, epoch } => format!("hang:w{worker}@e{epoch}"),
+            Fault::Hang { worker, epoch } => write!(f, "hang:w{worker}@e{epoch}"),
         }
     }
 }
 
-/// True when a flapping link with the given shape is inside the down
-/// part of its period at `now_ms`.
-fn flap_down(period_ms: u64, duty: f64, now_ms: u64) -> bool {
-    let down_ms = (period_ms as f64 * duty) as u64;
-    now_ms % period_ms.max(1) < down_ms
-}
-
-/// Milliseconds until a flapping link comes back up, if it is down at
-/// `now_ms` (`None` when the link is currently up).
-fn flap_residual(period_ms: u64, duty: f64, now_ms: u64) -> Option<u64> {
+/// Milliseconds until a flapping link comes back up when it is down at
+/// `now_ms` (`None` while it is up): each period starts with its down part.
+fn flap_wait(period_ms: u64, duty: f64, now_ms: u64) -> Option<u64> {
     let down_ms = (period_ms as f64 * duty) as u64;
     let pos = now_ms % period_ms.max(1);
     (pos < down_ms).then(|| down_ms - pos)
@@ -400,51 +510,33 @@ impl FaultPlan {
         })
     }
 
-    /// Removes a crash that has already fired, so a recovered run does not
-    /// re-kill the (renumbered) worker occupying the same slot. Worker ids
-    /// in the remaining faults refer to the *current* topology.
-    pub fn retire_kill(&mut self, worker: usize, epoch: usize) {
-        self.faults.retain(
-            |f| !matches!(f, Fault::Kill { worker: w, epoch: e } if *w == worker && *e == epoch),
-        );
+    /// The epoch at which `worker` is scheduled to wedge, if any.
+    pub fn hang_epoch(&self, worker: usize) -> Option<usize> {
+        self.faults.iter().find_map(|f| match f {
+            Fault::Hang { worker: w, epoch } if *w == worker => Some(*epoch),
+            _ => None,
+        })
     }
 
-    /// Removes every straggle fault targeting `worker`. The elastic
-    /// trainer calls this when the straggler policy evicts a slow member:
-    /// the modeled node is restarted, so it comes back healthy when it
-    /// rejoins. Worker ids in the remaining faults keep addressing the
-    /// current topology.
-    pub fn retire_straggle(&mut self, worker: usize) {
-        self.faults
-            .retain(|f| !matches!(f, Fault::Straggle { worker: w, .. } if *w == worker));
+    /// Retires everything pinned to the slot of a member that leaves the
+    /// cluster at `epoch` (failed, or evicted at that boundary): the
+    /// kill/hang that fired at `epoch`, its straggle, and every link fault
+    /// with an end on it. The modeled replacement host comes up healthy
+    /// with fresh links; without this the survivors, renumbered into the
+    /// slot, would inherit the departed member's faults. Worker ids in the
+    /// remaining faults refer to the *current* topology.
+    pub fn retire_member(&mut self, worker: usize, epoch: usize) {
+        self.faults.retain(|f| match f {
+            Fault::Kill { worker: w, epoch: e } | Fault::Hang { worker: w, epoch: e } => {
+                !(*w == worker && *e == epoch)
+            }
+            Fault::Straggle { worker: w, .. } => *w != worker,
+            Fault::Partition { link, .. } | Fault::Flap { link, .. } => !link.touches(worker),
+            _ => true,
+        });
     }
 
-    /// Parses and appends a CLI fault spec. Formats:
-    ///
-    /// * `kill:w<id>@e<epoch>` — crash a worker,
-    /// * `straggle:w<id>:<ms>` — fixed per-message slowdown,
-    /// * `drop:<kind>:<p>[@e<n>][@w<src>-w<dst>]` — probabilistic loss,
-    /// * `delay:<kind>:<ms>[@e<n>][@w<src>-w<dst>]` — fixed delay,
-    /// * `dup:<kind>:<p>[@e<n>][@w<src>-w<dst>]` — probabilistic duplicate,
-    /// * `corrupt:<kind>:<p>[@e<n>][@w<src>-w<dst>]` — probabilistic
-    ///   in-flight bit flip (detected by frame CRC, then retransmitted),
-    /// * `corrupt:ckpt:<p>[@e<n>]` — probabilistic on-disk bit flip of the
-    ///   checkpoint generation written at a boundary epoch,
-    /// * `partition:w<a>-w<b>@e<from>-e<heal>` — sever the link both ways
-    ///   for `from <= epoch < heal`,
-    /// * `partition:w<src>->w<dst>@e<from>-e<heal>` — sever one direction,
-    /// * `flap:w<a>-w<b>:<period>ms:<duty>` — oscillate the link: down for
-    ///   the first `duty` fraction of every `period` window,
-    /// * `diskfull:e<from>-e<heal>` — the durable store's disk reports
-    ///   ENOSPC for boundary epochs in `[from, heal)`,
-    /// * `slowdisk:<factor>` — every durable-store write takes `factor`
-    ///   times as long (`factor >= 1`),
-    /// * `mempressure:<bytes>@e<from>-e<heal>` — shrink the tensor-pool
-    ///   budget to `<bytes>` for epochs in `[from, heal)`,
-    /// * `hang:w<id>@e<epoch>` — wedge a worker outside the fabric until
-    ///   the liveness watchdog cancels it,
-    ///
-    /// where `<kind>` is `rows|grads|allreduce|control|any`.
+    /// Parses and appends a CLI fault spec; [`GRAMMAR`] lists the forms.
     pub fn push_spec(&mut self, spec: &str) -> Result<(), String> {
         self.faults.push(parse_fault(spec)?);
         Ok(())
@@ -480,166 +572,76 @@ impl FaultPlan {
         now_ms: u64,
     ) -> SendFate {
         let mut fate = SendFate::default();
-        if self.faults.is_empty() {
-            return fate;
-        }
+        // The simulator moves untyped bytes (`kind = None`): it cannot
+        // bit-flip or black-hole a transfer, so a corrupt or severed one is
+        // charged the retransmission a drop costs instead.
+        let sim_charge = kind.is_none().then_some(self.retransmit_ms);
         for (i, f) in self.faults.iter().enumerate() {
+            let hit = |sel: &MsgSel| sel.matches(epoch, src, dst, kind);
+            let coin = |p: f64| self.coin(i, epoch, src, dst, seq) < p;
             match f {
-                Fault::Kill { .. } => {}
-                Fault::Straggle { worker, delay_ms } => {
-                    if *worker == src {
-                        fate.delay_ms += delay_ms;
+                Fault::Straggle { worker, delay_ms } if *worker == src => fate.delay_ms += delay_ms,
+                Fault::Delay { sel, delay_ms } if hit(sel) => fate.delay_ms += delay_ms,
+                Fault::Drop { sel, p } if hit(sel) && coin(*p) => {
+                    fate.delay_ms += self.retransmit_ms;
+                }
+                Fault::Duplicate { sel, p } if hit(sel) && coin(*p) => fate.duplicate = true,
+                Fault::Corrupt { sel, p } if hit(sel) && coin(*p) => match sim_charge {
+                    Some(ms) => fate.delay_ms += ms,
+                    None => fate.corrupt = true,
+                },
+                Fault::Partition { link, window }
+                    if link.carries(src, dst) && window.contains(epoch) =>
+                {
+                    match sim_charge {
+                        Some(ms) => fate.delay_ms += ms,
+                        None => fate.severed = true,
                     }
                 }
-                Fault::Drop { sel, p } => {
-                    if sel.matches(epoch, src, dst, kind)
-                        && self.coin(i, epoch, src, dst, seq) < *p
-                    {
-                        fate.delay_ms += self.retransmit_ms;
+                Fault::Flap { link, period_ms, duty } if link.carries(src, dst) => {
+                    if kind.is_some() {
+                        // Hold the message until the link comes back up.
+                        fate.delay_ms += flap_wait(*period_ms, *duty, now_ms).unwrap_or(0);
+                    } else if coin(*duty) {
+                        // The simulator has no link-layer clock: a `duty`
+                        // fraction of transfers pay the expected residual
+                        // down-time.
+                        fate.delay_ms += ((*period_ms as f64 * *duty) as u64).div_ceil(2);
                     }
                 }
-                Fault::Delay { sel, delay_ms } => {
-                    if sel.matches(epoch, src, dst, kind) {
-                        fate.delay_ms += delay_ms;
-                    }
-                }
-                Fault::Duplicate { sel, p } => {
-                    if sel.matches(epoch, src, dst, kind)
-                        && self.coin(i, epoch, src, dst, seq) < *p
-                    {
-                        fate.duplicate = true;
-                    }
-                }
-                Fault::Corrupt { sel, p } => {
-                    if sel.matches(epoch, src, dst, kind)
-                        && self.coin(i, epoch, src, dst, seq) < *p
-                    {
-                        if kind.is_some() {
-                            fate.corrupt = true;
-                        } else {
-                            // The simulator moves untyped bytes: model the
-                            // detect-and-re-request round trip as the same
-                            // retransmission delay a drop costs.
-                            fate.delay_ms += self.retransmit_ms;
-                        }
-                    }
-                }
-                Fault::CorruptCkpt { .. } => {}
-                // Resource faults act on the store, the pool, and the
-                // worker loop — never on a message in flight.
-                Fault::DiskFull { .. }
-                | Fault::SlowDisk { .. }
-                | Fault::MemPressure { .. }
-                | Fault::Hang { .. } => {}
-                Fault::Partition { a, b, from_epoch, heal_epoch } => {
-                    let on_link = (src == *a && dst == *b) || (src == *b && dst == *a);
-                    if on_link && epoch >= *from_epoch && epoch < *heal_epoch {
-                        if kind.is_some() {
-                            fate.severed = true;
-                        } else {
-                            // The simulator moves untyped bytes: model the
-                            // stalled link as retransmission inflation, the
-                            // same way a drop is charged.
-                            fate.delay_ms += self.retransmit_ms;
-                        }
-                    }
-                }
-                Fault::AsymPartition { src: fs, dst: fd, from_epoch, heal_epoch } => {
-                    if src == *fs
-                        && dst == *fd
-                        && epoch >= *from_epoch
-                        && epoch < *heal_epoch
-                    {
-                        if kind.is_some() {
-                            fate.severed = true;
-                        } else {
-                            fate.delay_ms += self.retransmit_ms;
-                        }
-                    }
-                }
-                Fault::Flap { a, b, period_ms, duty } => {
-                    let on_link = (src == *a && dst == *b) || (src == *b && dst == *a);
-                    if on_link {
-                        if kind.is_some() {
-                            // Hold the message until the link comes back up.
-                            if let Some(wait) = flap_residual(*period_ms, *duty, now_ms) {
-                                fate.delay_ms += wait;
-                            }
-                        } else if self.coin(i, epoch, src, dst, seq) < *duty {
-                            // The simulator has no link-layer clock: a
-                            // `duty` fraction of transfers pay the expected
-                            // residual down-time.
-                            fate.delay_ms += ((*period_ms as f64 * *duty) as u64).div_ceil(2);
-                        }
-                    }
-                }
+                // Kills, hangs and the store/pool faults act on the worker
+                // loop, the store and the pool — never on a message in
+                // flight; every other fault missed this send.
+                _ => {}
             }
         }
         fate
     }
 
     /// True when the plan severs the `src -> dst` direction at `epoch`
-    /// and link-layer time `now_ms`: an active [`Fault::Partition`] /
-    /// [`Fault::AsymPartition`] window, or a [`Fault::Flap`] inside the
-    /// down part of its period. Circuit-breaker liveness checks use this
-    /// to tell a breaker that is *correctly* open (link still severed)
-    /// from one stuck open after its link healed.
+    /// and link-layer time `now_ms`: an active [`Fault::Partition`]
+    /// window, or a [`Fault::Flap`] inside the down part of its period.
+    /// Circuit-breaker liveness checks use this to tell a breaker that is
+    /// *correctly* open (link still severed) from one stuck open after
+    /// its link healed.
     pub fn link_severed(&self, epoch: usize, src: usize, dst: usize, now_ms: u64) -> bool {
         self.faults.iter().any(|f| match f {
-            Fault::Partition { a, b, from_epoch, heal_epoch } => {
-                ((src == *a && dst == *b) || (src == *b && dst == *a))
-                    && epoch >= *from_epoch
-                    && epoch < *heal_epoch
+            Fault::Partition { link, window } => {
+                link.carries(src, dst) && window.contains(epoch)
             }
-            Fault::AsymPartition { src: fs, dst: fd, from_epoch, heal_epoch } => {
-                src == *fs && dst == *fd && epoch >= *from_epoch && epoch < *heal_epoch
-            }
-            Fault::Flap { a, b, period_ms, duty } => {
-                ((src == *a && dst == *b) || (src == *b && dst == *a))
-                    && flap_down(*period_ms, *duty, now_ms)
+            Fault::Flap { link, period_ms, duty } => {
+                link.carries(src, dst) && flap_wait(*period_ms, *duty, now_ms).is_some()
             }
             _ => false,
         })
     }
 
-    /// Removes every link fault (partition, asymmetric partition, flap)
-    /// touching `worker`. The elastic trainer calls this when the member
-    /// leaves the cluster: the modeled replacement host comes up with
-    /// fresh links, and the worker ids in the remaining faults keep
-    /// addressing the renumbered topology.
-    pub fn retire_links(&mut self, worker: usize) {
-        self.faults.retain(|f| match f {
-            Fault::Partition { a, b, .. } | Fault::Flap { a, b, .. } => {
-                *a != worker && *b != worker
-            }
-            Fault::AsymPartition { src, dst, .. } => *src != worker && *dst != worker,
-            _ => true,
-        });
-    }
-
-    /// The epoch at which `worker` is scheduled to wedge, if any.
-    pub fn hang_epoch(&self, worker: usize) -> Option<usize> {
-        self.faults.iter().find_map(|f| match f {
-            Fault::Hang { worker: w, epoch } if *w == worker => Some(*epoch),
-            _ => None,
-        })
-    }
-
-    /// Removes a hang that has already fired (the watchdog evicted the
-    /// wedged worker), so the slot's replacement does not re-wedge.
-    pub fn retire_hang(&mut self, worker: usize, epoch: usize) {
-        self.faults.retain(
-            |f| !matches!(f, Fault::Hang { worker: w, epoch: e } if *w == worker && *e == epoch),
-        );
-    }
-
     /// True when the durable store's disk is full at boundary `epoch`
     /// (an active [`Fault::DiskFull`] window).
     pub fn disk_full_at(&self, epoch: usize) -> bool {
-        self.faults.iter().any(|f| {
-            matches!(f, Fault::DiskFull { from_epoch, heal_epoch }
-                if epoch >= *from_epoch && epoch < *heal_epoch)
-        })
+        self.faults
+            .iter()
+            .any(|f| matches!(f, Fault::DiskFull { window } if window.contains(epoch)))
     }
 
     /// The combined store-write slowdown factor (product of every
@@ -661,9 +663,7 @@ impl FaultPlan {
         self.faults
             .iter()
             .filter_map(|f| match f {
-                Fault::MemPressure { cap_bytes, from_epoch, heal_epoch }
-                    if epoch >= *from_epoch && epoch < *heal_epoch =>
-                {
+                Fault::MemPressure { cap_bytes, window } if window.contains(epoch) => {
                     Some(*cap_bytes)
                 }
                 _ => None,
@@ -697,13 +697,13 @@ impl FaultPlan {
             h ^= v;
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
-        // splitmix64 finalizer.
-        h = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        h ^= h >> 31;
-        (h >> 11) as f64 / (1u64 << 53) as f64
+        seeded::unit(seeded::mix64(h))
     }
+}
+
+/// `s` cut at the first `sep`, or an error naming the `shape` expected.
+fn split<'a>(s: &'a str, sep: &str, shape: &str) -> Result<(&'a str, &'a str), String> {
+    s.split_once(sep).ok_or_else(|| format!("expected {shape}, got {s:?}"))
 }
 
 fn parse_worker(s: &str) -> Result<usize, String> {
@@ -725,216 +725,109 @@ fn parse_ms(s: &str) -> Result<u64, String> {
     digits.parse().map_err(|_| format!("bad millisecond value {s:?}"))
 }
 
-fn parse_prob(s: &str) -> Result<f64, String> {
-    let p: f64 = s.parse().map_err(|_| format!("bad probability {s:?}"))?;
+/// A probability or duty fraction (`what` names it in errors) in `[0, 1]`.
+fn parse_fraction(s: &str, what: &str) -> Result<f64, String> {
+    let p: f64 = s.parse().map_err(|_| format!("bad {what} {s:?}"))?;
     if !(0.0..=1.0).contains(&p) {
-        return Err(format!("probability {p} outside [0, 1]"));
+        return Err(format!("{what} {p} outside [0, 1]"));
     }
     Ok(p)
 }
 
-fn parse_kind(s: &str) -> Result<KindSel, String> {
-    match s {
-        "rows" => Ok(KindSel::Rows),
-        "grads" => Ok(KindSel::Grads),
-        "allreduce" => Ok(KindSel::AllReduce),
-        "control" => Ok(KindSel::Control),
-        "query" => Ok(KindSel::Query),
-        "reply" => Ok(KindSel::Reply),
-        "any" | "*" => Ok(KindSel::Any),
-        other => Err(format!(
-            "unknown message kind {other:?} (rows|grads|allreduce|control|any)"
-        )),
-    }
+/// Parses one CLI fault spec ([`GRAMMAR`] lists the forms).
+pub fn parse_fault(spec: &str) -> Result<Fault, String> {
+    let parsed = split(spec, ":", "<type>:<args>").and_then(|(head, rest)| parse_args(head, rest));
+    parsed.map_err(|why| format!("fault spec {spec:?}: {why}"))
 }
 
-/// Parses one CLI fault spec (see [`FaultPlan::push_spec`] for formats).
-pub fn parse_fault(spec: &str) -> Result<Fault, String> {
-    let (head, rest) = spec
-        .split_once(':')
-        .ok_or_else(|| format!("fault spec {spec:?}: expected <type>:<args>"))?;
-    match head {
-        "kill" => {
-            let (w, e) = rest
-                .split_once('@')
-                .ok_or_else(|| format!("kill spec {rest:?}: expected w<id>@e<epoch>"))?;
-            Ok(Fault::Kill { worker: parse_worker(w)?, epoch: parse_epoch(e)? })
+/// The `<args>` of a spec whose `<type>` is `head`.
+fn parse_args(head: &str, rest: &str) -> Result<Fault, String> {
+    let prob = |s| parse_fraction(s, "probability");
+    Ok(match head {
+        "kill" | "hang" => {
+            let (w, e) = split(rest, "@", "w<id>@e<epoch>")?;
+            let (worker, epoch) = (parse_worker(w)?, parse_epoch(e)?);
+            if head == "kill" {
+                Fault::Kill { worker, epoch }
+            } else {
+                Fault::Hang { worker, epoch }
+            }
         }
         "straggle" => {
-            let (w, ms) = rest
-                .split_once(':')
-                .ok_or_else(|| format!("straggle spec {rest:?}: expected w<id>:<ms>"))?;
-            Ok(Fault::Straggle { worker: parse_worker(w)?, delay_ms: parse_ms(ms)? })
+            let (w, ms) = split(rest, ":", "w<id>:<ms>")?;
+            Fault::Straggle { worker: parse_worker(w)?, delay_ms: parse_ms(ms)? }
+        }
+        "corrupt" if rest.starts_with("ckpt:") => {
+            let (scope, p) = MsgSel::scoped(KindSel::Any, &rest["ckpt:".len()..])?;
+            if scope.src.is_some() {
+                return Err("checkpoint corruption only scopes by e<n>".to_string());
+            }
+            Fault::CorruptCkpt { epoch: scope.epoch, p: prob(p)? }
         }
         "drop" | "delay" | "dup" | "corrupt" => {
-            let (kind_s, rest2) = rest.split_once(':').ok_or_else(|| {
-                format!("{head} spec {rest:?}: expected <kind>:<value>[@...]")
-            })?;
-            if head == "corrupt" && kind_s == "ckpt" {
-                let mut parts = rest2.split('@');
-                let value = parts
-                    .next()
-                    .ok_or_else(|| format!("corrupt spec {rest:?}: missing value"))?;
-                let mut epoch = None;
-                for q in parts {
-                    if q.starts_with('e') {
-                        epoch = Some(parse_epoch(q)?);
-                    } else {
-                        return Err(format!(
-                            "qualifier {q:?}: checkpoint corruption only scopes by e<n>"
-                        ));
-                    }
-                }
-                return Ok(Fault::CorruptCkpt { epoch, p: parse_prob(value)? });
-            }
-            let kind = parse_kind(kind_s)?;
-            let mut parts = rest2.split('@');
-            let value = parts
-                .next()
-                .ok_or_else(|| format!("{head} spec {rest:?}: missing value"))?;
-            let mut sel = MsgSel { kind, epoch: None, src: None, dst: None };
-            for q in parts {
-                if q.starts_with('e') {
-                    sel.epoch = Some(parse_epoch(q)?);
-                } else if let Some(ws) = q.strip_prefix('w') {
-                    let (s, d) = ws.split_once("-w").ok_or_else(|| {
-                        format!("qualifier {q:?}: expected w<src>-w<dst>")
-                    })?;
-                    sel.src =
-                        Some(s.parse().map_err(|_| format!("bad src worker {q:?}"))?);
-                    sel.dst =
-                        Some(d.parse().map_err(|_| format!("bad dst worker {q:?}"))?);
-                } else {
-                    return Err(format!("unknown qualifier {q:?} (e<n> or w<s>-w<d>)"));
-                }
-            }
-            Ok(match head {
-                "drop" => Fault::Drop { sel, p: parse_prob(value)? },
-                "dup" => Fault::Duplicate { sel, p: parse_prob(value)? },
-                "corrupt" => Fault::Corrupt { sel, p: parse_prob(value)? },
+            let (kind, scoped) = split(rest, ":", "<kind>:<value>[@e<n>][@w<src>-w<dst>]")?;
+            let (sel, value) = MsgSel::scoped(kind.parse()?, scoped)?;
+            match head {
+                "drop" => Fault::Drop { sel, p: prob(value)? },
+                "dup" => Fault::Duplicate { sel, p: prob(value)? },
+                "corrupt" => Fault::Corrupt { sel, p: prob(value)? },
                 _ => Fault::Delay { sel, delay_ms: parse_ms(value)? },
-            })
+            }
         }
         "partition" => {
-            let (link, epochs) = rest.split_once('@').ok_or_else(|| {
-                format!("partition spec {rest:?}: expected w<a>-w<b>@e<from>-e<heal>")
-            })?;
-            let (from_s, heal_s) = epochs.split_once('-').ok_or_else(|| {
-                format!("partition epochs {epochs:?}: expected e<from>-e<heal>")
-            })?;
-            let (from_epoch, heal_epoch) = (parse_epoch(from_s)?, parse_epoch(heal_s)?);
-            if heal_epoch <= from_epoch {
-                return Err(format!(
-                    "partition window e{from_epoch}-e{heal_epoch}: heal epoch must \
-                     come after the start"
-                ));
-            }
-            if let Some((s, d)) = link.split_once("->") {
-                let (src, dst) = (parse_worker(s)?, parse_worker(d)?);
-                if src == dst {
-                    return Err(format!("partition link {link:?}: endpoints must differ"));
-                }
-                return Ok(Fault::AsymPartition { src, dst, from_epoch, heal_epoch });
-            }
-            let (a_s, b_s) = link
-                .split_once('-')
-                .ok_or_else(|| format!("partition link {link:?}: expected w<a>-w<b>"))?;
-            let (a, b) = (parse_worker(a_s)?, parse_worker(b_s)?);
-            if a == b {
-                return Err(format!("partition link {link:?}: endpoints must differ"));
-            }
-            Ok(Fault::Partition { a, b, from_epoch, heal_epoch })
+            let (link, window) = split(rest, "@", "w<a>-w<b>@e<from>-e<heal>")?;
+            Fault::Partition { window: window.parse()?, link: link.parse()? }
         }
         "flap" => {
-            let mut parts = rest.splitn(3, ':');
-            let link = parts
-                .next()
-                .ok_or_else(|| format!("flap spec {rest:?}: missing link"))?;
-            let period_s = parts.next().ok_or_else(|| {
-                format!("flap spec {rest:?}: expected w<a>-w<b>:<period>ms:<duty>")
-            })?;
-            let duty_s = parts.next().ok_or_else(|| {
-                format!("flap spec {rest:?}: expected w<a>-w<b>:<period>ms:<duty>")
-            })?;
-            let (a_s, b_s) = link
-                .split_once('-')
-                .ok_or_else(|| format!("flap link {link:?}: expected w<a>-w<b>"))?;
-            let (a, b) = (parse_worker(a_s)?, parse_worker(b_s)?);
-            if a == b {
-                return Err(format!("flap link {link:?}: endpoints must differ"));
+            let shape = "w<a>-w<b>:<period>ms:<duty>";
+            let (link_s, cycle) = split(rest, ":", shape)?;
+            let (period_s, duty_s) = split(cycle, ":", shape)?;
+            let link: Link = link_s.parse()?;
+            if link.one_way {
+                return Err(format!("flap link {link_s:?}: a flap has no direction (w<a>-w<b>)"));
             }
             let period_ms = parse_ms(period_s)?;
             if period_ms == 0 {
                 return Err(format!("flap period {period_s:?} must be > 0"));
             }
-            let duty: f64 = duty_s
-                .parse()
-                .map_err(|_| format!("bad flap duty {duty_s:?}"))?;
-            if !(0.0..=1.0).contains(&duty) {
-                return Err(format!("flap duty {duty} outside [0, 1]"));
-            }
-            Ok(Fault::Flap { a, b, period_ms, duty })
+            Fault::Flap { link, period_ms, duty: parse_fraction(duty_s, "flap duty")? }
         }
-        "diskfull" => {
-            let (from_s, heal_s) = rest.split_once('-').ok_or_else(|| {
-                format!("diskfull spec {rest:?}: expected e<from>-e<heal>")
-            })?;
-            let (from_epoch, heal_epoch) = (parse_epoch(from_s)?, parse_epoch(heal_s)?);
-            if heal_epoch <= from_epoch {
-                return Err(format!(
-                    "diskfull window e{from_epoch}-e{heal_epoch}: heal epoch must \
-                     come after the start"
-                ));
-            }
-            Ok(Fault::DiskFull { from_epoch, heal_epoch })
-        }
+        "diskfull" => Fault::DiskFull { window: rest.parse()? },
         "slowdisk" => {
             let factor: f64 =
                 rest.parse().map_err(|_| format!("bad slowdisk factor {rest:?}"))?;
             if !factor.is_finite() || factor < 1.0 {
                 return Err(format!("slowdisk factor {factor} must be >= 1"));
             }
-            Ok(Fault::SlowDisk { factor })
+            Fault::SlowDisk { factor }
         }
         "mempressure" => {
-            let (bytes_s, epochs) = rest.split_once('@').ok_or_else(|| {
-                format!("mempressure spec {rest:?}: expected <bytes>@e<from>-e<heal>")
-            })?;
+            let (bytes_s, window) = split(rest, "@", "<bytes>@e<from>-e<heal>")?;
             let cap_bytes: usize = bytes_s
                 .parse()
                 .map_err(|_| format!("bad mempressure byte budget {bytes_s:?}"))?;
             if cap_bytes == 0 {
                 return Err("mempressure budget must be > 0 bytes".to_string());
             }
-            let (from_s, heal_s) = epochs.split_once('-').ok_or_else(|| {
-                format!("mempressure epochs {epochs:?}: expected e<from>-e<heal>")
-            })?;
-            let (from_epoch, heal_epoch) = (parse_epoch(from_s)?, parse_epoch(heal_s)?);
-            if heal_epoch <= from_epoch {
-                return Err(format!(
-                    "mempressure window e{from_epoch}-e{heal_epoch}: heal epoch must \
-                     come after the start"
-                ));
-            }
-            Ok(Fault::MemPressure { cap_bytes, from_epoch, heal_epoch })
+            Fault::MemPressure { cap_bytes, window: window.parse()? }
         }
-        "hang" => {
-            let (w, e) = rest
-                .split_once('@')
-                .ok_or_else(|| format!("hang spec {rest:?}: expected w<id>@e<epoch>"))?;
-            Ok(Fault::Hang { worker: parse_worker(w)?, epoch: parse_epoch(e)? })
+        other => {
+            return Err(format!("unknown fault type {other:?} ({})", heads().join("|")));
         }
-        other => Err(format!(
-            "unknown fault type {other:?} \
-             (kill|straggle|drop|delay|dup|corrupt|partition|flap\
-             |diskfull|slowdisk|mempressure|hang)"
-        )),
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn link(a: usize, b: usize) -> Link {
+        Link { a, b, one_way: false }
+    }
+
+    fn one_way(a: usize, b: usize) -> Link {
+        Link { a, b, one_way: true }
+    }
 
     #[test]
     fn empty_plan_is_benign() {
@@ -956,9 +849,9 @@ mod tests {
     #[test]
     fn retire_kill_removes_only_the_fired_crash() {
         let mut plan = FaultPlan::kill(1, 2).with_fault(Fault::Kill { worker: 1, epoch: 5 });
-        plan.retire_kill(1, 2);
+        plan.retire_member(1, 2);
         assert_eq!(plan.kill_epoch(1), Some(5));
-        plan.retire_kill(1, 5);
+        plan.retire_member(1, 5);
         assert!(plan.is_empty());
     }
 
@@ -967,7 +860,7 @@ mod tests {
         let mut plan = FaultPlan::default()
             .with_fault(Fault::Straggle { worker: 1, delay_ms: 30 })
             .with_fault(Fault::Straggle { worker: 2, delay_ms: 10 });
-        plan.retire_straggle(1);
+        plan.retire_member(1, 0);
         assert_eq!(plan.send_fate(0, 1, 0, None, 1).delay_ms, 0);
         assert_eq!(plan.send_fate(0, 2, 0, None, 1).delay_ms, 10);
     }
@@ -1076,9 +969,112 @@ mod tests {
         assert!(parse_fault("kill").unwrap_err().contains("expected <type>"));
         assert!(parse_fault("kill:2@3").unwrap_err().contains("w<id>"));
         assert!(parse_fault("drop:rows:1.5").unwrap_err().contains("[0, 1]"));
-        assert!(parse_fault("drop:frames:0.1").unwrap_err().contains("unknown message kind"));
-        assert!(parse_fault("meteor:w0@e1").unwrap_err().contains("unknown fault type"));
+        let unknown_kind = parse_fault("drop:frames:0.1").unwrap_err();
+        assert!(unknown_kind.contains("unknown message kind"));
+        for name in KIND_NAMES.iter().chain(&["any"]) {
+            assert!(unknown_kind.contains(name), "{unknown_kind:?} does not offer {name}");
+        }
+        let unknown_type = parse_fault("meteor:w0@e1").unwrap_err();
+        assert!(unknown_type.contains("unknown fault type"));
+        for (syntax, _) in GRAMMAR {
+            let head = syntax.split(':').next().unwrap();
+            assert!(unknown_type.contains(head), "{unknown_type:?} does not offer {head}");
+        }
         assert!(parse_fault("drop:rows:0.1@x9").unwrap_err().contains("qualifier"));
+    }
+
+    #[test]
+    fn kind_selectors_follow_the_fabric_kind_table() {
+        // `KindSel` keeps no name list of its own: discriminant, name and
+        // matched kind index all come from the fabric's table.
+        for (i, name) in KIND_NAMES.iter().enumerate() {
+            let sel: KindSel = name.parse().unwrap();
+            assert_eq!(sel as usize, i);
+            assert_eq!(sel.to_string(), *name);
+        }
+        assert_eq!("any".parse::<KindSel>(), Ok(KindSel::Any));
+        assert_eq!("*".parse::<KindSel>(), Ok(KindSel::Any));
+        assert_eq!(KindSel::Any.to_string(), "any");
+        let reply = MessageKind::Reply { qids: vec![], classes: vec![] };
+        assert_eq!(KIND_NAMES[reply.kind_index()], "reply");
+        assert!(KindSel::Reply.matches(Some(&reply)) && KindSel::Any.matches(Some(&reply)));
+        assert!(!KindSel::Query.matches(Some(&reply)));
+    }
+
+    #[test]
+    fn grammar_examples_parse_and_print_canonically() {
+        // One concrete spec per GRAMMAR row, in table order: each parses,
+        // and prints back as itself.
+        let examples = [
+            "kill:w2@e3",
+            "straggle:w1:25ms",
+            "drop:rows:0.01@e2@w0-w3",
+            "delay:query:15ms@e4",
+            "dup:reply:0.5@w1-w1",
+            "corrupt:grads:0.25",
+            "corrupt:ckpt:1@e4",
+            "partition:w1-w2@e2-e4",
+            "partition:w1->w2@e2-e4",
+            "flap:w0-w1:40ms:0.5",
+            "diskfull:e2-e4",
+            "slowdisk:2.5",
+            "mempressure:1048576@e1-e5",
+            "hang:w1@e3",
+        ];
+        for (spec, (syntax, _)) in examples.iter().zip(GRAMMAR) {
+            let prefix_len = syntax.find(['<', 'w', 'e']).unwrap();
+            assert!(spec.starts_with(&syntax[..prefix_len]), "{spec} is not a {syntax}");
+            assert_eq!(parse_fault(spec).unwrap().to_string(), *spec);
+        }
+        // A flap has no direction; a wire selector may name a self-channel,
+        // a link may not.
+        assert!(parse_fault("flap:w0->w1:40ms:0.5").unwrap_err().contains("no direction"));
+        assert!(parse_fault("partition:w1->w1@e1-e2").unwrap_err().contains("differ"));
+    }
+
+    #[test]
+    fn faults_md_lists_every_spec_form() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/FAULTS.md");
+        let doc = std::fs::read_to_string(path).expect("docs/FAULTS.md is readable");
+        for (syntax, _) in GRAMMAR {
+            assert!(doc.contains(syntax), "docs/FAULTS.md does not list `{syntax}`");
+        }
+        // The other direction: a table row documenting a `head:` the
+        // grammar does not have is a stale row.
+        let mut rows = 0;
+        for line in doc.lines() {
+            let Some(cell) = line.strip_prefix("| `").and_then(|l| l.split('`').next()) else {
+                continue;
+            };
+            if cell.ends_with(':') {
+                rows += 1;
+                assert!(
+                    GRAMMAR.iter().any(|(syntax, _)| syntax.starts_with(cell)),
+                    "docs/FAULTS.md documents `{cell}`, which no GRAMMAR form starts with"
+                );
+            }
+        }
+        assert!(rows >= heads().len(), "only {rows} `head:` rows found in docs/FAULTS.md");
+    }
+
+    #[test]
+    fn retire_member_takes_everything_pinned_to_the_slot() {
+        let mut plan = FaultPlan::default();
+        for spec in [
+            "kill:w1@e2",
+            "kill:w1@e5",
+            "hang:w1@e2",
+            "straggle:w1:30",
+            "straggle:w2:10",
+            "partition:w0-w1@e0-e9",
+            "partition:w0->w2@e0-e9",
+            "flap:w1-w2:40ms:0.5",
+        ] {
+            plan.push_spec(spec).unwrap();
+        }
+        plan.retire_member(1, 2);
+        let left: Vec<String> = plan.faults.iter().map(Fault::to_string).collect();
+        assert_eq!(left, ["kill:w1@e5", "straggle:w2:10ms", "partition:w0->w2@e0-e9"]);
     }
 
     #[test]
@@ -1112,7 +1108,7 @@ mod tests {
     }
 
     #[test]
-    fn specs_round_trip_through_to_spec() {
+    fn specs_round_trip_through_display() {
         let faults = [
             Fault::Kill { worker: 2, epoch: 3 },
             Fault::Straggle { worker: 1, delay_ms: 25 },
@@ -1136,16 +1132,16 @@ mod tests {
             },
             Fault::CorruptCkpt { epoch: Some(4), p: 1.0 },
             Fault::CorruptCkpt { epoch: None, p: 0.5 },
-            Fault::Partition { a: 1, b: 2, from_epoch: 2, heal_epoch: 4 },
-            Fault::AsymPartition { src: 0, dst: 3, from_epoch: 1, heal_epoch: 5 },
-            Fault::Flap { a: 0, b: 1, period_ms: 40, duty: 0.6 },
-            Fault::DiskFull { from_epoch: 2, heal_epoch: 6 },
+            Fault::Partition { link: link(1, 2), window: Window { from: 2, heal: 4 } },
+            Fault::Partition { link: one_way(0, 3), window: Window { from: 1, heal: 5 } },
+            Fault::Flap { link: link(0, 1), period_ms: 40, duty: 0.6 },
+            Fault::DiskFull { window: Window { from: 2, heal: 6 } },
             Fault::SlowDisk { factor: 2.5 },
-            Fault::MemPressure { cap_bytes: 1 << 20, from_epoch: 1, heal_epoch: 4 },
+            Fault::MemPressure { cap_bytes: 1 << 20, window: Window { from: 1, heal: 4 } },
             Fault::Hang { worker: 1, epoch: 3 },
         ];
         for f in faults {
-            let spec = f.to_spec();
+            let spec = f.to_string();
             assert_eq!(parse_fault(&spec).unwrap(), f, "round-trip of {spec:?}");
         }
     }
@@ -1154,15 +1150,15 @@ mod tests {
     fn parses_partition_and_flap_specs() {
         assert_eq!(
             parse_fault("partition:w1-w2@e2-e4").unwrap(),
-            Fault::Partition { a: 1, b: 2, from_epoch: 2, heal_epoch: 4 }
+            Fault::Partition { link: link(1, 2), window: Window { from: 2, heal: 4 } }
         );
         assert_eq!(
             parse_fault("partition:w0->w2@e1-e3").unwrap(),
-            Fault::AsymPartition { src: 0, dst: 2, from_epoch: 1, heal_epoch: 3 }
+            Fault::Partition { link: one_way(0, 2), window: Window { from: 1, heal: 3 } }
         );
         assert_eq!(
             parse_fault("flap:w0-w1:40ms:0.5").unwrap(),
-            Fault::Flap { a: 0, b: 1, period_ms: 40, duty: 0.5 }
+            Fault::Flap { link: link(0, 1), period_ms: 40, duty: 0.5 }
         );
         assert!(parse_fault("partition:w1-w2").unwrap_err().contains("expected"));
         assert!(parse_fault("partition:w1-w2@e4-e2").unwrap_err().contains("heal"));
@@ -1175,7 +1171,7 @@ mod tests {
     #[test]
     fn partition_severs_both_directions_inside_its_window() {
         let plan = FaultPlan::default()
-            .with_fault(Fault::Partition { a: 1, b: 2, from_epoch: 2, heal_epoch: 4 });
+            .with_fault(Fault::Partition { link: link(1, 2), window: Window { from: 2, heal: 4 } });
         let kind = MessageKind::Control(1.0);
         for epoch in [2, 3] {
             assert!(plan.send_fate(epoch, 1, 2, Some(&kind), 1).severed);
@@ -1196,11 +1192,9 @@ mod tests {
 
     #[test]
     fn asym_partition_severs_one_direction_only() {
-        let plan = FaultPlan::default().with_fault(Fault::AsymPartition {
-            src: 0,
-            dst: 2,
-            from_epoch: 1,
-            heal_epoch: 3,
+        let plan = FaultPlan::default().with_fault(Fault::Partition {
+            link: one_way(0, 2),
+            window: Window { from: 1, heal: 3 },
         });
         let kind = MessageKind::Control(1.0);
         assert!(plan.send_fate(1, 0, 2, Some(&kind), 1).severed);
@@ -1212,7 +1206,7 @@ mod tests {
     #[test]
     fn flap_holds_messages_until_the_next_up_window() {
         let plan = FaultPlan::default()
-            .with_fault(Fault::Flap { a: 0, b: 1, period_ms: 40, duty: 0.5 });
+            .with_fault(Fault::Flap { link: link(0, 1), period_ms: 40, duty: 0.5 });
         let kind = MessageKind::Control(1.0);
         // Down for the first 20ms of every 40ms window: a send at 5ms is
         // held 15ms, a send at 25ms goes straight through.
@@ -1233,7 +1227,7 @@ mod tests {
     fn flap_sim_fate_charges_a_duty_fraction_of_transfers() {
         let plan = FaultPlan::default()
             .with_seed(5)
-            .with_fault(Fault::Flap { a: 0, b: 1, period_ms: 40, duty: 0.4 });
+            .with_fault(Fault::Flap { link: link(0, 1), period_ms: 40, duty: 0.4 });
         let mut hit = 0;
         for seq in 1..=4000u64 {
             let fate = plan.send_fate(0, 0, 1, None, seq);
@@ -1250,25 +1244,21 @@ mod tests {
 
     #[test]
     fn retire_links_cures_only_the_departed_worker() {
+        let all = Window { from: 0, heal: 9 };
         let mut plan = FaultPlan::default()
-            .with_fault(Fault::Partition { a: 0, b: 1, from_epoch: 0, heal_epoch: 9 })
-            .with_fault(Fault::Flap { a: 1, b: 2, period_ms: 40, duty: 0.5 })
-            .with_fault(Fault::AsymPartition {
-                src: 0,
-                dst: 2,
-                from_epoch: 0,
-                heal_epoch: 9,
-            })
-            .with_fault(Fault::Straggle { worker: 1, delay_ms: 5 });
-        plan.retire_links(1);
+            .with_fault(Fault::Partition { link: link(0, 1), window: all })
+            .with_fault(Fault::Flap { link: link(1, 2), period_ms: 40, duty: 0.5 })
+            .with_fault(Fault::Partition { link: one_way(0, 2), window: all })
+            .with_fault(Fault::Straggle { worker: 0, delay_ms: 5 });
+        plan.retire_member(1, 0);
         assert_eq!(plan.faults.len(), 2, "both links touching w1 retire");
         assert!(plan.link_severed(1, 0, 2, 0), "w0-w2 link fault survives");
         assert_eq!(
-            plan.send_fate(0, 1, 0, None, 1).delay_ms,
+            plan.send_fate(0, 0, 1, None, 1).delay_ms,
             5,
             "non-link faults are untouched"
         );
-        plan.retire_links(2);
+        plan.retire_member(2, 0);
         assert!(!plan.link_severed(1, 0, 2, 0), "the last link fault retires with w2");
     }
 
@@ -1311,12 +1301,12 @@ mod tests {
     fn parses_resource_specs() {
         assert_eq!(
             parse_fault("diskfull:e2-e4").unwrap(),
-            Fault::DiskFull { from_epoch: 2, heal_epoch: 4 }
+            Fault::DiskFull { window: Window { from: 2, heal: 4 } }
         );
         assert_eq!(parse_fault("slowdisk:3").unwrap(), Fault::SlowDisk { factor: 3.0 });
         assert_eq!(
             parse_fault("mempressure:1048576@e1-e5").unwrap(),
-            Fault::MemPressure { cap_bytes: 1 << 20, from_epoch: 1, heal_epoch: 5 }
+            Fault::MemPressure { cap_bytes: 1 << 20, window: Window { from: 1, heal: 5 } }
         );
         assert_eq!(
             parse_fault("hang:w1@e3").unwrap(),
@@ -1332,13 +1322,9 @@ mod tests {
     #[test]
     fn resource_faults_never_touch_message_fates() {
         let plan = FaultPlan::default()
-            .with_fault(Fault::DiskFull { from_epoch: 0, heal_epoch: 9 })
+            .with_fault(Fault::DiskFull { window: Window { from: 0, heal: 9 } })
             .with_fault(Fault::SlowDisk { factor: 4.0 })
-            .with_fault(Fault::MemPressure {
-                cap_bytes: 4096,
-                from_epoch: 0,
-                heal_epoch: 9,
-            })
+            .with_fault(Fault::MemPressure { cap_bytes: 4096, window: Window { from: 0, heal: 9 } })
             .with_fault(Fault::Hang { worker: 1, epoch: 3 });
         let kind = MessageKind::Control(1.0);
         for epoch in 0..6 {
@@ -1349,17 +1335,9 @@ mod tests {
     #[test]
     fn disk_and_mem_windows_scope_by_epoch() {
         let plan = FaultPlan::default()
-            .with_fault(Fault::DiskFull { from_epoch: 2, heal_epoch: 4 })
-            .with_fault(Fault::MemPressure {
-                cap_bytes: 8192,
-                from_epoch: 1,
-                heal_epoch: 3,
-            })
-            .with_fault(Fault::MemPressure {
-                cap_bytes: 4096,
-                from_epoch: 2,
-                heal_epoch: 5,
-            });
+            .with_fault(parse_fault("diskfull:e2-e4").unwrap())
+            .with_fault(parse_fault("mempressure:8192@e1-e3").unwrap())
+            .with_fault(parse_fault("mempressure:4096@e2-e5").unwrap());
         assert!(!plan.disk_full_at(1));
         assert!(plan.disk_full_at(2) && plan.disk_full_at(3));
         assert!(!plan.disk_full_at(4));
@@ -1382,9 +1360,9 @@ mod tests {
             .with_fault(Fault::Hang { worker: 1, epoch: 5 });
         assert_eq!(plan.hang_epoch(1), Some(2));
         assert_eq!(plan.hang_epoch(0), None);
-        plan.retire_hang(1, 2);
+        plan.retire_member(1, 2);
         assert_eq!(plan.hang_epoch(1), Some(5));
-        plan.retire_hang(1, 5);
+        plan.retire_member(1, 5);
         assert!(plan.is_empty());
     }
 

@@ -24,7 +24,10 @@
 //!   wrapping every fabric payload; receivers verify before decode.
 //! * [`fault`] — deterministic, seeded fault injection (drops, delays,
 //!   duplicates, corruption, stragglers, worker kills) honored by both the
-//!   fabric and the simulator.
+//!   fabric and the simulator, and the one-line spec grammar that names
+//!   each fault.
+//! * [`seeded`] — the SplitMix64 mixer every seeded decision draws from
+//!   (fault coins, backoff jitter, chaos schedules, serve load).
 //! * [`membership`] — the coordinator's cluster membership view and the
 //!   worker rejoin handshake used by the elastic trainer.
 //! * [`policy`] — the shared deadline-budget / jittered-backoff /
@@ -36,13 +39,14 @@ pub mod fabric;
 pub mod fault;
 pub mod membership;
 pub mod policy;
+pub mod seeded;
 pub mod sim;
 pub mod wire;
 
 pub use buffer::{LockFreeChunkBuffer, MutexChunkBuffer, ParallelEnqueue};
 pub use cluster::{ClusterSpec, DeviceModel, ExecOptions, NetModel};
 pub use fabric::{Endpoint, Fabric, Message, MessageKind, NetError, NetStats, KIND_NAMES};
-pub use fault::{Fault, FaultPlan, KindSel, MsgSel, SendFate};
+pub use fault::{Fault, FaultPlan, KindSel, Link, MsgSel, SendFate, Window};
 pub use membership::{
     MemberState, MembershipEvent, MembershipEventKind, MembershipView, RejoinOffer,
 };

@@ -39,20 +39,13 @@
 
 use std::time::{Duration, Instant};
 
-/// splitmix64 finalizer: the same bit mixer the fault layer uses, so one
-/// seed gives independent-looking streams for every `(key, attempt)`.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
+use crate::seeded::{self, mix64};
 
-/// Deterministic uniform draw in `[0, 1)` from `(seed, key, attempt)`.
+/// Deterministic uniform draw in `[0, 1)` from `(seed, key, attempt)`:
+/// the mixer the fault layer uses, so one seed gives independent-looking
+/// streams for every `(key, attempt)`.
 fn unit(seed: u64, key: u64, attempt: u32) -> f64 {
-    let h = mix64(seed ^ mix64(key ^ ((attempt as u64) << 32)));
-    // 53 mantissa bits — the standard u64 -> f64 unit-interval map.
-    (h >> 11) as f64 / (1u64 << 53) as f64
+    seeded::unit(mix64(seed ^ mix64(key ^ ((attempt as u64) << 32))))
 }
 
 /// An overall deadline for one logical operation, shared by every nested

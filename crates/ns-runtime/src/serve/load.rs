@@ -14,6 +14,8 @@
 
 use std::time::Duration;
 
+use ns_net::seeded::SplitMix64;
+
 /// An open-loop load specification.
 #[derive(Debug, Clone, Copy)]
 pub struct OpenLoop {
@@ -29,29 +31,16 @@ pub struct OpenLoop {
     pub zipf_s: f64,
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Uniform in `[0, 1)` with 53 bits of precision.
-fn unit(state: &mut u64) -> f64 {
-    (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
-}
-
 impl OpenLoop {
     /// Cumulative arrival offsets from the run start: exponential
     /// inter-arrival gaps (a Poisson process) at `rate_qps`.
     pub fn arrivals(&self) -> Vec<Duration> {
         let rate = self.rate_qps.max(1e-6);
-        let mut state = self.seed ^ 0xa076_1d64_78bd_642f;
+        let mut rng = SplitMix64(self.seed ^ 0xa076_1d64_78bd_642f);
         let mut t = 0.0f64;
         (0..self.queries)
             .map(|_| {
-                let u = unit(&mut state);
+                let u = rng.unit();
                 t += -(1.0 - u).ln() / rate;
                 Duration::from_secs_f64(t)
             })
@@ -71,10 +60,10 @@ impl OpenLoop {
             total += 1.0 / ((i + 1) as f64).powf(s);
             cdf.push(total);
         }
-        let mut state = self.seed ^ 0x53a6_b0c9_11d3_22ef;
+        let mut rng = SplitMix64(self.seed ^ 0x53a6_b0c9_11d3_22ef);
         (0..self.queries)
             .map(|_| {
-                let target = unit(&mut state) * total;
+                let target = rng.unit() * total;
                 // First index whose cumulative weight exceeds target.
                 let idx = cdf.partition_point(|&c| c <= target);
                 idx.min(n - 1) as u32

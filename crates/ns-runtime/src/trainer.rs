@@ -677,7 +677,7 @@ mod tests {
 
     #[test]
     fn disk_full_window_degrades_retention_and_finishes() {
-        use ns_net::fault::Fault;
+        use ns_net::fault::{Fault, Window};
         let ds = dataset();
         let m = model(&ds);
         let dir = std::env::temp_dir()
@@ -685,7 +685,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let mut c = cfg(EngineKind::DepComm, 2);
         c.fault = FaultPlan::default()
-            .with_fault(Fault::DiskFull { from_epoch: 2, heal_epoch: 4 });
+            .with_fault(Fault::DiskFull { window: Window { from: 2, heal: 4 } });
         c.recovery = RecoveryConfig::every(1);
         c.store = StoreConfig::at(&dir).keep(3);
         let trainer = Trainer::prepare(&ds, &m, c).unwrap();
@@ -729,7 +729,7 @@ mod tests {
 
     #[test]
     fn mem_pressure_window_records_the_high_water_mark() {
-        use ns_net::fault::Fault;
+        use ns_net::fault::{Fault, Window};
         let _pool = crate::pool_test_guard();
         let ds = dataset();
         let m = model(&ds);
@@ -738,8 +738,7 @@ mod tests {
         // path, not the shed behavior (pool unit tests cover that).
         c.fault = FaultPlan::default().with_fault(Fault::MemPressure {
             cap_bytes: 1 << 30,
-            from_epoch: 1,
-            heal_epoch: 3,
+            window: Window { from: 1, heal: 3 },
         });
         c.recovery = RecoveryConfig::every(1);
         let trainer = Trainer::prepare(&ds, &m, c).unwrap();

@@ -289,17 +289,15 @@ impl<'t, 'a> Supervisor<'t, 'a> {
                     self.coord.incr("watchdog.trips", 1);
                 }
                 // The dead worker leaves the cluster (until it rejoins at
-                // a boundary); its kill fault is retired so the resumed
-                // run, with re-numbered workers, does not re-fire it. Any
-                // remaining faults address the *new* numbering.
+                // a boundary) and takes the faults pinned to its slot with
+                // it: the kill or hang that just fired must not re-fire on
+                // the renumbered survivors, and a partitioned (not killed)
+                // worker surfaces here too — its receives time out just
+                // like a death — so its link faults must not re-sever the
+                // re-admitted member. Any remaining faults address the
+                // *new* numbering.
                 let slot = self.view.mark_failed(worker, epoch);
-                self.fault.retire_kill(worker, epoch);
-                self.fault.retire_hang(worker, epoch);
-                // A partitioned (not killed) worker surfaces here too — its
-                // receives time out just like a death. Retiring the slot's
-                // link faults lets the re-admitted member run on the
-                // survivors' renumbered links without re-severing.
-                self.fault.retire_links(worker);
+                self.fault.retire_member(worker, epoch);
                 self.replan_members()?;
                 slot
             }
@@ -350,12 +348,11 @@ impl<'t, 'a> Supervisor<'t, 'a> {
         }
         let rank = feedback::pick_straggler(waits, policy.straggler_factor)?;
         // The eviction cures the straggle at the source: a modeled
-        // replacement host takes the slot, so the injected straggle fault
-        // retires with the member. Link faults pinned to the slot retire
-        // with it too: the survivors renumber, so a stale partition/flap
-        // would sever the wrong (healthy) replacement forever.
-        self.fault.retire_straggle(rank);
-        self.fault.retire_links(rank);
+        // replacement host takes the slot, so the faults pinned to it
+        // retire with the member — the straggle, and its link faults too:
+        // the survivors renumber, so a stale partition/flap would sever
+        // the wrong (healthy) replacement forever.
+        self.fault.retire_member(rank, boundary);
         self.coord.incr("membership.evictions", 1);
         Some(self.view.mark_evicted(rank, boundary))
     }

@@ -11,7 +11,7 @@
 use ns_gnn::{GnnModel, ModelKind};
 use ns_graph::datasets::by_name;
 use ns_graph::Dataset;
-use ns_net::fault::{Fault, FaultPlan};
+use ns_net::fault::{parse_fault, Fault, FaultPlan};
 use ns_net::ClusterSpec;
 use ns_runtime::{EngineKind, RecoveryConfig, Trainer, TrainerConfig};
 use std::sync::{Mutex, PoisonError};
@@ -99,8 +99,8 @@ fn flap_partitioned_worker_is_evicted_heals_and_rejoins() {
     // duties let ping-pong traffic synchronize into the short up-windows
     // and tunnel through with almost no measured wait.
     cfg.fault = FaultPlan::default()
-        .with_fault(Fault::Flap { a: 0, b: 1, period_ms: 30, duty: 1.0 })
-        .with_fault(Fault::Flap { a: 1, b: 2, period_ms: 30, duty: 1.0 });
+        .with_fault(parse_fault("flap:w0-w1:30ms:1").unwrap())
+        .with_fault(parse_fault("flap:w1-w2:30ms:1").unwrap());
     cfg.recovery = RecoveryConfig::every(2)
         .with_rejoin()
         .with_straggler_eviction(4.0);
