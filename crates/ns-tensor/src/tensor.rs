@@ -38,136 +38,181 @@ fn par_rows(
     });
 }
 
-/// Rows of the matmul micro-kernel tile processed together (reuses each
-/// loaded `b` strip across MR accumulator rows, cutting B-matrix traffic
-/// by MR).
-const MR: usize = 4;
-/// Columns per accumulator tile: 8 f32 = one AVX2 register, the unroll
-/// the autovectorizer turns into a single FMA per row per step.
-const NR: usize = 8;
+/// Rows of the GEMM register tile: each loaded `b` strip is reused across
+/// MR accumulator rows, cutting B-panel traffic by MR.
+#[doc(hidden)]
+pub const MR: usize = 4;
+/// Columns of the register tile, and of [`Tensor::weighted_aggregate`]'s
+/// column strip: 16 f32 = two AVX2 registers per row, eight accumulators
+/// in all. The autovectorizer does not keep taller or wider tiles in
+/// registers (DESIGN.md §14).
+#[doc(hidden)]
+pub const NR: usize = 16;
+/// Depth of a k-block: its `KC x NR` B sub-panel (16 KiB) stays in L1
+/// across the row tiles of a row block.
+#[doc(hidden)]
+pub const KC: usize = 256;
+/// Rows of a row block: its `MC x KC` slice of A (32 KiB, L2) is reused
+/// against every B panel of the k-block.
+#[doc(hidden)]
+pub const MC: usize = 32;
 
-/// Packs the full NR-wide column tiles of `b` (`k x m` row-major) into
-/// contiguous `k x NR` panels: panel `jt` holds columns
-/// `jt*NR..jt*NR + NR` with the `k` index contiguous-by-strip, so the
-/// micro-kernel's inner loop reads one sequential 8 KiB stream per tile
-/// instead of striding `m` floats per step. Pure layout change — element
-/// values and the kernel's accumulation order are untouched. Tail
-/// columns (`m % NR`) stay in the original buffer.
-fn pack_b_panels(bdata: &[f32], k: usize, m: usize) -> Vec<f32> {
-    let tiles = m / NR;
-    let mut bp = crate::pool::take_scratch(tiles * k * NR);
+/// `dst[..w] = src[..w]` for a tile strip of `w <= NR` floats. The
+/// full-width case is a fixed-size copy (two vector moves); a `memcpy`
+/// call per strip would cost as much as the arithmetic of a tile whose
+/// `k` is a few dozen steps.
+#[inline(always)]
+fn copy_strip(dst: &mut [f32], src: &[f32], w: usize) {
+    if w == NR {
+        dst[..NR].copy_from_slice(&src[..NR]);
+    } else {
+        copy_tail(dst, src, w);
+    }
+}
+
+/// The column-tail case of [`copy_strip`], out of line: inlined, LLVM
+/// folds the two copies back into one variable-length `memcpy` call.
+#[inline(never)]
+fn copy_tail(dst: &mut [f32], src: &[f32], w: usize) {
+    dst[..w].copy_from_slice(&src[..w]);
+}
+
+/// Packs `B` (`k x m`) into `ceil(m / NR)` contiguous `k x NR` panels:
+/// panel `jt` holds columns `jt*NR..jt*NR + NR`, one NR-wide strip per `k`
+/// step, so the micro-kernel reads one sequential stream per panel instead
+/// of striding `m` floats per step. The last panel is zero-padded to the
+/// tile width, so the kernel has no column-tail loop (padding lanes are
+/// computed, never stored). `b` is `B` row-major or — `transposed` — `Bᵀ`
+/// row-major (`m x k`), read row by row. Pure layout change: element
+/// values and the kernel's accumulation order are untouched.
+fn pack_b_panels(b: &[f32], k: usize, m: usize, transposed: bool) -> Vec<f32> {
+    let mut bp = crate::pool::take_scratch(m.div_ceil(NR) * k * NR);
+    if k == 0 {
+        return bp;
+    }
     for (jt, panel) in bp.chunks_exact_mut(k * NR).enumerate() {
         let j = jt * NR;
+        let w = NR.min(m - j);
         for (kk, strip) in panel.chunks_exact_mut(NR).enumerate() {
-            strip.copy_from_slice(&bdata[kk * m + j..kk * m + j + NR]);
+            if transposed {
+                for (u, s) in strip[..w].iter_mut().enumerate() {
+                    *s = b[(j + u) * k + kk];
+                }
+            } else {
+                copy_strip(strip, &b[kk * m + j..], w);
+            }
+            strip[w..].fill(0.0);
         }
     }
     bp
 }
 
-/// Register-tiled inner kernel shared by `matmul` / `matmul_tn` /
-/// `matmul_nt`: computes output rows `lo..lo + orows.len()/m` of
-/// `out = a @ b` (`a` is `n x k` row-major; `b` is supplied as packed
-/// panels `bp` from [`pack_b_panels`] plus the original `bdata` for the
-/// column tail).
+/// The one micro-kernel: `acc + A_tile @ panel` over the panel's `k`
+/// steps, ascending. `a` yields the tile's MR scalars of `A` per step;
+/// each is broadcast against the contiguous NR-wide strip of `b`, a
+/// multiply and an add per register (rustc never contracts them into an
+/// FMA, which is what bit-exactness rests on). Zipping the two streams
+/// leaves no bounds check in the loop, and taking the accumulators by
+/// value keeps them in registers whatever the caller does with its copy.
+#[inline(always)]
+fn micro_kernel(
+    panel: &[f32],
+    a: impl Iterator<Item = [f32; MR]>,
+    mut acc: [[f32; NR]; MR],
+) -> [[f32; NR]; MR] {
+    for (strip, xs) in panel.chunks_exact(NR).zip(a) {
+        let b: &[f32; NR] = strip.try_into().expect("chunks_exact(NR)");
+        for t in 0..MR {
+            for u in 0..NR {
+                acc[t][u] += xs[t] * b[u];
+            }
+        }
+    }
+    acc
+}
+
+/// The one dense product behind `matmul` / `matmul_tn` / `matmul_nt`:
+/// `out = A @ B`, `n x k` by `k x m`, with `B` supplied as the packed
+/// panels `bp` of [`pack_b_panels`]. `A` is `a` itself (`n x k`
+/// row-major) or — `A_TRANSPOSED` — the transpose of `a` (`k x n`
+/// row-major), which is never materialized: each `(pc, ic)` block packs
+/// its MR-wide Aᵀ micro-panels straight from `a`'s rows into a stack
+/// scratch. The flag is a const parameter so that the plain instance
+/// carries no scratch: zeroing its 32 KiB per call is a quarter of a
+/// microsecond, more than a whole `1 x 16 x 7` product takes.
 ///
-/// Tiling is MR x NR accumulator blocks held in stack arrays: the `k`
-/// loop broadcasts one `a` scalar per row against a contiguous NR-wide
-/// strip of `b`, so every output element still accumulates in ascending
-/// `k` order — bit-identical to the naive `i-j-k` triple loop and
-/// independent of tile placement, which is what keeps thread-count
-/// parity exact.
-fn matmul_rows(
-    adata: &[f32],
-    bp: &[f32],
-    bdata: &[f32],
-    k: usize,
-    m: usize,
-    lo: usize,
-    orows: &mut [f32],
-) {
-    if m == 0 {
-        return;
-    }
-    let rows = orows.len() / m;
-    let tiles = m / NR;
-    let jtail = tiles * NR;
-    let mut r = 0usize;
-    while r + MR <= rows {
-        let i = lo + r;
-        // Hoisting each row of `a` into its own length-`k` slice lets the
-        // compiler prove `a?[kk]` in-bounds from the loop over the panel's
-        // exactly-`k` strips; leaving the `(i + t) * k + kk` indexing inline
-        // keeps a bounds check (and its branch) inside the FMA loop, which
-        // measures ~1.8x slower at runtime-opaque shapes.
-        let a0 = &adata[i * k..(i + 1) * k];
-        let a1 = &adata[(i + 1) * k..(i + 2) * k];
-        let a2 = &adata[(i + 2) * k..(i + 3) * k];
-        let a3 = &adata[(i + 3) * k..(i + 4) * k];
-        for (jt, panel) in bp.chunks_exact(k * NR).enumerate() {
-            let j = jt * NR;
-            let mut acc = [[0.0f32; NR]; MR];
-            for (kk, strip) in panel.chunks_exact(NR).enumerate() {
-                let b: &[f32; NR] = strip.try_into().unwrap();
-                let xs = [a0[kk], a1[kk], a2[kk], a3[kk]];
-                for t in 0..MR {
-                    let x = xs[t];
-                    for u in 0..NR {
-                        acc[t][u] += x * b[u];
+/// Cache-blocked `pc` (k-blocks of KC, ascending) → `ic` (row blocks of
+/// MC) → B panel → MR-row tile. A tile's accumulators start at `+0.0` in
+/// the first k-block and are loaded from and stored back to `out` in every
+/// later one; an f32 store/load is exact, so every output element is still
+/// the sequence `acc += a·b` for `k` ascending — bit-identical to the
+/// naive `i-j-k` triple loop and independent of tile and row-block
+/// placement, which is what keeps thread-count parity exact.
+fn gemm<const A_TRANSPOSED: bool>(a: &[f32], bp: Vec<f32>, n: usize, k: usize, m: usize) -> Tensor {
+    // No k-block runs over an empty inner dimension: the empty sum is +0.0.
+    let mut out = if k == 0 {
+        Tensor::zeros(n, m)
+    } else {
+        Tensor::scratch(n, m)
+    };
+    par_rows(&mut out.data, n, m, k * m, |lo, orows| {
+        let rows = orows.len() / m;
+        let mut ap = [0.0f32; MC * KC];
+        for pc in (0..k).step_by(KC) {
+            let kc = KC.min(k - pc);
+            for ic in (0..rows).step_by(MC) {
+                let mc = MC.min(rows - ic);
+                if A_TRANSPOSED {
+                    // Lanes past a row tail keep stale values: those
+                    // accumulator rows are never stored.
+                    for kk in 0..kc {
+                        let arow = &a[(pc + kk) * n + lo + ic..][..mc];
+                        let mut quads = arow.chunks_exact(MR);
+                        for (it, q) in quads.by_ref().enumerate() {
+                            ap[(it * kc + kk) * MR..][..MR].copy_from_slice(q);
+                        }
+                        let tail = quads.remainder();
+                        if !tail.is_empty() {
+                            ap[(mc / MR * kc + kk) * MR..][..tail.len()].copy_from_slice(tail);
+                        }
+                    }
+                }
+                for (jt, bpanel) in bp.chunks_exact(k * NR).enumerate() {
+                    let j = jt * NR;
+                    let w = NR.min(m - j);
+                    let panel = &bpanel[pc * NR..][..kc * NR];
+                    for ir in (ic..ic + mc).step_by(MR) {
+                        let mr = MR.min(ic + mc - ir);
+                        let mut acc = [[0.0f32; NR]; MR];
+                        if pc > 0 {
+                            for t in 0..mr {
+                                copy_strip(&mut acc[t], &orows[(ir + t) * m + j..], w);
+                            }
+                        }
+                        let acc = if A_TRANSPOSED {
+                            let at = ap[(ir - ic) * kc..][..MR * kc].chunks_exact(MR);
+                            let at = at.map(|q| q.try_into().expect("chunks_exact(MR)"));
+                            micro_kernel(panel, at, acc)
+                        } else {
+                            // A row tail re-reads its last row; those
+                            // accumulator rows are never stored.
+                            let [r0, r1, r2, r3]: [&[f32]; MR] = std::array::from_fn(|t| {
+                                &a[(lo + ir + t.min(mr - 1)) * k + pc..][..kc]
+                            });
+                            let steps = r0.iter().zip(r1).zip(r2).zip(r3);
+                            let steps = steps.map(|(((a, b), c), d)| [*a, *b, *c, *d]);
+                            micro_kernel(panel, steps, acc)
+                        };
+                        for t in 0..mr {
+                            copy_strip(&mut orows[(ir + t) * m + j..], &acc[t], w);
+                        }
                     }
                 }
             }
-            for (t, at) in acc.iter().enumerate() {
-                orows[(r + t) * m + j..(r + t) * m + j + NR].copy_from_slice(at);
-            }
         }
-        if jtail < m {
-            let w = m - jtail;
-            let mut acc = [[0.0f32; NR]; MR];
-            for kk in 0..k {
-                let b = &bdata[kk * m + jtail..kk * m + m];
-                for t in 0..MR {
-                    let x = adata[(i + t) * k + kk];
-                    for u in 0..w {
-                        acc[t][u] += x * b[u];
-                    }
-                }
-            }
-            for (t, at) in acc.iter().enumerate() {
-                orows[(r + t) * m + jtail..(r + t + 1) * m].copy_from_slice(&at[..w]);
-            }
-        }
-        r += MR;
-    }
-    while r < rows {
-        let i = lo + r;
-        let a0 = &adata[i * k..(i + 1) * k];
-        for (jt, panel) in bp.chunks_exact(k * NR).enumerate() {
-            let j = jt * NR;
-            let mut acc = [0.0f32; NR];
-            for (kk, strip) in panel.chunks_exact(NR).enumerate() {
-                let b: &[f32; NR] = strip.try_into().unwrap();
-                let x = a0[kk];
-                for u in 0..NR {
-                    acc[u] += x * b[u];
-                }
-            }
-            orows[r * m + j..r * m + j + NR].copy_from_slice(&acc);
-        }
-        if jtail < m {
-            let w = m - jtail;
-            let mut acc = [0.0f32; NR];
-            for kk in 0..k {
-                let b = &bdata[kk * m + jtail..kk * m + m];
-                let x = adata[i * k + kk];
-                for u in 0..w {
-                    acc[u] += x * b[u];
-                }
-            }
-            orows[r * m + jtail..r * m + m].copy_from_slice(&acc[..w]);
-        }
-        r += 1;
-    }
+    });
+    crate::pool::recycle(bp);
+    out
 }
 
 /// A dense, row-major, two-dimensional `f32` tensor.
@@ -337,11 +382,10 @@ impl Tensor {
 
     /// Returns `self @ other` (matrix product).
     ///
-    /// Register-tiled (see [`matmul_rows`]): each thread's row block runs
-    /// the same MR x NR micro-kernel with a fixed ascending-`k` inner
-    /// order per output element, so results are bit-identical at every
-    /// thread count *and* exactly equal to the naive `i-j-k` triple loop
-    /// (pinned by `tests/tiled_equivalence.rs`).
+    /// Cache-blocked and register-tiled (see [`gemm`]): a fixed
+    /// ascending-`k` order per output element, so results are
+    /// bit-identical at every thread count *and* exactly equal to the
+    /// naive `i-j-k` triple loop (pinned by `tests/tiled_equivalence.rs`).
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         assert_eq!(
             self.cols, other.rows,
@@ -349,23 +393,15 @@ impl Tensor {
             self.rows, self.cols, other.rows, other.cols
         );
         let (n, k, m) = (self.rows, self.cols, other.cols);
-        let bp = pack_b_panels(&other.data, k, m);
-        let mut out = Tensor::scratch(n, m);
-        par_rows(&mut out.data, n, m, k * m, |lo, orows| {
-            matmul_rows(&self.data, &bp, &other.data, k, m, lo, orows);
-        });
-        crate::pool::recycle(bp);
-        out
+        gemm::<false>(&self.data, pack_b_panels(&other.data, k, m, false), n, k, m)
     }
 
     /// Returns `selfᵀ @ other`.
     ///
-    /// Materializes the (cheap, `O(k·n)`) transpose of `self` into a
-    /// pooled scratch buffer and runs the same tiled kernel as
-    /// [`Self::matmul`] — the per-element accumulation order (`kk`
-    /// ascending) is identical to `self.transpose().matmul(other)` by
-    /// construction, and the transpose cost is negligible against the
-    /// `O(n·k·m)` product it unlocks contiguous loads for.
+    /// No transpose is built: [`gemm`] packs MR-wide Aᵀ micro-panels
+    /// straight from `self`'s rows, block by block. The per-element
+    /// accumulation order (`kk` ascending) is that of
+    /// `self.transpose().matmul(other)`.
     pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
         assert_eq!(
             self.rows, other.rows,
@@ -373,22 +409,15 @@ impl Tensor {
             self.rows, self.cols, other.rows, other.cols
         );
         let (k, n, m) = (self.rows, self.cols, other.cols);
-        let at = self.transpose(); // n x k, pooled scratch
-        let bp = pack_b_panels(&other.data, k, m);
-        let mut out = Tensor::scratch(n, m);
-        par_rows(&mut out.data, n, m, k * m, |lo, orows| {
-            matmul_rows(&at.data, &bp, &other.data, k, m, lo, orows);
-        });
-        crate::pool::recycle(bp);
-        out
+        gemm::<true>(&self.data, pack_b_panels(&other.data, k, m, false), n, k, m)
     }
 
     /// Returns `self @ otherᵀ`.
     ///
-    /// Materializes the transpose of `other` (`O(m·k)`, pooled) and runs
-    /// the tiled [`Self::matmul`] kernel. Per output element this
-    /// accumulates `self[i][kk] * other[j][kk]` in ascending `kk` — the
-    /// same order as a scalar dot product of the two contiguous rows.
+    /// No transpose is built: the B panels are packed straight from
+    /// `other`'s rows. Per output element this accumulates
+    /// `self[i][kk] * other[j][kk]` in ascending `kk` — the same order as
+    /// a scalar dot product of the two contiguous rows.
     pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
         assert_eq!(
             self.cols, other.cols,
@@ -396,14 +425,7 @@ impl Tensor {
             self.rows, self.cols, other.rows, other.cols
         );
         let (n, k, m) = (self.rows, self.cols, other.rows);
-        let bt = other.transpose(); // k x m, pooled scratch
-        let bp = pack_b_panels(&bt.data, k, m);
-        let mut out = Tensor::scratch(n, m);
-        par_rows(&mut out.data, n, m, k * m, |lo, orows| {
-            matmul_rows(&self.data, &bp, &bt.data, k, m, lo, orows);
-        });
-        crate::pool::recycle(bp);
-        out
+        gemm::<false>(&self.data, pack_b_panels(&other.data, k, m, true), n, k, m)
     }
 
     /// Materialized transpose (cache-blocked).
@@ -962,6 +984,28 @@ mod tests {
         let via_t = a.matmul(&b.transpose());
         let direct = a.matmul_nt(&b);
         assert_eq!(via_t.data(), direct.data());
+    }
+
+    #[test]
+    fn empty_inner_dimension_gives_zeros() {
+        // The empty sum is +0.0, as in the naive loop (reachable as the
+        // weight gradient `Xᵀ·g` of a worker that owns no rows).
+        for (n, m) in [(3, 8), (5, 5), (2, 2 * NR + 5)] {
+            let nn = Tensor::zeros(n, 0).matmul(&Tensor::zeros(0, m));
+            let tn = Tensor::zeros(0, n).matmul_tn(&Tensor::zeros(0, m));
+            let nt = Tensor::zeros(n, 0).matmul_nt(&Tensor::zeros(m, 0));
+            for out in [nn, tn, nt] {
+                assert_eq!(out.shape(), (n, m));
+                assert!(out.data().iter().all(|v| v.to_bits() == 0), "{out:?}");
+            }
+        }
+        // Empty outputs keep their shape whatever the inner dimension.
+        for k in [0, 4] {
+            let (e, b) = (Tensor::zeros(0, k), Tensor::zeros(k, 3));
+            assert_eq!(e.matmul(&b).shape(), (0, 3));
+            assert_eq!(Tensor::zeros(k, 0).matmul_tn(&b).shape(), (0, 3));
+            assert_eq!(Tensor::zeros(3, k).matmul_nt(&e).shape(), (3, 0));
+        }
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! multi-thread runs. The chaos harness and the `--threads` trainer
 //! parity suite both lean on this guarantee.
 
+use ns_tensor::tensor::KC;
 use ns_tensor::Tensor;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 const TRIALS: u64 = 12;
 const THREAD_COUNTS: [usize; 4] = [2, 3, 4, 8];
@@ -64,6 +65,16 @@ fn assert_thread_invariant<T: PartialEq + std::fmt::Debug>(label: &str, f: impl 
     ns_par::set_threads(1);
 }
 
+fn assert_matmul_family_thread_invariant(rng: &mut StdRng, n: usize, k: usize, m: usize) {
+    let a = rand_tensor(rng, n, k);
+    let b = rand_tensor(rng, k, m);
+    let at = rand_tensor(rng, k, n);
+    let bt = rand_tensor(rng, m, k);
+    assert_thread_invariant("matmul", || a.matmul(&b).into_vec());
+    assert_thread_invariant("matmul_tn", || at.matmul_tn(&b).into_vec());
+    assert_thread_invariant("matmul_nt", || a.matmul_nt(&bt).into_vec());
+}
+
 #[test]
 fn matmul_family_is_bit_identical_across_thread_counts() {
     for seed in 0..TRIALS {
@@ -73,14 +84,12 @@ fn matmul_family_is_bit_identical_across_thread_counts() {
         let n = rng.random_range(1..80usize);
         let k = rng.random_range(1..48usize);
         let m = rng.random_range(1..48usize);
-        let a = rand_tensor(&mut rng, n, k);
-        let b = rand_tensor(&mut rng, k, m);
-        let at = rand_tensor(&mut rng, k, n);
-        let bt = rand_tensor(&mut rng, m, k);
-        assert_thread_invariant("matmul", || a.matmul(&b).into_vec());
-        assert_thread_invariant("matmul_tn", || at.matmul_tn(&b).into_vec());
-        assert_thread_invariant("matmul_nt", || a.matmul_nt(&bt).into_vec());
+        assert_matmul_family_thread_invariant(&mut rng, n, k, m);
     }
+    // The draws stop short of one k-block: a fixed shape above the
+    // threshold that spans three.
+    let mut rng = StdRng::seed_from_u64(TRIALS);
+    assert_matmul_family_thread_invariant(&mut rng, 97, 2 * KC + 5, 61);
 }
 
 #[test]

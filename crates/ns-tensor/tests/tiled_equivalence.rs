@@ -1,14 +1,18 @@
-//! Exact equivalence of the register-tiled matmul family against a naive
+//! Exact equivalence of the blocked matmul family against a naive
 //! triple-loop reference.
 //!
-//! The tiled kernels (MR x NR accumulator blocks over packed B panels,
-//! `tensor.rs`) promise *bit-identical* results to the textbook `i-j-k`
-//! loop: tiling regroups which output elements a step computes, never the
-//! per-element ascending-`k` accumulation order, and rustc performs no
-//! FP contraction or reassociation. These tests pin that promise across
-//! odd/prime/tail-heavy shapes in `1..=64` — every combination of full
-//! MR-row groups, row tails, full NR-column panels, and column tails.
+//! The one GEMM of `tensor.rs` (k-blocks of KC, row blocks of MC, MR x NR
+//! accumulator tiles over packed, zero-padded B panels) promises
+//! *bit-identical* results to the textbook `i-j-k` loop: blocking regroups
+//! which output elements a step computes and parks partial sums in the
+//! output between k-blocks, never changing the per-element ascending-`k`
+//! accumulation order, and rustc performs no FP contraction or
+//! reassociation. These tests pin that promise across odd/prime/tail-heavy
+//! shapes in `1..=64` — every combination of full MR-row groups, row
+//! tails, full NR-column panels, and column tails — and across every
+//! KC / MC / NR block boundary.
 
+use ns_tensor::tensor::{KC, MC, NR};
 use ns_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -48,27 +52,40 @@ fn rand_tensor(rng: &mut StdRng, rows: usize, cols: usize) -> Tensor {
     Tensor::from_vec(rows, cols, data)
 }
 
+/// Element-by-element transpose, sharing no code with `Tensor::transpose`
+/// or the kernel's packing.
+fn transposed(t: &Tensor) -> Tensor {
+    let mut out = Tensor::zeros(t.cols(), t.rows());
+    for r in 0..t.rows() {
+        for c in 0..t.cols() {
+            out.set(c, r, t.get(r, c));
+        }
+    }
+    out
+}
+
 /// Odd, prime, and tile-boundary shape values in `1..=64`: around the
-/// MR (4) and NR (8) tile widths, primes that never divide either, and
-/// the extremes.
-const SHAPES: [usize; 12] = [1, 2, 3, 4, 5, 7, 8, 9, 13, 31, 37, 64];
+/// MR (4) tile height, the NR (16) tile width and one AVX2 register (8),
+/// primes that never divide either, and the extremes.
+const SHAPES: [usize; 14] = [1, 2, 3, 4, 5, 7, 8, 9, 13, 15, 17, 31, 37, 64];
+
+/// The three products that must all reproduce `a @ b`: `matmul_tn` and
+/// `matmul_nt` are fed the transposed operand.
+fn family(a: &Tensor, b: &Tensor) -> [(&'static str, Tensor); 3] {
+    [
+        ("matmul", a.matmul(b)),
+        ("matmul_tn", transposed(a).matmul_tn(b)),
+        ("matmul_nt", a.matmul_nt(&transposed(b))),
+    ]
+}
 
 fn check_triple(rng: &mut StdRng, n: usize, k: usize, m: usize) {
     let a = rand_tensor(rng, n, k);
     let b = rand_tensor(rng, k, m);
     let reference = naive_matmul(&a, &b);
-    let tiled = a.matmul(&b);
-    assert_eq!(tiled.data(), &reference[..], "matmul {n}x{k}x{m}");
-
-    // matmul_tn(x, b) computes transpose(x) @ b; feed it the transposed
-    // operand so all three variants must reproduce the same reference.
-    let at = a.transpose();
-    let tn = at.matmul_tn(&b);
-    assert_eq!(tn.data(), &reference[..], "matmul_tn {n}x{k}x{m}");
-
-    let bt = b.transpose();
-    let nt = a.matmul_nt(&bt);
-    assert_eq!(nt.data(), &reference[..], "matmul_nt {n}x{k}x{m}");
+    for (name, got) in family(&a, &b) {
+        assert_eq!(got.data(), &reference[..], "{name} {n}x{k}x{m}");
+    }
 }
 
 #[test]
@@ -97,17 +114,66 @@ fn tiled_matmul_family_equals_naive_reference_on_random_shapes() {
 }
 
 #[test]
+fn blocked_gemm_equals_naive_reference_across_block_boundaries() {
+    ns_par::set_threads(1);
+    let mut rng = StdRng::seed_from_u64(0xB10C);
+    for k in [KC - 1, KC, KC + 1, 2 * KC + 3] {
+        for n in [1, 3, 4, 5, MC - 1, MC, MC + 1, 2 * MC + 2] {
+            for m in [1, 7, NR - 1, NR, NR + 1, 2 * NR - 1, 2 * NR + 1] {
+                check_triple(&mut rng, n, k, m);
+            }
+        }
+    }
+}
+
+#[test]
+fn padding_lanes_never_leak() {
+    // A row tail, a column tail and two k-blocks, with an `inf` and a
+    // `NaN` in `a`: `inf * 0` in a zero-padded lane is a NaN that must
+    // stay there. Every real column equals the naive result bit for bit
+    // (any NaN for a NaN).
+    ns_par::set_threads(1);
+    let mut rng = StdRng::seed_from_u64(0x1EAF);
+    let (n, k, m) = (6, KC + 3, NR + 3);
+    let mut a = rand_tensor(&mut rng, n, k);
+    a.set(1, 2, f32::INFINITY);
+    a.set(n - 1, k - 1, f32::NAN);
+    let b = rand_tensor(&mut rng, k, m);
+    let reference = naive_matmul(&a, &b);
+    assert!(
+        reference[..m].iter().all(|v| v.is_finite()),
+        "row 0 has no inf/NaN operand"
+    );
+    assert!(reference[m..2 * m].iter().any(|v| !v.is_finite()));
+    for (name, got) in family(&a, &b) {
+        assert_eq!(got.shape(), (n, m));
+        for (i, (x, y)) in got.data().iter().zip(&reference).enumerate() {
+            let same = x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+            assert!(same, "{name} [{}, {}]: {x} vs naive {y}", i / m, i % m);
+        }
+    }
+}
+
+#[test]
 fn tiled_matmul_equals_naive_reference_above_parallel_threshold() {
     // Shapes big enough that par_rows fans out; the reference must still
     // match exactly at every thread count (row blocks never change the
-    // per-element k order).
+    // per-element k order) — once inside one k-block, once through three.
     let mut rng = StdRng::seed_from_u64(0xD15C);
-    let a = rand_tensor(&mut rng, 97, 53);
-    let b = rand_tensor(&mut rng, 53, 61);
-    let reference = naive_matmul(&a, &b);
-    for threads in [1usize, 2, 3, 4, 8] {
-        ns_par::set_threads(threads);
-        assert_eq!(a.matmul(&b).data(), &reference[..], "{threads} threads");
+    for k in [53, 2 * KC + 5] {
+        let a = rand_tensor(&mut rng, 97, k);
+        let b = rand_tensor(&mut rng, k, 61);
+        let reference = naive_matmul(&a, &b);
+        for threads in [1usize, 2, 3, 4, 8] {
+            ns_par::set_threads(threads);
+            for (name, got) in family(&a, &b) {
+                assert_eq!(
+                    got.data(),
+                    &reference[..],
+                    "{name} k={k}, {threads} threads"
+                );
+            }
+        }
     }
     ns_par::set_threads(1);
 }
