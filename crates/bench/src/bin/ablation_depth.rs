@@ -10,9 +10,9 @@
 use bench::{cell, dataset, print_table, save_json};
 use ns_gnn::{GnnModel, ModelKind};
 use ns_graph::{stats::replication_stats, Partitioner};
+use ns_metrics::obj;
 use ns_net::ClusterSpec;
 use ns_runtime::{EngineKind, Trainer, TrainerConfig};
-use serde_json::json;
 
 fn main() {
     let ds = dataset("pokec");
@@ -42,18 +42,18 @@ fn main() {
             cell(&comm),
             cell(&hybrid),
         ]);
-        artifacts.push(json!({
+        artifacts.push(obj! {
             "layers": layers,
             "replication_factor": rep.replication_factor,
-            "depcache_s": cache.as_ref().ok(),
-            "depcomm_s": comm.as_ref().ok(),
-            "hybrid_s": hybrid.as_ref().ok(),
-        }));
+            "depcache_s": cache.as_ref().ok().copied(),
+            "depcomm_s": comm.as_ref().ok().copied(),
+            "hybrid_s": hybrid.as_ref().ok().copied(),
+        });
     }
     print_table(
         "Ablation: depth vs dependency explosion (GCN on pokec, ECS-8)",
         &["layers", "replication", "DepCache(s)", "DepComm(s)", "Hybrid(s)"],
         &rows,
     );
-    save_json("ablation_depth", &json!(artifacts));
+    save_json("ablation_depth", artifacts);
 }

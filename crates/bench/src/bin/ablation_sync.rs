@@ -9,10 +9,10 @@
 
 use bench::{dataset, model_for, print_table, save_json, RunSpec};
 use ns_gnn::ModelKind;
+use ns_metrics::obj;
 use ns_net::ClusterSpec;
-use ns_runtime::exec::SyncMode;
 use ns_runtime::EngineKind;
-use serde_json::json;
+use ns_runtime::exec::SyncMode;
 
 fn main() {
     let ds = dataset("pokec");
@@ -35,16 +35,16 @@ fn main() {
             format!("{ps:.5}"),
             format!("{:.2}x", ps / ring),
         ]);
-        artifacts.push(json!({
+        artifacts.push(obj! {
             "workers": workers,
             "allreduce_s": ring,
             "parameter_server_s": ps,
-        }));
+        });
     }
     print_table(
         "Ablation: gradient sync (GCN on pokec, Hybrid engine)",
         &["workers", "all-reduce(s)", "param-server(s)", "ps/ring"],
         &rows,
     );
-    save_json("ablation_sync", &json!(artifacts));
+    save_json("ablation_sync", artifacts);
 }

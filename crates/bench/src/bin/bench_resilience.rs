@@ -25,9 +25,9 @@
 
 use std::time::Instant;
 
+use ns_metrics::obj;
 use ns_runtime::{Checkpoint, CheckpointStore};
 use ns_tensor::{pool, ParamStore, Tensor};
-use serde_json::json;
 
 fn timed<F: FnMut()>(iters: usize, mut f: F) -> u64 {
     // One untimed warmup so first-touch costs (directory creation,
@@ -71,7 +71,7 @@ fn main() {
     let mut results = Vec::new();
     let mut row = |op: &str, ns: u64, iters: usize| {
         println!("{op:<22} {ns:>12} ns/iter");
-        results.push(json!({"op": op, "ns_per_iter": ns, "iters": iters}));
+        results.push(obj! {"op": op, "ns_per_iter": ns, "iters": iters});
     };
 
     {
@@ -123,7 +123,7 @@ fn main() {
         row("pool_capped", ns, pool_iters);
     }
 
-    let doc = json!({"schema": "bench-resilience/v1", "results": results});
-    std::fs::write(&out, serde_json::to_string_pretty(&doc).unwrap()).expect("write report");
+    let doc = obj! {"schema": "bench-resilience/v1", "results": results};
+    std::fs::write(&out, doc.pretty()).expect("write report");
     println!("wrote {out}");
 }

@@ -28,14 +28,15 @@
 
 use std::time::Instant;
 
+use neutronstar::TrainingSession;
 use ns_gnn::{GnnModel, ModelKind};
 use ns_graph::datasets::by_name;
+use ns_metrics::json::Json;
+use ns_metrics::obj;
 use ns_net::fault::FaultPlan;
 use ns_runtime::serve::load::OpenLoop;
 use ns_runtime::serve::ServeReport;
 use ns_runtime::{CheckpointStore, RecoveryConfig, ServeConfig, ServeDeployment};
-use neutronstar::TrainingSession;
-use serde_json::json;
 
 const SEED: u64 = 42;
 const DATASET: &str = "cora";
@@ -43,8 +44,8 @@ const SCALE: f64 = 0.2;
 const SHARDS: usize = 2;
 const TRAIN_EPOCHS: usize = 4;
 
-fn run_json(rate_qps: f64, r: &ServeReport) -> serde_json::Value {
-    json!({
+fn run_json(rate_qps: f64, r: &ServeReport) -> Json {
+    obj! {
         "rate_qps": rate_qps,
         "queries": r.offered,
         "answered": r.answers.len(),
@@ -60,7 +61,7 @@ fn run_json(rate_qps: f64, r: &ServeReport) -> serde_json::Value {
         "hedge_issued": r.metrics.total_counter("serve.hedge.issued"),
         "hedge_wins": r.metrics.total_counter("serve.hedge.wins"),
         "fetch_fallback_rows": r.metrics.total_counter("serve.rows.fallback"),
-    })
+    }
 }
 
 fn main() {
@@ -204,7 +205,7 @@ fn main() {
         lr.dropped,
         lr.percentile_us(99.0),
     );
-    let flap_run = json!({
+    let flap_run = obj! {
         "fault": "flap:w1-w2:400ms:0.5",
         "rate_qps": 1_000.0,
         "queries": fault_queries,
@@ -217,11 +218,11 @@ fn main() {
         "p50_us": lr.percentile_us(50.0),
         "p99_us": lr.percentile_us(99.0),
         "p999_us": lr.percentile_us(99.9),
-    });
+    };
 
     let _ = std::fs::remove_dir_all(&ckpt_dir);
 
-    let fault_run = json!({
+    let fault_run = obj! {
         "killed_shard": killed_shard,
         "kill_after_qid": fault_queries / 4,
         "rate_qps": 1_000.0,
@@ -234,8 +235,8 @@ fn main() {
         "p50_us": fr.percentile_us(50.0),
         "p99_us": fr.percentile_us(99.0),
         "p999_us": fr.percentile_us(99.9),
-    });
-    let doc = json!({
+    };
+    let doc = obj! {
         "schema": "bench-serve/v1",
         "dataset": DATASET,
         "scale": SCALE,
@@ -247,8 +248,8 @@ fn main() {
         "saturation_qps": saturation_qps,
         "fault_run": fault_run,
         "flap_run": flap_run,
-    });
-    std::fs::write(&out, serde_json::to_string_pretty(&doc).unwrap())
+    };
+    std::fs::write(&out, doc.pretty())
         .unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
     println!("[saved {out}]");
 }

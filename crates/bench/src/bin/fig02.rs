@@ -11,9 +11,9 @@
 
 use bench::{cell, dataset, model_with_hidden, print_table, save_json, RunSpec};
 use ns_gnn::ModelKind;
+use ns_metrics::obj;
 use ns_net::ClusterSpec;
 use ns_runtime::EngineKind;
-use serde_json::json;
 
 fn main() {
     let ecs = ClusterSpec::aliyun_ecs(8);
@@ -37,10 +37,10 @@ fn main() {
             (Ok(a), Ok(b)) => format!("DepComm {:.2}x", a / b),
             _ => "-".into(),
         };
-        artifacts.push(json!({
+        artifacts.push(obj! {
             "panel": "a", "graph": name,
-            "depcache_s": cache.as_ref().ok(), "depcomm_s": comm.as_ref().ok(),
-        }));
+            "depcache_s": cache.as_ref().ok().copied(), "depcomm_s": comm.as_ref().ok().copied(),
+        });
         rows.push(vec![name.to_string(), cell(&cache), cell(&comm), winner]);
     }
     print_table(
@@ -67,10 +67,10 @@ fn main() {
             (Ok(a), Ok(b)) => format!("DepComm {:.2}x", a / b),
             _ => "-".into(),
         };
-        artifacts.push(json!({
+        artifacts.push(obj! {
             "panel": "b", "hidden": hidden,
-            "depcache_s": cache.as_ref().ok(), "depcomm_s": comm.as_ref().ok(),
-        }));
+            "depcache_s": cache.as_ref().ok().copied(), "depcomm_s": comm.as_ref().ok().copied(),
+        });
         rows.push(vec![hidden.to_string(), cell(&cache), cell(&comm), winner]);
     }
     print_table(
@@ -96,10 +96,10 @@ fn main() {
             (Ok(a), Ok(b)) => format!("DepComm {:.2}x", a / b),
             _ => "-".into(),
         };
-        artifacts.push(json!({
-            "panel": "c", "cluster": cluster.name,
-            "depcache_s": cache.as_ref().ok(), "depcomm_s": comm.as_ref().ok(),
-        }));
+        artifacts.push(obj! {
+            "panel": "c", "cluster": cluster.name.as_str(),
+            "depcache_s": cache.as_ref().ok().copied(), "depcomm_s": comm.as_ref().ok().copied(),
+        });
         rows.push(vec![cluster.name.clone(), cell(&cache), cell(&comm), winner]);
     }
     print_table(
@@ -108,5 +108,5 @@ fn main() {
         &rows,
     );
 
-    save_json("fig02", &json!(artifacts));
+    save_json("fig02", artifacts);
 }

@@ -9,9 +9,9 @@
 
 use bench::{dataset, model_for, print_table, save_json, RunSpec};
 use ns_gnn::ModelKind;
+use ns_metrics::obj;
 use ns_net::{ClusterSpec, ExecOptions};
 use ns_runtime::EngineKind;
-use serde_json::json;
 
 fn main() {
     let cluster = ClusterSpec::aliyun_ecs(16);
@@ -52,7 +52,7 @@ fn main() {
             sp(rl),
             sp(rlp),
         ]);
-        artifacts.push(json!({
+        artifacts.push(obj! {
             "graph": name,
             "raw_depcache_s": raw_cache,
             "raw_depcomm_s": raw_comm,
@@ -65,7 +65,7 @@ fn main() {
             "gain_r": raw_hybrid / r,
             "gain_l": r / rl,
             "gain_p": rl / rlp,
-        }));
+        });
     }
 
     print_table(
@@ -73,5 +73,5 @@ fn main() {
         &["graph", "DepCache", "DepComm", "Hybrid", "Hybrid+R", "+RL", "+RLP"],
         &rows,
     );
-    save_json("fig09", &json!(artifacts));
+    save_json("fig09", artifacts);
 }

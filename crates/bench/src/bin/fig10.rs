@@ -10,9 +10,9 @@
 use bench::{cell, dataset, model_for, print_table, save_json, RunSpec};
 use ns_baselines::{DistDglConfig, DistDglLike};
 use ns_gnn::ModelKind;
+use ns_metrics::obj;
 use ns_net::{ClusterSpec, ExecOptions};
 use ns_runtime::{EngineKind, RuntimeError};
-use serde_json::json;
 
 fn main() {
     let ecs16 = ClusterSpec::aliyun_ecs(16);
@@ -50,14 +50,14 @@ fn main() {
             let nts =
                 RunSpec::new(&ds, &model, EngineKind::Hybrid, ecs16.clone()).epoch_seconds();
 
-            artifacts.push(json!({
+            artifacts.push(obj! {
                 "model": kind.name(), "graph": name,
-                "distdgl_s": distdgl.as_ref().ok(),
-                "roc_s": roc.as_ref().ok(),
-                "depcache_s": depcache.as_ref().ok(),
-                "depcomm_s": depcomm.as_ref().ok(),
-                "nts_s": nts.as_ref().ok(),
-            }));
+                "distdgl_s": distdgl.as_ref().ok().copied(),
+                "roc_s": roc.as_ref().ok().copied(),
+                "depcache_s": depcache.as_ref().ok().copied(),
+                "depcomm_s": depcomm.as_ref().ok().copied(),
+                "nts_s": nts.as_ref().ok().copied(),
+            });
             rows.push(vec![
                 name.to_string(),
                 cell(&distdgl),
@@ -73,5 +73,5 @@ fn main() {
             &rows,
         );
     }
-    save_json("fig10", &json!(artifacts));
+    save_json("fig10", artifacts);
 }

@@ -6,9 +6,10 @@
 
 use bench::{dataset, model_for, print_table, save_json, RunSpec};
 use ns_gnn::ModelKind;
+use ns_metrics::json::Json;
+use ns_metrics::obj;
 use ns_net::ClusterSpec;
 use ns_runtime::{sim_breakdown, EngineKind, RuntimeError};
-use serde_json::json;
 
 fn main() {
     let cluster = ClusterSpec::aliyun_ecs(16);
@@ -33,12 +34,12 @@ fn main() {
                         format!("{:.4}", b.comm_s),
                         format!("{:.4}", b.compute_s),
                     ]);
-                    artifacts.push(json!({
+                    artifacts.push(obj! {
                         "case": format!("{}-{}", kind.name(), name),
                         "cached_ratio": r,
                         "epoch_s": s.epoch_seconds,
                         "comm_share_s": b.comm_s,
-                    }));
+                    });
                 }
                 Err(RuntimeError::DeviceOom { .. }) => {
                     rows.push(vec![
@@ -47,12 +48,12 @@ fn main() {
                         "-".into(),
                         "-".into(),
                     ]);
-                    artifacts.push(json!({
+                    artifacts.push(obj! {
                         "case": format!("{}-{}", kind.name(), name),
                         "cached_ratio": r,
-                        "epoch_s": serde_json::Value::Null,
+                        "epoch_s": Json::Null,
                         "oom": true,
-                    }));
+                    });
                 }
                 Err(e) => panic!("unexpected: {e}"),
             }
@@ -75,17 +76,17 @@ fn main() {
             "-".into(),
             "-".into(),
         ]);
-        artifacts.push(json!({
+        artifacts.push(obj! {
             "case": format!("{}-{}", kind.name(), name),
             "cached_ratio": auto_frac,
             "epoch_s": auto_time,
             "auto": true,
-        }));
+        });
         print_table(
             &format!("Fig 11: {} on {} — cached-ratio sweep (ECS-16)", kind.name(), name),
             &["cached", "epoch(s)", "comm(s)", "compute(s)"],
             &rows,
         );
     }
-    save_json("fig11", &json!(artifacts));
+    save_json("fig11", artifacts);
 }

@@ -9,9 +9,9 @@
 use bench::{cell, dataset, model_for, print_table, save_json, RunSpec};
 use ns_baselines::{DistDglConfig, DistDglLike};
 use ns_gnn::ModelKind;
+use ns_metrics::obj;
 use ns_net::{ClusterSpec, ExecOptions};
 use ns_runtime::EngineKind;
-use serde_json::json;
 
 fn main() {
     let graphs = ["pokec", "reddit", "orkut", "wikilink"];
@@ -40,14 +40,14 @@ fn main() {
                 RunSpec::new(&ds, &model, EngineKind::DepComm, cluster.clone()).epoch_seconds();
             let hybrid =
                 RunSpec::new(&ds, &model, EngineKind::Hybrid, cluster.clone()).epoch_seconds();
-            artifacts.push(json!({
+            artifacts.push(obj! {
                 "graph": name, "workers": m,
-                "distdgl_s": distdgl.as_ref().ok(),
-                "roc_s": roc.as_ref().ok(),
-                "depcache_s": cache.as_ref().ok(),
-                "depcomm_s": comm.as_ref().ok(),
-                "hybrid_s": hybrid.as_ref().ok(),
-            }));
+                "distdgl_s": distdgl.as_ref().ok().copied(),
+                "roc_s": roc.as_ref().ok().copied(),
+                "depcache_s": cache.as_ref().ok().copied(),
+                "depcomm_s": comm.as_ref().ok().copied(),
+                "hybrid_s": hybrid.as_ref().ok().copied(),
+            });
             rows.push(vec![
                 m.to_string(),
                 cell(&distdgl),
@@ -63,5 +63,5 @@ fn main() {
             &rows,
         );
     }
-    save_json("fig12", &json!(artifacts));
+    save_json("fig12", artifacts);
 }

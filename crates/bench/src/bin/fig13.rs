@@ -9,10 +9,10 @@
 use bench::{dataset, model_for, print_table, save_json, RunSpec};
 use ns_baselines::{DistDglConfig, DistDglLike};
 use ns_gnn::ModelKind;
+use ns_metrics::obj;
 use ns_net::sim::ResourceKind;
 use ns_net::{ClusterSpec, ExecOptions};
 use ns_runtime::{utilization_trace, EngineKind};
-use serde_json::json;
 
 const BUCKETS: usize = 20;
 
@@ -34,13 +34,13 @@ fn main() {
             format!("{:.1}%", nic_out * 100.0),
             format!("{:.2} MB/s", bytes_per_s / 1e6),
         ]);
-        artifacts.push(json!({
+        artifacts.push(obj! {
             "system": system,
             "device_util": device,
             "nic_util": nic_out,
             "bytes_per_second": bytes_per_s,
             "device_series": device_series,
-        }));
+        });
     };
 
     for (label, engine, opts, broadcast) in [
@@ -83,5 +83,5 @@ fn main() {
         &["system", "GPU util", "NIC util", "net recv"],
         &rows,
     );
-    save_json("fig13", &json!(artifacts));
+    save_json("fig13", artifacts);
 }

@@ -10,9 +10,9 @@
 use bench::{dataset, model_for, print_table, save_json, RunSpec};
 use ns_baselines::{DistDglConfig, DistDglLike};
 use ns_gnn::ModelKind;
+use ns_metrics::obj;
 use ns_net::ClusterSpec;
 use ns_runtime::EngineKind;
-use serde_json::json;
 
 const EPOCHS: usize = 60;
 
@@ -43,12 +43,12 @@ fn main() {
             format!("{:.4}", per_epoch),
             format!("{:.2}%", best * 100.0),
         ]);
-        artifacts.push(json!({
-            "system": report.engine,
+        artifacts.push(obj! {
+            "system": report.engine.as_str(),
             "epoch_seconds": per_epoch,
             "best_test_acc": best,
-            "curve": curve.iter().map(|&(t, a)| json!([t, a])).collect::<Vec<_>>(),
-        }));
+            "curve": curve.iter().map(|&(t, a)| vec![t, a]).collect::<Vec<_>>(),
+        });
         curves.push((report.engine.clone(), curve));
     }
 
@@ -72,12 +72,12 @@ fn main() {
         format!("{:.4}", report.epoch_seconds),
         format!("{:.2}%", best * 100.0),
     ]);
-    artifacts.push(json!({
+    artifacts.push(obj! {
         "system": "DepCache-sampling",
         "epoch_seconds": report.epoch_seconds,
         "best_test_acc": best,
-        "curve": curve.iter().map(|&(t, a)| json!([t, a])).collect::<Vec<_>>(),
-    }));
+        "curve": curve.iter().map(|&(t, a)| vec![t, a]).collect::<Vec<_>>(),
+    });
     curves.push(("DepCache-sampling".to_string(), curve));
 
     // Time-to-target-accuracy comparison at the sampling ceiling.
@@ -102,5 +102,5 @@ fn main() {
         &["system", "time-to-target"],
         &rows,
     );
-    save_json("fig14", &json!(artifacts));
+    save_json("fig14", artifacts);
 }

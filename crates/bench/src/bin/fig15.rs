@@ -9,9 +9,9 @@
 use bench::{dataset, model_for, print_table, save_json, RunSpec};
 use ns_gnn::ModelKind;
 use ns_graph::Partitioner;
+use ns_metrics::obj;
 use ns_net::ClusterSpec;
 use ns_runtime::EngineKind;
-use serde_json::json;
 
 fn main() {
     let cluster = ClusterSpec::aliyun_ecs(16);
@@ -41,13 +41,13 @@ fn main() {
                 format!("{hybrid:.4}"),
                 format!("{:.2}x", comm / hybrid),
             ]);
-            artifacts.push(json!({
+            artifacts.push(obj! {
                 "graph": name,
                 "partitioner": p.name(),
                 "depcomm_s": comm,
                 "hybrid_s": hybrid,
                 "speedup": comm / hybrid,
-            }));
+            });
         }
         print_table(
             &format!("Fig 15: partitioners on {name} (GCN, ECS-16)"),
@@ -55,5 +55,5 @@ fn main() {
             &rows,
         );
     }
-    save_json("fig15", &json!(artifacts));
+    save_json("fig15", artifacts);
 }

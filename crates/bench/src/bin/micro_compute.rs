@@ -25,12 +25,11 @@
 
 use std::time::Instant;
 
+use ns_metrics::obj;
 use ns_net::wire;
 use ns_net::{MessageKind, ParallelEnqueue};
+use ns_rand::StdRng;
 use ns_tensor::Tensor;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde_json::json;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -268,7 +267,7 @@ fn main() {
     let results: Vec<_> = rows
         .iter()
         .map(|r| {
-            json!({
+            obj! {
                 "op": r.op,
                 "size": r.size.clone(),
                 "threads": r.threads,
@@ -276,12 +275,12 @@ fn main() {
                 "gflops": r.gflops(),
                 "bytes_per_s": r.bytes_per_s(),
                 "baseline_ns_per_iter": baseline_for(r.op, r.threads),
-            })
+            }
         })
         .collect();
     let cores = std::thread::available_parallelism().map_or(0, |c| c.get());
-    let doc = json!({ "schema": "bench-compute/v2", "cores": cores, "results": results });
-    std::fs::write(&out, serde_json::to_string_pretty(&doc).unwrap())
+    let doc = obj! { "schema": "bench-compute/v2", "cores": cores, "results": results };
+    std::fs::write(&out, doc.pretty())
         .unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
     println!("[saved {out}]");
 }

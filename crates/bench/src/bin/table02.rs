@@ -2,7 +2,7 @@
 //! the scaled synthetic stand-ins this reproduction materializes.
 
 use bench::{bench_scale, print_table, save_json, SEED};
-use serde_json::json;
+use ns_metrics::obj;
 
 fn main() {
     let mut rows = Vec::new();
@@ -23,20 +23,20 @@ fn main() {
             ds.graph.num_edges().to_string(),
             format!("{:.2}", ds.graph.avg_degree()),
         ]);
-        artifacts.push(json!({
+        artifacts.push(obj! {
             "name": spec.name,
-            "paper": {
+            "paper": obj! {
                 "vertices": spec.vertices, "edges": spec.edges,
                 "feature_dim": spec.feature_dim, "classes": spec.num_classes,
                 "avg_degree": spec.avg_degree(), "hidden_dim": spec.hidden_dim,
             },
-            "materialized": {
+            "materialized": obj! {
                 "scale": scale,
                 "vertices": ds.graph.num_vertices(),
                 "edges": ds.graph.num_edges(),
                 "avg_degree": ds.graph.avg_degree(),
             },
-        }));
+        });
     }
     print_table(
         "Table 2: datasets (paper stats | materialized stand-ins)",
@@ -46,5 +46,5 @@ fn main() {
         ],
         &rows,
     );
-    save_json("table02", &json!(artifacts));
+    save_json("table02", artifacts);
 }

@@ -7,9 +7,9 @@
 
 use bench::{cell, dataset, model_for, print_table, save_json, RunSpec};
 use ns_gnn::ModelKind;
+use ns_metrics::obj;
 use ns_net::ClusterSpec;
 use ns_runtime::EngineKind;
-use serde_json::json;
 
 /// Nominal traversal rate for the preprocessing cost (pointer-chasing on
 /// the host CPU).
@@ -50,15 +50,15 @@ fn main() {
             format!("{:.2}%", 100.0 * preproc / hybrid),
             format!("{:.2}", info.cached_fraction()),
         ]);
-        artifacts.push(json!({
+        artifacts.push(obj! {
             "graph": name,
-            "depcache_100ep_s": cache.as_ref().ok(),
-            "depcomm_100ep_s": comm.as_ref().ok(),
+            "depcache_100ep_s": cache.as_ref().ok().copied(),
+            "depcomm_100ep_s": comm.as_ref().ok().copied(),
             "hybrid_100ep_s": hybrid,
             "preprocessing_s": preproc,
             "preprocessing_pct": 100.0 * preproc / hybrid,
             "cached_fraction": info.cached_fraction(),
-        }));
+        });
     }
 
     print_table(
@@ -66,5 +66,5 @@ fn main() {
         &["graph", "DepCache", "DepComm", "Hybrid", "Preproc", "overhead", "cached"],
         &rows,
     );
-    save_json("table03", &json!(artifacts));
+    save_json("table03", artifacts);
 }

@@ -8,9 +8,9 @@
 use bench::{cell, dataset, model_for, print_table, save_json, RunSpec};
 use ns_baselines::{shared_memory_row, SharedMemorySystem, SysResult};
 use ns_gnn::ModelKind;
+use ns_metrics::obj;
 use ns_net::ClusterSpec;
 use ns_runtime::EngineKind;
-use serde_json::json;
 
 fn sys_cell(r: &SysResult) -> String {
     match r {
@@ -45,13 +45,13 @@ fn main() {
             SysResult::Time(t) => Some(*t),
             SysResult::Oom => None,
         };
-        artifacts.push(json!({
+        artifacts.push(obj! {
             "graph": name,
             "dgl_cpu_s": t(&dgl),
             "pyg_cpu_s": t(&pyg),
             "nts_cpu_s": t(&nts_cpu),
-            "nts_16gpu_s": nts16.as_ref().ok(),
-        }));
+            "nts_16gpu_s": nts16.as_ref().ok().copied(),
+        });
     }
 
     print_table(
@@ -59,5 +59,5 @@ fn main() {
         &["graph", "DGL-CPU", "PyG-CPU", "NTS-CPU", "NTS-16GPU"],
         &rows,
     );
-    save_json("table04", &json!(artifacts));
+    save_json("table04", artifacts);
 }

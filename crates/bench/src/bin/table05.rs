@@ -9,8 +9,8 @@
 use bench::{dataset, model_for, print_table, save_json};
 use ns_baselines::{shared_memory_row, SharedMemorySystem, SysResult};
 use ns_gnn::ModelKind;
+use ns_metrics::obj;
 use ns_net::ClusterSpec;
-use serde_json::json;
 
 fn main() {
     let gpu = ClusterSpec::aliyun_ecs(1);
@@ -42,14 +42,14 @@ fn main() {
                     Some(SysResult::Oom) => "OOM".to_string(),
                     None => "-".to_string(),
                 });
-                artifacts.push(json!({
+                artifacts.push(obj! {
                     "model": kind.name(), "system": sys.name(), "graph": name,
                     "ms": match result {
                         Some(SysResult::Time(t)) => Some(t * 1e3),
                         _ => None,
                     },
                     "oom": matches!(result, Some(SysResult::Oom)),
-                }));
+                });
             }
             rows.push(row);
         }
@@ -59,5 +59,5 @@ fn main() {
             &rows,
         );
     }
-    save_json("table05", &json!(artifacts));
+    save_json("table05", artifacts);
 }

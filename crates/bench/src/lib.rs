@@ -14,6 +14,7 @@ use std::path::PathBuf;
 
 use ns_gnn::{GnnModel, ModelKind};
 use ns_graph::{Dataset, Partitioner};
+use ns_metrics::json::Json;
 use ns_net::{ClusterSpec, ExecOptions};
 use ns_runtime::exec::SyncMode;
 use ns_runtime::trainer::{SimSummary, Trainer, TrainerConfig};
@@ -212,13 +213,12 @@ pub fn results_dir() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("results"))
 }
 
-/// Writes a JSON artifact for one experiment id (e.g. `fig09`).
-pub fn save_json(id: &str, value: &serde_json::Value) {
+/// Writes the records of one experiment id (e.g. `fig09`) as a JSON array.
+pub fn save_json(id: &str, records: Vec<Json>) {
     let dir = results_dir();
     std::fs::create_dir_all(&dir).expect("create results dir");
     let path = dir.join(format!("{id}.json"));
-    std::fs::write(&path, serde_json::to_string_pretty(value).unwrap())
-        .expect("write results json");
+    std::fs::write(&path, Json::Arr(records).pretty()).expect("write results json");
     println!("[saved {}]", path.display());
 }
 

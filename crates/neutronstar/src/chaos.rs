@@ -18,8 +18,8 @@ use ns_graph::Dataset;
 use ns_gnn::{GnnModel, ModelKind};
 use ns_net::fault::{Fault, FaultPlan, Link, MsgSel, Window};
 use ns_net::membership::MembershipEventKind;
-use ns_net::seeded::SplitMix64;
 use ns_net::ClusterSpec;
+use ns_rand::SplitMix64;
 use ns_runtime::{
     CheckpointStore, EngineKind, RecoveryConfig, RecvConfig, RuntimeError, StoreConfig,
     Trainer, TrainerConfig, TrainingReport, WatchdogConfig,
@@ -1034,8 +1034,8 @@ mod tests {
     #[test]
     fn generated_schedules_are_pinned() {
         // Taken from the parent of the PR that moved the generators onto
-        // `ns_net::seeded`: the streams are checked bit-for-bit, not
-        // claimed.
+        // the shared SplitMix64 (`ns_rand` today): the streams are checked
+        // bit-for-bit, not claimed.
         let pinned = [
             (
                 ChaosConfig { ckpt_base: store(), ..ChaosConfig::default() },

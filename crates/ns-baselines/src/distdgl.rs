@@ -17,15 +17,12 @@
 //! `ns-gnn` layers, and the reported accuracies come from actual learned
 //! parameters.
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
-use rustc_hash::{FxHashMap, FxHashSet};
-
 use ns_gnn::loss::{accuracy, softmax_cross_entropy};
 use ns_gnn::{GnnModel, LayerInput, LayerTopology};
+use ns_graph::fx::{FxHashMap, FxHashSet};
 use ns_graph::Dataset;
 use ns_net::ClusterSpec;
+use ns_rand::StdRng;
 use ns_tensor::{Adam, Optimizer};
 
 /// Host-side cost of drawing one sampled edge from the distributed graph
@@ -204,7 +201,7 @@ impl<'a> DistDglLike<'a> {
 
         for epoch in 0..epochs {
             let mut order = train_ids.clone();
-            order.shuffle(&mut rng);
+            rng.shuffle(&mut order);
             let mut loss_sum = 0.0f64;
             let mut correct = 0usize;
             let mut seen = 0usize;

@@ -17,9 +17,7 @@
 //! change, so the backward pass hands them back as a [`LayerPrefix`] and a
 //! later `forward` can start from them ([`LayerInput::Prefix`]).
 
-use rand::rngs::StdRng;
-#[cfg(test)]
-use rand::SeedableRng;
+use ns_rand::StdRng;
 use std::sync::Arc;
 
 use ns_tensor::nn::{Bindings, Init, Linear, Mlp, ParamId, ParamStore};

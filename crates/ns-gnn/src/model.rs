@@ -5,8 +5,7 @@
 //! by [`GnnModel::fresh_store`] is what each worker replicates — layers
 //! themselves are immutable and shared.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use ns_rand::StdRng;
 
 use ns_tensor::nn::ParamStore;
 

@@ -7,8 +7,7 @@
 //! `scale` shrinks |V| and |E| proportionally, preserving the average
 //! degree that drives the DepCache/DepComm trade-off.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use ns_rand::StdRng;
 
 use crate::csr::CsrGraph;
 use crate::generate::{random_features, random_labels, rmat, sbm, SbmParams};

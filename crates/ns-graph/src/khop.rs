@@ -7,9 +7,8 @@
 //! the size of the dependency subtree rooted at `u`, excluding vertices
 //! and edges the worker already owns or has already replicated).
 
-use rustc_hash::FxHashSet;
-
 use crate::csr::{CsrGraph, VertexId};
+use crate::fx::FxHashSet;
 
 /// Per-layer vertex sets of the k-hop closure.
 ///

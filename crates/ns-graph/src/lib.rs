@@ -14,6 +14,8 @@
 //!   [`DatasetSpec`] materializes a scaled synthetic
 //!   instance with matched average degree, feature dimension, label count,
 //!   and hidden size.
+//! * [`fx`] — the deterministic Fx hasher behind every vertex-id set and
+//!   map (`FxHashSet`, `FxHashMap`).
 //! * [`partition`] — chunk-based (the paper's default), metis-like greedy
 //!   edge-cut, and Fennel streaming partitioners (§5.7 / Fig. 15).
 //! * [`khop`] — BFS k-hop in-neighborhood closures (`V_i^l` of
@@ -22,6 +24,7 @@
 
 pub mod csr;
 pub mod datasets;
+pub mod fx;
 pub mod generate;
 pub mod io;
 pub mod khop;

@@ -6,11 +6,10 @@
 //! METIS and Fennel in §5.7. This module provides all three, behind one
 //! [`Partitioner`] enum, plus cut-quality statistics.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use rustc_hash::FxHashSet;
+use ns_rand::StdRng;
 
 use crate::csr::{CsrGraph, VertexId};
+use crate::fx::FxHashSet;
 
 /// Which worker owns each vertex.
 #[derive(Debug, Clone)]

@@ -13,7 +13,8 @@
 //! * [`to_chrome_trace`] — Chrome `trace_event` JSON (the `--trace-out` file),
 //!   loadable in Perfetto or `chrome://tracing` with one track per worker.
 //!
-//! The crate has no external dependencies and hand-rolls its JSON output.
+//! The crate has no dependencies: [`json`] is the workspace's one JSON value,
+//! writer and parser, and the two JSON sinks stream through its escaper.
 //! See `docs/OBSERVABILITY.md` in the repository root for the metrics catalog,
 //! the sink schemas, and a worked profiling walkthrough.
 //!
@@ -43,6 +44,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
+pub mod json;
 mod sink;
 
 pub use sink::{summary_table, to_chrome_trace, to_json};

@@ -1,8 +1,10 @@
 //! Sinks: render a [`RunMetrics`] as a summary table, JSON, or a Chrome trace.
 //!
-//! JSON is hand-rolled (the crate has no dependencies). Schemas are documented
-//! in `docs/OBSERVABILITY.md`; the integration tests parse both outputs with a
-//! real JSON parser to keep the writers honest.
+//! Both JSON sinks stream straight into a `String` instead of building a
+//! [`crate::json::Json`] tree (a trace holds one event per span); they share
+//! its string escaper. Schemas are documented in `docs/OBSERVABILITY.md`, and
+//! `tests/observability.rs` parses both outputs back with [`crate::json`] and
+//! checks them against the frames, to keep the writers honest.
 
 use crate::{Histogram, MetricsFrame, Phase, RunMetrics, COORDINATOR};
 use std::fmt::Write as _;
@@ -10,27 +12,9 @@ use std::fmt::Write as _;
 /// Schema tag embedded in the metrics JSON.
 pub const METRICS_SCHEMA: &str = "ns-metrics/v1";
 
-fn esc(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 fn jstr(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    esc(s, &mut out);
-    out.push('"');
+    crate::json::write_str(&mut out, s);
     out
 }
 

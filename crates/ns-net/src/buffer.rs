@@ -15,8 +15,7 @@
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, Ordering};
-
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Fixed-size row buffer with pre-assigned slots and lock-free writes.
 pub struct LockFreeChunkBuffer {
@@ -249,7 +248,9 @@ impl MutexChunkBuffer {
     pub fn write_row(&self, slot: usize, row: &[f32]) {
         assert!(slot < self.slots, "slot {slot} out of range {}", self.slots);
         assert_eq!(row.len(), self.cols, "row width mismatch");
-        let mut guard = self.inner.lock();
+        // A writer that panicked on a double write poisons the lock, but
+        // it panicked before touching the state, so the guard is still good.
+        let mut guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let (data, claimed) = &mut *guard;
         assert!(!claimed[slot], "slot {slot} written twice");
         claimed[slot] = true;
@@ -258,7 +259,7 @@ impl MutexChunkBuffer {
 
     /// Consumes the buffer into its row-major contents.
     pub fn into_rows(self) -> Vec<f32> {
-        let (data, claimed) = self.inner.into_inner();
+        let (data, claimed) = self.inner.into_inner().unwrap_or_else(PoisonError::into_inner);
         assert!(
             claimed.iter().all(|&c| c),
             "buffer finalized with unwritten slots"
@@ -302,18 +303,17 @@ mod tests {
         let slots = 1024;
         let cols = 8;
         let buf = LockFreeChunkBuffer::new(slots, cols);
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..8usize {
                 let buf = &buf;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for slot in (t..slots).step_by(8) {
                         let row: Vec<f32> = (0..cols).map(|c| (slot * cols + c) as f32).collect();
                         buf.write_row(slot, &row);
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         let rows = buf.into_rows();
         for (i, v) in rows.iter().enumerate() {
             assert_eq!(*v, i as f32);
@@ -326,10 +326,10 @@ mod tests {
         let cols = 4;
         let lf = LockFreeChunkBuffer::new(slots, cols);
         let mx = MutexChunkBuffer::new(slots, cols);
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..4usize {
                 let (lf, mx) = (&lf, &mx);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for slot in (t..slots).step_by(4) {
                         let row: Vec<f32> = (0..cols).map(|c| (slot + c) as f32).collect();
                         lf.write_row(slot, &row);
@@ -337,8 +337,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(lf.into_rows(), mx.into_rows());
     }
 

@@ -6,8 +6,6 @@
 //! InfiniBand). All figures of merit used by the simulator are ordinary
 //! published specs.
 
-use serde::Serialize;
-
 /// Accelerator model: throughput and memory.
 ///
 /// GNN workloads mix two very different kernel classes: dense matmuls
@@ -17,7 +15,7 @@ use serde::Serialize;
 /// Modeling them with one rate erases the redundant-computation cost that
 /// the whole DepCache/DepComm trade-off hinges on, so the model carries
 /// both.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DeviceModel {
     /// Sustained throughput of dense (matmul-style) kernels, GFLOP/s.
     pub dense_gflops: f64,
@@ -33,7 +31,7 @@ pub struct DeviceModel {
 }
 
 /// Network interface model.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct NetModel {
     /// Per-NIC bandwidth in Gbit/s (applies independently to egress and
     /// ingress).
@@ -54,7 +52,7 @@ pub struct NetModel {
 }
 
 /// A homogeneous cluster: `workers` nodes, one device and one NIC each.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterSpec {
     /// Human-readable name used in reports.
     pub name: String,
@@ -179,7 +177,7 @@ impl ClusterSpec {
 /// The three system-level optimizations the paper ablates in Fig. 9, as
 /// toggles shared by the engines (task-graph construction) and the
 /// simulator (cost selection).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecOptions {
     /// Ring-based communication scheduling (§4.3, Fig. 8): worker `i`
     /// sends its `j`-th output chunk to worker `(i + j + 1) % m`,

@@ -1,8 +1,8 @@
 //! The real message fabric connecting worker threads.
 //!
-//! Workers exchange actual tensor payloads over a full mesh of crossbeam
-//! channels — one channel per ordered `(src, dst)` pair so per-pair FIFO
-//! order holds and `recv_from(src)` never interleaves senders. The
+//! Workers exchange actual tensor payloads over a full mesh of
+//! `std::sync::mpsc` channels — one channel per ordered `(src, dst)` pair so
+//! per-pair FIFO order holds and `recv_from(src)` never interleaves senders. The
 //! simulator decides how long these messages *would* take on a modeled
 //! network; the fabric makes the training numerically real.
 //!
@@ -31,10 +31,9 @@
 //! that counter stays the payload ground truth.
 
 use std::cell::{Cell, RefCell};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use crate::fault::FaultPlan;
 use crate::wire;
@@ -564,7 +563,9 @@ impl Endpoint {
         loop {
             let msg = match self.pending.borrow_mut()[src].take() {
                 Some(m) => m,
-                None => match self.rxs[src].recv_deadline(deadline) {
+                None => match self.rxs[src]
+                    .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+                {
                     Ok(m) => m,
                     Err(RecvTimeoutError::Timeout) => {
                         return Err(NetError::RecvTimeout { peer: src, waited_ms })
@@ -646,7 +647,7 @@ impl Fabric {
         for _dst in 0..workers {
             let mut rxs = Vec::with_capacity(workers);
             for txs in txs_by_src.iter_mut() {
-                let (tx, rx) = unbounded();
+                let (tx, rx) = channel();
                 txs.push(tx);
                 rxs.push(rx);
             }
@@ -746,23 +747,22 @@ mod tests {
         let e0 = eps.pop().unwrap();
         // `move` closures: the endpoint's seen/pending bookkeeping makes
         // it Send but not Sync, so each thread must own its endpoint.
-        crossbeam::thread::scope(|s| {
-            s.spawn(move |_| {
+        std::thread::scope(|s| {
+            s.spawn(move || {
                 e0.send(1, MessageKind::Control(3.0)).unwrap();
                 match e0.recv_from(1).unwrap().kind {
                     MessageKind::Control(v) => assert_eq!(v, 4.0),
                     _ => panic!(),
                 }
             });
-            s.spawn(move |_| {
+            s.spawn(move || {
                 match e1.recv_from(0).unwrap().kind {
                     MessageKind::Control(v) => assert_eq!(v, 3.0),
                     _ => panic!(),
                 }
                 e1.send(0, MessageKind::Control(4.0)).unwrap();
             });
-        })
-        .unwrap();
+        });
     }
 
     #[test]

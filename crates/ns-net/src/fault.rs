@@ -27,7 +27,6 @@ use std::fmt;
 use std::str::FromStr;
 
 use crate::fabric::{MessageKind, KIND_NAMES};
-use crate::seeded;
 
 /// Every `--fault` spec form as `(syntax, one-line effect)`. The CLI help,
 /// the unknown-type error and `docs/FAULTS.md` (by a drift test) all read
@@ -697,7 +696,7 @@ impl FaultPlan {
             h ^= v;
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
-        seeded::unit(seeded::mix64(h))
+        ns_rand::unit(ns_rand::mix64(h))
     }
 }
 

@@ -16,7 +16,7 @@
 //! * [`sim`] — the task graph and the event-driven scheduler; produces
 //!   makespan plus per-resource busy timelines (the utilization traces of
 //!   the paper's Fig. 13).
-//! * [`fabric`] — real crossbeam-channel mesh carrying tensor rows,
+//! * [`fabric`] — real `std::sync::mpsc` channel mesh carrying tensor rows,
 //!   gradient chunks, and all-reduce payloads between worker threads.
 //! * [`buffer`] — the lock-free position-indexed message buffer of §4.3,
 //!   plus a mutex-guarded variant used as the ablation baseline.
@@ -26,8 +26,6 @@
 //!   duplicates, corruption, stragglers, worker kills) honored by both the
 //!   fabric and the simulator, and the one-line spec grammar that names
 //!   each fault.
-//! * [`seeded`] — the SplitMix64 mixer every seeded decision draws from
-//!   (fault coins, backoff jitter, chaos schedules, serve load).
 //! * [`membership`] — the coordinator's cluster membership view and the
 //!   worker rejoin handshake used by the elastic trainer.
 //! * [`policy`] — the shared deadline-budget / jittered-backoff /
@@ -39,7 +37,6 @@ pub mod fabric;
 pub mod fault;
 pub mod membership;
 pub mod policy;
-pub mod seeded;
 pub mod sim;
 pub mod wire;
 

@@ -291,8 +291,8 @@ mod tests {
         let mut eps = Fabric::new(2).into_endpoints();
         let joiner = eps.pop().unwrap();
         let coord = eps.pop().unwrap();
-        crossbeam::thread::scope(|s| {
-            let h = s.spawn(move |_| request_rejoin(&joiner, 0, 7, T));
+        std::thread::scope(|s| {
+            let h = s.spawn(move || request_rejoin(&joiner, 0, 7, T));
             let slot = admit_rejoin(&coord, 1, 12, 4096, T).unwrap();
             assert_eq!(slot, 7);
             let st = coord.stats();
@@ -300,8 +300,7 @@ mod tests {
             assert_eq!(st.sent_bytes, 2 * CONTROL_BYTES);
             let offer = h.join().unwrap().unwrap();
             assert_eq!(offer, RejoinOffer { resume_epoch: 12, state_bytes: 4096 });
-        })
-        .unwrap();
+        });
     }
 
     #[test]
@@ -318,8 +317,8 @@ mod tests {
         let mut eps = Fabric::new(2).into_endpoints();
         let joiner = eps.pop().unwrap();
         let coord = eps.pop().unwrap();
-        crossbeam::thread::scope(|s| {
-            s.spawn(move |_| {
+        std::thread::scope(|s| {
+            s.spawn(move || {
                 // A confused joiner sends rows instead of the hello.
                 joiner
                     .send(
@@ -338,8 +337,7 @@ mod tests {
                 matches!(err, NetError::UnexpectedKind { expected: "Control", .. }),
                 "{err:?}"
             );
-        })
-        .unwrap();
+        });
     }
 
     #[test]
@@ -347,8 +345,8 @@ mod tests {
         let mut eps = Fabric::new(2).into_endpoints();
         let joiner = eps.pop().unwrap();
         let coord = eps.pop().unwrap();
-        crossbeam::thread::scope(|s| {
-            let h = s.spawn(move |_| {
+        std::thread::scope(|s| {
+            let h = s.spawn(move || {
                 let offer = request_rejoin(&joiner, 0, 0, T).unwrap();
                 (offer, joiner.stats().sent_bytes)
             });
@@ -356,7 +354,6 @@ mod tests {
             let coord_bytes = coord.stats().sent_bytes;
             let (_, joiner_bytes) = h.join().unwrap();
             assert_eq!(coord_bytes + joiner_bytes, REJOIN_HANDSHAKE_BYTES);
-        })
-        .unwrap();
+        });
     }
 }

@@ -39,13 +39,13 @@
 
 use std::time::{Duration, Instant};
 
-use crate::seeded::{self, mix64};
+use ns_rand::mix64;
 
 /// Deterministic uniform draw in `[0, 1)` from `(seed, key, attempt)`:
 /// the mixer the fault layer uses, so one seed gives independent-looking
 /// streams for every `(key, attempt)`.
 fn unit(seed: u64, key: u64, attempt: u32) -> f64 {
-    seeded::unit(mix64(seed ^ mix64(key ^ ((attempt as u64) << 32))))
+    ns_rand::unit(mix64(seed ^ mix64(key ^ ((attempt as u64) << 32))))
 }
 
 /// An overall deadline for one logical operation, shared by every nested

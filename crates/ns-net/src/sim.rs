@@ -179,16 +179,15 @@ impl SimReport {
         let buckets = (end / bucket).ceil() as usize;
         let mut out = vec![0.0; buckets.max(1)];
         for &(s, e) in &self.busy[worker][idx] {
-            let mut t = s;
-            while t < e {
-                let b = (t / bucket) as usize;
-                if b >= out.len() {
-                    break;
-                }
+            // Walk bucket indices, not times: `(b + 1) * bucket / bucket`
+            // can round back down to `b`, and a loop that recomputes the
+            // bucket from `t` then never leaves it.
+            let (mut t, mut b) = (s, (s / bucket) as usize);
+            while t < e && b < out.len() {
                 let bucket_end = (b as f64 + 1.0) * bucket;
-                let seg = e.min(bucket_end) - t;
-                out[b] += seg / bucket;
-                t = bucket_end;
+                out[b] += (e.min(bucket_end) - t).max(0.0) / bucket;
+                t = t.max(bucket_end);
+                b += 1;
             }
         }
         out
@@ -702,6 +701,25 @@ mod tests {
         let total: f64 = u.iter().sum::<f64>() * 1.0;
         assert!((total - 3.0).abs() < 1e-6);
         assert!((r.mean_utilization(ResourceKind::Device) - 3.0 / (3.0 * 4.0)).abs() < 1e-9);
+    }
+
+    /// A bucket edge that divides back into its own bucket
+    /// (`11 * w / w == 10.999…` for this width) used to spin forever; it is
+    /// what hung `fig13` under the in-tree generator's makespans.
+    #[test]
+    fn utilization_terminates_when_a_bucket_edge_rounds_down() {
+        let makespan = 0.06864336754504867;
+        let bucket = makespan / 20.0;
+        assert_eq!(((11.0 * bucket) / bucket) as usize, 10, "the rounding this test is about");
+        let r = SimReport {
+            makespan,
+            finish: vec![makespan],
+            busy: vec![[vec![(0.0, makespan)], vec![], vec![]]],
+            bytes_in: vec![vec![]],
+        };
+        let u = r.utilization(0, ResourceKind::Device, bucket, makespan);
+        assert!(u.len() >= 20);
+        assert!(u[..20].iter().all(|&x| (x - 1.0).abs() < 1e-9), "{u:?}");
     }
 
     #[test]

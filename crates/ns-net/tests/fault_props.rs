@@ -8,8 +8,8 @@
 //! and a failure names the seed that reproduces it.
 
 use ns_net::fault::{parse_fault, Link, Window};
-use ns_net::seeded::SplitMix64;
 use ns_net::{Fabric, Fault, FaultPlan, KindSel, MessageKind, MsgSel};
+use ns_rand::SplitMix64;
 
 const CASES: u64 = 256;
 

@@ -1,0 +1,345 @@
+//! Seeded randomness for the whole workspace, on `std` alone.
+//!
+//! Three things live here, and nowhere else:
+//!
+//! * the SplitMix64 mixer — [`mix64`] as a pure function, [`SplitMix64`]
+//!   as a stream. Fault coins, backoff jitter, chaos schedules and the
+//!   serve load generator draw from it directly;
+//! * one generator, [`StdRng`]: xoshiro256++ (Blackman & Vigna) whose
+//!   state is filled by that mixer. Datasets, initial weights, partition
+//!   tie-breaks and sampled mini-batches draw from it;
+//! * [`check_cases`], the seeded case loop the property tests run on.
+//!
+//! "Same seed, same run" on every machine rests on this file, so the bit
+//! stream is pinned by the known-answer tests below: every seed-42 loss in
+//! `crates/benchmark/expected.json`, every pinned chaos schedule and every
+//! number in `results/` is a function of it. Change a constant and those
+//! tests, not a reviewer, say so.
+
+use std::ops::{Range, RangeInclusive};
+
+const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// One SplitMix64 step as a pure function: the output of a generator
+/// whose state is `x`. Hashing with it gives independent-looking values
+/// for nearby inputs.
+pub fn mix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(GOLDEN);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Maps 64 random bits to a uniform draw in `[0, 1)` (53 mantissa bits).
+pub fn unit(bits: u64) -> f64 {
+    (bits >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// The SplitMix64 stream seeded with the wrapped state.
+#[derive(Debug, Clone)]
+pub struct SplitMix64(pub u64);
+
+impl SplitMix64 {
+    /// The next 64 bits of the stream.
+    // An endless stream: `Iterator::next` would have no `None` to return.
+    #[allow(clippy::should_implement_trait)]
+    pub fn next(&mut self) -> u64 {
+        let out = mix64(self.0);
+        self.0 = self.0.wrapping_add(GOLDEN);
+        out
+    }
+
+    /// Uniform in `[0, n)` (`n = 0` is read as 1).
+    pub fn below(&mut self, n: u64) -> u64 {
+        self.next() % n.max(1)
+    }
+
+    /// Uniform in `[0, 1)`.
+    pub fn unit(&mut self) -> f64 {
+        unit(self.next())
+    }
+}
+
+/// The workspace's generator: xoshiro256++ seeded through [`SplitMix64`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StdRng {
+    s: [u64; 4],
+}
+
+impl StdRng {
+    /// The generator whose state is the first four outputs of
+    /// `SplitMix64(seed)`.
+    pub fn seed_from_u64(seed: u64) -> Self {
+        let mut fill = SplitMix64(seed);
+        Self { s: [fill.next(), fill.next(), fill.next(), fill.next()] }
+    }
+
+    /// The next 64 bits of the stream; every other draw is built on this.
+    #[inline]
+    pub fn next_u64(&mut self) -> u64 {
+        let s = &mut self.s;
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
+    }
+
+    /// A uniform value of `T`: floats in `[0, 1)`, `bool` as a fair coin.
+    pub fn random<T: Random>(&mut self) -> T {
+        T::random(self)
+    }
+
+    /// A uniform value in `range`: `a..b` for integers and floats, `a..=b`
+    /// for integers.
+    ///
+    /// # Panics
+    /// Panics on an empty range.
+    pub fn random_range<T, S: SampleRange<T>>(&mut self, range: S) -> T {
+        range.sample(self)
+    }
+
+    /// `true` with probability `p`.
+    pub fn random_bool(&mut self, p: f64) -> bool {
+        self.random::<f64>() < p
+    }
+
+    /// Fisher–Yates shuffle.
+    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
+        for i in (1..slice.len()).rev() {
+            slice.swap(i, self.random_range(0..=i));
+        }
+    }
+
+    /// Unbiased integer in `[0, span)` by widening multiply with rejection
+    /// (Lemire); `span == 0` means the full 64-bit range.
+    fn below(&mut self, span: u64) -> u64 {
+        if span == 0 {
+            return self.next_u64();
+        }
+        let threshold = span.wrapping_neg() % span;
+        loop {
+            let m = (self.next_u64() as u128) * (span as u128);
+            if (m as u64) >= threshold {
+                return (m >> 64) as u64;
+            }
+        }
+    }
+}
+
+/// The seeded case loop behind the workspace's property tests: runs
+/// `property` once per seed in `seeds`, each on a fresh
+/// `StdRng::seed_from_u64(seed)`. When a case panics, `case seed = N` is
+/// printed before the panic resumes, so every failure names its input;
+/// `check_cases(N..N + 1, property)` replays that case alone.
+pub fn check_cases(seeds: Range<u64>, property: impl Fn(&mut StdRng)) {
+    for seed in seeds {
+        let case = || property(&mut StdRng::seed_from_u64(seed));
+        if let Err(panic) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(case)) {
+            eprintln!("case seed = {seed}");
+            std::panic::resume_unwind(panic);
+        }
+    }
+}
+
+/// Types [`StdRng::random`] can produce.
+pub trait Random: Sized {
+    /// One uniform draw.
+    fn random(rng: &mut StdRng) -> Self;
+}
+
+impl Random for f64 {
+    fn random(rng: &mut StdRng) -> Self {
+        unit(rng.next_u64())
+    }
+}
+
+impl Random for f32 {
+    fn random(rng: &mut StdRng) -> Self {
+        (rng.next_u64() >> 40) as f32 / (1u32 << 24) as f32
+    }
+}
+
+impl Random for bool {
+    fn random(rng: &mut StdRng) -> Self {
+        rng.next_u64() >> 63 == 1
+    }
+}
+
+/// Ranges [`StdRng::random_range`] can sample from.
+pub trait SampleRange<T> {
+    /// One uniform draw from the range.
+    fn sample(self, rng: &mut StdRng) -> T;
+}
+
+macro_rules! int_ranges {
+    ($($t:ty),*) => {$(
+        impl SampleRange<$t> for Range<$t> {
+            fn sample(self, rng: &mut StdRng) -> $t {
+                assert!(self.start < self.end, "cannot sample empty range");
+                let span = (self.end as i128 - self.start as i128) as u64;
+                (self.start as i128 + rng.below(span) as i128) as $t
+            }
+        }
+        impl SampleRange<$t> for RangeInclusive<$t> {
+            fn sample(self, rng: &mut StdRng) -> $t {
+                let (lo, hi) = (*self.start(), *self.end());
+                assert!(lo <= hi, "cannot sample empty range");
+                let span = (hi as i128 - lo as i128 + 1) as u64;
+                (lo as i128 + rng.below(span) as i128) as $t
+            }
+        }
+    )*};
+}
+int_ranges!(u8, u32, u64, usize, i32, i64);
+
+macro_rules! float_ranges {
+    ($($t:ty),*) => {$(
+        impl SampleRange<$t> for Range<$t> {
+            fn sample(self, rng: &mut StdRng) -> $t {
+                assert!(self.start < self.end, "cannot sample empty range");
+                let v = self.start + (self.end - self.start) * rng.random::<$t>();
+                // Rounding can land exactly on the excluded end.
+                if v < self.end { v } else { self.start }
+            }
+        }
+    )*};
+}
+float_ranges!(f32, f64);
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stream_matches_the_published_splitmix64_vector() {
+        let mut rng = SplitMix64(0);
+        let got: Vec<u64> = (0..4).map(|_| rng.next()).collect();
+        let want = [
+            0xe220_a839_7b1d_cdaf,
+            0x6e78_9e6a_a1b9_65f4,
+            0x06c4_5d18_8009_454f,
+            0xf88b_b8a8_724c_81ec,
+        ];
+        assert_eq!(got, want);
+        // The pure step is the stream's output function.
+        assert_eq!(mix64(0), want[0]);
+        assert_eq!(mix64(GOLDEN), want[1]);
+    }
+
+    #[test]
+    fn unit_and_below_stay_in_range() {
+        assert_eq!(unit(0), 0.0);
+        assert!(unit(u64::MAX) < 1.0);
+        let mut rng = SplitMix64(9);
+        for _ in 0..1000 {
+            assert!(rng.below(7) < 7);
+            assert!((0.0..1.0).contains(&rng.unit()));
+        }
+        assert_eq!(rng.below(0), 0);
+    }
+
+    // The answers below were recorded from the generator this crate
+    // replaced (the xoshiro256++ stand-in every build on the development
+    // box linked) before it was removed. They are the contract.
+
+    #[test]
+    fn next_u64_known_answers() {
+        let first8 = |seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            std::array::from_fn::<u64, 8, _>(|_| rng.next_u64())
+        };
+        assert_eq!(
+            first8(0),
+            [
+                0x5317_5d61_490b_23df,
+                0x61da_6f3d_c380_d507,
+                0x5c0f_df91_ec9a_7bfc,
+                0x02ee_bf8c_3bbe_5e1a,
+                0x7eca_04eb_af4a_5eea,
+                0x0543_c377_57f0_8d9a,
+                0xdb74_90c7_5ab5_026e,
+                0xd873_43e6_464b_c959,
+            ]
+        );
+        assert_eq!(
+            first8(42),
+            [
+                0xd076_4d4f_4476_689f,
+                0x519e_4174_576f_3791,
+                0xfbe0_7cfb_0c24_ed8c,
+                0xb37d_9f60_0cd8_35b8,
+                0xcb23_1c38_7484_6a73,
+                0x968d_9f00_4e50_de7d,
+                0x2017_18ff_221a_3556,
+                0x9ae9_4e07_0ed8_cb46,
+            ]
+        );
+    }
+
+    /// One generator, one fixed sequence of mixed draws: each answer also
+    /// pins how many 64-bit words the draw before it consumed.
+    #[test]
+    fn typed_draws_known_answers() {
+        let mut rng = StdRng::seed_from_u64(42);
+        assert_eq!(rng.random::<f32>().to_bits(), 0x3f50_764d);
+        assert_eq!(rng.random::<f64>().to_bits(), 0x3fd4_6790_5d15_dbcc);
+        assert!(rng.random::<bool>());
+        assert_eq!(rng.next_u64() >> 32, 3_011_354_464);
+        assert_eq!(rng.next_u64(), 14_637_574_242_682_825_331);
+        let ints: [u32; 8] = std::array::from_fn(|_| rng.random_range(0..7u32));
+        assert_eq!(ints, [4, 0, 4, 1, 6, 3, 5, 4]);
+        let signed: [i64; 8] = std::array::from_fn(|_| rng.random_range(-3..=3i64));
+        assert_eq!(signed, [-3, -1, 0, -2, -3, 1, 0, -2]);
+        let floats: [u32; 4] = std::array::from_fn(|_| rng.random_range(0.0..1.0f32).to_bits());
+        assert_eq!(floats, [0x3f5c_da5b, 0x3f27_0de5, 0x3f06_86e9, 0x3f50_dafd]);
+        let coins: [bool; 8] = std::array::from_fn(|_| rng.random_bool(0.3));
+        assert_eq!(coins, [true, false, false, false, false, true, false, false]);
+        let mut order: Vec<u32> = (0..10).collect();
+        rng.shuffle(&mut order);
+        assert_eq!(order, [1, 0, 4, 3, 6, 9, 7, 5, 8, 2]);
+        assert_eq!(rng.next_u64(), 0x77a2_2c4f_769f_4fdf);
+    }
+
+    #[test]
+    fn ranges_cover_their_bounds_and_nothing_else() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut seen = [false; 7];
+        for _ in 0..500 {
+            seen[(rng.random_range(-3..=3i32) + 3) as usize] = true;
+            assert_eq!(rng.random_range(5..6usize), 5);
+            assert!((-2.0..2.0).contains(&rng.random_range(-2.0..2.0f32)));
+            assert!((0.0..1.0).contains(&rng.random::<f32>()));
+        }
+        assert_eq!(seen, [true; 7]);
+        // A span of 2^64 wraps to 0: the full-width path, no rejection loop.
+        let _: u64 = rng.random_range(0..=u64::MAX);
+    }
+
+    #[test]
+    fn check_cases_runs_every_seed_and_stops_at_the_failing_one() {
+        let seen = std::sync::Mutex::new(Vec::new());
+        check_cases(3..6, |rng| seen.lock().unwrap().push(rng.next_u64()));
+        let want: Vec<u64> = (3..6).map(|s| StdRng::seed_from_u64(s).next_u64()).collect();
+        assert_eq!(*seen.lock().unwrap(), want);
+
+        let ran = std::sync::atomic::AtomicU64::new(0);
+        let failed = std::panic::catch_unwind(|| {
+            check_cases(0..10, |_| {
+                assert!(ran.fetch_add(1, std::sync::atomic::Ordering::Relaxed) < 4, "fifth case");
+            })
+        });
+        assert!(failed.is_err());
+        assert_eq!(ran.into_inner(), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty range")]
+    fn empty_range_panics() {
+        StdRng::seed_from_u64(0).random_range(3..3u32);
+    }
+}

@@ -14,8 +14,7 @@
 //! the per-edge and per-vertex components, which the device model then
 //! converts to seconds.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use ns_rand::StdRng;
 
 use ns_gnn::{GnnModel, LayerInput, LayerTopology};
 use ns_net::ClusterSpec;

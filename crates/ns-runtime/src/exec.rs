@@ -170,7 +170,7 @@ impl Default for WatchdogConfig {
 /// Shared watchdog state: per-worker heartbeats (stamped at each epoch
 /// top), per-worker cancel flags, and the trip counter. Lives on the
 /// coordinator's stack; workers and the supervisor thread borrow it
-/// through the crossbeam scope.
+/// through the thread scope.
 pub(crate) struct Watchdog {
     cfg: WatchdogConfig,
     /// Per-worker last-heartbeat time, ms since `t0`, offset by +1 so 0
@@ -1207,14 +1207,14 @@ pub(crate) fn run_workers(
     };
     let slots = carry.slots_for(m);
 
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         let wd = watchdog.as_ref();
         let job = Job { dataset, model, epochs, cfg, run, origin, wd, feature_grad };
-        let supervisor = wd.map(|wd| s.spawn(move |_| wd.run()));
+        let supervisor = wd.map(|wd| s.spawn(move || wd.run()));
         let mut handles = Vec::new();
         for ((plan, ep), slot) in plans.iter().zip(endpoints).zip(slots) {
             let tx = tx.clone();
-            handles.push(s.spawn(move |_| Worker::run(job, plan, ep, slot, tx)));
+            handles.push(s.spawn(move || Worker::run(job, plan, ep, slot, tx)));
         }
         drop(tx);
         // Aggregate metrics on the coordinating thread. The loop ends when
@@ -1293,7 +1293,6 @@ pub(crate) fn run_workers(
         run_metrics.wall_s = t_run.elapsed().as_secs_f64();
         Ok((metrics, store, opt_state, run_metrics))
     })
-    .expect("worker scope panicked")
 }
 
 #[cfg(test)]
@@ -1437,7 +1436,7 @@ mod tests {
         let err = train_epochs_run(&ds, &model, &plans, 4, &ExecConfig::default(), &run)
             .unwrap_err();
         // train_epochs_run returning at all proves every thread joined
-        // (the crossbeam scope cannot exit otherwise).
+        // (the thread scope cannot exit otherwise).
         assert!(
             matches!(
                 err,
@@ -1672,7 +1671,7 @@ mod tests {
     /// Hybrid decision over two workers and two layers: cache the
     /// dependencies whose id has this `parity`, communicate the others.
     fn parity_sets(ds: &Dataset, parity: u32) -> DepDecision {
-        let cached: rustc_hash::FxHashSet<u32> =
+        let cached: ns_graph::fx::FxHashSet<u32> =
             (0..ds.graph.num_vertices() as u32).filter(|v| v % 2 == parity).collect();
         DepDecision::Sets(vec![vec![cached; 2]; 2])
     }
@@ -1744,7 +1743,7 @@ mod tests {
     /// [`GnnModel::new`] cannot spell.
     fn every_model_kind(ds: &Dataset) -> Vec<(&'static str, GnnModel)> {
         use ns_gnn::{Aggregator, GatLayer, GnnLayer, SageLayer};
-        use rand::{rngs::StdRng, SeedableRng};
+        use ns_rand::StdRng;
         let (d, classes) = (ds.feature_dim(), ds.num_classes);
         let stock = |kind| GnnModel::two_layer(kind, d, 16, classes, 3);
         let gat3 = {

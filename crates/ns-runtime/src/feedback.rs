@@ -267,7 +267,7 @@ pub fn diff_decisions(
 mod tests {
     use super::*;
     use ns_metrics::MetricsRecorder;
-    use rustc_hash::FxHashSet;
+    use ns_graph::fx::FxHashSet;
     use std::time::Instant;
 
     /// Builds a RunMetrics where worker `w` waited `wait[p]` ns total over

@@ -16,8 +16,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Instant;
 
-use rustc_hash::FxHashSet;
-
+use ns_graph::fx::FxHashSet;
 use ns_graph::{CsrGraph, Partitioning};
 
 use crate::cost::CostFactors;

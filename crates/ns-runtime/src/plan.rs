@@ -15,9 +15,8 @@
 //! `h^{(lz)}` (with `h^{(0)}` = input features) and produces `h^{(lz+1)}`.
 //! The paper's layer `l` is `lz + 1`.
 
-use rustc_hash::{FxHashMap, FxHashSet};
-
 use ns_gnn::LayerTopology;
+use ns_graph::fx::{FxHashMap, FxHashSet};
 use ns_graph::{CsrGraph, Partitioning};
 
 use crate::error::{Result, RuntimeError};

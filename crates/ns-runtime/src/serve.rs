@@ -45,6 +45,7 @@ use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use ns_gnn::{GnnModel, LayerInput, LayerTopology};
+use ns_graph::fx::FxHashMap;
 use ns_graph::khop::khop_in_closure;
 use ns_graph::{Dataset, Partitioner, Partitioning};
 use ns_metrics::{MetricsFrame, MetricsRecorder, RunMetrics};
@@ -52,7 +53,6 @@ use ns_net::fabric::{Endpoint, Fabric, MessageKind};
 use ns_net::fault::FaultPlan;
 use ns_net::policy::{Budget, CircuitBreaker};
 use ns_tensor::{ParamStore, Tensor};
-use rustc_hash::FxHashMap;
 
 use crate::obs::{export_breaker_stats, export_net_stats};
 

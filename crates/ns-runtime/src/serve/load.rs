@@ -14,7 +14,7 @@
 
 use std::time::Duration;
 
-use ns_net::seeded::SplitMix64;
+use ns_rand::SplitMix64;
 
 /// An open-loop load specification.
 #[derive(Debug, Clone, Copy)]

@@ -19,8 +19,7 @@
 use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
-use rustc_hash::FxHashSet;
-
+use ns_graph::fx::FxHashSet;
 use ns_metrics::{span, MetricsRecorder, Phase, RunMetrics, COORDINATOR};
 use ns_net::fault::FaultPlan;
 use ns_net::membership::{self, MembershipEvent, MembershipView};
@@ -496,9 +495,9 @@ impl<'t, 'a> Supervisor<'t, 'a> {
             epoch: resume,
             cause: FailureCause::Net(e),
         };
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             let joiner =
-                s.spawn(move |_| membership::request_rejoin(&joiner_ep, 0, slot, timeout));
+                s.spawn(move || membership::request_rejoin(&joiner_ep, 0, slot, timeout));
             let announced = membership::admit_rejoin(&coord_ep, 1, resume, state_bytes, timeout)
                 .map_err(net_err)?;
             let offer = joiner.join().expect("joiner thread").map_err(net_err)?;
@@ -506,7 +505,6 @@ impl<'t, 'a> Supervisor<'t, 'a> {
             debug_assert_eq!(offer.resume_epoch, resume);
             Ok(offer.state_bytes + membership::REJOIN_HANDSHAKE_BYTES)
         })
-        .expect("rejoin scope")
     }
 }
 

@@ -7,19 +7,23 @@
 //! or truncation of a generation file is detected at load (header CRC +
 //! payload CRC) and skipped via the fallback chain.
 //!
-//! These run under `cargo test` with the real proptest crate; the offline
-//! shadow workspace skips them (its proptest stand-in is empty).
+//! Each property runs over `CASES` seeded cases through
+//! [`ns_rand::check_cases`]: case `N` draws its inputs from
+//! `StdRng::seed_from_u64(N)`, a failure prints `case seed = N`, and
+//! `check_cases(N..N + 1, ..)` replays it alone. The draws cover the ranges
+//! the `proptest` strategies named before this suite dropped that crate;
+//! what was lost is shrinking — a failing case is reported as drawn, not
+//! minimized.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use proptest::prelude::*;
-
+use ns_rand::{check_cases, StdRng};
 use ns_runtime::{Checkpoint, CheckpointStore};
 use ns_tensor::checkpoint::CheckpointError;
 use ns_tensor::{AdamState, ParamStore, Tensor};
 
-/// Unique scratch directory per proptest case (no tempfile dependency).
+/// Unique scratch directory per case (no tempfile dependency).
 fn scratch_dir(tag: &str) -> PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     std::env::temp_dir().join(format!(
@@ -29,7 +33,7 @@ fn scratch_dir(tag: &str) -> PathBuf {
     ))
 }
 
-/// Deterministic pseudo-random tensor (proptest drives shape + seed; the
+/// Deterministic pseudo-random tensor (the case draws shape + seed; the
 /// contents only need to be varied, not uniform).
 fn tensor_with(rows: usize, cols: usize, seed: u64) -> Tensor {
     let data = (0..rows * cols)
@@ -59,96 +63,94 @@ fn adam_with(shapes: &[(usize, usize)], t: u64, seed: u64) -> AdamState {
     }
 }
 
-fn shape_strategy() -> impl Strategy<Value = Vec<(usize, usize)>> {
-    prop::collection::vec((1usize..6, 1usize..6), 1..5)
+const CASES: u64 = 64;
+
+/// One to four parameter shapes, each dimension in `1..6`.
+fn arb_shapes(rng: &mut StdRng) -> Vec<(usize, usize)> {
+    (0..rng.random_range(1..5usize))
+        .map(|_| (rng.random_range(1..6), rng.random_range(1..6)))
+        .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// capture -> restore is the identity on parameters and optimizer
-    /// state: names, shapes, values, and Adam's (t, m, v) all match
-    /// exactly. Rollback correctness depends on this being bit-for-bit.
-    #[test]
-    fn capture_restore_is_exact(
-        shapes in shape_strategy(),
-        seed in 0u64..10_000,
-        next_epoch in 0usize..100,
-        t in 0u64..1_000,
-    ) {
+/// capture -> restore is the identity on parameters and optimizer
+/// state: names, shapes, values, and Adam's (t, m, v) all match
+/// exactly. Rollback correctness depends on this being bit-for-bit.
+#[test]
+fn capture_restore_is_exact() {
+    check_cases(0..CASES, |rng| {
+        let (shapes, seed) = (arb_shapes(rng), rng.random_range(0u64..10_000));
+        let (next_epoch, t) = (rng.random_range(0usize..100), rng.random_range(0u64..1_000));
         let store = store_with(&shapes, seed);
         let opt = adam_with(&shapes, t, seed);
         let ckpt = Checkpoint::capture(next_epoch, &store, Some(opt.clone()));
-        prop_assert_eq!(ckpt.next_epoch, next_epoch);
+        assert_eq!(ckpt.next_epoch, next_epoch);
         let (restored, ropt) = ckpt.restore().expect("fresh capture must restore");
         let restored = restored.expect("non-empty capture");
-        prop_assert_eq!(restored.len(), store.len());
+        assert_eq!(restored.len(), store.len());
         for ((_, n1, v1), (_, n2, v2)) in store.iter().zip(restored.iter()) {
-            prop_assert_eq!(n1, n2);
-            prop_assert_eq!(v1.shape(), v2.shape());
-            prop_assert_eq!(v1.data(), v2.data());
+            assert_eq!(n1, n2);
+            assert_eq!(v1.shape(), v2.shape());
+            assert_eq!(v1.data(), v2.data());
         }
-        prop_assert_eq!(ropt, Some(opt));
-    }
+        assert_eq!(ropt, Some(opt));
+    });
+}
 
-    /// Rebuilding a checkpoint from its own raw bytes (what a
-    /// process-level restart does after re-reading the snapshot from
-    /// disk) restores identically to the original.
-    #[test]
-    fn raw_bytes_roundtrip_through_from_raw(
-        shapes in shape_strategy(),
-        seed in 0u64..10_000,
-    ) {
+/// Rebuilding a checkpoint from its own raw bytes (what a
+/// process-level restart does after re-reading the snapshot from
+/// disk) restores identically to the original.
+#[test]
+fn raw_bytes_roundtrip_through_from_raw() {
+    check_cases(0..CASES, |rng| {
+        let (shapes, seed) = (arb_shapes(rng), rng.random_range(0u64..10_000));
         let store = store_with(&shapes, seed);
         let ckpt = Checkpoint::capture(7, &store, None);
         let rebuilt = Checkpoint::from_raw(7, ckpt.raw_bytes().to_vec(), None);
         let (a, _) = ckpt.restore().unwrap();
         let (b, _) = rebuilt.restore().unwrap();
         let (a, b) = (a.unwrap(), b.unwrap());
-        prop_assert_eq!(a.len(), b.len());
+        assert_eq!(a.len(), b.len());
         for ((_, n1, v1), (_, n2, v2)) in a.iter().zip(b.iter()) {
-            prop_assert_eq!(n1, n2);
-            prop_assert_eq!(v1.data(), v2.data());
+            assert_eq!(n1, n2);
+            assert_eq!(v1.data(), v2.data());
         }
-    }
+    });
+}
 
-    /// Truncating the serialized snapshot at any point yields a clean
-    /// `io::Error` from restore — never a panic. (Length 0 is the
-    /// documented "initial parameters" sentinel, so start at 1.)
-    #[test]
-    fn truncated_bytes_error_cleanly(
-        shapes in shape_strategy(),
-        seed in 0u64..10_000,
-        cut in any::<prop::sample::Index>(),
-    ) {
+/// Truncating the serialized snapshot at any point yields a clean
+/// `io::Error` from restore — never a panic. (Length 0 is the
+/// documented "initial parameters" sentinel, so start at 1.)
+#[test]
+fn truncated_bytes_error_cleanly() {
+    check_cases(0..CASES, |rng| {
+        let (shapes, seed) = (arb_shapes(rng), rng.random_range(0u64..10_000));
         let store = store_with(&shapes, seed);
         let ckpt = Checkpoint::capture(3, &store, None);
         let full = ckpt.raw_bytes().to_vec();
-        let keep = 1 + cut.index(full.len() - 1);
+        let keep = 1 + rng.random_range(0..full.len() - 1);
         if keep == full.len() {
-            return Ok(()); // not actually truncated
+            return; // not actually truncated
         }
         let damaged = Checkpoint::from_raw(3, full[..keep].to_vec(), None);
-        prop_assert!(damaged.restore().is_err(), "truncated snapshot restored");
-    }
+        assert!(damaged.restore().is_err(), "truncated snapshot restored");
+    });
+}
 
-    /// Corrupting any single byte of a *raw-rebuilt* snapshot (no outer
-    /// CRC recorded) either errors with a typed [`CheckpointError`] or
-    /// restores a same-shaped store — it must never panic and never
-    /// change the parameter count. (A raw flip inside the f32 payload is
-    /// undetectable by design at this layer; structural damage must be
-    /// caught, and the durable store's CRCs catch the rest.)
-    #[test]
-    fn bit_flips_never_panic(
-        shapes in shape_strategy(),
-        seed in 0u64..10_000,
-        at in any::<prop::sample::Index>(),
-        flip in 1u8..=255,
-    ) {
+/// Corrupting any single byte of a *raw-rebuilt* snapshot (no outer
+/// CRC recorded) either errors with a typed [`CheckpointError`] or
+/// restores a same-shaped store — it must never panic and never
+/// change the parameter count. (A raw flip inside the f32 payload is
+/// undetectable by design at this layer; structural damage must be
+/// caught, and the durable store's CRCs catch the rest.)
+#[test]
+fn bit_flips_never_panic() {
+    check_cases(0..CASES, |rng| {
+        let (shapes, seed) = (arb_shapes(rng), rng.random_range(0u64..10_000));
+        let flip = rng.random_range(1u8..=255);
         let store = store_with(&shapes, seed);
         let ckpt = Checkpoint::capture(3, &store, None);
         let mut bytes = ckpt.raw_bytes().to_vec();
-        let i = at.index(bytes.len());
+        let i = rng.random_range(0..bytes.len());
         bytes[i] ^= flip;
         let damaged = Checkpoint::from_raw(3, bytes, None);
         match damaged.restore() {
@@ -157,89 +159,82 @@ proptest! {
             Err(CheckpointError::Corrupt { .. })
             | Err(CheckpointError::Io { .. })
             | Err(CheckpointError::CrcMismatch { .. }) => {}
-            Ok((Some(s), _)) => prop_assert_eq!(s.len(), store.len()),
-            Ok((None, _)) => {
-                return Err(TestCaseError::fail("non-empty bytes restored to nothing"));
-            }
+            Ok((Some(s), _)) => assert_eq!(s.len(), store.len()),
+            Ok((None, _)) => panic!("non-empty bytes restored to nothing"),
         }
-    }
+    });
+}
 
-    /// A flip *after* capture is always caught: the in-memory checkpoint
-    /// records a CRC over its bytes, so restore reports the mismatch no
-    /// matter which bit moved (even deep inside the f32 payload).
-    #[test]
-    fn post_capture_flips_always_detected(
-        shapes in shape_strategy(),
-        seed in 0u64..10_000,
-        at in any::<prop::sample::Index>(),
-        flip_bit in 0u32..8,
-    ) {
+/// A flip *after* capture is always caught: the in-memory checkpoint
+/// records a CRC over its bytes, so restore reports the mismatch no
+/// matter which bit moved (even deep inside the f32 payload).
+#[test]
+fn post_capture_flips_always_detected() {
+    check_cases(0..CASES, |rng| {
+        let (shapes, seed) = (arb_shapes(rng), rng.random_range(0u64..10_000));
+        let flip_bit = rng.random_range(0u32..8);
         let store = store_with(&shapes, seed);
         let ckpt = Checkpoint::capture(3, &store, None);
         let mut bytes = ckpt.raw_bytes().to_vec();
-        let i = at.index(bytes.len());
+        let i = rng.random_range(0..bytes.len());
         bytes[i] ^= 1 << flip_bit;
         // Keep the original CRC, as a torn in-place overwrite would.
         let damaged = Checkpoint::from_raw_with_crc(3, bytes, ckpt.crc(), None);
         match damaged.restore() {
             Err(CheckpointError::CrcMismatch { expected, computed, .. }) => {
-                prop_assert_eq!(expected, ckpt.crc());
-                prop_assert_ne!(expected, computed);
+                assert_eq!(expected, ckpt.crc());
+                assert_ne!(expected, computed);
             }
-            other => {
-                return Err(TestCaseError::fail(format!(
-                    "flip at byte {i} escaped the checkpoint CRC: {:?}",
-                    other.map(|_| ())
-                )));
-            }
+            other => panic!(
+                "flip at byte {i} escaped the checkpoint CRC: {:?}",
+                other.map(|_| ())
+            ),
         }
-    }
+    });
+}
 
-    /// Torn-write guarantee for the durable store: any single bit flip
-    /// anywhere in a generation file — header, length field, or payload —
-    /// is detected at load and the damaged generation is skipped, never
-    /// silently loaded.
-    #[test]
-    fn durable_generation_flips_detected_at_load(
-        shapes in shape_strategy(),
-        seed in 0u64..10_000,
-        at in any::<prop::sample::Index>(),
-        flip_bit in 0u32..8,
-    ) {
+/// Torn-write guarantee for the durable store: any single bit flip
+/// anywhere in a generation file — header, length field, or payload —
+/// is detected at load and the damaged generation is skipped, never
+/// silently loaded.
+#[test]
+fn durable_generation_flips_detected_at_load() {
+    check_cases(0..CASES, |rng| {
+        let (shapes, seed) = (arb_shapes(rng), rng.random_range(0u64..10_000));
+        let flip_bit = rng.random_range(0u32..8);
         let dir = scratch_dir("flip");
         let mut store = CheckpointStore::open(&dir, 2).expect("open scratch store");
         let params = store_with(&shapes, seed);
         let ckpt = Checkpoint::capture(4, &params, Some(adam_with(&shapes, 1, seed)));
         let receipt = store.save(&ckpt, 3).expect("save generation");
         let mut bytes = std::fs::read(&receipt.path).expect("read generation back");
-        let i = at.index(bytes.len());
+        let i = rng.random_range(0..bytes.len());
         bytes[i] ^= 1 << flip_bit;
         std::fs::write(&receipt.path, &bytes).expect("write damaged generation");
         let report = store.load_latest();
         let _ = std::fs::remove_dir_all(&dir);
-        prop_assert_eq!(report.fallbacks, 1, "flip at byte {} escaped detection", i);
-        prop_assert!(report.checkpoint.is_none(), "damaged generation was loaded");
-    }
+        assert_eq!(report.fallbacks, 1, "flip at byte {} escaped detection", i);
+        assert!(report.checkpoint.is_none(), "damaged generation was loaded");
+    });
+}
 
-    /// Torn-write guarantee, truncation flavor: a generation cut to any
-    /// proper prefix (including zero bytes) is rejected at load.
-    #[test]
-    fn durable_generation_truncation_detected_at_load(
-        shapes in shape_strategy(),
-        seed in 0u64..10_000,
-        cut in any::<prop::sample::Index>(),
-    ) {
+/// Torn-write guarantee, truncation flavor: a generation cut to any
+/// proper prefix (including zero bytes) is rejected at load.
+#[test]
+fn durable_generation_truncation_detected_at_load() {
+    check_cases(0..CASES, |rng| {
+        let (shapes, seed) = (arb_shapes(rng), rng.random_range(0u64..10_000));
         let dir = scratch_dir("cut");
         let mut store = CheckpointStore::open(&dir, 2).expect("open scratch store");
         let params = store_with(&shapes, seed);
         let ckpt = Checkpoint::capture(2, &params, None);
         let receipt = store.save(&ckpt, 3).expect("save generation");
         let bytes = std::fs::read(&receipt.path).expect("read generation back");
-        let keep = cut.index(bytes.len()); // any proper prefix
+        let keep = rng.random_range(0..bytes.len()); // any proper prefix
         std::fs::write(&receipt.path, &bytes[..keep]).expect("truncate generation");
         let report = store.load_latest();
         let _ = std::fs::remove_dir_all(&dir);
-        prop_assert_eq!(report.fallbacks, 1, "truncation to {} bytes escaped", keep);
-        prop_assert!(report.checkpoint.is_none(), "truncated generation was loaded");
-    }
+        assert_eq!(report.fallbacks, 1, "truncation to {} bytes escaped", keep);
+        assert!(report.checkpoint.is_none(), "truncated generation was loaded");
+    });
 }

@@ -101,6 +101,23 @@ impl Counted<'_> {
         self.read_exact(&mut buf)?;
         Ok(u32::from_le_bytes(buf))
     }
+
+    /// Reads exactly `len` bytes into a buffer that grows only as bytes
+    /// arrive: `len` comes from the stream, and a damaged length field has
+    /// to end in `UnexpectedEof`, not in a multi-gigabyte allocation.
+    fn bytes(&mut self, len: usize) -> Result<Vec<u8>, CheckpointError> {
+        let mut buf = Vec::with_capacity(len.min(1 << 20));
+        let got = (&mut *self.inner).take(len as u64).read_to_end(&mut buf);
+        let kind = match got {
+            Ok(n) if n == len => {
+                self.offset += len as u64;
+                return Ok(buf);
+            }
+            Ok(_) => io::ErrorKind::UnexpectedEof,
+            Err(e) => e.kind(),
+        };
+        Err(CheckpointError::Io { offset: self.offset, kind })
+    }
 }
 
 /// Serializes `store` into `w`.
@@ -153,12 +170,14 @@ pub fn load_typed(r: &mut dyn Read) -> Result<ParamStore, CheckpointError> {
         let shape_at = r.offset;
         let rows = r.u32()? as usize;
         let cols = r.u32()? as usize;
-        let elems = rows.checked_mul(cols).ok_or_else(|| CheckpointError::Corrupt {
-            offset: shape_at,
-            what: "tensor shape overflow".into(),
-        })?;
-        let mut bytes = vec![0u8; elems * 4];
-        r.read_exact(&mut bytes)?;
+        let payload_len = rows
+            .checked_mul(cols)
+            .and_then(|elems| elems.checked_mul(4))
+            .ok_or_else(|| CheckpointError::Corrupt {
+                offset: shape_at,
+                what: "tensor shape overflow".into(),
+            })?;
+        let bytes = r.bytes(payload_len)?;
         let data: Vec<f32> = bytes
             .chunks_exact(4)
             .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
@@ -200,8 +219,7 @@ pub fn restore_into_typed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use ns_rand::StdRng;
 
     use crate::nn::Init;
 
@@ -265,6 +283,26 @@ mod tests {
             }
             other => panic!("expected Io(UnexpectedEof), got {other:?}"),
         }
+    }
+
+    /// A damaged shape field claims far more payload than the stream
+    /// holds: the loader must run out of bytes, not ask the allocator for
+    /// the claimed size (a 32 GB claim aborted the process before).
+    #[test]
+    fn absurd_shape_is_an_error_not_an_allocation() {
+        let mut buf = Vec::new();
+        save(&sample_store(), &mut buf).unwrap();
+        let rows_at = 8 + 4 + 4 + "layer0.weight".len();
+        buf[rows_at..rows_at + 4].copy_from_slice(&0x7fff_ffffu32.to_le_bytes());
+        let err = load_typed(&mut buf.as_slice()).unwrap_err();
+        assert!(
+            matches!(err, CheckpointError::Io { kind: io::ErrorKind::UnexpectedEof, .. }),
+            "{err:?}"
+        );
+        // rows * cols * 4 past usize::MAX is a shape error, not a wrap.
+        buf[rows_at..rows_at + 8].copy_from_slice(&[0xff; 8]);
+        let err = load_typed(&mut buf.as_slice()).unwrap_err();
+        assert!(matches!(err, CheckpointError::Corrupt { .. }), "{err:?}");
     }
 
     #[test]

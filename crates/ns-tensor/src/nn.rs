@@ -12,8 +12,7 @@
 //! scratch object; after the backward pass, `Bindings::collect_grads`
 //! drains the leaves' gradients back into the id-indexed gradient vector.
 
-use rand::rngs::StdRng;
-use rand::Rng;
+use ns_rand::StdRng;
 
 use crate::tape::{Tape, Var};
 use crate::tensor::Tensor;
@@ -298,7 +297,6 @@ impl Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(7)

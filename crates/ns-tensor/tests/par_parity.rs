@@ -12,8 +12,7 @@
 
 use ns_tensor::tensor::KC;
 use ns_tensor::Tensor;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use ns_rand::StdRng;
 
 const TRIALS: u64 = 12;
 const THREAD_COUNTS: [usize; 4] = [2, 3, 4, 8];

@@ -1,19 +1,43 @@
-//! Property-based tests for the tensor kernels and autograd tape.
+//! Property tests for the tensor kernels and autograd tape.
+//!
+//! Each property runs over `CASES` seeded cases through
+//! [`ns_rand::check_cases`]: case `N` draws its inputs from
+//! `StdRng::seed_from_u64(N)`, a failure prints `case seed = N`, and
+//! `check_cases(N..N + 1, ..)` replays it alone. Inputs are drawn from the
+//! ranges the `proptest` strategies named before this suite dropped that
+//! crate; what was lost is shrinking — a failing case is reported as
+//! drawn, not minimized.
 
-use proptest::prelude::*;
 use std::sync::Arc;
 
+use ns_rand::{check_cases, StdRng};
 use ns_tensor::{checkpoint, ParamStore, Tape, Tensor};
 
-prop_compose! {
-    fn tensor_strategy(max_rows: usize, max_cols: usize)
-        (rows in 1..max_rows, cols in 1..max_cols)
-        (rows in Just(rows), cols in Just(cols),
-         data in prop::collection::vec(-10.0f32..10.0, rows * cols))
-        -> Tensor
-    {
-        Tensor::from_vec(rows, cols, data)
-    }
+const CASES: u64 = 48;
+
+/// The one case the deleted `proptests.proptest-regressions` recorded
+/// ("shrinks to seed = 64, n = 2, k = 2, m = 1"). The file did not say
+/// which of the three `(seed, n, k, m)` properties it shrank from, so each
+/// of them runs it before its seeded cases.
+const REGRESSION: (u64, usize, usize, usize) = (64, 2, 2, 1);
+
+/// `(seed, n, k, m)` with `seed < max_seed` and every dimension in
+/// `1..max_dim`.
+fn seed_and_dims(rng: &mut StdRng, max_seed: u64, max_dim: usize) -> (u64, usize, usize, usize) {
+    (
+        rng.random_range(0..max_seed),
+        rng.random_range(1..max_dim),
+        rng.random_range(1..max_dim),
+        rng.random_range(1..max_dim),
+    )
+}
+
+/// A tensor with shape below `(max_rows, max_cols)` and entries in
+/// `[-10, 10)`.
+fn arb_tensor(rng: &mut StdRng, max_rows: usize, max_cols: usize) -> Tensor {
+    let (rows, cols) = (rng.random_range(1..max_rows), rng.random_range(1..max_cols));
+    let data = (0..rows * cols).map(|_| rng.random_range(-10.0f32..10.0)).collect();
+    Tensor::from_vec(rows, cols, data)
 }
 
 fn tensor_with(rows: usize, cols: usize, seed: u64) -> Tensor {
@@ -23,53 +47,60 @@ fn tensor_with(rows: usize, cols: usize, seed: u64) -> Tensor {
     Tensor::from_vec(rows, cols, data)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Transpose is an involution and swaps shape.
-    #[test]
-    fn transpose_involution(t in tensor_strategy(12, 12)) {
+/// Transpose is an involution and swaps shape.
+#[test]
+fn transpose_involution() {
+    check_cases(0..CASES, |rng| {
+        let t = arb_tensor(rng, 12, 12);
         let tt = t.transpose().transpose();
-        prop_assert_eq!(t.shape(), tt.shape());
-        prop_assert_eq!(t.data(), tt.data());
-    }
+        assert_eq!(t.shape(), tt.shape());
+        assert_eq!(t.data(), tt.data());
+    });
+}
 
-    /// matmul_tn / matmul_nt agree with explicit transposes.
-    #[test]
-    fn fused_transpose_matmuls(seed in 0u64..500, n in 1usize..8, k in 1usize..8, m in 1usize..8) {
+/// matmul_tn / matmul_nt agree with explicit transposes.
+#[test]
+fn fused_transpose_matmuls() {
+    let property = |(seed, n, k, m): (u64, usize, usize, usize)| {
         let a = tensor_with(k, n, seed);
         let b = tensor_with(k, m, seed + 1);
         let direct = a.matmul_tn(&b);
         let explicit = a.transpose().matmul(&b);
-        prop_assert!(direct.max_abs_diff(&explicit) < 1e-3);
+        assert!(direct.max_abs_diff(&explicit) < 1e-3);
 
         let c = tensor_with(n, k, seed + 2);
         let d = tensor_with(m, k, seed + 3);
         let direct = c.matmul_nt(&d);
         let explicit = c.matmul(&d.transpose());
-        prop_assert!(direct.max_abs_diff(&explicit) < 1e-3);
-    }
+        assert!(direct.max_abs_diff(&explicit) < 1e-3);
+    };
+    property(REGRESSION);
+    check_cases(0..CASES, |rng| property(seed_and_dims(rng, 500, 8)));
+}
 
-    /// Matrix product distributes over addition: (A+B)C = AC + BC.
-    #[test]
-    fn matmul_distributes(seed in 0u64..500, n in 1usize..6, k in 1usize..6, m in 1usize..6) {
+/// Matrix product distributes over addition: (A+B)C = AC + BC.
+#[test]
+fn matmul_distributes() {
+    let property = |(seed, n, k, m): (u64, usize, usize, usize)| {
         let a = tensor_with(n, k, seed);
         let b = tensor_with(n, k, seed + 7);
         let c = tensor_with(k, m, seed + 13);
         let lhs = a.add(&b).matmul(&c);
         let rhs = a.matmul(&c).add(&b.matmul(&c));
-        prop_assert!(lhs.max_abs_diff(&rhs) < 1e-2);
-    }
+        assert!(lhs.max_abs_diff(&rhs) < 1e-2);
+    };
+    property(REGRESSION);
+    check_cases(0..CASES, |rng| property(seed_and_dims(rng, 500, 6)));
+}
 
-    /// ⟨Ax, y⟩ = ⟨x, Aᵀy⟩ for the aggregation operator with arbitrary
-    /// edge structure.
-    #[test]
-    fn aggregation_adjoint_identity(
-        seed in 0u64..500,
-        n_src in 1usize..10,
-        n_dst in 1usize..10,
-        edges in 0usize..40,
-    ) {
+/// ⟨Ax, y⟩ = ⟨x, Aᵀy⟩ for the aggregation operator with arbitrary
+/// edge structure.
+#[test]
+fn aggregation_adjoint_identity() {
+    check_cases(0..CASES, |rng| {
+        let seed = rng.random_range(0u64..500);
+        let (n_src, n_dst) = (rng.random_range(1usize..10), rng.random_range(1usize..10));
+        let edges = rng.random_range(0usize..40);
         let mut lists: Vec<Vec<u32>> = vec![Vec::new(); n_dst];
         for e in 0..edges {
             let d = (e * 7 + seed as usize) % n_dst;
@@ -92,25 +123,30 @@ proptest! {
         let aty = y.weighted_aggregate_transpose(&edge_src, &offsets, Some(&weights), n_src);
         let lhs: f32 = ax.data().iter().zip(y.data()).map(|(a, b)| a * b).sum();
         let rhs: f32 = x.data().iter().zip(aty.data()).map(|(a, b)| a * b).sum();
-        prop_assert!((lhs - rhs).abs() < 1e-2 * lhs.abs().max(1.0), "{lhs} vs {rhs}");
-    }
+        assert!((lhs - rhs).abs() < 1e-2 * lhs.abs().max(1.0), "{lhs} vs {rhs}");
+    });
+}
 
-    /// Row softmax produces a probability distribution per row.
-    #[test]
-    fn log_softmax_rows_are_distributions(t in tensor_strategy(8, 8)) {
+/// Row softmax produces a probability distribution per row.
+#[test]
+fn log_softmax_rows_are_distributions() {
+    check_cases(0..CASES, |rng| {
+        let t = arb_tensor(rng, 8, 8);
         let ls = t.log_softmax_rows();
         for r in 0..t.rows() {
             let sum: f32 = ls.row(r).iter().map(|v| v.exp()).sum();
-            prop_assert!((sum - 1.0).abs() < 1e-4);
-            prop_assert!(ls.row(r).iter().all(|&v| v <= 1e-6));
+            assert!((sum - 1.0).abs() < 1e-4);
+            assert!(ls.row(r).iter().all(|&v| v <= 1e-6));
         }
-    }
+    });
+}
 
-    /// The tape gradient of sum(elu(xW + b)) matches central differences
-    /// for arbitrary shapes and values (ELU is C¹, so central differences
-    /// are reliable everywhere, unlike ReLU's kink).
-    #[test]
-    fn tape_affine_elu_gradcheck(seed in 0u64..200, n in 1usize..5, k in 1usize..5, m in 1usize..5) {
+/// The tape gradient of sum(elu(xW + b)) matches central differences
+/// for arbitrary shapes and values (ELU is C¹, so central differences
+/// are reliable everywhere, unlike ReLU's kink).
+#[test]
+fn tape_affine_elu_gradcheck() {
+    let property = |(seed, n, k, m): (u64, usize, usize, usize)| {
         let x0 = tensor_with(n, k, seed);
         let w0 = tensor_with(k, m, seed + 1).scale(0.1);
         let b0 = tensor_with(1, m, seed + 2).scale(0.1);
@@ -134,19 +170,21 @@ proptest! {
             let mut q = w0.clone();
             q.data_mut()[i] -= eps;
             let num = (f(&p) - f(&q)) / (2.0 * eps);
-            prop_assert!((gw.data()[i] - num).abs() < 0.05 + 0.02 * num.abs(),
+            assert!((gw.data()[i] - num).abs() < 0.05 + 0.02 * num.abs(),
                 "elem {i}: {} vs {num}", gw.data()[i]);
         }
-    }
+    };
+    property(REGRESSION);
+    check_cases(0..CASES, |rng| property(seed_and_dims(rng, 200, 5)));
+}
 
-    /// Gather followed by its adjoint (scatter-add through the same index)
-    /// conserves total mass for a uniform gradient.
-    #[test]
-    fn gather_scatter_conserves_mass(
-        seed in 0u64..300,
-        n in 1usize..10,
-        picks in 1usize..20,
-    ) {
+/// Gather followed by its adjoint (scatter-add through the same index)
+/// conserves total mass for a uniform gradient.
+#[test]
+fn gather_scatter_conserves_mass() {
+    check_cases(0..CASES, |rng| {
+        let seed = rng.random_range(0u64..300);
+        let (n, picks) = (rng.random_range(1usize..10), rng.random_range(1usize..20));
         let x = tensor_with(n, 2, seed);
         let idx: Vec<u32> = (0..picks).map(|i| ((i * 31 + seed as usize) % n) as u32).collect();
         let idx: Arc<[u32]> = idx.into();
@@ -156,17 +194,20 @@ proptest! {
         let rows = tape.value(g).rows();
         tape.backward_from(g, Tensor::full(rows, 2, 1.0));
         let grad_sum = tape.grad(xv).unwrap().sum();
-        prop_assert!((grad_sum - (picks * 2) as f32).abs() < 1e-3);
-    }
+        assert!((grad_sum - (picks * 2) as f32).abs() < 1e-3);
+    });
+}
 
-    /// Checkpoint save → load round-trips bit-identically for arbitrary
-    /// parameter-store shapes (the recovery path depends on exact
-    /// restores for deterministic trajectory replay).
-    #[test]
-    fn checkpoint_roundtrip_bit_identical(
-        seed in 0u64..500,
-        shapes in prop::collection::vec((1usize..12, 1usize..12), 0..6),
-    ) {
+/// Checkpoint save → load round-trips bit-identically for arbitrary
+/// parameter-store shapes (the recovery path depends on exact
+/// restores for deterministic trajectory replay).
+#[test]
+fn checkpoint_roundtrip_bit_identical() {
+    check_cases(0..CASES, |rng| {
+        let seed = rng.random_range(0u64..500);
+        let shapes: Vec<(usize, usize)> = (0..rng.random_range(0..6usize))
+            .map(|_| (rng.random_range(1..12), rng.random_range(1..12)))
+            .collect();
         let mut store = ParamStore::new();
         for (i, &(rows, cols)) in shapes.iter().enumerate() {
             store.register(format!("p{i}"), tensor_with(rows, cols, seed + i as u64));
@@ -174,23 +215,23 @@ proptest! {
         let mut buf = Vec::new();
         checkpoint::save(&store, &mut buf).unwrap();
         let loaded = checkpoint::load_typed(&mut buf.as_slice()).unwrap();
-        prop_assert_eq!(loaded.len(), store.len());
+        assert_eq!(loaded.len(), store.len());
         for ((_, n1, v1), (_, n2, v2)) in store.iter().zip(loaded.iter()) {
-            prop_assert_eq!(n1, n2);
-            prop_assert_eq!(v1.shape(), v2.shape());
-            prop_assert_eq!(v1.data(), v2.data());
+            assert_eq!(n1, n2);
+            assert_eq!(v1.shape(), v2.shape());
+            assert_eq!(v1.data(), v2.data());
         }
-    }
+    });
+}
 
-    /// Truncating a checkpoint anywhere yields a `CheckpointError`, never a
-    /// panic or a silently short store.
-    #[test]
-    fn truncated_checkpoint_is_an_error(
-        seed in 0u64..200,
-        rows in 1usize..8,
-        cols in 1usize..8,
-        cut in 0.0f64..1.0,
-    ) {
+/// Truncating a checkpoint anywhere yields a `CheckpointError`, never a
+/// panic or a silently short store.
+#[test]
+fn truncated_checkpoint_is_an_error() {
+    check_cases(0..CASES, |rng| {
+        let seed = rng.random_range(0u64..200);
+        let (rows, cols) = (rng.random_range(1usize..8), rng.random_range(1usize..8));
+        let cut = rng.random_range(0.0f64..1.0);
         let mut store = ParamStore::new();
         store.register("w", tensor_with(rows, cols, seed));
         store.register("b", tensor_with(1, cols, seed + 1));
@@ -198,17 +239,20 @@ proptest! {
         checkpoint::save(&store, &mut buf).unwrap();
         let keep = ((buf.len() - 1) as f64 * cut) as usize;
         buf.truncate(keep);
-        prop_assert!(checkpoint::load_typed(&mut buf.as_slice()).is_err());
-    }
+        assert!(checkpoint::load_typed(&mut buf.as_slice()).is_err());
+    });
+}
 
-    /// Corrupting the magic yields a `CheckpointError`, never a panic.
-    #[test]
-    fn corrupted_magic_is_an_error(seed in 0u64..200, byte in 0usize..8) {
+/// Corrupting the magic yields a `CheckpointError`, never a panic.
+#[test]
+fn corrupted_magic_is_an_error() {
+    check_cases(0..CASES, |rng| {
+        let (seed, byte) = (rng.random_range(0u64..200), rng.random_range(0usize..8));
         let mut store = ParamStore::new();
         store.register("w", tensor_with(3, 3, seed));
         let mut buf = Vec::new();
         checkpoint::save(&store, &mut buf).unwrap();
         buf[byte] ^= 0xA5;
-        prop_assert!(checkpoint::load_typed(&mut buf.as_slice()).is_err());
-    }
+        assert!(checkpoint::load_typed(&mut buf.as_slice()).is_err());
+    });
 }

@@ -14,8 +14,7 @@
 
 use ns_tensor::tensor::{KC, MC, NR};
 use ns_tensor::Tensor;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use ns_rand::StdRng;
 
 /// Naive reference: `out[i][j] = sum_k a[i][k] * b[k][j]`, `k` ascending —
 /// the exact per-element order the tiled kernel must reproduce.

@@ -2,9 +2,11 @@
 //! machine-parseable JSON and Chrome-trace artifacts, its per-kind /
 //! per-peer traffic counters partition the fabric totals exactly, and the
 //! all-reduce traffic matches the analytic ring formula — keeping the
-//! hand-rolled sink writers and the fabric metering honest against a real
-//! JSON parser and against arithmetic they do not share.
+//! streaming sink writers honest against `ns_metrics::json`'s parser (which
+//! shares nothing with them but the string escaper) and the fabric metering
+//! honest against arithmetic it does not share.
 
+use neutronstar::metrics::json::Json;
 use neutronstar::metrics::{to_chrome_trace, to_json, Phase};
 use neutronstar::prelude::*;
 use ns_graph::datasets::by_name;
@@ -125,39 +127,37 @@ fn allreduce_traffic_matches_the_ring_closed_form() {
 #[test]
 fn json_sink_parses_and_mirrors_the_frames() {
     let report = metered_run();
-    let v: serde_json::Value =
-        serde_json::from_str(&to_json(&report.metrics)).expect("valid JSON");
+    let v = Json::parse(&to_json(&report.metrics)).expect("valid JSON");
     assert_eq!(v["schema"].as_str(), Some("ns-metrics/v1"));
     assert!(v["wall_s"].as_f64().unwrap() > 0.0);
-    let workers = v["workers"].as_array().expect("workers array");
+    let workers = v["workers"].as_arr().expect("workers array");
     assert_eq!(workers.len(), WORKERS, "no coordinator without recovery");
     for (frame, entry) in report.metrics.frames.values().zip(workers) {
-        assert_eq!(entry["worker"].as_u64(), Some(frame.worker as u64));
+        assert_eq!(entry["worker"].as_f64(), Some(frame.worker as f64));
         assert_eq!(
-            entry["counters"]["net.sent.bytes"].as_u64(),
-            Some(frame.counter("net.sent.bytes"))
+            entry["counters"]["net.sent.bytes"].as_f64(),
+            Some(frame.counter("net.sent.bytes") as f64)
         );
-        assert!(!entry["phases"].as_array().unwrap().is_empty());
-        assert_eq!(entry["layers"].as_array().unwrap().len(), 2);
+        assert!(!entry["phases"].as_arr().unwrap().is_empty());
+        assert_eq!(entry["layers"].as_arr().unwrap().len(), 2);
         let wait = &entry["histograms"]["net.recv.wait_ns"];
-        assert!(wait["count"].as_u64().unwrap() > 0);
-        assert!(wait["p99"].as_u64().unwrap() >= wait["p50"].as_u64().unwrap());
+        assert!(wait["count"].as_f64().unwrap() > 0.0);
+        assert!(wait["p99"].as_f64().unwrap() >= wait["p50"].as_f64().unwrap());
     }
 }
 
 #[test]
 fn trace_sink_is_perfetto_shaped_with_one_track_per_worker() {
     let report = metered_run();
-    let v: serde_json::Value =
-        serde_json::from_str(&to_chrome_trace(&report.metrics)).expect("valid JSON");
-    let events = v["traceEvents"].as_array().expect("traceEvents");
+    let v = Json::parse(&to_chrome_trace(&report.metrics)).expect("valid JSON");
+    let events = v["traceEvents"].as_arr().expect("traceEvents");
 
     // One named real-clock track per worker, none missing, none extra.
     let mut tracks: Vec<String> = events
         .iter()
         .filter(|e| e["ph"].as_str() == Some("M"))
         .filter(|e| e["name"].as_str() == Some("thread_name"))
-        .filter(|e| e["pid"].as_u64() == Some(0))
+        .filter(|e| e["pid"].as_f64() == Some(0.0))
         .map(|e| e["args"]["name"].as_str().unwrap().to_string())
         .collect();
     tracks.sort();
@@ -168,7 +168,7 @@ fn trace_sink_is_perfetto_shaped_with_one_track_per_worker() {
     let real_events: Vec<_> = events
         .iter()
         .filter(|e| e["ph"].as_str() == Some("X"))
-        .filter(|e| e["pid"].as_u64() == Some(0))
+        .filter(|e| e["pid"].as_f64() == Some(0.0))
         .collect();
     let retained: usize =
         report.metrics.frames.values().map(|f| f.spans.len()).sum();
@@ -180,5 +180,5 @@ fn trace_sink_is_perfetto_shaped_with_one_track_per_worker() {
 
     // The simulator timeline rides along as a second process.
     assert!(!report.metrics.sim_spans.is_empty());
-    assert!(events.iter().any(|e| e["pid"].as_u64() == Some(1)));
+    assert!(events.iter().any(|e| e["pid"].as_f64() == Some(1.0)));
 }
