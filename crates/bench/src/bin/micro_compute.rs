@@ -1,7 +1,7 @@
 //! Microbenchmark of the intra-worker parallel compute backend (`ns-par`):
 //! the register-tiled matmul, the fused CSR aggregation, the row gather,
-//! the lock-free parallel message enqueue, and the zero-copy NSF1 frame
-//! encode, each timed at 1/2/4/8 compute threads.
+//! the lock-free parallel message enqueue, and the NSF1 frame encode, each
+//! timed at 1/2/4/8 compute threads.
 //!
 //! Writes `BENCH_compute.json` (override with `--out <path>`):
 //!
@@ -161,8 +161,8 @@ fn main() {
     let enq_size = format!("{dests}dst x{slots} x{cols}");
     let enq_bytes = (total * cols * 8) as u64;
 
-    // Zero-copy NSF1 frame encode (the fabric send path's serialization:
-    // header reserved up front, payload written in place, CRC patched).
+    // NSF1 frame encode, the wire format's reference codec: header reserved
+    // up front, payload staged in and checksummed block by block, CRC patched.
     let (enc_rows, enc_cols, enc_iters) = if quick { (512, 32, 16) } else { (4096, 64, 32) };
     let enc_kind = MessageKind::Rows {
         layer: 1,

@@ -1,9 +1,7 @@
 //! Prediction head: softmax cross-entropy over the last layer's logits
 //! (the paper's `P→`/`P←` operators, Algorithm 1 lines 6–10).
 
-use std::sync::Arc;
-
-use ns_tensor::{Tape, Tensor};
+use ns_tensor::Tensor;
 
 /// Loss value and the gradient seed for the last GNN layer.
 #[derive(Debug, Clone)]
@@ -21,31 +19,51 @@ pub struct LossResult {
 /// scales row `r`'s contribution (0 for unlabeled/non-training rows; each
 /// worker typically uses `1 / total_train_vertices` so that the
 /// cluster-wide sum is the mean training loss).
+///
+/// One pass, and only over the rows that count: a zero-weight row adds
+/// nothing to the loss and its gradient row is `+0.0`, so its log-softmax
+/// is never taken. Weighted rows go through the operations the tape's
+/// `log_softmax_rows` → `nll_loss` pair and their adjoints apply, in the
+/// same order, so loss and gradient equal that pair's bit for bit (the
+/// tests below hold the tape up as the oracle); `flops` is what the tape
+/// meters for it.
 pub fn softmax_cross_entropy(logits: &Tensor, labels: &[u32], weights: &[f32]) -> LossResult {
-    softmax_cross_entropy_shared(logits, labels.to_vec().into(), weights.to_vec().into())
-}
-
-/// [`softmax_cross_entropy`] for a caller that evaluates the same rows
-/// every epoch and keeps their labels and weights shared, so the head
-/// copies neither.
-pub fn softmax_cross_entropy_shared(
-    logits: &Tensor,
-    labels: Arc<[u32]>,
-    weights: Arc<[f32]>,
-) -> LossResult {
-    assert_eq!(labels.len(), logits.rows(), "label count");
-    assert_eq!(weights.len(), logits.rows(), "weight count");
-    let mut tape = Tape::new();
-    let x = tape.leaf(logits.clone());
-    let lp = tape.log_softmax_rows(x);
-    let loss = tape.nll_loss(lp, labels, weights);
-    let value = tape.value(loss).scalar_value() as f64;
-    tape.backward(loss);
-    let flops = tape.flops();
-    let logit_grad = tape
-        .take_grad(x)
-        .unwrap_or_else(|| Tensor::zeros(logits.rows(), logits.cols()));
-    LossResult { loss: value, logit_grad, flops }
+    let (rows, cols) = logits.shape();
+    assert_eq!(labels.len(), rows, "label count");
+    assert_eq!(weights.len(), rows, "weight count");
+    let mut logit_grad = Tensor::zeros(rows, cols);
+    let mut loss = 0.0f32;
+    for r in 0..rows {
+        let (w, y) = (weights[r], labels[r] as usize);
+        if w == 0.0 {
+            continue;
+        }
+        // Forward: the row's log-softmax, built in its gradient slot.
+        let (x, g) = (logits.row(r), logit_grad.row_mut(r));
+        let max = x.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+        let mut sum = 0.0f32;
+        for (o, &a) in g.iter_mut().zip(x) {
+            *o = a - max;
+            sum += o.exp();
+        }
+        let log_sum = sum.ln();
+        for o in g.iter_mut() {
+            *o -= log_sum;
+        }
+        loss -= w * g[y];
+        // Backward: the NLL adjoint seeds `-w` at the label and zero
+        // elsewhere (row sum `-w`); log-softmax's turns seed `s` into
+        // `s - softmax * rowsum`.
+        for (c, d) in g.iter_mut().enumerate() {
+            let seed = if c == y { -w } else { 0.0 };
+            *d = seed - d.exp() * -w;
+        }
+    }
+    let n = (rows * cols) as u64;
+    // log-softmax 4n + NLL 2 per row forward; NLL 1 per row + log-softmax
+    // 4n backward.
+    let flops = 8 * n + 3 * rows as u64;
+    LossResult { loss: loss as f64, logit_grad, flops }
 }
 
 /// Counts correct argmax predictions among rows where `mask` is true.
@@ -75,6 +93,42 @@ pub fn count_correct(pred: &[usize], labels: &[u32], mask: &[bool]) -> (usize, u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ns_tensor::Tape;
+
+    /// The head as a tape program — what `softmax_cross_entropy` was
+    /// before it became one pass, kept as its oracle.
+    fn tape_head(logits: &Tensor, labels: &[u32], weights: &[f32]) -> LossResult {
+        let mut tape = Tape::new();
+        let x = tape.leaf(logits.clone());
+        let lp = tape.log_softmax_rows(x);
+        let loss = tape.nll_loss(lp, labels.to_vec().into(), weights.to_vec().into());
+        let value = tape.value(loss).scalar_value() as f64;
+        tape.backward(loss);
+        let flops = tape.flops();
+        LossResult { loss: value, logit_grad: tape.take_grad(x).unwrap(), flops }
+    }
+
+    #[test]
+    fn one_pass_head_equals_the_tape_head_bit_for_bit() {
+        ns_rand::check_cases(0..32, |rng| {
+            let (rows, cols) = (rng.random_range(1..40usize), rng.random_range(1..12usize));
+            let data = (0..rows * cols).map(|_| 8.0 * rng.random::<f32>() - 4.0).collect();
+            let logits = Tensor::from_vec(rows, cols, data);
+            let labels: Vec<u32> = (0..rows).map(|_| rng.random_range(0..cols as u32)).collect();
+            // About 40% of rows carry no weight, as val/test rows do.
+            let weights: Vec<f32> = (0..rows)
+                .map(|_| if rng.random_bool(0.4) { 0.0 } else { rng.random::<f32>() / rows as f32 })
+                .collect();
+            let (got, want) = (
+                softmax_cross_entropy(&logits, &labels, &weights),
+                tape_head(&logits, &labels, &weights),
+            );
+            assert_eq!(got.loss.to_bits(), want.loss.to_bits());
+            assert_eq!(got.flops, want.flops);
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got.logit_grad), bits(&want.logit_grad));
+        });
+    }
 
     #[test]
     fn perfect_logits_have_low_loss() {

@@ -265,10 +265,10 @@ pub struct NetStats {
     /// Clean retransmissions admitted after a CRC rejection of the same
     /// sequence number.
     pub rereads: u64,
-    /// Wire frames encoded by the send path (one per non-severed send).
+    /// Messages the send path CRC-stamped (one per non-severed send).
     pub encode_frames: u64,
-    /// Total encoded frame bytes (header + payload), written into the
-    /// endpoint's reusable frame buffer.
+    /// Size of the NSF1 frames those messages stand for: header + the
+    /// payload bytes the stamp checksums.
     pub encode_bytes: u64,
 }
 
@@ -340,11 +340,6 @@ pub struct Endpoint {
     last_corrupt: RefCell<Vec<u64>>,
     pending: RefCell<Vec<Option<Message>>>,
     stats: RefCell<NetStats>,
-    // Reusable NSF1 frame buffer: every outgoing message is encoded into
-    // this one allocation (header reserved, payload written in place, CRC
-    // patched — see `wire::encode_frame_into`), so the send path stops
-    // allocating once the buffer has grown to the largest frame.
-    frame: RefCell<Vec<u8>>,
 }
 
 impl Endpoint {
@@ -418,6 +413,8 @@ impl Endpoint {
             if fate.severed {
                 st.severed_msgs += 1;
             } else {
+                st.encode_frames += 1;
+                st.encode_bytes += wire::FRAME_HEADER_BYTES + bytes;
                 if deliver_at.is_some() {
                     st.delays_injected += 1;
                 }
@@ -436,17 +433,10 @@ impl Endpoint {
             // symptom — the honest partition failure mode.
             return Ok(bytes);
         }
-        // Encode the wire frame into the endpoint's reusable buffer and
-        // stamp the CRC the encoder computed in place — one serialization
-        // pass, zero allocation at steady state.
-        let crc = {
-            let mut frame = self.frame.borrow_mut();
-            wire::encode_frame_into(&kind, &mut frame);
-            let mut st = self.stats.borrow_mut();
-            st.encode_frames += 1;
-            st.encode_bytes += frame.len() as u64;
-            wire::frame_crc(&frame)
-        };
+        // The in-process fabric ships the struct, not a frame: the CRC is
+        // folded over the message's own tensors (the canonical payload
+        // bytes, never materialized) and travels in `Message::crc`.
+        let crc = wire::payload_crc(&kind);
         let mut msg = Message { src: self.me, seq, sent_at, deliver_at, crc, kind };
         if fate.corrupt {
             // Ship a bit-flipped physical copy now (stamped with the clean
@@ -669,7 +659,6 @@ impl Fabric {
                 last_corrupt: RefCell::new(vec![0; workers]),
                 pending: RefCell::new((0..workers).map(|_| None).collect()),
                 stats: RefCell::new(NetStats::for_world(workers)),
-                frame: RefCell::new(Vec::new()),
             })
             .collect();
         Self { endpoints }
@@ -697,8 +686,12 @@ mod tests {
             )
             .unwrap();
         assert_eq!(bytes, ROWS_HEADER_BYTES + 4 + 8);
+        // One message stamped; metered at the size of the frame it stands for.
+        let st = eps[0].stats();
+        assert_eq!((st.encode_frames, st.encode_bytes), (1, wire::FRAME_HEADER_BYTES + bytes));
         let msg = eps[1].recv_from(0).unwrap();
         assert_eq!(msg.src, 0);
+        assert_eq!(msg.crc, wire::frame_crc(&wire::encode_frame(&msg.kind)));
         match msg.kind {
             MessageKind::Rows { ids, data, .. } => {
                 assert_eq!(ids, vec![7]);

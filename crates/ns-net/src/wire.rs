@@ -19,12 +19,22 @@
 //! `net.sent.bytes` — that counter stays the payload ground truth used by
 //! the simulator and the observability closed-form tests.
 //!
+//! The in-process fabric moves the message *struct* between threads, so it
+//! never builds this frame: the sender stamps [`payload_crc`] — the CRC of
+//! the canonical payload bytes, folded in place over the message's own
+//! fields — into [`Message::crc`](crate::Message::crc) and the receiver
+//! recomputes it the same way. [`encode_frame_into`] / [`decode_frame`] are
+//! the format's reference codec (what a socket transport would write), and
+//! `frame_crc(encode_frame(k)) == payload_crc(k)` ties the two together.
+//!
 //! The CRC32 (IEEE 802.3, reflected polynomial `0xEDB88320`) computed here
 //! is the only one in the workspace: `ns-runtime` checksums checkpoint
-//! payloads and durable-store files with the same [`crc32`] / [`Crc32`].
+//! payloads and durable-store files with the same [`crc32`] / [`Crc32`]. On
+//! x86-64 with PCLMULQDQ (detected at run time) it folds 64 bytes per
+//! iteration by carry-less multiplication; everywhere else, and as the
+//! oracle the tests hold that kernel to, it is slice-by-8 tables.
 
 use crate::fabric::MessageKind;
-use std::cell::RefCell;
 
 /// Frame magic: "NSF1" (NeutronStar Frame, version 1).
 pub const FRAME_MAGIC: [u8; 4] = *b"NSF1";
@@ -69,6 +79,113 @@ const fn build_crc_tables() -> [[u32; 256]; 8] {
 
 static CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
+/// The table path over raw CRC state: slice-by-8 main loop, byte-wise tail.
+/// Runs where the CLMUL kernel cannot (other architectures, inputs under
+/// [`CLMUL_MIN_BYTES`], the sub-16-byte tail) and is the oracle the kernel
+/// is tested against.
+fn fold_table(mut c: u32, bytes: &[u8]) -> u32 {
+    let mut chunks = bytes.chunks_exact(8);
+    for ch in &mut chunks {
+        let lo = u32::from_le_bytes(ch[0..4].try_into().unwrap()) ^ c;
+        let hi = u32::from_le_bytes(ch[4..8].try_into().unwrap());
+        c = CRC_TABLES[7][(lo & 0xFF) as usize]
+            ^ CRC_TABLES[6][((lo >> 8) & 0xFF) as usize]
+            ^ CRC_TABLES[5][((lo >> 16) & 0xFF) as usize]
+            ^ CRC_TABLES[4][(lo >> 24) as usize]
+            ^ CRC_TABLES[3][(hi & 0xFF) as usize]
+            ^ CRC_TABLES[2][((hi >> 8) & 0xFF) as usize]
+            ^ CRC_TABLES[1][((hi >> 16) & 0xFF) as usize]
+            ^ CRC_TABLES[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c
+}
+
+/// Shortest input the CLMUL kernel takes: its four 128-bit accumulators
+/// are seeded from the first 64 bytes.
+#[cfg(target_arch = "x86_64")]
+const CLMUL_MIN_BYTES: usize = 64;
+
+/// The same CRC by carry-less multiplication (Gopal et al., "Fast CRC
+/// Computation for Generic Polynomials Using PCLMULQDQ", Intel 2009): four
+/// 128-bit accumulators are folded 64 bytes forward per iteration, merged,
+/// folded over the remaining 16-byte blocks and Barrett-reduced back to the
+/// 32-bit state. The constants are `x^n mod P` for the fold distances, in
+/// the reflected bit order of the table path.
+///
+/// `bytes.len()` must be a multiple of 16 and at least [`CLMUL_MIN_BYTES`];
+/// that much is asserted, not trusted.
+///
+/// # Safety
+/// The CPU must support `pclmulqdq` and `sse4.1`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "pclmulqdq,sse4.1")]
+unsafe fn fold_clmul(state: u32, bytes: &[u8]) -> u32 {
+    use std::arch::x86_64::*;
+    assert!(bytes.len() >= CLMUL_MIN_BYTES && bytes.len().is_multiple_of(16));
+    // A 16-byte chunk of a slice is readable at any alignment.
+    let load = |b: &[u8]| _mm_loadu_si128(b[..16].as_ptr().cast());
+    // `acc` moved forward by the distance `k` encodes, plus the data there.
+    let fold = |acc: __m128i, k: __m128i, data: __m128i| {
+        let lo = _mm_clmulepi64_si128(acc, k, 0x00);
+        let hi = _mm_clmulepi64_si128(acc, k, 0x11);
+        _mm_xor_si128(_mm_xor_si128(lo, hi), data)
+    };
+    let k1k2 = _mm_set_epi64x(0x0001_c6e4_1596, 0x0001_5444_2bd4); // 64 bytes on
+    let k3k4 = _mm_set_epi64x(0x0000_ccaa_009e, 0x0001_7519_97d0); // 16 bytes on
+    let k5 = _mm_set_epi64x(0, 0x0001_63cd_6124);
+    let poly_mu = _mm_set_epi64x(0x0001_f701_1641, 0x0001_db71_0641);
+    let low32 = _mm_set_epi32(0, !0, 0, !0);
+
+    let (head, rest) = bytes.split_at(CLMUL_MIN_BYTES);
+    let mut x1 = _mm_xor_si128(load(head), _mm_cvtsi32_si128(state as i32));
+    let (mut x2, mut x3, mut x4) = (load(&head[16..]), load(&head[32..]), load(&head[48..]));
+    let mut blocks = rest.chunks_exact(64);
+    for b in &mut blocks {
+        x1 = fold(x1, k1k2, load(b));
+        x2 = fold(x2, k1k2, load(&b[16..]));
+        x3 = fold(x3, k1k2, load(&b[32..]));
+        x4 = fold(x4, k1k2, load(&b[48..]));
+    }
+    x1 = fold(x1, k3k4, x2);
+    x1 = fold(x1, k3k4, x3);
+    x1 = fold(x1, k3k4, x4);
+    for b in blocks.remainder().chunks_exact(16) {
+        x1 = fold(x1, k3k4, load(b));
+    }
+    // 128 -> 64 bits, 64 -> 32 bits of remainder, then Barrett reduction.
+    x1 = _mm_xor_si128(_mm_srli_si128(x1, 8), _mm_clmulepi64_si128(x1, k3k4, 0x10));
+    x1 = _mm_xor_si128(
+        _mm_srli_si128(x1, 4),
+        _mm_clmulepi64_si128(_mm_and_si128(x1, low32), k5, 0x00),
+    );
+    let q = _mm_clmulepi64_si128(_mm_and_si128(x1, low32), poly_mu, 0x10);
+    let r = _mm_clmulepi64_si128(_mm_and_si128(q, low32), poly_mu, 0x00);
+    _mm_extract_epi32(_mm_xor_si128(x1, r), 1) as u32
+}
+
+/// Words per pass through the staging block (4 KiB of stack: long enough
+/// to amortize the CLMUL kernel's final reduction, short enough to stay in
+/// L1).
+const STAGE_WORDS: usize = 1024;
+
+/// Hands `f` the little-endian bytes of `words`, [`STAGE_WORDS`] at a time,
+/// through one fixed stack block — the canonical serialization of a
+/// `u32`/`f32` slice without materializing it, endian-correct on any host
+/// (on little-endian ones the conversion loop is a block copy).
+fn for_each_le_block<T: Copy>(words: &[T], to_le: impl Fn(T) -> [u8; 4], mut f: impl FnMut(&[u8])) {
+    let mut block = [0u8; STAGE_WORDS * 4];
+    for chunk in words.chunks(STAGE_WORDS) {
+        let bytes = &mut block[..chunk.len() * 4];
+        for (dst, &w) in bytes.chunks_exact_mut(4).zip(chunk) {
+            dst.copy_from_slice(&to_le(w));
+        }
+        f(bytes);
+    }
+}
+
 /// Streaming CRC32 (IEEE) accumulator, so frame checksums can be computed
 /// over tensor payloads without materializing the serialized bytes.
 ///
@@ -90,27 +207,23 @@ impl Crc32 {
         Self { state: 0xFFFF_FFFF }
     }
 
-    /// Folds `bytes` into the checksum (slice-by-8 main loop, byte-wise
-    /// tail).
+    /// Folds `bytes` into the checksum: PCLMULQDQ folding where the CPU
+    /// has it (x86-64, detected at run time), the slice-by-8 tables
+    /// elsewhere and for the sub-16-byte tail. Both give the same value.
     pub fn update(&mut self, bytes: &[u8]) {
-        let mut c = self.state;
-        let mut chunks = bytes.chunks_exact(8);
-        for ch in &mut chunks {
-            let lo = u32::from_le_bytes(ch[0..4].try_into().unwrap()) ^ c;
-            let hi = u32::from_le_bytes(ch[4..8].try_into().unwrap());
-            c = CRC_TABLES[7][(lo & 0xFF) as usize]
-                ^ CRC_TABLES[6][((lo >> 8) & 0xFF) as usize]
-                ^ CRC_TABLES[5][((lo >> 16) & 0xFF) as usize]
-                ^ CRC_TABLES[4][(lo >> 24) as usize]
-                ^ CRC_TABLES[3][(hi & 0xFF) as usize]
-                ^ CRC_TABLES[2][((hi >> 8) & 0xFF) as usize]
-                ^ CRC_TABLES[1][((hi >> 16) & 0xFF) as usize]
-                ^ CRC_TABLES[0][(hi >> 24) as usize];
+        #[cfg(target_arch = "x86_64")]
+        if bytes.len() >= CLMUL_MIN_BYTES
+            && is_x86_feature_detected!("pclmulqdq")
+            && is_x86_feature_detected!("sse4.1")
+        {
+            let (body, tail) = bytes.split_at(bytes.len() & !15);
+            // SAFETY: both CPU features were detected on the line above,
+            // and `body` is a multiple of 16 bytes no shorter than 64.
+            let folded = unsafe { fold_clmul(self.state, body) };
+            self.state = fold_table(folded, tail);
+            return;
         }
-        for &b in chunks.remainder() {
-            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-        }
-        self.state = c;
+        self.state = fold_table(self.state, bytes);
     }
 
     /// Final checksum value.
@@ -181,56 +294,70 @@ fn kind_tag(kind: &MessageKind) -> u8 {
     kind.kind_index() as u8
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f32s(out: &mut Vec<u8>, vs: &[f32]) {
-    for v in vs {
-        out.extend_from_slice(&v.to_le_bytes());
+/// Where the compact payload's fields go: into a byte buffer (the
+/// reference codec), straight into a checksum (the fabric), or both. The
+/// layout is written once, in [`write_payload`], so they cannot disagree.
+trait PayloadSink {
+    fn bytes(&mut self, bytes: &[u8]);
+    fn u32s(&mut self, words: &[u32]) {
+        for_each_le_block(words, u32::to_le_bytes, |bytes| self.bytes(bytes));
+    }
+    fn f32s(&mut self, words: &[f32]) {
+        for_each_le_block(words, f32::to_le_bytes, |bytes| self.bytes(bytes));
     }
 }
 
-/// Appends the compact payload of `kind` to `out` without clearing it —
-/// the shared body of [`encode_payload_into`] and [`encode_frame_into`]
-/// (the latter writes the payload straight after the reserved header).
-fn append_payload(kind: &MessageKind, out: &mut Vec<u8>) {
-    out.push(kind_tag(kind));
+impl PayloadSink for Vec<u8> {
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+impl PayloadSink for Crc32 {
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.update(bytes);
+    }
+}
+
+/// The frame encoder's sink: each staged block is appended and, while it
+/// is still in L1, checksummed — no second pass over the finished frame.
+struct Checksummed<'a> {
+    out: &'a mut Vec<u8>,
+    crc: Crc32,
+}
+
+impl PayloadSink for Checksummed<'_> {
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.out.extend_from_slice(bytes);
+        self.crc.update(bytes);
+    }
+}
+
+/// Writes the compact payload of `kind` — the canonical byte layout — to
+/// `out`, field by field.
+fn write_payload(kind: &MessageKind, out: &mut impl PayloadSink) {
+    out.bytes(&[kind_tag(kind)]);
     match kind {
         MessageKind::Rows { layer, ids, cols, data }
         | MessageKind::Grads { layer, ids, cols, data } => {
-            put_u32(out, *layer);
-            put_u32(out, *cols);
-            put_u32(out, ids.len() as u32);
-            for id in ids {
-                put_u32(out, *id);
-            }
-            put_f32s(out, data);
+            out.u32s(&[*layer, *cols, ids.len() as u32]);
+            out.u32s(ids);
+            out.f32s(data);
         }
         MessageKind::AllReduce { round, data } => {
-            put_u32(out, *round);
-            put_u32(out, data.len() as u32);
-            put_f32s(out, data);
+            out.u32s(&[*round, data.len() as u32]);
+            out.f32s(data);
         }
-        MessageKind::Control(v) => out.extend_from_slice(&v.to_le_bytes()),
+        MessageKind::Control(v) => out.bytes(&v.to_le_bytes()),
         MessageKind::Query { qids, verts } => {
-            put_u32(out, qids.len() as u32);
-            put_u32(out, verts.len() as u32);
-            for q in qids {
-                put_u32(out, *q);
-            }
-            for v in verts {
-                put_u32(out, *v);
-            }
+            out.u32s(&[qids.len() as u32, verts.len() as u32]);
+            out.u32s(qids);
+            out.u32s(verts);
         }
         MessageKind::Reply { qids, classes } => {
-            put_u32(out, qids.len() as u32);
-            for q in qids {
-                put_u32(out, *q);
-            }
-            for c in classes {
-                put_u32(out, *c);
-            }
+            out.u32s(&[qids.len() as u32]);
+            out.u32s(qids);
+            out.u32s(classes);
         }
     }
 }
@@ -242,7 +369,7 @@ fn append_payload(kind: &MessageKind, out: &mut Vec<u8>) {
 pub fn encode_payload_into(kind: &MessageKind, out: &mut Vec<u8>) {
     out.clear();
     out.reserve(kind.payload_bytes() as usize);
-    append_payload(kind, out);
+    write_payload(kind, out);
 }
 
 /// Serializes the compact payload of `kind` into a fresh buffer.
@@ -252,32 +379,25 @@ pub fn encode_payload(kind: &MessageKind) -> Vec<u8> {
     out
 }
 
-thread_local! {
-    // Reusable serialization scratch for `payload_crc`: one buffer per
-    // worker thread, grown once to the largest payload and reused forever
-    // after — the receive-side CRC check allocates nothing at steady state.
-    static CRC_SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
-}
-
 /// CRC32 of the compact payload of `kind`. Equal to
-/// `crc32(&encode_payload(kind))` — the fabric stamps this onto every
-/// outgoing frame and receivers recompute it for verification. Serializes
-/// into a thread-local reusable scratch buffer so the slice-by-8 CRC loop
-/// runs over contiguous bytes (several times faster than streaming the
-/// logical fields one `to_le_bytes` array at a time).
+/// `crc32(&encode_payload(kind))`, but the bytes are never materialized:
+/// the header fields, ids and data are folded into the checksum in place.
+/// The fabric stamps this onto every outgoing message and receivers
+/// recompute it for verification.
 pub fn payload_crc(kind: &MessageKind) -> u32 {
-    CRC_SCRATCH.with(|s| {
-        let mut buf = s.borrow_mut();
-        encode_payload_into(kind, &mut buf);
-        crc32(&buf)
-    })
+    let mut acc = Crc32::new();
+    write_payload(kind, &mut acc);
+    acc.finish()
 }
 
 /// Serializes a full frame into `out`: header (magic, kind, length, CRC32)
 /// followed by the compact payload — written in one pass. `out` is cleared
-/// and reused: the header is reserved up front, the payload is encoded
-/// straight into the frame buffer (no intermediate payload `Vec`), and the
-/// length and CRC are patched into the reserved bytes afterwards.
+/// and reused: the header is reserved up front, the payload is staged
+/// straight into the frame buffer and checksummed block by block as it
+/// goes (no intermediate payload `Vec`, no second pass), and the length
+/// and CRC are patched into the reserved bytes afterwards. This is the
+/// frame format's reference encoder: the in-process fabric ships structs
+/// and stamps [`payload_crc`], which this frame's CRC always equals.
 pub fn encode_frame_into(kind: &MessageKind, out: &mut Vec<u8>) {
     let header_len = FRAME_HEADER_BYTES as usize;
     out.clear();
@@ -285,9 +405,10 @@ pub fn encode_frame_into(kind: &MessageKind, out: &mut Vec<u8>) {
     out.extend_from_slice(&FRAME_MAGIC);
     out.push(kind_tag(kind));
     out.extend_from_slice(&[0u8; 8]); // length + CRC, patched below
-    append_payload(kind, out);
+    let mut sink = Checksummed { out, crc: Crc32::new() };
+    write_payload(kind, &mut sink);
+    let crc = sink.crc.finish();
     let payload_len = (out.len() - header_len) as u32;
-    let crc = crc32(&out[header_len..]);
     out[5..9].copy_from_slice(&payload_len.to_le_bytes());
     out[9..13].copy_from_slice(&crc.to_le_bytes());
 }
@@ -315,7 +436,7 @@ impl<'a> Cursor<'a> {
         if self.bytes.len() - self.pos < n {
             return Err(FrameError::Truncated {
                 have: self.bytes.len(),
-                need: self.pos + n,
+                need: self.pos.saturating_add(n),
             });
         }
         let s = &self.bytes[self.pos..self.pos + n];
@@ -327,12 +448,26 @@ impl<'a> Cursor<'a> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
-    fn f32s(&mut self, n: usize) -> Result<Vec<f32>, FrameError> {
-        let raw = self.take(n * 4)?;
+    /// The next `n` little-endian words. `n` comes off the wire: the
+    /// bytes are claimed from the cursor before anything is allocated, so
+    /// a count the payload cannot hold is `Truncated`, not a huge `Vec`.
+    fn words<T>(&mut self, n: usize, from_le: impl Fn([u8; 4]) -> T) -> Result<Vec<T>, FrameError> {
+        let len = n
+            .checked_mul(4)
+            .ok_or(FrameError::Malformed("word count overflows"))?;
+        let raw = self.take(len)?;
         Ok(raw
             .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
+            .map(|c| from_le(c.try_into().unwrap()))
             .collect())
+    }
+
+    fn u32s(&mut self, n: usize) -> Result<Vec<u32>, FrameError> {
+        self.words(n, u32::from_le_bytes)
+    }
+
+    fn f32s(&mut self, n: usize) -> Result<Vec<f32>, FrameError> {
+        self.words(n, f32::from_le_bytes)
     }
 }
 
@@ -343,10 +478,7 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Result<MessageKind, FrameError> {
             let layer = cur.u32()?;
             let cols = cur.u32()?;
             let rows = cur.u32()? as usize;
-            let mut ids = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                ids.push(cur.u32()?);
-            }
+            let ids = cur.u32s(rows)?;
             let n = rows
                 .checked_mul(cols as usize)
                 .ok_or(FrameError::Malformed("rows * cols overflows"))?;
@@ -368,27 +500,11 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Result<MessageKind, FrameError> {
         4 => {
             let nq = cur.u32()? as usize;
             let nv = cur.u32()? as usize;
-            let mut qids = Vec::with_capacity(nq);
-            for _ in 0..nq {
-                qids.push(cur.u32()?);
-            }
-            let mut verts = Vec::with_capacity(nv);
-            for _ in 0..nv {
-                verts.push(cur.u32()?);
-            }
-            MessageKind::Query { qids, verts }
+            MessageKind::Query { qids: cur.u32s(nq)?, verts: cur.u32s(nv)? }
         }
         5 => {
             let nq = cur.u32()? as usize;
-            let mut qids = Vec::with_capacity(nq);
-            for _ in 0..nq {
-                qids.push(cur.u32()?);
-            }
-            let mut classes = Vec::with_capacity(nq);
-            for _ in 0..nq {
-                classes.push(cur.u32()?);
-            }
-            MessageKind::Reply { qids, classes }
+            MessageKind::Reply { qids: cur.u32s(nq)?, classes: cur.u32s(nq)? }
         }
         other => return Err(FrameError::BadKind(other)),
     };
@@ -506,6 +622,8 @@ mod tests {
     use super::*;
 
     fn sample_kinds() -> Vec<MessageKind> {
+        // 1500 rows x 3: ids and data each span more than one staging block.
+        let many: Vec<u32> = (0..1500).map(|i| i * 7 + 1).collect();
         vec![
             MessageKind::Rows {
                 layer: 2,
@@ -513,14 +631,106 @@ mod tests {
                 cols: 2,
                 data: vec![1.0, -2.5, 0.0, 4.25, -0.125, 7.5],
             },
+            MessageKind::Rows {
+                layer: 1,
+                data: many.iter().flat_map(|&i| [i as f32, -0.5, 1e-3 * i as f32]).collect(),
+                ids: many,
+                cols: 3,
+            },
+            MessageKind::Rows { layer: 0, ids: vec![], cols: 0, data: vec![] },
             MessageKind::Grads { layer: 0, ids: vec![5], cols: 3, data: vec![0.5, 1.5, 2.5] },
+            MessageKind::Grads { layer: 3, ids: vec![8], cols: 1, data: vec![-1.0] },
             MessageKind::AllReduce { round: 7, data: vec![0.25, -0.75] },
             MessageKind::AllReduce { round: 0, data: vec![] },
             MessageKind::Control(-3.125),
             MessageKind::Query { qids: vec![1, 2, 3], verts: vec![40, 50, 60] },
             MessageKind::Query { qids: vec![], verts: vec![7, 9] },
+            MessageKind::Query { qids: vec![], verts: vec![] },
             MessageKind::Reply { qids: vec![11, 12], classes: vec![0, 6] },
+            MessageKind::Reply { qids: vec![], classes: vec![] },
         ]
+    }
+
+    fn random_bytes(rng: &mut ns_rand::StdRng, len: usize) -> Vec<u8> {
+        (0..len).map(|_| rng.next_u64() as u8).collect()
+    }
+
+    /// `Crc32::update` from raw state `state` — the CLMUL path on an
+    /// x86-64 host that has it — against the table path called directly.
+    fn assert_update_matches_table(state: u32, bytes: &[u8]) {
+        let mut acc = Crc32 { state };
+        acc.update(bytes);
+        assert_eq!(acc.state, fold_table(state, bytes), "len {} state {state:#x}", bytes.len());
+    }
+
+    #[test]
+    fn clmul_path_matches_table_path_at_every_length_and_alignment() {
+        let mut rng = ns_rand::StdRng::seed_from_u64(23);
+        let buf = random_bytes(&mut rng, 1100 + 16);
+        for len in 0..=1100 {
+            for offset in [0, 1, 7, 12] {
+                let state = if len % 2 == 0 { 0xFFFF_FFFF } else { rng.next_u64() as u32 };
+                assert_update_matches_table(state, &buf[offset..offset + len]);
+            }
+        }
+    }
+
+    #[test]
+    fn streamed_updates_match_table_path_at_random_split_points() {
+        ns_rand::check_cases(0..64, |rng| {
+            let len = rng.random_range(0..6000usize);
+            let bytes = random_bytes(rng, len);
+            let mut acc = Crc32::new();
+            let mut rest = &bytes[..];
+            while !rest.is_empty() {
+                let (now, later) = rest.split_at(rng.random_range(0..=rest.len().min(700)));
+                acc.update(now);
+                rest = later;
+            }
+            assert_eq!(acc.state, fold_table(0xFFFF_FFFF, &bytes));
+        });
+    }
+
+    #[test]
+    fn staged_words_checksum_as_their_le_bytes() {
+        for n in [0, 1, 3, 15, 16, 17, STAGE_WORDS - 1, STAGE_WORDS, STAGE_WORDS + 1, 2500] {
+            let us: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
+            let fs: Vec<f32> = us.iter().map(|&u| f32::from_bits(u)).collect();
+            let bytes: Vec<u8> = us.iter().flat_map(|u| u.to_le_bytes()).collect();
+            let (mut a, mut b) = (Crc32::new(), Crc32::new());
+            a.u32s(&us);
+            b.f32s(&fs);
+            assert_eq!(a.finish(), crc32(&bytes), "u32 x {n}");
+            assert_eq!(b.finish(), crc32(&bytes), "f32 x {n}");
+        }
+    }
+
+    /// Speed gate for CI's perf-smoke (release profile): both paths run in
+    /// this process on this host, so the ratio survives host drift.
+    #[test]
+    #[ignore = "timing: cargo test --release -p ns-net wire -- --include-ignored"]
+    #[cfg(target_arch = "x86_64")]
+    fn clmul_path_is_at_least_4x_the_table_path_on_1mib() {
+        if !is_x86_feature_detected!("pclmulqdq") || !is_x86_feature_detected!("sse4.1") {
+            eprintln!("no pclmulqdq on this CPU: Crc32 runs the table path, nothing to gate");
+            return;
+        }
+        let bytes = random_bytes(&mut ns_rand::StdRng::seed_from_u64(1), 1 << 20);
+        let best_of_5 = |f: &dyn Fn(&[u8]) -> u32| {
+            (0..5)
+                .map(|_| {
+                    let t = std::time::Instant::now();
+                    std::hint::black_box(f(std::hint::black_box(&bytes)));
+                    t.elapsed()
+                })
+                .min()
+                .unwrap()
+        };
+        let table = best_of_5(&|b| fold_table(0xFFFF_FFFF, b));
+        let clmul = best_of_5(&crc32);
+        let ratio = table.as_secs_f64() / clmul.as_secs_f64();
+        eprintln!("crc32 over 1 MiB: table {table:?}, clmul {clmul:?}, ratio {ratio:.1}");
+        assert!(ratio >= 4.0, "CLMUL path only {ratio:.1}x the table path");
     }
 
     #[test]
@@ -617,6 +827,41 @@ mod tests {
                 "truncation to {keep} bytes went undetected"
             );
         }
+    }
+
+    /// A frame whose header, length and CRC are all valid but whose
+    /// payload declares `count` words it does not hold.
+    fn frame_declaring(tag: u8, fields_before_count: usize, count: u32) -> Vec<u8> {
+        let mut payload = vec![tag];
+        payload.extend_from_slice(&vec![0u8; 4 * fields_before_count]);
+        payload.extend_from_slice(&count.to_le_bytes());
+        payload.extend_from_slice(&[0u8; 8]); // far fewer words than declared
+        let mut frame = FRAME_MAGIC.to_vec();
+        frame.push(tag);
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        frame
+    }
+
+    #[test]
+    fn counts_from_the_wire_are_bounded_by_the_payload() {
+        // Rows/Grads: layer, cols, then rows. AllReduce: round, then n.
+        // Query: nq (then nv). Reply: nq. Sizing a Vec from any of these
+        // before checking the payload would ask for up to 16 GiB.
+        for (tag, before) in [(0, 2), (1, 2), (2, 1), (4, 0), (5, 0)] {
+            for count in [3, 1 << 20, u32::MAX] {
+                let err = decode_frame(&frame_declaring(tag, before, count)).unwrap_err();
+                assert!(matches!(err, FrameError::Truncated { .. }), "tag {tag}: {err}");
+            }
+        }
+        // Query's second count, behind a first one the payload does hold.
+        let mut frame = frame_declaring(4, 1, u32::MAX);
+        let payload_at = FRAME_HEADER_BYTES as usize;
+        frame[payload_at + 1..payload_at + 5].copy_from_slice(&1u32.to_le_bytes());
+        let crc = crc32(&frame[payload_at..]);
+        frame[9..13].copy_from_slice(&crc.to_le_bytes());
+        assert!(matches!(decode_frame(&frame), Err(FrameError::Truncated { .. })));
     }
 
     #[test]

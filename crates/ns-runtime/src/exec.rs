@@ -31,10 +31,10 @@
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use ns_gnn::loss::{count_correct, softmax_cross_entropy_shared, LossResult};
+use ns_gnn::loss::{count_correct, softmax_cross_entropy, LossResult};
 use ns_gnn::{GnnModel, LayerInput, LayerPrefix, LayerRun};
 use ns_graph::Dataset;
 use ns_metrics::{span, LayerSplit, MetricsFrame, MetricsRecorder, Phase, RunMetrics};
@@ -732,8 +732,8 @@ struct Worker<'a> {
     /// tape holds it.
     prefix: &'a mut Option<LayerPrefix>,
     /// Labels, loss weights and train/val/test masks over owned rows.
-    owned_labels: Arc<[u32]>,
-    loss_weights: Arc<[f32]>,
+    owned_labels: Vec<u32>,
+    loss_weights: Vec<f32>,
     masks: [Vec<bool>; 3],
     /// Buffer-pool meters: the pool counters are process-wide, so worker 0
     /// exports the per-epoch deltas for the whole process (every worker's
@@ -948,7 +948,9 @@ impl<'a> Worker<'a> {
         let _span = span!(self.rec, Phase::FwdComm, l);
         let net = |e| self.fail(FailureCause::Net(e), false);
         self.push(Dir::Fwd, l, act).map_err(net)?;
-        let mut input = Tensor::zeros(lp.input_ids.len(), act.cols());
+        // Scratch, not zeros: `plan::validate_plans` proves every input row
+        // is written exactly once, by the local copy below or by `pull`.
+        let mut input = Tensor::scratch(lp.input_ids.len(), act.cols());
         for &(pr, ir) in &lp.local_src {
             input.row_mut(ir as usize).copy_from_slice(act.row(pr as usize));
         }
@@ -966,11 +968,7 @@ impl<'a> Worker<'a> {
     /// Prediction head: loss over owned rows plus train/val/test accuracy.
     fn head(&self, logits: &Tensor) -> (LossResult, [(usize, usize); 3]) {
         let _span = span!(self.rec, Phase::Head);
-        let head = softmax_cross_entropy_shared(
-            logits,
-            Arc::clone(&self.owned_labels),
-            Arc::clone(&self.loss_weights),
-        );
+        let head = softmax_cross_entropy(logits, &self.owned_labels, &self.loss_weights);
         let pred = logits.argmax_rows();
         let counts = [0, 1, 2].map(|k| count_correct(&pred, &self.owned_labels, &self.masks[k]));
         (head, counts)
@@ -1010,6 +1008,7 @@ impl<'a> Worker<'a> {
         let net = |e| self.fail(FailureCause::Net(e), false);
         self.push(Dir::Bwd, l, input_grad).map_err(net)?;
         let prev_rows = self.plan.layers[l - 1].compute.len();
+        // Zeros, unlike `fwd_comm`: gradient rows accumulate into it.
         let mut g_prev = Tensor::zeros(prev_rows, input_grad.cols());
         for &(pr, ir) in &self.plan.layers[l].local_src {
             write_slice(g_prev.row_mut(pr as usize), input_grad.row(ir as usize), true);

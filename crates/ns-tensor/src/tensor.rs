@@ -678,18 +678,19 @@ impl Tensor {
         self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
     }
 
-    /// Index of the maximum element per row.
+    /// Index of the maximum element per row (the first, among equals).
     pub fn argmax_rows(&self) -> Vec<usize> {
         (0..self.rows)
             .map(|r| {
-                let row = self.row(r);
-                let mut best = 0usize;
-                for (c, &v) in row.iter().enumerate() {
-                    if v > row[best] {
-                        best = c;
+                // The running maximum stays in a register: no reload of
+                // `row[best]`, and its bounds check, per element.
+                let mut best = (0usize, f32::NAN);
+                for (c, &v) in self.row(r).iter().enumerate() {
+                    if c == 0 || v > best.1 {
+                        best = (c, v);
                     }
                 }
-                best
+                best.0
             })
             .collect()
     }
@@ -1132,6 +1133,12 @@ mod tests {
         assert_eq!(x.sum_rows().data(), &[4., 6.]);
         assert!((x.norm() - 30.0f32.sqrt()).abs() < 1e-6);
         assert_eq!(x.argmax_rows(), vec![1, 1]);
+        // First among equals; a NaN never beats, and a leading NaN is
+        // never beaten (it compares false both ways).
+        let nan = f32::NAN;
+        let y = Tensor::from_vec(4, 3, vec![2., 5., 5., -1., nan, -3., nan, 9., 1., 0., 0., 0.]);
+        assert_eq!(y.argmax_rows(), vec![1, 0, 0, 0]);
+        assert_eq!(Tensor::zeros(2, 0).argmax_rows(), vec![0, 0]);
     }
 
     #[test]
