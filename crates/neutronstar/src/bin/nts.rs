@@ -13,7 +13,7 @@ use neutronstar::metrics::{summary_table, to_chrome_trace, to_json};
 use neutronstar::prelude::*;
 use neutronstar::runtime::cost::probe_threaded;
 use neutronstar::runtime::serve::ServeReport;
-use neutronstar::runtime::{CheckpointStore, ServeDeployment, TrainerConfig};
+use neutronstar::runtime::{CheckpointStore, ServeDeployment, TrainerConfig, VertexWeight};
 use neutronstar::tensor::checkpoint;
 
 fn main() {
@@ -388,6 +388,11 @@ fn run(ra: &RunArgs, mode: Mode) {
 
     let mut cfg = TrainerConfig::new(ra.engine, cluster);
     cfg.partitioner = ra.partitioner;
+    if let Mode::Train = mode {
+        // `train` executes, so it balances the model's FLOPs; `simulate`
+        // prices the modelled cluster and keeps the paper's unit weight.
+        cfg.vertex_weight = VertexWeight::ModelFlops;
+    }
     cfg.threads = ra.threads;
     cfg.opts = ra.opts;
     cfg.lr = ra.lr;
@@ -410,6 +415,19 @@ fn run(ra: &RunArgs, mode: Mode) {
         }
     };
 
+    if let Mode::Train = mode {
+        let (plan, costs) = (trainer.plan_summary(), trainer.costs());
+        print!(
+            "partition: vertex weight {:.3} = {} / {} FLOPs per vertex / per in-edge ->",
+            plan.vertex_weight,
+            costs.vertex_flops(),
+            costs.edge_flops(),
+        );
+        for (w, p) in plan.parts.iter().enumerate() {
+            print!(" w{w}: {} v + {} e = {:.1}%", p.vertices, p.in_edges, p.flop_share * 100.0);
+        }
+        println!();
+    }
     match mode {
         Mode::Simulate => {
             let sim = trainer.simulate_epoch();

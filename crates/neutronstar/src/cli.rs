@@ -549,12 +549,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         ra.cluster = v.clone();
     }
     if let Some(v) = parse_flag_value(&flags, "partitioner") {
-        ra.partitioner = match v.as_str() {
-            "chunk" => Partitioner::Chunk,
-            "metis" | "metis-like" => Partitioner::MetisLike,
-            "fennel" => Partitioner::Fennel,
-            _ => return Err(format!("bad --partitioner {v:?}")),
-        };
+        ra.partitioner = v.parse().map_err(|_| format!("bad --partitioner {v:?}"))?;
     }
     if let Some(v) = parse_flag_value(&flags, "epochs") {
         ra.epochs = v.parse().map_err(|_| format!("bad --epochs {v:?}"))?;
@@ -660,12 +655,8 @@ fn parse_serve(args: &[String]) -> Result<Command, String> {
                 sa.shards = value.parse().map_err(|_| format!("bad --shards {value:?}"))?;
             }
             "partitioner" => {
-                sa.partitioner = match value.as_str() {
-                    "chunk" => Partitioner::Chunk,
-                    "metis" | "metis-like" => Partitioner::MetisLike,
-                    "fennel" => Partitioner::Fennel,
-                    _ => return Err(format!("bad --partitioner {value:?}")),
-                };
+                sa.partitioner =
+                    value.parse().map_err(|_| format!("bad --partitioner {value:?}"))?;
             }
             "queue-cap" => {
                 sa.queue_capacity =

@@ -8,6 +8,7 @@ use ns_runtime::exec::{OptimizerKind, RecvConfig, SyncMode, WatchdogConfig};
 use ns_runtime::trainer::{SimSummary, Trainer, TrainerConfig};
 use ns_runtime::{
     EngineKind, HybridConfig, RecoveryConfig, RuntimeError, StoreConfig, TrainingReport,
+    VertexWeight,
 };
 
 /// Builder for a [`TrainingSession`].
@@ -95,7 +96,10 @@ impl SessionBuilder {
         self
     }
 
-    /// Graph partitioner (default: chunk-based).
+    /// Graph partitioner (default: chunk-based, balancing the model's
+    /// FLOPs: a session exists to execute, so it prices a vertex at
+    /// [`VertexWeight::ModelFlops`] where a bare `TrainerConfig::new`
+    /// keeps the paper's unit weight).
     pub fn partitioner(mut self, partitioner: Partitioner) -> Self {
         self.partitioner = partitioner;
         self
@@ -206,6 +210,7 @@ impl SessionBuilder {
         let cfg = TrainerConfig {
             engine: self.engine,
             partitioner: self.partitioner,
+            vertex_weight: VertexWeight::ModelFlops,
             cluster: self.cluster,
             opts: self.opts,
             lr: self.lr,
@@ -321,6 +326,33 @@ mod tests {
             "retention keeps at most 2 generations, found {generations:?}"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A session executes, so it balances the model's FLOPs; a bare
+    /// `TrainerConfig::new` (figures, chaos, `nts simulate`) keeps the
+    /// paper's unit weight.
+    #[test]
+    fn session_prices_vertices_by_model_flops_and_bare_config_by_one() {
+        let ds = by_name("twitter").unwrap().materialize(0.0002, 3);
+        let model = GnnModel::two_layer(ModelKind::Gcn, ds.feature_dim(), 32, ds.num_classes, 1);
+        let cluster = ClusterSpec::aliyun_ecs(2);
+        let session = TrainingSession::builder()
+            .engine(EngineKind::DepComm)
+            .cluster(cluster.clone())
+            .without_memory_check()
+            .build(&ds, &model)
+            .unwrap();
+        let plan = session.trainer().plan_summary();
+        assert_eq!(plan.vertex_weight, session.trainer().costs().vertex_weight());
+        assert_eq!(plan.vertex_weight, 13264.0 / 336.0);
+
+        let mut bare = TrainerConfig::new(EngineKind::DepComm, cluster);
+        bare.enforce_memory = false;
+        let bare = Trainer::prepare(&ds, &model, bare).unwrap().plan_summary();
+        assert_eq!(bare.vertex_weight, 1.0);
+        let unit = Partitioner::Chunk.partition(&ds.graph, 2).part_sizes();
+        assert_eq!(bare.parts.iter().map(|p| p.vertices).collect::<Vec<_>>(), unit);
+        assert!(plan.parts[0].vertices > unit[0], "the hub-heavy first chunk grows");
     }
 
     #[test]

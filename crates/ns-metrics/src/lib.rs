@@ -581,11 +581,15 @@ pub struct SimSpan {
 }
 
 /// All metrics of one training run: per-worker frames keyed by worker id,
-/// optional simulated-timeline spans, and the run's wall-clock seconds.
+/// run-level gauges, optional simulated-timeline spans, and the run's
+/// wall-clock seconds.
 #[derive(Clone, Debug, Default)]
 pub struct RunMetrics {
     /// One merged frame per worker ([`COORDINATOR`] holds coordinator frames).
     pub frames: BTreeMap<usize, MetricsFrame>,
+    /// Ratios that describe the run as a whole and do not sum across
+    /// workers (`plan.vertex_weight`, `exec.compute_skew`, ...).
+    pub gauges: BTreeMap<String, f64>,
     /// Busy intervals on the simulated cluster timeline.
     pub sim_spans: Vec<SimSpan>,
     /// Wall-clock duration of the run, seconds.
@@ -609,11 +613,13 @@ impl RunMetrics {
     }
 
     /// Merge a whole run (e.g. one recovery chunk) into this one. Frames merge
-    /// per worker; wall time adds; sim spans concatenate.
+    /// per worker; wall time adds; sim spans concatenate; a gauge `other`
+    /// also carries takes `other`'s value.
     pub fn merge(&mut self, other: RunMetrics) {
         for (_, frame) in other.frames {
             self.absorb(frame);
         }
+        self.gauges.extend(other.gauges);
         self.sim_spans.extend(other.sim_spans);
         self.wall_s += other.wall_s;
     }

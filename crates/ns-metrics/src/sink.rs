@@ -47,18 +47,28 @@ fn hist_json(h: &Histogram) -> String {
 
 /// Render machine-readable JSON for the whole run (the `--metrics-out` sink).
 ///
-/// Top level: `{"schema", "wall_s", "workers": [...]}` — one entry per worker,
-/// coordinator last with `"worker": -1`. See `docs/OBSERVABILITY.md` for the
-/// full schema.
+/// Top level: `{"schema", "wall_s", "gauges": {...}, "workers": [...]}` — one
+/// entry per worker, coordinator last with `"worker": -1`. See
+/// `docs/OBSERVABILITY.md` for the full schema.
 pub fn to_json(run: &RunMetrics) -> String {
     let mut out = String::with_capacity(4096);
     let _ = write!(
         out,
-        "{{\"schema\":{},\"wall_s\":{},\"workers\":[",
+        "{{\"schema\":{},\"wall_s\":{},\"gauges\":{{",
         jstr(METRICS_SCHEMA),
         run.wall_s
     );
     let mut first = true;
+    // Non-finite values have no JSON spelling; a gauge that is one is absent.
+    for (k, v) in run.gauges.iter().filter(|(_, v)| v.is_finite()) {
+        if !first {
+            out.push(',');
+        }
+        first = false;
+        let _ = write!(out, "{}:{}", jstr(k), v);
+    }
+    out.push_str("},\"workers\":[");
+    first = true;
     for frame in run.frames.values() {
         if !first {
             out.push(',');
@@ -294,6 +304,13 @@ pub fn summary_table(run: &RunMetrics) -> String {
         }
     }
 
+    if !run.gauges.is_empty() {
+        let _ = writeln!(out, "gauges (whole run):");
+        for (k, v) in &run.gauges {
+            let _ = writeln!(out, "  {k:<32} {v:.4}");
+        }
+    }
+
     // Counters, aggregated across workers.
     let mut totals: std::collections::BTreeMap<&str, u64> = std::collections::BTreeMap::new();
     for f in run.frames.values() {
@@ -385,6 +402,8 @@ mod tests {
             end_us: 12.5,
         });
         run.wall_s = 0.25;
+        run.gauges.insert("plan.vertex_weight".into(), 39.5);
+        run.gauges.insert("exec.compute_skew".into(), f64::NAN);
         run
     }
 
@@ -433,6 +452,7 @@ mod tests {
         assert!(j.contains("\"phase\":\"fwd_compute\""));
         assert!(j.contains("\"fwd_graph_ns\":10"));
         assert!(j.contains("\"p99\":"));
+        assert!(j.contains("\"gauges\":{\"plan.vertex_weight\":39.5}"), "NaN gauge is left out");
     }
 
     #[test]
@@ -465,6 +485,7 @@ mod tests {
         assert!(s.contains("net.recv.wait_ns"));
         assert!(s.contains("fwd_graph"));
         assert!(s.contains("coord"));
+        assert!(s.contains("plan.vertex_weight"));
     }
 
     #[test]

@@ -63,6 +63,28 @@ pub struct CostFactors {
 }
 
 impl CostFactors {
+    /// FLOPs one owned vertex costs per epoch, all layers, forward and
+    /// backward: `Σ_l vertex_total`.
+    pub fn vertex_flops(&self) -> f64 {
+        self.flops.iter().map(LayerFlops::vertex_total).sum()
+    }
+
+    /// FLOPs one in-edge costs per epoch, all layers, forward and
+    /// backward: `Σ_l edge_total`. Positive: every layer aggregates.
+    pub fn edge_flops(&self) -> f64 {
+        self.flops.iter().map(LayerFlops::edge_total).sum()
+    }
+
+    /// What a vertex costs the executor in units of an in-edge: the
+    /// chunk partitioner's vertex weight for runs that execute
+    /// ([`VertexWeight::ModelFlops`](crate::trainer::VertexWeight)). A
+    /// ratio of FLOP counts, so a pure function of the model — 39.5 for
+    /// 52→32→16 GCN, 264.4 for 512→256→16 — and the same on every
+    /// cluster and thread count.
+    pub fn vertex_weight(&self) -> f64 {
+        self.vertex_flops() / self.edge_flops()
+    }
+
     /// A copy with every per-layer communication cost `T_c` multiplied by
     /// `factor`. The measured-cost replanner uses this to fold the
     /// observed global comm slowdown (mean receive wait drift relative to

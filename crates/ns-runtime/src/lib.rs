@@ -55,7 +55,7 @@ pub use recovery::{Checkpoint, RecoveryConfig};
 pub use serve::{ServeConfig, ServeDeployment, ServeError, ServeReport};
 pub use store::{CheckpointStore, StoreConfig};
 pub use trainer::{
-    EngineKind, EpochStats, ReplanEvent, Trainer, TrainerConfig, TrainingReport,
+    EngineKind, EpochStats, ReplanEvent, Trainer, TrainerConfig, TrainingReport, VertexWeight,
 };
 
 /// Serializes tests that reconfigure the process-global tensor pool (the

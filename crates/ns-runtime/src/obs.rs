@@ -7,7 +7,7 @@
 //! exporters shared by the training workers and the serving shards live
 //! here too.
 
-use ns_metrics::{MetricsRecorder, SimSpan};
+use ns_metrics::{MetricsRecorder, Phase, RunMetrics, SimSpan, COORDINATOR};
 use ns_net::policy::{BreakerState, BreakerStats, CircuitBreaker};
 use ns_net::sim::{ResourceKind, SimReport};
 use ns_net::{Endpoint, NetStats, KIND_NAMES};
@@ -35,6 +35,25 @@ pub fn sim_spans(report: &SimReport) -> Vec<SimSpan> {
         }
     }
     out
+}
+
+/// The slowest worker's compute time over the workers' mean, where compute
+/// is `fwd_compute + bwd_compute + head + opt_step` summed over the run
+/// (so also the ratio of the per-epoch means). 1.0 is a balanced
+/// partition; at 1.3 the other workers of a 2-worker run compute 0.54x as
+/// long and wait out the rest of every epoch in a receive. `None` when no
+/// worker recorded compute.
+pub fn compute_skew(run: &RunMetrics) -> Option<f64> {
+    const COMPUTE: [Phase; 4] = [Phase::FwdCompute, Phase::BwdCompute, Phase::Head, Phase::OptStep];
+    let per_worker: Vec<u64> = run
+        .frames
+        .values()
+        .filter(|f| f.worker != COORDINATOR)
+        .map(|f| COMPUTE.iter().map(|&p| f.phase_total_ns(p)).sum())
+        .collect();
+    let total: u64 = per_worker.iter().sum();
+    let slowest = *per_worker.iter().max()?;
+    (total > 0).then(|| slowest as f64 * per_worker.len() as f64 / total as f64)
 }
 
 /// The communication/computation split of one simulated epoch, as plotted
@@ -183,6 +202,21 @@ mod tests {
             ],
             bytes_in: vec![vec![], vec![]],
         }
+    }
+
+    #[test]
+    fn compute_skew_is_slowest_over_mean_and_ignores_waiting() {
+        let mut run = RunMetrics::new();
+        assert_eq!(compute_skew(&run), None);
+        for (worker, fwd, wait) in [(0, 60u64, 45u64), (1, 100, 0), (COORDINATOR, 0, 500)] {
+            let mut f = ns_metrics::MetricsFrame::new(worker);
+            f.phase_ns.insert((Phase::FwdCompute, 0), fwd);
+            f.phase_ns.insert((Phase::BwdCompute, 1), fwd);
+            f.phase_ns.insert((Phase::SyncWait, -1), wait);
+            f.phase_ns.insert((Phase::CkptSave, -1), wait);
+            run.absorb(f);
+        }
+        assert_eq!(compute_skew(&run), Some(200.0 * 2.0 / 320.0));
     }
 
     #[test]

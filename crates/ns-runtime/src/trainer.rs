@@ -4,7 +4,7 @@
 mod supervisor;
 
 use ns_gnn::GnnModel;
-use ns_graph::{Dataset, Partitioner};
+use ns_graph::{Dataset, Partitioner, Partitioning};
 use ns_metrics::RunMetrics;
 use ns_net::fault::FaultPlan;
 use ns_net::membership::MembershipEvent;
@@ -44,6 +44,21 @@ impl EngineKind {
     }
 }
 
+/// What one owned vertex costs the chunk partitioner, in in-edges
+/// (Gemini's α in `α·|V_i| + |E_i|`; DESIGN.md §3.2).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum VertexWeight {
+    /// α = 1, Gemini's and the paper's chunking: right for the modelled
+    /// GPU cluster, where edges dominate an epoch, and so what every
+    /// simulator-facing configuration keeps.
+    Unit,
+    /// α = [`CostFactors::vertex_weight`], the model's vertex FLOPs over
+    /// its edge FLOPs: balances the epoch this executor runs, where a
+    /// vertex's dense rows cost tens to hundreds of edges. Chosen by the
+    /// entry points that execute (`SessionBuilder::build`, `nts train`).
+    ModelFlops,
+}
+
 /// Full trainer configuration.
 #[derive(Debug, Clone)]
 pub struct TrainerConfig {
@@ -51,6 +66,9 @@ pub struct TrainerConfig {
     pub engine: EngineKind,
     /// Graph partitioner.
     pub partitioner: Partitioner,
+    /// The chunk partitioner's vertex weight (the other partitioners cap
+    /// vertex counts and ignore it).
+    pub vertex_weight: VertexWeight,
     /// Modeled cluster.
     pub cluster: ClusterSpec,
     /// System-optimization toggles (ring / lock-free / overlap).
@@ -97,6 +115,7 @@ impl TrainerConfig {
         Self {
             engine,
             partitioner: Partitioner::Chunk,
+            vertex_weight: VertexWeight::Unit,
             cluster,
             opts: ExecOptions::all(),
             lr: 0.01,
@@ -152,9 +171,27 @@ pub struct SimSummary {
     pub report: SimReport,
 }
 
+/// What the partition gave one worker.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PartLoad {
+    /// Owned vertices `|V_i|`.
+    pub vertices: usize,
+    /// In-edges of the owned vertices `|E_i|`.
+    pub in_edges: usize,
+    /// This worker's share of the epoch's priced FLOPs,
+    /// `Σ_l (vertex_total_l·|V_i| + edge_total_l·|E_i|)` over the same sum
+    /// for all workers: `1 / workers` when the partition balances the
+    /// model's work.
+    pub flop_share: f64,
+}
+
 /// Plan-level statistics.
 #[derive(Debug, Clone)]
 pub struct PlanSummary {
+    /// The vertex weight the graph was partitioned with.
+    pub vertex_weight: f64,
+    /// Per-worker share of the graph under the run's initial partition.
+    pub parts: Vec<PartLoad>,
     /// Replica compute slots across workers (redundant computation).
     pub replica_slots: usize,
     /// Features prefetched beyond owned partitions.
@@ -246,7 +283,23 @@ impl TrainingReport {
     }
 }
 
-/// Compiles per-worker plans for `engine` over `workers` partitions,
+/// The one place a training partition is made: the first plan, every
+/// replan on survivors or rejoiners, and the drift replanner's owner
+/// attribution all read what this returns, so they cannot disagree about
+/// who owns a vertex.
+fn training_partition(
+    dataset: &Dataset,
+    cfg: &TrainerConfig,
+    vertex_weight: f64,
+    workers: usize,
+) -> Result<Partitioning> {
+    if workers == 0 {
+        return Err(RuntimeError::InvalidConfig("zero workers".into()));
+    }
+    Ok(cfg.partitioner.partition_weighted(&dataset.graph, workers, vertex_weight))
+}
+
+/// Compiles per-worker plans for `engine` over the partitions of `part`,
 /// including the Hybrid budget-shrink loop and the device-memory check.
 /// Factored out of [`Trainer::prepare`] so the recovery path can replan
 /// on the surviving topology (and, if needed, on a degraded engine).
@@ -257,19 +310,15 @@ fn plan_engine(
     model: &GnnModel,
     cfg: &TrainerConfig,
     engine: EngineKind,
-    workers: usize,
+    part: &Partitioning,
     costs: &CostFactors,
     peer_mult: Option<&[f64]>,
 ) -> Result<(Vec<WorkerPlan>, Option<HybridInfo>, DepDecision)> {
-    if workers == 0 {
-        return Err(RuntimeError::InvalidConfig("zero workers".into()));
-    }
-    let part = cfg.partitioner.partition(&dataset.graph, workers);
     // Algorithm 4 under a caching budget of `budget` bytes.
     let split = |budget: u64| {
         partition_dependencies(
             &dataset.graph,
-            &part,
+            part,
             model.dims(),
             costs,
             dataset.scale,
@@ -314,7 +363,7 @@ fn plan_engine(
             cfg.cluster.device.mem_bytes,
         )
     };
-    let plans = build_plans(&dataset.graph, &part, model.num_layers(), &decision)?;
+    let plans = build_plans(&dataset.graph, part, model.num_layers(), &decision)?;
     let Err(first_err) = check(&plans) else {
         return Ok((plans, hybrid_info, decision));
     };
@@ -330,7 +379,7 @@ fn plan_engine(
     let mut budget = cfg.cluster.device.mem_bytes / 2;
     for _ in 0..6 {
         let (decision, info) = split(budget)?;
-        let plans = build_plans(&dataset.graph, &part, model.num_layers(), &decision)?;
+        let plans = build_plans(&dataset.graph, part, model.num_layers(), &decision)?;
         if check(&plans).is_ok() {
             return Ok((plans, Some(info), decision));
         }
@@ -345,6 +394,9 @@ pub struct Trainer<'a> {
     dataset: &'a Dataset,
     model: &'a GnnModel,
     cfg: TrainerConfig,
+    /// `cfg.vertex_weight`, resolved against the probed model.
+    vertex_weight: f64,
+    part: Partitioning,
     plans: Vec<WorkerPlan>,
     costs: CostFactors,
     hybrid_info: Option<HybridInfo>,
@@ -363,9 +415,14 @@ impl<'a> Trainer<'a> {
     ) -> Result<Self> {
         ns_par::set_threads(cfg.threads);
         let costs = probe_threaded(model, &cfg.cluster, ns_par::threads());
+        let vertex_weight = match cfg.vertex_weight {
+            VertexWeight::Unit => 1.0,
+            VertexWeight::ModelFlops => costs.vertex_weight(),
+        };
+        let part = training_partition(dataset, &cfg, vertex_weight, cfg.cluster.workers)?;
         let (plans, hybrid_info, decision) =
-            plan_engine(dataset, model, &cfg, cfg.engine, cfg.cluster.workers, &costs, None)?;
-        Ok(Self { dataset, model, cfg, plans, costs, hybrid_info, decision })
+            plan_engine(dataset, model, &cfg, cfg.engine, &part, &costs, None)?;
+        Ok(Self { dataset, model, cfg, vertex_weight, part, plans, costs, hybrid_info, decision })
     }
 
     /// The compiled per-worker plans.
@@ -376,6 +433,31 @@ impl<'a> Trainer<'a> {
     /// The probed cost factors.
     pub fn costs(&self) -> &CostFactors {
         &self.costs
+    }
+
+    /// Statistics of the plan the run starts under: the vertex weight,
+    /// what the partition gave each worker, and the dependency totals.
+    pub fn plan_summary(&self) -> PlanSummary {
+        let (vf, ef) = (self.costs.vertex_flops(), self.costs.edge_flops());
+        let vertices = self.part.part_sizes();
+        let in_edges = self.part.part_in_edges(&self.dataset.graph);
+        let flops = |i: usize| vf * vertices[i] as f64 + ef * in_edges[i] as f64;
+        let all: f64 = (0..vertices.len()).map(flops).sum();
+        let total = |f: fn(&WorkerPlan) -> usize| -> usize { self.plans.iter().map(f).sum() };
+        PlanSummary {
+            vertex_weight: self.vertex_weight,
+            parts: (0..vertices.len())
+                .map(|i| PartLoad {
+                    vertices: vertices[i],
+                    in_edges: in_edges[i],
+                    flop_share: flops(i) / all,
+                })
+                .collect(),
+            replica_slots: total(WorkerPlan::replica_slots),
+            prefetched_features: total(WorkerPlan::prefetched_features),
+            comm_rows_per_epoch: total(WorkerPlan::forward_comm_rows),
+            hybrid: self.hybrid_info.clone(),
+        }
     }
 
     /// Simulates one epoch on the modeled cluster.
@@ -420,6 +502,13 @@ impl<'a> Trainer<'a> {
         let mut out = Supervisor::new(self, epochs)?.run()?;
         // Lay the modeled-clock timeline alongside the real-clock spans.
         out.run_metrics.sim_spans = crate::obs::sim_spans(&sim.report);
+        let plan = self.plan_summary();
+        let flop_share_max = plan.parts.iter().map(|p| p.flop_share).fold(0.0, f64::max);
+        let skew = crate::obs::compute_skew(&out.run_metrics);
+        let gauges = &mut out.run_metrics.gauges;
+        gauges.insert("plan.vertex_weight".into(), plan.vertex_weight);
+        gauges.insert("plan.flop_share_max".into(), flop_share_max);
+        gauges.extend(skew.map(|s| ("exec.compute_skew".into(), s)));
         let epochs_out = out
             .metrics
             .into_iter()
@@ -433,7 +522,6 @@ impl<'a> Trainer<'a> {
                 wall_s: m.wall_s,
             })
             .collect();
-        let total = |f: fn(&WorkerPlan) -> usize| -> usize { self.plans.iter().map(f).sum() };
         Ok(TrainingReport {
             engine: self.cfg.engine.name().to_string(),
             dataset: self.dataset.name.clone(),
@@ -441,12 +529,7 @@ impl<'a> Trainer<'a> {
             workers: self.cfg.cluster.workers,
             epochs: epochs_out,
             sim,
-            plan: PlanSummary {
-                replica_slots: total(WorkerPlan::replica_slots),
-                prefetched_features: total(WorkerPlan::prefetched_features),
-                comm_rows_per_epoch: total(WorkerPlan::forward_comm_rows),
-                hybrid: self.hybrid_info.clone(),
-            },
+            plan,
             final_params: out.params.unwrap_or_else(|| self.model.fresh_store()),
             recoveries: out.recoveries,
             membership: out.membership,
@@ -549,6 +632,51 @@ mod tests {
             hybrid <= cache.max(comm) * 1.05,
             "hybrid {hybrid} vs cache {cache} / comm {comm}"
         );
+    }
+
+    /// twitter's shape: R-MAT skew, 52 -> 32 -> 16.
+    fn skewed() -> (Dataset, GnnModel) {
+        let ds = by_name("twitter").unwrap().materialize(0.0002, 7);
+        let m = GnnModel::two_layer(ModelKind::Gcn, ds.feature_dim(), 32, ds.num_classes, 5);
+        (ds, m)
+    }
+
+    #[test]
+    fn model_flop_weight_balances_priced_flops_and_unit_weight_does_not() {
+        let (ds, m) = skewed();
+        let shares = |vertex_weight| {
+            let mut c = cfg(EngineKind::DepComm, 2);
+            c.enforce_memory = false;
+            c.vertex_weight = vertex_weight;
+            let plan = Trainer::prepare(&ds, &m, c).unwrap().plan_summary();
+            assert_eq!(plan.parts.iter().map(|p| p.vertices).sum::<usize>(), 8400);
+            assert_eq!(plan.parts.iter().map(|p| p.in_edges).sum::<usize>(), ds.graph.num_edges());
+            (plan.vertex_weight, plan.parts[0].flop_share, plan.parts[1].flop_share)
+        };
+        let (w, a, b) = shares(VertexWeight::ModelFlops);
+        assert_eq!(w, 13264.0 / 336.0, "Σ vertex_total / Σ edge_total of 52 -> 32 -> 16 GCN");
+        assert!(a.max(b) / a.min(b) <= 1.05, "priced FLOPs {a:.3} vs {b:.3}");
+        // The default — what `TrainerConfig::new` gives the figures and
+        // the chaos soaks — is Gemini's unit weight, which hands the
+        // low-degree tail's worker most of the vertices and their rows.
+        let (w, a, b) = shares(VertexWeight::Unit);
+        assert_eq!(w, 1.0);
+        assert!(b / a > 1.3, "unit weight: priced FLOPs {a:.3} vs {b:.3}");
+    }
+
+    #[test]
+    fn report_carries_the_partition_and_skew_gauges() {
+        let (ds, m) = skewed();
+        let mut c = cfg(EngineKind::DepComm, 2);
+        c.enforce_memory = false;
+        c.vertex_weight = VertexWeight::ModelFlops;
+        let report = Trainer::prepare(&ds, &m, c).unwrap().train(2).unwrap();
+        let g = &report.metrics.gauges;
+        assert_eq!(g["plan.vertex_weight"], report.plan.vertex_weight);
+        let max_share = report.plan.parts.iter().map(|p| p.flop_share).fold(0.0, f64::max);
+        assert_eq!(g["plan.flop_share_max"], max_share);
+        assert!((0.5..0.525).contains(&max_share), "{max_share}");
+        assert!(g["exec.compute_skew"] >= 1.0);
     }
 
     #[test]

@@ -20,13 +20,14 @@ use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
 use ns_graph::fx::FxHashSet;
+use ns_graph::Partitioning;
 use ns_metrics::{span, MetricsRecorder, Phase, RunMetrics, COORDINATOR};
 use ns_net::fault::FaultPlan;
 use ns_net::membership::{self, MembershipEvent, MembershipView};
 use ns_net::Fabric;
 use ns_tensor::{AdamState, ParamStore};
 
-use super::{plan_engine, EngineKind, ReplanEvent, Trainer};
+use super::{plan_engine, training_partition, EngineKind, ReplanEvent, Trainer};
 use crate::cost::CostFactors;
 use crate::error::{FailureCause, Result, RuntimeError};
 use crate::exec::{run_workers, EpochMetrics, ExecConfig, Layer0, Layer0Carry, RunState};
@@ -51,16 +52,18 @@ pub(super) struct ElasticOutcome {
     pub replans: Vec<ReplanEvent>,
 }
 
-/// The plan a chunk runs under: compiled per-worker plans, the engine that
-/// compiled them (the configured one unless it degraded), and the
-/// dependency decision a later drift replan diffs against. Borrowed from
-/// the trainer until the first replan.
+/// The plan a chunk runs under: the partition it was compiled from, the
+/// compiled per-worker plans, the engine that compiled them (the
+/// configured one unless it degraded), and the dependency decision a later
+/// drift replan diffs against. Borrowed from the trainer until the first
+/// replan.
 ///
 /// `layer0` is what the workers computed from the features under `plans`
 /// alone. It lives here so that it outlives chunks and rollbacks, which
 /// keep the plan, and is dropped by construction wherever the plan is
 /// replaced (`replan_members`, `drift_replan`).
 struct ActivePlan<'t> {
+    part: Cow<'t, Partitioning>,
     plans: Cow<'t, [WorkerPlan]>,
     engine: EngineKind,
     decision: Cow<'t, DepDecision>,
@@ -124,6 +127,7 @@ impl<'t, 'a> Supervisor<'t, 'a> {
             cadence,
             max_restarts,
             active: ActivePlan {
+                part: Cow::Borrowed(&trainer.part),
                 plans: Cow::Borrowed(&trainer.plans),
                 engine: cfg.engine,
                 decision: Cow::Borrowed(&trainer.decision),
@@ -435,31 +439,35 @@ impl<'t, 'a> Supervisor<'t, 'a> {
     /// drift replan feed calibrated factors in; membership replans pass
     /// the probed costs unchanged.
     fn plan_for(&self, costs: &CostFactors, peer_mult: Option<&[f64]>) -> Result<ActivePlan<'t>> {
-        let (t, workers) = (self.trainer, self.view.active_count());
-        let plan = |engine, peer_mult| -> Result<ActivePlan<'t>> {
-            let (plans, _, decision) =
-                plan_engine(t.dataset, t.model, &t.cfg, engine, workers, costs, peer_mult)?;
-            Ok(ActivePlan {
-                plans: Cow::Owned(plans),
-                engine,
-                decision: Cow::Owned(decision),
-                layer0: Layer0Carry::default(),
-            })
+        let t = self.trainer;
+        let part =
+            training_partition(t.dataset, &t.cfg, t.vertex_weight, self.view.active_count())?;
+        let plan = |engine, peer_mult| {
+            plan_engine(t.dataset, t.model, &t.cfg, engine, &part, costs, peer_mult)
+                .map(|(plans, _, decision)| (engine, plans, decision))
         };
-        match plan(self.active.engine, peer_mult) {
+        let (engine, plans, decision) = match plan(self.active.engine, peer_mult) {
             Err(RuntimeError::DeviceOom { .. }) if self.active.engine == EngineKind::Hybrid => {
                 plan(EngineKind::DepComm, None)
             }
             planned => planned,
-        }
+        }?;
+        Ok(ActivePlan {
+            part: Cow::Owned(part),
+            plans: Cow::Owned(plans),
+            engine,
+            decision: Cow::Owned(decision),
+            layer0: Layer0Carry::default(),
+        })
     }
 
     /// Attributes the migration from the active dependency decision to
-    /// `new`, over the same partitioning, to the owners of the moved
-    /// dependencies (see [`feedback::diff_decisions`]).
+    /// `new`, compiled over the same members and so the same partition, to
+    /// the owners of the moved dependencies (see
+    /// [`feedback::diff_decisions`]).
     fn decision_delta(&self, new: &DepDecision) -> DecisionDelta {
-        let (graph, workers) = (&self.trainer.dataset.graph, self.view.active_count());
-        let part = self.trainer.cfg.partitioner.partition(graph, workers);
+        let (graph, part) = (&self.trainer.dataset.graph, &self.active.part);
+        let workers = part.num_parts();
         let num_layers = self.trainer.model.num_layers();
         let deps: Vec<Vec<Vec<u32>>> = (0..workers)
             .map(|i| {
@@ -538,6 +546,7 @@ mod tests {
         let lost = RuntimeError::WorkerFailed { worker: 1, epoch: 1, cause: FailureCause::Killed };
         sup.recover(lost).unwrap();
         assert_eq!(sup.active.plans.len(), 2);
+        assert_eq!(sup.active.part.num_parts(), 2, "the partition is replaced with the plans");
         assert!(!sup.active.layer0.is_filled(), "new plans start without a prefix");
     }
 }
