@@ -491,7 +491,7 @@ fn run(ra: &RunArgs, mode: Mode) {
                         eprintln!("error: cannot create {path}: {e}");
                         std::process::exit(1);
                     });
-                    checkpoint::save(&report.final_params, &mut f)
+                    checkpoint::save(&report.final_params, None, &mut f)
                         .expect("write checkpoint");
                     println!("checkpoint written to {path}");
                 }

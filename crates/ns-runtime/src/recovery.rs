@@ -1,18 +1,19 @@
 //! Checkpoint-based epoch recovery for the fault-tolerant trainer.
 //!
 //! The trainer runs the epoch loop in *chunks* of `checkpoint_every`
-//! epochs. After every successful chunk it captures a [`Checkpoint`]:
-//! the parameter store serialized through the real on-disk checkpoint
-//! format (`ns_tensor::checkpoint`, magic `NTSCKPT1`) plus the exported
-//! Adam state. When a chunk fails with
+//! epochs and hands each successful chunk's parameters and Adam state
+//! straight to the next. After every such chunk it also captures a
+//! [`Checkpoint`]: that state encoded once, through `ns_tensor::checkpoint`
+//! (magic `NTSCKPT1`, then the Adam section), with one CRC32 over the
+//! bytes. When a chunk fails with
 //! [`RuntimeError::WorkerFailed`](crate::error::RuntimeError), the
-//! trainer restores the last checkpoint, drops the dead worker,
-//! repartitions the plan over the survivors, and resumes from the
-//! checkpointed epoch — replaying at most `checkpoint_every - 1` epochs
-//! of lost work. Serializing through the real format (rather than just
-//! cloning the store) keeps the recovery path honest: whatever a
-//! process-level restart would read back from disk is exactly what the
-//! in-memory rollback uses.
+//! trainer drops the dead worker, repartitions the plan over the
+//! survivors, restores the last checkpoint and resumes from its epoch —
+//! replaying at most `checkpoint_every - 1` epochs of lost work. The
+//! in-memory checkpoint is byte for byte the payload the durable store
+//! (`crate::store`) writes after its header, so an in-memory rollback
+//! decodes exactly what a process-level restart would read back from
+//! disk.
 
 use ns_tensor::checkpoint::{self, CheckpointError};
 use ns_tensor::{AdamState, ParamStore};
@@ -81,49 +82,58 @@ impl RecoveryConfig {
     }
 }
 
-/// A recovery point: the next epoch to run plus everything needed to
-/// restart training from it deterministically.
+/// A recovery point: the next epoch to run and the training state to run
+/// it from, held as the one `ns_tensor::checkpoint` encoding — exactly the
+/// payload a durable generation stores — with one CRC32 over it.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     /// First epoch that still needs to run when resuming from here.
     pub next_epoch: usize,
-    /// Parameter store in the `NTSCKPT1` wire format; empty means
-    /// "initial parameters" (train from the model's fresh store).
-    bytes: Vec<u8>,
-    /// CRC32 of `bytes`, fixed at capture time. [`Checkpoint::restore`]
+    /// Parameters, then Adam state when there is one; empty means the
+    /// initial state (the model's fresh store, a fresh optimizer).
+    payload: Vec<u8>,
+    /// CRC32 of `payload`, computed once — at capture, or by the durable
+    /// store as it verified the generation it read. [`Checkpoint::restore`]
     /// re-verifies it, so any later bit-rot of the snapshot surfaces as a
     /// typed [`CheckpointError::CrcMismatch`] instead of being parsed.
     crc: u32,
-    /// Optimizer state at the boundary (`None` for SGD or epoch 0).
-    opt: Option<AdamState>,
 }
 
 impl Checkpoint {
     /// The implicit checkpoint before epoch 0: fresh parameters, fresh
     /// optimizer.
     pub fn initial() -> Self {
-        Self { next_epoch: 0, bytes: Vec::new(), crc: 0, opt: None }
+        Self { next_epoch: 0, payload: Vec::new(), crc: 0 }
     }
 
     /// Captures a checkpoint after the epoch `next_epoch - 1` completed.
     pub fn capture(next_epoch: usize, store: &ParamStore, opt: Option<AdamState>) -> Self {
-        let mut bytes = Vec::new();
-        checkpoint::save(store, &mut bytes).expect("Vec<u8> writes are infallible");
-        let crc = ns_net::crc32(&bytes);
-        Self { next_epoch, bytes, crc, opt }
+        let mut payload = Vec::new();
+        checkpoint::save(store, opt.as_ref(), &mut payload)
+            .expect("Vec<u8> writes are infallible");
+        let crc = ns_net::crc32(&payload);
+        Self::from_payload(next_epoch, payload, crc)
     }
 
-    /// Deserializes the recovery point. `Ok((None, None))` means resume
-    /// from initial state. Verifies the capture-time CRC before parsing,
-    /// so corruption is reported with the expected/computed checksum pair.
+    /// A checkpoint over an encoded `payload` and the CRC32 recorded for
+    /// it, taken as given: [`Checkpoint::restore`] rejects the bytes if
+    /// they no longer match `crc`, and decodes them with typed errors if
+    /// they do.
+    pub fn from_payload(next_epoch: usize, payload: Vec<u8>, crc: u32) -> Self {
+        Self { next_epoch, payload, crc }
+    }
+
+    /// Decodes the recovery point. `Ok((None, None))` means resume from
+    /// initial state. Verifies the CRC before decoding, so corruption is
+    /// reported with the expected/computed checksum pair.
     #[allow(clippy::type_complexity)]
     pub fn restore(
         &self,
     ) -> Result<(Option<ParamStore>, Option<AdamState>), CheckpointError> {
-        if self.bytes.is_empty() {
+        if self.payload.is_empty() {
             return Ok((None, None));
         }
-        let computed = ns_net::crc32(&self.bytes);
+        let computed = ns_net::crc32(&self.payload);
         if computed != self.crc {
             return Err(CheckpointError::CrcMismatch {
                 offset: 0,
@@ -131,54 +141,18 @@ impl Checkpoint {
                 computed,
             });
         }
-        let store = checkpoint::load_typed(&mut self.bytes.as_slice())?;
-        Ok((Some(store), self.opt.clone()))
+        let (store, opt) = checkpoint::load(&self.payload)?;
+        Ok((Some(store), opt))
     }
 
-    /// Serialized size of the parameter snapshot, bytes.
-    pub fn param_bytes(&self) -> usize {
-        self.bytes.len()
+    /// The encoded state (empty for the initial checkpoint): what the
+    /// durable store writes after its header and a rejoining member
+    /// resumes from.
+    pub fn payload(&self) -> &[u8] {
+        &self.payload
     }
 
-    /// The raw `NTSCKPT1` payload (empty for the initial checkpoint).
-    pub fn raw_bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// The optimizer state captured at the boundary, if any. The durable
-    /// store serializes it alongside the parameter snapshot.
-    pub fn opt_state(&self) -> Option<&AdamState> {
-        self.opt.as_ref()
-    }
-
-    /// Rebuilds a checkpoint from raw serialized state — what a
-    /// process-level restart does after reading the snapshot back from
-    /// disk. The CRC is recomputed from the given bytes (the durable
-    /// store verifies its own checksums before handing bytes over), so
-    /// [`Checkpoint::restore`] performs structural validation only and
-    /// surfaces damage as a typed [`CheckpointError`] instead of
-    /// panicking.
-    pub fn from_raw(next_epoch: usize, bytes: Vec<u8>, opt: Option<AdamState>) -> Self {
-        let crc = ns_net::crc32(&bytes);
-        Self { next_epoch, bytes, crc, opt }
-    }
-
-    /// Rebuilds a checkpoint from raw bytes and an *externally recorded*
-    /// checksum (e.g. one read back from a durable header). Unlike
-    /// [`Checkpoint::from_raw`], the CRC is not recomputed, so
-    /// [`Checkpoint::restore`] rejects the bytes if they no longer match
-    /// the recorded value — the path a torn in-place overwrite takes.
-    pub fn from_raw_with_crc(
-        next_epoch: usize,
-        bytes: Vec<u8>,
-        crc: u32,
-        opt: Option<AdamState>,
-    ) -> Self {
-        Self { next_epoch, bytes, crc, opt }
-    }
-
-    /// The CRC32 recorded over the snapshot bytes at capture/rebuild
-    /// time.
+    /// The CRC32 recorded over [`Checkpoint::payload`].
     pub fn crc(&self) -> u32 {
         self.crc
     }
@@ -200,7 +174,7 @@ mod tests {
     fn initial_checkpoint_restores_to_nothing() {
         let ckpt = Checkpoint::initial();
         assert_eq!(ckpt.next_epoch, 0);
-        assert_eq!(ckpt.param_bytes(), 0);
+        assert!(ckpt.payload().is_empty());
         let (store, opt) = ckpt.restore().unwrap();
         assert!(store.is_none());
         assert!(opt.is_none());
@@ -216,7 +190,8 @@ mod tests {
         };
         let ckpt = Checkpoint::capture(5, &store, Some(opt.clone()));
         assert_eq!(ckpt.next_epoch, 5);
-        assert!(ckpt.param_bytes() > 0);
+        assert!(!ckpt.payload().is_empty());
+        assert_eq!(ckpt.crc(), ns_net::crc32(ckpt.payload()));
         let (restored, ropt) = ckpt.restore().unwrap();
         let restored = restored.unwrap();
         assert_eq!(restored.len(), store.len());
@@ -233,7 +208,7 @@ mod tests {
         // expected/computed checksum pair exposed in the typed error.
         let store = sample_store();
         let mut ckpt = Checkpoint::capture(3, &store, None);
-        ckpt.bytes[0] = b'X'; // break the magic
+        ckpt.payload[0] = b'X'; // break the magic
         match ckpt.restore().map(|_| ()) {
             Err(CheckpointError::CrcMismatch { offset, expected, computed }) => {
                 assert_eq!(offset, 0);
@@ -244,18 +219,19 @@ mod tests {
         }
         // Truncation also changes the payload CRC.
         let mut truncated = Checkpoint::capture(3, &store, None);
-        truncated.bytes.truncate(truncated.bytes.len() / 2);
+        truncated.payload.truncate(truncated.payload.len() / 2);
         assert!(matches!(
             truncated.restore(),
             Err(CheckpointError::CrcMismatch { .. })
         ));
-        // Damage applied *before* from_raw (the store path) skips the
-        // capture-time CRC — from_raw recomputes it — but still surfaces a
-        // typed structural error carrying the offending offset.
+        // Damage applied *before* the CRC was recorded passes the CRC
+        // check but still surfaces a typed structural error carrying the
+        // offending offset.
         let clean = Checkpoint::capture(3, &store, None);
-        let mut raw = clean.raw_bytes().to_vec();
+        let mut raw = clean.payload().to_vec();
         raw[0] = b'X';
-        let rebuilt = Checkpoint::from_raw(3, raw, None);
+        let crc = ns_net::crc32(&raw);
+        let rebuilt = Checkpoint::from_payload(3, raw, crc);
         match rebuilt.restore().map(|_| ()) {
             Err(CheckpointError::Corrupt { offset, .. }) => assert_eq!(offset, 0),
             other => panic!("expected Corrupt at offset 0, got {other:?}"),
@@ -281,12 +257,12 @@ mod tests {
     }
 
     #[test]
-    fn from_raw_round_trips_capture() {
+    fn from_payload_round_trips_capture() {
         let store = sample_store();
         let ckpt = Checkpoint::capture(4, &store, None);
         let rebuilt =
-            Checkpoint::from_raw(ckpt.next_epoch, ckpt.raw_bytes().to_vec(), None);
-        assert_eq!(rebuilt.param_bytes(), ckpt.param_bytes());
+            Checkpoint::from_payload(ckpt.next_epoch, ckpt.payload().to_vec(), ckpt.crc());
+        assert_eq!(rebuilt.payload().len(), ckpt.payload().len());
         assert!(rebuilt.restore().is_ok());
     }
 }

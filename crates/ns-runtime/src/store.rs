@@ -17,13 +17,18 @@
 //! payload_len  u64      bytes following the header
 //! payload_crc  u32      CRC32 (IEEE) of the payload
 //! header_crc   u32      CRC32 of the 36 header bytes above
-//! payload      [u8]     NTSCKPT1 parameter snapshot, then optional opt state
+//! payload      [u8]     the checkpoint's encoding (`ns_tensor::checkpoint`):
+//!                       NTSCKPT1 parameters, then the Adam section if any
 //! ```
 //!
-//! `header_crc` covers every header field *including* `payload_crc`, so a
-//! single bit flip anywhere in the file — header metadata, either CRC, or
-//! payload — is always detected at load time; the torn-write tests assert
-//! this exhaustively.
+//! The payload is the in-memory [`Checkpoint`]'s own bytes and
+//! `payload_crc` the CRC it computed at capture: a save writes both
+//! as they are, and a load verifies the two CRCs, decodes the payload once
+//! to validate it and hands the same bytes, with the CRC it just checked,
+//! back as a [`Checkpoint`]. `header_crc` covers every header field
+//! *including* `payload_crc`, so a single bit flip anywhere in the file —
+//! header metadata, either CRC, or payload — is always detected at load
+//! time; the torn-write tests assert this exhaustively.
 //!
 //! Writes are atomic: the generation is written to a temp file, `fsync`ed,
 //! renamed into place, the `MANIFEST` (one generation filename per line,
@@ -32,18 +37,17 @@
 //! never a half-written generation that the manifest points at.
 //!
 //! Loads walk generations newest → oldest and *skip* any generation that
-//! is truncated or fails a CRC, counting each skip as a fallback — a torn
-//! newest generation degrades to the previous good one instead of killing
-//! recovery.
+//! is truncated, fails a CRC or does not decode, counting each skip as a
+//! fallback — a torn newest generation degrades to the previous good one
+//! instead of killing recovery.
 
 use std::fs::{self, File};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use ns_net::wire::{crc32, Crc32};
+use ns_net::wire::crc32;
 use ns_tensor::checkpoint::{self, CheckpointError};
-use ns_tensor::{AdamState, Tensor};
 
 use crate::recovery::Checkpoint;
 
@@ -130,37 +134,6 @@ pub struct SaveOutcome {
     pub deferred: bool,
 }
 
-/// The newest→oldest fallback chain found nothing loadable: the store
-/// directory is empty, or every generation present is damaged.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StoreExhausted {
-    /// The store directory that was walked.
-    pub dir: PathBuf,
-    /// Generations present (and skipped as damaged) when the chain ended.
-    pub generations: usize,
-    /// Damaged generations skipped before giving up.
-    pub fallbacks: u64,
-}
-
-impl std::fmt::Display for StoreExhausted {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.generations == 0 {
-            write!(f, "checkpoint store {} holds no generations", self.dir.display())
-        } else {
-            write!(
-                f,
-                "checkpoint store {} exhausted: all {} generations damaged \
-                 ({} fallbacks)",
-                self.dir.display(),
-                self.generations,
-                self.fallbacks
-            )
-        }
-    }
-}
-
-impl std::error::Error for StoreExhausted {}
-
 /// Result of [`CheckpointStore::load_latest`].
 #[derive(Debug)]
 pub struct LoadReport {
@@ -220,16 +193,6 @@ impl CheckpointStore {
         &self.dir
     }
 
-    /// Current retention depth (1 after an ENOSPC squeeze).
-    pub fn keep_depth(&self) -> usize {
-        self.keep
-    }
-
-    /// Whether an ENOSPC has squeezed retention to keep-last-1.
-    pub fn is_squeezed(&self) -> bool {
-        self.squeezed
-    }
-
     /// Arms (or disarms) the injected disk fate for subsequent saves.
     /// `full` models an ENOSPC window; `slow_factor` ≥ 1 multiplies the
     /// fsync cost. Injection behaves exactly like the real thing: a full
@@ -247,8 +210,9 @@ impl CheckpointStore {
     }
 
     /// Persists `ckpt` as the next generation and prunes past the
-    /// retention depth. The write is atomic (temp file → fsync → rename →
-    /// manifest rewrite → directory sync).
+    /// retention depth. The payload and its CRC are the checkpoint's own;
+    /// only the header is checksummed here. The write is atomic (temp
+    /// file → fsync → rename → manifest rewrite → directory sync).
     pub fn save(&mut self, ckpt: &Checkpoint, world: usize) -> io::Result<SaveReceipt> {
         // Injected disk-full window: refuse the write with the same error
         // a real full filesystem produces, until the retention squeeze
@@ -257,29 +221,9 @@ impl CheckpointStore {
         if self.injected_hard || (self.injected_full && !self.squeezed) {
             return Err(io::Error::from_raw_os_error(ENOSPC));
         }
-        // The payload is the parameter snapshot then the (small) encoded
-        // optimizer state, checksummed and written in turn, never joined.
-        let params = ckpt.raw_bytes();
-        let mut opt_bytes = Vec::new();
-        let mut flags = 0u32;
-        if let Some(opt) = ckpt.opt_state() {
-            flags |= FLAG_HAS_OPT;
-            encode_opt(opt, &mut opt_bytes);
-        }
-        let payload_len = params.len() + opt_bytes.len();
-        let mut payload_crc = Crc32::new();
-        payload_crc.update(params);
-        payload_crc.update(&opt_bytes);
-        let mut header = Vec::with_capacity(HEADER_BYTES);
-        header.extend_from_slice(STORE_MAGIC);
-        header.extend_from_slice(&SCHEMA_VERSION.to_le_bytes());
-        header.extend_from_slice(&(ckpt.next_epoch as u32).to_le_bytes());
-        header.extend_from_slice(&(world as u32).to_le_bytes());
-        header.extend_from_slice(&flags.to_le_bytes());
-        header.extend_from_slice(&(payload_len as u64).to_le_bytes());
-        header.extend_from_slice(&payload_crc.finish().to_le_bytes());
-        let header_crc = crc32(&header);
-        header.extend_from_slice(&header_crc.to_le_bytes());
+        let payload = ckpt.payload();
+        let flags = if checkpoint::has_adam(payload) { FLAG_HAS_OPT } else { 0 };
+        let header = header(ckpt.next_epoch, world, flags, payload.len(), ckpt.crc());
 
         let name = gen_name(self.next_gen, ckpt.next_epoch);
         let final_path = self.dir.join(&name);
@@ -293,8 +237,8 @@ impl CheckpointStore {
             f.write_all(&header)?;
             // The payload goes out in pool-advised slices, so a
             // memory-pressure window also bounds each write burst.
-            let slice = ns_tensor::pool::advise_chunk(payload_len).max(1);
-            for chunk in params.chunks(slice).chain(opt_bytes.chunks(slice)) {
+            let slice = ns_tensor::pool::advise_chunk(payload.len()).max(1);
+            for chunk in payload.chunks(slice) {
                 f.write_all(chunk)?;
             }
             fsync_ns += timed_sync(&f)?;
@@ -323,7 +267,7 @@ impl CheckpointStore {
 
         Ok(SaveReceipt {
             path: final_path,
-            bytes: (header.len() + payload_len) as u64,
+            bytes: (header.len() + payload.len()) as u64,
             fsync_ns,
             slow_penalty_ns,
         })
@@ -450,24 +394,6 @@ impl CheckpointStore {
         LoadReport { checkpoint: None, world: None, fallbacks }
     }
 
-    /// Like [`load_latest`](Self::load_latest), but an empty store — or
-    /// one whose every generation is damaged — is a typed
-    /// [`StoreExhausted`] error instead of a silent `None`. This is the
-    /// end of the newest→oldest fallback chain, the only point where the
-    /// resource-robustness layer is allowed to give up.
-    pub fn load_latest_strict(&self) -> Result<(Checkpoint, usize, u64), StoreExhausted> {
-        let generations = self.generations().map(|g| g.len()).unwrap_or(0);
-        let report = self.load_latest();
-        match report.checkpoint {
-            Some(ckpt) => Ok((ckpt, report.world.unwrap_or(0), report.fallbacks)),
-            None => Err(StoreExhausted {
-                dir: self.dir.clone(),
-                generations,
-                fallbacks: report.fallbacks,
-            }),
-        }
-    }
-
     /// Flips one bit of the newest generation file (bit `seed` modulo the
     /// file's bit length) — the chaos harness's model of silent on-disk
     /// corruption. Returns `false` when the store holds no generation.
@@ -524,156 +450,97 @@ fn timed_sync(f: &File) -> io::Result<u64> {
     }
 }
 
-fn encode_opt(opt: &AdamState, out: &mut Vec<u8>) {
-    out.extend_from_slice(&opt.t.to_le_bytes());
-    out.extend_from_slice(&(opt.m.len() as u32).to_le_bytes());
-    for t in opt.m.iter().chain(opt.v.iter()) {
-        out.extend_from_slice(&(t.rows() as u32).to_le_bytes());
-        out.extend_from_slice(&(t.cols() as u32).to_le_bytes());
-        for v in t.data() {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
+/// The generation header: every field, then the CRC32 of all of them.
+fn header(epoch: usize, world: usize, flags: u32, payload_len: usize, payload_crc: u32) -> Vec<u8> {
+    let mut header = Vec::with_capacity(HEADER_BYTES);
+    header.extend_from_slice(STORE_MAGIC);
+    for field in [SCHEMA_VERSION, epoch as u32, world as u32, flags] {
+        header.extend_from_slice(&field.to_le_bytes());
     }
+    header.extend_from_slice(&(payload_len as u64).to_le_bytes());
+    header.extend_from_slice(&payload_crc.to_le_bytes());
+    let header_crc = crc32(&header);
+    header.extend_from_slice(&header_crc.to_le_bytes());
+    header
 }
 
-/// Byte-slice reader that tracks how far it has advanced, so the param
-/// snapshot's length can be recovered after `load_typed` consumes it.
-struct SliceReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Read for SliceReader<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = (&self.bytes[self.pos..]).read(buf)?;
-        self.pos += n;
-        Ok(n)
-    }
-}
-
-impl SliceReader<'_> {
-    fn u32(&mut self, base: u64) -> Result<u32, CheckpointError> {
-        let mut b = [0u8; 4];
-        self.exact(&mut b, base)?;
-        Ok(u32::from_le_bytes(b))
-    }
-
-    fn exact(&mut self, buf: &mut [u8], base: u64) -> Result<(), CheckpointError> {
-        let at = base + self.pos as u64;
-        std::io::Read::read_exact(self, buf)
-            .map_err(|e| CheckpointError::Io { offset: at, kind: e.kind() })
-    }
-}
-
-fn decode_opt(r: &mut SliceReader<'_>, base: u64) -> Result<AdamState, CheckpointError> {
-    let mut t_bytes = [0u8; 8];
-    r.exact(&mut t_bytes, base)?;
-    let t = u64::from_le_bytes(t_bytes);
-    let count = r.u32(base)? as usize;
-    let mut tensors = Vec::with_capacity(count * 2);
-    for _ in 0..count * 2 {
-        let at = base + r.pos as u64;
-        let rows = r.u32(base)? as usize;
-        let cols = r.u32(base)? as usize;
-        let elems = rows.checked_mul(cols).ok_or_else(|| CheckpointError::Corrupt {
-            offset: at,
-            what: "optimizer tensor shape overflow".into(),
-        })?;
-        let mut data = vec![0u8; elems * 4];
-        r.exact(&mut data, base)?;
-        let floats: Vec<f32> = data
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect();
-        tensors.push(Tensor::from_vec(rows, cols, floats));
-    }
-    let v = tensors.split_off(count);
-    Ok(AdamState { t, m: tensors, v })
-}
-
-/// Reads and fully verifies one generation file. Any truncation, CRC
-/// failure, or structural damage surfaces as a typed [`CheckpointError`];
-/// callers in the fallback chain skip to the previous generation.
+/// Reads and fully verifies one generation file: the header CRC, the
+/// payload CRC, then one decode of the payload. Any truncation, CRC
+/// failure, or structural damage surfaces as a typed [`CheckpointError`]
+/// (a decode error's offset is into the payload); callers in the
+/// fallback chain skip to the previous generation.
 pub fn read_generation(path: &Path) -> Result<(Checkpoint, usize), CheckpointError> {
-    let bytes =
-        fs::read(path).map_err(|e| CheckpointError::Io { offset: 0, kind: e.kind() })?;
-    if bytes.len() < HEADER_BYTES {
-        return Err(CheckpointError::Io {
-            offset: bytes.len() as u64,
-            kind: io::ErrorKind::UnexpectedEof,
-        });
+    let io_at = |offset: usize| move |e: io::Error| CheckpointError::Io {
+        offset: offset as u64,
+        kind: e.kind(),
+    };
+    let eof_at = |offset: usize| CheckpointError::Io {
+        offset: offset as u64,
+        kind: io::ErrorKind::UnexpectedEof,
+    };
+    let mut file = File::open(path).map_err(io_at(0))?;
+    let mut header = Vec::with_capacity(HEADER_BYTES);
+    (&mut file).take(HEADER_BYTES as u64).read_to_end(&mut header).map_err(io_at(0))?;
+    if header.len() < HEADER_BYTES {
+        return Err(eof_at(header.len()));
     }
-    if &bytes[..8] != STORE_MAGIC {
+    if &header[..8] != STORE_MAGIC {
         return Err(CheckpointError::Corrupt {
             offset: 0,
             what: "not a NeutronStar checkpoint store generation (bad magic)".into(),
         });
     }
-    let stored_header_crc = u32::from_le_bytes(bytes[36..40].try_into().unwrap());
-    let computed_header_crc = crc32(&bytes[..36]);
-    if stored_header_crc != computed_header_crc {
-        return Err(CheckpointError::CrcMismatch {
-            offset: 0,
-            expected: stored_header_crc,
-            computed: computed_header_crc,
-        });
+    let field = |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().expect("4 bytes"));
+    let (stored, computed) = (field(36), crc32(&header[..36]));
+    if stored != computed {
+        return Err(CheckpointError::CrcMismatch { offset: 0, expected: stored, computed });
     }
-    let schema = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+    let schema = field(8);
     if schema != SCHEMA_VERSION {
         return Err(CheckpointError::Corrupt {
             offset: 8,
             what: format!("unsupported store schema {schema}"),
         });
     }
-    let epoch = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-    let world = u32::from_le_bytes(bytes[16..20].try_into().unwrap()) as usize;
-    let flags = u32::from_le_bytes(bytes[20..24].try_into().unwrap());
-    let payload_len = u64::from_le_bytes(bytes[24..32].try_into().unwrap()) as usize;
-    let payload = &bytes[HEADER_BYTES..];
-    if payload.len() < payload_len {
-        return Err(CheckpointError::Io {
-            offset: bytes.len() as u64,
-            kind: io::ErrorKind::UnexpectedEof,
-        });
+    let (epoch, world, flags) = (field(12) as usize, field(16) as usize, field(20));
+    let payload_len = u64::from_le_bytes(header[24..32].try_into().expect("8 bytes"));
+    // The payload is read into its own buffer, which becomes the
+    // checkpoint's: no copy after the CRCs pass.
+    let mut payload = Vec::new();
+    file.read_to_end(&mut payload).map_err(io_at(HEADER_BYTES))?;
+    if (payload.len() as u64) < payload_len {
+        return Err(eof_at(HEADER_BYTES + payload.len()));
     }
-    if payload.len() > payload_len {
+    if payload.len() as u64 > payload_len {
         return Err(CheckpointError::Corrupt {
             offset: 24,
             what: "trailing bytes after declared payload".into(),
         });
     }
-    let stored_payload_crc = u32::from_le_bytes(bytes[32..36].try_into().unwrap());
-    let computed_payload_crc = crc32(payload);
-    if stored_payload_crc != computed_payload_crc {
+    let (payload_crc, computed) = (field(32), crc32(&payload));
+    if payload_crc != computed {
         return Err(CheckpointError::CrcMismatch {
             offset: HEADER_BYTES as u64,
-            expected: stored_payload_crc,
-            computed: computed_payload_crc,
+            expected: payload_crc,
+            computed,
         });
     }
-    let mut r = SliceReader { bytes: payload, pos: 0 };
-    // Re-validate structure even though the CRC passed — a writer bug must
-    // not become a loader panic.
-    checkpoint::load_typed(&mut r)?;
-    let param_len = r.pos;
-    let opt = if flags & FLAG_HAS_OPT != 0 {
-        Some(decode_opt(&mut r, HEADER_BYTES as u64)?)
-    } else {
-        None
-    };
-    if r.pos != payload.len() {
+    // Decode even though the CRCs passed: a writer bug or a hand-built
+    // file must become a fallback, not a loader panic.
+    let (_, opt) = checkpoint::load(&payload)?;
+    if opt.is_some() != (flags & FLAG_HAS_OPT != 0) {
         return Err(CheckpointError::Corrupt {
-            offset: HEADER_BYTES as u64 + r.pos as u64,
-            what: "trailing bytes after optimizer state".into(),
+            offset: 20,
+            what: "flags disagree with the payload's Adam section".into(),
         });
     }
-    Ok((Checkpoint::from_raw(epoch, payload[..param_len].to_vec(), opt), world))
+    Ok((Checkpoint::from_payload(epoch, payload, payload_crc), world))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ns_tensor::ParamStore;
+    use ns_tensor::{AdamState, ParamStore, Tensor};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Unique scratch directory under the OS temp dir (removed on drop).
@@ -713,9 +580,10 @@ mod tests {
         }
     }
 
-    fn assert_same_params(a: &Checkpoint, b: &Checkpoint) {
+    fn assert_same_state(a: &Checkpoint, b: &Checkpoint) {
         assert_eq!(a.next_epoch, b.next_epoch);
-        assert_eq!(a.raw_bytes(), b.raw_bytes());
+        assert_eq!(a.payload(), b.payload());
+        assert_eq!(a.crc(), b.crc());
     }
 
     #[test]
@@ -732,7 +600,7 @@ mod tests {
         assert_eq!(report.fallbacks, 0);
         assert_eq!(report.world, Some(3));
         let loaded = report.checkpoint.unwrap();
-        assert_same_params(&loaded, &ckpt4);
+        assert_same_state(&loaded, &ckpt4);
         let (params, opt) = loaded.restore().unwrap();
         assert!(params.is_some());
         assert_eq!(opt, Some(sample_opt()));
@@ -779,6 +647,10 @@ mod tests {
     fn every_generation_damaged_reports_all_fallbacks() {
         let scratch = Scratch::new("allbad");
         let mut store = CheckpointStore::open(&scratch.0, 3).unwrap();
+        // An empty store: nothing loaded, nothing skipped.
+        let report = store.load_latest();
+        assert!(report.checkpoint.is_none() && report.world.is_none());
+        assert_eq!(report.fallbacks, 0);
         store.save(&Checkpoint::capture(2, &sample_store(), None), 3).unwrap();
         store.save(&Checkpoint::capture(4, &sample_store(), None), 3).unwrap();
         for name in store.generations().unwrap() {
@@ -787,9 +659,60 @@ mod tests {
             bytes[HEADER_BYTES + 3] ^= 0x40;
             fs::write(&path, &bytes).unwrap();
         }
+        assert_eq!(store.generations().unwrap().len(), 2);
         let report = store.load_latest();
-        assert!(report.checkpoint.is_none());
+        assert!(report.checkpoint.is_none() && report.world.is_none());
         assert_eq!(report.fallbacks, 2);
+    }
+
+    /// The on-disk format is pinned: a generation of a fixed state has
+    /// exactly this length and CRC32, with and without an Adam section.
+    /// Anything that moves them is a format change and needs a new
+    /// `SCHEMA_VERSION`.
+    #[test]
+    fn generation_bytes_are_pinned() {
+        let scratch = Scratch::new("pinned");
+        let mut store = CheckpointStore::open(&scratch.0, 3).unwrap();
+        let pinned = [(Some(sample_opt()), 230, 0xf33b_d1e5), (None, 114, 0xf8ae_f156)];
+        for (opt, len, crc) in pinned {
+            let receipt = store.save(&Checkpoint::capture(3, &sample_store(), opt), 2).unwrap();
+            let bytes = fs::read(&receipt.path).unwrap();
+            assert_eq!((bytes.len(), crc32(&bytes)), (len, crc));
+            assert_eq!(receipt.bytes, len as u64);
+        }
+    }
+
+    /// Generations with valid CRCs whose Adam section lies — a count of
+    /// `u32::MAX`, a 2³¹ × 2³¹ moment — are typed errors and fallbacks:
+    /// trusting the count would abort on the allocation, trusting the
+    /// shape would overflow.
+    #[test]
+    fn hostile_adam_section_is_a_fallback_not_a_crash() {
+        let scratch = Scratch::new("hostile");
+        let mut store = CheckpointStore::open(&scratch.0, 3).unwrap();
+        store.save(&Checkpoint::capture(2, &sample_store(), Some(sample_opt())), 2).unwrap();
+        let params = Checkpoint::capture(0, &sample_store(), None).payload().to_vec();
+        let lies = [vec![u32::MAX], vec![1, 1 << 31, 1 << 31]];
+        for (seq, lie) in lies.iter().enumerate() {
+            let mut payload = params.clone();
+            payload.extend_from_slice(&11u64.to_le_bytes());
+            for word in lie {
+                payload.extend_from_slice(&word.to_le_bytes());
+            }
+            let mut file = header(4, 2, FLAG_HAS_OPT, payload.len(), crc32(&payload));
+            file.extend_from_slice(&payload);
+            let path = scratch.0.join(gen_name(10 + seq as u64, 4));
+            fs::write(&path, &file).unwrap();
+            let err = read_generation(&path).map(|_| ()).unwrap_err();
+            assert!(
+                matches!(err, CheckpointError::Io { .. } | CheckpointError::Corrupt { .. }),
+                "{err:?}"
+            );
+        }
+        fs::remove_file(scratch.0.join(MANIFEST)).unwrap();
+        let report = store.load_latest();
+        assert_eq!(report.fallbacks, 2);
+        assert_eq!(report.checkpoint.unwrap().next_epoch, 2);
     }
 
     #[test]
@@ -890,34 +813,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_store_exhausts_the_chain_with_a_typed_error() {
-        let scratch = Scratch::new("emptystrict");
-        let store = CheckpointStore::open(&scratch.0, 3).unwrap();
-        let err = store.load_latest_strict().unwrap_err();
-        assert_eq!(err.generations, 0);
-        assert_eq!(err.fallbacks, 0);
-        assert!(err.to_string().contains("no generations"), "{err}");
-    }
-
-    #[test]
-    fn all_damaged_store_exhausts_the_chain_with_a_typed_error() {
-        let scratch = Scratch::new("alldamagedstrict");
-        let mut store = CheckpointStore::open(&scratch.0, 3).unwrap();
-        store.save(&Checkpoint::capture(2, &sample_store(), None), 2).unwrap();
-        store.save(&Checkpoint::capture(4, &sample_store(), None), 2).unwrap();
-        for name in store.generations().unwrap() {
-            let path = scratch.0.join(name);
-            let mut bytes = fs::read(&path).unwrap();
-            bytes[HEADER_BYTES + 1] ^= 0x10;
-            fs::write(&path, &bytes).unwrap();
-        }
-        let err = store.load_latest_strict().unwrap_err();
-        assert_eq!(err.generations, 2);
-        assert_eq!(err.fallbacks, 2);
-        assert!(err.to_string().contains("exhausted"), "{err}");
-    }
-
-    #[test]
     fn enospc_squeezes_retention_and_lands_the_retry() {
         let scratch = Scratch::new("enospc");
         let mut store = CheckpointStore::open(&scratch.0, 3).unwrap();
@@ -930,8 +825,6 @@ mod tests {
         assert_eq!(out.enospc_hits, 1);
         assert!(out.squeezed);
         assert!(!out.deferred);
-        assert!(store.is_squeezed());
-        assert_eq!(store.keep_depth(), 1);
         let gens = store.generations().unwrap();
         assert_eq!(gens.len(), 1, "squeeze prunes to keep-last-1: {gens:?}");
         assert_eq!(store.load_latest().checkpoint.unwrap().next_epoch, 3);
@@ -943,6 +836,13 @@ mod tests {
             .unwrap();
         assert_eq!(out.enospc_hits, 0);
         assert!(!out.squeezed, "squeeze is reported only when it happens");
+        assert_eq!(store.generations().unwrap().len(), 1);
+        // Sticky: the squeezed store keeps one generation, and a new
+        // disk-full window finds the space its squeeze freed.
+        store.set_disk_fate(true, 1.0);
+        let out = store.save_degrading(&Checkpoint::capture(5, &sample_store(), None), 2)
+            .unwrap();
+        assert_eq!((out.enospc_hits, out.squeezed), (0, false));
         assert_eq!(store.generations().unwrap().len(), 1);
     }
 

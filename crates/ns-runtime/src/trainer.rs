@@ -765,10 +765,15 @@ mod tests {
         let coord = report.metrics.frames.get(&COORDINATOR).unwrap();
         assert_eq!(coord.counter("membership.failures"), 1);
         assert_eq!(coord.counter("membership.rejoins"), 1);
-        assert!(
-            coord.counter("membership.rejoin.bytes")
-                > ns_net::membership::REJOIN_HANDSHAKE_BYTES,
-            "rejoin must meter the state snapshot"
+        // The joiner resumes from the whole checkpoint payload, parameters
+        // and Adam state; its length depends on the shapes alone.
+        let params = &report.final_params;
+        let adam = ns_tensor::AdamState { t: 0, m: params.zero_grads(), v: params.zero_grads() };
+        let payload = crate::Checkpoint::capture(0, params, Some(adam)).payload().len() as u64;
+        assert_eq!(
+            coord.counter("membership.rejoin.bytes") - ns_net::membership::REJOIN_HANDSHAKE_BYTES,
+            payload,
+            "rejoin must meter the checkpoint payload"
         );
         assert!(report.final_loss() < report.epochs[0].loss);
     }
@@ -1006,8 +1011,9 @@ mod tests {
             .unwrap()
             .train(4)
             .unwrap();
-        // Cadence 2 crosses a checkpoint restore mid-run; cadence 4 is the
-        // same single chunk the disabled run takes, plus a checkpoint.
+        // Cadence 2 crosses a checkpoint boundary mid-run, carrying the
+        // state across it; cadence 4 is the same single chunk the disabled
+        // run takes, plus a checkpoint.
         for cadence in [2, 4] {
             let mut c = cfg(EngineKind::DepComm, 3);
             c.recovery = RecoveryConfig::every(cadence);
@@ -1032,6 +1038,9 @@ mod tests {
             }
             let coord = chunked.metrics.frames.get(&COORDINATOR).expect("coordinator frame");
             assert_eq!(coord.counter("recovery.checkpoints"), 4 / cadence as u64);
+            // Fault-free, nothing rolls back, so no checkpoint is decoded.
+            assert_eq!(coord.phase_total_ns(Phase::CkptLoad), 0);
+            assert!(coord.spans.iter().all(|s| s.phase != Phase::CkptLoad));
         }
         // The run without recovery went through the same loop and left no
         // trace of it: no coordinator frame, no checkpoint span, and none

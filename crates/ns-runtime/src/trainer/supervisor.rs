@@ -44,7 +44,7 @@ const MAX_DRIFT_REPLANS: usize = 4;
 #[derive(Default)]
 pub(super) struct ElasticOutcome {
     pub metrics: Vec<EpochMetrics>,
-    /// The last good chunk's parameters (`None` when no chunk finished).
+    /// The parameters carried between chunks (`None` = the fresh store).
     pub params: Option<ParamStore>,
     pub recoveries: Vec<(usize, usize, String)>,
     pub run_metrics: RunMetrics,
@@ -86,9 +86,10 @@ pub(super) struct Supervisor<'t, 'a> {
     // Who is in the cluster, and which injected faults are still armed.
     view: MembershipView,
     fault: FaultPlan,
-    // The recovery point: between chunks the state *is* the checkpoint
-    // (`report.params` only saves deserializing the last one at the end).
+    // The recovery point, and the live state's Adam half (`report.params`
+    // is the other): handed on by a good chunk, restored by `rollback()`.
     ckpt: Checkpoint,
+    opt: Option<AdamState>,
     store: Option<CheckpointStore>,
     // Budgets.
     restarts: usize,
@@ -136,6 +137,7 @@ impl<'t, 'a> Supervisor<'t, 'a> {
             view: MembershipView::new(cfg.cluster.workers),
             fault: cfg.fault.clone(),
             ckpt: Checkpoint::initial(),
+            opt: None,
             store,
             restarts: 0,
             drift_replans: 0,
@@ -152,8 +154,8 @@ impl<'t, 'a> Supervisor<'t, 'a> {
             match self.run_chunk() {
                 // No recovery point to advance: the one chunk was the run.
                 Ok(_) if !recovering => break,
-                Ok((boundary, opt, waits)) => {
-                    self.checkpoint(boundary, opt)?;
+                Ok((boundary, waits)) => {
+                    self.checkpoint(boundary)?;
                     self.heal(boundary, &waits)?;
                 }
                 Err(e) => self.recover(e)?,
@@ -166,24 +168,18 @@ impl<'t, 'a> Supervisor<'t, 'a> {
         Ok(self.report)
     }
 
-    /// Runs the next chunk from the recovery point under the active plan.
-    /// Only a chunk that succeeds touches the report; it returns its end
-    /// epoch, optimizer state and measured per-peer receive waits. Failed
-    /// or not, it leaves the plan's layer-0 prefixes behind for the next.
-    fn run_chunk(&mut self) -> Result<(usize, Option<AdamState>, PeerWaitStats)> {
+    /// Runs the next chunk on the live state, which it consumes, under the
+    /// active plan. Only a chunk that succeeds touches the report: it hands
+    /// its state on and returns its end epoch and measured per-peer receive
+    /// waits. Failed or not, it leaves the plan's layer-0 prefixes behind.
+    fn run_chunk(&mut self) -> Result<(usize, PeerWaitStats)> {
         let start = self.ckpt.next_epoch;
         let chunk = self.cadence.min(self.epochs - start);
         self.coord.set_epoch(start as u32);
-        let (init_params, opt_state) = {
-            let _load = span!(&self.coord, Phase::CkptLoad);
-            self.ckpt
-                .restore()
-                .map_err(|e| RuntimeError::CheckpointCorrupt(e.to_string()))?
-        };
         let run = RunState {
             epoch_offset: start,
-            init_params,
-            opt_state,
+            init_params: self.report.params.take(),
+            opt_state: self.opt.take(),
             fault: self.fault.clone(),
             recv: self.trainer.cfg.recv,
             origin: Some(self.coord.origin()),
@@ -219,18 +215,18 @@ impl<'t, 'a> Supervisor<'t, 'a> {
         let waits = feedback::peer_waits(&chunk_run, self.active.plans.len());
         self.report.metrics.extend(chunk_metrics);
         self.report.run_metrics.merge(chunk_run);
-        self.report.params = Some(params);
-        Ok((start + chunk, opt, waits))
+        (self.report.params, self.opt) = (Some(params), opt);
+        Ok((start + chunk, waits))
     }
 
-    /// Advances the recovery point to `boundary`: captures the chunk's
+    /// Advances the recovery point to `boundary`: captures the live
     /// parameters and optimizer state, and with a durable store persists
     /// them as the next generation.
-    fn checkpoint(&mut self, boundary: usize, opt: Option<AdamState>) -> Result<()> {
+    fn checkpoint(&mut self, boundary: usize) -> Result<()> {
         let _save = span!(&self.coord, Phase::CkptSave);
         self.coord.incr("recovery.checkpoints", 1);
         let params = self.report.params.as_ref().expect("a finished chunk left its parameters");
-        self.ckpt = Checkpoint::capture(boundary, params, opt);
+        self.ckpt = Checkpoint::capture(boundary, params, self.opt.clone());
         let Some(st) = self.store.as_mut() else { return Ok(()) };
         st.set_disk_fate(self.fault.disk_full_at(boundary), self.fault.slow_disk_factor());
         // Degrade, don't die: ENOSPC squeezes retention toward keep-last-1
@@ -316,29 +312,33 @@ impl<'t, 'a> Supervisor<'t, 'a> {
         };
         self.restarts += 1;
         self.coord.incr("recovery.rollbacks", 1);
-        self.rollback();
+        self.rollback()?;
         let engine = self.active.engine.name().to_string();
         self.report.recoveries.push((culprit, self.ckpt.next_epoch, engine));
         Ok(())
     }
 
-    /// Rolls the recovery point back. In memory it already is the last
-    /// checkpoint. With a durable store this reads the *disk* (the honest
-    /// process-restart path): the newest good generation wins, damaged
-    /// ones are skipped as metered fallbacks, and a deeper-than-memory
-    /// rollback truncates the already-collected epoch metrics to the
-    /// resumed epoch.
-    fn rollback(&mut self) {
-        let Some(store) = &self.store else { return };
-        let report = store.load_latest();
-        if report.fallbacks > 0 {
-            self.coord.incr("ckpt.fallbacks", report.fallbacks);
+    /// Restores the live state from the recovery point, the only decode of
+    /// a checkpoint. With a durable store the point is re-read from *disk*
+    /// (the honest process-restart path): the newest good generation wins,
+    /// damaged ones are skipped as metered fallbacks, and a deeper-than-
+    /// memory rollback truncates the collected epoch metrics to match.
+    fn rollback(&mut self) -> Result<()> {
+        let _load = span!(&self.coord, Phase::CkptLoad);
+        if let Some(store) = &self.store {
+            let report = store.load_latest();
+            if report.fallbacks > 0 {
+                self.coord.incr("ckpt.fallbacks", report.fallbacks);
+            }
+            let resumed = report.checkpoint.unwrap_or_else(Checkpoint::initial);
+            if resumed.next_epoch < self.ckpt.next_epoch {
+                self.report.metrics.truncate(resumed.next_epoch);
+            }
+            self.ckpt = resumed;
         }
-        let resumed = report.checkpoint.unwrap_or_else(Checkpoint::initial);
-        if resumed.next_epoch < self.ckpt.next_epoch {
-            self.report.metrics.truncate(resumed.next_epoch);
-        }
-        self.ckpt = resumed;
+        (self.report.params, self.opt) =
+            self.ckpt.restore().map_err(|e| RuntimeError::CheckpointCorrupt(e.to_string()))?;
+        Ok(())
     }
 
     /// Straggler eviction: the peer whose attributed per-message receive
@@ -487,17 +487,17 @@ impl<'t, 'a> Supervisor<'t, 'a> {
 
     /// Runs the rejoin handshake for original `slot` against the current
     /// checkpoint: a fresh two-node fabric (coordinator = 0, joiner = 1),
-    /// two threads, three control round trips, then the checkpointed
-    /// state is what the joiner resumes from. Returns the bytes the
-    /// rejoin put on the wire (handshake control traffic plus the state
-    /// snapshot).
+    /// two threads, three control round trips, then the checkpoint's
+    /// payload — parameters and Adam state — is what the joiner resumes
+    /// from. Returns the bytes the rejoin put on the wire (handshake
+    /// control traffic plus that payload).
     fn rejoin_handshake(&self, slot: usize) -> Result<u64> {
         let timeout = Duration::from_millis(self.trainer.cfg.recv.timeout_ms.max(100));
         let mut eps = Fabric::new(2).into_endpoints();
         let joiner_ep = eps.pop().expect("fabric endpoint 1");
         let coord_ep = eps.pop().expect("fabric endpoint 0");
         let resume = self.ckpt.next_epoch;
-        let state_bytes = self.ckpt.param_bytes() as u64;
+        let state_bytes = self.ckpt.payload().len() as u64;
         let net_err = |e| RuntimeError::WorkerFailed {
             worker: slot,
             epoch: resume,
@@ -533,8 +533,8 @@ mod tests {
         let trainer = Trainer::prepare(&ds, &model, cfg).unwrap();
         let mut sup = Supervisor::new(&trainer, 4).unwrap();
         assert!(!sup.active.layer0.is_filled(), "nothing is built before the first epoch");
-        let (boundary, opt, _) = sup.run_chunk().unwrap();
-        sup.checkpoint(boundary, opt).unwrap();
+        let (boundary, _) = sup.run_chunk().unwrap();
+        sup.checkpoint(boundary).unwrap();
         assert!(sup.active.layer0.is_filled());
 
         sup.recover(RuntimeError::Diverged { worker: 0, epoch: 1 }).unwrap();

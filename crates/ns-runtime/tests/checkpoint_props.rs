@@ -18,6 +18,7 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use ns_net::crc32;
 use ns_rand::{check_cases, StdRng};
 use ns_runtime::{Checkpoint, CheckpointStore};
 use ns_tensor::checkpoint::CheckpointError;
@@ -96,16 +97,16 @@ fn capture_restore_is_exact() {
     });
 }
 
-/// Rebuilding a checkpoint from its own raw bytes (what a
+/// Rebuilding a checkpoint from its own payload and CRC (what a
 /// process-level restart does after re-reading the snapshot from
 /// disk) restores identically to the original.
 #[test]
-fn raw_bytes_roundtrip_through_from_raw() {
+fn payload_roundtrips_through_from_payload() {
     check_cases(0..CASES, |rng| {
         let (shapes, seed) = (arb_shapes(rng), rng.random_range(0u64..10_000));
         let store = store_with(&shapes, seed);
         let ckpt = Checkpoint::capture(7, &store, None);
-        let rebuilt = Checkpoint::from_raw(7, ckpt.raw_bytes().to_vec(), None);
+        let rebuilt = Checkpoint::from_payload(7, ckpt.payload().to_vec(), ckpt.crc());
         let (a, _) = ckpt.restore().unwrap();
         let (b, _) = rebuilt.restore().unwrap();
         let (a, b) = (a.unwrap(), b.unwrap());
@@ -118,41 +119,43 @@ fn raw_bytes_roundtrip_through_from_raw() {
 }
 
 /// Truncating the serialized snapshot at any point yields a clean
-/// `io::Error` from restore — never a panic. (Length 0 is the
-/// documented "initial parameters" sentinel, so start at 1.)
+/// typed error from restore — never a panic — even when the CRC was
+/// recorded over the truncated bytes. (Length 0 is the documented
+/// "initial parameters" sentinel, so start at 1.)
 #[test]
 fn truncated_bytes_error_cleanly() {
     check_cases(0..CASES, |rng| {
         let (shapes, seed) = (arb_shapes(rng), rng.random_range(0u64..10_000));
         let store = store_with(&shapes, seed);
         let ckpt = Checkpoint::capture(3, &store, None);
-        let full = ckpt.raw_bytes().to_vec();
+        let full = ckpt.payload().to_vec();
         let keep = 1 + rng.random_range(0..full.len() - 1);
         if keep == full.len() {
             return; // not actually truncated
         }
-        let damaged = Checkpoint::from_raw(3, full[..keep].to_vec(), None);
+        let damaged = Checkpoint::from_payload(3, full[..keep].to_vec(), crc32(&full[..keep]));
         assert!(damaged.restore().is_err(), "truncated snapshot restored");
     });
 }
 
-/// Corrupting any single byte of a *raw-rebuilt* snapshot (no outer
-/// CRC recorded) either errors with a typed [`CheckpointError`] or
-/// restores a same-shaped store — it must never panic and never
-/// change the parameter count. (A raw flip inside the f32 payload is
-/// undetectable by design at this layer; structural damage must be
-/// caught, and the durable store's CRCs catch the rest.)
+/// Corrupting any single byte of a snapshot *before* its CRC is
+/// recorded — parameters or Adam state — either errors with a typed
+/// [`CheckpointError`] or restores a same-shaped store: it must never
+/// panic and never change the parameter count. (A flip inside the f32
+/// data is undetectable by design at this layer; structural damage
+/// must be caught, and the CRCs catch the rest.)
 #[test]
 fn bit_flips_never_panic() {
     check_cases(0..CASES, |rng| {
         let (shapes, seed) = (arb_shapes(rng), rng.random_range(0u64..10_000));
         let flip = rng.random_range(1u8..=255);
         let store = store_with(&shapes, seed);
-        let ckpt = Checkpoint::capture(3, &store, None);
-        let mut bytes = ckpt.raw_bytes().to_vec();
+        let ckpt = Checkpoint::capture(3, &store, Some(adam_with(&shapes, 5, seed)));
+        let mut bytes = ckpt.payload().to_vec();
         let i = rng.random_range(0..bytes.len());
         bytes[i] ^= flip;
-        let damaged = Checkpoint::from_raw(3, bytes, None);
+        let crc = crc32(&bytes);
+        let damaged = Checkpoint::from_payload(3, bytes, crc);
         match damaged.restore() {
             // Clean typed rejection: every variant carries the offset the
             // reader had reached, for forensics.
@@ -166,20 +169,21 @@ fn bit_flips_never_panic() {
 }
 
 /// A flip *after* capture is always caught: the in-memory checkpoint
-/// records a CRC over its bytes, so restore reports the mismatch no
-/// matter which bit moved (even deep inside the f32 payload).
+/// records one CRC over its whole payload, so restore reports the
+/// mismatch no matter which bit moved (even deep inside the f32 data of
+/// the parameters or of the Adam moments).
 #[test]
 fn post_capture_flips_always_detected() {
     check_cases(0..CASES, |rng| {
         let (shapes, seed) = (arb_shapes(rng), rng.random_range(0u64..10_000));
         let flip_bit = rng.random_range(0u32..8);
         let store = store_with(&shapes, seed);
-        let ckpt = Checkpoint::capture(3, &store, None);
-        let mut bytes = ckpt.raw_bytes().to_vec();
+        let ckpt = Checkpoint::capture(3, &store, Some(adam_with(&shapes, 2, seed)));
+        let mut bytes = ckpt.payload().to_vec();
         let i = rng.random_range(0..bytes.len());
         bytes[i] ^= 1 << flip_bit;
         // Keep the original CRC, as a torn in-place overwrite would.
-        let damaged = Checkpoint::from_raw_with_crc(3, bytes, ckpt.crc(), None);
+        let damaged = Checkpoint::from_payload(3, bytes, ckpt.crc());
         match damaged.restore() {
             Err(CheckpointError::CrcMismatch { expected, computed, .. }) => {
                 assert_eq!(expected, ckpt.crc());

@@ -213,8 +213,9 @@ fn checkpoint_roundtrip_bit_identical() {
             store.register(format!("p{i}"), tensor_with(rows, cols, seed + i as u64));
         }
         let mut buf = Vec::new();
-        checkpoint::save(&store, &mut buf).unwrap();
-        let loaded = checkpoint::load_typed(&mut buf.as_slice()).unwrap();
+        checkpoint::save(&store, None, &mut buf).unwrap();
+        let (loaded, opt) = checkpoint::load(&buf).unwrap();
+        assert!(opt.is_none());
         assert_eq!(loaded.len(), store.len());
         for ((_, n1, v1), (_, n2, v2)) in store.iter().zip(loaded.iter()) {
             assert_eq!(n1, n2);
@@ -236,10 +237,10 @@ fn truncated_checkpoint_is_an_error() {
         store.register("w", tensor_with(rows, cols, seed));
         store.register("b", tensor_with(1, cols, seed + 1));
         let mut buf = Vec::new();
-        checkpoint::save(&store, &mut buf).unwrap();
+        checkpoint::save(&store, None, &mut buf).unwrap();
         let keep = ((buf.len() - 1) as f64 * cut) as usize;
         buf.truncate(keep);
-        assert!(checkpoint::load_typed(&mut buf.as_slice()).is_err());
+        assert!(checkpoint::load(&buf).is_err());
     });
 }
 
@@ -251,8 +252,8 @@ fn corrupted_magic_is_an_error() {
         let mut store = ParamStore::new();
         store.register("w", tensor_with(3, 3, seed));
         let mut buf = Vec::new();
-        checkpoint::save(&store, &mut buf).unwrap();
+        checkpoint::save(&store, None, &mut buf).unwrap();
         buf[byte] ^= 0xA5;
-        assert!(checkpoint::load_typed(&mut buf.as_slice()).is_err());
+        assert!(checkpoint::load(&buf).is_err());
     });
 }

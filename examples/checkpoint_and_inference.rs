@@ -34,13 +34,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Checkpoint the trained parameters.
     let mut bytes = Vec::new();
-    checkpoint::save(&report.final_params, &mut bytes)?;
+    checkpoint::save(&report.final_params, None, &mut bytes)?;
     println!("checkpoint: {} bytes", bytes.len());
 
     // 3. "Elsewhere": a fresh process would rebuild the architecture and
     //    restore the weights by name.
     let mut restored = model.fresh_store();
-    checkpoint::restore_into_typed(&mut restored, &mut bytes.as_slice())?;
+    checkpoint::restore_into(&mut restored, &bytes)?;
 
     // 4. Serve: full-graph single-machine inference with the restored
     //    parameters must reproduce the distributed trainer's accuracy.

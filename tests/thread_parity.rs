@@ -30,7 +30,7 @@ fn train_with_threads(threads: usize, epochs: usize) -> (TrainingReport, Vec<u8>
         .train(epochs)
         .expect("train");
     let mut bytes = Vec::new();
-    checkpoint::save(&report.final_params, &mut bytes).expect("serialize checkpoint");
+    checkpoint::save(&report.final_params, None, &mut bytes).expect("serialize checkpoint");
     (report, bytes)
 }
 
