@@ -62,6 +62,9 @@ pub struct LayerBackward {
     /// Operand gradients skipped because only the (unwanted) input
     /// gradient depended on them (`ns_tensor::Tape::pruned`).
     pub pruned: u64,
+    /// Exactly-zero gradient rows the adjoint kernels left out
+    /// (`ns_tensor::Tape::zero_rows`).
+    pub zero_rows: u64,
     /// The prefix values the run computed or was given, moved out of its
     /// tape: `Some` iff the input was not [`LayerInput::Tracked`].
     pub prefix: Option<LayerPrefix>,
@@ -111,13 +114,15 @@ impl LayerRun {
     }
 
     /// Like [`LayerRun::backward`], additionally returning the backward
-    /// pass's graph-op vs NN-op wall-time split and pruned-gradient count.
+    /// pass's graph-op vs NN-op wall-time split, pruned-gradient count and
+    /// zero-row count.
     pub fn backward_split(mut self, output_grad: Tensor, grads: &mut [Tensor]) -> LayerBackward {
         let tape = &mut self.tape;
-        let (flops, pruned) = (tape.flops(), tape.pruned());
+        let (flops, pruned, zero_rows) = (tape.flops(), tape.pruned(), tape.zero_rows());
         let (graph_ns, nn_ns) = (tape.graph_op_ns(), tape.nn_op_ns());
         tape.backward_from(self.output, output_grad);
         let (flops, pruned) = (tape.flops() - flops, tape.pruned() - pruned);
+        let zero_rows = tape.zero_rows() - zero_rows;
         let (graph_ns, nn_ns) = (tape.graph_op_ns() - graph_ns, tape.nn_op_ns() - nn_ns);
         self.bindings.collect_grads(tape, grads);
         let input_grad = self.input.filter(|&input| tape.needs_grad(input)).map(|input| {
@@ -128,7 +133,7 @@ impl LayerRun {
         let prefix = input_grad.is_none().then(|| {
             LayerPrefix(self.prefix.iter().map(|&v| tape.take_value(v)).collect())
         });
-        LayerBackward { input_grad, flops, graph_ns, nn_ns, pruned, prefix }
+        LayerBackward { input_grad, flops, graph_ns, nn_ns, pruned, zero_rows, prefix }
     }
 }
 

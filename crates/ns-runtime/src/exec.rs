@@ -994,6 +994,7 @@ impl<'a> Worker<'a> {
         let split = LayerSplit { fwd_graph_ns, fwd_nn_ns, bwd_graph_ns, bwd_nn_ns };
         self.rec.add_layer_split(l, split);
         self.rec.incr("compute.bwd_pruned", back.pruned);
+        self.rec.incr("compute.bwd_zero_rows", back.zero_rows);
         if l == 0 {
             *self.prefix = back.prefix;
         }

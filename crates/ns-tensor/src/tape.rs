@@ -121,6 +121,8 @@ pub struct Tape {
     flops: u64,
     /// Operand gradients the backward passes skipped. See [`Tape::pruned`].
     pruned: u64,
+    /// Gradient rows the adjoint kernels left out. See [`Tape::zero_rows`].
+    zero_rows: u64,
     /// Wall time accrued to graph operators (gather/scatter/aggregate/
     /// segment-softmax), forward and backward combined. See [`Tape::graph_op_ns`].
     graph_ns: u64,
@@ -137,6 +139,7 @@ impl Default for Tape {
             nodes: Vec::new(),
             flops: 0,
             pruned: 0,
+            zero_rows: 0,
             graph_ns: 0,
             nn_ns: 0,
             last_event: Instant::now(),
@@ -202,6 +205,17 @@ impl Tape {
     /// tape without [`Tape::constant`]s.
     pub fn pruned(&self) -> u64 {
         self.pruned
+    }
+
+    /// Exactly-zero gradient rows the backward passes so far left out of
+    /// the weight-gradient products (`k` steps of
+    /// [`Tensor::matmul_tn`]) and the transposed aggregations
+    /// (destinations of [`Tensor::weighted_aggregate_transpose`]), counted
+    /// from the kernels' own skip decisions. Exact, the same at every
+    /// thread count, and monotonically increasing. FLOPs stay metered at
+    /// the nominal, shape-based count.
+    pub fn zero_rows(&self) -> u64 {
+        self.zero_rows
     }
 
     /// Records an operator node. It needs a gradient iff one of its
@@ -542,7 +556,13 @@ impl Tape {
                     let (m, k) = self.nodes[a.0].value.shape();
                     let flops = 2 * m as u64 * k as u64 * g.cols() as u64;
                     self.give(a, flops, |t| g.matmul_nt(t.value(b)));
-                    self.give(b, flops, |t| t.value(a).matmul_tn(&g));
+                    let mut zero_rows = 0;
+                    self.give(b, flops, |t| {
+                        let (db, z) = t.value(a).matmul_tn_counted(&g);
+                        zero_rows = z;
+                        db
+                    });
+                    self.zero_rows += zero_rows;
                 }
                 Op::Add(a, b) => {
                     self.give(a, n, |_| g.clone());
@@ -608,14 +628,18 @@ impl Tape {
                 Op::ScatterAddRows(x, idx) => self.give(x, n, |_| g.gather_rows(&idx)),
                 Op::WeightedAggregate { x, edge_src, dst_offsets, weights } => {
                     let flops = 2 * edge_src.len() as u64 * g.cols() as u64;
+                    let mut zero_rows = 0;
                     self.give(x, flops, |t| {
-                        g.weighted_aggregate_transpose(
+                        let (dx, z) = g.weighted_aggregate_transpose_counted(
                             &edge_src,
                             &dst_offsets,
                             weights.as_deref(),
                             t.value(x).rows(),
-                        )
+                        );
+                        zero_rows = z;
+                        dx
                     });
+                    self.zero_rows += zero_rows;
                 }
                 Op::MaxAggregate { x, edge_src, argmax } => self.give(x, n, |t| {
                     let (rows, cols) = t.value(x).shape();

@@ -77,6 +77,12 @@ fn copy_tail(dst: &mut [f32], src: &[f32], w: usize) {
     dst[..w].copy_from_slice(&src[..w]);
 }
 
+/// True when every element of `row` is `+0.0` or `-0.0`: a gradient row
+/// the adjoint kernels may leave out (see [`Tensor::matmul_tn`]).
+fn is_zero_row(row: &[f32]) -> bool {
+    row.iter().all(|&v| v == 0.0)
+}
+
 /// Packs `B` (`k x m`) into `ceil(m / NR)` contiguous `k x NR` panels:
 /// panel `jt` holds columns `jt*NR..jt*NR + NR`, one NR-wide strip per `k`
 /// step, so the micro-kernel reads one sequential stream per panel instead
@@ -85,7 +91,18 @@ fn copy_tail(dst: &mut [f32], src: &[f32], w: usize) {
 /// computed, never stored). `b` is `B` row-major or — `transposed` — `Bᵀ`
 /// row-major (`m x k`), read row by row. Pure layout change: element
 /// values and the kernel's accumulation order are untouched.
-fn pack_b_panels(b: &[f32], k: usize, m: usize, transposed: bool) -> Vec<f32> {
+///
+/// `steps` names the `k` steps to pack, ascending: strip `s` of a panel
+/// holds step `steps[s]`. Panels keep their `k x NR` stride whatever the
+/// count, so the pooled buffer's length never depends on the data; strips
+/// past the count are stale and never read.
+fn pack_b_panels(
+    b: &[f32],
+    k: usize,
+    m: usize,
+    transposed: bool,
+    steps: impl Iterator<Item = usize> + Clone,
+) -> Vec<f32> {
     let mut bp = crate::pool::take_scratch(m.div_ceil(NR) * k * NR);
     if k == 0 {
         return bp;
@@ -93,7 +110,7 @@ fn pack_b_panels(b: &[f32], k: usize, m: usize, transposed: bool) -> Vec<f32> {
     for (jt, panel) in bp.chunks_exact_mut(k * NR).enumerate() {
         let j = jt * NR;
         let w = NR.min(m - j);
-        for (kk, strip) in panel.chunks_exact_mut(NR).enumerate() {
+        for (kk, strip) in steps.clone().zip(panel.chunks_exact_mut(NR)) {
             if transposed {
                 for (u, s) in strip[..w].iter_mut().enumerate() {
                     *s = b[(j + u) * k + kk];
@@ -148,25 +165,38 @@ fn micro_kernel(
 /// the sequence `acc += a·b` for `k` ascending — bit-identical to the
 /// naive `i-j-k` triple loop and independent of tile and row-block
 /// placement, which is what keeps thread-count parity exact.
-fn gemm<const A_TRANSPOSED: bool>(a: &[f32], bp: Vec<f32>, n: usize, k: usize, m: usize) -> Tensor {
+///
+/// The transposed instance runs over the `k` steps `kept` lists (ascending
+/// rows of `a`, the steps `bp` was packed from) and k-blocks over their
+/// count; see [`Tensor::matmul_tn`] for why leaving the others out is
+/// exact. The plain instance runs every step and ignores `kept`.
+fn gemm<const A_TRANSPOSED: bool>(
+    a: &[f32],
+    bp: Vec<f32>,
+    n: usize,
+    k: usize,
+    m: usize,
+    kept: &[usize],
+) -> Tensor {
+    let depth = if A_TRANSPOSED { kept.len() } else { k };
     // No k-block runs over an empty inner dimension: the empty sum is +0.0.
-    let mut out = if k == 0 {
+    let mut out = if depth == 0 {
         Tensor::zeros(n, m)
     } else {
         Tensor::scratch(n, m)
     };
-    par_rows(&mut out.data, n, m, k * m, |lo, orows| {
+    par_rows(&mut out.data, n, m, depth * m, |lo, orows| {
         let rows = orows.len() / m;
         let mut ap = [0.0f32; MC * KC];
-        for pc in (0..k).step_by(KC) {
-            let kc = KC.min(k - pc);
+        for pc in (0..depth).step_by(KC) {
+            let kc = KC.min(depth - pc);
             for ic in (0..rows).step_by(MC) {
                 let mc = MC.min(rows - ic);
                 if A_TRANSPOSED {
                     // Lanes past a row tail keep stale values: those
                     // accumulator rows are never stored.
-                    for kk in 0..kc {
-                        let arow = &a[(pc + kk) * n + lo + ic..][..mc];
+                    for (kk, &r) in kept[pc..pc + kc].iter().enumerate() {
+                        let arow = &a[r * n + lo + ic..][..mc];
                         let mut quads = arow.chunks_exact(MR);
                         for (it, q) in quads.by_ref().enumerate() {
                             ap[(it * kc + kk) * MR..][..MR].copy_from_slice(q);
@@ -393,7 +423,7 @@ impl Tensor {
             self.rows, self.cols, other.rows, other.cols
         );
         let (n, k, m) = (self.rows, self.cols, other.cols);
-        gemm::<false>(&self.data, pack_b_panels(&other.data, k, m, false), n, k, m)
+        gemm::<false>(&self.data, pack_b_panels(&other.data, k, m, false, 0..k), n, k, m, &[])
     }
 
     /// Returns `selfᵀ @ other`.
@@ -402,14 +432,40 @@ impl Tensor {
     /// straight from `self`'s rows, block by block. The per-element
     /// accumulation order (`kk` ascending) is that of
     /// `self.transpose().matmul(other)`.
+    ///
+    /// **Zero rows.** Step `kk` is left out when `other`'s row `kk` is all
+    /// `±0.0` and `self`'s row `kk` is all finite (a weight gradient
+    /// `Xᵀ·G` whose `G` has a row per vertex the loss never reaches). The
+    /// result is bit-identical to running every step, for every input:
+    /// - each term of a skipped step is `finite × ±0 = ±0`;
+    /// - the accumulator starts at `+0.0`, and under round-to-nearest
+    ///   without flush-to-zero no sum of such terms turns it into `-0.0`
+    ///   (`x + -x` and `+0 + -0` are both `+0`). Adding `±0` to a value
+    ///   that is not `-0.0` returns it unchanged, NaN and ±Inf included;
+    /// - a row holding a NaN or an Inf is never skipped, so every
+    ///   non-finite term still enters the sum where it did.
+    ///
+    /// So thread, tile and engine parity hold by construction. The packed
+    /// panels keep their full-height length: pool lengths never depend on
+    /// how many rows are zero.
     pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
+        self.matmul_tn_counted(other).0
+    }
+
+    /// [`Self::matmul_tn`], plus the number of `k` steps it left out.
+    pub(crate) fn matmul_tn_counted(&self, other: &Tensor) -> (Tensor, u64) {
         assert_eq!(
             self.rows, other.rows,
             "matmul_tn: {}x{} , {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
         let (k, n, m) = (self.rows, self.cols, other.cols);
-        gemm::<true>(&self.data, pack_b_panels(&other.data, k, m, false), n, k, m)
+        let finite = |r: usize| self.row(r).iter().all(|v| v.is_finite());
+        let kept: Vec<usize> =
+            (0..k).filter(|&r| !(is_zero_row(other.row(r)) && finite(r))).collect();
+        let bp = pack_b_panels(&other.data, k, m, false, kept.iter().copied());
+        let out = gemm::<true>(&self.data, bp, n, k, m, &kept);
+        (out, (k - kept.len()) as u64)
     }
 
     /// Returns `self @ otherᵀ`.
@@ -425,7 +481,7 @@ impl Tensor {
             self.rows, self.cols, other.rows, other.cols
         );
         let (n, k, m) = (self.rows, self.cols, other.rows);
-        gemm::<false>(&self.data, pack_b_panels(&other.data, k, m, true), n, k, m)
+        gemm::<false>(&self.data, pack_b_panels(&other.data, k, m, true, 0..k), n, k, m, &[])
     }
 
     /// Materialized transpose (cache-blocked).
@@ -795,6 +851,13 @@ impl Tensor {
     /// Adjoint of [`Self::weighted_aggregate`]: treats `self` as the
     /// gradient over destinations and scatters it back to the `n_src`
     /// source rows through the same edge structure.
+    ///
+    /// **Zero rows.** Destination `d` is left out when its gradient row is
+    /// all `±0.0` and its segment's weights are finite (or the aggregation
+    /// is unweighted): each of its terms is `finite × ±0 = ±0`, which
+    /// leaves an accumulator that started at `+0.0` bit for bit as it was.
+    /// The argument is [`Self::matmul_tn`]'s; a NaN or Inf in the row or in
+    /// a weight keeps the destination in.
     pub fn weighted_aggregate_transpose(
         &self,
         edge_src: &[u32],
@@ -802,21 +865,42 @@ impl Tensor {
         weights: Option<&[f32]>,
         n_src: usize,
     ) -> Tensor {
+        self.weighted_aggregate_transpose_counted(edge_src, dst_offsets, weights, n_src).0
+    }
+
+    /// [`Self::weighted_aggregate_transpose`], plus the number of
+    /// destinations it left out.
+    pub(crate) fn weighted_aggregate_transpose_counted(
+        &self,
+        edge_src: &[u32],
+        dst_offsets: &[usize],
+        weights: Option<&[f32]>,
+        n_src: usize,
+    ) -> (Tensor, u64) {
         let n_dst = dst_offsets.len() - 1;
         assert_eq!(n_dst, self.rows, "gradient rows must match destinations");
         let d = self.cols;
         let mut out = Tensor::zeros(n_src, d);
         let n_edges = dst_offsets[n_dst];
         let work_per_row = (n_edges / n_src.max(1) + 1) * d.max(1);
+        let skipped = std::sync::atomic::AtomicU64::new(0);
         // Partitioned by *source* (output) row: each chunk walks the edge
         // list in the same dst-then-edge order as the sequential scan and
         // accumulates only into the rows it owns — same per-row FP order,
-        // no atomics.
+        // no atomic adds. Every chunk takes the same skip decisions; the
+        // one at row 0 reports them.
         par_rows(&mut out.data, n_src, d, work_per_row, |lo, orows| {
             let hi = lo + orows.len() / d.max(1);
+            let mut zero_rows = 0;
             for dst in 0..n_dst {
                 let grow = &self.data[dst * d..(dst + 1) * d];
-                for e in dst_offsets[dst]..dst_offsets[dst + 1] {
+                let (es, ee) = (dst_offsets[dst], dst_offsets[dst + 1]);
+                let finite = |w: &[f32]| w[es..ee].iter().all(|v| v.is_finite());
+                if is_zero_row(grow) && weights.is_none_or(finite) {
+                    zero_rows += 1;
+                    continue;
+                }
+                for e in es..ee {
                     let src = edge_src[e] as usize;
                     debug_assert!(src < n_src);
                     if src < lo || src >= hi {
@@ -838,8 +922,11 @@ impl Tensor {
                     }
                 }
             }
+            if lo == 0 {
+                skipped.store(zero_rows, std::sync::atomic::Ordering::Relaxed);
+            }
         });
-        out
+        (out, skipped.into_inner())
     }
 
     /// Max-aggregation over in-edges: for each destination `d` and column

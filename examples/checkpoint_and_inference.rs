@@ -43,19 +43,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     checkpoint::restore_into(&mut restored, &bytes)?;
 
     // 4. Serve: full-graph single-machine inference with the restored
-    //    parameters must reproduce the distributed trainer's accuracy.
+    //    parameters must reproduce inference with the trained ones exactly.
+    //    (The report's accuracy was measured in the last epoch's forward
+    //    pass, before that epoch's optimizer step, so it is shown beside
+    //    them, not compared.)
     let result = infer(&dataset, &model, &restored);
+    let trained = infer(&dataset, &model, &report.final_params);
     println!(
-        "restored inference: train {:.1}% / val {:.1}% / test {:.1}%",
+        "restored inference: train {:.1}% / val {:.1}% / test {:.1}% \
+         (last epoch, pre-step: test {:.1}%)",
         result.train_acc * 100.0,
         result.val_acc * 100.0,
-        result.test_acc * 100.0
+        result.test_acc * 100.0,
+        report.final_test_acc() * 100.0
     );
-    let diff = (result.test_acc - report.final_test_acc()).abs();
-    assert!(
-        diff < 1e-9,
-        "restored model must match the trained one exactly (diff {diff})"
+    assert_eq!(
+        result.logits.data(),
+        trained.logits.data(),
+        "restored model must match the trained one exactly"
     );
-    println!("round-trip exact: distributed training == checkpoint == inference");
+    println!("round-trip exact: trained parameters == checkpoint == inference");
     Ok(())
 }

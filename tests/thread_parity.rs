@@ -48,6 +48,11 @@ fn one_thread_and_four_threads_are_bit_identical() {
         assert_eq!(a.test_acc, b.test_acc);
     }
     assert_eq!(seq_ckpt, par_ckpt, "checkpoint bytes must be identical");
+    // The adjoint kernels skip the same exactly-zero gradient rows at any
+    // thread count, and the loss's unlabelled rows give them some.
+    let zero_rows = |r: &TrainingReport| r.metrics.total_counter("compute.bwd_zero_rows");
+    assert_eq!(zero_rows(&seq), zero_rows(&par));
+    assert!(zero_rows(&seq) > 0);
 }
 
 #[test]
