@@ -7,8 +7,11 @@
 //! nts probe    --dataset livejournal --cluster ibv
 //! ```
 
-use neutronstar::chaos::{self, ChaosConfig};
-use neutronstar::cli::{parse, usage, ChaosArgs, Command, RunArgs, ServeArgs};
+use std::fmt::Display;
+use std::path::Path;
+
+use neutronstar::chaos;
+use neutronstar::cli::{parse, usage, ChaosArgs, Command, ModelArgs, RunArgs, ServeArgs};
 use neutronstar::metrics::{summary_table, to_chrome_trace, to_json};
 use neutronstar::prelude::*;
 use neutronstar::runtime::cost::probe_threaded;
@@ -18,19 +21,28 @@ use neutronstar::tensor::checkpoint;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse(&args) {
-        Ok(Command::Help) => print!("{}", usage()),
-        Ok(Command::Datasets) => datasets(),
-        Ok(Command::Train(ra)) => run(&ra, Mode::Train),
-        Ok(Command::Simulate(ra)) => run(&ra, Mode::Simulate),
-        Ok(Command::Probe(ra)) => run(&ra, Mode::Probe),
-        Ok(Command::Chaos(ca)) => run_chaos(&ca),
-        Ok(Command::Serve(sa)) => run_serve(&sa),
-        Err(msg) => {
-            eprintln!("error: {msg}\n\n{}", usage());
-            std::process::exit(2);
-        }
+    let command = parse(&args).unwrap_or_else(|msg| {
+        eprintln!("error: {msg}\n\n{}", usage());
+        std::process::exit(2)
+    });
+    match command {
+        Command::Help => print!("{}", usage()),
+        Command::Datasets => datasets(),
+        Command::Train(ra) => run(&ra, Mode::Train),
+        Command::Simulate(ra) => run(&ra, Mode::Simulate),
+        Command::Probe(ra) => run(&ra, Mode::Probe),
+        Command::Chaos(ca) => run_chaos(&ca),
+        Command::Serve(sa) => run_serve(&sa),
     }
+}
+
+/// The value in `result`, or its error printed and the process ended with
+/// `code`: 2 for a usage error, 1 for a runtime failure.
+fn or_exit<T, E: Display>(result: Result<T, E>, code: i32) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(code)
+    })
 }
 
 fn datasets() {
@@ -52,6 +64,23 @@ fn datasets() {
     }
 }
 
+/// Materializes the dataset and builds the two-layer model `m` names;
+/// returns them with the hidden width used.
+fn build(m: &ModelArgs) -> (Dataset, GnnModel, usize) {
+    let unknown = || format!("unknown dataset {:?} (see `nts datasets`)", m.dataset);
+    let spec = or_exit(DatasetSpec::named(&m.dataset).ok_or_else(unknown), 2);
+    let dataset = spec.materialize(m.scale, m.seed);
+    let hidden = m.hidden.unwrap_or(dataset.hidden_dim);
+    let model = GnnModel::two_layer(
+        m.kind,
+        dataset.feature_dim(),
+        hidden,
+        dataset.num_classes,
+        m.seed,
+    );
+    (dataset, model, hidden)
+}
+
 enum Mode {
     Train,
     Simulate,
@@ -63,22 +92,10 @@ enum Mode {
 fn run_chaos(ca: &ChaosArgs) {
     // Durable stores need a directory; default to a seed-derived scratch
     // path so corrupt-checkpoint faults have generations to damage.
-    let ckpt_base = match &ca.ckpt_dir {
-        Some(dir) => std::path::PathBuf::from(dir),
-        None => std::env::temp_dir().join(format!("nts-chaos-{}-{}", ca.seed, std::process::id())),
-    };
-    let cfg = ChaosConfig {
-        dataset: ca.dataset.clone(),
-        scale: ca.scale,
-        workers: ca.workers,
-        epochs: ca.epochs,
-        checkpoint_every: ca.checkpoint_every,
-        corrupt: ca.corrupt,
-        ckpt_base: Some(ckpt_base.clone()),
-        partition: ca.partition,
-        resource: ca.resource,
-        ..ChaosConfig::default()
-    };
+    let mut cfg = ca.cfg.clone();
+    let scratch =
+        std::env::temp_dir().join(format!("nts-chaos-{}-{}", ca.seed, std::process::id()));
+    let ckpt_base = cfg.ckpt_base.get_or_insert(scratch).clone();
     println!(
         "chaos soak ({}): {} schedules from seed {} | {} x{} workers, {} epochs, \
          checkpoint every {}, corrupt <= {:.2}, stores under {}",
@@ -98,14 +115,8 @@ fn run_chaos(ca: &ChaosArgs) {
         cfg.corrupt,
         ckpt_base.display(),
     );
-    let outcomes = match chaos::soak(&cfg, ca.seed, ca.schedules) {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            std::process::exit(1);
-        }
-    };
-    if ca.ckpt_dir.is_none() {
+    let outcomes = or_exit(chaos::soak(&cfg, ca.seed, ca.schedules), 1);
+    if ca.cfg.ckpt_base.is_none() {
         let _ = std::fs::remove_dir_all(&ckpt_base);
     }
     println!(
@@ -150,96 +161,62 @@ fn run_chaos(ca: &ChaosArgs) {
 /// durable store, stand up the sharded read-only deployment, and drive
 /// it with the seeded open-loop load.
 fn run_serve(sa: &ServeArgs) {
-    let spec = match DatasetSpec::named(&sa.dataset) {
-        Some(s) => s,
-        None => {
-            eprintln!("error: unknown dataset {:?} (see `nts datasets`)", sa.dataset);
-            std::process::exit(2);
-        }
+    let (dataset, model, hidden) = build(&sa.model);
+    let dir = Path::new(&sa.ckpt_dir);
+    // A read-only server must not create the directory it reads, as
+    // `CheckpointStore::open` would. Retention acts only on save, and
+    // serving never saves, so it keeps 1.
+    let store = if dir.is_dir() {
+        CheckpointStore::open(dir, 1)
+            .map_err(|e| format!("cannot open checkpoint store {}: {e}", sa.ckpt_dir))
+    } else {
+        Err(format!("checkpoint store {} does not exist", sa.ckpt_dir))
     };
-    let dataset = spec.materialize(sa.scale, sa.seed);
-    let hidden = sa.hidden.unwrap_or(dataset.hidden_dim);
-    let model = GnnModel::two_layer(
-        sa.model,
-        dataset.feature_dim(),
-        hidden,
-        dataset.num_classes,
-        sa.seed,
+    let loaded = or_exit(store, 1).load_latest();
+    let ckpt = or_exit(
+        loaded.checkpoint.ok_or_else(|| {
+            format!(
+                "no intact checkpoint generation under {0} — train one first \
+                 with `nts train --ckpt-dir {0} --checkpoint-every <n>`",
+                sa.ckpt_dir
+            )
+        }),
+        1,
     );
-
-    let store = match CheckpointStore::open(
-        std::path::Path::new(&sa.ckpt_dir),
-        sa.keep_checkpoints,
-    ) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: cannot open checkpoint store {}: {e}", sa.ckpt_dir);
-            std::process::exit(1);
-        }
-    };
-    let loaded = store.load_latest();
-    let Some(ckpt) = loaded.checkpoint else {
-        eprintln!(
-            "error: no intact checkpoint generation under {} — train one first \
-             with `nts train --ckpt-dir {} --checkpoint-every <n>`",
-            sa.ckpt_dir, sa.ckpt_dir
-        );
-        std::process::exit(1);
-    };
     if loaded.fallbacks > 0 {
         println!(
             "store: skipped {} damaged generation(s) before an intact one",
             loaded.fallbacks
         );
     }
-    let params = match ckpt.restore() {
-        Ok((Some(params), _)) => params,
-        Ok((None, _)) => {
-            eprintln!("error: checkpoint under {} carries no parameters", sa.ckpt_dir);
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("error: checkpoint restore failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    let restored = ckpt
+        .restore()
+        .map_err(|e| format!("checkpoint restore failed: {e}"));
+    let params = or_exit(restored, 1)
+        .0
+        .ok_or_else(|| format!("checkpoint under {} carries no parameters", sa.ckpt_dir));
+    let params = or_exit(params, 1);
 
-    let cfg = match sa.serve_config() {
-        Ok(c) => c,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            std::process::exit(2);
-        }
-    };
-    let deploy = match ServeDeployment::new(&dataset, &model, params, cfg) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
+    let deploy = or_exit(
+        ServeDeployment::new(&dataset, &model, params, sa.cfg.clone()),
+        1,
+    );
     println!(
         "serve | {} x{} (scale {}) | {} hid {} | {} shards | checkpoint at epoch {} \
          | {} queries at {} qps (zipf {})",
         dataset.name,
         dataset.graph.num_vertices(),
-        sa.scale,
-        sa.model.name(),
+        sa.model.scale,
+        sa.model.kind.name(),
         hidden,
-        sa.shards,
+        sa.cfg.shards,
         ckpt.next_epoch,
-        sa.queries,
-        sa.rate_qps,
-        sa.zipf_s,
+        sa.load.queries,
+        sa.load.rate_qps,
+        sa.load.zipf_s,
     );
 
-    let report = match deploy.run_open_loop(&sa.open_loop()) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
+    let report = or_exit(deploy.run_open_loop(&sa.load), 1);
     println!(
         "answered {} / offered {} | rejected {} | dropped {} | {:.0} qps achieved",
         report.answers.len(),
@@ -281,10 +258,10 @@ fn run_serve(sa: &ServeArgs) {
         );
     }
     if let Some(path) = &sa.metrics_out {
-        write_artifact(path, &to_json(&report.metrics), "metrics JSON");
+        write_artifact(path, to_json(&report.metrics), "metrics JSON");
     }
     if let Some(path) = &sa.report_out {
-        write_artifact(path, &serve_report_json(sa, &report), "serve report");
+        write_artifact(path, serve_report_json(sa, &report), "serve report");
     }
     if report.dropped > 0 {
         std::process::exit(1);
@@ -302,7 +279,7 @@ fn serve_report_json(sa: &ServeArgs, r: &ServeReport) -> String {
          \"cache_hit_ratio\": {:.4},\n      \"shard_deaths\": {},\n      \
          \"reroutes\": {},\n      \"hedge_issued\": {},\n      \
          \"hedge_wins\": {},\n      \"fetch_fallback_rows\": {}\n    }}\n  ]\n}}\n",
-        sa.rate_qps,
+        sa.load.rate_qps,
         r.offered,
         r.answers.len(),
         r.rejected,
@@ -320,40 +297,20 @@ fn serve_report_json(sa: &ServeArgs, r: &ServeReport) -> String {
     )
 }
 
-/// Writes an observability artifact (metrics JSON or Chrome trace),
-/// exiting with the same error shape as the checkpoint writer.
-fn write_artifact(path: &str, contents: &str, what: &str) {
-    if let Err(e) = std::fs::write(path, contents) {
-        eprintln!("error: cannot write {what} to {path}: {e}");
-        std::process::exit(1);
-    }
+/// Writes an output file (metrics JSON, trace, serve report or
+/// checkpoint), exiting 1 when it cannot.
+fn write_artifact(path: &str, contents: impl AsRef<[u8]>, what: &str) {
+    let written = std::fs::write(path, contents);
+    or_exit(
+        written.map_err(|e| format!("cannot write {what} to {path}: {e}")),
+        1,
+    );
     println!("{what} written to {path}");
 }
 
 fn run(ra: &RunArgs, mode: Mode) {
-    let spec = match DatasetSpec::named(&ra.dataset) {
-        Some(s) => s,
-        None => {
-            eprintln!("error: unknown dataset {:?} (see `nts datasets`)", ra.dataset);
-            std::process::exit(2);
-        }
-    };
-    let dataset = spec.materialize(ra.scale, ra.seed);
-    let hidden = ra.hidden.unwrap_or(dataset.hidden_dim);
-    let model = GnnModel::two_layer(
-        ra.model,
-        dataset.feature_dim(),
-        hidden,
-        dataset.num_classes,
-        ra.seed,
-    );
-    let cluster = match ra.cluster_spec() {
-        Ok(c) => c,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            std::process::exit(2);
-        }
-    };
+    let (dataset, model, hidden) = build(&ra.model);
+    let cluster = or_exit(ra.cluster_spec(), 2);
     println!(
         "{} | {} x{} (scale {}) | {} hid {} | {} workers on {}",
         match mode {
@@ -363,8 +320,8 @@ fn run(ra: &RunArgs, mode: Mode) {
         },
         dataset.name,
         dataset.graph.num_vertices(),
-        ra.scale,
-        ra.model.name(),
+        ra.model.scale,
+        ra.model.kind.name(),
         hidden,
         cluster.workers,
         cluster.name,
@@ -397,110 +354,92 @@ fn run(ra: &RunArgs, mode: Mode) {
     cfg.opts = ra.opts;
     cfg.lr = ra.lr;
     cfg.sync = ra.sync;
-    cfg.fault = match ra.fault_plan() {
-        Ok(p) => p,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            std::process::exit(2);
-        }
-    };
-    cfg.recovery = ra.recovery();
-    cfg.recv = ra.recv();
-    cfg.store = ra.store();
-    let trainer = match neutronstar::runtime::Trainer::prepare(&dataset, &model, cfg) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
+    cfg.fault = ra.fault.clone();
+    cfg.recovery = ra.recovery;
+    cfg.recv = ra.recv;
+    cfg.store = ra.store.clone();
+    let trainer = or_exit(
+        neutronstar::runtime::Trainer::prepare(&dataset, &model, cfg),
+        1,
+    );
 
-    if let Mode::Train = mode {
-        let (plan, costs) = (trainer.plan_summary(), trainer.costs());
-        print!(
-            "partition: vertex weight {:.3} = {} / {} FLOPs per vertex / per in-edge ->",
-            plan.vertex_weight,
-            costs.vertex_flops(),
-            costs.edge_flops(),
+    if let Mode::Simulate = mode {
+        let sim = trainer.simulate_epoch();
+        println!(
+            "epoch: {:.6}s | {:.3} MB moved | {:.3} GFLOP | device util {:.1}% | NIC util {:.1}%",
+            sim.epoch_seconds,
+            sim.bytes_per_epoch as f64 / 1e6,
+            sim.flops_per_epoch as f64 / 1e9,
+            sim.device_utilization * 100.0,
+            sim.nic_utilization * 100.0,
         );
-        for (w, p) in plan.parts.iter().enumerate() {
-            print!(" w{w}: {} v + {} e = {:.1}%", p.vertices, p.in_edges, p.flop_share * 100.0);
-        }
-        println!();
+        return;
     }
-    match mode {
-        Mode::Simulate => {
-            let sim = trainer.simulate_epoch();
-            println!(
-                "epoch: {:.6}s | {:.3} MB moved | {:.3} GFLOP | device util {:.1}% | NIC util {:.1}%",
-                sim.epoch_seconds,
-                sim.bytes_per_epoch as f64 / 1e6,
-                sim.flops_per_epoch as f64 / 1e9,
-                sim.device_utilization * 100.0,
-                sim.nic_utilization * 100.0,
-            );
-        }
-        Mode::Train => match trainer.train(ra.epochs) {
-            Ok(report) => {
-                println!("epoch  loss      train  val    test");
-                for e in &report.epochs {
-                    println!(
-                        "{:>5}  {:<8.4}  {:.3}  {:.3}  {:.3}",
-                        e.epoch, e.loss, e.train_acc, e.val_acc, e.test_acc
-                    );
-                }
-                println!(
-                    "simulated: {:.6}s/epoch ({:.3}s total)",
-                    report.sim.epoch_seconds,
-                    report.simulated_seconds(ra.epochs)
-                );
-                for (worker, epoch, engine) in &report.recoveries {
-                    println!(
-                        "recovered: worker {worker} lost, rolled back to epoch \
-                         {epoch}, resumed on {engine}"
-                    );
-                }
-                for e in &report.membership {
-                    println!(
-                        "membership: worker {} {} at epoch {}",
-                        e.worker,
-                        e.kind.name(),
-                        e.epoch
-                    );
-                }
-                for r in &report.replans {
-                    println!(
-                        "replan: epoch {} ({}) comm x{:.2}, moved {} deps to \
-                         cache / {} to comm",
-                        r.epoch,
-                        r.reason,
-                        r.comm_factor,
-                        r.moved_to_cached.iter().sum::<usize>(),
-                        r.moved_to_comm.iter().sum::<usize>(),
-                    );
-                }
-                print!("{}", summary_table(&report.metrics));
-                if let Some(path) = &ra.metrics_out {
-                    write_artifact(path, &to_json(&report.metrics), "metrics JSON");
-                }
-                if let Some(path) = &ra.trace_out {
-                    write_artifact(path, &to_chrome_trace(&report.metrics), "trace");
-                }
-                if let Some(path) = &ra.save {
-                    let mut f = std::fs::File::create(path).unwrap_or_else(|e| {
-                        eprintln!("error: cannot create {path}: {e}");
-                        std::process::exit(1);
-                    });
-                    checkpoint::save(&report.final_params, None, &mut f)
-                        .expect("write checkpoint");
-                    println!("checkpoint written to {path}");
-                }
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        },
-        Mode::Probe => unreachable!(),
+
+    let (plan, costs) = (trainer.plan_summary(), trainer.costs());
+    print!(
+        "partition: vertex weight {:.3} = {} / {} FLOPs per vertex / per in-edge ->",
+        plan.vertex_weight,
+        costs.vertex_flops(),
+        costs.edge_flops(),
+    );
+    for (w, p) in plan.parts.iter().enumerate() {
+        print!(
+            " w{w}: {} v + {} e = {:.1}%",
+            p.vertices,
+            p.in_edges,
+            p.flop_share * 100.0
+        );
+    }
+    println!();
+    let report = or_exit(trainer.train(ra.epochs), 1);
+    println!("epoch  loss      train  val    test");
+    for e in &report.epochs {
+        println!(
+            "{:>5}  {:<8.4}  {:.3}  {:.3}  {:.3}",
+            e.epoch, e.loss, e.train_acc, e.val_acc, e.test_acc
+        );
+    }
+    println!(
+        "simulated: {:.6}s/epoch ({:.3}s total)",
+        report.sim.epoch_seconds,
+        report.simulated_seconds(ra.epochs)
+    );
+    for (worker, epoch, engine) in &report.recoveries {
+        println!(
+            "recovered: worker {worker} lost, rolled back to epoch \
+             {epoch}, resumed on {engine}"
+        );
+    }
+    for e in &report.membership {
+        println!(
+            "membership: worker {} {} at epoch {}",
+            e.worker,
+            e.kind.name(),
+            e.epoch
+        );
+    }
+    for r in &report.replans {
+        println!(
+            "replan: epoch {} ({}) comm x{:.2}, moved {} deps to \
+             cache / {} to comm",
+            r.epoch,
+            r.reason,
+            r.comm_factor,
+            r.moved_to_cached.iter().sum::<usize>(),
+            r.moved_to_comm.iter().sum::<usize>(),
+        );
+    }
+    print!("{}", summary_table(&report.metrics));
+    if let Some(path) = &ra.metrics_out {
+        write_artifact(path, to_json(&report.metrics), "metrics JSON");
+    }
+    if let Some(path) = &ra.trace_out {
+        write_artifact(path, to_chrome_trace(&report.metrics), "trace");
+    }
+    if let Some(path) = &ra.save {
+        let mut bytes = Vec::new();
+        or_exit(checkpoint::save(&report.final_params, None, &mut bytes), 1);
+        write_artifact(path, &bytes, "checkpoint");
     }
 }

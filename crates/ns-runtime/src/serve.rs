@@ -106,7 +106,7 @@ impl std::error::Error for ServeError {}
 
 /// Serving knobs. Defaults suit the bundled datasets; `nts serve`
 /// exposes each as a flag (see `docs/SERVING.md`).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Number of shard workers (the frontend is extra). Each shard owns
     /// one graph partition.

@@ -17,7 +17,7 @@ use std::time::Duration;
 use ns_rand::SplitMix64;
 
 /// An open-loop load specification.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpenLoop {
     /// Total queries to offer.
     pub queries: usize,
