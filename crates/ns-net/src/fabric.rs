@@ -13,7 +13,7 @@
 //! [`Endpoint::recv_from_timeout`]; a protocol desync surfaces as
 //! [`NetError::UnexpectedKind`] (raised by callers that demand a specific
 //! message kind). Deterministic faults from a
-//! [`FaultPlan`](crate::fault::FaultPlan) are applied on the send side:
+//! [`FaultPlan`] are applied on the send side:
 //! drops become retransmission delays (`deliver_at` in the future),
 //! duplicates become a second physical delivery that receivers suppress by
 //! sequence number, flapped links hold messages until their next
@@ -22,16 +22,16 @@
 //! can surface the outage, exactly like a real network partition.
 //!
 //! Integrity: every message carries the CRC32 of its compact wire
-//! serialization (see [`wire`](crate::wire)), stamped at send time.
-//! Receivers verify the checksum *before* admitting a message; a mismatch
-//! (injected by a `corrupt` fault) surfaces as [`NetError::CorruptFrame`]
+//! serialization (see [`wire`]), stamped at send time.
+//! Receivers verify the checksum *before* admitting a message. A mismatch
+//! (injected by a `corrupt` fault) is counted and dropped like a duplicate,
 //! without advancing the duplicate-suppression watermark, so the clean
-//! retransmission shipped under the same sequence number is still
-//! admissible. Frame-header overhead is not metered in `sent_bytes` —
+//! retransmission shipped under the same sequence number is admitted inside
+//! the same receive. Frame-header overhead is not metered in `sent_bytes` —
 //! that counter stays the payload ground truth.
 
 use std::cell::{Cell, RefCell};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -62,19 +62,6 @@ pub enum NetError {
         /// Kind that actually arrived.
         got: &'static str,
     },
-    /// A frame failed CRC verification (bit flip in flight). Retriable:
-    /// the sender's clean retransmission arrives under the same sequence
-    /// number, so the caller should simply receive again.
-    CorruptFrame {
-        /// Peer whose frame failed verification.
-        peer: usize,
-        /// Sequence number of the corrupt frame.
-        seq: u64,
-        /// CRC carried in the frame header.
-        expected: u32,
-        /// CRC recomputed over the received payload.
-        computed: u32,
-    },
 }
 
 impl std::fmt::Display for NetError {
@@ -89,11 +76,6 @@ impl std::fmt::Display for NetError {
             NetError::UnexpectedKind { peer, expected, got } => {
                 write!(f, "peer {peer} sent {got}, expected {expected}")
             }
-            NetError::CorruptFrame { peer, seq, expected, computed } => write!(
-                f,
-                "corrupt frame from peer {peer} (seq {seq}): \
-                 header CRC {expected:#010x}, computed {computed:#010x}"
-            ),
         }
     }
 }
@@ -318,12 +300,24 @@ impl Message {
     }
 }
 
+/// One endpoint's bookkeeping for one peer.
+#[derive(Default)]
+struct Peer {
+    /// Sequence number of the last message sent to the peer.
+    next_seq: u64,
+    /// Highest sequence number admitted from the peer (dedup watermark).
+    last_seen: u64,
+    /// Last CRC-rejected sequence number (0 = none): its clean copy is a re-read.
+    last_corrupt: u64,
+    /// A received message not yet due, kept for the next receive.
+    pending: Option<Message>,
+}
+
 /// One worker's handle onto the mesh.
 ///
-/// The endpoint carries per-peer send/receive bookkeeping (sequence
-/// counters, duplicate-suppression watermarks, one stashed not-yet-due
-/// message per peer) in `RefCell`s: an endpoint is owned by exactly one
-/// worker thread and is not `Sync`.
+/// The endpoint carries its per-peer bookkeeping (sequence counters,
+/// duplicate watermarks, one not-yet-due message) in a `RefCell`: an
+/// endpoint is owned by exactly one worker thread and is not `Sync`.
 pub struct Endpoint {
     me: usize,
     txs: Vec<Sender<Message>>,
@@ -333,12 +327,7 @@ pub struct Endpoint {
     // time-dependent link faults (flaps) evaluate consistently mesh-wide.
     origin: Instant,
     epoch: Cell<usize>,
-    next_seq: RefCell<Vec<u64>>,
-    last_seen: RefCell<Vec<u64>>,
-    // Sequence number of the last CRC-rejected frame per peer (0 = none);
-    // lets the endpoint meter the clean retransmission as a re-read.
-    last_corrupt: RefCell<Vec<u64>>,
-    pending: RefCell<Vec<Option<Message>>>,
+    peers: RefCell<Vec<Peer>>,
     stats: RefCell<NetStats>,
 }
 
@@ -387,9 +376,9 @@ impl Endpoint {
         let bytes = kind.payload_bytes();
         let kidx = kind.kind_index();
         let seq = {
-            let mut seqs = self.next_seq.borrow_mut();
-            seqs[dst] += 1;
-            seqs[dst]
+            let peer = &mut self.peers.borrow_mut()[dst];
+            peer.next_seq += 1;
+            peer.next_seq
         };
         let fate = self.faults.send_fate_at(
             self.epoch.get(),
@@ -478,135 +467,97 @@ impl Endpoint {
         self.stats.borrow().clone()
     }
 
-    /// Surfaces `msg` unless it is a duplicate delivery (`Ok(None)`) or it
-    /// fails CRC verification (`Err(CorruptFrame)`). Verification happens
-    /// *before* the duplicate-suppression watermark advances, so the clean
-    /// retransmission of a rejected sequence number is still admissible.
-    fn admit(&self, src: usize, msg: Message) -> Result<Option<Message>, NetError> {
-        if msg.seq <= self.last_seen.borrow()[src] {
-            self.stats.borrow_mut().dups_suppressed += 1;
-            return Ok(None);
+    /// Surfaces `msg` unless it is a duplicate or fails CRC verification;
+    /// either is counted and dropped. A rejected frame leaves the dedup
+    /// watermark where it was, so its clean retransmission (same sequence
+    /// number) is still admitted, and metered as a re-read.
+    fn admit(&self, src: usize, msg: Message) -> Option<Message> {
+        let peer = &mut self.peers.borrow_mut()[src];
+        let mut st = self.stats.borrow_mut();
+        if msg.seq <= peer.last_seen {
+            st.dups_suppressed += 1;
+            return None;
         }
-        let computed = wire::payload_crc(&msg.kind);
-        if computed != msg.crc {
-            self.stats.borrow_mut().crc_failures += 1;
-            self.last_corrupt.borrow_mut()[src] = msg.seq;
-            return Err(NetError::CorruptFrame {
-                peer: src,
-                seq: msg.seq,
-                expected: msg.crc,
-                computed,
-            });
+        if wire::payload_crc(&msg.kind) != msg.crc {
+            st.crc_failures += 1;
+            peer.last_corrupt = msg.seq;
+            return None;
         }
-        {
-            let mut corrupt = self.last_corrupt.borrow_mut();
-            if corrupt[src] == msg.seq {
-                corrupt[src] = 0;
-                self.stats.borrow_mut().rereads += 1;
-            }
+        if peer.last_corrupt == msg.seq {
+            peer.last_corrupt = 0;
+            st.rereads += 1;
         }
-        self.last_seen.borrow_mut()[src] = msg.seq;
-        Ok(Some(msg))
+        peer.last_seen = msg.seq;
+        Some(msg)
     }
 
-    /// Blocks until a verified message from `src` arrives (waiting out
-    /// injected delivery delays), or the peer disconnects. CRC-rejected
-    /// frames are counted and skipped — the blocking receive simply waits
-    /// for the clean retransmission.
-    pub fn recv_from(&self, src: usize) -> Result<Message, NetError> {
+    /// The one receive loop: the next verified message from `src`, or
+    /// `Ok(None)` once `deadline` passes (`None` blocks; a past deadline
+    /// polls). Injected delays are waited out, but a message not due by the
+    /// deadline is kept for the next receive, so dropped-and-retransmitted
+    /// messages exercise the caller's retry path. Duplicates and corrupt
+    /// frames are dropped in the loop: a clean copy arriving before the
+    /// deadline is admitted by the same call.
+    fn recv_until(
+        &self,
+        src: usize,
+        deadline: Option<Instant>,
+    ) -> Result<Option<Message>, NetError> {
         loop {
-            let msg = match self.pending.borrow_mut()[src].take() {
-                Some(m) => m,
-                None => self.rxs[src]
-                    .recv()
-                    .map_err(|_| NetError::PeerDisconnected { peer: src })?,
+            let pending = self.peers.borrow_mut()[src].pending.take();
+            let msg = match pending.map_or_else(|| pull(&self.rxs[src], deadline), Ok) {
+                Ok(m) => m,
+                Err(RecvTimeoutError::Timeout) => return Ok(None),
+                Err(RecvTimeoutError::Disconnected) => {
+                    return Err(NetError::PeerDisconnected { peer: src })
+                }
             };
             if let Some(at) = msg.deliver_at {
-                let now = Instant::now();
-                if at > now {
-                    std::thread::sleep(at - now);
+                if let Some(d) = deadline.filter(|&d| at > d) {
+                    self.peers.borrow_mut()[src].pending = Some(msg);
+                    std::thread::sleep(d.saturating_duration_since(Instant::now()));
+                    return Ok(None);
                 }
+                std::thread::sleep(at.saturating_duration_since(Instant::now()));
             }
-            match self.admit(src, msg) {
-                Ok(Some(m)) => return Ok(m),
-                Ok(None) | Err(NetError::CorruptFrame { .. }) => continue,
-                Err(e) => return Err(e),
+            if let Some(m) = self.admit(src, msg) {
+                return Ok(Some(m));
             }
         }
+    }
+
+    /// Blocks until a verified message from `src` arrives, or the peer
+    /// disconnects (without a deadline the loop never returns `Ok(None)`).
+    pub fn recv_from(&self, src: usize) -> Result<Message, NetError> {
+        let disconnected = NetError::PeerDisconnected { peer: src };
+        self.recv_until(src, None)?.ok_or(disconnected)
     }
 
     /// Like [`recv_from`](Self::recv_from) but gives up with
-    /// [`NetError::RecvTimeout`] after `timeout`. A message whose injected
-    /// delivery time falls beyond the window counts as not yet arrived (it
-    /// is kept pending for the next attempt), so dropped-and-retransmitted
-    /// messages genuinely exercise the caller's retry path. A CRC-rejected
-    /// frame surfaces immediately as [`NetError::CorruptFrame`] — retriable,
-    /// since the clean retransmission follows under the same sequence
-    /// number.
-    pub fn recv_from_timeout(
-        &self,
-        src: usize,
-        timeout: Duration,
-    ) -> Result<Message, NetError> {
-        let deadline = Instant::now() + timeout;
+    /// [`NetError::RecvTimeout`] after `timeout`.
+    pub fn recv_from_timeout(&self, src: usize, timeout: Duration) -> Result<Message, NetError> {
         let waited_ms = timeout.as_millis() as u64;
-        loop {
-            let msg = match self.pending.borrow_mut()[src].take() {
-                Some(m) => m,
-                None => match self.rxs[src]
-                    .recv_timeout(deadline.saturating_duration_since(Instant::now()))
-                {
-                    Ok(m) => m,
-                    Err(RecvTimeoutError::Timeout) => {
-                        return Err(NetError::RecvTimeout { peer: src, waited_ms })
-                    }
-                    Err(RecvTimeoutError::Disconnected) => {
-                        return Err(NetError::PeerDisconnected { peer: src })
-                    }
-                },
-            };
-            if let Some(at) = msg.deliver_at {
-                if at > deadline {
-                    self.pending.borrow_mut()[src] = Some(msg);
-                    let now = Instant::now();
-                    if deadline > now {
-                        std::thread::sleep(deadline - now);
-                    }
-                    return Err(NetError::RecvTimeout { peer: src, waited_ms });
-                }
-                let now = Instant::now();
-                if at > now {
-                    std::thread::sleep(at - now);
-                }
-            }
-            match self.admit(src, msg) {
-                Ok(Some(m)) => return Ok(m),
-                Ok(None) => continue,
-                Err(e) => return Err(e),
-            }
-        }
+        self.recv_until(src, Some(Instant::now() + timeout))?
+            .ok_or(NetError::RecvTimeout { peer: src, waited_ms })
     }
 
-    /// Non-blocking receive from `src`. Messages with a pending injected
-    /// delay are not yet visible; CRC-rejected frames are counted and
-    /// skipped.
+    /// Non-blocking receive from `src`: `None` while no verified message is
+    /// due (or the peer is gone).
     pub fn try_recv_from(&self, src: usize) -> Option<Message> {
-        loop {
-            let msg = match self.pending.borrow_mut()[src].take() {
-                Some(m) => m,
-                None => self.rxs[src].try_recv().ok()?,
-            };
-            if let Some(at) = msg.deliver_at {
-                if at > Instant::now() {
-                    self.pending.borrow_mut()[src] = Some(msg);
-                    return None;
-                }
-            }
-            match self.admit(src, msg) {
-                Ok(Some(m)) => return Some(m),
-                Ok(None) | Err(_) => continue,
-            }
-        }
+        self.recv_until(src, Some(Instant::now())).ok().flatten()
+    }
+}
+
+/// One channel read bounded by `deadline` (`None` blocks; a deadline
+/// already past is a single non-blocking poll).
+fn pull(rx: &Receiver<Message>, deadline: Option<Instant>) -> Result<Message, RecvTimeoutError> {
+    match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
+        None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+        Some(left) if left.is_zero() => rx.try_recv().map_err(|e| match e {
+            TryRecvError::Empty => RecvTimeoutError::Timeout,
+            TryRecvError::Disconnected => RecvTimeoutError::Disconnected,
+        }),
+        Some(left) => rx.recv_timeout(left),
     }
 }
 
@@ -654,10 +605,7 @@ impl Fabric {
                 faults: Arc::clone(&faults),
                 origin,
                 epoch: Cell::new(0),
-                next_seq: RefCell::new(vec![0; workers]),
-                last_seen: RefCell::new(vec![0; workers]),
-                last_corrupt: RefCell::new(vec![0; workers]),
-                pending: RefCell::new((0..workers).map(|_| None).collect()),
+                peers: RefCell::new((0..workers).map(|_| Peer::default()).collect()),
                 stats: RefCell::new(NetStats::for_world(workers)),
             })
             .collect();
@@ -921,23 +869,40 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_frame_is_detected_then_clean_copy_arrives() {
-        let plan =
-            FaultPlan::default().with_fault(Fault::Corrupt { sel: MsgSel::any(), p: 1.0 });
-        let eps = Fabric::with_faults(2, plan).into_endpoints();
-        eps[0].send(1, MessageKind::Control(6.5)).unwrap();
-        assert_eq!(eps[0].stats().corrupts_injected, 1);
-        // First physical copy fails verification...
-        let err = eps[1].recv_from_timeout(0, Duration::from_millis(500)).unwrap_err();
-        assert!(matches!(err, NetError::CorruptFrame { peer: 0, seq: 1, .. }), "{err:?}");
-        // ...and the retry admits the clean retransmission, same seq.
-        let msg = eps[1].recv_from_timeout(0, Duration::from_millis(500)).unwrap();
-        assert_eq!(msg.seq, 1);
-        assert!(matches!(msg.kind, MessageKind::Control(v) if v == 6.5));
-        let st = eps[1].stats();
-        assert_eq!(st.crc_failures, 1);
-        assert_eq!(st.rereads, 1);
-        assert_eq!(st.dups_suppressed, 0, "clean copy is not a duplicate");
+    fn every_receive_rereads_a_corrupt_frame_within_one_call() {
+        // Every send ships a bit-flipped copy after the delay, then its
+        // clean copy and a duplicate of that `retransmit_ms` later.
+        let script = FaultPlan::default()
+            .with_fault(Fault::Corrupt { sel: MsgSel::any(), p: 1.0 })
+            .with_fault(Fault::Duplicate { sel: MsgSel::any(), p: 1.0 })
+            .with_fault(Fault::Delay { sel: MsgSel::any(), delay_ms: 5 });
+        let run = |recv: &dyn Fn(&Endpoint) -> Message| {
+            let eps = Fabric::with_faults(2, script.clone()).into_endpoints();
+            for i in 0..4 {
+                eps[0].send(1, MessageKind::Control(i as f64)).unwrap();
+            }
+            let got: Vec<(u64, f64)> = (0..4)
+                .map(|_| match recv(&eps[1]) {
+                    Message { seq, kind: MessageKind::Control(v), .. } => (seq, v),
+                    other => panic!("wrong kind {}", other.kind.name()),
+                })
+                .collect();
+            // Drains the last clean copy's duplicate.
+            assert!(eps[1].try_recv_from(0).is_none());
+            let st = eps[1].stats();
+            (got, st.crc_failures, st.rereads, st.dups_suppressed)
+        };
+        let blocking = run(&|ep| ep.recv_from(0).unwrap());
+        let timed = run(&|ep| ep.recv_from_timeout(0, Duration::from_millis(500)).unwrap());
+        let polled = run(&|ep| loop {
+            if let Some(m) = ep.try_recv_from(0) {
+                break m;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        });
+        assert_eq!(blocking, (vec![(1, 0.0), (2, 1.0), (3, 2.0), (4, 3.0)], 4, 4, 4));
+        assert_eq!(timed, blocking);
+        assert_eq!(polled, blocking);
     }
 
     #[test]

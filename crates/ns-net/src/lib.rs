@@ -28,8 +28,8 @@
 //!   each fault.
 //! * [`membership`] — the coordinator's cluster membership view and the
 //!   worker rejoin handshake used by the elastic trainer.
-//! * [`policy`] — the shared deadline-budget / jittered-backoff /
-//!   circuit-breaker policy every network wait runs under.
+//! * [`policy`] — the shared jittered-backoff / circuit-breaker policy
+//!   every network wait runs under.
 
 pub mod buffer;
 pub mod cluster;
@@ -47,6 +47,6 @@ pub use fault::{Fault, FaultPlan, KindSel, Link, MsgSel, SendFate, Window};
 pub use membership::{
     MemberState, MembershipEvent, MembershipEventKind, MembershipView, RejoinOffer,
 };
-pub use policy::{Backoff, BreakerState, BreakerStats, Budget, CircuitBreaker};
+pub use policy::{Backoff, BreakerState, BreakerStats, CircuitBreaker};
 pub use sim::{SimReport, TaskGraph, TaskId};
 pub use wire::{crc32, FrameError, FRAME_HEADER_BYTES};

@@ -1,30 +1,20 @@
-//! Unified deadline / backoff / circuit-breaker policy for everything
-//! that waits on a peer.
+//! Backoff and circuit-breaker policy for everything that waits on a
+//! peer.
 //!
-//! Before this module, every caller that could block on the network had
-//! its own fixed timeout: the executor's receive retry doubled a base
-//! window, the serve frontend had `reply_timeout_ms`, shard workers had
-//! `fetch_timeout_ms`, and none of them knew about each other. Under a
-//! link partition that means (a) nested retries can wait far past the
-//! operation's overall deadline, (b) every worker retries on the same
-//! fixed schedule, so a shared stall turns into a synchronized retry
-//! storm, and (c) a caller keeps paying the full timeout on every
-//! operation against a link that has been dead for minutes.
+//! With one fixed timeout per caller, a link partition means (a) every
+//! worker retries on the same schedule, so a shared stall turns into a
+//! synchronized retry storm, and (b) a caller keeps paying the full
+//! timeout on every operation against a link that has been dead for
+//! minutes. Two small pieces fix the two problems:
 //!
-//! Three small, composable pieces fix the three problems:
-//!
-//! * [`Budget`] — an overall deadline for one logical operation. Nested
-//!   waits call [`Budget::clamp`] so no inner retry ever sleeps past the
-//!   operation's deadline, and [`Budget::exhausted`] tells the caller to
-//!   stop retrying (metered as `net.deadline.exhausted` by callers).
 //! * [`Backoff`] — bounded exponential backoff over retry windows with
 //!   *deterministic seeded jitter*: two workers retrying after the same
 //!   stall draw different window widths (seeded by who they are), so
 //!   they desynchronize, but a rerun of the same seed reproduces the
-//!   exact schedule. The first window and the final window are left at
-//!   their nominal width — the first so fast failures stay fast and
-//!   reproducible, the final so the total wait still absorbs the
-//!   longest injected retransmit delay the unjittered schedule could.
+//!   exact schedule. The first and final windows stay nominal — the first
+//!   so fast failures stay fast, the final so the total wait still absorbs
+//!   the longest injected retransmit delay. Jitter only shortens windows,
+//!   so the nominal sum bounds the whole operation.
 //! * [`CircuitBreaker`] — per-peer Closed → Open → HalfOpen state. After
 //!   `threshold` consecutive failures the breaker opens and further
 //!   attempts fail instantly (no window spent) until `cooldown` passes;
@@ -32,10 +22,10 @@
 //!   re-opens or closes the breaker. Callers export the counters in
 //!   [`BreakerStats`] as `net.breaker.*`.
 //!
-//! None of this is wall-clock-free: budgets and cooldowns are measured
-//! on [`Instant`]. What *is* deterministic is every decision that does
-//! not depend on real elapsed time — the jittered window sequence is a
-//! pure function of `(seed, key, attempt)`.
+//! None of this is wall-clock-free: cooldowns are measured on
+//! [`Instant`]. What *is* deterministic is every decision that does not
+//! depend on real elapsed time — the jittered window sequence is a pure
+//! function of `(seed, key, attempt)`.
 
 use std::time::{Duration, Instant};
 
@@ -46,52 +36,6 @@ use ns_rand::mix64;
 /// streams for every `(key, attempt)`.
 fn unit(seed: u64, key: u64, attempt: u32) -> f64 {
     ns_rand::unit(mix64(seed ^ mix64(key ^ ((attempt as u64) << 32))))
-}
-
-/// An overall deadline for one logical operation, shared by every nested
-/// wait inside it.
-///
-/// ```
-/// use std::time::Duration;
-/// use ns_net::policy::Budget;
-///
-/// let budget = Budget::new(Duration::from_millis(200));
-/// // An inner retry that wants a 500 ms window gets at most what's left.
-/// assert!(budget.clamp(Duration::from_millis(500)) <= Duration::from_millis(200));
-/// assert!(!budget.exhausted());
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct Budget {
-    start: Instant,
-    total: Duration,
-}
-
-impl Budget {
-    /// Starts an operation budget of `total`, counting from now.
-    pub fn new(total: Duration) -> Self {
-        Budget { start: Instant::now(), total }
-    }
-
-    /// Convenience constructor from milliseconds.
-    pub fn from_ms(total_ms: u64) -> Self {
-        Self::new(Duration::from_millis(total_ms))
-    }
-
-    /// Time left before the deadline (zero once passed).
-    pub fn remaining(&self) -> Duration {
-        self.total.saturating_sub(self.start.elapsed())
-    }
-
-    /// Whether the deadline has passed.
-    pub fn exhausted(&self) -> bool {
-        self.remaining().is_zero()
-    }
-
-    /// Clamps a desired wait to the remaining budget: a nested retry can
-    /// never sleep past the operation's overall deadline.
-    pub fn clamp(&self, want: Duration) -> Duration {
-        want.min(self.remaining())
-    }
 }
 
 /// Bounded exponential backoff with deterministic seeded jitter.
@@ -132,14 +76,6 @@ impl Backoff {
     /// Attempts handed out so far.
     pub fn attempt(&self) -> u32 {
         self.attempt
-    }
-
-    /// Sum of the *nominal* (unjittered) windows — the natural overall
-    /// [`Budget`] for the operation this schedule retries.
-    pub fn nominal_total_ms(&self) -> u64 {
-        (0..=self.retries)
-            .map(|i| self.base_ms.saturating_mul(1u64 << i.min(20)))
-            .fold(0u64, u64::saturating_add)
     }
 
     /// Next receive/retry window, or `None` when the retry budget is
@@ -316,25 +252,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn budget_clamps_and_exhausts() {
-        let b = Budget::from_ms(50);
-        assert!(b.clamp(Duration::from_millis(500)) <= Duration::from_millis(50));
-        assert!(b.clamp(Duration::from_millis(5)) <= Duration::from_millis(5));
-        assert!(!b.exhausted());
-        let tiny = Budget::new(Duration::ZERO);
-        assert!(tiny.exhausted());
-        assert_eq!(tiny.clamp(Duration::from_millis(10)), Duration::ZERO);
-    }
-
-    #[test]
-    fn budget_counts_real_elapsed_time() {
-        let b = Budget::from_ms(30);
-        std::thread::sleep(Duration::from_millis(40));
-        assert!(b.exhausted());
-        assert_eq!(b.remaining(), Duration::ZERO);
-    }
-
-    #[test]
     fn backoff_yields_retries_plus_one_windows_then_none() {
         let mut bo = Backoff::new(10, 3, 1, 2);
         let windows: Vec<_> = std::iter::from_fn(|| bo.next_wait()).collect();
@@ -367,9 +284,12 @@ mod tests {
 
     #[test]
     fn backoff_total_never_exceeds_nominal() {
+        // This bound is why no receive carries a separate deadline budget:
+        // walking the jittered windows cannot outlast the nominal schedule,
+        // and a corrupt frame is re-read inside its window, not in a new one.
+        let nominal: u64 = (0..=5).map(|i| 10u64 << i).sum();
         for key in 0..32 {
             let mut bo = Backoff::new(10, 5, 11, key);
-            let nominal = bo.nominal_total_ms();
             let total: u64 = std::iter::from_fn(|| bo.next_wait())
                 .map(|d| d.as_millis() as u64)
                 .sum();

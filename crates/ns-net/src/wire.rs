@@ -11,10 +11,10 @@
 //! +--------+------+-------------+------------+=================+
 //! ```
 //!
-//! Receivers verify magic, kind, length, and CRC *before* decoding; a
-//! mismatch surfaces as [`NetError::CorruptFrame`](crate::NetError::CorruptFrame)
-//! and the sender's retransmission (the fabric re-ships a clean copy under
-//! the same sequence number) makes the fault recoverable. The
+//! Receivers verify magic, kind, length, and CRC *before* decoding; the
+//! fabric drops a mismatched frame and admits the sender's retransmission
+//! (a clean copy under the same sequence number) in its place, which makes
+//! the fault recoverable. The
 //! [`FRAME_HEADER_BYTES`] of protocol overhead are *not* metered in
 //! `net.sent.bytes` — that counter stays the payload ground truth used by
 //! the simulator and the observability closed-form tests.

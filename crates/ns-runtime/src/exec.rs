@@ -8,7 +8,7 @@
 //! input is the feature matrix, so its dependency exchange, input assembly
 //! and parameter-free prefix depend on the plan alone; they run once per
 //! plan and later epochs start the layer from the saved [`LayerPrefix`]
-//! ([`Layer0Carry`]). The forward *synchronize-compute* mode (masters push
+//! (`Layer0Carry`). The forward *synchronize-compute* mode (masters push
 //! dependency rows, mirrors assemble their input matrix, then the layer's
 //! tape segment runs) and the backward *compute-synchronize* mode (the
 //! tape segment's input gradient is split into locally-routed rows and
@@ -39,7 +39,7 @@ use ns_gnn::{GnnModel, LayerInput, LayerPrefix, LayerRun};
 use ns_graph::Dataset;
 use ns_metrics::{span, LayerSplit, MetricsFrame, MetricsRecorder, Phase, RunMetrics};
 use ns_net::fault::FaultPlan;
-use ns_net::policy::{Backoff, Budget, CircuitBreaker};
+use ns_net::policy::{Backoff, CircuitBreaker};
 use ns_net::{Endpoint, Fabric, Message, MessageKind, NetError, ParallelEnqueue};
 use ns_tensor::{Adam, AdamState, Optimizer, ParamStore, Sgd, Tensor};
 
@@ -112,9 +112,9 @@ impl Default for ExecConfig {
 ///
 /// The schedule runs through [`ns_net::policy`]: middle retry windows
 /// carry deterministic seeded jitter (two workers stalled by the same
-/// event retry on *different* schedules instead of in lockstep), the
-/// whole operation is clamped by a [`Budget`] equal to the unjittered
-/// window sum, and every peer sits behind a [`CircuitBreaker`] — after
+/// event retry on *different* schedules instead of in lockstep; jitter
+/// only shortens windows, so no operation waits past the unjittered
+/// window sum), and every peer sits behind a [`CircuitBreaker`] — after
 /// `breaker_threshold` consecutive failed receive operations the peer
 /// is failed instantly (no window spent) until `breaker_cooldown_ms`
 /// passes and a half-open probe succeeds.
@@ -482,9 +482,8 @@ impl<'a> RecvCtx<'a> {
 }
 
 /// Receives from `src` under the timeout/retry policy: a jittered
-/// doubling [`Backoff`] walks the windows, a [`Budget`] equal to the
-/// unjittered window sum caps the whole operation (a retry never waits
-/// past it; hitting the cap is metered `net.deadline.exhausted`), and
+/// doubling [`Backoff`] walks the windows (a corrupt frame is re-read
+/// inside its window, so only a timeout costs a retry), and
 /// the peer's [`CircuitBreaker`] short-circuits the operation entirely
 /// while the peer keeps failing. Blocked time goes to the
 /// `net.recv.wait_ns` histogram and spent retries to the
@@ -506,28 +505,14 @@ fn recv_retry(ep: &Endpoint, src: usize, ctx: &RecvCtx<'_>) -> NetResult<Message
     ctx.op_seq.set(op + 1);
     let key = ((src as u64) << 32) ^ op;
     let mut bo = Backoff::new(ctx.rc.timeout_ms, ctx.rc.retries, ctx.jitter_seed, key);
-    let budget = Budget::from_ms(bo.nominal_total_ms());
     let t0 = Instant::now();
     let mut waited_ms = 0u64;
     let res = loop {
-        let Some(want) = bo.next_wait() else {
+        let Some(wait) = bo.next_wait() else {
             break Err(NetError::RecvTimeout { peer: src, waited_ms });
         };
-        let wait = budget.clamp(want);
-        if wait.is_zero() {
-            // Nested retries (e.g. corrupt-frame re-receives) consumed
-            // the operation's whole deadline.
-            ctx.rec.incr("net.deadline.exhausted", 1);
-            break Err(NetError::RecvTimeout { peer: src, waited_ms });
-        }
         match ep.recv_from_timeout(src, wait) {
-            Err(NetError::RecvTimeout { .. }) => {
-                waited_ms += wait.as_millis() as u64;
-            }
-            Err(NetError::CorruptFrame { .. }) => {
-                // Retriable: the sender's clean copy of the same sequence
-                // number is already in flight; spend the next window on it.
-            }
+            Err(NetError::RecvTimeout { .. }) => waited_ms += wait.as_millis() as u64,
             other => break other,
         }
     };
@@ -1498,6 +1483,10 @@ mod tests {
         assert!(injected > 0, "seed 13 at p=0.25 must corrupt something");
         assert_eq!(caught, injected, "every injected flip must be detected");
         assert_eq!(reread, injected, "every detection must be followed by a reread");
+        // The clean copy is re-read inside the receive window that caught
+        // the flip: a corrupt frame costs no retry.
+        let retries: u64 = rm.frames.values().map(|f| f.counter("net.recv.retries")).sum();
+        assert_eq!(retries, 0);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! Every run is metered by the `ns-metrics` recorder: workers time each
 //! phase (dependency exchange, layer compute, gradient sync, optimizer
 //! step) and the fabric's traffic counters are folded into the
-//! [`TrainingReport`](crate::trainer::TrainingReport); [`obs`] bridges
+//! [`TrainingReport`]; [`obs`] bridges
 //! the simulator's busy timeline onto the same trace. See
 //! `docs/OBSERVABILITY.md` for the full catalog.
 

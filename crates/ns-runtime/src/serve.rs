@@ -51,7 +51,7 @@ use ns_graph::{Dataset, Partitioner, Partitioning};
 use ns_metrics::{MetricsFrame, MetricsRecorder, RunMetrics};
 use ns_net::fabric::{Endpoint, Fabric, MessageKind};
 use ns_net::fault::FaultPlan;
-use ns_net::policy::{Budget, CircuitBreaker};
+use ns_net::policy::CircuitBreaker;
 use ns_tensor::{ParamStore, Tensor};
 
 use crate::obs::{export_breaker_stats, export_net_stats};
@@ -1183,7 +1183,7 @@ impl<'a> Shard<'a> {
     /// reply, a mirror read is started in parallel and the first side to
     /// finish wins (`serve.hedge.{issued,wins}`). Returns `None` when the
     /// caller should read the mirror: the mirror won the race, the peer
-    /// is unreachable, or the fetch budget ran out.
+    /// is unreachable, or `fetch_timeout_ms` passed.
     ///
     /// Breaker bookkeeping: a matching peer reply records a success;
     /// a hedge loss, deadline, or dead link records a failure — so a
@@ -1197,7 +1197,7 @@ impl<'a> Shard<'a> {
             return self.fetch_failed(peer);
         }
         let t0 = Instant::now();
-        let budget = Budget::from_ms(cfg.fetch_timeout_ms);
+        let fetch_timeout = Duration::from_millis(cfg.fetch_timeout_ms);
         let hedge_after = Duration::from_micros(self.health.hedge_delay_us(cfg));
         let mut mirror_ready: Option<Instant> = None;
         let d = self.deploy.dataset.feature_dim();
@@ -1231,9 +1231,8 @@ impl<'a> Shard<'a> {
                 self.health.breakers[peer].record_failure();
                 return None;
             }
-            if budget.exhausted() {
+            if t0.elapsed() >= fetch_timeout {
                 self.rec.incr("serve.fetch.timeouts", 1);
-                self.rec.incr("net.deadline.exhausted", 1);
                 return self.fetch_failed(peer);
             }
             std::thread::sleep(Duration::from_micros(20));

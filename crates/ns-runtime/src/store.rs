@@ -1,6 +1,6 @@
 //! Durable, versioned checkpoint store.
 //!
-//! The in-memory [`Checkpoint`](crate::recovery::Checkpoint) survives a
+//! The in-memory [`Checkpoint`] survives a
 //! *worker* failure but not a *process* failure. This module persists each
 //! checkpoint as a numbered **generation** file under a user-chosen
 //! directory (`--ckpt-dir`), so a restarted process — or a rollback whose

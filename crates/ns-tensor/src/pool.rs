@@ -62,7 +62,7 @@ pub struct PoolStats {
     /// requests are metered in `bypass`, not here, so a zero `fresh` delta
     /// means "no new *tensor-sized* buffer touched the allocator".
     pub fresh: u64,
-    /// Requests below [`MIN_POOLED_LEN`] served straight from the
+    /// Requests below `MIN_POOLED_LEN` served straight from the
     /// allocator (scalars and tiny row vectors; never parked).
     pub bypass: u64,
     /// Buffers served from a free list.

@@ -412,7 +412,7 @@ impl Tensor {
 
     /// Returns `self @ other` (matrix product).
     ///
-    /// Cache-blocked and register-tiled (see [`gemm`]): a fixed
+    /// Cache-blocked and register-tiled (see `gemm`): a fixed
     /// ascending-`k` order per output element, so results are
     /// bit-identical at every thread count *and* exactly equal to the
     /// naive `i-j-k` triple loop (pinned by `tests/tiled_equivalence.rs`).
@@ -428,7 +428,7 @@ impl Tensor {
 
     /// Returns `selfᵀ @ other`.
     ///
-    /// No transpose is built: [`gemm`] packs MR-wide Aᵀ micro-panels
+    /// No transpose is built: `gemm` packs MR-wide Aᵀ micro-panels
     /// straight from `self`'s rows, block by block. The per-element
     /// accumulation order (`kk` ascending) is that of
     /// `self.transpose().matmul(other)`.
