@@ -49,7 +49,7 @@ use ns_graph::fx::FxHashMap;
 use ns_graph::khop::khop_in_closure;
 use ns_graph::{Dataset, Partitioner, Partitioning};
 use ns_metrics::{MetricsFrame, MetricsRecorder, RunMetrics};
-use ns_net::fabric::{Endpoint, Fabric, MessageKind};
+use ns_net::fabric::{Endpoint, Fabric, MessageKind, NetError};
 use ns_net::fault::FaultPlan;
 use ns_net::policy::CircuitBreaker;
 use ns_tensor::{ParamStore, Tensor};
@@ -613,8 +613,12 @@ impl<'a> ServeDeployment<'a> {
     }
 }
 
-/// How long an event loop with nothing to do sleeps before polling again.
+/// The longest an event loop waits on one link or the queue before it
+/// turns to its other sources (replies, peers, reply deadlines).
 const IDLE: Duration = Duration::from_micros(50);
+/// The longest one turn of a hedged fetch waits on the awaited peer's
+/// link before it answers other peers and checks the hedge and deadline.
+const FETCH_TURN: Duration = Duration::from_micros(20);
 
 /// The frontend (fabric endpoint 0): admission queue in, batches out,
 /// replies and reroutes back in. [`Frontend::run`] is the stage list.
@@ -704,6 +708,8 @@ impl<'a> Frontend<'a> {
                     let latency_us =
                         p.sched.elapsed().as_micros().min(u64::MAX as u128) as u64;
                     self.rec.observe("serve.latency_us", latency_us);
+                    self.rec
+                        .observe("serve.dispatch_us", p.sent_at.elapsed().as_micros() as u64);
                     self.rec.incr("serve.answers", 1);
                     self.answers.push(Answer { qid, seed: p.seed, class, latency_us });
                 }
@@ -750,14 +756,15 @@ impl<'a> Frontend<'a> {
     /// Admits one batch when under the inflight cap: the first query
     /// opens the adaptive window, the window accretes up to `batch_max`,
     /// the batch is routed. True when the queue is closed and drained.
+    /// Every wait is one `IDLE`-bounded queue wait, so a new query wakes
+    /// the dispatcher at once and a reply is matched within `IDLE` of
+    /// landing, even while a window is open.
     fn admit_batch(&mut self) -> bool {
-        self.rec.observe("serve.queue.depth", self.queue.len() as u64);
         if self.pending.len() >= self.cfg.inflight_cap {
             std::thread::sleep(IDLE);
             return false;
         }
-        let patience = Instant::now() + Duration::from_millis(1);
-        let first = match self.queue.pop_deadline(patience) {
+        let first = match self.queue.pop_deadline(Instant::now() + IDLE) {
             Ok(Some(first)) => first,
             Ok(None) => return false,
             Err(_) => {
@@ -769,12 +776,17 @@ impl<'a> Frontend<'a> {
                 return true;
             }
         };
+        self.rec
+            .observe("serve.queue.depth", self.queue.len() as u64);
         let mut batch = vec![first];
         let window_end = Instant::now() + Duration::from_micros(self.cfg.batch_window_us);
         while batch.len() < self.cfg.batch_max && Instant::now() < window_end {
-            match self.queue.try_pop() {
-                Some(t) => batch.push(t),
-                None => std::thread::sleep(Duration::from_micros(20)),
+            self.drain_replies();
+            let deadline = window_end.min(Instant::now() + IDLE);
+            match self.queue.pop_deadline(deadline) {
+                Ok(Some(t)) => batch.push(t),
+                Ok(None) => {}
+                Err(_) => break, // closed and drained: nothing more can arrive
             }
         }
         self.rec.incr("serve.queries", batch.len() as u64);
@@ -923,24 +935,23 @@ impl<'a> Shard<'a> {
         }
     }
 
-    /// Event loop, until the frontend says stop or a kill fault fires.
-    /// Dropping the endpoint on return is what peers see as
+    /// Event loop, until the frontend says stop or is gone, or a kill
+    /// fault fires. Dropping the endpoint on return is what peers see as
     /// `PeerDisconnected`.
     fn run(mut self) -> MetricsFrame {
-        while let ControlFlow::Continue(batched) = self.poll_frontend() {
-            let served = self.serve_peers(None);
-            if !batched && !served {
-                std::thread::sleep(IDLE);
-            }
+        while self.poll_frontend().is_continue() {
+            self.serve_peers(None);
         }
         self.finish()
     }
 
-    /// Frontend traffic: one inference batch or the shutdown. `Break`
-    /// ends the run; `Continue` says whether a message was handled.
-    fn poll_frontend(&mut self) -> ControlFlow<(), bool> {
-        let Some(msg) = self.ep.try_recv_from(0) else {
-            return ControlFlow::Continue(false);
+    /// Frontend traffic: waits up to `IDLE` for one inference batch or the
+    /// shutdown. `Break` ends the run.
+    fn poll_frontend(&mut self) -> ControlFlow<()> {
+        let msg = match self.ep.recv_from_timeout(0, IDLE) {
+            Ok(msg) => msg,
+            Err(NetError::RecvTimeout { .. }) => return ControlFlow::Continue(()),
+            Err(_) => return ControlFlow::Break(()),
         };
         match msg.kind {
             MessageKind::Query { qids, verts } => {
@@ -956,27 +967,30 @@ impl<'a> Shard<'a> {
             }
             _ => {}
         }
-        ControlFlow::Continue(true)
+        ControlFlow::Continue(())
     }
 
-    /// Peer traffic: polls every peer shard but `except` once. True when
-    /// anything arrived.
-    fn serve_peers(&mut self, except: Option<usize>) -> bool {
-        let mut worked = false;
+    /// Peer traffic: polls every peer shard but `except` once, without
+    /// waiting. A gone peer asks for nothing.
+    fn serve_peers(&mut self, except: Option<usize>) {
         for src in 1..self.ep.world() {
             if src != self.ep.id() && Some(src) != except {
-                worked |= self.poll_peer(src).is_some();
+                let _ = self.poll_peer(src, Duration::ZERO);
             }
         }
-        worked
     }
 
-    /// One non-blocking receive from peer shard `src`. A layer-0 feature
-    /// fetch is answered on the spot with a `Rows` reply, in the event
-    /// loop and inside a fetch of this shard's own alike. What arrived is
-    /// handed back for the fetch in flight that awaits its `Rows`.
-    fn poll_peer(&mut self, src: usize) -> Option<MessageKind> {
-        let kind = self.ep.try_recv_from(src)?.kind;
+    /// One receive from peer shard `src`, waiting at most `wait`. A
+    /// layer-0 feature fetch is answered on the spot with a `Rows` reply,
+    /// in the event loop and inside a fetch of this shard's own alike.
+    /// What arrived is handed back for the fetch in flight that awaits
+    /// its `Rows`; `Err` means the peer is gone.
+    fn poll_peer(&mut self, src: usize, wait: Duration) -> Result<Option<MessageKind>, NetError> {
+        let kind = match self.ep.recv_from_timeout(src, wait) {
+            Ok(msg) => msg.kind,
+            Err(NetError::RecvTimeout { .. }) => return Ok(None),
+            Err(e) => return Err(e),
+        };
         if let MessageKind::Query { qids, verts } = &kind {
             if qids.is_empty() {
                 let features = &self.deploy.dataset.features;
@@ -997,7 +1011,7 @@ impl<'a> Shard<'a> {
                 let _ = self.ep.send(src, rows);
             }
         }
-        Some(kind)
+        Ok(Some(kind))
     }
 
     /// The one exit, for a kill as for a shutdown: folds the cache,
@@ -1176,8 +1190,9 @@ impl<'a> Shard<'a> {
         ControlFlow::Continue(())
     }
 
-    /// One hedged peer fetch: ships the want-list, then polls for the
-    /// `Rows` reply while *also servicing incoming fetches* — two
+    /// One hedged peer fetch: ships the want-list, then waits on the
+    /// peer's link, `FETCH_TURN` at a time, for the `Rows` reply while
+    /// *also servicing incoming fetches* between turns — two
     /// shards fetching from each other, or a fetch cycle across three or
     /// more, must not deadlock. After a p99-derived hedge delay with no
     /// reply, a mirror read is started in parallel and the first side to
@@ -1202,8 +1217,8 @@ impl<'a> Shard<'a> {
         let mut mirror_ready: Option<Instant> = None;
         let d = self.deploy.dataset.feature_dim();
         loop {
-            match self.poll_peer(peer) {
-                Some(MessageKind::Rows { ids, data, .. }) if ids == want => {
+            match self.poll_peer(peer, FETCH_TURN) {
+                Ok(Some(MessageKind::Rows { ids, data, .. })) if ids == want => {
                     if data.len() != want.len() * d {
                         return self.fetch_failed(peer);
                     }
@@ -1215,8 +1230,10 @@ impl<'a> Shard<'a> {
                 // abandoned — a healed flap can deliver it long after the
                 // hedge won. Discard and keep waiting for the answer to
                 // *this* want-list.
-                Some(MessageKind::Rows { .. }) => self.rec.incr("serve.fetch.stale", 1),
-                _ => {}
+                Ok(Some(MessageKind::Rows { .. })) => self.rec.incr("serve.fetch.stale", 1),
+                Ok(_) => {}
+                // The owner is gone: no reply can come, so fail now.
+                Err(_) => return self.fetch_failed(peer),
             }
             self.serve_peers(Some(peer));
             if mirror_ready.is_none() && t0.elapsed() >= hedge_after {
@@ -1235,7 +1252,6 @@ impl<'a> Shard<'a> {
                 self.rec.incr("serve.fetch.timeouts", 1);
                 return self.fetch_failed(peer);
             }
-            std::thread::sleep(Duration::from_micros(20));
         }
     }
 
@@ -1446,8 +1462,52 @@ mod tests {
                     }
                     assert!(parts <= whole.sum, "stages {parts} > batch {} ({run})", whole.sum);
                 }
+                // The frontend's legs partition each query's latency the
+                // same way: the queue wait (window included) ends where the
+                // query is routed, and the dispatch leg starts there.
+                let front = &report.metrics.frames[&0];
+                let leg = |key: &str| &front.histograms[key];
+                let dispatch = leg("serve.dispatch_us");
+                assert_eq!(dispatch.count, front.counter("serve.answers"), "{run}");
+                let legs = leg("serve.queue.wait_us").sum + dispatch.sum;
+                let whole = leg("serve.latency_us").sum;
+                assert!(legs <= whole, "queue + dispatch {legs} > latency {whole} ({run})");
             }
         }
+    }
+
+    #[test]
+    fn replies_are_matched_while_a_batch_window_is_open() {
+        let (ds, model) = cora_deploy();
+        let mut fault = FaultPlan::default();
+        fault.push_spec("delay:reply:40ms@w1-w0").unwrap();
+        let cfg = ServeConfig {
+            shards: 1,
+            batch_window_us: 200_000,
+            reply_timeout_ms: 5_000,
+            fault,
+            ..ServeConfig::default()
+        };
+        let deploy = ServeDeployment::new(&ds, &model, model.fresh_store(), cfg).unwrap();
+        // q0's window closes at ~200 ms and its reply lands at ~240 ms,
+        // inside the window q1 opens at ~220 ms.
+        let report = deploy
+            .run_driver(|queue, _| {
+                for qid in 0..2u32 {
+                    if qid == 1 {
+                        std::thread::sleep(Duration::from_millis(220));
+                    }
+                    let now = Instant::now();
+                    let ticket = QueryTicket { qid, seed: qid, sched: now, enqueued: now };
+                    queue.try_push(ticket).unwrap();
+                }
+                2
+            })
+            .unwrap();
+        assert_eq!(report.answers.len(), 2);
+        let q0 = report.answers.iter().find(|a| a.qid == 0).unwrap();
+        // Matched only once q1's window closes, q0 would read ~420 ms.
+        assert!(q0.latency_us < 330_000, "q0 answered after {} µs", q0.latency_us);
     }
 
     #[test]
@@ -1493,9 +1553,12 @@ mod tests {
         let mut fault = FaultPlan::default();
         // Shard at endpoint 2 dies when it sees query id >= 40.
         fault.push_spec("kill:w2@e40").unwrap();
+        // A patient deadline: the survivor answers the rerouted queries as
+        // one batch, which the tests running beside this one can starve
+        // past 150 ms, and a live shard must not be declared dead.
         let cfg = ServeConfig {
             shards: 2,
-            reply_timeout_ms: 150,
+            reply_timeout_ms: 1_000,
             fault,
             ..ServeConfig::default()
         };
