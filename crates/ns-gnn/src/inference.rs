@@ -60,8 +60,7 @@ pub fn infer(dataset: &Dataset, model: &GnnModel, store: &ParamStore) -> Inferen
     let topo = full_graph_topology(dataset);
     let mut h = dataset.features.clone();
     for lz in 0..model.num_layers() {
-        let run = model.layer(lz).forward(store, &topo, LayerInput::Constant(h));
-        h = run.output().clone();
+        h = model.layer(lz).forward(store, &topo, LayerInput::Constant(h)).into_output();
     }
     let predictions = h.argmax_rows();
     let acc = |mask: &[bool]| {

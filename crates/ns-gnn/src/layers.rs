@@ -89,6 +89,12 @@ impl LayerRun {
         self.tape.value(self.output)
     }
 
+    /// The layer's output values, moved out of a run that is done with
+    /// (inference: no backward pass follows).
+    pub fn into_output(mut self) -> Tensor {
+        self.tape.take_value(self.output)
+    }
+
     /// FLOPs spent by the forward pass.
     pub fn forward_flops(&self) -> u64 {
         self.forward_flops
@@ -658,8 +664,8 @@ mod tests {
         let mut r = rng();
         let layer = GcnLayer::new(&mut store, "l", 1, 1, false, &mut r);
         let (wid, bid) = layer.lin.param_ids();
-        *store.value_mut(wid) = Tensor::scalar(2.0);
-        *store.value_mut(bid) = Tensor::scalar(1.0);
+        store.replace(wid, Tensor::scalar(2.0));
+        store.replace(bid, Tensor::scalar(1.0));
         let t = topo();
         let h = Tensor::from_vec(4, 1, vec![1., 2., 3., 4.]);
         let run = layer.forward(&store, &t, LayerInput::Constant(h));
@@ -699,7 +705,7 @@ mod tests {
         let mut store = ParamStore::new();
         let mut r = rng();
         let layer = GatLayer::new(&mut store, "gat", 2, 2, false, &mut r);
-        *store.value_mut(layer.heads[0].w) = Tensor::from_vec(2, 2, vec![1., 0., 0., 1.]);
+        store.replace(layer.heads[0].w, Tensor::from_vec(2, 2, vec![1., 0., 0., 1.]));
         let t = topo();
         let h = Tensor::full(4, 2, 3.0);
         let run = layer.forward(&store, &t, LayerInput::Constant(h));
@@ -719,13 +725,13 @@ mod tests {
         let eye = Tensor::from_vec(2, 2, vec![1., 0., 0., 1.]);
         for (i, lin) in layer.mlp.layers().iter().enumerate() {
             let (w, b) = lin.param_ids();
-            *store.value_mut(w) = eye.clone();
-            *store.value_mut(b) = Tensor::full(1, 2, if i == 0 { 10.0 } else { 0.0 });
+            store.replace(w, eye.clone());
+            store.replace(b, Tensor::full(1, 2, if i == 0 { 10.0 } else { 0.0 }));
         }
         let t = topo();
         let h = input(4, 2);
         let base = layer.forward(&store, &t, LayerInput::Constant(h.clone())).output().clone();
-        *store.value_mut(layer.eps) = Tensor::scalar(1.0);
+        store.replace(layer.eps, Tensor::scalar(1.0));
         let shifted =
             layer.forward(&store, &t, LayerInput::Constant(h.clone())).output().clone();
         // Difference is exactly ε · h_self pushed through the affine map.

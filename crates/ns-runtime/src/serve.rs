@@ -281,7 +281,8 @@ impl<T> SubmitQueue<T> {
 /// Per-shard LRU cache of fetched feature rows, with hit/miss/eviction
 /// meters. Lazy LRU: every touch appends `(vertex, tick)` to a recency
 /// queue; eviction pops stale entries until it finds one whose tick
-/// matches the live map.
+/// matches the live map. A queue past `2 × len() + 64` entries drops its
+/// stale ones in order, so a cache that never fills stays bounded too.
 pub struct FeatureCache {
     cap: usize,
     map: FxHashMap<u32, (Vec<f32>, u64)>,
@@ -330,7 +331,7 @@ impl FeatureCache {
         match self.map.get_mut(&v) {
             Some((_, t)) => {
                 *t = tick;
-                self.recency.push_back((v, tick));
+                self.touch(v, tick);
                 self.hits += 1;
                 Some(&self.map[&v].0)
             }
@@ -353,8 +354,19 @@ impl FeatureCache {
                 self.evictions += 1;
             }
         }
-        self.recency.push_back((v, self.tick));
         self.map.insert(v, (row, self.tick));
+        self.touch(v, self.tick);
+    }
+
+    /// Records a touch of `v` at `tick` (already its tick in the map).
+    /// Stale entries are the ones [`FeatureCache::pop_lru`] would skip, so
+    /// dropping them changes no eviction.
+    fn touch(&mut self, v: u32, tick: u64) {
+        self.recency.push_back((v, tick));
+        if self.recency.len() > 2 * self.map.len() + 64 {
+            let live = |&(v, t): &(u32, u64)| self.map.get(&v).is_some_and(|(_, lt)| *lt == t);
+            self.recency.retain(live);
+        }
     }
 
     /// Drops least-recently-used rows until at most `target` remain.
@@ -1151,12 +1163,10 @@ impl<'a> Shard<'a> {
                 .collect();
             let dst_in_rows: Vec<u32> = dst_set.iter().map(|&v| row_of(v)).collect();
             let topo = LayerTopology::from_adjacency(src_set.len(), &lists, dst_in_rows);
-            let run = model.layer(lz).forward(
-                &self.deploy.params,
-                &topo,
-                LayerInput::Constant(h),
-            );
-            h = run.output().clone();
+            h = model
+                .layer(lz)
+                .forward(&self.deploy.params, &topo, LayerInput::Constant(h))
+                .into_output();
         }
         // cum[0] is the sorted, deduped seed set; map each query seed to
         // its row.
@@ -1332,6 +1342,22 @@ mod tests {
         assert_eq!(c.hits, 3);
         assert_eq!(c.misses, 2);
         assert_eq!(c.len(), 2);
+    }
+
+    #[test]
+    fn feature_cache_recency_stays_bounded_when_it_never_fills() {
+        let mut c = FeatureCache::new(4096);
+        c.insert(7, vec![7.0]);
+        c.insert(8, vec![8.0]);
+        for _ in 0..10_000 {
+            assert_eq!(c.lookup(7).unwrap(), &[7.0]);
+            assert!(c.recency.len() <= 2 * c.len() + 64, "{}", c.recency.len());
+        }
+        assert_eq!(c.hits, 10_000);
+        // 8 is still the least recent row.
+        assert_eq!(c.shed_to(1), 1);
+        assert!(c.lookup(8).is_none());
+        assert!(c.lookup(7).is_some());
     }
 
     #[test]

@@ -31,6 +31,7 @@
 //! [`CheckpointError::CrcMismatch`].
 
 use std::io::{self, Write};
+use std::sync::Arc;
 
 use crate::nn::ParamStore;
 use crate::optim::AdamState;
@@ -169,9 +170,9 @@ pub fn restore_into(store: &mut ParamStore, bytes: &[u8]) -> Result<(), Checkpoi
             return Err(mismatch(format!("shape mismatch for {name:?}")));
         }
     }
-    for (_, name, value) in loaded.iter() {
+    for (lid, name, _) in loaded.iter() {
         let id = store.find(name).expect("validated above");
-        *store.value_mut(id) = value.clone();
+        store.replace(id, Arc::clone(&loaded.values[lid.index()]));
     }
     Ok(())
 }
@@ -326,7 +327,7 @@ mod tests {
         let mut fresh = sample_store();
         // Perturb, then restore.
         let id = fresh.find("eps").unwrap();
-        *fresh.value_mut(id) = Tensor::scalar(99.0);
+        fresh.replace(id, Tensor::scalar(99.0));
         restore_into(&mut fresh, &buf).unwrap();
         assert_eq!(fresh.value(id).scalar_value(), 0.25);
     }

@@ -3,14 +3,22 @@
 //!
 //! A [`ParamStore`] owns the *values* of all trainable parameters of a
 //! model. Stores are replicated on every worker (NeutronStar keeps model
-//! parameters synchronized via all-reduce), so the store is cheaply
-//! cloneable and gradients are carried in a parallel `Vec<Tensor>` keyed by
-//! [`ParamId`].
+//! parameters synchronized via all-reduce), and gradients are carried in a
+//! parallel `Vec<Tensor>` keyed by [`ParamId`].
+//!
+//! Values are shared, copy-on-write (`Arc<Tensor>`): cloning a store copies
+//! pointers, not weights. [`ParamStore::value_mut`] copies a value only
+//! while another holder (a cloned store, a checkpoint, a live tape) still
+//! reads it, and that holder keeps the old value; [`ParamStore::replace`]
+//! copies nothing.
 //!
 //! Because a fresh [`Tape`] is built per layer per epoch,
 //! parameters are *bound* onto a tape as leaves through a [`Bindings`]
-//! scratch object; after the backward pass, `Bindings::collect_grads`
-//! drains the leaves' gradients back into the id-indexed gradient vector.
+//! scratch object — the store's own tensor, not a copy; after the backward
+//! pass, `Bindings::collect_grads` drains the leaves' gradients back into
+//! the id-indexed gradient vector.
+
+use std::sync::Arc;
 
 use ns_rand::StdRng;
 
@@ -58,7 +66,7 @@ impl Init {
 #[derive(Debug, Clone, Default)]
 pub struct ParamStore {
     names: Vec<String>,
-    values: Vec<Tensor>,
+    pub(crate) values: Vec<Arc<Tensor>>,
 }
 
 impl ParamStore {
@@ -75,7 +83,7 @@ impl ParamStore {
             "duplicate parameter name {name:?}"
         );
         self.names.push(name);
-        self.values.push(value);
+        self.values.push(Arc::new(value));
         ParamId(self.values.len() - 1)
     }
 
@@ -94,9 +102,15 @@ impl ParamStore {
         &self.values[id.0]
     }
 
-    /// Mutable parameter value by id.
+    /// Mutable parameter value by id: copied first if anyone else shares
+    /// it, so they keep reading the value as it was.
     pub fn value_mut(&mut self, id: ParamId) -> &mut Tensor {
-        &mut self.values[id.0]
+        Arc::make_mut(&mut self.values[id.0])
+    }
+
+    /// Installs `value` as parameter `id`'s value, copying nothing.
+    pub fn replace(&mut self, id: ParamId, value: impl Into<Arc<Tensor>>) {
+        self.values[id.0] = value.into();
     }
 
     /// Parameter name by id.
@@ -115,7 +129,7 @@ impl ParamStore {
             .iter()
             .zip(self.values.iter())
             .enumerate()
-            .map(|(i, (n, v))| (ParamId(i), n.as_str(), v))
+            .map(|(i, (n, v))| (ParamId(i), n.as_str(), &**v))
     }
 
     /// A zeroed gradient vector parallel to this store.
@@ -128,12 +142,12 @@ impl ParamStore {
 
     /// Total number of scalar parameters.
     pub fn scalar_count(&self) -> usize {
-        self.values.iter().map(Tensor::len).sum()
+        self.values.iter().map(|v| v.len()).sum()
     }
 
     /// Total parameter payload in bytes (used to meter all-reduce traffic).
     pub fn payload_bytes(&self) -> u64 {
-        self.values.iter().map(Tensor::payload_bytes).sum()
+        self.values.iter().map(|v| v.payload_bytes()).sum()
     }
 }
 
@@ -149,14 +163,14 @@ impl Bindings {
         Self::default()
     }
 
-    /// Binds parameter `id` onto `tape` as a leaf, memoizing so repeated
-    /// binds of the same parameter share one leaf (and thus accumulate
-    /// gradients correctly).
+    /// Binds parameter `id` onto `tape` as a leaf holding the store's own
+    /// tensor (no copy), memoizing so repeated binds of the same parameter
+    /// share one leaf (and thus accumulate gradients correctly).
     pub fn bind(&mut self, tape: &mut Tape, store: &ParamStore, id: ParamId) -> Var {
         if let Some(&(_, v)) = self.bound.iter().find(|(p, _)| *p == id) {
             return v;
         }
-        let var = tape.leaf(store.value(id).clone());
+        let var = tape.leaf_shared(Arc::clone(&store.values[id.0]));
         self.bound.push((id, var));
         var
     }
@@ -297,6 +311,7 @@ impl Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optim::{Optimizer, Sgd};
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(7)
@@ -364,6 +379,61 @@ mod tests {
         let v2 = binds.bind(&mut tape, &store, id);
         assert_eq!(v1, v2);
         assert_eq!(tape.len(), 1);
+    }
+
+    #[test]
+    fn a_bound_leaf_is_the_stores_tensor() {
+        let mut store = ParamStore::new();
+        let id = store.register("w", Tensor::full(3, 2, 0.5));
+        let mut tape = Tape::new();
+        let v = Bindings::new().bind(&mut tape, &store, id);
+        assert!(std::ptr::eq(tape.value(v), store.value(id)));
+    }
+
+    #[test]
+    fn a_tape_bound_before_a_step_reads_the_old_value() {
+        let mut store = ParamStore::new();
+        let id = store.register("w", Tensor::full(2, 2, 1.0));
+        let mut tape = Tape::new();
+        let v = Bindings::new().bind(&mut tape, &store, id);
+        store.value_mut(id).data_mut()[0] = 5.0;
+        assert_eq!(tape.value(v).data(), &[1.0; 4]);
+        assert_eq!(store.value(id).data(), &[5.0, 1.0, 1.0, 1.0]);
+        // Once the tape is gone the store writes its value in place.
+        drop(tape);
+        let at = store.value(id) as *const Tensor;
+        store.value_mut(id).data_mut()[1] = 6.0;
+        assert!(std::ptr::eq(store.value(id), at));
+    }
+
+    #[test]
+    fn a_cloned_store_is_untouched_by_a_step_on_the_original() {
+        let mut store = ParamStore::new();
+        let mut r = rng();
+        let lin = Linear::new(&mut store, "l", 4, 3, &mut r);
+        let (w, _) = lin.param_ids();
+        let copy = store.clone();
+        assert!(std::ptr::eq(copy.value(w), store.value(w)), "a clone copies no weights");
+        let before = copy.value(w).clone();
+        let grads: Vec<Tensor> =
+            store.iter().map(|(_, _, v)| Tensor::full(v.rows(), v.cols(), 1.0)).collect();
+        Sgd::new(0.5).step(&mut store, &grads);
+        assert_eq!(copy.value(w).data(), before.data());
+        assert_ne!(store.value(w).data(), before.data());
+    }
+
+    #[test]
+    fn replacing_a_value_copies_nothing() {
+        let mut store = ParamStore::new();
+        let id = store.register("w", Tensor::full(4, 4, 1.0));
+        let copy = store.clone();
+        let old = store.value(id) as *const Tensor;
+        let new = Arc::new(Tensor::full(4, 4, 2.0));
+        store.replace(id, Arc::clone(&new));
+        // The store holds the very tensor it was given; the clone still
+        // reads the very tensor the store held.
+        assert!(std::ptr::eq(store.value(id), &*new));
+        assert!(std::ptr::eq(copy.value(id), old));
     }
 
     #[test]

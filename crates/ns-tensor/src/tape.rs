@@ -107,7 +107,9 @@ impl Op {
 
 struct Node {
     op: Op,
-    value: Tensor,
+    /// Shared only by a [`Tape::leaf_shared`]; every other value is the
+    /// tape's alone.
+    value: Arc<Tensor>,
     grad: Option<Tensor>,
     /// Does any [`Tape::leaf`] feed this node? Fixed when the node is
     /// recorded; the backward pass computes a gradient for a node only if
@@ -223,10 +225,10 @@ impl Tape {
     /// nodes, so the backward pass never walks the graph to find out.
     fn push(&mut self, op: Op, value: Tensor, flops: u64) -> Var {
         let needs_grad = op.operands().iter().flatten().any(|v| self.nodes[v.0].needs_grad);
-        self.push_node(op, value, flops, needs_grad)
+        self.push_node(op, Arc::new(value), flops, needs_grad)
     }
 
-    fn push_node(&mut self, op: Op, value: Tensor, flops: u64, needs_grad: bool) -> Var {
+    fn push_node(&mut self, op: Op, value: Arc<Tensor>, flops: u64, needs_grad: bool) -> Var {
         let now = Instant::now();
         let dt = now.duration_since(self.last_event).as_nanos() as u64;
         self.last_event = now;
@@ -243,6 +245,13 @@ impl Tape {
     /// Records a leaf holding `value`. Leaves accumulate gradients, which
     /// the caller reads back with [`Tape::grad`] / [`Tape::take_grad`].
     pub fn leaf(&mut self, value: Tensor) -> Var {
+        self.push_node(Op::Leaf, Arc::new(value), 0, true)
+    }
+
+    /// A [`Tape::leaf`] that shares `value` instead of owning a copy: the
+    /// tape keeps the tensor alive, and whoever else holds it sees no write
+    /// through the tape (nothing writes a leaf's value).
+    pub fn leaf_shared(&mut self, value: Arc<Tensor>) -> Var {
         self.push_node(Op::Leaf, value, 0, true)
     }
 
@@ -252,7 +261,7 @@ impl Tape {
     /// any node that depends on constants alone, and its [`Tape::grad`]
     /// stays `None`.
     pub fn constant(&mut self, value: Tensor) -> Var {
-        self.push_node(Op::Leaf, value, 0, false)
+        self.push_node(Op::Leaf, Arc::new(value), 0, false)
     }
 
     /// The forward value of `v`.
@@ -262,9 +271,11 @@ impl Tape {
 
     /// Moves the forward value of `v` out of the tape, leaving an empty
     /// tensor behind: for a caller that is done with the tape and wants a
-    /// value it recorded back without copying it.
+    /// value it recorded back without copying it (a shared value is
+    /// copied only if its other holders are still alive).
     pub fn take_value(&mut self, v: Var) -> Tensor {
-        std::mem::replace(&mut self.nodes[v.0].value, Tensor::from_vec(0, 0, Vec::new()))
+        let empty = Arc::new(Tensor::from_vec(0, 0, Vec::new()));
+        Arc::unwrap_or_clone(std::mem::replace(&mut self.nodes[v.0].value, empty))
     }
 
     /// Whether a backward pass computes a gradient for `v`: true iff some

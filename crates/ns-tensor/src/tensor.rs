@@ -56,6 +56,11 @@ pub const KC: usize = 256;
 /// against every B panel of the k-block.
 #[doc(hidden)]
 pub const MC: usize = 32;
+/// Most rows of `A` for which [`Tensor::matmul`] reads `B` in place: the
+/// single-thread sweep of DESIGN.md §14 has in place at 0.3–0.8× the
+/// packed time up to 16 rows, 0.9–1.1× at 32 and past 1× from 64.
+#[doc(hidden)]
+pub const IN_PLACE_ROWS: usize = 16;
 
 /// `dst[..w] = src[..w]` for a tile strip of `w <= NR` floats. The
 /// full-width case is a fixed-size copy (two vector moves); a `memcpy`
@@ -96,19 +101,23 @@ fn is_zero_row(row: &[f32]) -> bool {
 /// holds step `steps[s]`. Panels keep their `k x NR` stride whatever the
 /// count, so the pooled buffer's length never depends on the data; strips
 /// past the count are stale and never read.
+///
+/// Panels start at column `j0` (a multiple of NR); a few-row `matmul`
+/// packs only the column tail, `gemm` reading the full strips in place.
 fn pack_b_panels(
     b: &[f32],
     k: usize,
     m: usize,
     transposed: bool,
     steps: impl Iterator<Item = usize> + Clone,
+    j0: usize,
 ) -> Vec<f32> {
-    let mut bp = crate::pool::take_scratch(m.div_ceil(NR) * k * NR);
+    let mut bp = crate::pool::take_scratch((m - j0).div_ceil(NR) * k * NR);
     if k == 0 {
         return bp;
     }
     for (jt, panel) in bp.chunks_exact_mut(k * NR).enumerate() {
-        let j = jt * NR;
+        let j = j0 + jt * NR;
         let w = NR.min(m - j);
         for (kk, strip) in steps.clone().zip(panel.chunks_exact_mut(NR)) {
             if transposed {
@@ -124,21 +133,21 @@ fn pack_b_panels(
     bp
 }
 
-/// The one micro-kernel: `acc + A_tile @ panel` over the panel's `k`
+/// The one micro-kernel: `acc + A_tile @ B_strips` over the tile's `k`
 /// steps, ascending. `a` yields the tile's MR scalars of `A` per step;
-/// each is broadcast against the contiguous NR-wide strip of `b`, a
-/// multiply and an add per register (rustc never contracts them into an
-/// FMA, which is what bit-exactness rests on). Zipping the two streams
-/// leaves no bounds check in the loop, and taking the accumulators by
-/// value keeps them in registers whatever the caller does with its copy.
+/// each is broadcast against that step's NR-wide strip of `B` (from a
+/// packed panel, or from `B`'s row itself), a multiply and an add per
+/// register (rustc never contracts them into an FMA, which is what
+/// bit-exactness rests on). Zipping the two streams leaves no bounds
+/// check in the loop, and taking the accumulators by value keeps them in
+/// registers whatever the caller does with its copy.
 #[inline(always)]
-fn micro_kernel(
-    panel: &[f32],
+fn micro_kernel<'b>(
+    strips: impl Iterator<Item = &'b [f32; NR]>,
     a: impl Iterator<Item = [f32; MR]>,
     mut acc: [[f32; NR]; MR],
 ) -> [[f32; NR]; MR] {
-    for (strip, xs) in panel.chunks_exact(NR).zip(a) {
-        let b: &[f32; NR] = strip.try_into().expect("chunks_exact(NR)");
+    for (b, xs) in strips.zip(a) {
         for t in 0..MR {
             for u in 0..NR {
                 acc[t][u] += xs[t] * b[u];
@@ -150,7 +159,10 @@ fn micro_kernel(
 
 /// The one dense product behind `matmul` / `matmul_tn` / `matmul_nt`:
 /// `out = A @ B`, `n x k` by `k x m`, with `B` supplied as the packed
-/// panels `bp` of [`pack_b_panels`]. `A` is `a` itself (`n x k`
+/// panels `bp` of [`pack_b_panels`] — or, for a `matmul` of at most
+/// [`IN_PLACE_ROWS`] rows, as `b_rows` (`B` row-major itself): the kernel
+/// then takes each full-width strip from `B`'s row `kk` in place, and `bp`
+/// holds the column-tail panel alone. `A` is `a` itself (`n x k`
 /// row-major) or — `A_TRANSPOSED` — the transpose of `a` (`k x n`
 /// row-major), which is never materialized: each `(pc, ic)` block packs
 /// its MR-wide Aᵀ micro-panels straight from `a`'s rows into a stack
@@ -172,6 +184,7 @@ fn micro_kernel(
 /// exact. The plain instance runs every step and ignores `kept`.
 fn gemm<const A_TRANSPOSED: bool>(
     a: &[f32],
+    b_rows: Option<&[f32]>,
     bp: Vec<f32>,
     n: usize,
     k: usize,
@@ -179,6 +192,7 @@ fn gemm<const A_TRANSPOSED: bool>(
     kept: &[usize],
 ) -> Tensor {
     let depth = if A_TRANSPOSED { kept.len() } else { k };
+    let j0 = b_rows.map_or(0, |_| m - m % NR);
     // No k-block runs over an empty inner dimension: the empty sum is +0.0.
     let mut out = if depth == 0 {
         Tensor::zeros(n, m)
@@ -207,10 +221,14 @@ fn gemm<const A_TRANSPOSED: bool>(
                         }
                     }
                 }
-                for (jt, bpanel) in bp.chunks_exact(k * NR).enumerate() {
-                    let j = jt * NR;
+                for j in (0..m).step_by(NR) {
                     let w = NR.min(m - j);
-                    let panel = &bpanel[pc * NR..][..kc * NR];
+                    // A strip read in place has no packed panel.
+                    let panel: &[f32] =
+                        if j < j0 { &[] } else { &bp[(j - j0) * k + pc * NR..][..kc * NR] };
+                    let packed = || {
+                        panel.chunks_exact(NR).map(|s| s.try_into().expect("chunks_exact(NR)"))
+                    };
                     for ir in (ic..ic + mc).step_by(MR) {
                         let mr = MR.min(ic + mc - ir);
                         let mut acc = [[0.0f32; NR]; MR];
@@ -222,7 +240,7 @@ fn gemm<const A_TRANSPOSED: bool>(
                         let acc = if A_TRANSPOSED {
                             let at = ap[(ir - ic) * kc..][..MR * kc].chunks_exact(MR);
                             let at = at.map(|q| q.try_into().expect("chunks_exact(MR)"));
-                            micro_kernel(panel, at, acc)
+                            micro_kernel(packed(), at, acc)
                         } else {
                             // A row tail re-reads its last row; those
                             // accumulator rows are never stored.
@@ -231,7 +249,14 @@ fn gemm<const A_TRANSPOSED: bool>(
                             });
                             let steps = r0.iter().zip(r1).zip(r2).zip(r3);
                             let steps = steps.map(|(((a, b), c), d)| [*a, *b, *c, *d]);
-                            micro_kernel(panel, steps, acc)
+                            match b_rows {
+                                Some(b) if j < j0 => {
+                                    let rows = b[pc * m + j..].chunks(m);
+                                    let strips = rows.map(|r| r.first_chunk().expect("j + NR <= m"));
+                                    micro_kernel(strips, steps, acc)
+                                }
+                                _ => micro_kernel(packed(), steps, acc),
+                            }
                         };
                         for t in 0..mr {
                             copy_strip(&mut orows[(ir + t) * m + j..], &acc[t], w);
@@ -416,6 +441,7 @@ impl Tensor {
     /// ascending-`k` order per output element, so results are
     /// bit-identical at every thread count *and* exactly equal to the
     /// naive `i-j-k` triple loop (pinned by `tests/tiled_equivalence.rs`).
+    /// Up to [`IN_PLACE_ROWS`] rows it reads `other` in place, unpacked.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         assert_eq!(
             self.cols, other.rows,
@@ -423,7 +449,10 @@ impl Tensor {
             self.rows, self.cols, other.rows, other.cols
         );
         let (n, k, m) = (self.rows, self.cols, other.cols);
-        gemm::<false>(&self.data, pack_b_panels(&other.data, k, m, false, 0..k), n, k, m, &[])
+        let b_rows = (n <= IN_PLACE_ROWS).then_some(&other.data[..]);
+        let j0 = b_rows.map_or(0, |_| m - m % NR);
+        let bp = pack_b_panels(&other.data, k, m, false, 0..k, j0);
+        gemm::<false>(&self.data, b_rows, bp, n, k, m, &[])
     }
 
     /// Returns `selfᵀ @ other`.
@@ -463,8 +492,8 @@ impl Tensor {
         let finite = |r: usize| self.row(r).iter().all(|v| v.is_finite());
         let kept: Vec<usize> =
             (0..k).filter(|&r| !(is_zero_row(other.row(r)) && finite(r))).collect();
-        let bp = pack_b_panels(&other.data, k, m, false, kept.iter().copied());
-        let out = gemm::<true>(&self.data, bp, n, k, m, &kept);
+        let bp = pack_b_panels(&other.data, k, m, false, kept.iter().copied(), 0);
+        let out = gemm::<true>(&self.data, None, bp, n, k, m, &kept);
         (out, (k - kept.len()) as u64)
     }
 
@@ -481,7 +510,8 @@ impl Tensor {
             self.rows, self.cols, other.rows, other.cols
         );
         let (n, k, m) = (self.rows, self.cols, other.rows);
-        gemm::<false>(&self.data, pack_b_panels(&other.data, k, m, true, 0..k), n, k, m, &[])
+        let bp = pack_b_panels(&other.data, k, m, true, 0..k, 0);
+        gemm::<false>(&self.data, None, bp, n, k, m, &[])
     }
 
     /// Materialized transpose (cache-blocked).

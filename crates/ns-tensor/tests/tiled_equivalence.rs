@@ -2,7 +2,8 @@
 //! triple-loop reference.
 //!
 //! The one GEMM of `tensor.rs` (k-blocks of KC, row blocks of MC, MR x NR
-//! accumulator tiles over packed, zero-padded B panels) promises
+//! accumulator tiles over packed, zero-padded B panels, or over B's own
+//! rows for a product of few rows) promises
 //! *bit-identical* results to the textbook `i-j-k` loop: blocking regroups
 //! which output elements a step computes and parks partial sums in the
 //! output between k-blocks, never changing the per-element ascending-`k`
@@ -12,7 +13,7 @@
 //! tails, full NR-column panels, and column tails — and across every
 //! KC / MC / NR block boundary.
 
-use ns_tensor::tensor::{KC, MC, NR};
+use ns_tensor::tensor::{IN_PLACE_ROWS, KC, MC, NR};
 use ns_tensor::Tensor;
 use ns_rand::StdRng;
 
@@ -171,6 +172,31 @@ fn tiled_matmul_equals_naive_reference_above_parallel_threshold() {
                     &reference[..],
                     "{name} k={k}, {threads} threads"
                 );
+            }
+        }
+    }
+    ns_par::set_threads(1);
+}
+
+#[test]
+fn few_row_matmul_reads_b_in_place_exactly() {
+    // Up to IN_PLACE_ROWS rows, `matmul` takes B's full-width strips from
+    // B itself and packs only the column tail; one row past it, it packs
+    // everything. Both sides of the limit, one k-block and three, widths
+    // with no full strip, a tail, and none, up to 8 threads (1433 x 128
+    // clears the parallel threshold even at one row).
+    let mut rng = StdRng::seed_from_u64(0x1A9E);
+    for n in [1, 3, IN_PLACE_ROWS, IN_PLACE_ROWS + 1] {
+        for k in [1433, 2 * KC + 5] {
+            for m in [7, 61, 128] {
+                let a = rand_tensor(&mut rng, n, k);
+                let b = rand_tensor(&mut rng, k, m);
+                let reference = naive_matmul(&a, &b);
+                for threads in [1usize, 2, 4, 8] {
+                    ns_par::set_threads(threads);
+                    let got = a.matmul(&b);
+                    assert_eq!(got.data(), &reference[..], "{n}x{k}x{m}, {threads} threads");
+                }
             }
         }
     }
