@@ -99,12 +99,10 @@ fn run_chaos(ca: &ChaosArgs) {
     println!(
         "chaos soak ({}): {} schedules from seed {} | {} x{} workers, {} epochs, \
          checkpoint every {}, corrupt <= {:.2}, stores under {}",
-        if cfg.partition {
-            "link-fault matrix"
-        } else if cfg.resource {
-            "resource-fault matrix"
-        } else {
-            "process-fault matrix"
+        match cfg.matrix {
+            chaos::Matrix::Partition => "link-fault matrix",
+            chaos::Matrix::Resource => "resource-fault matrix",
+            chaos::Matrix::Crash => "process-fault matrix",
         },
         ca.schedules,
         ca.seed,

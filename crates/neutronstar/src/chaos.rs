@@ -21,9 +21,29 @@ use ns_net::membership::MembershipEventKind;
 use ns_net::ClusterSpec;
 use ns_rand::SplitMix64;
 use ns_runtime::{
-    CheckpointStore, EngineKind, RecoveryConfig, RecvConfig, RuntimeError, StoreConfig,
-    Trainer, TrainerConfig, TrainingReport, WatchdogConfig,
+    CheckpointStore, EngineKind, RecoveryConfig, RecvConfig, RuntimeError, StoreConfig, Trainer,
+    TrainerConfig, TrainingReport,
 };
+
+/// Invariant 2's bound: the relative final-loss deviation from the
+/// fault-free baseline a run may show.
+const LOSS_TOLERANCE: f64 = 0.15;
+
+/// Which fault matrix the generator draws schedules from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Matrix {
+    /// Kills, stragglers and wire noise (drops, delays, duplicates,
+    /// corruption), plus checkpoint corruption against a durable store.
+    Crash,
+    /// Healable link faults (partitions and flapping links, no kills);
+    /// checks the partition-liveness invariant (6).
+    Partition,
+    /// Resource exhaustion (disk-full windows, slow disks, memory-pressure
+    /// caps, hung workers; no kills or wire noise); checks the
+    /// degrade-don't-die invariant (7) and runs with the liveness
+    /// watchdog armed.
+    Resource,
+}
 
 /// Fixed workload the soak runs: small enough to execute hundreds of
 /// times, large enough to exercise multi-chunk recovery.
@@ -41,8 +61,6 @@ pub struct ChaosConfig {
     pub checkpoint_every: usize,
     /// Engine under test.
     pub engine: EngineKind,
-    /// Relative final-loss tolerance versus the fault-free baseline.
-    pub loss_tolerance: f64,
     /// Upper bound on the per-message wire-corruption probability drawn
     /// by the generator (`0` disables corrupt faults entirely).
     pub corrupt: f64,
@@ -50,15 +68,8 @@ pub struct ChaosConfig {
     /// keeps checkpoints memory-only, which also disables on-disk
     /// checkpoint-corruption faults (there is nothing to damage).
     pub ckpt_base: Option<PathBuf>,
-    /// Generate link-fault schedules (healable partitions and flapping
-    /// links, no kills) instead of the default crash/noise matrix, and
-    /// check the partition-liveness invariant (6).
-    pub partition: bool,
-    /// Generate resource-exhaustion schedules (disk-full windows, slow
-    /// disks, memory-pressure caps, hung workers; no kills or wire
-    /// noise) and check the degrade-don't-die invariant (7). Runs with
-    /// the liveness watchdog armed.
-    pub resource: bool,
+    /// The fault matrix schedules are drawn from.
+    pub matrix: Matrix,
 }
 
 impl Default for ChaosConfig {
@@ -70,11 +81,9 @@ impl Default for ChaosConfig {
             epochs: 6,
             checkpoint_every: 2,
             engine: EngineKind::DepComm,
-            loss_tolerance: 0.15,
             corrupt: 0.25,
             ckpt_base: None,
-            partition: false,
-            resource: false,
+            matrix: Matrix::Crash,
         }
     }
 }
@@ -124,11 +133,10 @@ pub fn generate_with_baseline(
     base: Option<&Baseline>,
 ) -> ChaosSchedule {
     let mut rng = SplitMix64(seed ^ 0x6e74_735f_6368_616f); // "nts_chao"
-    if cfg.resource {
-        return generate_resource(&mut rng, seed, cfg, base);
-    }
-    if cfg.partition {
-        return generate_partition(&mut rng, seed, cfg);
+    match cfg.matrix {
+        Matrix::Resource => return generate_resource(&mut rng, seed, cfg, base),
+        Matrix::Partition => return generate_partition(&mut rng, seed, cfg),
+        Matrix::Crash => {}
     }
     let mut faults = Vec::new();
     let restart_budget = RecoveryConfig::every(cfg.checkpoint_every).max_restarts as u64;
@@ -373,24 +381,22 @@ fn train(
 ) -> Result<TrainingReport, RuntimeError> {
     let mut tc = TrainerConfig::new(cfg.engine, ClusterSpec::aliyun_ecs(cfg.workers));
     tc.fault = fault;
-    if cfg.partition {
+    if cfg.matrix == Matrix::Partition {
         // Black-holed links surface only as receive timeouts; shrink the
         // retry schedule so each severed op fails over in ~0.5s instead
         // of the default multi-second budget, keeping 32-seed soaks fast.
         // The jittered windows still dwarf the generator's flap periods
         // and delay noise, so healthy links never misfire.
-        tc.recv = RecvConfig { timeout_ms: 150, retries: 2, ..RecvConfig::default() };
+        tc.recv = RecvConfig { timeout_ms: 150, retries: 2 };
     }
     tc.recovery = if rejoin {
         RecoveryConfig::every(cfg.checkpoint_every).with_rejoin()
     } else {
         RecoveryConfig::every(cfg.checkpoint_every)
     };
-    if cfg.resource {
-        // The resource matrix injects hangs, which only the liveness
-        // watchdog can see. A tight floor keeps 32-seed soaks fast.
-        tc.watchdog = Some(WatchdogConfig { multiplier: 8.0, floor_ms: 200, poll_ms: 2 });
-    }
+    // The resource matrix injects hangs, which only the liveness
+    // watchdog can see.
+    tc.watchdog = cfg.matrix == Matrix::Resource;
     if let Some(dir) = store_dir {
         tc.store = StoreConfig::at(dir);
     }
@@ -465,14 +471,13 @@ fn termination(run: &Run) -> Vec<String> {
 /// fault-free baseline — faults may reorder float summation and reroute
 /// dependencies, but must not corrupt the numerics.
 fn loss_tolerance(run: &Run) -> Vec<String> {
-    let (loss, base, tolerance) =
-        (run.report.final_loss(), run.base.final_loss, run.cfg.loss_tolerance);
+    let (loss, base) = (run.report.final_loss(), run.base.final_loss);
     let rel = (loss - base).abs() / base.abs().max(1e-9);
-    if rel > tolerance {
+    if rel > LOSS_TOLERANCE {
         return vec![format!(
             "final loss {loss:.6} deviates {:.1}% from baseline {base:.6} (> {:.1}%)",
             rel * 100.0,
-            tolerance * 100.0
+            LOSS_TOLERANCE * 100.0
         )];
     }
     Vec::new()
@@ -820,7 +825,7 @@ mod tests {
     #[test]
     fn resource_matrix_degrades_within_declared_bounds() {
         let cfg = ChaosConfig {
-            resource: true,
+            matrix: Matrix::Resource,
             ckpt_base: Some(PathBuf::from("unused-by-generate")),
             ..ChaosConfig::default()
         };
@@ -869,7 +874,7 @@ mod tests {
 
     #[test]
     fn resource_matrix_without_a_store_skips_disk_faults() {
-        let cfg = ChaosConfig { resource: true, ..ChaosConfig::default() };
+        let cfg = ChaosConfig { matrix: Matrix::Resource, ..ChaosConfig::default() };
         for seed in 0..100 {
             for f in &generate(seed, &cfg).faults {
                 assert!(
@@ -882,7 +887,7 @@ mod tests {
 
     #[test]
     fn partition_matrix_is_healable_by_construction() {
-        let cfg = ChaosConfig { partition: true, ..ChaosConfig::default() };
+        let cfg = ChaosConfig { matrix: Matrix::Partition, ..ChaosConfig::default() };
         for seed in 0..200 {
             let s = generate(seed, &cfg);
             assert!(s.rejoin, "partition schedules must always rejoin");
@@ -1014,8 +1019,8 @@ mod tests {
         let matrices = [
             ChaosConfig::default(),
             ChaosConfig { ckpt_base: store(), ..ChaosConfig::default() },
-            ChaosConfig { partition: true, ..ChaosConfig::default() },
-            ChaosConfig { resource: true, ckpt_base: store(), ..ChaosConfig::default() },
+            ChaosConfig { matrix: Matrix::Partition, ..ChaosConfig::default() },
+            ChaosConfig { matrix: Matrix::Resource, ckpt_base: store(), ..ChaosConfig::default() },
         ];
         for cfg in &matrices {
             for seed in 0..200 {
@@ -1043,12 +1048,16 @@ mod tests {
                 "kill:w1@e2 drop:any:0.13920279668589672 delay:any:8ms corrupt:ckpt:1@e2 +rejoin",
             ),
             (
-                ChaosConfig { partition: true, ..ChaosConfig::default() },
+                ChaosConfig { matrix: Matrix::Partition, ..ChaosConfig::default() },
                 2,
                 "partition:w1->w2@e2-e4 flap:w1-w0:12ms:0.2088711044666662 delay:any:3ms +rejoin",
             ),
             (
-                ChaosConfig { resource: true, ckpt_base: store(), ..ChaosConfig::default() },
+                ChaosConfig {
+                    matrix: Matrix::Resource,
+                    ckpt_base: store(),
+                    ..ChaosConfig::default()
+                },
                 1,
                 "diskfull:e2-e3 slowdisk:1.7590759413003918 mempressure:67108864@e1-e3 \
                  hang:w1@e2 +rejoin",

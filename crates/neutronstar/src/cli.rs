@@ -17,7 +17,7 @@ use ns_runtime::serve::load::OpenLoop;
 use ns_runtime::EngineKind::{self, DepCache, DepComm, Hybrid};
 use ns_runtime::{RecoveryConfig, RecvConfig, ServeConfig, StoreConfig};
 
-use crate::chaos::ChaosConfig;
+use crate::chaos::{ChaosConfig, Matrix};
 
 /// A parsed `nts` invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -243,6 +243,16 @@ impl<A> Flag<A> {
 /// Stores a parsed value in its field.
 fn put<T>(slot: &mut T, value: Result<T, String>) -> Result<(), String> {
     *slot = value?;
+    Ok(())
+}
+
+/// `--partition` / `--resource`: each picks the chaos matrix, so giving
+/// both is an error.
+fn set_matrix(slot: &mut Matrix, matrix: Matrix) -> Result<(), String> {
+    if *slot != Matrix::Crash && *slot != matrix {
+        return Err("--partition and --resource are mutually exclusive matrices".to_string());
+    }
+    *slot = matrix;
     Ok(())
 }
 
@@ -501,13 +511,13 @@ fn chaos_flags() -> Vec<Flag<ChaosArgs>> {
             spec: "partition",
             help: "generate healable link-fault schedules (partitions, flaps; no \
                    kills) and check that no breaker stays open against a healed link",
-            set: |a, _| put(&mut a.cfg.partition, Ok(true)),
+            set: |a, _| set_matrix(&mut a.cfg.matrix, Matrix::Partition),
         },
         Flag {
             spec: "resource",
             help: "generate resource-exhaustion schedules (full and slow disks, memory \
                    caps, hung workers) and check that every run degrades but finishes",
-            set: |a, _| put(&mut a.cfg.resource, Ok(true)),
+            set: |a, _| set_matrix(&mut a.cfg.matrix, Matrix::Resource),
         },
     ]
 }
@@ -674,10 +684,7 @@ fn check_chaos(ca: ChaosArgs) -> Result<ChaosArgs, String> {
     if c.checkpoint_every == 0 || c.epochs <= c.checkpoint_every {
         return Err("chaos needs 0 < --checkpoint-every < --epochs".to_string());
     }
-    if c.partition && c.resource {
-        return Err("--partition and --resource are mutually exclusive matrices".to_string());
-    }
-    if c.resource && c.epochs <= c.checkpoint_every + 1 {
+    if c.matrix == Matrix::Resource && c.epochs <= c.checkpoint_every + 1 {
         return Err(
             "--resource needs --epochs > --checkpoint-every + 1 (a disk-full \
                     window must leave a clean final boundary)"
@@ -960,8 +967,7 @@ mod tests {
             ra.recv,
             RecvConfig {
                 timeout_ms: 250,
-                retries: 5,
-                ..RecvConfig::default()
+                retries: 5
             }
         );
         assert_eq!(RunArgs::default().recv, RecvConfig::default());
@@ -1035,16 +1041,16 @@ mod tests {
         assert_eq!(ca.cfg.epochs, 8);
         assert_eq!(ca.cfg.checkpoint_every, 3);
         assert_eq!(ca.cfg.ckpt_base, Some("/tmp/soak".into()));
-        assert!(!ca.cfg.partition);
+        assert_eq!(ca.cfg.matrix, Matrix::Crash);
         let Command::Chaos(ca) = parse(&args("chaos --partition --schedules 4")).unwrap() else {
             panic!("expected chaos")
         };
-        assert!(ca.cfg.partition);
+        assert_eq!(ca.cfg.matrix, Matrix::Partition);
         assert_eq!(ca.schedules, 4);
         let Command::Chaos(ca) = parse(&args("chaos --resource --schedules 4")).unwrap() else {
             panic!("expected chaos")
         };
-        assert!(ca.cfg.resource && !ca.cfg.partition);
+        assert_eq!(ca.cfg.matrix, Matrix::Resource);
         assert!(parse(&args("chaos --partition --resource"))
             .unwrap_err()
             .contains("mutually exclusive"));

@@ -4,11 +4,10 @@ use ns_gnn::GnnModel;
 use ns_graph::{Dataset, Partitioner};
 use ns_net::fault::FaultPlan;
 use ns_net::{ClusterSpec, ExecOptions};
-use ns_runtime::exec::{OptimizerKind, RecvConfig, SyncMode, WatchdogConfig};
+use ns_runtime::exec::SyncMode;
 use ns_runtime::trainer::{SimSummary, Trainer, TrainerConfig};
 use ns_runtime::{
-    EngineKind, HybridConfig, RecoveryConfig, RuntimeError, StoreConfig, TrainingReport,
-    VertexWeight,
+    EngineKind, HybridConfig, RecoveryConfig, RuntimeError, TrainingReport, VertexWeight,
 };
 
 /// Builder for a [`TrainingSession`].
@@ -50,49 +49,21 @@ use ns_runtime::{
 /// ```
 #[derive(Debug, Clone)]
 pub struct SessionBuilder {
-    engine: EngineKind,
-    partitioner: Partitioner,
-    cluster: ClusterSpec,
-    opts: ExecOptions,
-    lr: f32,
-    optimizer: OptimizerKind,
-    hybrid: HybridConfig,
-    sync: SyncMode,
-    enforce_memory: bool,
-    fault: FaultPlan,
-    recovery: RecoveryConfig,
-    recv: RecvConfig,
-    threads: usize,
-    store: StoreConfig,
-    watchdog: Option<WatchdogConfig>,
+    cfg: TrainerConfig,
 }
 
 impl Default for SessionBuilder {
     fn default() -> Self {
-        Self {
-            engine: EngineKind::Hybrid,
-            partitioner: Partitioner::Chunk,
-            cluster: ClusterSpec::aliyun_ecs(4),
-            opts: ExecOptions::all(),
-            lr: 0.01,
-            optimizer: OptimizerKind::Adam,
-            hybrid: HybridConfig::default(),
-            sync: SyncMode::AllReduce,
-            enforce_memory: true,
-            fault: FaultPlan::default(),
-            recovery: RecoveryConfig::default(),
-            recv: RecvConfig::default(),
-            threads: 0,
-            store: StoreConfig::default(),
-            watchdog: None,
-        }
+        let mut cfg = TrainerConfig::new(EngineKind::Hybrid, ClusterSpec::aliyun_ecs(4));
+        cfg.vertex_weight = VertexWeight::ModelFlops;
+        Self { cfg }
     }
 }
 
 impl SessionBuilder {
     /// Dependency engine (default: Hybrid).
     pub fn engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
+        self.cfg.engine = engine;
         self
     }
 
@@ -101,78 +72,66 @@ impl SessionBuilder {
     /// [`VertexWeight::ModelFlops`] where a bare `TrainerConfig::new`
     /// keeps the paper's unit weight).
     pub fn partitioner(mut self, partitioner: Partitioner) -> Self {
-        self.partitioner = partitioner;
+        self.cfg.partitioner = partitioner;
         self
     }
 
     /// Cluster model (default: 4-worker Aliyun ECS preset).
     pub fn cluster(mut self, cluster: ClusterSpec) -> Self {
-        self.cluster = cluster;
+        self.cfg.cluster = cluster;
         self
     }
 
     /// System-optimization toggles (default: all enabled).
     pub fn optimizations(mut self, opts: ExecOptions) -> Self {
-        self.opts = opts;
+        self.cfg.opts = opts;
         self
     }
 
-    /// Learning rate (default: 0.01).
+    /// Adam's learning rate (default: 0.01).
     pub fn learning_rate(mut self, lr: f32) -> Self {
-        self.lr = lr;
-        self
-    }
-
-    /// Optimizer (default: Adam).
-    pub fn optimizer(mut self, optimizer: OptimizerKind) -> Self {
-        self.optimizer = optimizer;
+        self.cfg.lr = lr;
         self
     }
 
     /// Hybrid-engine knobs (memory budget, Fig. 11 ratio override).
     pub fn hybrid(mut self, hybrid: HybridConfig) -> Self {
-        self.hybrid = hybrid;
+        self.cfg.hybrid = hybrid;
         self
     }
 
     /// Gradient synchronization strategy (default: ring all-reduce; the
     /// paper notes the Parameter-Server model is an orthogonal drop-in).
     pub fn sync(mut self, sync: SyncMode) -> Self {
-        self.sync = sync;
+        self.cfg.sync = sync;
         self
     }
 
     /// Disable the projected device-memory check (useful for what-if runs
     /// of engines the modeled device could not actually hold).
     pub fn without_memory_check(mut self) -> Self {
-        self.enforce_memory = false;
+        self.cfg.enforce_memory = false;
         self
     }
 
     /// Deterministic fault injection (default: no faults).
     pub fn faults(mut self, fault: FaultPlan) -> Self {
-        self.fault = fault;
+        self.cfg.fault = fault;
         self
     }
 
     /// Checkpoint/rollback policy (default: disabled — a worker failure
     /// surfaces as [`RuntimeError::WorkerFailed`]).
     pub fn recovery(mut self, recovery: RecoveryConfig) -> Self {
-        self.recovery = recovery;
-        self
-    }
-
-    /// Receive timeout/retry policy for the execution fabric.
-    pub fn recv_policy(mut self, recv: RecvConfig) -> Self {
-        self.recv = recv;
+        self.cfg.recovery = recovery;
         self
     }
 
     /// Liveness watchdog over worker epoch progress (default: off). A
     /// worker that stops beating past the learned deadline is cancelled
     /// and routed through the same eviction/rejoin path as a crash.
-    pub fn watchdog(mut self, watchdog: WatchdogConfig) -> Self {
-        self.watchdog = Some(watchdog);
+    pub fn watchdog(mut self) -> Self {
+        self.cfg.watchdog = true;
         self
     }
 
@@ -181,14 +140,14 @@ impl SessionBuilder {
     /// store and skip damaged generations — the honest process-restart
     /// path.
     pub fn checkpoint_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.store.dir = Some(dir.into());
+        self.cfg.store.dir = Some(dir.into());
         self
     }
 
     /// How many durable generations to retain (default: 3; clamped to
     /// at least 1). Only meaningful with [`checkpoint_dir`](Self::checkpoint_dir).
     pub fn keep_checkpoints(mut self, k: usize) -> Self {
-        self.store = self.store.keep(k);
+        self.cfg.store = self.cfg.store.keep(k);
         self
     }
 
@@ -196,7 +155,7 @@ impl SessionBuilder {
     /// (default: 0 = auto — one thread per available core, capped by the
     /// `ns-par` pool; results are bit-identical at any setting).
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+        self.cfg.threads = threads;
         self
     }
 
@@ -207,26 +166,7 @@ impl SessionBuilder {
         dataset: &'a Dataset,
         model: &'a GnnModel,
     ) -> Result<TrainingSession<'a>, RuntimeError> {
-        let cfg = TrainerConfig {
-            engine: self.engine,
-            partitioner: self.partitioner,
-            vertex_weight: VertexWeight::ModelFlops,
-            cluster: self.cluster,
-            opts: self.opts,
-            lr: self.lr,
-            optimizer: self.optimizer,
-            hybrid: self.hybrid,
-            broadcast_full_partition: false,
-            sync: self.sync,
-            enforce_memory: self.enforce_memory,
-            fault: self.fault,
-            recovery: self.recovery,
-            recv: self.recv,
-            threads: self.threads,
-            store: self.store,
-            watchdog: self.watchdog,
-        };
-        Ok(TrainingSession { trainer: Trainer::prepare(dataset, model, cfg)? })
+        Ok(TrainingSession { trainer: Trainer::prepare(dataset, model, self.cfg)? })
     }
 }
 

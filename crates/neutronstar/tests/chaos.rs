@@ -4,7 +4,7 @@
 
 use std::sync::OnceLock;
 
-use neutronstar::chaos::{baseline, generate, run_schedule, Baseline, ChaosConfig};
+use neutronstar::chaos::{baseline, generate, run_schedule, Baseline, ChaosConfig, Matrix};
 use neutronstar::net::fault::Fault;
 
 const SOAK_SEEDS: u64 = 32;
@@ -92,7 +92,7 @@ fn partition_soak_32_seeds_upholds_liveness() {
     // half-partitions, flaps — no kills) must terminate on their own
     // with baseline-quality loss and zero circuit breakers left open
     // against healed links.
-    let cfg = ChaosConfig { partition: true, ..ChaosConfig::default() };
+    let cfg = ChaosConfig { matrix: Matrix::Partition, ..ChaosConfig::default() };
     let base = shared_baseline();
     let mut failed = Vec::new();
     for seed in BASE_SEED..BASE_SEED + SOAK_SEEDS {

@@ -9,7 +9,7 @@
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use neutronstar::chaos::{baseline, generate, run_schedule, ChaosConfig};
+use neutronstar::chaos::{baseline, generate, run_schedule, ChaosConfig, Matrix};
 use neutronstar::net::fault::{Fault, Window};
 
 const SOAK_SEEDS: u64 = 32;
@@ -26,7 +26,7 @@ fn pool_guard() -> MutexGuard<'static, ()> {
 }
 
 fn cfg(ckpt_base: Option<std::path::PathBuf>) -> ChaosConfig {
-    ChaosConfig { resource: true, ckpt_base, ..ChaosConfig::default() }
+    ChaosConfig { matrix: Matrix::Resource, ckpt_base, ..ChaosConfig::default() }
 }
 
 #[test]

@@ -25,15 +25,6 @@ pub fn scatter_to_edge_src(tape: &mut Tape, h: Var, topo: &LayerTopology) -> Var
     tape.gather_rows(h, Arc::clone(&topo.edge_src))
 }
 
-/// `ScatterToEdge` (destination side): expands each destination's own
-/// representation onto its in-edges. Used by models whose edge function
-/// reads both endpoints (GAT attention).
-pub fn scatter_to_edge_dst(tape: &mut Tape, h: Var, topo: &LayerTopology) -> Var {
-    // Two hops: vertex rows -> destination rows -> edge rows.
-    let per_dst = tape.gather_rows(h, Arc::clone(&topo.dst_in_rows));
-    tape.gather_rows(per_dst, Arc::clone(&topo.edge_dst))
-}
-
 /// Commutative/associative neighborhood aggregators supported by
 /// `GatherByDst` (the paper names "min, max, sum"; mean and the
 /// statically-weighted sum are the forms the evaluation models use).
@@ -156,13 +147,11 @@ mod tests {
     }
 
     #[test]
-    fn dst_side_scatter_reads_destination_rows() {
+    fn dst_self_gather_reads_destination_rows() {
         let t = topo();
         let mut tape = Tape::new();
         let h = tape.leaf(Tensor::from_vec(3, 1, vec![5., 6., 7.]));
-        let e = scatter_to_edge_dst(&mut tape, h, &t);
         // dst0 self-row = 0 (value 5), dst1 self-row = 2 (value 7).
-        assert_eq!(tape.value(e).data(), &[5., 5., 7., 7.]);
         let s = gather_dst_self(&mut tape, h, &t);
         assert_eq!(tape.value(s).data(), &[5., 7.]);
     }

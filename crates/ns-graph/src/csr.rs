@@ -140,13 +140,6 @@ impl CsrGraph {
         self.in_offsets[v + 1] - self.in_offsets[v]
     }
 
-    /// Out-degree of `v`.
-    #[inline]
-    pub fn out_degree(&self, v: VertexId) -> usize {
-        let v = v as usize;
-        self.out_offsets[v + 1] - self.out_offsets[v]
-    }
-
     /// The CSC offset array (length `n + 1`).
     pub fn in_offsets(&self) -> &[usize] {
         &self.in_offsets
@@ -155,11 +148,6 @@ impl CsrGraph {
     /// All in-edge sources, grouped by destination.
     pub fn in_srcs(&self) -> &[VertexId] {
         &self.in_srcs
-    }
-
-    /// All in-edge GCN weights, grouped by destination.
-    pub fn all_in_weights(&self) -> &[f32] {
-        &self.in_weights
     }
 
     /// Iterates over all edges as `(src, dst, weight)` in (dst, src) order.
@@ -172,13 +160,6 @@ impl CsrGraph {
         })
     }
 
-    /// Estimated in-memory footprint of the structure in bytes (offsets +
-    /// index arrays + weights). Used by the device-memory accountant.
-    pub fn structure_bytes(&self) -> u64 {
-        ((self.in_offsets.len() + self.out_offsets.len()) * std::mem::size_of::<usize>()
-            + (self.in_srcs.len() + self.out_dsts.len()) * std::mem::size_of::<VertexId>()
-            + self.in_weights.len() * std::mem::size_of::<f32>()) as u64
-    }
 }
 
 #[cfg(test)]
@@ -199,7 +180,7 @@ mod tests {
         assert_eq!(g.in_neighbors(0), &[] as &[u32]);
         assert_eq!(g.out_neighbors(0), &[1, 2]);
         assert_eq!(g.in_degree(3), 2);
-        assert_eq!(g.out_degree(3), 0);
+        assert!(g.out_neighbors(3).is_empty());
         assert_eq!(g.avg_degree(), 1.0);
     }
 
@@ -245,8 +226,4 @@ mod tests {
         assert_eq!(g.in_neighbors(0), &[1, 2, 3, 4]);
     }
 
-    #[test]
-    fn structure_bytes_positive() {
-        assert!(diamond().structure_bytes() > 0);
-    }
 }

@@ -11,7 +11,6 @@ use ns_rand::StdRng;
 use ns_tensor::Tensor;
 
 use crate::csr::VertexId;
-use crate::fx::FxHashSet;
 
 /// R-MAT recursive-matrix generator (Chakrabarti et al.), the standard
 /// synthetic stand-in for power-law web/social graphs.
@@ -168,62 +167,6 @@ pub fn sbm(params: &SbmParams, seed: u64) -> SbmOutput {
     }
 }
 
-/// Barabási–Albert preferential attachment: each arriving vertex links to
-/// `m_per_vertex` existing vertices chosen proportionally to their current
-/// degree. Produces power-law graphs with a tunable, guaranteed minimum
-/// out-degree — useful when R-MAT's duplicate-heavy tail is undesirable.
-pub fn barabasi_albert(n: usize, m_per_vertex: usize, seed: u64) -> Vec<(VertexId, VertexId)> {
-    assert!(n >= 2, "need at least two vertices");
-    let m_per_vertex = m_per_vertex.max(1);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut edges: Vec<(VertexId, VertexId)> = Vec::with_capacity(n * m_per_vertex);
-    // Repeated-endpoint list: sampling uniformly from it realizes
-    // degree-proportional selection.
-    let mut endpoints: Vec<VertexId> = vec![0, 1];
-    edges.push((1, 0));
-    for v in 2..n as VertexId {
-        let mut chosen = FxHashSet::default();
-        let want = (m_per_vertex).min(v as usize);
-        while chosen.len() < want {
-            let t = endpoints[rng.random_range(0..endpoints.len())];
-            chosen.insert(t);
-        }
-        for t in chosen {
-            edges.push((v, t));
-            endpoints.push(t);
-            endpoints.push(v);
-        }
-    }
-    edges
-}
-
-/// Watts–Strogatz small world: a ring lattice where each vertex connects
-/// to its `k/2` neighbors on each side, with each edge rewired to a
-/// uniform target with probability `beta`. High clustering, short paths —
-/// the opposite regime from power-law graphs.
-pub fn watts_strogatz(n: usize, k: usize, beta: f64, seed: u64) -> Vec<(VertexId, VertexId)> {
-    assert!(n >= 4, "need at least four vertices");
-    let half = (k / 2).max(1);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut edges = Vec::with_capacity(n * half);
-    for v in 0..n {
-        for j in 1..=half {
-            let mut t = (v + j) % n;
-            if rng.random::<f64>() < beta {
-                // Rewire to a uniform non-self target.
-                loop {
-                    t = rng.random_range(0..n);
-                    if t != v {
-                        break;
-                    }
-                }
-            }
-            edges.push((v as VertexId, t as VertexId));
-        }
-    }
-    edges
-}
-
 /// Uniform random features in `[-0.5, 0.5)` for graphs without natural
 /// features, matching the paper's "randomly generated features".
 pub fn random_features(n: usize, dim: usize, seed: u64) -> Tensor {
@@ -336,47 +279,6 @@ mod tests {
         }
         assert!(aligned / na as f32 > 0.8);
         assert!((off / no as f32).abs() < 0.2);
-    }
-
-    #[test]
-    fn barabasi_albert_is_skewed_with_min_degree() {
-        let edges = barabasi_albert(2000, 4, 11);
-        let g = CsrGraph::from_edges(2000, &edges, false);
-        // Every vertex beyond the seed pair attaches to >= 1 target.
-        for v in 2..2000u32 {
-            assert!(g.out_degree(v) >= 1, "vertex {v}");
-        }
-        let stats = crate::stats::degree_stats(&g);
-        assert!(stats.hub_ratio > 5.0, "hub ratio {}", stats.hub_ratio);
-    }
-
-    #[test]
-    fn watts_strogatz_degree_is_regular_at_beta_zero() {
-        let edges = watts_strogatz(100, 4, 0.0, 3);
-        let g = CsrGraph::from_edges(100, &edges, false);
-        for v in 0..100u32 {
-            assert_eq!(g.out_degree(v), 2, "lattice out-degree");
-            assert_eq!(g.in_degree(v), 2, "lattice in-degree");
-        }
-    }
-
-    #[test]
-    fn watts_strogatz_rewiring_breaks_the_lattice() {
-        let lattice = watts_strogatz(200, 4, 0.0, 3);
-        let rewired = watts_strogatz(200, 4, 0.5, 3);
-        let long_range = |edges: &[(u32, u32)]| {
-            edges
-                .iter()
-                .filter(|&&(u, v)| {
-                    let d = (u as i64 - v as i64).rem_euclid(200).min(
-                        (v as i64 - u as i64).rem_euclid(200),
-                    );
-                    d > 2
-                })
-                .count()
-        };
-        assert_eq!(long_range(&lattice), 0);
-        assert!(long_range(&rewired) > 20);
     }
 
     #[test]

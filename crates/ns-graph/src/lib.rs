@@ -19,14 +19,14 @@
 //! * [`partition`] — chunk-based (the paper's default), metis-like greedy
 //!   edge-cut, and Fennel streaming partitioners (§5.7 / Fig. 15).
 //! * [`khop`] — BFS k-hop in-neighborhood closures (`V_i^l` of
-//!   Algorithm 2) and per-vertex dependency-subtree measurement used by the
-//!   hybrid cost model (Eq. 1).
+//!   Algorithm 2).
+//! * [`stats`] — k-hop replication under a partitioning (the depth
+//!   ablation's diagnostic).
 
 pub mod csr;
 pub mod datasets;
 pub mod fx;
 pub mod generate;
-pub mod io;
 pub mod khop;
 pub mod partition;
 pub mod stats;

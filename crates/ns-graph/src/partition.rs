@@ -9,7 +9,6 @@
 use ns_rand::StdRng;
 
 use crate::csr::{CsrGraph, VertexId};
-use crate::fx::FxHashSet;
 
 /// Which worker owns each vertex.
 #[derive(Debug, Clone)]
@@ -70,30 +69,6 @@ impl Partitioning {
             .edges()
             .filter(|&(u, v, _)| self.owner(u) != self.owner(v))
             .count()
-    }
-
-    /// Fraction of edges cut.
-    pub fn cut_fraction(&self, graph: &CsrGraph) -> f64 {
-        if graph.num_edges() == 0 {
-            return 0.0;
-        }
-        self.edge_cut(graph) as f64 / graph.num_edges() as f64
-    }
-
-    /// For each partition, the number of *distinct remote* in-neighbors of
-    /// its vertices — the per-layer dependency set size `|D_i|` that both
-    /// DepComm traffic and DepCache replication scale with.
-    pub fn remote_dependency_counts(&self, graph: &CsrGraph) -> Vec<usize> {
-        let mut sets: Vec<FxHashSet<VertexId>> = vec![FxHashSet::default(); self.parts];
-        for v in 0..graph.num_vertices() as VertexId {
-            let p = self.owner(v);
-            for &u in graph.in_neighbors(v) {
-                if self.owner(u) != p {
-                    sets[p].insert(u);
-                }
-            }
-        }
-        sets.into_iter().map(|s| s.len()).collect()
     }
 
     /// In-edges of the vertices each partition owns (`|E_i|`): with
@@ -494,8 +469,8 @@ mod tests {
             .map(|&(u, v)| (perm[u as usize], perm[v as usize]))
             .collect();
         let g = CsrGraph::from_edges(1500, &shuffled, true);
-        let chunk_cut = Partitioner::Chunk.partition(&g, 4).cut_fraction(&g);
-        let metis_cut = Partitioner::MetisLike.partition(&g, 4).cut_fraction(&g);
+        let chunk_cut = Partitioner::Chunk.partition(&g, 4).edge_cut(&g);
+        let metis_cut = Partitioner::MetisLike.partition(&g, 4).edge_cut(&g);
         assert!(
             metis_cut < chunk_cut,
             "metis-like {metis_cut} should beat chunk {chunk_cut}"
@@ -507,19 +482,6 @@ mod tests {
         let g = test_graph();
         let part = Partitioner::Fennel.partition(&g, 4);
         assert!(part.imbalance() <= 1.15, "imbalance {}", part.imbalance());
-    }
-
-    #[test]
-    fn remote_dependency_counts_are_consistent_with_cut() {
-        let g = test_graph();
-        let part = Partitioner::Chunk.partition(&g, 4);
-        let deps = part.remote_dependency_counts(&g);
-        let cut = part.edge_cut(&g);
-        // Distinct remote sources never exceed cut edges.
-        assert!(deps.iter().sum::<usize>() <= cut);
-        if cut > 0 {
-            assert!(deps.iter().sum::<usize>() > 0);
-        }
     }
 
     #[test]

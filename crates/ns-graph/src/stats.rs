@@ -1,43 +1,10 @@
-//! Graph and partitioning statistics: the diagnostics that explain *why*
-//! a graph lands on one side of the DepCache/DepComm trade-off.
+//! K-hop replication under a partitioning: the diagnostic that explains
+//! *why* a graph lands on one side of the DepCache/DepComm trade-off
+//! (the depth ablation reports it).
 
-use crate::csr::{CsrGraph, VertexId};
+use crate::csr::CsrGraph;
 use crate::khop::khop_in_closure;
 use crate::partition::Partitioning;
-
-/// Degree-distribution summary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DegreeStats {
-    /// Minimum in-degree.
-    pub min: usize,
-    /// Maximum in-degree.
-    pub max: usize,
-    /// Mean in-degree.
-    pub mean: f64,
-    /// Median in-degree.
-    pub median: usize,
-    /// 99th-percentile in-degree.
-    pub p99: usize,
-    /// Skew indicator: `max / mean` (≫1 for power-law graphs).
-    pub hub_ratio: f64,
-}
-
-/// Computes the in-degree distribution summary.
-pub fn degree_stats(graph: &CsrGraph) -> DegreeStats {
-    let n = graph.num_vertices();
-    assert!(n > 0, "empty graph");
-    let mut degs: Vec<usize> = (0..n as VertexId).map(|v| graph.in_degree(v)).collect();
-    degs.sort_unstable();
-    let mean = graph.avg_degree();
-    DegreeStats {
-        min: degs[0],
-        max: degs[n - 1],
-        mean,
-        median: degs[n / 2],
-        p99: degs[((n - 1) as f64 * 0.99) as usize],
-        hub_ratio: if mean > 0.0 { degs[n - 1] as f64 / mean } else { 0.0 },
-    }
-}
 
 /// Per-partition replication statistics for a k-hop workload — the
 /// quantity DepCache's redundant computation scales with.
@@ -73,29 +40,6 @@ pub fn replication_stats(
     }
 }
 
-/// The boundary profile of a partitioning: how much of each partition's
-/// dependency set is remote — what DepComm's traffic scales with.
-#[derive(Debug, Clone)]
-pub struct BoundaryStats {
-    /// Edge-cut fraction.
-    pub cut_fraction: f64,
-    /// Distinct remote in-neighbors per partition.
-    pub remote_deps: Vec<usize>,
-    /// Mean remote dependencies per owned vertex.
-    pub deps_per_vertex: f64,
-}
-
-/// Computes boundary statistics.
-pub fn boundary_stats(graph: &CsrGraph, part: &Partitioning) -> BoundaryStats {
-    let remote_deps = part.remote_dependency_counts(graph);
-    let total: usize = remote_deps.iter().sum();
-    BoundaryStats {
-        cut_fraction: part.cut_fraction(graph),
-        deps_per_vertex: total as f64 / graph.num_vertices().max(1) as f64,
-        remote_deps,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,15 +52,6 @@ mod tests {
 
     fn flat() -> CsrGraph {
         CsrGraph::from_edges(1000, &erdos_renyi(1000, 8000, 7), true)
-    }
-
-    #[test]
-    fn degree_stats_detect_skew() {
-        let p = degree_stats(&power_law());
-        let f = degree_stats(&flat());
-        assert!(p.hub_ratio > 2.0 * f.hub_ratio, "{} vs {}", p.hub_ratio, f.hub_ratio);
-        assert!(p.max >= p.p99 && p.p99 >= p.median && p.median >= p.min);
-        assert!((p.mean - power_law().avg_degree()).abs() < 1e-9);
     }
 
     #[test]
@@ -133,22 +68,10 @@ mod tests {
     }
 
     #[test]
-    fn single_partition_has_no_boundary_and_no_replication() {
+    fn single_partition_has_no_replication() {
         let g = flat();
         let part = Partitioner::Chunk.partition(&g, 1);
-        let b = boundary_stats(&g, &part);
-        assert_eq!(b.cut_fraction, 0.0);
-        assert_eq!(b.remote_deps, vec![0]);
         let r = replication_stats(&g, &part, 2);
         assert!((r.replication_factor - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn boundary_stats_are_positive_on_cut_graphs() {
-        let g = power_law();
-        let part = Partitioner::Chunk.partition(&g, 8);
-        let b = boundary_stats(&g, &part);
-        assert!(b.cut_fraction > 0.0);
-        assert!(b.deps_per_vertex > 0.0);
     }
 }

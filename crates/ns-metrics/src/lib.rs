@@ -533,11 +533,6 @@ impl MetricsFrame {
             .sum()
     }
 
-    /// Sum of all phase time, nanoseconds.
-    pub fn total_phase_ns(&self) -> u64 {
-        self.phase_ns.values().sum()
-    }
-
     /// Merge another frame into this one. Counters, histograms, phase times
     /// and layer splits add; spans concatenate. The operation is associative
     /// and (up to span order) commutative, so frames may be merged in any

@@ -135,15 +135,6 @@ impl ClusterSpec {
         }
     }
 
-    /// Same hardware, different worker count.
-    pub fn with_workers(&self, workers: usize) -> Self {
-        let mut c = self.clone();
-        c.workers = workers;
-        let base = self.name.rsplit_once('-').map_or(self.name.as_str(), |(b, _)| b);
-        c.name = format!("{base}-{workers}");
-        c
-    }
-
     /// A fresh, fully-active membership view over this cluster's workers
     /// (the elastic trainer's starting point).
     pub fn membership(&self) -> crate::membership::MembershipView {
@@ -228,13 +219,6 @@ mod tests {
         assert!((t - 1.0).abs() < 1e-9);
         let ts = ecs.sparse_compute_seconds(6_000_000_000);
         assert!((ts - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn with_workers_renames() {
-        let c = ClusterSpec::aliyun_ecs(16).with_workers(4);
-        assert_eq!(c.workers, 4);
-        assert_eq!(c.name, "aliyun-ecs-4");
     }
 
     #[test]

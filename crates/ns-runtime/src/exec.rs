@@ -41,20 +41,11 @@ use ns_metrics::{span, LayerSplit, MetricsFrame, MetricsRecorder, Phase, RunMetr
 use ns_net::fault::FaultPlan;
 use ns_net::policy::{Backoff, CircuitBreaker};
 use ns_net::{Endpoint, Fabric, Message, MessageKind, NetError, ParallelEnqueue};
-use ns_tensor::{Adam, AdamState, Optimizer, ParamStore, Sgd, Tensor};
+use ns_tensor::{Adam, AdamState, Optimizer, ParamStore, Tensor};
 
 use crate::error::{FailureCause, Result, RuntimeError};
 use crate::obs::{export_breaker_stats, export_net_stats};
 use crate::plan::WorkerPlan;
-
-/// Which optimizer each worker replica runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OptimizerKind {
-    /// Plain SGD.
-    Sgd,
-    /// Adam.
-    Adam,
-}
 
 /// How parameter gradients are combined across workers each epoch.
 ///
@@ -75,10 +66,8 @@ pub enum SyncMode {
 /// Executor configuration.
 #[derive(Debug, Clone)]
 pub struct ExecConfig {
-    /// Learning rate.
+    /// Adam's learning rate.
     pub lr: f32,
-    /// Optimizer.
-    pub optimizer: OptimizerKind,
     /// Emit sends in ring order (`i+1, i+2, …`) as NeutronStar schedules
     /// them; otherwise naive ascending order. (Numerics are unaffected;
     /// receive-side accumulation is always in fixed peer order.)
@@ -97,7 +86,6 @@ impl Default for ExecConfig {
     fn default() -> Self {
         Self {
             lr: 0.01,
-            optimizer: OptimizerKind::Adam,
             ring_order: true,
             sync: SyncMode::AllReduce,
             lock_free: true,
@@ -115,64 +103,50 @@ impl Default for ExecConfig {
 /// event retry on *different* schedules instead of in lockstep; jitter
 /// only shortens windows, so no operation waits past the unjittered
 /// window sum), and every peer sits behind a [`CircuitBreaker`] — after
-/// `breaker_threshold` consecutive failed receive operations the peer
-/// is failed instantly (no window spent) until `breaker_cooldown_ms`
-/// passes and a half-open probe succeeds.
+/// two consecutive failed receive operations the peer is failed
+/// instantly (no window spent) until 250 ms pass and a half-open probe
+/// succeeds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecvConfig {
     /// First receive window, milliseconds.
     pub timeout_ms: u64,
     /// Number of doubled-window retries after the first timeout.
     pub retries: u32,
-    /// Consecutive failed receive *operations* from one peer before its
-    /// circuit breaker opens.
-    pub breaker_threshold: u32,
-    /// Milliseconds an open breaker waits before admitting the
-    /// half-open probe.
-    pub breaker_cooldown_ms: u64,
 }
 
 impl Default for RecvConfig {
     fn default() -> Self {
-        Self {
-            timeout_ms: 1_000,
-            retries: 3,
-            breaker_threshold: 2,
-            breaker_cooldown_ms: 250,
-        }
+        Self { timeout_ms: 1_000, retries: 3 }
     }
 }
 
-/// Liveness watchdog policy: a per-run supervisor thread that detects a
-/// worker which stopped making epoch progress while holding no fabric
-/// operation — the blind spot of receive timeouts and circuit breakers
-/// (nothing is waiting *on* the stuck thread's socket, so no deadline
-/// fires). The deadline is armed from the observed worst epoch span
-/// times `multiplier`, never below `floor_ms`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WatchdogConfig {
-    /// Deadline multiplier over the observed worst (p99-equivalent at
-    /// per-run sample counts) epoch span.
-    pub multiplier: f64,
-    /// Minimum armed deadline, milliseconds — covers the first epoch,
-    /// before any span has been observed.
-    pub floor_ms: u64,
-    /// Supervisor sampling period, milliseconds.
-    pub poll_ms: u64,
-}
+/// Consecutive failed receive *operations* from one peer before its
+/// circuit breaker opens.
+const BREAKER_THRESHOLD: u32 = 2;
+/// How long an open breaker waits before admitting the half-open probe.
+const BREAKER_COOLDOWN: Duration = Duration::from_millis(250);
 
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        Self { multiplier: 8.0, floor_ms: 250, poll_ms: 5 }
-    }
-}
+/// Watchdog deadline multiplier over the observed worst (p99-equivalent
+/// at per-run sample counts) epoch span.
+const WATCHDOG_MULTIPLIER: f64 = 8.0;
+/// Minimum armed watchdog deadline, milliseconds — covers the first
+/// epoch, before any span has been observed, and is tight enough that a
+/// hang costs a chaos soak little.
+const WATCHDOG_FLOOR_MS: u64 = 200;
+/// Watchdog sampling period.
+const WATCHDOG_POLL: Duration = Duration::from_millis(2);
 
-/// Shared watchdog state: per-worker heartbeats (stamped at each epoch
-/// top), per-worker cancel flags, and the trip counter. Lives on the
-/// coordinator's stack; workers and the supervisor thread borrow it
-/// through the thread scope.
+/// Liveness watchdog: a per-run supervisor thread that detects a worker
+/// which stopped making epoch progress while holding no fabric operation
+/// — the blind spot of receive timeouts and circuit breakers (nothing is
+/// waiting *on* the stuck thread's socket, so no deadline fires). The
+/// deadline is armed from the observed worst epoch span times
+/// `WATCHDOG_MULTIPLIER`, never below `WATCHDOG_FLOOR_MS`.
+///
+/// State: per-worker heartbeats (stamped at each epoch top), per-worker
+/// cancel flags, and the trip counter. Lives on the coordinator's stack;
+/// workers and the supervisor thread borrow it through the thread scope.
 pub(crate) struct Watchdog {
-    cfg: WatchdogConfig,
     /// Per-worker last-heartbeat time, ms since `t0`, offset by +1 so 0
     /// can mean "not started". `u64::MAX` = worker exited.
     beats: Vec<AtomicU64>,
@@ -183,9 +157,8 @@ pub(crate) struct Watchdog {
 }
 
 impl Watchdog {
-    fn new(world: usize, cfg: WatchdogConfig) -> Self {
+    fn new(world: usize) -> Self {
         Self {
-            cfg,
             beats: (0..world).map(|_| AtomicU64::new(0)).collect(),
             cancel: (0..world).map(|_| AtomicBool::new(false)).collect(),
             trips: AtomicU64::new(0),
@@ -226,10 +199,10 @@ impl Watchdog {
         // Worst completed epoch span observed across all workers, ms.
         let mut worst_span = 0u64;
         while !self.done.load(Ordering::Acquire) {
-            std::thread::sleep(Duration::from_millis(self.cfg.poll_ms.max(1)));
+            std::thread::sleep(WATCHDOG_POLL);
             let now = self.now_ms();
-            let deadline = (worst_span as f64 * self.cfg.multiplier) as u64;
-            let deadline = deadline.max(self.cfg.floor_ms);
+            let deadline = (worst_span as f64 * WATCHDOG_MULTIPLIER) as u64;
+            let deadline = deadline.max(WATCHDOG_FLOOR_MS);
             for w in 0..n {
                 let b = self.beats[w].load(Ordering::Acquire);
                 if b == 0 || b == u64::MAX {
@@ -262,7 +235,7 @@ pub struct RunState {
     pub epoch_offset: usize,
     /// Parameters to start from (`None` = the model's fresh store).
     pub init_params: Option<ParamStore>,
-    /// Adam state to resume (`None` = fresh moments; ignored for SGD).
+    /// Adam state to resume (`None` = fresh moments).
     pub opt_state: Option<AdamState>,
     /// Injected faults.
     pub fault: FaultPlan,
@@ -273,8 +246,8 @@ pub struct RunState {
     /// through every chunk so the spans of a run that rolled back and
     /// resumed all land on a single timeline.
     pub origin: Option<Instant>,
-    /// Liveness watchdog policy (`None` = no supervisor thread).
-    pub watchdog: Option<WatchdogConfig>,
+    /// Run the liveness watchdog's supervisor thread.
+    pub watchdog: bool,
 }
 
 /// Each worker's layer-0 prefix under one set of plans: what the first
@@ -356,42 +329,6 @@ struct WorkerFailure {
 type WorkerResult<T> = std::result::Result<T, WorkerFailure>;
 type NetResult<T> = std::result::Result<T, NetError>;
 
-/// The per-worker optimizer, concrete so Adam state can be exported for
-/// checkpointing.
-enum Opt {
-    Sgd(Sgd),
-    Adam(Adam),
-}
-
-impl Opt {
-    fn new(cfg: &ExecConfig, resume: Option<AdamState>) -> Self {
-        match cfg.optimizer {
-            OptimizerKind::Sgd => Opt::Sgd(Sgd::new(cfg.lr)),
-            OptimizerKind::Adam => {
-                let mut adam = Adam::new(cfg.lr);
-                if let Some(state) = resume {
-                    adam.import_state(state);
-                }
-                Opt::Adam(adam)
-            }
-        }
-    }
-
-    fn step(&mut self, store: &mut ParamStore, grads: &[Tensor]) {
-        match self {
-            Opt::Sgd(o) => o.step(store, grads),
-            Opt::Adam(o) => o.step(store, grads),
-        }
-    }
-
-    fn export(&self) -> Option<AdamState> {
-        match self {
-            Opt::Sgd(_) => None,
-            Opt::Adam(o) => Some(o.export_state()),
-        }
-    }
-}
-
 fn peer_order(me: usize, m: usize, ring: bool) -> Vec<usize> {
     if ring {
         (1..m).map(|k| (me + k) % m).collect()
@@ -464,12 +401,7 @@ struct RecvCtx<'a> {
 impl<'a> RecvCtx<'a> {
     fn new(ep: &Endpoint, run: &RunState, rec: &'a MetricsRecorder, rc: &'a RecvConfig) -> Self {
         let breakers = (0..ep.world())
-            .map(|_| {
-                CircuitBreaker::new(
-                    rc.breaker_threshold,
-                    Duration::from_millis(rc.breaker_cooldown_ms),
-                )
-            })
+            .map(|_| CircuitBreaker::new(BREAKER_THRESHOLD, BREAKER_COOLDOWN))
             .collect();
         RecvCtx {
             rc,
@@ -706,7 +638,7 @@ struct Worker<'a> {
     wd: Option<&'a Watchdog>,
     feature_grad: bool,
     store: ParamStore,
-    opt: Opt,
+    opt: Adam,
     /// Local feature matrix (owned rows + prefetched cached features —
     /// DepCache's one-time dependency retrieval, Algorithm 2 line 5). Only
     /// layer 0's first epoch reads it: released once `prefix` exists, and
@@ -750,7 +682,7 @@ impl<'a> Worker<'a> {
                 wd.finish(ep.id());
             }
             export_breaker_stats(&rec, &ep, &w.ctx.breakers.borrow(), |_| false);
-            res.map(|()| (w.store, w.opt.export()))
+            res.map(|()| (w.store, Some(w.opt.export_state())))
         };
         export_net_stats(&rec, &ep.stats());
         drop(ep);
@@ -773,6 +705,10 @@ impl<'a> Worker<'a> {
         rec.incr("compute.threads", ns_par::threads() as u64);
         let train_weight = 1.0 / dataset.num_train().max(1) as f32;
         let owned = |mask: &Vec<bool>| plan.owned.iter().map(|&v| mask[v as usize]).collect();
+        let mut opt = Adam::new(cfg.lr);
+        if let Some(state) = run.opt_state.clone() {
+            opt.import_state(state);
+        }
         Worker {
             plan,
             model,
@@ -784,7 +720,7 @@ impl<'a> Worker<'a> {
             wd,
             feature_grad,
             store: run.init_params.clone().unwrap_or_else(|| model.fresh_store()),
-            opt: Opt::new(cfg, run.opt_state.clone()),
+            opt,
             features,
             prefix,
             owned_labels: plan.owned.iter().map(|&v| dataset.labels[v as usize]).collect(),
@@ -1184,7 +1120,7 @@ pub(crate) fn run_workers(
     let (tx, rx) = mpsc::channel();
     let origin = run.origin.unwrap_or_else(Instant::now);
     let t_run = Instant::now();
-    let watchdog = run.watchdog.map(|wcfg| Watchdog::new(m, wcfg));
+    let watchdog = run.watchdog.then(|| Watchdog::new(m));
     let mut untracked = Layer0Carry::default();
     let (carry, feature_grad) = match layer0 {
         Layer0::Constant(carry) => (carry, false),
@@ -1604,7 +1540,7 @@ mod tests {
             GnnModel::two_layer(ModelKind::Gcn, ds.feature_dim(), 16, ds.num_classes, 3);
         let run = RunState {
             fault: FaultPlan::default().with_fault(Fault::Hang { worker: 1, epoch: 1 }),
-            watchdog: Some(WatchdogConfig { multiplier: 4.0, floor_ms: 100, poll_ms: 2 }),
+            watchdog: true,
             ..Default::default()
         };
         let t0 = Instant::now();

@@ -155,10 +155,6 @@ impl CostCalibration {
                 .any(|&m| m >= REPLAN_PEER_TRIGGER)
     }
 
-    /// Largest per-peer multiplier (1.0 when empty).
-    pub fn max_peer_mult(&self) -> f64 {
-        self.peer_mult.iter().copied().fold(1.0, f64::max)
-    }
 }
 
 /// Derives a calibration from one chunk's wait statistics.

@@ -90,10 +90,6 @@ impl LayerPlan {
         self.recv_ids.iter().map(Vec::len).sum()
     }
 
-    /// Total rows sent this layer.
-    pub fn send_row_count(&self) -> usize {
-        self.send_ids.iter().map(Vec::len).sum()
-    }
 }
 
 /// A complete per-worker execution plan.

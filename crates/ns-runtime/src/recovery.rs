@@ -35,13 +35,15 @@ pub struct RecoveryConfig {
     /// the pre-elastic behavior.
     pub rejoin: bool,
     /// Straggler eviction: at each checkpoint boundary, evict the peer
-    /// whose per-message receive wait exceeds `straggler_factor` times
+    /// whose per-message receive wait exceeds [`STRAGGLER_FACTOR`] times
     /// the cluster median (it re-admits at the next boundary when
     /// `rejoin` is on). Off by default.
     pub evict_stragglers: bool,
-    /// Eviction threshold multiplier over the median per-message wait.
-    pub straggler_factor: f64,
 }
+
+/// Straggler-eviction threshold: a multiplier over the cluster's median
+/// per-message receive wait.
+pub const STRAGGLER_FACTOR: f64 = 4.0;
 
 impl Default for RecoveryConfig {
     fn default() -> Self {
@@ -50,7 +52,6 @@ impl Default for RecoveryConfig {
             max_restarts: 2,
             rejoin: false,
             evict_stragglers: false,
-            straggler_factor: 4.0,
         }
     }
 }
@@ -68,11 +69,10 @@ impl RecoveryConfig {
         self
     }
 
-    /// Enables straggler eviction at `factor` times the median
-    /// per-message receive wait (builder style).
-    pub fn with_straggler_eviction(mut self, factor: f64) -> Self {
+    /// Enables straggler eviction at [`STRAGGLER_FACTOR`] times the
+    /// median per-message receive wait (builder style).
+    pub fn with_straggler_eviction(mut self) -> Self {
         self.evict_stragglers = true;
-        self.straggler_factor = factor;
         self
     }
 
@@ -250,9 +250,8 @@ mod tests {
     fn elastic_knobs_default_off() {
         let base = RecoveryConfig::every(2);
         assert!(!base.rejoin && !base.evict_stragglers);
-        let elastic = base.with_rejoin().with_straggler_eviction(3.0);
+        let elastic = base.with_rejoin().with_straggler_eviction();
         assert!(elastic.rejoin && elastic.evict_stragglers);
-        assert_eq!(elastic.straggler_factor, 3.0);
         assert_eq!(elastic.checkpoint_every, 2);
     }
 

@@ -13,7 +13,7 @@ use ns_net::{ClusterSpec, ExecOptions};
 
 use crate::cost::{probe_threaded, CostFactors};
 use crate::error::{Result, RuntimeError};
-use crate::exec::{OptimizerKind, RecvConfig, SyncMode, WatchdogConfig};
+use crate::exec::{RecvConfig, SyncMode};
 use crate::hybrid::{partition_dependencies, HybridConfig, HybridInfo};
 use crate::memory::check_device_fit;
 use crate::plan::{build_plans, DepDecision, WorkerPlan};
@@ -73,10 +73,8 @@ pub struct TrainerConfig {
     pub cluster: ClusterSpec,
     /// System-optimization toggles (ring / lock-free / overlap).
     pub opts: ExecOptions,
-    /// Learning rate.
+    /// Adam's learning rate.
     pub lr: f32,
-    /// Optimizer.
-    pub optimizer: OptimizerKind,
     /// Hybrid-engine knobs.
     pub hybrid: HybridConfig,
     /// ROC-like whole-partition broadcast (used by the baselines crate).
@@ -102,11 +100,11 @@ pub struct TrainerConfig {
     /// [`Trainer::prepare`], so the cost probe sees the same thread
     /// count the tensor kernels will run with.
     pub threads: usize,
-    /// Liveness watchdog policy (`None` = no supervisor thread). Catches
-    /// a worker that stops making epoch progress while holding no fabric
+    /// Run the liveness watchdog (off by default). It catches a worker
+    /// that stops making epoch progress while holding no fabric
     /// operation — the failure mode receive timeouts can't see — and
     /// routes it through the same eviction/rejoin machinery as a crash.
-    pub watchdog: Option<WatchdogConfig>,
+    pub watchdog: bool,
 }
 
 impl TrainerConfig {
@@ -119,7 +117,6 @@ impl TrainerConfig {
             cluster,
             opts: ExecOptions::all(),
             lr: 0.01,
-            optimizer: OptimizerKind::Adam,
             hybrid: HybridConfig::default(),
             broadcast_full_partition: false,
             sync: SyncMode::AllReduce,
@@ -129,7 +126,7 @@ impl TrainerConfig {
             store: StoreConfig::default(),
             recv: RecvConfig::default(),
             threads: 0,
-            watchdog: None,
+            watchdog: false,
         }
     }
 }
@@ -787,7 +784,7 @@ mod tests {
         let mut c = cfg(EngineKind::DepComm, 3);
         c.fault = FaultPlan::default().with_fault(Fault::Hang { worker: 1, epoch: 2 });
         c.recovery = RecoveryConfig::every(1).with_rejoin();
-        c.watchdog = Some(WatchdogConfig { multiplier: 4.0, floor_ms: 100, poll_ms: 2 });
+        c.watchdog = true;
         let trainer = Trainer::prepare(&ds, &m, c).unwrap();
         let report = trainer.train(5).unwrap();
         assert_eq!(report.epochs.len(), 5, "hung run must finish");
@@ -897,7 +894,7 @@ mod tests {
             .with_fault(Fault::Straggle { worker: 1, delay_ms: 30 });
         c.recovery = RecoveryConfig::every(2)
             .with_rejoin()
-            .with_straggler_eviction(4.0);
+            .with_straggler_eviction();
         let trainer = Trainer::prepare(&ds, &m, c).unwrap();
         let report = trainer.train(6).unwrap();
         assert_eq!(report.epochs.len(), 6);
@@ -993,7 +990,6 @@ mod tests {
         let m = model(&ds);
         let mut c = cfg(EngineKind::DepComm, 2);
         c.lr = 1e30; // guarantees a non-finite loss within a few steps
-        c.optimizer = OptimizerKind::Sgd;
         c.recovery = RecoveryConfig::every(1);
         let trainer = Trainer::prepare(&ds, &m, c).unwrap();
         let err = trainer.train(4).unwrap_err();

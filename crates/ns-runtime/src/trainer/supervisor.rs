@@ -33,7 +33,7 @@ use crate::error::{FailureCause, Result, RuntimeError};
 use crate::exec::{run_workers, EpochMetrics, ExecConfig, Layer0, Layer0Carry, RunState};
 use crate::feedback::{self, DecisionDelta, PeerWaitStats};
 use crate::plan::{DepDecision, WorkerPlan};
-use crate::recovery::Checkpoint;
+use crate::recovery::{Checkpoint, STRAGGLER_FACTOR};
 use crate::store::CheckpointStore;
 
 /// Upper bound on measured-cost drift replans per run, so an unlucky
@@ -119,7 +119,6 @@ impl<'t, 'a> Supervisor<'t, 'a> {
             trainer,
             exec_cfg: ExecConfig {
                 lr: cfg.lr,
-                optimizer: cfg.optimizer,
                 ring_order: cfg.opts.ring,
                 lock_free: cfg.opts.lock_free,
                 sync: cfg.sync,
@@ -342,14 +341,14 @@ impl<'t, 'a> Supervisor<'t, 'a> {
     }
 
     /// Straggler eviction: the peer whose attributed per-message receive
-    /// wait exceeds `straggler_factor` times the cluster median leaves
+    /// wait exceeds [`STRAGGLER_FACTOR`] times the cluster median leaves
     /// voluntarily. Returns its original slot.
     fn evict_straggler(&mut self, boundary: usize, waits: &PeerWaitStats) -> Option<usize> {
         let policy = &self.trainer.cfg.recovery;
         if !policy.evict_stragglers || self.view.active_count() <= 1 || boundary >= self.epochs {
             return None;
         }
-        let rank = feedback::pick_straggler(waits, policy.straggler_factor)?;
+        let rank = feedback::pick_straggler(waits, STRAGGLER_FACTOR)?;
         // The eviction cures the straggle at the source: a modeled
         // replacement host takes the slot, so the faults pinned to it
         // retire with the member — the straggle, and its link faults too:

@@ -103,7 +103,7 @@ fn flap_partitioned_worker_is_evicted_heals_and_rejoins() {
         .with_fault(parse_fault("flap:w1-w2:30ms:1").unwrap());
     cfg.recovery = RecoveryConfig::every(2)
         .with_rejoin()
-        .with_straggler_eviction(4.0);
+        .with_straggler_eviction();
     let report = Trainer::prepare(&ds, &m, cfg).unwrap().train(6).unwrap();
 
     assert_eq!(report.epochs.len(), 6);

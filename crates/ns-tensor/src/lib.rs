@@ -19,18 +19,16 @@
 //!   an arbitrary node with an upstream gradient, which is what a layered
 //!   distributed system needs (the seed for layer `l` arrives from layer
 //!   `l+1`, possibly over the network).
-//! * Every operator reports its FLOP cost so the cluster simulator in
-//!   `ns-net` can replay an epoch on a modeled device.
+//! * Every operator reports its FLOP cost on [`Tape::flops`] so the
+//!   cluster simulator in `ns-net` can replay an epoch on a modeled device.
 
 pub mod checkpoint;
-pub mod flops;
 pub mod nn;
 pub mod optim;
 pub mod pool;
 pub mod tape;
 pub mod tensor;
 
-pub use flops::FlopCounter;
 pub use nn::{Init, Linear, Mlp, ParamStore};
 pub use optim::{Adam, AdamState, Optimizer, Sgd};
 pub use tape::{Tape, Var};

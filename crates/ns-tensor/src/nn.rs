@@ -140,11 +140,6 @@ impl ParamStore {
             .collect()
     }
 
-    /// Total number of scalar parameters.
-    pub fn scalar_count(&self) -> usize {
-        self.values.iter().map(|v| v.len()).sum()
-    }
-
     /// Total parameter payload in bytes (used to meter all-reduce traffic).
     pub fn payload_bytes(&self) -> u64 {
         self.values.iter().map(|v| v.payload_bytes()).sum()
@@ -326,7 +321,6 @@ mod tests {
         assert_eq!(store.find("a"), Some(a));
         assert_eq!(store.find("missing"), None);
         assert_eq!(store.name(b), "b");
-        assert_eq!(store.scalar_count(), 9);
         assert_eq!(store.payload_bytes(), 36);
     }
 

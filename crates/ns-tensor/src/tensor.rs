@@ -691,11 +691,6 @@ impl Tensor {
         out
     }
 
-    /// Splits columns at `at`: returns (`[.., ..at]`, `[.., at..]`).
-    pub fn split_cols(&self, at: usize) -> (Tensor, Tensor) {
-        (self.slice_cols(0, at), self.slice_cols(at, self.cols))
-    }
-
     /// ReLU.
     pub fn relu(&self) -> Tensor {
         let mut out = Tensor::scratch(self.rows, self.cols);
@@ -1160,9 +1155,8 @@ mod tests {
         let b = Tensor::from_vec(2, 1, vec![9., 10.]);
         let c = a.concat_cols(&b);
         assert_eq!(c.shape(), (2, 3));
-        let (l, r) = c.split_cols(2);
-        assert_eq!(l.data(), a.data());
-        assert_eq!(r.data(), b.data());
+        assert_eq!(c.slice_cols(0, 2).data(), a.data());
+        assert_eq!(c.slice_cols(2, 3).data(), b.data());
     }
 
     #[test]

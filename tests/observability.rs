@@ -182,3 +182,92 @@ fn trace_sink_is_perfetto_shaped_with_one_track_per_worker() {
     assert!(!report.metrics.sim_spans.is_empty());
     assert!(events.iter().any(|e| e["pid"].as_f64() == Some(1.0)));
 }
+
+/// The meter names the product code emits: every string literal passed to
+/// `incr(` / `observe(` / serve's `timed(` above a file's inline test
+/// module under `crates/*/src` (nsbench's `crates/benchmark` aside), and
+/// every `&format!("…")` family, spelled the way the catalog writes it —
+/// a `{…}` after `peer` as `<k>`, any other as `<kind>`. `//` lines are
+/// skipped, so doc examples do not count.
+fn emitted_meter_names() -> Vec<(String, String)> {
+    fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                rust_files(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
+    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(&crates).unwrap() {
+        let krate = entry.unwrap().path();
+        if krate.file_name().is_some_and(|n| n != "benchmark") && krate.join("src").is_dir() {
+            rust_files(&krate.join("src"), &mut files);
+        }
+    }
+    let mut names = Vec::new();
+    for file in files {
+        let text = std::fs::read_to_string(&file).unwrap();
+        let code: String = text
+            .lines()
+            .take_while(|l| !l.starts_with("#[cfg(test)]"))
+            .filter(|l| !l.trim_start().starts_with("//"))
+            .flat_map(|l| [l, "\n"])
+            .collect();
+        for call in ["incr(", "observe(", "timed("] {
+            for (at, _) in code.match_indices(call) {
+                let arg = code[at + call.len()..].trim_start();
+                let Some(lit) = arg
+                    .strip_prefix('"')
+                    .or_else(|| arg.strip_prefix("&format!(\""))
+                else {
+                    continue;
+                };
+                let raw = &lit[..lit.find('"').unwrap()];
+                let mut name = String::new();
+                let mut rest = raw;
+                while let Some(open) = rest.find('{') {
+                    name.push_str(&rest[..open]);
+                    name.push_str(if name.ends_with("peer") {
+                        "<k>"
+                    } else {
+                        "<kind>"
+                    });
+                    rest = &rest[open + rest[open..].find('}').unwrap() + 1..];
+                }
+                name.push_str(rest);
+                names.push((name, file.display().to_string()));
+            }
+        }
+    }
+    names
+}
+
+/// docs/OBSERVABILITY.md is the meter catalog: every name the product
+/// code emits has a table row there.
+#[test]
+fn observability_md_documents_every_emitted_meter() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/docs/OBSERVABILITY.md");
+    let doc = std::fs::read_to_string(path).expect("docs/OBSERVABILITY.md is readable");
+    let documented: std::collections::BTreeSet<&str> = doc
+        .lines()
+        .filter_map(|l| l.strip_prefix("| `")?.split(" |").next())
+        .flat_map(|cell| cell.split('`').step_by(2))
+        .collect();
+    let emitted = emitted_meter_names();
+    // A scanner that stopped matching would pass vacuously.
+    assert!(
+        emitted.len() >= 80,
+        "only {} meter names found",
+        emitted.len()
+    );
+    for (name, file) in &emitted {
+        assert!(
+            documented.contains(name.as_str()),
+            "{file} emits `{name}`, which has no row in docs/OBSERVABILITY.md"
+        );
+    }
+}
