@@ -147,7 +147,7 @@ fn main() {
     let gather_bytes = (g_idx.len() * g_cols * 8 + g_idx.len() * 4) as u64;
 
     // Lock-free parallel enqueue: gather rows of a feature block into
-    // per-destination chunk buffers, staging storage served by the tensor
+    // per-destination buffers through disjoint windows, staging storage served by the tensor
     // pool and recycled after the send — the exact production send path
     // of `ns-runtime` (the warmup iteration populates the pool, so
     // measured iterations run at the zero-alloc steady state).

@@ -18,8 +18,8 @@
 //!   the paper's Fig. 13).
 //! * [`fabric`] — real `std::sync::mpsc` channel mesh carrying tensor rows,
 //!   gradient chunks, and all-reduce payloads between worker threads.
-//! * [`buffer`] — the lock-free position-indexed message buffer of §4.3,
-//!   plus a mutex-guarded variant used as the ablation baseline.
+//! * [`buffer`] — the lock-free position-indexed message enqueuer of §4.3:
+//!   every row's final offset is fixed before any thread writes.
 //! * [`wire`] — checksummed frame format (magic, kind, length, CRC32)
 //!   wrapping every fabric payload; receivers verify before decode.
 //! * [`fault`] — deterministic, seeded fault injection (drops, delays,
@@ -27,7 +27,7 @@
 //!   fabric and the simulator, and the one-line spec grammar that names
 //!   each fault.
 //! * [`membership`] — the coordinator's cluster membership view and the
-//!   worker rejoin handshake used by the elastic trainer.
+//!   byte cost of the worker rejoin handshake used by the elastic trainer.
 //! * [`policy`] — the shared jittered-backoff / circuit-breaker policy
 //!   every network wait runs under.
 
@@ -40,13 +40,11 @@ pub mod policy;
 pub mod sim;
 pub mod wire;
 
-pub use buffer::{LockFreeChunkBuffer, MutexChunkBuffer, ParallelEnqueue};
+pub use buffer::ParallelEnqueue;
 pub use cluster::{ClusterSpec, DeviceModel, ExecOptions, NetModel};
 pub use fabric::{Endpoint, Fabric, Message, MessageKind, NetError, NetStats, KIND_NAMES};
 pub use fault::{Fault, FaultPlan, KindSel, Link, MsgSel, SendFate, Window};
-pub use membership::{
-    MemberState, MembershipEvent, MembershipEventKind, MembershipView, RejoinOffer,
-};
+pub use membership::{MemberState, MembershipEvent, MembershipEventKind, MembershipView};
 pub use policy::{Backoff, BreakerState, BreakerStats, CircuitBreaker};
 pub use sim::{SimReport, TaskGraph, TaskId};
 pub use wire::{crc32, FrameError, FRAME_HEADER_BYTES};

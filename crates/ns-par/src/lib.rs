@@ -9,12 +9,14 @@
 //!
 //! # Execution model
 //!
-//! [`par_ranges`] splits an index space `0..n` into fixed-size chunks and
-//! publishes them behind a single atomic cursor. Every participating
+//! [`par_chunks`] is the one fan-out primitive: it cuts a mutable slice
+//! into fixed-size chunks, parks each chunk in its own slot and publishes
+//! the chunk indices behind a single atomic cursor. Every participating
 //! thread — the caller plus up to `threads() - 1` pool workers — claims
-//! chunks with `fetch_add` until the cursor runs dry. A slow thread
-//! simply claims fewer chunks; a fast one *steals* the remainder. There
-//! is no per-chunk lock and no work-queue mutex on the claim path.
+//! indices with `fetch_add` until the cursor runs dry and takes its
+//! chunk's `&mut` window out of the slot (an uncontended lock: each index
+//! is claimed once). A slow thread simply claims fewer chunks; a fast one
+//! *steals* the remainder. There is no work-queue mutex on the claim path.
 //!
 //! # Determinism
 //!
@@ -36,7 +38,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
 
 /// Hardware parallelism of this machine (at least 1).
-pub fn max_threads() -> usize {
+fn max_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
@@ -252,31 +254,6 @@ impl Pool {
     }
 }
 
-/// A raw pointer that may cross threads. Used by kernels that hand
-/// *disjoint* output ranges to different chunks; the caller is
-/// responsible for the disjointness that makes this sound.
-pub struct SendPtr<T>(pub *mut T);
-
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendPtr<T> {}
-
-// SAFETY: accesses through a `SendPtr` are confined to disjoint ranges by
-// the chunk protocol (each chunk index is claimed exactly once).
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    /// The wrapped pointer.
-    #[inline]
-    pub fn get(self) -> *mut T {
-        self.0
-    }
-}
-
 /// A chunk length that yields a few chunks per thread (dynamic claiming
 /// then balances uneven chunk costs), never zero.
 pub fn chunk_len(n: usize, threads: usize) -> usize {
@@ -291,7 +268,7 @@ pub fn chunk_len(n: usize, threads: usize) -> usize {
 ///
 /// Runs inline when `threads() == 1`, when there is at most one chunk,
 /// or when the pool is busy/nested — same chunks, same results.
-pub fn par_ranges(n: usize, chunk: usize, f: impl Fn(usize, usize) + Sync) {
+fn par_ranges(n: usize, chunk: usize, f: impl Fn(usize, usize) + Sync) {
     if n == 0 {
         return;
     }
@@ -338,62 +315,23 @@ pub fn par_ranges(n: usize, chunk: usize, f: impl Fn(usize, usize) + Sync) {
 
 /// Runs `f(chunk_index, chunk_slice)` over `chunk`-element chunks of
 /// `data` across the configured threads. Chunk `i` is
-/// `data[i*chunk .. min((i+1)*chunk, len)]`; every element belongs to
-/// exactly one chunk, which is what makes the concurrent `&mut` sound.
+/// `data[i*chunk .. min((i+1)*chunk, len)]`; each sits in its own slot
+/// until the one thread that claims index `i` takes it, so every `&mut`
+/// window is handed out exactly once. Runs inline when `threads() == 1`,
+/// when there is at most one chunk, or when the pool is busy/nested —
+/// same chunks, same results.
 pub fn par_chunks<T: Send, F: Fn(usize, &mut [T]) + Sync>(data: &mut [T], chunk: usize, f: F) {
     let len = data.len();
     let chunk = chunk.max(1);
-    let base = SendPtr(data.as_mut_ptr());
-    par_ranges(len, chunk, |start, end| {
-        // SAFETY: `par_ranges` hands out disjoint [start, end) ranges.
-        let slice = unsafe { std::slice::from_raw_parts_mut(base.get().add(start), end - start) };
-        f(start / chunk, slice);
+    let slots: Vec<Mutex<Option<&mut [T]>>> = data
+        .chunks_mut(chunk)
+        .map(|c| Mutex::new(Some(c)))
+        .collect();
+    par_ranges(len, chunk, |start, _| {
+        let i = start / chunk;
+        let window = slots[i].lock().expect("ns-par chunk slot poisoned").take();
+        f(i, window.expect("ns-par chunk claimed twice"));
     });
-}
-
-/// Runs `a` and `b`, in parallel when a pool worker is free. Both
-/// closures always run exactly once; results come back as a tuple.
-pub fn par_join<RA, RB, A, B>(a: A, b: B) -> (RA, RB)
-where
-    RA: Send,
-    RB: Send,
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-{
-    if threads() <= 1 {
-        return (a(), b());
-    }
-    let mut ra: Option<RA> = None;
-    let mut rb: Option<RB> = None;
-    {
-        // Each task is claimed exactly once off the shared cursor, so the
-        // inline fallback (`f(0)` alone) still runs both.
-        let sa = Mutex::new(Some((a, SendPtr(&mut ra as *mut Option<RA>))));
-        let sb = Mutex::new(Some((b, SendPtr(&mut rb as *mut Option<RB>))));
-        let cursor = AtomicUsize::new(0);
-        pool().run(1, &|_| loop {
-            match cursor.fetch_add(1, Ordering::Relaxed) {
-                0 => {
-                    if let Some((f, out)) = sa.lock().expect("par_join slot").take() {
-                        // SAFETY: claimed once; `ra` outlives the job.
-                        unsafe { *out.get() = Some(f()) };
-                    }
-                }
-                1 => {
-                    if let Some((f, out)) = sb.lock().expect("par_join slot").take() {
-                        // SAFETY: claimed once; `rb` outlives the job.
-                        unsafe { *out.get() = Some(f()) };
-                    }
-                }
-                _ => break,
-            }
-        });
-    }
-    bump_stats(|s| s.jobs += 1);
-    (
-        ra.expect("par_join: task a did not run"),
-        rb.expect("par_join: task b did not run"),
-    )
 }
 
 #[cfg(test)]
@@ -455,15 +393,6 @@ mod tests {
         for t in [2, 3, 4, 8] {
             assert_eq!(run(t), base, "thread count {t} diverged");
         }
-    }
-
-    #[test]
-    fn par_join_runs_both_and_returns_results() {
-        let _g = serial();
-        set_threads(2);
-        let (a, b) = par_join(|| 21 * 2, || "ok".to_string());
-        assert_eq!(a, 42);
-        assert_eq!(b, "ok");
     }
 
     #[test]

@@ -361,7 +361,7 @@ fn enqueue_payloads(
     // Staging buffers come from the tensor pool: shape-stationary send
     // schedules mean next epoch's take_scratch is served by the buffers
     // the receivers recycled this epoch.
-    let enq = ParallelEnqueue::new_with(src.cols(), &slots, ns_tensor::pool::take_scratch);
+    let mut enq = ParallelEnqueue::new_with(src.cols(), &slots, ns_tensor::pool::take_scratch);
     enq.fill(src.data(), &views);
     rec.incr("net.enqueue.rows", total as u64);
     Some(enq)

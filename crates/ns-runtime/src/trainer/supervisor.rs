@@ -17,14 +17,13 @@
 //! all spans land on one timeline (DESIGN.md §9 has the step/meter table).
 
 use std::borrow::Cow;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use ns_graph::fx::FxHashSet;
 use ns_graph::Partitioning;
 use ns_metrics::{span, MetricsRecorder, Phase, RunMetrics, COORDINATOR};
 use ns_net::fault::FaultPlan;
 use ns_net::membership::{self, MembershipEvent, MembershipView};
-use ns_net::Fabric;
 use ns_tensor::{AdamState, ParamStore};
 
 use super::{plan_engine, training_partition, EngineKind, ReplanEvent, Trainer};
@@ -261,7 +260,7 @@ impl<'t, 'a> Supervisor<'t, 'a> {
     /// changed, else on measured cost drift.
     fn heal(&mut self, boundary: usize, waits: &PeerWaitStats) -> Result<()> {
         let evicted = self.evict_straggler(boundary, waits);
-        let rejoined = self.rejoin_missing(boundary, evicted)?;
+        let rejoined = self.rejoin_missing(boundary, evicted);
         if evicted.is_some() || rejoined {
             self.replan_members()
         } else {
@@ -360,18 +359,20 @@ impl<'t, 'a> Supervisor<'t, 'a> {
     }
 
     /// Rejoin: every missing member (failed or evicted), except the one
-    /// evicted at this very boundary, re-admits through the [`membership`]
-    /// handshake and resumes from the checkpoint. True if anyone did.
-    fn rejoin_missing(&mut self, boundary: usize, just_evicted: Option<usize>) -> Result<bool> {
+    /// evicted at this very boundary, re-admits and resumes from the
+    /// checkpoint. Each rejoin puts the [`membership`] handshake's control
+    /// messages and the checkpoint's payload — parameters and Adam state —
+    /// on the wire. True if anyone rejoined.
+    fn rejoin_missing(&mut self, boundary: usize, just_evicted: Option<usize>) -> bool {
         if !self.trainer.cfg.recovery.rejoin || self.view.is_full() {
-            return Ok(false);
+            return false;
         }
+        let wire_bytes = self.ckpt.payload().len() as u64 + membership::REJOIN_HANDSHAKE_BYTES;
         let mut admitted = false;
         for slot in self.view.missing() {
             if Some(slot) == just_evicted {
                 continue;
             }
-            let wire_bytes = self.rejoin_handshake(slot)?;
             self.view.admit(slot, boundary);
             self.coord.incr("membership.rejoins", 1);
             self.coord.incr("membership.rejoin.bytes", wire_bytes);
@@ -383,7 +384,7 @@ impl<'t, 'a> Supervisor<'t, 'a> {
             // if needed).
             self.active.engine = self.trainer.cfg.engine;
         }
-        Ok(admitted)
+        admitted
     }
 
     /// Rebuilds the plan over whoever is active now, on the probed costs.
@@ -482,36 +483,6 @@ impl<'t, 'a> Supervisor<'t, 'a> {
             .collect();
         let old = &self.active.decision;
         feedback::diff_decisions(old, new, workers, num_layers, &deps, |u| part.owner(u))
-    }
-
-    /// Runs the rejoin handshake for original `slot` against the current
-    /// checkpoint: a fresh two-node fabric (coordinator = 0, joiner = 1),
-    /// two threads, three control round trips, then the checkpoint's
-    /// payload — parameters and Adam state — is what the joiner resumes
-    /// from. Returns the bytes the rejoin put on the wire (handshake
-    /// control traffic plus that payload).
-    fn rejoin_handshake(&self, slot: usize) -> Result<u64> {
-        let timeout = Duration::from_millis(self.trainer.cfg.recv.timeout_ms.max(100));
-        let mut eps = Fabric::new(2).into_endpoints();
-        let joiner_ep = eps.pop().expect("fabric endpoint 1");
-        let coord_ep = eps.pop().expect("fabric endpoint 0");
-        let resume = self.ckpt.next_epoch;
-        let state_bytes = self.ckpt.payload().len() as u64;
-        let net_err = |e| RuntimeError::WorkerFailed {
-            worker: slot,
-            epoch: resume,
-            cause: FailureCause::Net(e),
-        };
-        std::thread::scope(|s| {
-            let joiner =
-                s.spawn(move || membership::request_rejoin(&joiner_ep, 0, slot, timeout));
-            let announced = membership::admit_rejoin(&coord_ep, 1, resume, state_bytes, timeout)
-                .map_err(net_err)?;
-            let offer = joiner.join().expect("joiner thread").map_err(net_err)?;
-            debug_assert_eq!(announced, slot);
-            debug_assert_eq!(offer.resume_epoch, resume);
-            Ok(offer.state_bytes + membership::REJOIN_HANDSHAKE_BYTES)
-        })
     }
 }
 

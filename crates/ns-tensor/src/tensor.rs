@@ -996,21 +996,16 @@ impl Tensor {
             run(0, n_dst, &mut out.data, &mut argmax);
         } else {
             // Two parallel output buffers (values + winning edges) share
-            // the same dst-row ownership, so a single range dispatch
-            // hands each chunk disjoint windows of both.
-            let optr = ns_par::SendPtr(out.data.as_mut_ptr());
-            let aptr = ns_par::SendPtr(argmax.as_mut_ptr());
+            // the same dst-row ownership: zip their row blocks into
+            // window pairs and fan the pairs out one per chunk.
             let rows_per_chunk = ns_par::chunk_len(n_dst, threads);
-            ns_par::par_ranges(n_dst, rows_per_chunk, |lo, hi| {
-                // SAFETY: `par_ranges` hands out disjoint [lo, hi) row
-                // ranges, so the two windows are exclusively owned here.
-                let (orows, arows) = unsafe {
-                    (
-                        std::slice::from_raw_parts_mut(optr.get().add(lo * d), (hi - lo) * d),
-                        std::slice::from_raw_parts_mut(aptr.get().add(lo * d), (hi - lo) * d),
-                    )
-                };
-                run(lo, hi, orows, arows);
+            let w = rows_per_chunk * d;
+            let mut windows: Vec<(&mut [f32], &mut [u32])> =
+                out.data.chunks_mut(w).zip(argmax.chunks_mut(w)).collect();
+            ns_par::par_chunks(&mut windows, 1, |ci, pair| {
+                let (orows, arows) = &mut pair[0];
+                let lo = ci * rows_per_chunk;
+                run(lo, lo + orows.len() / d, orows, arows);
             });
         }
         (out, argmax)

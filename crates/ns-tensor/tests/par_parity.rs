@@ -33,15 +33,19 @@ fn rand_tensor(rng: &mut StdRng, rows: usize, cols: usize) -> Tensor {
 }
 
 /// A random CSR edge structure: `n_dst + 1` offsets plus per-edge sources
-/// into `0..n_src` and per-edge weights.
-fn rand_csr(rng: &mut StdRng, n_dst: usize, n_src: usize) -> (Vec<usize>, Vec<u32>, Vec<f32>) {
+/// into `0..n_src` and per-edge weights, each degree drawn from `deg`.
+fn rand_csr(
+    rng: &mut StdRng,
+    n_dst: usize,
+    n_src: usize,
+    deg: std::ops::Range<usize>,
+) -> (Vec<usize>, Vec<u32>, Vec<f32>) {
     let mut offsets = Vec::with_capacity(n_dst + 1);
     offsets.push(0usize);
     let mut edge_src = Vec::new();
     let mut weights = Vec::new();
     for _ in 0..n_dst {
-        // Degree 0 included: empty segments must behave identically too.
-        let deg = rng.random_range(0..7usize);
+        let deg = rng.random_range(deg.clone());
         for _ in 0..deg {
             edge_src.push(rng.random_range(0..n_src) as u32);
             weights.push(rng.random_range(-1.0..1.0f32));
@@ -51,17 +55,31 @@ fn rand_csr(rng: &mut StdRng, n_dst: usize, n_src: usize) -> (Vec<usize>, Vec<u3
     (offsets, edge_src, weights)
 }
 
+/// `ns_par::set_threads` is process-global and one pool job runs at a
+/// time; tests that sweep thread counts must not interleave.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Runs `f` once per configured thread count and asserts every run's
-/// output equals the 1-thread baseline bit for bit.
-fn assert_thread_invariant<T: PartialEq + std::fmt::Debug>(label: &str, f: impl Fn() -> T) {
+/// output equals the 1-thread baseline bit for bit. Returns how many of
+/// the multi-thread runs' jobs reached the pool instead of running inline.
+fn assert_thread_invariant<T: PartialEq + std::fmt::Debug>(label: &str, f: impl Fn() -> T) -> u64 {
+    let _g = serial();
     ns_par::set_threads(1);
     let base = f();
+    let mut pooled = 0;
     for &t in &THREAD_COUNTS {
         ns_par::set_threads(t);
+        let _ = ns_par::take_thread_stats();
         let got = f();
+        let st = ns_par::take_thread_stats();
+        pooled += st.jobs - st.inline_jobs;
         assert_eq!(got, base, "{label}: {t}-thread run diverged from 1-thread");
     }
     ns_par::set_threads(1);
+    pooled
 }
 
 fn assert_matmul_family_thread_invariant(rng: &mut StdRng, n: usize, k: usize, m: usize) {
@@ -97,6 +115,7 @@ fn matmul_tn_nt_still_match_explicit_transpose_when_parallel() {
     let a = rand_tensor(&mut rng, 96, 40);
     let b = rand_tensor(&mut rng, 96, 36);
     let c = rand_tensor(&mut rng, 33, 40);
+    let _g = serial();
     ns_par::set_threads(4);
     assert_eq!(a.matmul_tn(&b).data(), a.transpose().matmul(&b).data());
     assert_eq!(c.matmul_nt(&a).data(), c.matmul(&a.transpose()).data());
@@ -124,6 +143,36 @@ fn gather_scatter_are_bit_identical_across_thread_counts() {
     }
 }
 
+/// Asserts the CSR aggregators' thread invariance on one random graph;
+/// returns [`assert_thread_invariant`]'s pooled-job count for
+/// `max_aggregate`.
+fn assert_csr_family_thread_invariant(
+    rng: &mut StdRng,
+    n_src: usize,
+    n_dst: usize,
+    cols: usize,
+    deg: std::ops::Range<usize>,
+) -> u64 {
+    let x = rand_tensor(rng, n_src, cols);
+    let (offsets, edge_src, weights) = rand_csr(rng, n_dst, n_src, deg);
+    assert_thread_invariant("weighted_aggregate(unweighted)", || {
+        x.weighted_aggregate(&edge_src, &offsets, None).into_vec()
+    });
+    assert_thread_invariant("weighted_aggregate(weighted)", || {
+        x.weighted_aggregate(&edge_src, &offsets, Some(&weights))
+            .into_vec()
+    });
+    let grad = rand_tensor(rng, n_dst, cols);
+    assert_thread_invariant("weighted_aggregate_transpose", || {
+        grad.weighted_aggregate_transpose(&edge_src, &offsets, Some(&weights), n_src)
+            .into_vec()
+    });
+    assert_thread_invariant("max_aggregate", || {
+        let (t, arg) = x.max_aggregate(&edge_src, &offsets);
+        (t.into_vec(), arg)
+    })
+}
+
 #[test]
 fn csr_aggregation_is_bit_identical_across_thread_counts() {
     for seed in 0..TRIALS {
@@ -131,23 +180,12 @@ fn csr_aggregation_is_bit_identical_across_thread_counts() {
         let n_src = rng.random_range(1..200usize);
         let n_dst = rng.random_range(1..200usize);
         let cols = rng.random_range(1..40usize);
-        let x = rand_tensor(&mut rng, n_src, cols);
-        let (offsets, edge_src, weights) = rand_csr(&mut rng, n_dst, n_src);
-        assert_thread_invariant("weighted_aggregate(unweighted)", || {
-            x.weighted_aggregate(&edge_src, &offsets, None).into_vec()
-        });
-        assert_thread_invariant("weighted_aggregate(weighted)", || {
-            x.weighted_aggregate(&edge_src, &offsets, Some(&weights))
-                .into_vec()
-        });
-        let grad = rand_tensor(&mut rng, n_dst, cols);
-        assert_thread_invariant("weighted_aggregate_transpose", || {
-            grad.weighted_aggregate_transpose(&edge_src, &offsets, Some(&weights), n_src)
-                .into_vec()
-        });
-        assert_thread_invariant("max_aggregate", || {
-            let (t, arg) = x.max_aggregate(&edge_src, &offsets);
-            (t.into_vec(), arg)
-        });
+        // Degree 0 included: empty segments must behave identically too.
+        assert_csr_family_thread_invariant(&mut rng, n_src, n_dst, cols, 0..7);
     }
+    // The draws stay under the parallel threshold for `max_aggregate`: a
+    // fixed shape above it, which must reach the pool.
+    let mut rng = StdRng::seed_from_u64(2000 + TRIALS);
+    let pooled = assert_csr_family_thread_invariant(&mut rng, 2048, 2048, 32, 4..9);
+    assert!(pooled > 0, "max_aggregate never left the inline path");
 }
