@@ -9,7 +9,7 @@
 //! Schedules are derived from a single `u64` seed via SplitMix64 and
 //! logged as `--fault` spec strings, so a failing seed reported by CI or
 //! `nts chaos` reproduces exactly — by seed, or by pasting its schedule
-//! back into `nts train`/`nts simulate`.
+//! back into `nts train`.
 
 use std::path::{Path, PathBuf};
 
@@ -40,8 +40,8 @@ pub enum Matrix {
     Partition,
     /// Resource exhaustion (disk-full windows, slow disks, memory-pressure
     /// caps, hung workers; no kills or wire noise); checks the
-    /// degrade-don't-die invariant (7) and runs with the liveness
-    /// watchdog armed.
+    /// degrade-don't-die invariant (7). Like [`Matrix::Partition`], it
+    /// runs under a short receive budget, which is what finds a hang.
     Resource,
 }
 
@@ -269,8 +269,8 @@ fn generate_partition(rng: &mut SplitMix64, seed: u64, cfg: &ChaosConfig) -> Cha
 /// optional slow disk, a memory-pressure window whose cap sits 12.5%
 /// above the baseline pool high-water mark (tight enough to trip the
 /// 75% pressure threshold, loose enough that invariant 7's
-/// peak-under-cap bound is satisfiable), and a hung worker for the
-/// liveness watchdog to cancel. No kills and rejoin always on — these
+/// peak-under-cap bound is satisfiable), and a hung worker for its
+/// peers' receive budgets to find. No kills and rejoin always on — these
 /// runs must degrade and come back, never abort.
 fn generate_resource(
     rng: &mut SplitMix64,
@@ -381,12 +381,13 @@ fn train(
 ) -> Result<TrainingReport, RuntimeError> {
     let mut tc = TrainerConfig::new(cfg.engine, ClusterSpec::aliyun_ecs(cfg.workers));
     tc.fault = fault;
-    if cfg.matrix == Matrix::Partition {
-        // Black-holed links surface only as receive timeouts; shrink the
-        // retry schedule so each severed op fails over in ~0.5s instead
-        // of the default multi-second budget, keeping 32-seed soaks fast.
-        // The jittered windows still dwarf the generator's flap periods
-        // and delay noise, so healthy links never misfire.
+    if cfg.matrix != Matrix::Crash {
+        // Black-holed links and hung workers surface only as receive
+        // timeouts; shrink the retry schedule so each severed op or hang
+        // fails over in about a second instead of the default multi-second
+        // budget, keeping 32-seed soaks fast. The jittered windows still
+        // dwarf the generator's flap periods and delay noise, so healthy
+        // links never misfire.
         tc.recv = RecvConfig { timeout_ms: 150, retries: 2 };
     }
     tc.recovery = if rejoin {
@@ -394,9 +395,6 @@ fn train(
     } else {
         RecoveryConfig::every(cfg.checkpoint_every)
     };
-    // The resource matrix injects hangs, which only the liveness
-    // watchdog can see.
-    tc.watchdog = cfg.matrix == Matrix::Resource;
     if let Some(dir) = store_dir {
         tc.store = StoreConfig::at(dir);
     }
@@ -617,8 +615,8 @@ fn breaker_liveness(run: &Run) -> Vec<String> {
 
 /// Invariant 7: resource exhaustion degrades, never aborts. Each
 /// scheduled resource fault must leave its proving meters behind — a
-/// disk-full window forces retention squeezes, a hung worker trips the
-/// watchdog, a slow disk shows up as a bounded save penalty rather than a
+/// disk-full window forces retention squeezes, a hung worker is evicted
+/// as hung, a slow disk shows up as a bounded save penalty rather than a
 /// stall — and on top of the meters a disk-full run keeps at least one
 /// loadable durable generation and the pool's high-water mark
 /// (`alloc.peak_bytes`) stays under an enforced memory cap.
@@ -630,7 +628,7 @@ fn resource_degrade(run: &Run) -> Vec<String> {
             Fault::SlowDisk { .. } if run.cfg.ckpt_base.is_some() => {
                 &["ckpt.slow_disk_penalty_ns"]
             }
-            Fault::Hang { .. } => &["watchdog.trips"],
+            Fault::Hang { .. } => &["membership.hangs"],
             _ => &[],
         };
         for meter in proving.iter().filter(|m| run.counter(m) == 0) {

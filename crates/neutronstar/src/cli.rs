@@ -330,19 +330,9 @@ fn model_flags<A: AsMut<ModelArgs>>() -> [Flag<A>; 5] {
     ]
 }
 
-/// `train` / `simulate` / `probe`.
-fn run_flags() -> Vec<Flag<RunArgs>> {
-    let rows: Vec<Flag<RunArgs>> = vec![
-        Flag {
-            spec: "engine <depcache|depcomm|hybrid>",
-            help: "dependency engine (default hybrid)",
-            set: |a, v| {
-                put(
-                    &mut a.engine,
-                    pick(v, "depcache|depcomm|hybrid", [DepCache, DepComm, Hybrid]),
-                )
-            },
-        },
+/// The modelled cluster: read by `probe`, `simulate` and `train`.
+fn cluster_flags() -> Vec<Flag<RunArgs>> {
+    vec![
         Flag {
             spec: "workers <n>",
             help: "worker count (default 4)",
@@ -360,11 +350,58 @@ fn run_flags() -> Vec<Flag<RunArgs>> {
             help: "cluster preset (default ecs)",
             set: |a, v| put(&mut a.cluster, Ok(v.to_string())),
         },
+    ]
+}
+
+/// The plan: read by `simulate` and `train`.
+fn plan_flags() -> Vec<Flag<RunArgs>> {
+    vec![
+        Flag {
+            spec: "engine <depcache|depcomm|hybrid>",
+            help: "dependency engine (default hybrid)",
+            set: |a, v| {
+                put(
+                    &mut a.engine,
+                    pick(v, "depcache|depcomm|hybrid", [DepCache, DepComm, Hybrid]),
+                )
+            },
+        },
         Flag {
             spec: "partitioner <chunk|metis|fennel>",
             help: "vertex-to-worker assignment (default chunk)",
             set: |a, v| put(&mut a.partitioner, v.parse()),
         },
+        Flag {
+            spec: "sync <allreduce|ps>",
+            help: "gradient synchronization (default allreduce)",
+            set: |a, v| {
+                let modes = [AllReduce, ParameterServer, ParameterServer];
+                put(&mut a.sync, pick(v, "allreduce|ps|parameter-server", modes))
+            },
+        },
+        Flag {
+            spec: "no-ring",
+            help: "exchange chunks without the ring schedule (Fig. 9)",
+            set: |a, _| put(&mut a.opts.ring, Ok(false)),
+        },
+        Flag {
+            spec: "no-lockfree",
+            help: "enqueue messages under a lock (Fig. 9)",
+            set: |a, _| put(&mut a.opts.lock_free, Ok(false)),
+        },
+        Flag {
+            spec: "no-overlap",
+            help: "price the simulated epoch without communication/computation \
+                   overlap (Fig. 9); the executor does not pipeline, so only \
+                   the simulated epoch changes",
+            set: |a, _| put(&mut a.opts.overlap, Ok(false)),
+        },
+    ]
+}
+
+/// The run: read by `train` only.
+fn train_flags() -> Vec<Flag<RunArgs>> {
+    vec![
         Flag {
             spec: "epochs <n>",
             help: "training epochs (default 10)",
@@ -376,16 +413,8 @@ fn run_flags() -> Vec<Flag<RunArgs>> {
             set: |a, v| put(&mut a.lr, positive(v)),
         },
         Flag {
-            spec: "sync <allreduce|ps>",
-            help: "gradient synchronization (default allreduce)",
-            set: |a, v| {
-                let modes = [AllReduce, ParameterServer, ParameterServer];
-                put(&mut a.sync, pick(v, "allreduce|ps|parameter-server", modes))
-            },
-        },
-        Flag {
             spec: "save <path>",
-            help: "write the trained checkpoint (train only)",
+            help: "write the trained checkpoint",
             set: |a, v| put(&mut a.save, Ok(Some(v.to_string()))),
         },
         Flag {
@@ -422,34 +451,27 @@ fn run_flags() -> Vec<Flag<RunArgs>> {
         },
         Flag {
             spec: "metrics-out <path>",
-            help: "write run metrics as JSON (train only)",
+            help: "write run metrics as JSON",
             set: |a, v| put(&mut a.metrics_out, Ok(Some(v.to_string()))),
         },
         Flag {
             spec: "trace-out <path>",
             help: "write a Chrome trace_event JSON timeline, loadable in Perfetto \
-                   / chrome://tracing (train only)",
+                   / chrome://tracing",
             set: |a, v| put(&mut a.trace_out, Ok(Some(v.to_string()))),
         },
-        Flag {
-            spec: "no-ring",
-            help: "exchange chunks without the ring schedule (Fig. 9)",
-            set: |a, _| put(&mut a.opts.ring, Ok(false)),
-        },
-        Flag {
-            spec: "no-lockfree",
-            help: "enqueue messages under a lock (Fig. 9)",
-            set: |a, _| put(&mut a.opts.lock_free, Ok(false)),
-        },
-        Flag {
-            spec: "no-overlap",
-            help: "price the simulated epoch without communication/computation \
-                   overlap (Fig. 9); the executor does not pipeline, so only \
-                   the simulated epoch changes",
-            set: |a, _| put(&mut a.opts.overlap, Ok(false)),
-        },
-    ];
-    model_flags().into_iter().chain(rows).collect()
+    ]
+}
+
+/// The rows of `probe` (`tiers` = 1), `simulate` (2) or `train` (3): the
+/// model's, then the first `tiers` of the cluster's, the plan's and the
+/// run's.
+fn run_flags(tiers: usize) -> Vec<Flag<RunArgs>> {
+    let tables = [cluster_flags, plan_flags, train_flags];
+    model_flags()
+        .into_iter()
+        .chain(tables[..tiers].iter().flat_map(|t| t()))
+        .collect()
 }
 
 /// `chaos`.
@@ -658,8 +680,8 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         return Ok(Command::Help);
     };
     let sub = sub.as_str();
-    let run = |rest: &[String]| -> Result<RunArgs, String> {
-        let mut ra: RunArgs = parse_flags(sub, rest, &run_flags())?;
+    let run = |tiers: usize| -> Result<RunArgs, String> {
+        let mut ra: RunArgs = parse_flags(sub, rest, &run_flags(tiers))?;
         ra.fault.seed = ra.model.seed;
         Ok(ra)
     };
@@ -669,9 +691,9 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             parse_flags::<()>(sub, rest, &[])?;
             Command::Datasets
         }
-        "train" => Command::Train(run(rest)?),
-        "simulate" => Command::Simulate(run(rest)?),
-        "probe" => Command::Probe(run(rest)?),
+        "train" => Command::Train(run(3)?),
+        "simulate" => Command::Simulate(run(2)?),
+        "probe" => Command::Probe(run(1)?),
         "chaos" => Command::Chaos(check_chaos(parse_flags(sub, rest, &chaos_flags())?)?),
         "serve" => Command::Serve(check_serve(parse_flags(sub, rest, &serve_flags())?)?),
         other => return Err(format!("unknown subcommand {other:?}")),
@@ -740,10 +762,12 @@ pub fn usage() -> String {
                    nts train    [options]\n  nts simulate [options]\n  nts probe    [options]\n  \
                    nts chaos    [chaos options]\n  nts serve    [serve options]\n"
         .to_string();
-    section(&mut out, "OPTIONS (train/simulate/probe):", &run_flags());
+    section(&mut out, "OPTIONS (train/simulate/probe):", &run_flags(1));
+    section(&mut out, "PLAN OPTIONS (train/simulate):", &plan_flags());
+    section(&mut out, "RUN OPTIONS (train):", &train_flags());
     section(&mut out, "CHAOS OPTIONS (chaos):", &chaos_flags());
     section(&mut out, "SERVE OPTIONS (serve):", &serve_flags());
-    out += "\nFAULT SPECS (train/simulate/serve; docs/FAULTS.md has worked examples):\n";
+    out += "\nFAULT SPECS (train/serve; docs/FAULTS.md has worked examples):\n";
     for (syntax, effect) in GRAMMAR {
         out += &format!("  {syntax}\n      {effect}\n");
     }
@@ -859,6 +883,63 @@ mod tests {
         assert!(err.contains("--keep-checkpoints"), "{err}");
     }
 
+    /// Flags only `train` reads, each with a value `train` accepts.
+    const RUN_ONLY: [&str; 11] = [
+        "--epochs 1",
+        "--lr 0.1",
+        "--save m.ckpt",
+        "--fault kill:w1@e1",
+        "--checkpoint-every 1",
+        "--ckpt-dir ck",
+        "--keep-checkpoints 2",
+        "--recv-timeout-ms 100",
+        "--recv-retries 1",
+        "--metrics-out m.json",
+        "--trace-out t.json",
+    ];
+
+    /// Flags `train` and `simulate` read and `probe` does not.
+    const PLAN_ONLY: [&str; 6] = [
+        "--engine depcomm",
+        "--partitioner metis",
+        "--sync ps",
+        "--no-ring",
+        "--no-lockfree",
+        "--no-overlap",
+    ];
+
+    #[test]
+    fn simulate_and_probe_reject_the_flags_only_train_reads() {
+        // `simulate --metrics-out m.json` once wrote nothing and exited 0.
+        for flag in RUN_ONLY {
+            assert!(
+                parse(&args(&format!("train {flag}"))).is_ok(),
+                "train {flag}"
+            );
+            for sub in ["simulate", "probe"] {
+                let err = parse(&args(&format!("{sub} {flag}"))).unwrap_err();
+                assert!(
+                    err.contains(&format!("unknown {sub} flag")),
+                    "{sub} {flag}: {err}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn probe_rejects_the_plan_flags() {
+        for flag in PLAN_ONLY {
+            for sub in ["train", "simulate"] {
+                assert!(
+                    parse(&args(&format!("{sub} {flag}"))).is_ok(),
+                    "{sub} {flag}"
+                );
+            }
+            let err = parse(&args(&format!("probe {flag}"))).unwrap_err();
+            assert!(err.contains("unknown probe flag"), "probe {flag}: {err}");
+        }
+    }
+
     #[test]
     fn out_of_range_values_are_rejected_at_parse() {
         // A scale that is not a finite positive number used to reach the
@@ -943,7 +1024,7 @@ mod tests {
     #[test]
     fn usage_lists_every_flag_of_every_table() {
         let text = usage();
-        let names: Vec<&str> = run_flags()
+        let names: Vec<&str> = run_flags(3)
             .iter()
             .map(|f| f.name())
             .chain(chaos_flags().iter().map(|f| f.name()))
@@ -1278,7 +1359,7 @@ mod tests {
 
     #[test]
     fn documented_defaults_are_the_defaults() {
-        assert_eq!(check_help_defaults("train", &run_flags()), 16);
+        assert_eq!(check_help_defaults("train", &run_flags(3)), 16);
         assert_eq!(check_help_defaults("chaos", &chaos_flags()), 8);
         assert_eq!(
             check_help_defaults("serve --ckpt-dir /c", &serve_flags()),

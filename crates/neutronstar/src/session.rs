@@ -127,14 +127,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Liveness watchdog over worker epoch progress (default: off). A
-    /// worker that stops beating past the learned deadline is cancelled
-    /// and routed through the same eviction/rejoin path as a crash.
-    pub fn watchdog(mut self) -> Self {
-        self.cfg.watchdog = true;
-        self
-    }
-
     /// Persist every checkpoint as a CRC-versioned generation under
     /// `dir` (default: memory-only). Rollbacks then read the durable
     /// store and skip damaged generations — the honest process-restart

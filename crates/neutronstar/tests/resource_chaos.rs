@@ -1,7 +1,7 @@
 //! Resource-exhaustion chaos soak (invariant 7): >= 32 seeded schedules
 //! mixing disk-full windows, slow disks, memory-pressure caps, and hung
-//! workers must degrade — squeezed retention, shed buffers, watchdog
-//! evictions — and still finish within the loss tolerance with zero
+//! workers must degrade — squeezed retention, shed buffers, evictions
+//! of hung workers — and still finish within the loss tolerance with zero
 //! aborts. Lives in its own test binary because memory-pressure runs
 //! re-cap the process-global tensor pool; sharing a process with the
 //! other chaos soaks would let their allocations pollute the high-water

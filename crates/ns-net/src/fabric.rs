@@ -380,11 +380,11 @@ impl Endpoint {
             peer.next_seq += 1;
             peer.next_seq
         };
-        let fate = self.faults.send_fate_at(
+        let fate = self.faults.send_fate(
             self.epoch.get(),
             self.me,
             dst,
-            Some(&kind),
+            &kind,
             seq,
             self.link_now_ms(),
         );

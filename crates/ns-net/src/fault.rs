@@ -1,16 +1,14 @@
-//! Deterministic fault injection for the fabric and the simulator.
+//! Deterministic fault injection for the fabric.
 //!
 //! A [`FaultPlan`] is a seeded, declarative description of everything that
 //! goes wrong during a run: workers that crash at a given epoch, stragglers
 //! that delay every message they send, per-message drop / delay /
 //! duplicate faults selected at `(epoch, src, dst)` granularity, and
 //! link-level faults — epoch-bounded partitions (full or one-way) that
-//! black-hole a link, and flaps that oscillate one on a duty cycle. The same
-//! plan drives both the real [`fabric`](crate::fabric) (where a dropped
+//! black-hole a link, and flaps that oscillate one on a duty cycle. Message
+//! faults act only in the real [`fabric`](crate::fabric), where a dropped
 //! message becomes a retransmission delay and a duplicate becomes a second
-//! physical delivery) and the [`sim`](crate::sim) event simulator (where
-//! the same fates become service-time inflation), so a failure scenario
-//! can be studied in modeled time and then executed for real.
+//! physical delivery; worker, store and pool faults act in the runtime.
 //!
 //! Every probabilistic decision is a pure function of
 //! `(plan seed, fault index, epoch, src, dst, seq)` — re-running a plan
@@ -46,7 +44,7 @@ pub const GRAMMAR: [(&str, &str); 14] = [
     ("diskfull:e<from>-e<heal>", "saves hit ENOSPC at boundaries in [from, heal)"),
     ("slowdisk:<factor>", "durable writes take factor x as long (>= 1)"),
     ("mempressure:<bytes>@e<from>-e<heal>", "cap the tensor pool at <bytes> for [from, heal)"),
-    ("hang:w<id>@e<epoch>", "wedge the worker until the watchdog cancels it"),
+    ("hang:w<id>@e<epoch>", "go silent until peers' receive budgets run out"),
 ];
 
 /// The distinct fault types of [`GRAMMAR`] (the text before the first
@@ -176,10 +174,8 @@ impl KindSel {
         format!("{}|any", KIND_NAMES.join("|"))
     }
 
-    fn matches(self, kind: Option<&MessageKind>) -> bool {
-        // The simulator meters bytes, not typed messages (`None`);
-        // kind-filtered faults apply to every modeled transfer there.
-        self == KindSel::Any || kind.is_none_or(|k| k.kind_index() == self as usize)
+    fn matches(self, kind: &MessageKind) -> bool {
+        self == KindSel::Any || kind.kind_index() == self as usize
     }
 }
 
@@ -223,13 +219,7 @@ impl MsgSel {
         Self { kind: KindSel::Any, epoch: None, src: None, dst: None }
     }
 
-    fn matches(
-        &self,
-        epoch: usize,
-        src: usize,
-        dst: usize,
-        kind: Option<&MessageKind>,
-    ) -> bool {
+    fn matches(&self, epoch: usize, src: usize, dst: usize, kind: &MessageKind) -> bool {
         self.kind.matches(kind)
             && self.epoch.is_none_or(|e| e == epoch)
             && self.src.is_none_or(|s| s == src)
@@ -319,8 +309,7 @@ pub enum Fault {
     /// physical copy immediately and a clean retransmission
     /// [`FaultPlan::retransmit_ms`] later under the same sequence number;
     /// receivers detect the flip by frame CRC and admit only the clean
-    /// copy. The simulator models the detect-and-re-request round trip as
-    /// a retransmission delay.
+    /// copy.
     Corrupt {
         /// Which messages are eligible.
         sel: MsgSel,
@@ -342,8 +331,7 @@ pub enum Fault {
     /// The fabric black-holes severed sends: the call succeeds (the
     /// sender cannot tell), the message is never delivered, and only
     /// receive timeouts, backoff budgets, and circuit breakers surface
-    /// the outage — the honest network-partition failure mode. The
-    /// simulator models severed transfers as retransmission stalls.
+    /// the outage — the honest network-partition failure mode.
     Partition {
         /// The severed link (or direction).
         link: Link,
@@ -355,8 +343,7 @@ pub enum Fault {
     /// while the link is down is held and delivered at the next up-window
     /// (the transport retransmits once the link returns), so a flap
     /// inflates tail latency — by up to `duty * period_ms` per message —
-    /// without losing messages. The simulator charges the expected
-    /// residual down-time instead.
+    /// without losing messages.
     Flap {
         /// The flapping link (never one-way).
         link: Link,
@@ -385,21 +372,21 @@ pub enum Fault {
     },
     /// The tensor-pool budget shrinks to `cap_bytes` for the epochs in
     /// `window` — a co-tenant eating the machine's memory. The pool sheds
-    /// parked buffers, the executor switches to the in-place all-reduce,
-    /// and the serve cache drops cold rows to stay under the cap instead
-    /// of OOMing; `alloc.peak_bytes` proves the budget held.
+    /// parked buffers and the serve cache drops cold rows to stay under
+    /// the cap instead of OOMing; `alloc.peak_bytes` proves the budget
+    /// held.
     MemPressure {
         /// Enforced pool budget while the pressure window is active.
         cap_bytes: usize,
         /// Epochs under pressure.
         window: Window,
     },
-    /// Worker `worker` wedges at the top of epoch `epoch` — stuck in
-    /// compute or a syscall *outside* the fabric, where recv timeouts
-    /// and circuit breakers cannot see it. It stays stuck until the
-    /// liveness watchdog trips and cancels it (the injected hang polls
-    /// the watchdog's cancel flag, standing in for a supervisor
-    /// SIGKILL).
+    /// Worker `worker` wedges at the top of epoch `epoch`: it sends
+    /// nothing more but keeps its endpoint open, so no peer sees a
+    /// disconnect. Every epoch ends in an all-reduce that waits on every
+    /// worker, so some peer exhausts its receive budget on the silent
+    /// worker and drops out; the disconnects cascade through the mesh, and
+    /// the hung worker returns once every peer not hung with it is gone.
     Hang {
         /// Worker that wedges.
         worker: usize,
@@ -541,40 +528,20 @@ impl FaultPlan {
         Ok(())
     }
 
-    /// Decides the fate of one send. `kind = None` (the simulator's
-    /// untyped transfers) matches every kind filter. Pure in
-    /// `(seed, epoch, src, dst, seq)`. Time-dependent link faults
-    /// ([`Fault::Flap`]) evaluate at `now_ms = 0`; the fabric calls
-    /// [`FaultPlan::send_fate_at`] with its real link-layer clock.
+    /// Decides the fate of one send of `kind`. `now_ms` is milliseconds
+    /// on the fabric's link-layer clock and decides where inside a
+    /// [`Fault::Flap`] period the send lands. Pure in
+    /// `(seed, epoch, src, dst, kind, seq, now_ms)`.
     pub fn send_fate(
         &self,
         epoch: usize,
         src: usize,
         dst: usize,
-        kind: Option<&MessageKind>,
-        seq: u64,
-    ) -> SendFate {
-        self.send_fate_at(epoch, src, dst, kind, seq, 0)
-    }
-
-    /// [`FaultPlan::send_fate`] with an explicit link-layer clock:
-    /// `now_ms` is milliseconds since the fabric came up, and decides
-    /// where inside a [`Fault::Flap`] period the send lands. Pure in
-    /// `(seed, epoch, src, dst, seq, now_ms)`.
-    pub fn send_fate_at(
-        &self,
-        epoch: usize,
-        src: usize,
-        dst: usize,
-        kind: Option<&MessageKind>,
+        kind: &MessageKind,
         seq: u64,
         now_ms: u64,
     ) -> SendFate {
         let mut fate = SendFate::default();
-        // The simulator moves untyped bytes (`kind = None`): it cannot
-        // bit-flip or black-hole a transfer, so a corrupt or severed one is
-        // charged the retransmission a drop costs instead.
-        let sim_charge = kind.is_none().then_some(self.retransmit_ms);
         for (i, f) in self.faults.iter().enumerate() {
             let hit = |sel: &MsgSel| sel.matches(epoch, src, dst, kind);
             let coin = |p: f64| self.coin(i, epoch, src, dst, seq) < p;
@@ -585,28 +552,15 @@ impl FaultPlan {
                     fate.delay_ms += self.retransmit_ms;
                 }
                 Fault::Duplicate { sel, p } if hit(sel) && coin(*p) => fate.duplicate = true,
-                Fault::Corrupt { sel, p } if hit(sel) && coin(*p) => match sim_charge {
-                    Some(ms) => fate.delay_ms += ms,
-                    None => fate.corrupt = true,
-                },
+                Fault::Corrupt { sel, p } if hit(sel) && coin(*p) => fate.corrupt = true,
                 Fault::Partition { link, window }
                     if link.carries(src, dst) && window.contains(epoch) =>
                 {
-                    match sim_charge {
-                        Some(ms) => fate.delay_ms += ms,
-                        None => fate.severed = true,
-                    }
+                    fate.severed = true;
                 }
                 Fault::Flap { link, period_ms, duty } if link.carries(src, dst) => {
-                    if kind.is_some() {
-                        // Hold the message until the link comes back up.
-                        fate.delay_ms += flap_wait(*period_ms, *duty, now_ms).unwrap_or(0);
-                    } else if coin(*duty) {
-                        // The simulator has no link-layer clock: a `duty`
-                        // fraction of transfers pay the expected residual
-                        // down-time.
-                        fate.delay_ms += ((*period_ms as f64 * *duty) as u64).div_ceil(2);
-                    }
+                    // Hold the message until the link comes back up.
+                    fate.delay_ms += flap_wait(*period_ms, *duty, now_ms).unwrap_or(0);
                 }
                 // Kills, hangs and the store/pool faults act on the worker
                 // loop, the store and the pool — never on a message in
@@ -820,6 +774,9 @@ fn parse_args(head: &str, rest: &str) -> Result<Fault, String> {
 mod tests {
     use super::*;
 
+    /// The message the tests that do not select by kind send.
+    const CTL: MessageKind = MessageKind::Control(1.0);
+
     fn link(a: usize, b: usize) -> Link {
         Link { a, b, one_way: false }
     }
@@ -832,7 +789,7 @@ mod tests {
     fn empty_plan_is_benign() {
         let plan = FaultPlan::default();
         assert!(plan.is_empty());
-        assert_eq!(plan.send_fate(0, 0, 1, None, 1), SendFate::default());
+        assert_eq!(plan.send_fate(0, 0, 1, &CTL, 1, 0), SendFate::default());
         assert_eq!(plan.kill_epoch(0), None);
     }
 
@@ -842,7 +799,7 @@ mod tests {
         assert_eq!(plan.kill_epoch(2), Some(3));
         assert_eq!(plan.kill_epoch(1), None);
         // A crash does not perturb message fates.
-        assert_eq!(plan.send_fate(3, 2, 0, None, 1), SendFate::default());
+        assert_eq!(plan.send_fate(3, 2, 0, &CTL, 1, 0), SendFate::default());
     }
 
     #[test]
@@ -860,16 +817,16 @@ mod tests {
             .with_fault(Fault::Straggle { worker: 1, delay_ms: 30 })
             .with_fault(Fault::Straggle { worker: 2, delay_ms: 10 });
         plan.retire_member(1, 0);
-        assert_eq!(plan.send_fate(0, 1, 0, None, 1).delay_ms, 0);
-        assert_eq!(plan.send_fate(0, 2, 0, None, 1).delay_ms, 10);
+        assert_eq!(plan.send_fate(0, 1, 0, &CTL, 1, 0).delay_ms, 0);
+        assert_eq!(plan.send_fate(0, 2, 0, &CTL, 1, 0).delay_ms, 10);
     }
 
     #[test]
     fn straggler_delays_all_its_sends() {
         let plan =
             FaultPlan::default().with_fault(Fault::Straggle { worker: 1, delay_ms: 30 });
-        assert_eq!(plan.send_fate(0, 1, 0, None, 1).delay_ms, 30);
-        assert_eq!(plan.send_fate(0, 0, 1, None, 1).delay_ms, 0);
+        assert_eq!(plan.send_fate(0, 1, 0, &CTL, 1, 0).delay_ms, 30);
+        assert_eq!(plan.send_fate(0, 0, 1, &CTL, 1, 0).delay_ms, 0);
     }
 
     #[test]
@@ -879,8 +836,8 @@ mod tests {
             .with_fault(Fault::Drop { sel: MsgSel::any(), p: 0.25 });
         let mut dropped = 0;
         for seq in 1..=4000u64 {
-            let a = plan.send_fate(0, 0, 1, None, seq);
-            let b = plan.send_fate(0, 0, 1, None, seq);
+            let a = plan.send_fate(0, 0, 1, &CTL, seq, 0);
+            let b = plan.send_fate(0, 0, 1, &CTL, seq, 0);
             assert_eq!(a, b, "fate must be deterministic");
             if a.delay_ms > 0 {
                 dropped += 1;
@@ -898,8 +855,9 @@ mod tests {
                 .with_fault(Fault::Drop { sel: MsgSel::any(), p: 0.5 })
         };
         let (a, b) = (mk(1), mk(2));
-        let differs = (1..=64u64)
-            .any(|seq| a.send_fate(0, 0, 1, None, seq) != b.send_fate(0, 0, 1, None, seq));
+        let differs = (1..=64u64).any(|seq| {
+            a.send_fate(0, 0, 1, &CTL, seq, 0) != b.send_fate(0, 0, 1, &CTL, seq, 0)
+        });
         assert!(differs);
     }
 
@@ -907,10 +865,10 @@ mod tests {
     fn selector_scopes_epoch_and_channel() {
         let sel = MsgSel { kind: KindSel::Any, epoch: Some(3), src: Some(0), dst: Some(2) };
         let plan = FaultPlan::default().with_fault(Fault::Delay { sel, delay_ms: 10 });
-        assert_eq!(plan.send_fate(3, 0, 2, None, 1).delay_ms, 10);
-        assert_eq!(plan.send_fate(2, 0, 2, None, 1).delay_ms, 0);
-        assert_eq!(plan.send_fate(3, 1, 2, None, 1).delay_ms, 0);
-        assert_eq!(plan.send_fate(3, 0, 1, None, 1).delay_ms, 0);
+        assert_eq!(plan.send_fate(3, 0, 2, &CTL, 1, 0).delay_ms, 10);
+        assert_eq!(plan.send_fate(2, 0, 2, &CTL, 1, 0).delay_ms, 0);
+        assert_eq!(plan.send_fate(3, 1, 2, &CTL, 1, 0).delay_ms, 0);
+        assert_eq!(plan.send_fate(3, 0, 1, &CTL, 1, 0).delay_ms, 0);
     }
 
     #[test]
@@ -919,10 +877,8 @@ mod tests {
         let plan = FaultPlan::default().with_fault(Fault::Delay { sel, delay_ms: 10 });
         let rows = MessageKind::Rows { layer: 0, ids: vec![1], cols: 1, data: vec![0.0] };
         let ctl = MessageKind::Control(1.0);
-        assert_eq!(plan.send_fate(0, 0, 1, Some(&rows), 1).delay_ms, 10);
-        assert_eq!(plan.send_fate(0, 0, 1, Some(&ctl), 1).delay_ms, 0);
-        // Untyped (simulator) transfers match any kind filter.
-        assert_eq!(plan.send_fate(0, 0, 1, None, 1).delay_ms, 10);
+        assert_eq!(plan.send_fate(0, 0, 1, &rows, 1, 0).delay_ms, 10);
+        assert_eq!(plan.send_fate(0, 0, 1, &ctl, 1, 0).delay_ms, 0);
     }
 
     #[test]
@@ -996,8 +952,8 @@ mod tests {
         assert_eq!(KindSel::Any.to_string(), "any");
         let reply = MessageKind::Reply { qids: vec![], classes: vec![] };
         assert_eq!(KIND_NAMES[reply.kind_index()], "reply");
-        assert!(KindSel::Reply.matches(Some(&reply)) && KindSel::Any.matches(Some(&reply)));
-        assert!(!KindSel::Query.matches(Some(&reply)));
+        assert!(KindSel::Reply.matches(&reply) && KindSel::Any.matches(&reply));
+        assert!(!KindSel::Query.matches(&reply));
     }
 
     #[test]
@@ -1173,20 +1129,16 @@ mod tests {
             .with_fault(Fault::Partition { link: link(1, 2), window: Window { from: 2, heal: 4 } });
         let kind = MessageKind::Control(1.0);
         for epoch in [2, 3] {
-            assert!(plan.send_fate(epoch, 1, 2, Some(&kind), 1).severed);
-            assert!(plan.send_fate(epoch, 2, 1, Some(&kind), 1).severed);
+            assert!(plan.send_fate(epoch, 1, 2, &kind, 1, 0).severed);
+            assert!(plan.send_fate(epoch, 2, 1, &kind, 1, 0).severed);
             assert!(plan.link_severed(epoch, 1, 2, 0));
         }
         // Outside the window and off the link: untouched.
         for epoch in [0, 1, 4, 5] {
-            assert!(!plan.send_fate(epoch, 1, 2, Some(&kind), 1).severed);
+            assert!(!plan.send_fate(epoch, 1, 2, &kind, 1, 0).severed);
             assert!(!plan.link_severed(epoch, 1, 2, 0));
         }
-        assert!(!plan.send_fate(3, 0, 2, Some(&kind), 1).severed);
-        // The simulator sees retransmission inflation, not a black hole.
-        let sim = plan.send_fate(3, 1, 2, None, 1);
-        assert!(!sim.severed);
-        assert_eq!(sim.delay_ms, plan.retransmit_ms);
+        assert!(!plan.send_fate(3, 0, 2, &kind, 1, 0).severed);
     }
 
     #[test]
@@ -1196,8 +1148,8 @@ mod tests {
             window: Window { from: 1, heal: 3 },
         });
         let kind = MessageKind::Control(1.0);
-        assert!(plan.send_fate(1, 0, 2, Some(&kind), 1).severed);
-        assert!(!plan.send_fate(1, 2, 0, Some(&kind), 1).severed, "reverse flows");
+        assert!(plan.send_fate(1, 0, 2, &kind, 1, 0).severed);
+        assert!(!plan.send_fate(1, 2, 0, &kind, 1, 0).severed, "reverse flows");
         assert!(plan.link_severed(2, 0, 2, 0));
         assert!(!plan.link_severed(2, 2, 0, 0));
     }
@@ -1209,36 +1161,17 @@ mod tests {
         let kind = MessageKind::Control(1.0);
         // Down for the first 20ms of every 40ms window: a send at 5ms is
         // held 15ms, a send at 25ms goes straight through.
-        let down = plan.send_fate_at(0, 0, 1, Some(&kind), 1, 5);
+        let down = plan.send_fate(0, 0, 1, &kind, 1, 5);
         assert!(!down.severed, "flapped messages are delayed, never lost");
         assert_eq!(down.delay_ms, 15);
-        let up = plan.send_fate_at(0, 1, 0, Some(&kind), 1, 25);
+        let up = plan.send_fate(0, 1, 0, &kind, 1, 25);
         assert_eq!(up.delay_ms, 0);
         // The next period flaps again.
-        assert_eq!(plan.send_fate_at(0, 0, 1, Some(&kind), 1, 41).delay_ms, 19);
+        assert_eq!(plan.send_fate(0, 0, 1, &kind, 1, 41).delay_ms, 19);
         assert!(plan.link_severed(0, 0, 1, 5));
         assert!(!plan.link_severed(0, 0, 1, 25));
         // Off the link: untouched at any time.
-        assert_eq!(plan.send_fate_at(0, 0, 2, Some(&kind), 1, 5).delay_ms, 0);
-    }
-
-    #[test]
-    fn flap_sim_fate_charges_a_duty_fraction_of_transfers() {
-        let plan = FaultPlan::default()
-            .with_seed(5)
-            .with_fault(Fault::Flap { link: link(0, 1), period_ms: 40, duty: 0.4 });
-        let mut hit = 0;
-        for seq in 1..=4000u64 {
-            let fate = plan.send_fate(0, 0, 1, None, seq);
-            assert_eq!(fate, plan.send_fate(0, 0, 1, None, seq));
-            if fate.delay_ms > 0 {
-                // Expected residual down-time: (40 * 0.4) / 2 = 8ms.
-                assert_eq!(fate.delay_ms, 8);
-                hit += 1;
-            }
-        }
-        let rate = hit as f64 / 4000.0;
-        assert!((rate - 0.4).abs() < 0.05, "flap sim rate {rate}");
+        assert_eq!(plan.send_fate(0, 0, 2, &kind, 1, 5).delay_ms, 0);
     }
 
     #[test]
@@ -1253,7 +1186,7 @@ mod tests {
         assert_eq!(plan.faults.len(), 2, "both links touching w1 retire");
         assert!(plan.link_severed(1, 0, 2, 0), "w0-w2 link fault survives");
         assert_eq!(
-            plan.send_fate(0, 0, 1, None, 1).delay_ms,
+            plan.send_fate(0, 0, 1, &CTL, 1, 0).delay_ms,
             5,
             "non-link faults are untouched"
         );
@@ -1269,8 +1202,8 @@ mod tests {
         let kind = MessageKind::Control(1.0);
         let mut hits = 0;
         for seq in 1..=4000u64 {
-            let a = plan.send_fate(0, 0, 1, Some(&kind), seq);
-            assert_eq!(a, plan.send_fate(0, 0, 1, Some(&kind), seq));
+            let a = plan.send_fate(0, 0, 1, &kind, seq, 0);
+            assert_eq!(a, plan.send_fate(0, 0, 1, &kind, seq, 0));
             assert_eq!(a.delay_ms, 0, "typed corrupt does not delay the logical send");
             if a.corrupt {
                 hits += 1;
@@ -1278,11 +1211,6 @@ mod tests {
         }
         let rate = hits as f64 / 4000.0;
         assert!((rate - 0.3).abs() < 0.05, "corrupt rate {rate}");
-        // Untyped (simulator) transfers see the retransmission delay instead.
-        let sim_fate_hits = (1..=4000u64)
-            .filter(|&seq| plan.send_fate(0, 0, 1, None, seq).delay_ms > 0)
-            .count();
-        assert!(sim_fate_hits > 0);
     }
 
     #[test]
@@ -1327,7 +1255,7 @@ mod tests {
             .with_fault(Fault::Hang { worker: 1, epoch: 3 });
         let kind = MessageKind::Control(1.0);
         for epoch in 0..6 {
-            assert_eq!(plan.send_fate(epoch, 0, 1, Some(&kind), 1), SendFate::default());
+            assert_eq!(plan.send_fate(epoch, 0, 1, &kind, 1, 0), SendFate::default());
         }
     }
 

@@ -23,9 +23,8 @@
 //! * [`wire`] — checksummed frame format (magic, kind, length, CRC32)
 //!   wrapping every fabric payload; receivers verify before decode.
 //! * [`fault`] — deterministic, seeded fault injection (drops, delays,
-//!   duplicates, corruption, stragglers, worker kills) honored by both the
-//!   fabric and the simulator, and the one-line spec grammar that names
-//!   each fault.
+//!   duplicates, corruption, stragglers, worker kills) that the fabric
+//!   acts out, and the one-line spec grammar that names each fault.
 //! * [`membership`] — the coordinator's cluster membership view and the
 //!   byte cost of the worker rejoin handshake used by the elastic trainer.
 //! * [`policy`] — the shared jittered-backoff / circuit-breaker policy

@@ -26,7 +26,6 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use crate::cluster::{ClusterSpec, ExecOptions};
-use crate::fault::FaultPlan;
 
 /// Handle to a task in a [`TaskGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -273,40 +272,7 @@ struct Resource {
 /// `0..spec.workers`, or contains a dependency cycle (tasks then never
 /// become ready; detected at the end).
 pub fn simulate(graph: &TaskGraph, spec: &ClusterSpec, opts: &ExecOptions) -> SimReport {
-    simulate_faulty(graph, spec, opts, &FaultPlan::default(), 0)
-}
-
-/// Runs the event simulation under an injected [`FaultPlan`], mirroring
-/// how the real fabric applies the same plan:
-///
-/// * straggler / `Delay` faults add their delay to the wire-latency leg of
-///   matching transfers,
-/// * `Drop` faults add the plan's retransmission delay (loss + resend),
-/// * `Duplicate` faults ship the message twice (doubled egress and ingress
-///   service, doubled ingress bytes),
-/// * `Kill` faults are not modeled here — a crashed worker is a planning
-///   event (the trainer repartitions), not a service-time effect.
-///
-/// Fault coins are keyed by task id, so a given `(graph, plan, epoch)` is
-/// fully deterministic. `epoch` scopes epoch-selective faults (the graph
-/// describes a single epoch).
-///
-/// # Panics
-/// As [`simulate`]: panics on out-of-range workers or dependency cycles.
-pub fn simulate_faulty(
-    graph: &TaskGraph,
-    spec: &ClusterSpec,
-    opts: &ExecOptions,
-    faults: &FaultPlan,
-    epoch: usize,
-) -> SimReport {
     let w = spec.workers;
-    let fate_of = |tid: TaskId| match graph.tasks[tid.0].kind {
-        TaskKind::Send { src, dst, .. } => {
-            faults.send_fate(epoch, src, dst, None, tid.0 as u64 + 1)
-        }
-        _ => crate::fault::SendFate::default(),
-    };
     let enqueue_bps = if opts.lock_free {
         spec.net.enqueue_lockfree_bps
     } else {
@@ -409,9 +375,7 @@ pub fn simulate_faulty(
                     );
                 }
                 TaskKind::Send { src, bytes, .. } => {
-                    let copies = if fate_of(tid).duplicate { 2.0 } else { 1.0 };
-                    let service =
-                        (bytes as f64 / enqueue_bps + spec.wire_seconds(bytes)) * copies;
+                    let service = bytes as f64 / enqueue_bps + spec.wire_seconds(bytes);
                     offer(
                         &mut resources,
                         &mut heap,
@@ -461,23 +425,19 @@ pub fn simulate_faulty(
                     }
                 }
                 let task_complete = match (kind, &graph.tasks[tid.0].kind) {
-                    // Egress done: message departs, arrives after latency
-                    // plus any injected (drop-retransmit / straggler)
-                    // delay.
+                    // Egress done: message departs, arrives after latency.
                     (1, TaskKind::Send { .. }) => {
-                        let delay_s = fate_of(tid).delay_ms as f64 / 1e3;
                         push(
                             &mut heap,
                             &mut events,
                             &mut seq,
-                            now + spec.net.latency_s + delay_s,
+                            now + spec.net.latency_s,
                             Event::Arrive(tid),
                         );
                         false
                     }
                     (2, TaskKind::Send { dst, bytes, .. }) => {
-                        let copies = if fate_of(tid).duplicate { 2 } else { 1 };
-                        bytes_in[*dst].push((now, *bytes * copies));
+                        bytes_in[*dst].push((now, *bytes));
                         true
                     }
                     (0, TaskKind::Compute { .. }) => true,
@@ -503,8 +463,7 @@ pub fn simulate_faulty(
             }
             Event::Arrive(tid) => {
                 if let TaskKind::Send { dst, bytes, .. } = graph.tasks[tid.0].kind {
-                    let copies = if fate_of(tid).duplicate { 2.0 } else { 1.0 };
-                    let service = spec.wire_seconds(bytes) * copies;
+                    let service = spec.wire_seconds(bytes);
                     offer(
                         &mut resources,
                         &mut heap,
@@ -740,66 +699,5 @@ mod tests {
         // keep a dependent around.
         g2.tasks[0].deps.push(TaskId(0)); // self-dependency => never ready
         simulate(&g2, &spec(), &ExecOptions::all());
-    }
-
-    #[test]
-    fn empty_fault_plan_matches_clean_simulation() {
-        let mut g = TaskGraph::new();
-        let s = g.send(0, 1, 1_000_000_000, vec![]);
-        g.compute(1, 1_000_000_000, vec![s]);
-        let clean = simulate(&g, &spec(), &ExecOptions::all());
-        let faulty =
-            simulate_faulty(&g, &spec(), &ExecOptions::all(), &FaultPlan::default(), 0);
-        assert_eq!(clean.makespan, faulty.makespan);
-    }
-
-    #[test]
-    fn injected_delay_extends_makespan() {
-        use crate::fault::{Fault, MsgSel};
-        let mut g = TaskGraph::new();
-        g.send(0, 1, 1_000_000_000, vec![]);
-        let plan = FaultPlan::default()
-            .with_fault(Fault::Delay { sel: MsgSel::any(), delay_ms: 500 });
-        let clean = simulate(&g, &spec(), &ExecOptions::all()).makespan;
-        let slow =
-            simulate_faulty(&g, &spec(), &ExecOptions::all(), &plan, 0).makespan;
-        assert!((slow - clean - 0.5).abs() < 1e-6, "clean {clean} slow {slow}");
-    }
-
-    #[test]
-    fn straggler_slows_only_its_sends() {
-        use crate::fault::Fault;
-        let mut g = TaskGraph::new();
-        g.send(0, 1, 1_000_000, vec![]);
-        g.send(2, 3, 1_000_000, vec![]);
-        let plan = FaultPlan::default()
-            .with_fault(Fault::Straggle { worker: 2, delay_ms: 1000 });
-        let r = simulate_faulty(&g, &spec(), &ExecOptions::all(), &plan, 0);
-        assert!(r.finish[1] > r.finish[0] + 0.9, "{:?}", r.finish);
-    }
-
-    #[test]
-    fn duplicates_double_ingress_bytes() {
-        use crate::fault::{Fault, MsgSel};
-        let mut g = TaskGraph::new();
-        g.send(0, 1, 1_000_000, vec![]);
-        let plan = FaultPlan::default()
-            .with_fault(Fault::Duplicate { sel: MsgSel::any(), p: 1.0 });
-        let r = simulate_faulty(&g, &spec(), &ExecOptions::all(), &plan, 0);
-        assert_eq!(r.total_bytes_in(), 2_000_000);
-        let clean = simulate(&g, &spec(), &ExecOptions::all());
-        assert!(r.makespan > clean.makespan);
-    }
-
-    #[test]
-    fn epoch_scoped_fault_respects_epoch() {
-        use crate::fault::{Fault, MsgSel};
-        let mut g = TaskGraph::new();
-        g.send(0, 1, 1_000_000_000, vec![]);
-        let sel = MsgSel { epoch: Some(1), ..MsgSel::any() };
-        let plan = FaultPlan::default().with_fault(Fault::Delay { sel, delay_ms: 500 });
-        let e0 = simulate_faulty(&g, &spec(), &ExecOptions::all(), &plan, 0).makespan;
-        let e1 = simulate_faulty(&g, &spec(), &ExecOptions::all(), &plan, 1).makespan;
-        assert!(e1 > e0 + 0.4, "e0 {e0} e1 {e1}");
     }
 }

@@ -132,8 +132,8 @@ fn composed_faults_are_deterministic_under_a_seed() {
         let a = composed_plan(seed, p_drop, delay_ms, p_dup);
         let b = composed_plan(seed, p_drop, delay_ms, p_dup);
         let kind = MessageKind::AllReduce { round: 0, data: vec![1.0] };
-        let fa = a.send_fate(epoch, src, dst, Some(&kind), seq);
-        let fb = b.send_fate(epoch, src, dst, Some(&kind), seq);
+        let fa = a.send_fate(epoch, src, dst, &kind, seq, 0);
+        let fb = b.send_fate(epoch, src, dst, &kind, seq, 0);
         assert_eq!(fa, fb, "case seed {case}: identical plans disagreed on a fate");
         // The fixed delay component always applies; the drop component
         // can only add the retransmission delay on top of it.
@@ -158,8 +158,8 @@ fn seed_changes_reach_the_coins() {
         let differs = (0..4usize).any(|src| {
             (0..4usize).filter(|&dst| dst != src).any(|dst| {
                 (1..64u64).any(|seq| {
-                    a.send_fate(0, src, dst, Some(&kind), seq)
-                        != b.send_fate(0, src, dst, Some(&kind), seq)
+                    a.send_fate(0, src, dst, &kind, seq, 0)
+                        != b.send_fate(0, src, dst, &kind, seq, 0)
                 })
             })
         });

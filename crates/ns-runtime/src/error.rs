@@ -14,9 +14,9 @@ pub enum FailureCause {
     /// The divergence guard tripped: the worker observed a non-finite
     /// loss or gradient before the optimizer step.
     Diverged,
-    /// The liveness watchdog cancelled the worker: it stopped making
-    /// phase progress past the armed deadline while holding no fabric
-    /// operation a recv timeout or breaker could see.
+    /// The worker went silent with its endpoint open (an injected
+    /// hang) and returned once its peers had exhausted their receive
+    /// budgets on it and disconnected.
     Hung,
 }
 
@@ -26,7 +26,7 @@ impl std::fmt::Display for FailureCause {
             FailureCause::Killed => write!(f, "worker crashed"),
             FailureCause::Net(e) => write!(f, "{e}"),
             FailureCause::Diverged => write!(f, "non-finite loss or gradient"),
-            FailureCause::Hung => write!(f, "worker hung past the watchdog deadline"),
+            FailureCause::Hung => write!(f, "worker hung until its peers' receive budgets ran out"),
         }
     }
 }

@@ -30,7 +30,6 @@
 //! [`RunState`].
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -126,104 +125,6 @@ const BREAKER_THRESHOLD: u32 = 2;
 /// How long an open breaker waits before admitting the half-open probe.
 const BREAKER_COOLDOWN: Duration = Duration::from_millis(250);
 
-/// Watchdog deadline multiplier over the observed worst (p99-equivalent
-/// at per-run sample counts) epoch span.
-const WATCHDOG_MULTIPLIER: f64 = 8.0;
-/// Minimum armed watchdog deadline, milliseconds — covers the first
-/// epoch, before any span has been observed, and is tight enough that a
-/// hang costs a chaos soak little.
-const WATCHDOG_FLOOR_MS: u64 = 200;
-/// Watchdog sampling period.
-const WATCHDOG_POLL: Duration = Duration::from_millis(2);
-
-/// Liveness watchdog: a per-run supervisor thread that detects a worker
-/// which stopped making epoch progress while holding no fabric operation
-/// — the blind spot of receive timeouts and circuit breakers (nothing is
-/// waiting *on* the stuck thread's socket, so no deadline fires). The
-/// deadline is armed from the observed worst epoch span times
-/// `WATCHDOG_MULTIPLIER`, never below `WATCHDOG_FLOOR_MS`.
-///
-/// State: per-worker heartbeats (stamped at each epoch top), per-worker
-/// cancel flags, and the trip counter. Lives on the coordinator's stack;
-/// workers and the supervisor thread borrow it through the thread scope.
-pub(crate) struct Watchdog {
-    /// Per-worker last-heartbeat time, ms since `t0`, offset by +1 so 0
-    /// can mean "not started". `u64::MAX` = worker exited.
-    beats: Vec<AtomicU64>,
-    cancel: Vec<AtomicBool>,
-    trips: AtomicU64,
-    done: AtomicBool,
-    t0: Instant,
-}
-
-impl Watchdog {
-    fn new(world: usize) -> Self {
-        Self {
-            beats: (0..world).map(|_| AtomicU64::new(0)).collect(),
-            cancel: (0..world).map(|_| AtomicBool::new(false)).collect(),
-            trips: AtomicU64::new(0),
-            done: AtomicBool::new(false),
-            t0: Instant::now(),
-        }
-    }
-
-    fn now_ms(&self) -> u64 {
-        self.t0.elapsed().as_millis() as u64
-    }
-
-    fn beat(&self, worker: usize) {
-        self.beats[worker].store(self.now_ms() + 1, Ordering::Release);
-    }
-
-    fn finish(&self, worker: usize) {
-        self.beats[worker].store(u64::MAX, Ordering::Release);
-    }
-
-    fn cancelled(&self, worker: usize) -> bool {
-        self.cancel[worker].load(Ordering::Acquire)
-    }
-
-    fn shutdown(&self) {
-        self.done.store(true, Ordering::Release);
-    }
-
-    /// The supervisor loop. A cancel flag is only *actionable* for a
-    /// worker stuck outside the fabric (the injected-hang loop polls
-    /// it); a worker merely blocked in a long receive ignores it — the
-    /// receive budget already bounds that case, so a spurious trip
-    /// cannot kill a healthy-but-waiting worker.
-    fn run(&self) {
-        let n = self.beats.len();
-        let mut last = vec![0u64; n];
-        let mut tripped = vec![false; n];
-        // Worst completed epoch span observed across all workers, ms.
-        let mut worst_span = 0u64;
-        while !self.done.load(Ordering::Acquire) {
-            std::thread::sleep(WATCHDOG_POLL);
-            let now = self.now_ms();
-            let deadline = (worst_span as f64 * WATCHDOG_MULTIPLIER) as u64;
-            let deadline = deadline.max(WATCHDOG_FLOOR_MS);
-            for w in 0..n {
-                let b = self.beats[w].load(Ordering::Acquire);
-                if b == 0 || b == u64::MAX {
-                    last[w] = b;
-                    continue;
-                }
-                if last[w] != 0 && last[w] != u64::MAX && b > last[w] {
-                    worst_span = worst_span.max(b - last[w]);
-                }
-                last[w] = b;
-                let stalled = now.saturating_sub(b - 1);
-                if stalled > deadline && !tripped[w] {
-                    tripped[w] = true;
-                    self.cancel[w].store(true, Ordering::Release);
-                    self.trips.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-    }
-}
-
 /// Cross-chunk execution state for fault-tolerant runs: where the run
 /// starts (after a checkpoint restore), the parameters and optimizer
 /// state to resume from, the fault plan to inject, and the receive
@@ -246,8 +147,6 @@ pub struct RunState {
     /// through every chunk so the spans of a run that rolled back and
     /// resumed all land on a single timeline.
     pub origin: Option<Instant>,
-    /// Run the liveness watchdog's supervisor thread.
-    pub watchdog: bool,
 }
 
 /// Each worker's layer-0 prefix under one set of plans: what the first
@@ -619,7 +518,6 @@ struct Job<'a> {
     cfg: &'a ExecConfig,
     run: &'a RunState,
     origin: Instant,
-    wd: Option<&'a Watchdog>,
     /// [`Layer0::Tracked`]: `false` in every run.
     feature_grad: bool,
 }
@@ -635,7 +533,6 @@ struct Worker<'a> {
     run: &'a RunState,
     ctx: RecvCtx<'a>,
     rec: &'a MetricsRecorder,
-    wd: Option<&'a Watchdog>,
     feature_grad: bool,
     store: ParamStore,
     opt: Adam,
@@ -678,9 +575,6 @@ impl<'a> Worker<'a> {
         let res = {
             let mut w = Worker::new(job, plan, &ep, &rec, prefix);
             let res = w.train(job.epochs, tx);
-            if let Some(wd) = job.wd {
-                wd.finish(ep.id());
-            }
             export_breaker_stats(&rec, &ep, &w.ctx.breakers.borrow(), |_| false);
             res.map(|()| (w.store, Some(w.opt.export_state())))
         };
@@ -696,7 +590,7 @@ impl<'a> Worker<'a> {
         rec: &'a MetricsRecorder,
         prefix: &'a mut Option<LayerPrefix>,
     ) -> Self {
-        let Job { dataset, model, cfg, run, wd, feature_grad, .. } = job;
+        let Job { dataset, model, cfg, run, feature_grad, .. } = job;
         let features = prefix.is_none().then(|| {
             rec.incr("dep.rows.cached", plan.prefetched_features() as u64);
             dataset.features.gather_rows(&plan.feature_rows)
@@ -717,7 +611,6 @@ impl<'a> Worker<'a> {
             run,
             ctx: RecvCtx::new(ep, run, rec, &run.recv),
             rec,
-            wd,
             feature_grad,
             store: run.init_params.clone().unwrap_or_else(|| model.fresh_store()),
             opt,
@@ -759,32 +652,28 @@ impl<'a> Worker<'a> {
         Ok(())
     }
 
-    /// Stamps the epoch on the endpoint, recorder and watchdog, then acts
-    /// out any fault injected at this worker's epoch boundary.
+    /// Stamps the epoch on the endpoint and recorder, then acts out any
+    /// fault injected at this worker's epoch boundary.
     fn begin_epoch(&self, abs_epoch: usize) -> WorkerResult<()> {
         let me = self.ep.id();
         self.ep.set_epoch(abs_epoch);
         self.rec.set_epoch(abs_epoch as u32);
-        if let Some(wd) = self.wd {
-            wd.beat(me);
-        }
         if self.run.fault.kill_epoch(me) == Some(abs_epoch) {
             // Injected crash: return without sending anything this epoch.
             // Dropping the endpoint disconnects every peer channel.
             return Err(self.fail(FailureCause::Killed, false));
         }
         if self.run.fault.hang_epoch(me) == Some(abs_epoch) {
-            // Injected hang: wedge outside the fabric (no send, no recv)
-            // so only the watchdog can see it. The cancel flag stands in
-            // for the supervisor's SIGKILL; the hard cap keeps
-            // watchdog-disabled runs from wedging forever (their peers'
-            // receive budgets fail first).
-            const HANG_HARD_CAP: Duration = Duration::from_secs(10);
-            let stuck_at = Instant::now();
-            while !self.wd.is_some_and(|wd| wd.cancelled(me))
-                && stuck_at.elapsed() < HANG_HARD_CAP
-            {
-                std::thread::sleep(Duration::from_millis(2));
+            // Injected hang: go silent with the endpoint still open, so no
+            // peer sees a disconnect. The epoch's all-reduce waits on every
+            // worker, so some peer exhausts its receive budget on this one
+            // and drops its endpoint; the disconnects cascade through the
+            // mesh, and the drain below ends once every peer is gone. A peer
+            // hung at the same epoch never drops its endpoint, so it is not
+            // waited on.
+            let hung = |p: usize| self.run.fault.hang_epoch(p) == Some(abs_epoch);
+            for peer in (0..self.ep.world()).filter(|&p| !hung(p)) {
+                while self.ep.recv_from(peer).is_ok() {}
             }
             return Err(self.fail(FailureCause::Hung, false));
         }
@@ -1044,8 +933,8 @@ impl<'a> Worker<'a> {
     }
 }
 
-/// Picks the root-cause failure: earliest epoch first, injected kills
-/// before the cascade errors they caused, lowest worker id as the final
+/// Picks the root-cause failure: earliest epoch first, injected kills and
+/// hangs before the cascade errors they caused, lowest worker id as the final
 /// tie-break.
 fn root_failure(failures: &[WorkerFailure]) -> Option<&WorkerFailure> {
     failures.iter().min_by_key(|f| {
@@ -1120,7 +1009,6 @@ pub(crate) fn run_workers(
     let (tx, rx) = mpsc::channel();
     let origin = run.origin.unwrap_or_else(Instant::now);
     let t_run = Instant::now();
-    let watchdog = run.watchdog.then(|| Watchdog::new(m));
     let mut untracked = Layer0Carry::default();
     let (carry, feature_grad) = match layer0 {
         Layer0::Constant(carry) => (carry, false),
@@ -1129,9 +1017,7 @@ pub(crate) fn run_workers(
     let slots = carry.slots_for(m);
 
     std::thread::scope(|s| {
-        let wd = watchdog.as_ref();
-        let job = Job { dataset, model, epochs, cfg, run, origin, wd, feature_grad };
-        let supervisor = wd.map(|wd| s.spawn(move || wd.run()));
+        let job = Job { dataset, model, epochs, cfg, run, origin, feature_grad };
         let mut handles = Vec::new();
         for ((plan, ep), slot) in plans.iter().zip(endpoints).zip(slots) {
             let tx = tx.clone();
@@ -1144,14 +1030,6 @@ pub(crate) fn run_workers(
         let mut per_epoch: Vec<Vec<WorkerReport>> = (0..epochs).map(|_| Vec::new()).collect();
         while let Ok((epoch, _worker, report)) = rx.recv() {
             per_epoch[epoch].push(report);
-        }
-        // Every worker has returned (the channel only closes when the last
-        // sender drops), so the supervisor has nothing left to watch.
-        if let Some(wd) = wd {
-            wd.shutdown();
-        }
-        if let Some(h) = supervisor {
-            h.join().expect("watchdog thread panicked");
         }
         // Join everyone and split results from failures.
         let mut results = Vec::new();
@@ -1533,36 +1411,44 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_cancels_a_hung_worker() {
+    fn a_hang_is_found_by_its_peers_receive_budgets() {
         let ds = small_dataset();
-        let plans = plans_for(&ds, 2);
+        let plans = plans_for(&ds, 3);
         let model =
             GnnModel::two_layer(ModelKind::Gcn, ds.feature_dim(), 16, ds.num_classes, 3);
-        let run = RunState {
-            fault: FaultPlan::default().with_fault(Fault::Hang { worker: 1, epoch: 1 }),
-            watchdog: true,
-            ..Default::default()
-        };
-        let t0 = Instant::now();
-        let err = train_epochs_run(&ds, &model, &plans, 3, &ExecConfig::default(), &run)
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                RuntimeError::WorkerFailed {
-                    worker: 1,
-                    epoch: 1,
-                    cause: FailureCause::Hung,
-                }
-            ),
-            "unexpected error: {err:?}"
-        );
-        // The watchdog cancel, not the 10 s hang hard-cap, must be what
-        // released the wedged worker.
-        assert!(
-            t0.elapsed() < Duration::from_secs(8),
-            "hang was released by the hard cap, not the watchdog"
-        );
+        // A budget of about 1.05 s: 150 + 300 + 600 ms.
+        let recv = RecvConfig { timeout_ms: 150, retries: 2 };
+        // The ring, the parameter server hung, a non-server worker hung,
+        // and two workers hung at once (the lower id is the root cause).
+        let cases: [(SyncMode, &[usize]); 4] = [
+            (SyncMode::AllReduce, &[1]),
+            (SyncMode::ParameterServer, &[0]),
+            (SyncMode::ParameterServer, &[2]),
+            (SyncMode::AllReduce, &[1, 2]),
+        ];
+        for (sync, hung_workers) in cases {
+            let hung = hung_workers[0];
+            let mut fault = FaultPlan::default();
+            for &worker in hung_workers {
+                fault = fault.with_fault(Fault::Hang { worker, epoch: 1 });
+            }
+            let run = RunState { fault, recv, ..Default::default() };
+            let cfg = ExecConfig { sync, ..ExecConfig::default() };
+            let t0 = Instant::now();
+            let err = train_epochs_run(&ds, &model, &plans, 3, &cfg, &run).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    RuntimeError::WorkerFailed { worker, epoch: 1, cause: FailureCause::Hung }
+                        if worker == hung
+                ),
+                "{sync:?}, {hung_workers:?} hung: unexpected error {err:?}"
+            );
+            // Every thread has been joined: the peers gave up after their
+            // budget, and the hung worker right after them.
+            let took = t0.elapsed();
+            assert!(took < Duration::from_secs(5), "{sync:?}, {hung_workers:?} hung: {took:?}");
+        }
     }
 
     #[test]

@@ -604,7 +604,7 @@ impl<'a> ServeDeployment<'a> {
         if !front.pending.is_empty() {
             return Err(ServeError::AllShardsLost { unanswered: front.pending.len() });
         }
-        let Frontend { answers, deaths, reroutes, .. } = front;
+        let Frontend { answers, deaths, .. } = front;
         let rejected = rejected.load(Ordering::Relaxed);
         let mut latencies: Vec<u64> = answers.iter().map(|a| a.latency_us).collect();
         latencies.sort_unstable();
@@ -619,7 +619,7 @@ impl<'a> ServeDeployment<'a> {
             dropped,
             wall_ms,
             shard_deaths: deaths,
-            reroutes,
+            reroutes: metrics.total_counter("serve.reroutes"),
             metrics,
         })
     }
@@ -650,7 +650,6 @@ struct Frontend<'a> {
     pending: FxHashMap<u32, Pending>,
     answers: Vec<Answer>,
     deaths: u64,
-    reroutes: u64,
 }
 
 struct Pending {
@@ -680,7 +679,6 @@ impl<'a> Frontend<'a> {
             pending: FxHashMap::default(),
             answers: Vec::new(),
             deaths: 0,
-            reroutes: 0,
         }
     }
 
@@ -752,7 +750,6 @@ impl<'a> Frontend<'a> {
             .map(|(&qid, p)| (qid, p.seed))
             .collect();
         if !orphaned.is_empty() {
-            self.reroutes += orphaned.len() as u64;
             self.rec.incr("serve.reroutes", orphaned.len() as u64);
             self.route(orphaned);
         }
@@ -1599,6 +1596,28 @@ mod tests {
         // Post-death queries owned by the dead shard still answer, via
         // the survivor's mirror fallback.
         assert!(report.metrics.total_counter("serve.rows.fallback") > 0);
+    }
+
+    #[test]
+    fn a_failed_send_to_a_dead_shard_is_reported_as_a_reroute() {
+        let (ds, model) = cora_deploy();
+        let mut fault = FaultPlan::default();
+        fault.push_spec("kill:w2@e40").unwrap();
+        // The reply deadline outlasts the load, so the frontend learns of
+        // the death from a failed send, not from a missed deadline.
+        let cfg = ServeConfig {
+            shards: 2,
+            reply_timeout_ms: 10_000,
+            fault,
+            ..ServeConfig::default()
+        };
+        let deploy = ServeDeployment::new(&ds, &model, model.fresh_store(), cfg).unwrap();
+        let load = OpenLoop { queries: 400, rate_qps: 2_000.0, seed: 3, zipf_s: 0.0 };
+        let report = deploy.run_open_loop(&load).unwrap();
+        assert_eq!(report.dropped, 0);
+        assert_eq!(report.shard_deaths, 1);
+        assert!(report.reroutes > 0, "queries bound for the dead shard must reroute");
+        assert_eq!(report.reroutes, report.metrics.total_counter("serve.reroutes"));
     }
 
     #[test]

@@ -257,7 +257,7 @@ impl CheckpointStore {
         fsync_ns += timed_sync(&File::open(&self.dir)?)?;
 
         // Injected slow disk: charge the extra fsync latency for real (so
-        // spans and the watchdog see it), bounded so soaks stay quick.
+        // the checkpoint spans see it), bounded so soaks stay quick.
         let mut slow_penalty_ns = 0;
         if self.slow_factor > 1.0 {
             slow_penalty_ns = (fsync_ns as f64 * (self.slow_factor - 1.0)) as u64;

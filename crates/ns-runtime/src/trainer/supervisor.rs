@@ -181,7 +181,6 @@ impl<'t, 'a> Supervisor<'t, 'a> {
             fault: self.fault.clone(),
             recv: self.trainer.cfg.recv,
             origin: Some(self.coord.origin()),
-            watchdog: self.trainer.cfg.watchdog,
         };
         // Injected memory pressure arms at chunk granularity: the cap
         // lands before the chunk's workers spawn and lifts after they
@@ -281,9 +280,9 @@ impl<'t, 'a> Supervisor<'t, 'a> {
                 self.coord.incr("membership.failures", 1);
                 if cause == FailureCause::Hung {
                     // The worker frames of a failed chunk are discarded,
-                    // so the coordinator carries the actionable-trip
-                    // count: one per hung worker routed into recovery.
-                    self.coord.incr("watchdog.trips", 1);
+                    // so the coordinator counts the hung workers routed
+                    // into recovery.
+                    self.coord.incr("membership.hangs", 1);
                 }
                 // The dead worker leaves the cluster (until it rejoins at
                 // a boundary) and takes the faults pinned to its slot with

@@ -14,7 +14,7 @@
 # read or arm state nothing else needs.
 #
 #   ns-metrics/src/lib.rs    open_spans          span-nesting test counts open spans
-#   ns-net/src/sim.rs        total_bytes_in      send/duplicate tests read ingress bytes
+#   ns-net/src/sim.rs        total_bytes_in      the send test reads ingress bytes
 #   ns-runtime/src/store.rs  set_disk_fate_hard  arms a disk-full the post-squeeze retry hits too
 #   ns-gnn/src/layers.rs     num_heads           multi-head GAT test reads the head count
 set -eu
