@@ -24,9 +24,11 @@ use ns_runtime::{
     CheckpointStore, EngineKind, RecoveryConfig, RecvConfig, RuntimeError, StoreConfig, Trainer,
     TrainerConfig, TrainingReport,
 };
+use ns_tensor::ParamStore;
 
 /// Invariant 2's bound: the relative final-loss deviation from the
-/// fault-free baseline a run may show.
+/// fault-free baseline a run that recovered, changed membership or
+/// replanned may show.
 const LOSS_TOLERANCE: f64 = 0.15;
 
 /// Which fault matrix the generator draws schedules from.
@@ -320,6 +322,8 @@ fn generate_resource(
 pub struct Baseline {
     /// Final loss of the clean run.
     pub final_loss: f64,
+    /// Final parameters of the clean run.
+    pub final_params: ParamStore,
     /// Tensor-pool high-water mark (bytes) of the clean run — the anchor
     /// the resource matrix derives satisfiable memory caps from.
     pub peak_bytes: u64,
@@ -410,7 +414,8 @@ pub fn baseline(cfg: &ChaosConfig) -> Result<Baseline, String> {
     let report = train(cfg, &ds, &model, FaultPlan::default(), false, None)
         .map_err(|e| format!("baseline run failed: {e}"))?;
     let peak_bytes = ns_tensor::pool::stats().peak_bytes;
-    Ok(Baseline { final_loss: report.final_loss(), peak_bytes })
+    let final_loss = report.final_loss();
+    Ok(Baseline { final_loss, final_params: report.final_params, peak_bytes })
 }
 
 /// Everything an invariant check may read about one finished chaos run.
@@ -465,11 +470,35 @@ fn termination(run: &Run) -> Vec<String> {
     v
 }
 
-/// Invariant 2: the final loss lands within the tolerance of the
-/// fault-free baseline — faults may reorder float summation and reroute
-/// dependencies, but must not corrupt the numerics.
+/// Invariant 2: faults must not corrupt the numerics. Training is
+/// synchronous and bit-identical across threads and engines, so a run
+/// that neither recovered, changed membership nor replanned ends on the
+/// fault-free baseline's exact bits: final loss and every parameter.
+/// Any other run may reorder float summation and reroute dependencies,
+/// and only has to land within the tolerance of the baseline's loss.
 fn loss_tolerance(run: &Run) -> Vec<String> {
     let (loss, base) = (run.report.final_loss(), run.base.final_loss);
+    let r = run.report;
+    if r.recoveries.is_empty() && r.membership.is_empty() && r.replans.is_empty() {
+        if loss.to_bits() != base.to_bits() {
+            return vec![format!(
+                "final loss {loss:?} differs from baseline {base:?} with nothing re-planned"
+            )];
+        }
+        let mut base_params = run.base.final_params.iter();
+        for (_, name, a) in r.final_params.iter() {
+            let same = base_params.next().is_some_and(|(_, _, b)| {
+                a.shape() == b.shape()
+                    && a.data().iter().zip(b.data()).all(|(x, y)| x.to_bits() == y.to_bits())
+            });
+            if !same {
+                return vec![format!(
+                    "parameter {name:?} differs from the baseline's with nothing re-planned"
+                )];
+            }
+        }
+        return Vec::new();
+    }
     let rel = (loss - base).abs() / base.abs().max(1e-9);
     if rel > LOSS_TOLERANCE {
         return vec![format!(
@@ -1003,6 +1032,16 @@ mod tests {
         let outcome = run_schedule(&cfg, &base, &clean);
         assert!(outcome.passed(), "{:?}", outcome.violations);
         assert_eq!(outcome.recoveries, 0);
+        // Nothing re-planned, so invariant 2 is bit-equality: one ulp off
+        // in one baseline parameter fails it, naming the parameter.
+        let mut off = base.clone();
+        let (id, name, _) = off.final_params.iter().last().unwrap();
+        let name = format!("{name:?}");
+        let x = &mut off.final_params.value_mut(id).data_mut()[0];
+        *x = f32::from_bits(x.to_bits() ^ 1);
+        let outcome = run_schedule(&cfg, &off, &clean);
+        assert!(!outcome.invariant_pass[1]);
+        assert!(outcome.violations[0].contains(&name), "{:?}", outcome.violations);
     }
 
     fn store() -> Option<PathBuf> {

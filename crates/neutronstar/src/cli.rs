@@ -577,7 +577,7 @@ fn serve_flags() -> Vec<Flag<ServeArgs>> {
         },
         Flag {
             spec: "batch-window-us <us>",
-            help: "adaptive batch accretion window (default 400)",
+            help: "fixed batch window, timed from a batch's first query (default 400)",
             set: |a, v| put(&mut a.cfg.batch_window_us, num(v)),
         },
         Flag {
@@ -587,7 +587,8 @@ fn serve_flags() -> Vec<Flag<ServeArgs>> {
         },
         Flag {
             spec: "cache-rows <n>",
-            help: "per-shard LRU feature-cache rows; 0 disables (default 4096)",
+            help: "per-shard feature-cache rows, filled on miss and kept; 0 disables \
+                   (default 4096)",
             set: |a, v| put(&mut a.cfg.cache_rows, num(v)),
         },
         Flag {

@@ -15,10 +15,10 @@
 //!
 //! The serving path exercises the same dependency machinery as training:
 //! * features the shard does not own are fetched from the owning peer
-//!   over the fabric (`Query` fetch → layer-0 `Rows` reply) and kept in
-//!   a per-shard LRU [`FeatureCache`] with hit/miss/eviction metering —
-//!   the cached-vs-fetched trade-off of the DepCache/DepComm engines,
-//!   now on the read path;
+//!   over the fabric (`Query` fetch → layer-0 `Rows` reply) and kept,
+//!   while there is room, in a per-shard fill-only [`FeatureCache`] with
+//!   hit/miss metering — the cached-vs-fetched trade-off of the
+//!   DepCache/DepComm engines, now on the read path;
 //! * an unhealthy peer link degrades the fetch instead of failing the
 //!   query: every peer sits behind a [`CircuitBreaker`] (consecutive
 //!   fetch failures open it, a half-open probe after cooldown closes it
@@ -117,15 +117,16 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Maximum queries per dispatched batch.
     pub batch_max: usize,
-    /// Adaptive batch window: after the first query of a batch is
-    /// dequeued, the dispatcher keeps accreting queries for at most this
-    /// long before shipping the batch.
+    /// Fixed batch window: a timer started when the first query of a
+    /// batch is dequeued. The dispatcher accretes queries until it
+    /// expires or the batch holds `batch_max`, whatever the load.
     pub batch_window_us: u64,
     /// Maximum queries outstanding at the shards. The dispatcher stops
     /// dequeuing beyond this, so sustained overload backs up into the
     /// bounded queue and surfaces as rejects.
     pub inflight_cap: usize,
-    /// Per-shard LRU feature-cache capacity, in rows.
+    /// Per-shard feature-cache capacity, in rows. The cache fills on
+    /// miss until full and then keeps what it holds; 0 disables it.
     pub cache_rows: usize,
     /// Frontend reply deadline: a shard with a batch older than this is
     /// declared dead and its outstanding queries are rerouted.
@@ -214,11 +215,6 @@ impl<T> SubmitQueue<T> {
         }
     }
 
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
     /// Current depth.
     pub fn len(&self) -> usize {
         self.inner.lock().unwrap().buf.len()
@@ -278,40 +274,27 @@ impl<T> SubmitQueue<T> {
     }
 }
 
-/// Per-shard LRU cache of fetched feature rows, with hit/miss/eviction
-/// meters. Lazy LRU: every touch appends `(vertex, tick)` to a recency
-/// queue; eviction pops stale entries until it finds one whose tick
-/// matches the live map. A queue past `2 × len() + 64` entries drops its
-/// stale ones in order, so a cache that never fills stays bounded too.
+/// Per-shard cache of fetched feature rows, with hit/miss meters. It
+/// fills on miss while it has room and keeps what it holds for the run,
+/// as DepCache keeps its fetched dependencies for every epoch; a full
+/// cache stores nothing more. Only memory pressure drops rows
+/// ([`FeatureCache::shed_to`]).
 pub struct FeatureCache {
     cap: usize,
-    map: FxHashMap<u32, (Vec<f32>, u64)>,
-    recency: VecDeque<(u32, u64)>,
-    tick: u64,
+    map: FxHashMap<u32, Vec<f32>>,
     /// Lookups answered from the cache.
     pub hits: u64,
     /// Lookups that missed.
     pub misses: u64,
-    /// Rows evicted to stay within capacity.
-    pub evictions: u64,
-    /// Rows dropped by memory-pressure shedding (distinct from capacity
-    /// evictions: these free heap for the budgeted tensor pool).
+    /// Rows dropped by memory-pressure shedding, to free heap for the
+    /// budgeted tensor pool.
     pub sheds: u64,
 }
 
 impl FeatureCache {
     /// A cache holding at most `cap` rows (0 disables caching).
     pub fn new(cap: usize) -> Self {
-        Self {
-            cap,
-            map: FxHashMap::default(),
-            recency: VecDeque::new(),
-            tick: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-            sheds: 0,
-        }
+        Self { cap, map: FxHashMap::default(), hits: 0, misses: 0, sheds: 0 }
     }
 
     /// Rows currently cached.
@@ -324,77 +307,35 @@ impl FeatureCache {
         self.map.is_empty()
     }
 
-    /// Looks `v` up, metering the hit or miss and refreshing recency.
+    /// Looks `v` up, metering the hit or miss.
     pub fn lookup(&mut self, v: u32) -> Option<&[f32]> {
-        self.tick += 1;
-        let tick = self.tick;
-        match self.map.get_mut(&v) {
-            Some((_, t)) => {
-                *t = tick;
-                self.touch(v, tick);
-                self.hits += 1;
-                Some(&self.map[&v].0)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+        let row = self.map.get(&v);
+        if row.is_some() {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
         }
+        row.map(Vec::as_slice)
     }
 
-    /// Inserts a fetched row, evicting the least-recently-used row(s) if
-    /// at capacity.
+    /// Stores a fetched row while the cache has room; a full cache drops it.
     pub fn insert(&mut self, v: u32, row: Vec<f32>) {
-        if self.cap == 0 {
-            return;
-        }
-        self.tick += 1;
-        if !self.map.contains_key(&v) {
-            while self.map.len() >= self.cap && self.pop_lru() {
-                self.evictions += 1;
-            }
-        }
-        self.map.insert(v, (row, self.tick));
-        self.touch(v, self.tick);
-    }
-
-    /// Records a touch of `v` at `tick` (already its tick in the map).
-    /// Stale entries are the ones [`FeatureCache::pop_lru`] would skip, so
-    /// dropping them changes no eviction.
-    fn touch(&mut self, v: u32, tick: u64) {
-        self.recency.push_back((v, tick));
-        if self.recency.len() > 2 * self.map.len() + 64 {
-            let live = |&(v, t): &(u32, u64)| self.map.get(&v).is_some_and(|(_, lt)| *lt == t);
-            self.recency.retain(live);
+        if self.map.len() < self.cap {
+            self.map.insert(v, row);
         }
     }
 
-    /// Drops least-recently-used rows until at most `target` remain.
+    /// Drops rows, in no particular order, until at most `target` remain.
     /// The memory-pressure relief valve: cached rows are the shard's one
     /// elastic allocation, so they go first when the tensor-pool budget
     /// tightens. Returns the number of rows dropped.
     pub fn shed_to(&mut self, target: usize) -> u64 {
-        let mut dropped = 0u64;
-        while self.map.len() > target && self.pop_lru() {
-            dropped += 1;
+        let doomed: Vec<u32> = self.map.keys().skip(target).copied().collect();
+        for v in &doomed {
+            self.map.remove(v);
         }
-        self.sheds += dropped;
-        dropped
-    }
-
-    /// Drops the least-recently-used row: pops the recency queue until an
-    /// entry whose tick matches the live map. False when nothing is cached.
-    fn pop_lru(&mut self) -> bool {
-        while let Some((old, t)) = self.recency.pop_front() {
-            if self.map.get(&old).is_some_and(|(_, lt)| *lt == t) {
-                self.map.remove(&old);
-                return true;
-            }
-        }
-        // Recency queue exhausted (all entries stale): drop an arbitrary
-        // row to make progress.
-        let any = self.map.keys().next().copied();
-        any.is_some_and(|k| self.map.remove(&k).is_some())
+        self.sheds += doomed.len() as u64;
+        doomed.len() as u64
     }
 }
 
@@ -410,8 +351,6 @@ pub struct ServeReport {
     /// Admitted queries that never got an answer. The zero-drop
     /// guarantee makes this 0 unless every shard died.
     pub dropped: u64,
-    /// Sorted answer latencies, µs.
-    pub latencies_us: Vec<u64>,
     /// Wall-clock of the run, milliseconds.
     pub wall_ms: u64,
     /// Answers per second of wall-clock.
@@ -427,7 +366,9 @@ pub struct ServeReport {
 impl ServeReport {
     /// Nearest-rank percentile over the answer latencies, µs.
     pub fn percentile_us(&self, p: f64) -> u64 {
-        load::percentile_us(&self.latencies_us, p)
+        let mut latencies: Vec<u64> = self.answers.iter().map(|a| a.latency_us).collect();
+        latencies.sort_unstable();
+        load::percentile_us(&latencies, p)
     }
 
     /// Aggregate cache hit ratio across shards (0 when no lookups).
@@ -604,21 +545,18 @@ impl<'a> ServeDeployment<'a> {
         if !front.pending.is_empty() {
             return Err(ServeError::AllShardsLost { unanswered: front.pending.len() });
         }
-        let Frontend { answers, deaths, .. } = front;
+        let answers = front.answers;
         let rejected = rejected.load(Ordering::Relaxed);
-        let mut latencies: Vec<u64> = answers.iter().map(|a| a.latency_us).collect();
-        latencies.sort_unstable();
         let wall_ms = origin.elapsed().as_millis().max(1) as u64;
         let dropped = offered - rejected - answers.len() as u64;
         Ok(ServeReport {
             achieved_qps: answers.len() as f64 / (wall_ms as f64 / 1000.0),
-            latencies_us: latencies,
             answers,
             rejected,
             offered,
             dropped,
             wall_ms,
-            shard_deaths: deaths,
+            shard_deaths: metrics.total_counter("serve.deaths"),
             reroutes: metrics.total_counter("serve.reroutes"),
             metrics,
         })
@@ -649,7 +587,6 @@ struct Frontend<'a> {
     /// Admitted queries not yet answered, by query id.
     pending: FxHashMap<u32, Pending>,
     answers: Vec<Answer>,
-    deaths: u64,
 }
 
 struct Pending {
@@ -678,7 +615,6 @@ impl<'a> Frontend<'a> {
             last_heard: vec![Instant::now(); world],
             pending: FxHashMap::default(),
             answers: Vec::new(),
-            deaths: 0,
         }
     }
 
@@ -757,14 +693,14 @@ impl<'a> Frontend<'a> {
 
     fn mark_dead(&mut self, w: usize) {
         if std::mem::replace(&mut self.alive[w], false) {
-            self.deaths += 1;
             self.rec.incr("serve.deaths", 1);
         }
     }
 
     /// Admits one batch when under the inflight cap: the first query
-    /// opens the adaptive window, the window accretes up to `batch_max`,
-    /// the batch is routed. True when the queue is closed and drained.
+    /// starts the fixed `batch_window_us` timer, the batch accretes until
+    /// the timer expires or it holds `batch_max`, and it is routed. True
+    /// when the queue is closed and drained.
     /// Every wait is one `IDLE`-bounded queue wait, so a new query wakes
     /// the dispatcher at once and a reply is matched within `IDLE` of
     /// landing, even while a window is open.
@@ -1028,7 +964,6 @@ impl<'a> Shard<'a> {
     fn finish(self) -> MetricsFrame {
         self.rec.incr("serve.cache.hits", self.cache.hits);
         self.rec.incr("serve.cache.misses", self.cache.misses);
-        self.rec.incr("serve.cache.evictions", self.cache.evictions);
         self.rec.incr("serve.cache.shed", self.cache.sheds);
         export_net_stats(&self.rec, &self.ep.stats());
         // A killed peer's breaker is rightly open for good.
@@ -1078,7 +1013,7 @@ impl<'a> Shard<'a> {
     }
 
     /// Builds the `|verts| x d` layer-0 input matrix: owned rows are
-    /// read locally, foreign rows come from the LRU cache, a hedged
+    /// read locally, foreign rows come from the feature cache, a hedged
     /// peer fetch, or (open breaker, lost hedge race, fetch deadline) the
     /// replicated feature mirror.
     fn gather(&mut self, verts: &[u32]) -> Tensor {
@@ -1325,36 +1260,18 @@ mod tests {
     }
 
     #[test]
-    fn feature_cache_meters_hits_misses_and_evicts_lru() {
+    fn full_feature_cache_keeps_its_rows_and_stores_nothing_new() {
         let mut c = FeatureCache::new(2);
         assert!(c.lookup(1).is_none());
         c.insert(1, vec![1.0]);
         c.insert(2, vec![2.0]);
-        assert_eq!(c.lookup(1).unwrap(), &[1.0]); // 1 is now most recent
-        c.insert(3, vec![3.0]); // evicts 2, the least recent
-        assert!(c.lookup(2).is_none());
+        assert!(c.lookup(3).is_none());
+        c.insert(3, vec![3.0]); // full: dropped, nothing evicted
+        assert!(c.lookup(3).is_none());
         assert_eq!(c.lookup(1).unwrap(), &[1.0]);
-        assert_eq!(c.lookup(3).unwrap(), &[3.0]);
-        assert_eq!(c.evictions, 1);
-        assert_eq!(c.hits, 3);
-        assert_eq!(c.misses, 2);
+        assert_eq!(c.lookup(2).unwrap(), &[2.0]);
+        assert_eq!((c.hits, c.misses), (2, 3));
         assert_eq!(c.len(), 2);
-    }
-
-    #[test]
-    fn feature_cache_recency_stays_bounded_when_it_never_fills() {
-        let mut c = FeatureCache::new(4096);
-        c.insert(7, vec![7.0]);
-        c.insert(8, vec![8.0]);
-        for _ in 0..10_000 {
-            assert_eq!(c.lookup(7).unwrap(), &[7.0]);
-            assert!(c.recency.len() <= 2 * c.len() + 64, "{}", c.recency.len());
-        }
-        assert_eq!(c.hits, 10_000);
-        // 8 is still the least recent row.
-        assert_eq!(c.shed_to(1), 1);
-        assert!(c.lookup(8).is_none());
-        assert!(c.lookup(7).is_some());
     }
 
     #[test]
@@ -1366,21 +1283,22 @@ mod tests {
     }
 
     #[test]
-    fn feature_cache_sheds_lru_rows_under_pressure() {
+    fn feature_cache_sheds_down_to_the_target_under_pressure() {
         let mut c = FeatureCache::new(8);
         for v in 0..8u32 {
             c.insert(v, vec![v as f32]);
         }
-        assert_eq!(c.lookup(0).unwrap(), &[0.0]); // 0 becomes most recent
-        let dropped = c.shed_to(4);
-        assert_eq!(dropped, 4);
-        assert_eq!(c.len(), 4);
-        assert_eq!(c.sheds, 4);
-        // The refreshed row survived; the stalest ones went first.
-        assert!(c.lookup(0).is_some());
-        assert!(c.lookup(1).is_none());
-        // Shedding to the current size (or above) is a no-op.
+        assert_eq!(c.shed_to(3), 5);
+        assert_eq!(c.len(), 3);
+        assert_eq!(c.sheds, 5);
+        // The survivors still answer with their own rows.
+        let kept = (0..8u32).filter(|&v| c.lookup(v).is_some_and(|r| r == [v as f32]));
+        assert_eq!(kept.count(), 3);
+        // Shedding to the current size (or above) is a no-op, and the
+        // room it freed takes new rows again.
         assert_eq!(c.shed_to(10), 0);
+        c.insert(99, vec![99.0]);
+        assert_eq!(c.lookup(99).unwrap(), &[99.0]);
     }
 
     fn cora_deploy() -> (Dataset, GnnModel) {
@@ -1415,7 +1333,9 @@ mod tests {
         // Seeds spread across all three partitions, with repeats.
         let n = ds.graph.num_vertices() as u32;
         let seeds: Vec<u32> = (0..96u32).map(|i| (i * 131) % n).collect();
-        for cache_rows in [4096, 0] {
+        // 16 rows fill early in the run, so most foreign rows are then
+        // fetched past a full cache.
+        for cache_rows in [4096, 16, 0] {
             for spec in [None, Some("kill:w1@e40"), Some("partition:w1-w2@e0-e1")] {
                 let mut fault = FaultPlan::default();
                 if let Some(spec) = spec {
@@ -1459,6 +1379,11 @@ mod tests {
                     "{run}"
                 );
                 assert_eq!(count("serve.cache.misses"), fetched + fallback, "{run}");
+                if cache_rows == 16 {
+                    // Every miss is stored while there is room, so more
+                    // misses than three caches hold means one filled.
+                    assert!(fetched + fallback > 3 * 16, "no shard filled its cache ({run})");
+                }
                 assert_eq!(count("serve.answers"), seeds.len() as u64, "{run}");
                 assert!(count("serve.peer.rows_served") >= fetched, "{run}");
                 assert!(local > 0, "{run}");
