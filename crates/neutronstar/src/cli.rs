@@ -572,17 +572,13 @@ fn serve_flags() -> Vec<Flag<ServeArgs>> {
         },
         Flag {
             spec: "batch-max <n>",
-            help: "max queries per dispatched batch (default 32)",
+            help: "max queries per batch; a shard's next batch ships when it \
+                   replies (default 32)",
             set: |a, v| put(&mut a.cfg.batch_max, at_least(v, 1)),
         },
         Flag {
-            spec: "batch-window-us <us>",
-            help: "fixed batch window, timed from a batch's first query (default 400)",
-            set: |a, v| put(&mut a.cfg.batch_window_us, num(v)),
-        },
-        Flag {
             spec: "inflight <n>",
-            help: "max queries outstanding at shards (default 256)",
+            help: "max queries admitted and unanswered (default 256)",
             set: |a, v| put(&mut a.cfg.inflight_cap, at_least(v, 1)),
         },
         Flag {
@@ -593,8 +589,8 @@ fn serve_flags() -> Vec<Flag<ServeArgs>> {
         },
         Flag {
             spec: "reply-timeout-ms <ms>",
-            help: "shard reply deadline before it is declared dead and its \
-                   queries reroute (default 250)",
+            help: "reply deadline past which a silent shard is declared dead, \
+                   unless a busy peer is silent too (default 250)",
             set: |a, v| put(&mut a.cfg.reply_timeout_ms, num(v)),
         },
         Flag {
@@ -1154,7 +1150,7 @@ mod tests {
         let cmd = parse(&args(
             "serve --ckpt-dir /tmp/ckpts --dataset reddit --scale 0.001 --model sage \
              --fault kill:w2@e100 --seed 7 --shards 3 --partitioner fennel --queue-cap 256 \
-             --batch-max 16 --batch-window-us 200 --inflight 64 --cache-rows 512 \
+             --batch-max 16 --inflight 64 --cache-rows 512 \
              --reply-timeout-ms 100 --fetch-timeout-ms 50 --slow-path-us 150 \
              --queries 5000 --rate 1500 --zipf 1.1 \
              --metrics-out /tmp/s.json --report /tmp/BENCH_serve.json",
@@ -1176,7 +1172,6 @@ mod tests {
             partitioner: Partitioner::Fennel,
             queue_capacity: 256,
             batch_max: 16,
-            batch_window_us: 200,
             inflight_cap: 64,
             cache_rows: 512,
             reply_timeout_ms: 100,
@@ -1194,6 +1189,13 @@ mod tests {
                 zipf_s: 1.1
             }
         );
+    }
+
+    #[test]
+    fn serve_has_no_batch_window() {
+        // Batches ship when their shard is idle; no timer is left to set.
+        let err = parse(&args("serve --ckpt-dir /c --batch-window-us 200")).unwrap_err();
+        assert!(err.contains("unknown serve flag --batch-window-us"), "{err}");
     }
 
     #[test]
@@ -1364,7 +1366,7 @@ mod tests {
         assert_eq!(check_help_defaults("chaos", &chaos_flags()), 8);
         assert_eq!(
             check_help_defaults("serve --ckpt-dir /c", &serve_flags()),
-            17
+            16
         );
         // docs/SERVING.md's knob table: `| `--flag` | default | ... |`.
         let serve = parse(&args("serve --ckpt-dir /c")).unwrap();
@@ -1386,6 +1388,6 @@ mod tests {
             );
             rows += 1;
         }
-        assert!(rows >= 14, "only {rows} knob rows found in docs/SERVING.md");
+        assert!(rows >= 13, "only {rows} knob rows found in docs/SERVING.md");
     }
 }

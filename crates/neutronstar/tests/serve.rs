@@ -118,12 +118,10 @@ fn killed_shard_degrades_latency_but_answers_stay_exact_and_complete() {
 
 #[test]
 fn long_run_keeps_its_feature_cache() {
-    // Every batch builds a closure-sized feature matrix whose buffer is
-    // parked in the process-wide tensor pool on drop; closure sizes differ,
-    // so nothing takes those buffers back and the pool fills with them.
-    // Parked buffers are slack, not pressure: 12k queries at the default
-    // budget must never shed a cached row, and the last third must hit the
-    // cache as often as the first.
+    // Every batch builds closure-sized matrices whose sizes differ from
+    // batch to batch. None of them may press on the tensor pool: 12k
+    // queries at the default budget must never shed a cached row, and the
+    // last third must hit the cache as often as the first.
     let (ds, model, params) = train_and_load("longrun");
     let cfg = ServeConfig { shards: 2, ..ServeConfig::default() };
     let deploy = ServeDeployment::new(&ds, &model, params, cfg).expect("deployment");

@@ -39,6 +39,7 @@
 //!   steady-state allocation test: an epoch that allocates nothing new
 //!   shows a zero `fresh` delta.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -62,8 +63,8 @@ pub struct PoolStats {
     /// requests are metered in `bypass`, not here, so a zero `fresh` delta
     /// means "no new *tensor-sized* buffer touched the allocator".
     pub fresh: u64,
-    /// Requests below `MIN_POOLED_LEN` served straight from the
-    /// allocator (scalars and tiny row vectors; never parked).
+    /// Requests served straight from the allocator and never parked:
+    /// those below `MIN_POOLED_LEN` and every take of an unpooled thread.
     pub bypass: u64,
     /// Buffers served from a free list.
     pub reused: u64,
@@ -97,6 +98,7 @@ static DROPPED: AtomicU64 = AtomicU64::new(0);
 static SHED: AtomicU64 = AtomicU64::new(0);
 static SHED_BYTES: AtomicU64 = AtomicU64::new(0);
 static FRESH_BYTES: AtomicU64 = AtomicU64::new(0);
+thread_local!(static UNPOOLED: Cell<bool> = const { Cell::new(false) });
 
 struct Buckets {
     map: HashMap<usize, Vec<Vec<f32>>>,
@@ -173,6 +175,16 @@ fn lock() -> std::sync::MutexGuard<'static, Buckets> {
     pool().lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// Takes the calling thread out of the pool for the rest of its life: its
+/// takes allocate fresh (metered in `bypass`) and its recycles free, never
+/// entering `in_use` or `resident`. For short-lived threads whose lengths
+/// never repeat, like serving shards, whose per-batch matrices the buckets
+/// would park one apiece. A buffer must die on the kind of thread that took
+/// it; shards hand none across (replies are `Vec<u32>`, rows `Vec<f32>`).
+pub fn unpool_this_thread() {
+    UNPOOLED.with(|u| u.set(true));
+}
+
 /// Takes a length-`len` buffer with **unspecified (stale) contents**.
 ///
 /// The buffer is always fully initialized memory — either zeros from a
@@ -180,7 +192,7 @@ fn lock() -> std::sync::MutexGuard<'static, Buckets> {
 /// is safe but meaningless. Callers must overwrite every element before
 /// the buffer escapes.
 pub fn take_scratch(len: usize) -> Vec<f32> {
-    if len < MIN_POOLED_LEN {
+    if len < MIN_POOLED_LEN || UNPOOLED.with(Cell::get) {
         BYPASS.fetch_add(1, Ordering::Relaxed);
         return vec![0.0; len];
     }
@@ -216,8 +228,8 @@ pub fn take_zeroed(len: usize) -> Vec<f32> {
 /// `Drop`.
 pub fn recycle(buf: Vec<f32>) {
     let len = buf.len();
-    if len < MIN_POOLED_LEN {
-        return; // dropped by caller; too small to meter
+    if len < MIN_POOLED_LEN || UNPOOLED.with(Cell::get) {
+        return; // freed here; the take was metered as a bypass
     }
     let mut g = lock();
     g.in_use_bytes = g.in_use_bytes.saturating_sub(len * 4);
@@ -264,10 +276,8 @@ pub fn default_cap_bytes() -> usize {
 /// and alive — are within 25% of the budget: the signal the checkpoint
 /// store uses to shrink its write bursts and the serve cache uses to shed
 /// rows, trading speed for staying under the cap. Parked buffers do not
-/// count. They are the pool's own slack, shed first whenever a take
-/// crosses the budget, so a pool that is merely full of them (a long
-/// serve run parks one odd-sized buffer per batch) has all the headroom
-/// its callers could ask for and nobody needs to degrade.
+/// count: they are the pool's own slack, shed first whenever a take
+/// crosses the budget.
 pub fn under_pressure() -> bool {
     let g = lock();
     g.in_use_bytes * 4 >= g.cap_bytes * 3
@@ -368,6 +378,24 @@ mod tests {
         assert_eq!(after.recycled, before.recycled, "tiny buffers are not parked");
         assert_eq!(after.fresh, before.fresh, "bypass takes are not fresh");
         assert_eq!(after.bypass - before.bypass, 1, "bypass takes are metered");
+    }
+
+    #[test]
+    fn an_unpooled_threads_buffers_never_reach_the_pool() {
+        let len = 6007; // prime, used by no other test
+        let before = stats();
+        std::thread::spawn(move || {
+            unpool_this_thread();
+            recycle(take_scratch(len));
+        })
+        .join()
+        .unwrap();
+        let mid = stats();
+        assert!(mid.bypass > before.bypass, "an unpooled take is metered as a bypass");
+        assert!(lock().map.get(&len).is_none_or(Vec::is_empty), "its recycle parked nothing");
+        let b = take_scratch(len);
+        assert!(stats().fresh > mid.fresh, "a pooled take of that length must miss");
+        recycle(b);
     }
 
     #[test]
