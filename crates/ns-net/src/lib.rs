@@ -41,7 +41,7 @@ pub mod wire;
 
 pub use buffer::ParallelEnqueue;
 pub use cluster::{ClusterSpec, DeviceModel, ExecOptions, NetModel};
-pub use fabric::{Endpoint, Fabric, Message, MessageKind, NetError, NetStats, KIND_NAMES};
+pub use fabric::{Doorbell, Endpoint, Fabric, Message, MessageKind, NetError, NetStats, KIND_NAMES};
 pub use fault::{Fault, FaultPlan, KindSel, Link, MsgSel, SendFate, Window};
 pub use membership::{MemberState, MembershipEvent, MembershipEventKind, MembershipView};
 pub use policy::{Backoff, BreakerState, BreakerStats, CircuitBreaker};

@@ -12,15 +12,18 @@ const PAR_MIN_WORK: usize = 1 << 15;
 
 /// Runs `kernel(row_lo, rows)` over disjoint row blocks of `out` (an
 /// `n_rows x row_width` row-major buffer). Fans out to [`ns_par`] when
-/// `n_rows * work_per_row` clears [`PAR_MIN_WORK`] and more than one
-/// thread is configured; otherwise runs the kernel once over the whole
-/// buffer. Either way every row is visited exactly once by exactly one
-/// invocation, which is what keeps results bit-identical.
+/// `n_rows * work_per_row` clears [`PAR_MIN_WORK`], more than one thread
+/// is configured and every thread can get a block of `min_rows` rows;
+/// blocks are then whole multiples of `min_rows`. Otherwise runs the
+/// kernel once over the whole buffer. Either way every row is visited
+/// exactly once by exactly one invocation, which is what keeps results
+/// bit-identical.
 fn par_rows(
     out: &mut [f32],
     n_rows: usize,
     row_width: usize,
     work_per_row: usize,
+    min_rows: usize,
     kernel: impl Fn(usize, &mut [f32]) + Sync,
 ) {
     debug_assert_eq!(out.len(), n_rows * row_width);
@@ -28,11 +31,14 @@ fn par_rows(
         return;
     }
     let threads = ns_par::threads();
-    if threads <= 1 || n_rows.saturating_mul(work_per_row.max(1)) < PAR_MIN_WORK {
+    if threads <= 1
+        || n_rows < threads * min_rows
+        || n_rows.saturating_mul(work_per_row.max(1)) < PAR_MIN_WORK
+    {
         kernel(0, out);
         return;
     }
-    let rows_per_chunk = ns_par::chunk_len(n_rows, threads);
+    let rows_per_chunk = ns_par::chunk_len(n_rows, threads).next_multiple_of(min_rows);
     ns_par::par_chunks(out, rows_per_chunk * row_width, |ci, chunk| {
         kernel(ci * rows_per_chunk, chunk);
     });
@@ -199,7 +205,9 @@ fn gemm<const A_TRANSPOSED: bool>(
     } else {
         Tensor::scratch(n, m)
     };
-    par_rows(&mut out.data, n, m, depth * m, |lo, orows| {
+    // Every block reads all of `B`: a block short of one MR-row tile
+    // would re-read it for a partial tile's work.
+    par_rows(&mut out.data, n, m, depth * m, MR, |lo, orows| {
         let rows = orows.len() / m;
         let mut ap = [0.0f32; MC * KC];
         for pc in (0..depth).step_by(KC) {
@@ -627,7 +635,7 @@ impl Tensor {
     pub fn gather_rows(&self, idx: &[u32]) -> Tensor {
         let d = self.cols;
         let mut out = Tensor::scratch(idx.len(), d);
-        par_rows(&mut out.data, idx.len(), d, d, |lo, orows| {
+        par_rows(&mut out.data, idx.len(), d, d, 1, |lo, orows| {
             for (ri, orow) in orows.chunks_mut(d.max(1)).enumerate() {
                 orow.copy_from_slice(self.row(idx[lo + ri] as usize));
             }
@@ -648,7 +656,7 @@ impl Tensor {
         let d = self.cols;
         let mut out = Tensor::zeros(n_out, d);
         let work_per_row = (idx.len() / n_out.max(1) + 1) * d.max(1);
-        par_rows(&mut out.data, n_out, d, work_per_row, |lo, orows| {
+        par_rows(&mut out.data, n_out, d, work_per_row, 1, |lo, orows| {
             let hi = lo + orows.len() / d.max(1);
             for (r, &i) in idx.iter().enumerate() {
                 let dst = i as usize;
@@ -808,7 +816,7 @@ impl Tensor {
         // read-modify-write to an NR-float source read. Per output
         // element the edge order is still ascending `e`, so results are
         // bit-identical to the edge-outer formulation.
-        par_rows(&mut out.data, n_dst, d, work_per_row, |lo, orows| {
+        par_rows(&mut out.data, n_dst, d, work_per_row, 1, |lo, orows| {
             for (ri, row) in orows.chunks_mut(d.max(1)).enumerate() {
                 let dst = lo + ri;
                 let (es, ee) = (dst_offsets[dst], dst_offsets[dst + 1]);
@@ -914,7 +922,7 @@ impl Tensor {
         // accumulates only into the rows it owns — same per-row FP order,
         // no atomic adds. Every chunk takes the same skip decisions; the
         // one at row 0 reports them.
-        par_rows(&mut out.data, n_src, d, work_per_row, |lo, orows| {
+        par_rows(&mut out.data, n_src, d, work_per_row, 1, |lo, orows| {
             let hi = lo + orows.len() / d.max(1);
             let mut zero_rows = 0;
             for dst in 0..n_dst {
