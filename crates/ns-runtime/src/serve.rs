@@ -989,13 +989,17 @@ impl<'a> Shard<'a> {
     }
 
     /// Computes exact predictions for `seeds` by running the model over
-    /// the seeds' `L`-hop in-closure sub-topology, and replies. The three
-    /// timed stages add up to `serve.shard.latency_us`.
+    /// the seeds' `L`-hop in-closure sub-topology, and replies. Between
+    /// stages it answers the peers' fetches that landed meanwhile, so a
+    /// peer waits out a stage, not the batch; the three timed stages and
+    /// those answers add up to `serve.shard.latency_us`.
     fn answer_batch(&mut self, qids: Vec<u32>, seeds: &[u32]) -> ControlFlow<()> {
         let t0 = Instant::now();
         let cum = self.timed("serve.shard.closure_us", |s| s.closure(seeds));
+        self.serve_peers(None);
         let full = cum.last().expect("the closure has at least the seed layer");
         let x = self.timed("serve.shard.gather_us", |s| s.gather(full));
+        self.serve_peers(None);
         let classes = self.timed("serve.shard.forward_us", |s| s.forward(&cum, x, seeds));
         self.reply(qids, classes, t0)
     }
@@ -1499,6 +1503,35 @@ mod tests {
         let front = &report.metrics.frames[&0];
         assert_eq!(front.counter("serve.batches"), 2);
         assert_eq!(front.histograms["serve.batch.size"].max, 9);
+    }
+
+    #[test]
+    fn a_peer_fetch_that_lands_before_a_batch_is_answered_before_its_reply() {
+        let (ds, model) = cora_deploy();
+        let cfg = ServeConfig { shards: 2, ..ServeConfig::default() };
+        let deploy = ServeDeployment::new(&ds, &model, model.fresh_store(), cfg).unwrap();
+        let hops = model.num_layers();
+        // A seed whose whole closure shard 1 owns: its batch fetches nothing,
+        // so no fetch of its own is what reads the peer's link.
+        let local = |v: u32| deploy.parts.owner(v) == 0;
+        let seed = (0..ds.graph.num_vertices() as u32)
+            .find(|&v| {
+                let closure = khop_in_closure(&ds.graph, &[v], hops);
+                closure.layers.iter().flatten().all(|&u| local(u))
+            })
+            .expect("some vertex's closure is local to shard 1");
+        let mut eps = Fabric::new(3).into_endpoints().into_iter();
+        let (front, ep, peer) = (eps.next().unwrap(), eps.next().unwrap(), eps.next().unwrap());
+        let fetch = MessageKind::Query { qids: Vec::new(), verts: vec![seed] };
+        peer.send(1, fetch).unwrap();
+        front.send(1, MessageKind::Query { qids: vec![0], verts: vec![seed] }).unwrap();
+        let mut shard = Shard::new(&deploy, ep, Instant::now());
+        assert!(shard.poll_frontend().is_continue());
+        let reply = front.try_recv_from(1).expect("the batch was answered");
+        assert!(matches!(reply.kind, MessageKind::Reply { .. }), "{:?}", reply.kind);
+        // The reply is out: the fetch queued before the batch must be too.
+        let rows = peer.try_recv_from(1).expect("the fetch waited out the batch");
+        assert!(matches!(rows.kind, MessageKind::Rows { .. }), "{:?}", rows.kind);
     }
 
     #[test]

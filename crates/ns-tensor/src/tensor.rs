@@ -142,11 +142,11 @@ fn pack_b_panels(
 /// The one micro-kernel: `acc + A_tile @ B_strips` over the tile's `k`
 /// steps, ascending. `a` yields the tile's MR scalars of `A` per step;
 /// each is broadcast against that step's NR-wide strip of `B` (from a
-/// packed panel, or from `B`'s row itself), a multiply and an add per
-/// register (rustc never contracts them into an FMA, which is what
-/// bit-exactness rests on). Zipping the two streams leaves no bounds
-/// check in the loop, and taking the accumulators by value keeps them in
-/// registers whatever the caller does with its copy.
+/// packed panel, or from `B`'s row itself), one `mul_add` per register:
+/// IEEE fusedMultiplyAdd, rounded once, the same bits from `vfmadd` and
+/// from libm's software `fmaf`, which is what bit-exactness rests on.
+/// Zipping the two streams leaves no bounds check in the loop, and taking
+/// the accumulators by value keeps them in registers whatever the caller does.
 #[inline(always)]
 fn micro_kernel<'b>(
     strips: impl Iterator<Item = &'b [f32; NR]>,
@@ -156,7 +156,7 @@ fn micro_kernel<'b>(
     for (b, xs) in strips.zip(a) {
         for t in 0..MR {
             for u in 0..NR {
-                acc[t][u] += xs[t] * b[u];
+                acc[t][u] = xs[t].mul_add(b[u], acc[t][u]);
             }
         }
     }
@@ -180,8 +180,8 @@ fn micro_kernel<'b>(
 /// MC) → B panel → MR-row tile. A tile's accumulators start at `+0.0` in
 /// the first k-block and are loaded from and stored back to `out` in every
 /// later one; an f32 store/load is exact, so every output element is still
-/// the sequence `acc += a·b` for `k` ascending — bit-identical to the
-/// naive `i-j-k` triple loop and independent of tile and row-block
+/// the sequence `acc = fma(a, b, acc)` for `k` ascending — bit-identical
+/// to the naive fused `i-j-k` loop and independent of tile and row-block
 /// placement, which is what keeps thread-count parity exact.
 ///
 /// The transposed instance runs over the `k` steps `kept` lists (ascending
@@ -446,9 +446,9 @@ impl Tensor {
     /// Returns `self @ other` (matrix product).
     ///
     /// Cache-blocked and register-tiled (see `gemm`): a fixed
-    /// ascending-`k` order per output element, so results are
-    /// bit-identical at every thread count *and* exactly equal to the
-    /// naive `i-j-k` triple loop (pinned by `tests/tiled_equivalence.rs`).
+    /// ascending-`k` order of fused steps per output element, so results
+    /// are bit-identical at every thread count *and* exactly equal to the
+    /// naive fused `i-j-k` loop (pinned by `tests/tiled_equivalence.rs`).
     /// Up to [`IN_PLACE_ROWS`] rows it reads `other` in place, unpacked.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         assert_eq!(
@@ -472,19 +472,19 @@ impl Tensor {
     ///
     /// **Zero rows.** Step `kk` is left out when `other`'s row `kk` is all
     /// `±0.0` and `self`'s row `kk` is all finite (a weight gradient
-    /// `Xᵀ·G` whose `G` has a row per vertex the loss never reaches). The
-    /// result is bit-identical to running every step, for every input:
-    /// - each term of a skipped step is `finite × ±0 = ±0`;
-    /// - the accumulator starts at `+0.0`, and under round-to-nearest
-    ///   without flush-to-zero no sum of such terms turns it into `-0.0`
-    ///   (`x + -x` and `+0 + -0` are both `+0`). Adding `±0` to a value
-    ///   that is not `-0.0` returns it unchanged, NaN and ±Inf included;
-    /// - a row holding a NaN or an Inf is never skipped, so every
-    ///   non-finite term still enters the sum where it did.
+    /// `Xᵀ·G` whose `G` has a row per vertex the loss never reaches):
+    /// - a skipped step, `fma(finite, ±0, acc)`, returns `acc` (NaN and
+    ///   ±Inf too) unless `acc` is `-0.0` and the exact product `+0`;
+    /// - `acc` starts at `+0.0`, and a fused step whose exact result is 0
+    ///   returns `+0` under round-to-nearest. It turns `-0.0` only when a
+    ///   nonzero exact result of at most 2⁻¹⁵⁰ underflows, keeping its
+    ///   sign; then the skip can keep that `-0.0` where every step gives
+    ///   `+0.0`. Otherwise it is bit-identical to running every step;
+    /// - a row holding a NaN or an Inf is never skipped.
     ///
-    /// So thread, tile and engine parity hold by construction. The packed
-    /// panels keep their full-height length: pool lengths never depend on
-    /// how many rows are zero.
+    /// The skip depends on the inputs alone, so thread and tile parity
+    /// hold by construction. The packed panels keep their full-height
+    /// length: pool lengths never depend on how many rows are zero.
     pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
         self.matmul_tn_counted(other).0
     }
@@ -887,10 +887,10 @@ impl Tensor {
     ///
     /// **Zero rows.** Destination `d` is left out when its gradient row is
     /// all `±0.0` and its segment's weights are finite (or the aggregation
-    /// is unweighted): each of its terms is `finite × ±0 = ±0`, which
-    /// leaves an accumulator that started at `+0.0` bit for bit as it was.
-    /// The argument is [`Self::matmul_tn`]'s; a NaN or Inf in the row or in
-    /// a weight keeps the destination in.
+    /// is unweighted): each of its terms is `finite × ±0 = ±0`, and an
+    /// unfused sum started at `+0.0` never turns `-0.0` (a sum of floats
+    /// cannot underflow to zero), so the skip is bit-exact for every input.
+    /// A NaN or Inf in the row or in a weight keeps the destination in.
     pub fn weighted_aggregate_transpose(
         &self,
         edge_src: &[u32],

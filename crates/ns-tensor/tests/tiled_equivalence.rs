@@ -7,8 +7,9 @@
 //! *bit-identical* results to the textbook `i-j-k` loop: blocking regroups
 //! which output elements a step computes and parks partial sums in the
 //! output between k-blocks, never changing the per-element ascending-`k`
-//! accumulation order, and rustc performs no FP contraction or
-//! reassociation. These tests pin that promise across odd/prime/tail-heavy
+//! accumulation order, and each step is one `mul_add` (IEEE fused
+//! multiply-add, rounded once), as in the reference; rustc reassociates
+//! nothing. These tests pin that promise across odd/prime/tail-heavy
 //! shapes in `1..=64` — every combination of full MR-row groups, row
 //! tails, full NR-column panels, and column tails — and across every
 //! KC / MC / NR block boundary.
@@ -17,8 +18,9 @@ use ns_tensor::tensor::{IN_PLACE_ROWS, KC, MC, NR};
 use ns_tensor::Tensor;
 use ns_rand::StdRng;
 
-/// Naive reference: `out[i][j] = sum_k a[i][k] * b[k][j]`, `k` ascending —
-/// the exact per-element order the tiled kernel must reproduce.
+/// Naive reference: `out[i][j] = sum_k a[i][k] * b[k][j]`, `k` ascending,
+/// one fused multiply-add per step — the exact per-element sequence the
+/// tiled kernel must reproduce.
 fn naive_matmul(a: &Tensor, b: &Tensor) -> Vec<f32> {
     let (n, k) = (a.rows(), a.cols());
     let m = b.cols();
@@ -29,7 +31,7 @@ fn naive_matmul(a: &Tensor, b: &Tensor) -> Vec<f32> {
         for j in 0..m {
             let mut acc = 0.0f32;
             for kk in 0..k {
-                acc += ad[i * k + kk] * bd[kk * m + j];
+                acc = ad[i * k + kk].mul_add(bd[kk * m + j], acc);
             }
             out[i * m + j] = acc;
         }
@@ -122,6 +124,28 @@ fn blocked_gemm_equals_naive_reference_across_block_boundaries() {
             for m in [1, 7, NR - 1, NR, NR + 1, 2 * NR - 1, 2 * NR + 1] {
                 check_triple(&mut rng, n, k, m);
             }
+        }
+    }
+}
+
+#[test]
+fn every_product_fuses_its_multiply_add() {
+    // `x = 1 + 2⁻¹²`, `c = -(1 + 2⁻¹¹)`: each output is `c` then `+ x·x`.
+    // Rounded once, `x·x + c` is exactly 2⁻²⁴; rounding `x·x` first gives
+    // `1 + 2⁻¹¹` and the sum 0. One row reads B in place, 17 pack it.
+    ns_par::set_threads(1);
+    let (x, c) = (1.0 + 2f32.powi(-12), -(1.0 + 2f32.powi(-11)));
+    assert_eq!(x * x + c, 0.0, "the unfused sum cancels");
+    for (n, m) in [(1, NR), (IN_PLACE_ROWS + 1, NR + 1)] {
+        let a = Tensor::from_vec(n, 2, [1.0, x].repeat(n));
+        let b = Tensor::from_vec(2, m, [vec![c; m], vec![x; m]].concat());
+        assert_eq!(naive_matmul(&a, &b), vec![2f32.powi(-24); n * m]);
+        for (name, got) in family(&a, &b) {
+            assert_eq!(
+                got.data(),
+                &vec![2f32.powi(-24); n * m][..],
+                "{name} {n}x2x{m}"
+            );
         }
     }
 }

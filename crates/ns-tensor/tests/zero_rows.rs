@@ -4,12 +4,15 @@
 //! `±0.0` and whose `A` row is finite; `Tensor::weighted_aggregate_transpose`
 //! leaves out a destination whose gradient row is all `±0.0` and whose
 //! weights are finite. Both promise results bit-identical to running every
-//! step, for every input. These seeded case loops compare both kernels with
-//! naive loops that skip nothing, bit for bit (any NaN for a NaN), at
-//! 1/2/3/4/8 threads: gradients with random all-zero rows built from `+0.0`
-//! and `-0.0`, gradients that are zero throughout, kept-step counts on both
-//! sides of a `KC` boundary, and NaN / Inf placed exactly where a wrong
-//! skip would hide them. A failure prints `case seed = N`.
+//! step, `matmul_tn` up to the sign of a zero that only an underflowing
+//! fused step can make (pinned below). These seeded case loops compare
+//! both kernels with naive loops that skip nothing, bit for bit (any NaN
+//! for a NaN; `matmul_tn`'s loop fused like its kernel, the aggregation's
+//! unfused like its kernel), at 1/2/3/4/8 threads: gradients with random
+//! all-zero rows built from `+0.0` and `-0.0`, gradients that are zero
+//! throughout, kept-step counts on both sides of a `KC` boundary, and
+//! NaN / Inf placed exactly where a wrong skip would hide them. A failure
+//! prints `case seed = N`.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -63,7 +66,8 @@ fn gradient(rng: &mut StdRng, rows: usize, zeros: usize, cols: usize) -> (Tensor
     (g, zero)
 }
 
-/// `out[i][j] = Σ_k a[k][i] · g[k][j]`, `k` ascending, every step run.
+/// `out[i][j] = Σ_k a[k][i] · g[k][j]`, `k` ascending, one fused
+/// multiply-add per step, every step run.
 fn naive_tn(a: &Tensor, g: &Tensor) -> Vec<f32> {
     let (k, n, m) = (a.rows(), a.cols(), g.cols());
     let mut out = vec![0.0f32; n * m];
@@ -71,7 +75,7 @@ fn naive_tn(a: &Tensor, g: &Tensor) -> Vec<f32> {
         for j in 0..m {
             let mut acc = 0.0f32;
             for kk in 0..k {
-                acc += a.get(kk, i) * g.get(kk, j);
+                acc = a.get(kk, i).mul_add(g.get(kk, j), acc);
             }
             out[i * m + j] = acc;
         }
@@ -221,6 +225,25 @@ fn matmul_tn_keeps_non_finite_rows_a_skip_would_hide() {
             a.matmul_tn(&g)
         });
     });
+}
+
+#[test]
+fn matmul_tn_skip_keeps_only_an_underflowed_zeros_sign() {
+    // Step 0 is `fma(1e-30, -1e-30, +0)`: the exact -1e-60 underflows to
+    // -0.0. Step 1 (zero gradient row, finite `A` row) would make it +0.0;
+    // skipped, the -0.0 stays. The values are equal, the bits are not.
+    let _g = serial();
+    let a = Tensor::from_vec(2, 1, vec![1e-30, 1.0]);
+    let g = Tensor::from_vec(2, 1, vec![-1e-30, 0.0]);
+    let want = naive_tn(&a, &g)[0];
+    assert_eq!(want.to_bits(), 0.0f32.to_bits(), "every step run gives +0.0");
+    let got = a.matmul_tn(&g).data()[0];
+    assert_eq!(got, want);
+    assert_eq!(
+        got.to_bits(),
+        (-0.0f32).to_bits(),
+        "the skip keeps the underflowed -0.0"
+    );
 }
 
 fn check_agg_t(g: &Tensor, csr: &Csr, n_src: usize, what: &str) {
