@@ -354,7 +354,7 @@ fn run(ra: &RunArgs, mode: Mode) {
     cfg.sync = ra.sync;
     cfg.fault = ra.fault.clone();
     cfg.recovery = ra.recovery;
-    cfg.recv = ra.recv;
+    cfg.recv_timeout_ms = ra.recv_timeout_ms;
     cfg.store = ra.store.clone();
     let trainer = or_exit(
         neutronstar::runtime::Trainer::prepare(&dataset, &model, cfg),

@@ -2,7 +2,7 @@
 //!
 //! Generates randomized-but-reproducible fault schedules (kills,
 //! stragglers, drops, delays, duplicates, optional rejoin), runs real
-//! recovering training under each, and checks the seven robustness
+//! recovering training under each, and checks the six robustness
 //! invariants the elastic runtime promises — [`INVARIANTS`], one
 //! documented function each, numbered in table order.
 //!
@@ -21,7 +21,7 @@ use ns_net::membership::MembershipEventKind;
 use ns_net::ClusterSpec;
 use ns_rand::SplitMix64;
 use ns_runtime::{
-    CheckpointStore, EngineKind, RecoveryConfig, RecvConfig, RuntimeError, StoreConfig, Trainer,
+    CheckpointStore, EngineKind, RecoveryConfig, RuntimeError, StoreConfig, Trainer,
     TrainerConfig, TrainingReport,
 };
 use ns_tensor::ParamStore;
@@ -37,12 +37,12 @@ pub enum Matrix {
     /// Kills, stragglers and wire noise (drops, delays, duplicates,
     /// corruption), plus checkpoint corruption against a durable store.
     Crash,
-    /// Healable link faults (partitions and flapping links, no kills);
-    /// checks the partition-liveness invariant (6).
+    /// Healable link faults (partitions and flapping links, no kills):
+    /// every run must come back on its own.
     Partition,
     /// Resource exhaustion (disk-full windows, slow disks, memory-pressure
     /// caps, hung workers; no kills or wire noise); checks the
-    /// degrade-don't-die invariant (7). Like [`Matrix::Partition`], it
+    /// degrade-don't-die invariant (6). Like [`Matrix::Partition`], it
     /// runs under a short receive budget, which is what finds a hang.
     Resource,
 }
@@ -219,9 +219,9 @@ pub fn generate_with_baseline(
 /// The healable link-fault matrix (`--partition` mode): at most one
 /// severed or half-severed link that always heals at a checkpoint
 /// boundary strictly before the last epoch (so the timed-out side is
-/// re-admitted and its breakers get traffic to close against), an
-/// optional flapping link, and mild latency noise. No kills and rejoin
-/// always on — invariant 6 demands these runs come back on their own.
+/// re-admitted and trains with the link back up), an optional flapping
+/// link, and mild latency noise. No kills and rejoin always on — these
+/// runs must come back on their own.
 fn generate_partition(rng: &mut SplitMix64, seed: u64, cfg: &ChaosConfig) -> ChaosSchedule {
     assert!(cfg.workers >= 2, "link faults need two endpoints");
     assert!(
@@ -252,7 +252,7 @@ fn generate_partition(rng: &mut SplitMix64, seed: u64, cfg: &ChaosConfig) -> Cha
     }
     // Flapping link: messages inside a down-window are held to the next
     // up-window, never lost, so flaps need no heal epoch to stay
-    // survivable — the retransmit windows absorb the delay.
+    // survivable — the receive deadline absorbs the delay.
     if kind == 2 || rng.unit() < 0.5 {
         let (a, b) = pair(rng);
         let period_ms = 10 + rng.below(41);
@@ -270,7 +270,7 @@ fn generate_partition(rng: &mut SplitMix64, seed: u64, cfg: &ChaosConfig) -> Cha
 /// boundary always saves clean, proving the store recovered), an
 /// optional slow disk, a memory-pressure window whose cap sits 12.5%
 /// above the baseline pool high-water mark (tight enough to trip the
-/// 75% pressure threshold, loose enough that invariant 7's
+/// 75% pressure threshold, loose enough that invariant 6's
 /// peak-under-cap bound is satisfiable), and a hung worker for its
 /// peers' receive budgets to find. No kills and rejoin always on — these
 /// runs must degrade and come back, never abort.
@@ -352,9 +352,9 @@ pub struct ChaosOutcome {
     /// (`ckpt.fallbacks`).
     pub ckpt_fallbacks: u64,
     /// Per-invariant verdicts, indexed by invariant number minus one
-    /// (`invariant_pass[6]` is invariant 7). An invariant a schedule
+    /// (`invariant_pass[5]` is invariant 6). An invariant a schedule
     /// never exercised passes vacuously.
-    pub invariant_pass: [bool; 7],
+    pub invariant_pass: [bool; INVARIANTS.len()],
     /// Invariant violations (empty = pass).
     pub violations: Vec<String>,
 }
@@ -387,12 +387,11 @@ fn train(
     tc.fault = fault;
     if cfg.matrix != Matrix::Crash {
         // Black-holed links and hung workers surface only as receive
-        // timeouts; shrink the retry schedule so each severed op or hang
-        // fails over in about a second instead of the default multi-second
-        // budget, keeping 32-seed soaks fast. The jittered windows still
-        // dwarf the generator's flap periods and delay noise, so healthy
-        // links never misfire.
-        tc.recv = RecvConfig { timeout_ms: 150, retries: 2 };
+        // timeouts; shrink the deadline so each severed op or hang fails
+        // over in about a second instead of the default 15 s, keeping
+        // 32-seed soaks fast. It still dwarfs the generator's flap periods
+        // and delay noise, so healthy links never misfire.
+        tc.recv_timeout_ms = 1_050;
     }
     tc.recovery = if rejoin {
         RecoveryConfig::every(cfg.checkpoint_every).with_rejoin()
@@ -445,13 +444,12 @@ pub type Check = fn(&Run) -> Vec<String>;
 
 /// The soak invariants as `(name, check)`: invariant *n* is
 /// `INVARIANTS[n - 1]`. `nts chaos` prints the names.
-pub const INVARIANTS: [(&str, Check); 7] = [
+pub const INVARIANTS: [(&str, Check); 6] = [
     ("termination", termination),
     ("loss-tolerance", loss_tolerance),
     ("replay-bound", replay_bound),
     ("rejoin-world", rejoin_world),
     ("zero-corruption", zero_corruption),
-    ("breaker-liveness", breaker_liveness),
     ("resource-degrade", resource_degrade),
 ];
 
@@ -621,28 +619,7 @@ fn zero_corruption(run: &Run) -> Vec<String> {
     v
 }
 
-/// Invariant 6: liveness under healable partitions. When every scheduled
-/// link fault heals inside the run (flaps always deliver, so they count
-/// as healed by construction), no circuit breaker may finish the run
-/// latched open against a reachable peer (`net.breaker.stuck_open` = 0).
-/// Invariants 1-2 already force termination at baseline-quality loss;
-/// this adds zero breaker deadlock — a stuck breaker would starve its
-/// link forever even though the network came back.
-fn breaker_liveness(run: &Run) -> Vec<String> {
-    let faults = &run.schedule.faults;
-    let has_link_faults =
-        faults.iter().any(|f| matches!(f, Fault::Partition { .. } | Fault::Flap { .. }));
-    let all_heal = faults
-        .iter()
-        .all(|f| !matches!(f, Fault::Partition { window, .. } if window.heal >= run.cfg.epochs));
-    let stuck = run.counter("net.breaker.stuck_open");
-    if has_link_faults && all_heal && stuck > 0 {
-        return vec![format!("{stuck} circuit breaker(s) left open after their links healed")];
-    }
-    Vec::new()
-}
-
-/// Invariant 7: resource exhaustion degrades, never aborts. Each
+/// Invariant 6: resource exhaustion degrades, never aborts. Each
 /// scheduled resource fault must leave its proving meters behind — a
 /// disk-full window forces retention squeezes, a hung worker is evicted
 /// as hung, a slow disk shows up as a bounded save penalty rather than a
@@ -704,7 +681,7 @@ fn train_under(
         .map(|b| b.join(format!("seed-{:08x}", schedule.seed)));
     let result = train(cfg, &ds, &model, plan, schedule.rejoin, store_dir.as_deref());
     // Probe the durable store *before* tearing the scratch directory
-    // down: invariant 7 demands a disk-full run still leaves at least
+    // down: invariant 6 demands a disk-full run still leaves at least
     // one loadable generation behind.
     let durable_loadable = store_dir.as_ref().map(|dir| {
         CheckpointStore::open(dir, 1).is_ok_and(|st| st.load_latest().checkpoint.is_some())
@@ -731,7 +708,7 @@ pub fn run_schedule(
         replans: 0,
         crc_failures: 0,
         ckpt_fallbacks: 0,
-        invariant_pass: [true; 7],
+        invariant_pass: [true; INVARIANTS.len()],
         violations: Vec::new(),
     };
     match train_under(cfg, schedule) {

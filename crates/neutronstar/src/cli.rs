@@ -15,7 +15,7 @@ use ns_net::{ClusterSpec, ExecOptions};
 use ns_runtime::exec::SyncMode::{self, AllReduce, ParameterServer};
 use ns_runtime::serve::load::OpenLoop;
 use ns_runtime::EngineKind::{self, DepCache, DepComm, Hybrid};
-use ns_runtime::{RecoveryConfig, RecvConfig, ServeConfig, StoreConfig};
+use ns_runtime::{RecoveryConfig, RunState, ServeConfig, StoreConfig};
 
 use crate::chaos::{ChaosConfig, Matrix};
 
@@ -101,8 +101,8 @@ pub struct RunArgs {
     pub recovery: RecoveryConfig,
     /// Durable checkpoint store (memory-only without a directory).
     pub store: StoreConfig,
-    /// Receive timeout / retry policy.
-    pub recv: RecvConfig,
+    /// Whole wait of one receive before its peer is declared failed, ms.
+    pub recv_timeout_ms: u64,
     /// Metrics JSON output path (train only).
     pub metrics_out: Option<String>,
     /// Chrome `trace_event` JSON output path (train only).
@@ -127,7 +127,7 @@ impl Default for RunArgs {
             save: None,
             recovery: RecoveryConfig::default(),
             store: StoreConfig::default(),
-            recv: RecvConfig::default(),
+            recv_timeout_ms: RunState::default().recv_timeout_ms,
             metrics_out: None,
             trace_out: None,
         }
@@ -440,14 +440,9 @@ fn train_flags() -> Vec<Flag<RunArgs>> {
         },
         Flag {
             spec: "recv-timeout-ms <ms>",
-            help: "first receive window before a timeout retry (default 1000)",
-            set: |a, v| put(&mut a.recv.timeout_ms, num(v)),
-        },
-        Flag {
-            spec: "recv-retries <n>",
-            help: "doubled-window retries after the first timeout before the peer \
-                   is declared failed (default 3)",
-            set: |a, v| put(&mut a.recv.retries, num(v)),
+            help: "whole wait of one receive before its peer is declared failed, \
+                   at least 1 (default 15000)",
+            set: |a, v| put(&mut a.recv_timeout_ms, at_least(v, 1).map(|ms| ms as u64)),
         },
         Flag {
             spec: "metrics-out <path>",
@@ -532,7 +527,7 @@ fn chaos_flags() -> Vec<Flag<ChaosArgs>> {
         Flag {
             spec: "partition",
             help: "generate healable link-fault schedules (partitions, flaps; no \
-                   kills) and check that no breaker stays open against a healed link",
+                   kills) and check that every run comes back on its own",
             set: |a, _| set_matrix(&mut a.cfg.matrix, Matrix::Partition),
         },
         Flag {
@@ -881,7 +876,7 @@ mod tests {
     }
 
     /// Flags only `train` reads, each with a value `train` accepts.
-    const RUN_ONLY: [&str; 11] = [
+    const RUN_ONLY: [&str; 10] = [
         "--epochs 1",
         "--lr 0.1",
         "--save m.ckpt",
@@ -890,7 +885,6 @@ mod tests {
         "--ckpt-dir ck",
         "--keep-checkpoints 2",
         "--recv-timeout-ms 100",
-        "--recv-retries 1",
         "--metrics-out m.json",
         "--trace-out t.json",
     ];
@@ -1035,23 +1029,22 @@ mod tests {
     }
 
     #[test]
-    fn recv_policy_flags() {
-        let Command::Train(ra) =
-            parse(&args("train --recv-timeout-ms 250 --recv-retries 5")).unwrap()
-        else {
+    fn recv_timeout_flag() {
+        let Command::Train(ra) = parse(&args("train --recv-timeout-ms 250")).unwrap() else {
             panic!("expected train")
         };
-        assert_eq!(
-            ra.recv,
-            RecvConfig {
-                timeout_ms: 250,
-                retries: 5
-            }
-        );
-        assert_eq!(RunArgs::default().recv, RecvConfig::default());
-        assert!(parse(&args("train --recv-retries many"))
+        assert_eq!(ra.recv_timeout_ms, 250);
+        assert_eq!(RunArgs::default().recv_timeout_ms, 15_000);
+        assert!(parse(&args("train --recv-timeout-ms many"))
             .unwrap_err()
-            .contains("--recv-retries"));
+            .contains("--recv-timeout-ms"));
+        // A zero budget would declare every peer failed before it could
+        // answer.
+        let err = parse(&args("train --recv-timeout-ms 0")).unwrap_err();
+        assert!(err.contains("--recv-timeout-ms") && err.contains("minimum 1"), "{err}");
+        // Receives do not retry, so there is no retry count to set.
+        let err = parse(&args("train --recv-retries 2")).unwrap_err();
+        assert!(err.contains("unknown train flag --recv-retries"), "{err}");
     }
 
     #[test]
@@ -1362,7 +1355,7 @@ mod tests {
 
     #[test]
     fn documented_defaults_are_the_defaults() {
-        assert_eq!(check_help_defaults("train", &run_flags(3)), 16);
+        assert_eq!(check_help_defaults("train", &run_flags(3)), 15);
         assert_eq!(check_help_defaults("chaos", &chaos_flags()), 8);
         assert_eq!(
             check_help_defaults("serve --ckpt-dir /c", &serve_flags()),

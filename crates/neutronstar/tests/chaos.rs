@@ -88,10 +88,9 @@ fn soak_seed_range_exercises_every_fault_kind() {
 
 #[test]
 fn partition_soak_32_seeds_upholds_liveness() {
-    // Invariant 6 soak: 32 healable link-fault schedules (partitions,
-    // half-partitions, flaps — no kills) must terminate on their own
-    // with baseline-quality loss and zero circuit breakers left open
-    // against healed links.
+    // 32 healable link-fault schedules (partitions, half-partitions,
+    // flaps — no kills) must terminate on their own with
+    // baseline-quality loss.
     let cfg = ChaosConfig { matrix: Matrix::Partition, ..ChaosConfig::default() };
     let base = shared_baseline();
     let mut failed = Vec::new();

@@ -1,4 +1,4 @@
-//! Resource-exhaustion chaos soak (invariant 7): >= 32 seeded schedules
+//! Resource-exhaustion chaos soak (invariant 6): >= 32 seeded schedules
 //! mixing disk-full windows, slow disks, memory-pressure caps, and hung
 //! workers must degrade — squeezed retention, shed buffers, evictions
 //! of hung workers — and still finish within the loss tolerance with zero
@@ -64,7 +64,7 @@ fn resource_soak_32_seeds_uphold_all_invariants() {
 
 #[test]
 fn resource_seed_range_exercises_every_resource_fault_kind() {
-    // The soak only proves invariant 7 if the generator actually covers
+    // The soak only proves invariant 6 if the generator actually covers
     // the resource-fault space over the seeds the soak runs.
     let cfg = cfg(Some(std::path::PathBuf::from("unused-by-generate")));
     let (mut disk_full, mut slow_disk, mut pressure, mut hangs) = (0, 0, 0, 0);
@@ -104,5 +104,5 @@ fn disk_full_run_keeps_a_loadable_generation() {
     let outcome = run_schedule(&cfg, &base, &schedule);
     let _ = std::fs::remove_dir_all(&base_dir);
     assert!(outcome.passed(), "{:?}", outcome.violations);
-    assert!(outcome.invariant_pass[6], "invariant 7 must hold");
+    assert!(outcome.invariant_pass[5], "invariant 6 must hold");
 }

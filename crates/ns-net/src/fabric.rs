@@ -18,7 +18,7 @@
 //! duplicates become a second physical delivery that receivers suppress by
 //! sequence number, flapped links hold messages until their next
 //! up-window, and an active partition black-holes the send entirely — the
-//! call still succeeds, so only the receiver's timeout/backoff machinery
+//! call still succeeds, so only the receiver's deadline
 //! can surface the outage, exactly like a real network partition.
 //!
 //! Integrity: every message carries the CRC32 of its compact wire
@@ -546,9 +546,9 @@ impl Endpoint {
     /// The one receive loop: the next verified message from `src`, or
     /// `Ok(None)` once `deadline` passes (`None` blocks; a past deadline
     /// polls). Between reads it sleeps on the doorbell. A message not yet
-    /// due (an injected delay) is held for this or a later receive, so
-    /// dropped-and-retransmitted messages exercise the caller's retry
-    /// path. Duplicates and corrupt frames are dropped in the loop: a clean
+    /// due (an injected delay) is held for this or a later receive, so a
+    /// dropped-and-retransmitted message lands inside the caller's
+    /// deadline or not at all. Duplicates and corrupt frames are dropped in the loop: a clean
     /// copy arriving before the deadline is admitted by the same call.
     fn recv_until(
         &self,

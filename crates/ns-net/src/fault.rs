@@ -330,8 +330,8 @@ pub enum Fault {
     /// only `a -> b` when the link is one-way (replies still flow back).
     /// The fabric black-holes severed sends: the call succeeds (the
     /// sender cannot tell), the message is never delivered, and only
-    /// receive timeouts, backoff budgets, and circuit breakers surface
-    /// the outage — the honest network-partition failure mode.
+    /// receive deadlines (and serving's circuit breakers) surface the
+    /// outage — the honest network-partition failure mode.
     Partition {
         /// The severed link (or direction).
         link: Link,

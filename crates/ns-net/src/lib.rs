@@ -27,8 +27,8 @@
 //!   acts out, and the one-line spec grammar that names each fault.
 //! * [`membership`] — the coordinator's cluster membership view and the
 //!   byte cost of the worker rejoin handshake used by the elastic trainer.
-//! * [`policy`] — the shared jittered-backoff / circuit-breaker policy
-//!   every network wait runs under.
+//! * [`policy`] — the per-peer circuit breaker a serving shard runs its
+//!   peer fetches behind.
 
 pub mod buffer;
 pub mod cluster;
@@ -44,6 +44,6 @@ pub use cluster::{ClusterSpec, DeviceModel, ExecOptions, NetModel};
 pub use fabric::{Doorbell, Endpoint, Fabric, Message, MessageKind, NetError, NetStats, KIND_NAMES};
 pub use fault::{Fault, FaultPlan, KindSel, Link, MsgSel, SendFate, Window};
 pub use membership::{MemberState, MembershipEvent, MembershipEventKind, MembershipView};
-pub use policy::{Backoff, BreakerState, BreakerStats, CircuitBreaker};
+pub use policy::{BreakerState, BreakerStats, CircuitBreaker};
 pub use sim::{SimReport, TaskGraph, TaskId};
 pub use wire::{crc32, FrameError, FRAME_HEADER_BYTES};

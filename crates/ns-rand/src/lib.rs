@@ -3,8 +3,8 @@
 //! Three things live here, and nowhere else:
 //!
 //! * the SplitMix64 mixer — [`mix64`] as a pure function, [`SplitMix64`]
-//!   as a stream. Fault coins, backoff jitter, chaos schedules and the
-//!   serve load generator draw from it directly;
+//!   as a stream. Fault coins, chaos schedules and the serve load
+//!   generator draw from it directly;
 //! * one generator, [`StdRng`]: xoshiro256++ (Blackman & Vigna) whose
 //!   state is filled by that mixer. Datasets, initial weights, partition
 //!   tie-breaks and sampled mini-batches draw from it;

@@ -8,8 +8,8 @@ pub enum FailureCause {
     /// The worker crashed (a [`FaultPlan`](ns_net::FaultPlan) kill, or any
     /// early thread exit that dropped its endpoint).
     Killed,
-    /// A fabric operation failed: the peer disconnected, timed out past
-    /// the retry budget, or broke protocol.
+    /// A fabric operation failed: the peer disconnected, missed the
+    /// receive deadline, or broke protocol.
     Net(NetError),
     /// The divergence guard tripped: the worker observed a non-finite
     /// loss or gradient before the optimizer step.
@@ -61,7 +61,7 @@ pub enum RuntimeError {
         cause: FailureCause,
     },
     /// Gradient synchronization (all-reduce / parameter-server) timed out
-    /// past the retry budget — the signature of a wedged (not dead) peer.
+    /// past the receive deadline — the signature of a wedged (not dead) peer.
     SyncTimeout {
         /// The worker whose sync stalled.
         worker: usize,
@@ -69,7 +69,7 @@ pub enum RuntimeError {
         epoch: usize,
         /// The peer that never answered.
         peer: usize,
-        /// Total milliseconds waited across retries.
+        /// Milliseconds waited: the receive deadline.
         waited_ms: u64,
     },
     /// A checkpoint could not be restored during recovery.

@@ -19,17 +19,16 @@
 //! bitwise in sync.
 //!
 //! Failure semantics: workers never panic on fabric trouble. Every
-//! receive runs under a timeout with bounded exponential-backoff retries
-//! ([`RecvConfig`]); a dead, wedged, or protocol-desynced peer turns the
-//! worker's result into a typed failure, the coordinator drains and joins
-//! *all* threads (a failed worker drops its endpoint, which cascades
-//! disconnects through the mesh and unblocks every survivor), and the
-//! root-cause failure surfaces as
-//! [`RuntimeError::WorkerFailed`] / [`RuntimeError::SyncTimeout`].
+//! receive waits on one deadline ([`RunState::recv_timeout_ms`]); a dead,
+//! wedged, or protocol-desynced peer turns the worker's result into a
+//! typed failure, the coordinator drains and joins *all* threads (a
+//! failed worker drops its endpoint, which cascades disconnects through
+//! the mesh and unblocks every survivor), and the root-cause failure
+//! surfaces as [`RuntimeError::WorkerFailed`] /
+//! [`RuntimeError::SyncTimeout`].
 //! Deterministic fault injection and checkpoint-resume state ride in
 //! [`RunState`].
 
-use std::cell::{Cell, RefCell};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -38,12 +37,11 @@ use ns_gnn::{GnnModel, LayerInput, LayerPrefix, LayerRun};
 use ns_graph::Dataset;
 use ns_metrics::{span, LayerSplit, MetricsFrame, MetricsRecorder, Phase, RunMetrics};
 use ns_net::fault::FaultPlan;
-use ns_net::policy::{Backoff, CircuitBreaker};
 use ns_net::{Endpoint, Fabric, Message, MessageKind, NetError, ParallelEnqueue};
 use ns_tensor::{Adam, AdamState, Optimizer, ParamStore, Tensor};
 
 use crate::error::{FailureCause, Result, RuntimeError};
-use crate::obs::{export_breaker_stats, export_net_stats};
+use crate::obs::export_net_stats;
 use crate::plan::WorkerPlan;
 
 /// How parameter gradients are combined across workers each epoch.
@@ -92,44 +90,16 @@ impl Default for ExecConfig {
     }
 }
 
-/// Receive timeout and retry policy. The first attempt waits
-/// `timeout_ms`; each of the `retries` further attempts doubles the wait
-/// (bounded exponential backoff), absorbing injected drop/retransmit
-/// delays and real straggler jitter before a peer is declared wedged.
-///
-/// The schedule runs through [`ns_net::policy`]: middle retry windows
-/// carry deterministic seeded jitter (two workers stalled by the same
-/// event retry on *different* schedules instead of in lockstep; jitter
-/// only shortens windows, so no operation waits past the unjittered
-/// window sum), and every peer sits behind a [`CircuitBreaker`] — after
-/// two consecutive failed receive operations the peer is failed
-/// instantly (no window spent) until 250 ms pass and a half-open probe
-/// succeeds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecvConfig {
-    /// First receive window, milliseconds.
-    pub timeout_ms: u64,
-    /// Number of doubled-window retries after the first timeout.
-    pub retries: u32,
-}
-
-impl Default for RecvConfig {
-    fn default() -> Self {
-        Self { timeout_ms: 1_000, retries: 3 }
-    }
-}
-
-/// Consecutive failed receive *operations* from one peer before its
-/// circuit breaker opens.
-const BREAKER_THRESHOLD: u32 = 2;
-/// How long an open breaker waits before admitting the half-open probe.
-const BREAKER_COOLDOWN: Duration = Duration::from_millis(250);
+/// [`RunState::recv_timeout_ms`]'s default: 15 s, enough for any injected
+/// retransmit delay or straggler the fault layer models, short enough that
+/// a hang is found within one run.
+pub(crate) const DEFAULT_RECV_TIMEOUT_MS: u64 = 15_000;
 
 /// Cross-chunk execution state for fault-tolerant runs: where the run
 /// starts (after a checkpoint restore), the parameters and optimizer
 /// state to resume from, the fault plan to inject, and the receive
-/// policy. [`Default`] is a clean from-scratch, fault-free run.
-#[derive(Debug, Clone, Default)]
+/// deadline. [`Default`] is a clean from-scratch, fault-free run.
+#[derive(Debug, Clone)]
 pub struct RunState {
     /// Absolute epoch the first executed epoch corresponds to (fault
     /// plans and metrics are stamped with `epoch_offset + epoch`).
@@ -140,13 +110,28 @@ pub struct RunState {
     pub opt_state: Option<AdamState>,
     /// Injected faults.
     pub fault: FaultPlan,
-    /// Receive timeout/retry policy.
-    pub recv: RecvConfig,
+    /// How long one receive waits for a peer's message before the peer
+    /// is declared failed, in milliseconds. The epoch is synchronous, so
+    /// a late message can only be waited for: there is no retry.
+    pub recv_timeout_ms: u64,
     /// Shared trace-clock origin for the metrics recorders (`None` =
     /// "start of this call"). The recovery loop threads one origin
     /// through every chunk so the spans of a run that rolled back and
     /// resumed all land on a single timeline.
     pub origin: Option<Instant>,
+}
+
+impl Default for RunState {
+    fn default() -> Self {
+        Self {
+            epoch_offset: 0,
+            init_params: None,
+            opt_state: None,
+            fault: FaultPlan::default(),
+            recv_timeout_ms: DEFAULT_RECV_TIMEOUT_MS,
+            origin: None,
+        }
+    }
 }
 
 /// Each worker's layer-0 prefix under one set of plans: what the first
@@ -279,90 +264,30 @@ fn export_par_stats(rec: &MetricsRecorder) {
     rec.incr("par.steal_count", ps.stolen);
 }
 
-/// Per-worker receive context: the configured retry policy plus the
-/// state that must outlive a single receive operation — the per-peer
-/// circuit breakers and the jitter stream.
-///
-/// The jitter seed folds the fault-plan seed with the worker id, so a
-/// rerun of the same seeded scenario replays the exact retry schedule
-/// while different workers (and different seeds) draw different
-/// schedules — the property that breaks lockstep retry storms.
-struct RecvCtx<'a> {
-    rc: &'a RecvConfig,
-    rec: &'a MetricsRecorder,
-    jitter_seed: u64,
-    // Monotone per-receive-op nonce, so two operations against the same
-    // peer draw fresh jittered windows.
-    op_seq: Cell<u64>,
-    breakers: RefCell<Vec<CircuitBreaker>>,
-}
-
-impl<'a> RecvCtx<'a> {
-    fn new(ep: &Endpoint, run: &RunState, rec: &'a MetricsRecorder, rc: &'a RecvConfig) -> Self {
-        let breakers = (0..ep.world())
-            .map(|_| CircuitBreaker::new(BREAKER_THRESHOLD, BREAKER_COOLDOWN))
-            .collect();
-        RecvCtx {
-            rc,
-            rec,
-            jitter_seed: run.fault.seed ^ ((ep.id() as u64) << 48) ^ 0x5eed_ba5e,
-            op_seq: Cell::new(0),
-            breakers: RefCell::new(breakers),
-        }
-    }
-}
-
-/// Receives from `src` under the timeout/retry policy: a jittered
-/// doubling [`Backoff`] walks the windows (a corrupt frame is re-read
-/// inside its window, so only a timeout costs a retry), and
-/// the peer's [`CircuitBreaker`] short-circuits the operation entirely
-/// while the peer keeps failing. Blocked time goes to the
-/// `net.recv.wait_ns` histogram and spent retries to the
-/// `net.recv.retries` counter, on every exit path. The part of the wait
-/// the message spent in flight ([`Message::link_wait`]; all of it when
-/// nothing arrived) is additionally attributed to the sending peer as a
-/// per-peer histogram (`net.recv.wait_ns.peer<k>`) — the signal the
-/// measured-cost replanner and the straggler-eviction policy read. A
-/// peer that is merely late to send (heavier partition, stalled behind
-/// someone else, descheduled) adds nothing to it.
-fn recv_retry(ep: &Endpoint, src: usize, ctx: &RecvCtx<'_>) -> NetResult<Message> {
-    if !ctx.breakers.borrow_mut()[src].allow() {
-        // Fail fast: the peer's breaker is Open. No window is spent, so
-        // a run degrading around a dead link stops paying the full
-        // timeout schedule on every operation.
-        return Err(NetError::RecvTimeout { peer: src, waited_ms: 0 });
-    }
-    let op = ctx.op_seq.get();
-    ctx.op_seq.set(op + 1);
-    let key = ((src as u64) << 32) ^ op;
-    let mut bo = Backoff::new(ctx.rc.timeout_ms, ctx.rc.retries, ctx.jitter_seed, key);
+/// Receives from `src`, waiting at most `timeout`. Blocked time goes to
+/// the `net.recv.wait_ns` histogram on every exit path. The part of the
+/// wait the message spent in flight ([`Message::link_wait`]; all of it
+/// when nothing arrived) is additionally attributed to the sending peer
+/// as a per-peer histogram (`net.recv.wait_ns.peer<k>`) — the signal the
+/// measured-cost replanner and the straggler-eviction policy read. A peer
+/// that is merely late to send (heavier partition, stalled behind someone
+/// else, descheduled) adds nothing to it.
+fn recv_budgeted(
+    ep: &Endpoint,
+    src: usize,
+    timeout: Duration,
+    rec: &MetricsRecorder,
+) -> NetResult<Message> {
     let t0 = Instant::now();
-    let mut waited_ms = 0u64;
-    let res = loop {
-        let Some(wait) = bo.next_wait() else {
-            break Err(NetError::RecvTimeout { peer: src, waited_ms });
-        };
-        match ep.recv_from_timeout(src, wait) {
-            Err(NetError::RecvTimeout { .. }) => waited_ms += wait.as_millis() as u64,
-            other => break other,
-        }
-    };
-    let attempts = bo.attempt();
-    if attempts > 1 {
-        ctx.rec.incr("net.recv.retries", (attempts - 1) as u64);
-    }
+    let res = ep.recv_from_timeout(src, timeout);
     let waited_ns = t0.elapsed().as_nanos() as u64;
-    ctx.rec.observe("net.recv.wait_ns", waited_ns);
+    rec.observe("net.recv.wait_ns", waited_ns);
     let link_ns = match &res {
         Ok(msg) => msg.link_wait(t0).as_nanos() as u64,
         // Nothing arrived: the whole wait is the peer's.
         Err(_) => waited_ns,
     };
-    ctx.rec.observe(&format!("net.recv.wait_ns.peer{src}"), link_ns);
-    match &res {
-        Ok(_) => ctx.breakers.borrow_mut()[src].record_success(),
-        Err(_) => ctx.breakers.borrow_mut()[src].record_failure(),
-    }
+    rec.observe(&format!("net.recv.wait_ns.peer{src}"), link_ns);
     res
 }
 
@@ -417,8 +342,13 @@ fn apply_range(grads: &mut [Tensor], lo: usize, data: &[f32], add: bool) {
 
 /// Receives one gradient-sync payload from `src`; any other message kind
 /// is a protocol desync.
-fn recv_allreduce(ep: &Endpoint, src: usize, ctx: &RecvCtx<'_>) -> NetResult<Vec<f32>> {
-    let msg = recv_retry(ep, src, ctx)?;
+fn recv_allreduce(
+    ep: &Endpoint,
+    src: usize,
+    timeout: Duration,
+    rec: &MetricsRecorder,
+) -> NetResult<Vec<f32>> {
+    let msg = recv_budgeted(ep, src, timeout, rec)?;
     let got = msg.kind.name();
     let MessageKind::AllReduce { data, .. } = msg.kind else {
         return Err(NetError::UnexpectedKind { peer: src, expected: "AllReduce", got });
@@ -433,7 +363,12 @@ fn recv_allreduce(ep: &Endpoint, src: usize, ctx: &RecvCtx<'_>) -> NetResult<Vec
 /// chunk copies come from the pool (same lengths every epoch, so after
 /// the first epoch every take is served from the free list); the peer
 /// that receives one recycles it after applying, closing the loop.
-fn ring_allreduce(ep: &Endpoint, ctx: &RecvCtx<'_>, grads: &mut [Tensor]) -> NetResult<()> {
+fn ring_allreduce(
+    ep: &Endpoint,
+    timeout: Duration,
+    rec: &MetricsRecorder,
+    grads: &mut [Tensor],
+) -> NetResult<()> {
     let m = ep.world();
     if m == 1 {
         return Ok(());
@@ -451,7 +386,7 @@ fn ring_allreduce(ep: &Endpoint, ctx: &RecvCtx<'_>, grads: &mut [Tensor]) -> Net
             right,
             MessageKind::AllReduce { round: round as u32, data: gather_range(grads, lo, hi) },
         )?;
-        let data = recv_allreduce(ep, left, ctx)?;
+        let data = recv_allreduce(ep, left, timeout, rec)?;
         apply_range(grads, bounds(recv_c).0, &data, add);
         ns_tensor::pool::recycle(data);
         Ok(())
@@ -473,7 +408,12 @@ fn ring_allreduce(ep: &Endpoint, ctx: &RecvCtx<'_>, grads: &mut [Tensor]) -> Net
 /// identical gradients, exactly as [`ring_allreduce`] produces. The
 /// full-vector copies shipped to peers come from the pool and are
 /// recycled by the receiver, like the ring chunks above.
-fn ps_reduce(ep: &Endpoint, ctx: &RecvCtx<'_>, grads: &mut [Tensor]) -> NetResult<()> {
+fn ps_reduce(
+    ep: &Endpoint,
+    timeout: Duration,
+    rec: &MetricsRecorder,
+    grads: &mut [Tensor],
+) -> NetResult<()> {
     let m = ep.world();
     if m == 1 {
         return Ok(());
@@ -481,7 +421,7 @@ fn ps_reduce(ep: &Endpoint, ctx: &RecvCtx<'_>, grads: &mut [Tensor]) -> NetResul
     let n: usize = grads.iter().map(Tensor::len).sum();
     if ep.id() == 0 {
         for src in 1..m {
-            let data = recv_allreduce(ep, src, ctx)?;
+            let data = recv_allreduce(ep, src, timeout, rec)?;
             apply_range(grads, 0, &data, true);
             ns_tensor::pool::recycle(data);
         }
@@ -490,7 +430,7 @@ fn ps_reduce(ep: &Endpoint, ctx: &RecvCtx<'_>, grads: &mut [Tensor]) -> NetResul
         }
     } else {
         ep.send(0, MessageKind::AllReduce { round: 0, data: gather_range(grads, 0, n) })?;
-        let data = recv_allreduce(ep, 0, ctx)?;
+        let data = recv_allreduce(ep, 0, timeout, rec)?;
         apply_range(grads, 0, &data, false);
         ns_tensor::pool::recycle(data);
     }
@@ -531,7 +471,6 @@ struct Worker<'a> {
     ep: &'a Endpoint,
     cfg: &'a ExecConfig,
     run: &'a RunState,
-    ctx: RecvCtx<'a>,
     rec: &'a MetricsRecorder,
     feature_grad: bool,
     store: ParamStore,
@@ -574,9 +513,7 @@ impl<'a> Worker<'a> {
         let rec = MetricsRecorder::new(ep.id(), job.origin);
         let res = {
             let mut w = Worker::new(job, plan, &ep, &rec, prefix);
-            let res = w.train(job.epochs, tx);
-            export_breaker_stats(&rec, &ep, &w.ctx.breakers.borrow(), |_| false);
-            res.map(|()| (w.store, Some(w.opt.export_state())))
+            w.train(job.epochs, tx).map(|()| (w.store, Some(w.opt.export_state())))
         };
         export_net_stats(&rec, &ep.stats());
         drop(ep);
@@ -609,7 +546,6 @@ impl<'a> Worker<'a> {
             ep,
             cfg,
             run,
-            ctx: RecvCtx::new(ep, run, rec, &run.recv),
             rec,
             feature_grad,
             store: run.init_params.clone().unwrap_or_else(|| model.fresh_store()),
@@ -626,6 +562,10 @@ impl<'a> Worker<'a> {
             pool_base: ns_tensor::pool::stats(),
             last_fresh_delta: 0,
         }
+    }
+
+    fn recv_budget(&self) -> Duration {
+        Duration::from_millis(self.run.recv_timeout_ms)
     }
 
     fn fail(&self, cause: FailureCause, in_sync: bool) -> WorkerFailure {
@@ -832,8 +772,8 @@ impl<'a> Worker<'a> {
     fn sync_wait(&self, grads: &mut [Tensor]) -> WorkerResult<()> {
         let _span = span!(self.rec, Phase::SyncWait);
         match self.cfg.sync {
-            SyncMode::AllReduce => ring_allreduce(self.ep, &self.ctx, grads),
-            SyncMode::ParameterServer => ps_reduce(self.ep, &self.ctx, grads),
+            SyncMode::AllReduce => ring_allreduce(self.ep, self.recv_budget(), self.rec, grads),
+            SyncMode::ParameterServer => ps_reduce(self.ep, self.recv_budget(), self.rec, grads),
         }
         .map_err(|e| self.fail(FailureCause::Net(e), true))
     }
@@ -895,7 +835,7 @@ impl<'a> Worker<'a> {
             if ids[j].is_empty() {
                 continue;
             }
-            let msg = recv_retry(self.ep, j, &self.ctx)?;
+            let msg = recv_budgeted(self.ep, j, self.recv_budget(), self.rec)?;
             let got = msg.kind.name();
             let (layer, got_ids, cols, data) = match (dir, msg.kind) {
                 (Dir::Fwd, MessageKind::Rows { layer, ids, cols, data })
@@ -1297,10 +1237,6 @@ mod tests {
         assert!(injected > 0, "seed 13 at p=0.25 must corrupt something");
         assert_eq!(caught, injected, "every injected flip must be detected");
         assert_eq!(reread, injected, "every detection must be followed by a reread");
-        // The clean copy is re-read inside the receive window that caught
-        // the flip: a corrupt frame costs no retry.
-        let retries: u64 = rm.frames.values().map(|f| f.counter("net.recv.retries")).sum();
-        assert_eq!(retries, 0);
     }
 
     #[test]
@@ -1416,8 +1352,7 @@ mod tests {
         let plans = plans_for(&ds, 3);
         let model =
             GnnModel::two_layer(ModelKind::Gcn, ds.feature_dim(), 16, ds.num_classes, 3);
-        // A budget of about 1.05 s: 150 + 300 + 600 ms.
-        let recv = RecvConfig { timeout_ms: 150, retries: 2 };
+        let budget = Duration::from_millis(1_050);
         // The ring, the parameter server hung, a non-server worker hung,
         // and two workers hung at once (the lower id is the root cause).
         let cases: [(SyncMode, &[usize]); 4] = [
@@ -1432,7 +1367,11 @@ mod tests {
             for &worker in hung_workers {
                 fault = fault.with_fault(Fault::Hang { worker, epoch: 1 });
             }
-            let run = RunState { fault, recv, ..Default::default() };
+            let run = RunState {
+                fault,
+                recv_timeout_ms: budget.as_millis() as u64,
+                ..Default::default()
+            };
             let cfg = ExecConfig { sync, ..ExecConfig::default() };
             let t0 = Instant::now();
             let err = train_epochs_run(&ds, &model, &plans, 3, &cfg, &run).unwrap_err();
@@ -1445,8 +1384,10 @@ mod tests {
                 "{sync:?}, {hung_workers:?} hung: unexpected error {err:?}"
             );
             // Every thread has been joined: the peers gave up after their
-            // budget, and the hung worker right after them.
+            // whole budget, not before it, and the hung worker right after
+            // them.
             let took = t0.elapsed();
+            assert!(took >= budget, "{sync:?}, {hung_workers:?} hung: {took:?}");
             assert!(took < Duration::from_secs(5), "{sync:?}, {hung_workers:?} hung: {took:?}");
         }
     }
@@ -1722,13 +1663,11 @@ mod tests {
         // Small integers, so every partial sum is exact in f32 and the
         // oracle below is independent of accumulation order.
         let value = |w: usize, i: usize| ((i * 7 + w * 13) % 19) as i32 - 9;
-        let run = RunState::default();
         let reduced: Vec<Vec<Tensor>> = std::thread::scope(|s| {
             let handles: Vec<_> = Fabric::new(WORLD)
                 .into_endpoints()
                 .into_iter()
                 .map(|ep| {
-                    let run = &run;
                     s.spawn(move || {
                         let mut base = 0;
                         let mut grads: Vec<Tensor> = LENS
@@ -1741,8 +1680,8 @@ mod tests {
                             })
                             .collect();
                         let rec = MetricsRecorder::new(ep.id(), Instant::now());
-                        let ctx = RecvCtx::new(&ep, run, &rec, &run.recv);
-                        ring_allreduce(&ep, &ctx, &mut grads).unwrap();
+                        let timeout = Duration::from_millis(DEFAULT_RECV_TIMEOUT_MS);
+                        ring_allreduce(&ep, timeout, &rec, &mut grads).unwrap();
                         grads
                     })
                 })

@@ -47,7 +47,7 @@ pub mod trainer;
 
 pub use cost::{parallel_speedup, probe_threaded, CostFactors};
 pub use error::{FailureCause, RuntimeError};
-pub use exec::{RecvConfig, RunState};
+pub use exec::RunState;
 pub use feedback::{CostCalibration, DecisionDelta, PeerWaitStats};
 pub use obs::{sim_breakdown, sim_spans, utilization_trace, SimBreakdown};
 pub use hybrid::HybridConfig;

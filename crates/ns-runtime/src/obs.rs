@@ -3,9 +3,9 @@
 //! modeled-clock track of the Chrome trace, and the derived summaries
 //! (communication/computation share, utilization time-series) that the
 //! figure benches print are computed here instead of being re-derived
-//! ad hoc at every call site. The fabric-counter and circuit-breaker
-//! exporters shared by the training workers and the serving shards live
-//! here too.
+//! ad hoc at every call site. The fabric-counter exporter the training
+//! workers and the serving shards share, and serving's circuit-breaker
+//! exporter, live here too.
 
 use ns_metrics::{MetricsRecorder, Phase, RunMetrics, SimSpan, COORDINATOR};
 use ns_net::policy::{BreakerState, BreakerStats, CircuitBreaker};
@@ -149,10 +149,11 @@ pub(crate) fn export_net_stats(rec: &MetricsRecorder, stats: &NetStats) {
 /// Folds per-peer circuit breakers' lifetime counters into
 /// `net.breaker.{opens,closes,half_opens,fast_fails}` and flags breakers
 /// left Open against a peer that is reachable right now
-/// (`net.breaker.stuck_open` — the liveness-invariant signal: an Open
-/// breaker over a healed link means the probe machinery failed). A peer
+/// (`net.breaker.stuck_open` — an Open breaker over a healed link means
+/// the probe machinery failed). A peer
 /// for which `excused` holds may stay Open: serving passes its killed
-/// shards, whose links never come back; training excuses nobody.
+/// shards, whose links never come back. Training has no breakers, so
+/// these meters are serve-only.
 pub(crate) fn export_breaker_stats(
     rec: &MetricsRecorder,
     ep: &Endpoint,

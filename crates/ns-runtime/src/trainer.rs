@@ -13,7 +13,7 @@ use ns_net::{ClusterSpec, ExecOptions};
 
 use crate::cost::{probe_threaded, CostFactors};
 use crate::error::{Result, RuntimeError};
-use crate::exec::{RecvConfig, SyncMode};
+use crate::exec::{SyncMode, DEFAULT_RECV_TIMEOUT_MS};
 use crate::hybrid::{partition_dependencies, HybridConfig, HybridInfo};
 use crate::memory::check_device_fit;
 use crate::plan::{build_plans, DepDecision, WorkerPlan};
@@ -93,8 +93,9 @@ pub struct TrainerConfig {
     /// verified on-disk generation, and rollbacks read the store — the
     /// honest process-restart path, including its CRC fallback chain.
     pub store: StoreConfig,
-    /// Receive timeout/retry policy for the execution fabric.
-    pub recv: RecvConfig,
+    /// How long one executor receive waits for a peer's message before
+    /// the peer is declared failed, in milliseconds (default 15 000).
+    pub recv_timeout_ms: u64,
     /// Intra-worker compute threads for the `ns-par` pool (0 = auto:
     /// keep the pool's current/default size). Applied in
     /// [`Trainer::prepare`], so the cost probe sees the same thread
@@ -119,7 +120,7 @@ impl TrainerConfig {
             fault: FaultPlan::default(),
             recovery: RecoveryConfig::default(),
             store: StoreConfig::default(),
-            recv: RecvConfig::default(),
+            recv_timeout_ms: DEFAULT_RECV_TIMEOUT_MS,
             threads: 0,
         }
     }
@@ -778,8 +779,7 @@ mod tests {
         let mut c = cfg(EngineKind::DepComm, 3);
         c.fault = FaultPlan::default().with_fault(Fault::Hang { worker: 1, epoch: 2 });
         c.recovery = RecoveryConfig::every(1).with_rejoin();
-        // A budget of about 1.05 s: 150 + 300 + 600 ms.
-        c.recv = RecvConfig { timeout_ms: 150, retries: 2 };
+        c.recv_timeout_ms = 1_050;
         let trainer = Trainer::prepare(&ds, &m, c).unwrap();
         let report = trainer.train(5).unwrap();
         assert_eq!(report.epochs.len(), 5, "hung run must finish");

@@ -179,7 +179,7 @@ impl<'t, 'a> Supervisor<'t, 'a> {
             init_params: self.report.params.take(),
             opt_state: self.opt.take(),
             fault: self.fault.clone(),
-            recv: self.trainer.cfg.recv,
+            recv_timeout_ms: self.trainer.cfg.recv_timeout_ms,
             origin: Some(self.coord.origin()),
         };
         // Injected memory pressure arms at chunk granularity: the cap

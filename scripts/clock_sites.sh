@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Wall-clock sites per file under crates/*/src: lines above the file's
 # inline `#[cfg(test)]` module that name `Instant::now`, `sleep(`,
-# `recv_timeout` or `wait_timeout`. These are the reads and waits a
+# `recv_timeout` or `wait_timeout` (whole words, so a `recv_timeout_ms`
+# setting is not a site). These are the reads and waits a
 # virtual clock (ROADMAP item 5(a)) would have to route. Fails when any
 # file's count differs from EXPECTED, so a PR that adds or removes one
 # says so here, next to the reason, instead of in passing.
@@ -43,7 +44,7 @@ crates/ns-tensor/src/tape.rs 4
 cd "$(dirname "$0")/.."
 found=$(find crates/*/src -name '*.rs' | sort | while IFS= read -r f; do
     n=$(awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" \
-        | grep -cE 'Instant::now|sleep\(|recv_timeout|wait_timeout' || true)
+        | grep -cE 'Instant::now|sleep\(|\<(recv|wait)_timeout\>' || true)
     if [ "$n" -gt 0 ]; then
         echo "$f $n"
     fi
