@@ -269,11 +269,12 @@ fn generate_partition(rng: &mut SplitMix64, seed: u64, cfg: &ChaosConfig) -> Cha
 /// window covering exactly one interior checkpoint boundary (the final
 /// boundary always saves clean, proving the store recovered), an
 /// optional slow disk, a memory-pressure window whose cap sits 12.5%
-/// above the baseline pool high-water mark (tight enough to trip the
-/// 75% pressure threshold, loose enough that invariant 6's
-/// peak-under-cap bound is satisfiable), and a hung worker for its
-/// peers' receive budgets to find. No kills and rejoin always on — these
-/// runs must degrade and come back, never abort.
+/// above the baseline pool high-water mark, rounded up to a whole MiB
+/// (tight enough to trip the 75% pressure threshold, loose enough that
+/// invariant 6's peak-under-cap bound is satisfiable; the rounding keeps
+/// the spec the same across runs whose peaks differ by a few KiB), and a
+/// hung worker for its peers' receive budgets to find. No kills and
+/// rejoin always on — these runs must degrade and come back, never abort.
 fn generate_resource(
     rng: &mut SplitMix64,
     seed: u64,
@@ -301,7 +302,7 @@ fn generate_resource(
     if rng.unit() < 0.7 {
         let peak = base.map_or(0, |b| b.peak_bytes);
         let cap_bytes = if peak > 0 {
-            (peak + peak / 8).max(1) as usize
+            (peak + peak / 8).next_multiple_of(1 << 20) as usize
         } else {
             64 << 20
         };
@@ -1048,6 +1049,20 @@ mod tests {
                 assert_eq!(parsed, s.faults, "seed {seed}: {line:?} does not replay");
             }
         }
+    }
+
+    /// A measured pool peak moves by a few KiB between runs of one
+    /// build; the cap it derives must not, or a seed stops naming one
+    /// schedule.
+    #[test]
+    fn resource_cap_is_the_same_for_peaks_within_one_mib_step() {
+        let cfg = ChaosConfig { matrix: Matrix::Resource, ..ChaosConfig::default() };
+        let base =
+            |peak_bytes| Baseline { final_loss: 1.0, final_params: ParamStore::new(), peak_bytes };
+        let spec = |peak| generate_with_baseline(1, &cfg, Some(&base(peak))).describe();
+        let peak = 18 << 20; // cap 20.25 MiB, rounded up to 21
+        assert_eq!(spec(peak), spec(peak + 4096));
+        assert!(spec(peak).contains(&format!("mempressure:{}@", 21 << 20)), "{}", spec(peak));
     }
 
     #[test]

@@ -276,7 +276,7 @@ mod tests {
             .unwrap();
         let plan = session.trainer().plan_summary();
         assert_eq!(plan.vertex_weight, session.trainer().costs().vertex_weight());
-        assert_eq!(plan.vertex_weight, 13264.0 / 336.0);
+        assert_eq!(plan.vertex_weight, 16336.0 / 272.0);
 
         let mut bare = TrainerConfig::new(EngineKind::DepComm, cluster);
         bare.enforce_memory = false;

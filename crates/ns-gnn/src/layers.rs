@@ -214,10 +214,13 @@ pub trait GnnLayer: Send + Sync {
 
 /// Graph Convolutional Network layer (Kipf & Welling):
 /// `h' = σ(Σ_{u→v} w_uv · h_u · W + b)` with the pre-computed symmetric
-/// normalization `w_uv` as the (non-parameterized) edge function.
+/// normalization `w_uv` (the entries of `Â`) as the (non-parameterized)
+/// edge function. The product is `(Â·H)·W` by default and `Â·(H·W)` when
+/// [`GcnLayer::transform_first`], whose aggregate moves `out_dim` columns.
 pub struct GcnLayer {
     lin: Linear,
     activation: bool,
+    transform_first: bool,
 }
 
 impl GcnLayer {
@@ -231,7 +234,15 @@ impl GcnLayer {
         activation: bool,
         rng: &mut StdRng,
     ) -> Self {
-        Self { lin: Linear::new(store, prefix, in_dim, out_dim, rng), activation }
+        let lin = Linear::new(store, prefix, in_dim, out_dim, rng);
+        Self { lin, activation, transform_first: false }
+    }
+
+    /// This layer with `H·W` recorded before the aggregate when `on`. Its
+    /// prefix is then the input alone, so a constant input's aggregate is
+    /// no longer reused: [`GnnModel::new`](crate::GnnModel::new) sets it above layer 0.
+    pub fn transform_first(self, on: bool) -> Self {
+        Self { transform_first: on, ..self }
     }
 }
 
@@ -245,6 +256,9 @@ impl GnnLayer for GcnLayer {
     }
 
     fn prefix(&self, tape: &mut Tape, input: Var, topo: &LayerTopology) -> Vec<Var> {
+        if self.transform_first {
+            return vec![input];
+        }
         // EdgeForward (weighted copy) fused with GatherByDst: the copy
         // edge function needs no materialized edge tensor, so it runs as
         // one SpMM — the fusion real GNN backends apply.
@@ -256,17 +270,27 @@ impl GnnLayer for GcnLayer {
         tape: &mut Tape,
         binds: &mut Bindings,
         store: &ParamStore,
-        _topo: &LayerTopology,
+        topo: &LayerTopology,
         prefix: &[Var],
     ) -> Var {
-        // VertexForward: linear (+ ReLU).
-        let z = self.lin.forward(tape, binds, store, prefix[0]);
+        // VertexForward: linear (+ ReLU). Transform-first adds the bias
+        // after the aggregate: Σ w·(h·W + b) ≠ (Σ w·h)·W + b.
+        let z = if self.transform_first {
+            let (w, b) = self.lin.param_ids();
+            let (w, b) = (binds.bind(tape, store, w), binds.bind(tape, store, b));
+            let hw = tape.matmul(prefix[0], w);
+            let agg = ops::aggregate_neighbors(tape, hw, topo, true);
+            tape.add_row_broadcast(agg, b)
+        } else {
+            self.lin.forward(tape, binds, store, prefix[0])
+        };
         if self.activation { tape.relu(z) } else { z }
     }
 
     fn edge_flops_estimate(&self) -> u64 {
-        // weighted copy + aggregation add, per input dimension.
-        2 * self.in_dim() as u64
+        // weighted copy + aggregation add, per aggregated column.
+        let width = if self.transform_first { self.out_dim() } else { self.in_dim() };
+        2 * width as u64
     }
 
     fn vertex_flops_estimate(&self) -> u64 {
@@ -822,6 +846,7 @@ mod tests {
         let mut store = ParamStore::new();
         let layers: Vec<Box<dyn GnnLayer>> = vec![
             Box::new(GcnLayer::new(&mut store, "gcn", 3, 2, true, &mut r)),
+            Box::new(GcnLayer::new(&mut store, "tf", 3, 2, false, &mut r).transform_first(true)),
             Box::new(GinLayer::new(&mut store, "gin", 3, 2, false, &mut r)),
             Box::new(GatLayer::new(&mut store, "gat1", 3, 2, true, &mut r)),
             Box::new(GatLayer::multi_head(&mut store, "gat3", 3, 2, 3, true, &mut r)),
@@ -885,6 +910,167 @@ mod tests {
         let _ = SageLayer::new(
             &mut store, "sage", 3, 2, crate::ops::Aggregator::Sum, true, &mut r,
         );
+    }
+
+    /// A square topology over `n` vertices: every vertex has a self-loop
+    /// and a few random in-edges, all with random positive weights.
+    fn random_topo(rng: &mut StdRng, n: usize) -> LayerTopology {
+        let adj: Vec<Vec<(u32, f32)>> = (0..n)
+            .map(|d| {
+                let extra = rng.random_range(0..n);
+                let mut list = vec![(d as u32, 0.5 + rng.random::<f32>())];
+                list.extend((0..extra).map(|_| {
+                    (rng.random_range(0..n) as u32, 0.1 + rng.random::<f32>())
+                }));
+                list
+            })
+            .collect();
+        LayerTopology::from_adjacency(n, &adj, (0..n as u32).collect())
+    }
+
+    fn random_tensor(rng: &mut StdRng, rows: usize, cols: usize) -> Tensor {
+        Tensor::from_vec(rows, cols, (0..rows * cols).map(|_| rng.random::<f32>() - 0.5).collect())
+    }
+
+    /// One GCN layer, aggregate-first or transform-first, over parameters
+    /// drawn from `seed`: both orders of one seed hold the same values.
+    fn gcn(
+        store: &mut ParamStore,
+        name: &str,
+        dims: (usize, usize),
+        act: bool,
+        tf: bool,
+        seed: u64,
+    ) -> GcnLayer {
+        let mut r = StdRng::seed_from_u64(seed);
+        let layer = GcnLayer::new(store, name, dims.0, dims.1, act, &mut r).transform_first(tf);
+        store.replace(layer.lin.param_ids().1, random_tensor(&mut r, 1, dims.1));
+        layer
+    }
+
+    /// `Σ coeff ⊙ (Â·relu(Â·X·W0 + b0)·W1 + b1)` in f64, written out with
+    /// plain loops: the oracle shares no kernel, tape or order with the
+    /// layers it checks. `p` holds `[X, W0, b0, W1, b1]`, row-major.
+    fn reference_loss(
+        topo: &LayerTopology,
+        dims: [usize; 3],
+        p: &[Vec<f64>],
+        coeff: &[f64],
+    ) -> f64 {
+        let n = topo.n_dst;
+        let aggregate = |x: &[f64], cols: usize| {
+            let mut out = vec![0.0; n * cols];
+            for d in 0..n {
+                for e in topo.dst_offsets[d]..topo.dst_offsets[d + 1] {
+                    let (s, w) = (topo.edge_src[e] as usize, topo.edge_weight[e] as f64);
+                    for c in 0..cols {
+                        out[d * cols + c] += w * x[s * cols + c];
+                    }
+                }
+            }
+            out
+        };
+        let linear = |x: &[f64], w: &[f64], b: &[f64], k: usize, m: usize, relu: bool| {
+            let mut out = vec![0.0; n * m];
+            for i in 0..n {
+                for j in 0..m {
+                    let z = b[j] + (0..k).map(|t| x[i * k + t] * w[t * m + j]).sum::<f64>();
+                    out[i * m + j] = if relu { z.max(0.0) } else { z };
+                }
+            }
+            out
+        };
+        let h = linear(&aggregate(&p[0], dims[0]), &p[1], &p[2], dims[0], dims[1], true);
+        let out = linear(&aggregate(&h, dims[1]), &p[3], &p[4], dims[1], dims[2], false);
+        out.iter().zip(coeff).map(|(o, c)| o * c).sum()
+    }
+
+    /// The first finite-difference oracle for parameter gradients: a
+    /// 2-layer GCN (8 vertices, 5 -> 4 -> 3) in all four operator orders.
+    /// The tape's `W`, `b` and input gradients must match central
+    /// differences of the f64 reference to 1e-4 (absolute plus relative).
+    #[test]
+    fn gcn_two_layer_gradients_match_finite_differences_in_both_orders() {
+        let mut rng = StdRng::seed_from_u64(42);
+        let topo = random_topo(&mut rng, 8);
+        let dims = [5, 4, 3];
+        let x = random_tensor(&mut rng, 8, dims[0]);
+        let coeff = random_tensor(&mut rng, 8, dims[2]);
+        for (tf0, tf1) in [(false, false), (false, true), (true, false), (true, true)] {
+            let mut store = ParamStore::new();
+            let l0 = gcn(&mut store, "l0", (dims[0], dims[1]), true, tf0, 1);
+            let l1 = gcn(&mut store, "l1", (dims[1], dims[2]), false, tf1, 2);
+            let run0 = l0.forward(&store, &topo, LayerInput::Tracked(x.clone()));
+            let run1 = l1.forward(&store, &topo, LayerInput::Tracked(run0.output().clone()));
+            let mut grads = store.zero_grads();
+            let (g1, _) = run1.backward(coeff.clone(), &mut grads);
+            let (gx, _) = run0.backward(g1.expect("tracked"), &mut grads);
+            let ((w0, b0), (w1, b1)) = (l0.lin.param_ids(), l1.lin.param_ids());
+            let gx = gx.expect("tracked");
+            let [gw0, gb0, gw1, gb1] = [w0, b0, w1, b1].map(|id| &grads[id.index()]);
+            let tape_grads = [&gx, gw0, gb0, gw1, gb1];
+
+            let f64s = |t: &Tensor| t.data().iter().map(|&v| v as f64).collect::<Vec<_>>();
+            let mut p: Vec<Vec<f64>> = [&x, store.value(w0), store.value(b0)]
+                .into_iter()
+                .chain([store.value(w1), store.value(b1)])
+                .map(f64s)
+                .collect();
+            let c = f64s(&coeff);
+            let eps = 1e-6;
+            for (k, tape) in tape_grads.iter().enumerate() {
+                for i in 0..p[k].len() {
+                    let v = p[k][i];
+                    p[k][i] = v + eps;
+                    let up = reference_loss(&topo, dims, &p, &c);
+                    p[k][i] = v - eps;
+                    let down = reference_loss(&topo, dims, &p, &c);
+                    p[k][i] = v;
+                    let (fd, got) = ((up - down) / (2.0 * eps), tape.data()[i] as f64);
+                    assert!(
+                        (fd - got).abs() <= 1e-4 * (1.0 + fd.abs()),
+                        "orders ({tf0}, {tf1}), operand {k}[{i}]: tape {got}, numeric {fd}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// `Â·(H·W) + b` and `(Â·H)·W + b` over the same parameters agree to
+    /// 1e-5 relative, in the output, the parameter gradients and the
+    /// input gradient, on random graphs, widths and inputs.
+    #[test]
+    fn transform_first_agrees_with_aggregate_first() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let relative = |a: &Tensor, b: &Tensor| {
+            let scale = b.data().iter().fold(0.0f32, |m, v| m.max(v.abs()));
+            a.max_abs_diff(b) / scale.max(f32::MIN_POSITIVE)
+        };
+        for case in 0..20 {
+            let n = rng.random_range(2..40);
+            let dims = (rng.random_range(1..48), rng.random_range(1..48));
+            let topo = random_topo(&mut rng, n);
+            let h = random_tensor(&mut rng, n, dims.0);
+            let coeff = random_tensor(&mut rng, n, dims.1);
+            let mut store = ParamStore::new();
+            let a = gcn(&mut store, "a", dims, true, false, case);
+            let b = GcnLayer { lin: a.lin, activation: true, transform_first: true };
+            let run = |layer: &GcnLayer| {
+                let run = layer.forward(&store, &topo, LayerInput::Tracked(h.clone()));
+                let out = run.output().clone();
+                let mut grads = store.zero_grads();
+                let (gx, _) = run.backward(coeff.clone(), &mut grads);
+                (out, gx.expect("tracked"), grads)
+            };
+            let (out_a, gx_a, grads_a) = run(&a);
+            let (out_b, gx_b, grads_b) = run(&b);
+            let what = format!("case {case}: {n} vertices, {dims:?}");
+            assert!(relative(&out_b, &out_a) <= 1e-5, "output, {what}");
+            assert!(relative(&gx_b, &gx_a) <= 1e-5, "input gradient, {what}");
+            for (gb, ga) in grads_b.iter().zip(&grads_a) {
+                assert!(relative(gb, ga) <= 1e-5, "parameter gradient, {what}");
+            }
+        }
     }
 
     #[test]

@@ -60,7 +60,10 @@ impl GnnModel {
             let prefix = format!("layer{l}");
             let layer: Box<dyn GnnLayer> = match kind {
                 ModelKind::Gcn => {
-                    Box::new(GcnLayer::new(&mut store, &prefix, w[0], w[1], act, &mut rng))
+                    // Layer 0's aggregate is a constant prefix, computed once
+                    // per plan; above it, a narrowing layer aggregates `H·W`.
+                    let layer = GcnLayer::new(&mut store, &prefix, w[0], w[1], act, &mut rng);
+                    Box::new(layer.transform_first(l > 0 && w[1] < w[0]))
                 }
                 ModelKind::Gin => {
                     Box::new(GinLayer::new(&mut store, &prefix, w[0], w[1], act, &mut rng))
@@ -176,6 +179,59 @@ mod tests {
         let sb = b.fresh_store();
         for ((_, _, v1), (_, _, v2)) in sa.iter().zip(sb.iter()) {
             assert_eq!(v1.data(), v2.data());
+        }
+    }
+
+    /// Forward FLOPs of a GCN layer over `n` vertices and `e` edges:
+    /// `(graph, nn)`, where the graph part is the weighted aggregate,
+    /// `2·e` per column it moves.
+    fn gcn_flops(n: u64, e: u64, d: (u64, u64), transform_first: bool, relu: bool) -> (u64, u64) {
+        let width = if transform_first { d.1 } else { d.0 };
+        (2 * e * width, 2 * n * d.0 * d.1 + n * d.1 * (1 + relu as u64))
+    }
+
+    #[test]
+    fn narrowing_gcn_layers_above_the_first_aggregate_their_output_width() {
+        let adj: Vec<Vec<(u32, f32)>> =
+            (0..5u32).map(|d| (0..=d).map(|s| (s, 1.0 / (d + 1) as f32)).collect()).collect();
+        let topo = LayerTopology::from_adjacency(5, &adj, (0..5).collect());
+        let (n, e) = (5, topo.num_edges() as u64);
+        assert_eq!(e, 15);
+        let m = GnnModel::new(ModelKind::Gcn, &[12, 8, 3], 1);
+        let store = m.fresh_store();
+
+        // Layer 0 aggregates its 12 input columns, once: a run from the
+        // prefix its backward pass hands back records only the NN ops.
+        let (graph0, nn0) = gcn_flops(n, e, (12, 8), false, true);
+        let x = LayerInput::Constant(Tensor::full(5, 12, 0.5));
+        let run0 = m.layer(0).forward(&store, &topo, x);
+        assert_eq!(run0.forward_flops(), graph0 + nn0);
+        let h1 = run0.output().clone();
+        let back = run0.backward_split(Tensor::full(5, 8, 1.0), &mut store.zero_grads());
+        let saved = back.prefix.expect("a constant run hands its prefix back");
+        let again = m.layer(0).forward(&store, &topo, LayerInput::Prefix(saved));
+        assert_eq!(again.forward_flops(), nn0);
+        assert_eq!(again.output().data(), h1.data());
+        assert_eq!(m.layer(0).edge_flops_estimate(), 2 * 12);
+
+        // Layer 1 (8 -> 3) transforms first and aggregates 3 columns.
+        let (graph1, nn1) = gcn_flops(n, e, (8, 3), true, false);
+        assert_eq!(graph1, 2 * e * 3);
+        let run1 = m.layer(1).forward(&store, &topo, LayerInput::Tracked(h1));
+        assert_eq!(run1.forward_flops(), graph1 + nn1);
+        assert_eq!(m.layer(1).edge_flops_estimate(), 2 * 3);
+
+        // A layer that does not narrow keeps aggregating first.
+        let m = GnnModel::new(ModelKind::Gcn, &[4, 8, 8, 3], 1);
+        let store = m.fresh_store();
+        let mut h = Tensor::full(5, 4, 0.5);
+        let orders = [((4, 8), false), ((8, 8), false), ((8, 3), true)];
+        for (l, (d, tf)) in orders.into_iter().enumerate() {
+            let (graph, nn) = gcn_flops(n, e, d, tf, l < 2);
+            let run = m.layer(l).forward(&store, &topo, LayerInput::Constant(h));
+            assert_eq!(run.forward_flops(), graph + nn, "layer {l}");
+            assert_eq!(m.layer(l).edge_flops_estimate(), 2 * if tf { d.1 } else { d.0 });
+            h = run.into_output();
         }
     }
 

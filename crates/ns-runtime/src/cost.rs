@@ -78,8 +78,8 @@ impl CostFactors {
     /// What a vertex costs the executor in units of an in-edge: the
     /// chunk partitioner's vertex weight for runs that execute
     /// ([`VertexWeight::ModelFlops`](crate::trainer::VertexWeight)). A
-    /// ratio of FLOP counts, so a pure function of the model — 39.5 for
-    /// 52→32→16 GCN, 264.4 for 512→256→16 — and the same on every
+    /// ratio of FLOP counts, so a pure function of the model — 60.1 for
+    /// 52→32→16 GCN, 396.3 for 512→256→16 — and the same on every
     /// cluster and thread count.
     pub fn vertex_weight(&self) -> f64 {
         self.vertex_flops() / self.edge_flops()
@@ -178,8 +178,9 @@ pub fn probe(model: &GnnModel, cluster: &ClusterSpec) -> CostFactors {
     let topo2 = probe_topology(n_src, n_dst, e2, 12);
     // The probe topologies keep n_src/n_dst fixed, so the FLOP difference
     // isolates the per-edge component. n_src rows also contribute
-    // row-proportional work in some layers (GAT's Wh); attribute it to
-    // the vertex component scaled by n_dst for a conservative estimate.
+    // row-proportional work in some layers (GAT's Wh, the H·W of a GCN
+    // layer that transforms before it aggregates); attribute it to the
+    // vertex component scaled by n_dst for a conservative estimate.
     let mut flops = Vec::with_capacity(model.num_layers());
     let mut t_v = Vec::with_capacity(model.num_layers());
     let mut t_e = Vec::with_capacity(model.num_layers());

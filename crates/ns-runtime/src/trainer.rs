@@ -646,7 +646,7 @@ mod tests {
             (plan.vertex_weight, plan.parts[0].flop_share, plan.parts[1].flop_share)
         };
         let (w, a, b) = shares(VertexWeight::ModelFlops);
-        assert_eq!(w, 13264.0 / 336.0, "Σ vertex_total / Σ edge_total of 52 -> 32 -> 16 GCN");
+        assert_eq!(w, 16336.0 / 272.0, "Σ vertex_total / Σ edge_total of 52 -> 32 -> 16 GCN");
         assert!(a.max(b) / a.min(b) <= 1.05, "priced FLOPs {a:.3} vs {b:.3}");
         // The default — what `TrainerConfig::new` gives the figures and
         // the chaos soaks — is Gemini's unit weight, which hands the
