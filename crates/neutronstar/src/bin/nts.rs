@@ -266,8 +266,7 @@ fn run_serve(sa: &ServeArgs) {
     }
 }
 
-/// Renders one serving run as a single-entry `bench-serve/v1` document
-/// (the same shape `bench_serve` emits for its rate sweeps).
+/// Renders one serving run as a single-entry `bench-serve/v1` document.
 fn serve_report_json(sa: &ServeArgs, r: &ServeReport) -> String {
     format!(
         "{{\n  \"schema\": \"bench-serve/v1\",\n  \"runs\": [\n    {{\n      \

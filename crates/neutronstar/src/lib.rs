@@ -54,7 +54,7 @@
 //! | threads | `ns-par` | intra-worker thread pool + lock-free work queues |
 //! | baselines | `ns-baselines` | DistDGL-like, ROC-like, DGL/PyG-like comparisons |
 //! | metrics | `ns-metrics` | phase timers, counters, trace/JSON sinks (`docs/OBSERVABILITY.md`) |
-//! | bench | `bench` | one binary per paper table/figure, `bench_serve`, Criterion microbenches |
+//! | bench | `bench` | the `experiments` driver: every paper table/figure as golden JSON under `results/` |
 
 pub use ns_baselines as baselines;
 pub use ns_gnn as gnn;

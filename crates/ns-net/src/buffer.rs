@@ -69,11 +69,6 @@ impl ParallelEnqueue {
         }
     }
 
-    /// Number of destinations.
-    pub fn dests(&self) -> usize {
-        self.bufs.len()
-    }
-
     /// Gathers `src` rows (an `n x cols` row-major matrix) into every
     /// destination buffer concurrently: slot `s` of destination `d`
     /// receives row `rows_per_dst[d][s]`. One parallel job covers the
@@ -171,7 +166,6 @@ mod tests {
         for threads in [1, 4] {
             ns_par::set_threads(threads);
             let mut enq = ParallelEnqueue::new(cols, &slot_counts);
-            assert_eq!(enq.dests(), 4);
             let views: Vec<&[u32]> = dests.iter().map(Vec::as_slice).collect();
             enq.fill(&src, &views);
             for (d, ids) in dests.iter().enumerate() {

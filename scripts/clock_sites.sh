@@ -23,11 +23,9 @@
 #   ns-metrics/src/lib.rs       3  span start/end, the doc example's origin
 #   ns-runtime/src/hybrid.rs    1  Algorithm 4 timer
 #   ns-runtime/src/trainer/supervisor.rs 1  coordinator recorder origin
-#   bench, benchmark            8  wall-clock of the bench runs and probes
+#   benchmark                   6  wall-clock of the bench runs and probes
 set -eu
 EXPECTED="
-crates/bench/src/bin/bench_serve.rs 1
-crates/bench/src/bin/micro_compute.rs 1
 crates/benchmark/src/probes.rs 3
 crates/benchmark/src/serve.rs 1
 crates/benchmark/src/trace.rs 2
