@@ -14,8 +14,7 @@ use ns_graph::{stats::replication_stats, Partitioner};
 use ns_metrics::json::Json;
 use ns_metrics::obj;
 use ns_net::sim::ResourceKind;
-use ns_net::{ClusterSpec, ExecOptions};
-use ns_runtime::exec::SyncMode;
+use ns_net::{ClusterSpec, ExecOptions, SyncMode};
 use ns_runtime::trainer::{Trainer, TrainerConfig};
 use ns_runtime::{sim_breakdown, utilization_trace, EngineKind, HybridConfig, RuntimeError};
 

@@ -11,8 +11,8 @@ use std::str::FromStr;
 use ns_gnn::ModelKind::{self, Gat, Gcn, Gin, Sage};
 use ns_graph::Partitioner;
 use ns_net::fault::{FaultPlan, KindSel, GRAMMAR};
+use ns_net::SyncMode::{self, AllReduce, ParameterServer};
 use ns_net::{ClusterSpec, ExecOptions};
-use ns_runtime::exec::SyncMode::{self, AllReduce, ParameterServer};
 use ns_runtime::serve::load::OpenLoop;
 use ns_runtime::EngineKind::{self, DepCache, DepComm, Hybrid};
 use ns_runtime::{RecoveryConfig, RunState, ServeConfig, StoreConfig};
@@ -373,7 +373,9 @@ fn plan_flags() -> Vec<Flag<RunArgs>> {
         },
         Flag {
             spec: "sync <allreduce|ps>",
-            help: "gradient synchronization (default allreduce)",
+            help: "price the simulated epoch's gradient synchronization \
+                   (default allreduce); the executor always runs the ring \
+                   all-reduce, so only the simulated epoch changes",
             set: |a, v| {
                 let modes = [AllReduce, ParameterServer, ParameterServer];
                 put(&mut a.sync, pick(v, "allreduce|ps|parameter-server", modes))
@@ -381,12 +383,16 @@ fn plan_flags() -> Vec<Flag<RunArgs>> {
         },
         Flag {
             spec: "no-ring",
-            help: "exchange chunks without the ring schedule (Fig. 9)",
+            help: "price the simulated epoch without the ring schedule \
+                   (Fig. 9); the executor always sends in ring order, so \
+                   only the simulated epoch changes",
             set: |a, _| put(&mut a.opts.ring, Ok(false)),
         },
         Flag {
             spec: "no-lockfree",
-            help: "enqueue messages under a lock (Fig. 9)",
+            help: "price the simulated epoch with locked message enqueuing \
+                   (Fig. 9); the executor always enqueues lock-free, so \
+                   only the simulated epoch changes",
             set: |a, _| put(&mut a.opts.lock_free, Ok(false)),
         },
         Flag {

@@ -4,7 +4,6 @@ use ns_gnn::GnnModel;
 use ns_graph::{Dataset, Partitioner};
 use ns_net::fault::FaultPlan;
 use ns_net::{ClusterSpec, ExecOptions};
-use ns_runtime::exec::SyncMode;
 use ns_runtime::trainer::{SimSummary, Trainer, TrainerConfig};
 use ns_runtime::{
     EngineKind, HybridConfig, RecoveryConfig, RuntimeError, TrainingReport, VertexWeight,
@@ -82,7 +81,8 @@ impl SessionBuilder {
         self
     }
 
-    /// System-optimization toggles (default: all enabled).
+    /// System-optimization toggles of the simulated epoch (default: all
+    /// enabled; the executor always runs all three).
     pub fn optimizations(mut self, opts: ExecOptions) -> Self {
         self.cfg.opts = opts;
         self
@@ -97,13 +97,6 @@ impl SessionBuilder {
     /// Hybrid-engine knobs (memory budget, Fig. 11 ratio override).
     pub fn hybrid(mut self, hybrid: HybridConfig) -> Self {
         self.cfg.hybrid = hybrid;
-        self
-    }
-
-    /// Gradient synchronization strategy (default: ring all-reduce; the
-    /// paper notes the Parameter-Server model is an orthogonal drop-in).
-    pub fn sync(mut self, sync: SyncMode) -> Self {
-        self.cfg.sync = sync;
         self
     }
 

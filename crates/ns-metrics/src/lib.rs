@@ -78,8 +78,8 @@ pub enum Phase {
     BwdCompute,
     /// Loss head: softmax cross-entropy plus train/val/test accuracy.
     Head,
-    /// Gradient synchronization wait: ring all-reduce or parameter-server
-    /// reduce, including the blocking receives inside.
+    /// Gradient synchronization wait: the ring all-reduce, including the
+    /// blocking receives inside.
     SyncWait,
     /// Optimizer step (SGD/Adam parameter update).
     OptStep,

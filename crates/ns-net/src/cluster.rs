@@ -194,6 +194,21 @@ impl ExecOptions {
     }
 }
 
+/// How parameter gradients are combined across workers each epoch, as
+/// the simulated epoch models it. The paper uses all-reduce and notes it
+/// "is orthogonal to and can be replaced by the Parameter-Server model";
+/// the PS pattern funnels all gradient traffic through one node, which
+/// the simulator penalizes with ingress contention at scale. The executor
+/// always runs the ring all-reduce.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SyncMode {
+    /// Ring all-reduce: `2(m-1)` rounds of `bytes/m` chunks.
+    AllReduce,
+    /// Parameter server at worker 0: workers push full gradients, the
+    /// server reduces and broadcasts the sum back.
+    ParameterServer,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -146,7 +146,7 @@ pub enum KindSel {
     Rows,
     /// Backward gradient rows (`PostToDepNbr`).
     Grads,
-    /// Ring / parameter-server gradient chunks.
+    /// Ring all-reduce gradient chunks.
     AllReduce,
     /// Scalar control messages.
     Control,

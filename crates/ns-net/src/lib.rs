@@ -40,7 +40,7 @@ pub mod sim;
 pub mod wire;
 
 pub use buffer::ParallelEnqueue;
-pub use cluster::{ClusterSpec, DeviceModel, ExecOptions, NetModel};
+pub use cluster::{ClusterSpec, DeviceModel, ExecOptions, NetModel, SyncMode};
 pub use fabric::{Doorbell, Endpoint, Fabric, Message, MessageKind, NetError, NetStats, KIND_NAMES};
 pub use fault::{Fault, FaultPlan, KindSel, Link, MsgSel, SendFate, Window};
 pub use membership::{MemberState, MembershipEvent, MembershipEventKind, MembershipView};

@@ -60,7 +60,7 @@ pub enum RuntimeError {
         /// Root cause.
         cause: FailureCause,
     },
-    /// Gradient synchronization (all-reduce / parameter-server) timed out
+    /// Gradient synchronization (the ring all-reduce) timed out
     /// past the receive deadline — the signature of a wedged (not dead) peer.
     SyncTimeout {
         /// The worker whose sync stalled.

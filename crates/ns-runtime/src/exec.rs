@@ -18,6 +18,11 @@
 //! an identical optimizer step, keeping the replicated parameter stores
 //! bitwise in sync.
 //!
+//! The exchange schedule is the paper's one (§4.3, Fig. 8): payloads
+//! filled by the lock-free parallel enqueuer, sent in ring order, and a
+//! ring all-reduce. Fig. 9's "–R/–L" ablations and the parameter server
+//! are priced only by the simulated epoch (`Trainer::simulate_epoch`).
+//!
 //! Failure semantics: workers never panic on fabric trouble. Every
 //! receive waits on one deadline ([`RunState::recv_timeout_ms`]); a dead,
 //! wedged, or protocol-desynced peer turns the worker's result into a
@@ -44,49 +49,16 @@ use crate::error::{FailureCause, Result, RuntimeError};
 use crate::obs::export_net_stats;
 use crate::plan::WorkerPlan;
 
-/// How parameter gradients are combined across workers each epoch.
-///
-/// The paper uses all-reduce and notes it "is orthogonal to and can be
-/// replaced by the Parameter-Server model"; both are provided. They are
-/// numerically equivalent (same deterministic sums), but the PS pattern
-/// funnels all gradient traffic through one node, which the simulator
-/// penalizes with ingress contention at scale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SyncMode {
-    /// Ring all-reduce: `2(m-1)` rounds of `bytes/m` chunks.
-    AllReduce,
-    /// Parameter server at worker 0: workers push full gradients, the
-    /// server reduces in fixed order and broadcasts the sum back.
-    ParameterServer,
-}
-
-/// Executor configuration.
+/// Executor configuration (the exchange schedule is fixed: module doc).
 #[derive(Debug, Clone)]
 pub struct ExecConfig {
     /// Adam's learning rate.
     pub lr: f32,
-    /// Emit sends in ring order (`i+1, i+2, …`) as NeutronStar schedules
-    /// them; otherwise naive ascending order. (Numerics are unaffected;
-    /// receive-side accumulation is always in fixed peer order.)
-    pub ring_order: bool,
-    /// Gradient synchronization strategy.
-    pub sync: SyncMode,
-    /// Assemble outgoing row/gradient messages through the lock-free
-    /// parallel enqueuer (§4.3): all peers' send buffers are filled in one
-    /// chunk-stealing job, then flushed in ring order. `false` gathers and
-    /// sends peer-by-peer on the worker thread (the "L" ablation of
-    /// Fig. 9). Payload bytes are identical either way.
-    pub lock_free: bool,
 }
 
 impl Default for ExecConfig {
     fn default() -> Self {
-        Self {
-            lr: 0.01,
-            ring_order: true,
-            sync: SyncMode::AllReduce,
-            lock_free: true,
-        }
+        Self { lr: 0.01 }
     }
 }
 
@@ -213,29 +185,16 @@ struct WorkerFailure {
 type WorkerResult<T> = std::result::Result<T, WorkerFailure>;
 type NetResult<T> = std::result::Result<T, NetError>;
 
-fn peer_order(me: usize, m: usize, ring: bool) -> Vec<usize> {
-    if ring {
-        (1..m).map(|k| (me + k) % m).collect()
-    } else {
-        (0..m).filter(|&j| j != me).collect()
-    }
-}
-
 /// Builds one send task's per-peer payload buffers through the lock-free
 /// parallel enqueuer (§4.3): every peer's rows are gathered from `src`
 /// by one chunk-stealing job over the flattened slot space, ready to be
-/// drained with `take(j)` in ring order. Returns `None` when the config
-/// disables lock-free enqueuing (the caller then gathers inline per
-/// peer) or when there is nothing to send.
+/// drained with `take(j)` in ring order. Returns `None` when there is
+/// nothing to send.
 fn enqueue_payloads(
-    cfg: &ExecConfig,
     rec: &MetricsRecorder,
     src: &Tensor,
     rows_per_peer: &[Vec<u32>],
 ) -> Option<ParallelEnqueue> {
-    if !cfg.lock_free {
-        return None;
-    }
     let slots: Vec<usize> = rows_per_peer.iter().map(Vec::len).collect();
     let total: usize = slots.iter().sum();
     if total == 0 {
@@ -402,41 +361,6 @@ fn ring_allreduce(
     Ok(())
 }
 
-/// Parameter-server gradient combination: every worker pushes its full
-/// gradient vector to worker 0, which reduces in ascending worker order
-/// (deterministic) and broadcasts the sum. All workers end with
-/// identical gradients, exactly as [`ring_allreduce`] produces. The
-/// full-vector copies shipped to peers come from the pool and are
-/// recycled by the receiver, like the ring chunks above.
-fn ps_reduce(
-    ep: &Endpoint,
-    timeout: Duration,
-    rec: &MetricsRecorder,
-    grads: &mut [Tensor],
-) -> NetResult<()> {
-    let m = ep.world();
-    if m == 1 {
-        return Ok(());
-    }
-    let n: usize = grads.iter().map(Tensor::len).sum();
-    if ep.id() == 0 {
-        for src in 1..m {
-            let data = recv_allreduce(ep, src, timeout, rec)?;
-            apply_range(grads, 0, &data, true);
-            ns_tensor::pool::recycle(data);
-        }
-        for dst in 1..m {
-            ep.send(dst, MessageKind::AllReduce { round: 1, data: gather_range(grads, 0, n) })?;
-        }
-    } else {
-        ep.send(0, MessageKind::AllReduce { round: 0, data: gather_range(grads, 0, n) })?;
-        let data = recv_allreduce(ep, 0, timeout, rec)?;
-        apply_range(grads, 0, &data, false);
-        ns_tensor::pool::recycle(data);
-    }
-    Ok(())
-}
-
 /// Direction of a per-layer dependency exchange (§4.1). The two are one
 /// protocol mirrored: the schedule a worker sends by going forward is the
 /// one it receives by going backward, and forward receives overwrite rows
@@ -469,7 +393,6 @@ struct Worker<'a> {
     plan: &'a WorkerPlan,
     model: &'a GnnModel,
     ep: &'a Endpoint,
-    cfg: &'a ExecConfig,
     run: &'a RunState,
     rec: &'a MetricsRecorder,
     feature_grad: bool,
@@ -544,7 +467,6 @@ impl<'a> Worker<'a> {
             plan,
             model,
             ep,
-            cfg,
             run,
             rec,
             feature_grad,
@@ -771,11 +693,8 @@ impl<'a> Worker<'a> {
     /// Combines parameter gradients across workers.
     fn sync_wait(&self, grads: &mut [Tensor]) -> WorkerResult<()> {
         let _span = span!(self.rec, Phase::SyncWait);
-        match self.cfg.sync {
-            SyncMode::AllReduce => ring_allreduce(self.ep, self.recv_budget(), self.rec, grads),
-            SyncMode::ParameterServer => ps_reduce(self.ep, self.recv_budget(), self.rec, grads),
-        }
-        .map_err(|e| self.fail(FailureCause::Net(e), true))
+        ring_allreduce(self.ep, self.recv_budget(), self.rec, grads)
+            .map_err(|e| self.fail(FailureCause::Net(e), true))
     }
 
     /// The identical optimizer step every replica applies.
@@ -785,10 +704,9 @@ impl<'a> Worker<'a> {
     }
 
     /// Send half of a dependency exchange: ships `src`'s scheduled rows of
-    /// layer `l` to every peer that depends on them. With lock-free
-    /// enqueuing, every peer's buffer fills in one chunk-stealing parallel
-    /// job before the flush; sends go out in ring order (or ascending, the
-    /// Fig. 9 ablation).
+    /// layer `l` to every peer that depends on them. Every peer's buffer
+    /// fills in one chunk-stealing parallel job before the flush; sends go
+    /// out in ring order (`i+1, i+2, …`), staggering arrivals.
     fn push(&self, dir: Dir, l: usize, src: &Tensor) -> NetResult<()> {
         let lp = &self.plan.layers[l];
         let (rows, ids) = match dir {
@@ -796,16 +714,15 @@ impl<'a> Worker<'a> {
             Dir::Bwd => (&lp.recv_rows, &lp.recv_ids),
         };
         let (layer, cols) = (l as u32, src.cols() as u32);
-        let mut enq = enqueue_payloads(self.cfg, self.rec, src, rows);
-        for j in peer_order(self.ep.id(), self.ep.world(), self.cfg.ring_order) {
+        let Some(mut enq) = enqueue_payloads(self.rec, src, rows) else {
+            return Ok(());
+        };
+        let (me, m) = (self.ep.id(), self.ep.world());
+        for j in (1..m).map(|k| (me + k) % m) {
             if ids[j].is_empty() {
                 continue;
             }
-            let data = match enq.as_mut() {
-                Some(q) => q.take(j),
-                None => src.gather_rows(&rows[j]).into_vec(),
-            };
-            let ids = ids[j].clone();
+            let (ids, data) = (ids[j].clone(), enq.take(j));
             let kind = match dir {
                 Dir::Fwd => MessageKind::Rows { layer, ids, cols, data },
                 Dir::Bwd => MessageKind::Grads { layer, ids, cols, data },
@@ -822,8 +739,8 @@ impl<'a> Worker<'a> {
     ///
     /// Accumulation-order invariant: the caller routes local rows first,
     /// then peers fold in here in ascending id order, whatever order the
-    /// sends went out in — so float sums are identical across runs,
-    /// engines and send schedules.
+    /// sends went out in — so float sums are identical across runs and
+    /// engines.
     fn pull(&self, dir: Dir, l: usize, dst: &mut Tensor) -> NetResult<()> {
         let lp = &self.plan.layers[l];
         let (rows, ids, expected) = match dir {
@@ -1119,37 +1036,6 @@ mod tests {
     }
 
     #[test]
-    fn parameter_server_matches_allreduce() {
-        let ds = small_dataset();
-        let part = Partitioner::Chunk.partition(&ds.graph, 3);
-        let plans = build_plans(&ds.graph, &part, 2, &DepDecision::CommAll).unwrap();
-        let model =
-            GnnModel::two_layer(ModelKind::Gcn, ds.feature_dim(), 16, ds.num_classes, 3);
-        let (ar, ar_store) = train_epochs(&ds, &model, &plans, 3, &ExecConfig::default()).unwrap();
-        let (ps, ps_store) = train_epochs(
-            &ds,
-            &model,
-            &plans,
-            3,
-            &ExecConfig { sync: SyncMode::ParameterServer, ..Default::default() },
-        )
-        .unwrap();
-        for ((_, _, a), (_, _, b)) in ar_store.iter().zip(ps_store.iter()) {
-            assert!(a.max_abs_diff(b) < 1e-4, "trained params must agree");
-        }
-        for (a, b) in ar.iter().zip(ps.iter()) {
-            // Summation orders differ (ring chunks vs server order), so
-            // agreement is to f32 rounding, not bitwise.
-            assert!(
-                (a.loss - b.loss).abs() < 1e-4 * a.loss.abs().max(1.0),
-                "sync modes must agree: {} vs {}",
-                a.loss,
-                b.loss
-            );
-        }
-    }
-
-    #[test]
     fn mismatched_feature_dim_rejected() {
         let ds = small_dataset();
         let part = Partitioner::Chunk.partition(&ds.graph, 2);
@@ -1353,15 +1239,10 @@ mod tests {
         let model =
             GnnModel::two_layer(ModelKind::Gcn, ds.feature_dim(), 16, ds.num_classes, 3);
         let budget = Duration::from_millis(1_050);
-        // The ring, the parameter server hung, a non-server worker hung,
-        // and two workers hung at once (the lower id is the root cause).
-        let cases: [(SyncMode, &[usize]); 4] = [
-            (SyncMode::AllReduce, &[1]),
-            (SyncMode::ParameterServer, &[0]),
-            (SyncMode::ParameterServer, &[2]),
-            (SyncMode::AllReduce, &[1, 2]),
-        ];
-        for (sync, hung_workers) in cases {
+        // One worker hung, and two workers hung at once (the lower id is
+        // the root cause).
+        let cases: [&[usize]; 2] = [&[1], &[1, 2]];
+        for hung_workers in cases {
             let hung = hung_workers[0];
             let mut fault = FaultPlan::default();
             for &worker in hung_workers {
@@ -1372,51 +1253,23 @@ mod tests {
                 recv_timeout_ms: budget.as_millis() as u64,
                 ..Default::default()
             };
-            let cfg = ExecConfig { sync, ..ExecConfig::default() };
             let t0 = Instant::now();
-            let err = train_epochs_run(&ds, &model, &plans, 3, &cfg, &run).unwrap_err();
+            let err = train_epochs_run(&ds, &model, &plans, 3, &ExecConfig::default(), &run)
+                .unwrap_err();
             assert!(
                 matches!(
                     err,
                     RuntimeError::WorkerFailed { worker, epoch: 1, cause: FailureCause::Hung }
                         if worker == hung
                 ),
-                "{sync:?}, {hung_workers:?} hung: unexpected error {err:?}"
+                "{hung_workers:?} hung: unexpected error {err:?}"
             );
             // Every thread has been joined: the peers gave up after their
             // whole budget, not before it, and the hung worker right after
             // them.
             let took = t0.elapsed();
-            assert!(took >= budget, "{sync:?}, {hung_workers:?} hung: {took:?}");
-            assert!(took < Duration::from_secs(5), "{sync:?}, {hung_workers:?} hung: {took:?}");
-        }
-    }
-
-    #[test]
-    fn send_schedule_and_enqueue_path_do_not_change_numerics_or_bytes() {
-        let ds = small_dataset();
-        // Four workers: workers 1 and 2 send in a different order under
-        // ring and ascending schedules, and masters with mirrors on
-        // several peers accumulate gradients from all of them.
-        let plans = plans_for(&ds, 4);
-        let model =
-            GnnModel::two_layer(ModelKind::Gcn, ds.feature_dim(), 16, ds.num_classes, 3);
-        let train = |on: bool| {
-            let cfg = ExecConfig { ring_order: on, lock_free: on, ..Default::default() };
-            train_epochs_run(&ds, &model, &plans, 3, &cfg, &RunState::default()).unwrap()
-        };
-        let (on, on_store, _, on_rm) = train(true);
-        let (off, off_store, _, off_rm) = train(false);
-        for (a, b) in on.iter().zip(off.iter()) {
-            assert_eq!(a.loss.to_bits(), b.loss.to_bits(), "{} vs {}", a.loss, b.loss);
-        }
-        for ((_, _, a), (_, _, b)) in on_store.iter().zip(off_store.iter()) {
-            assert_eq!(a.data(), b.data(), "accumulation order must not follow send order");
-        }
-        for (w, frame) in &on_rm.frames {
-            let bytes = frame.counter("net.sent.bytes");
-            assert!(bytes > 0);
-            assert_eq!(bytes, off_rm.frames[w].counter("net.sent.bytes"), "worker {w}");
+            assert!(took >= budget, "{hung_workers:?} hung: {took:?}");
+            assert!(took < Duration::from_secs(5), "{hung_workers:?} hung: {took:?}");
         }
     }
 

@@ -20,10 +20,9 @@
 //!   `bytes/m` messages.
 
 use ns_net::sim::TaskId;
-use ns_net::{ExecOptions, TaskGraph};
+use ns_net::{ExecOptions, SyncMode, TaskGraph};
 
 use crate::cost::LayerFlops;
-use crate::exec::SyncMode;
 use crate::plan::WorkerPlan;
 
 /// Task-graph construction options.
@@ -447,7 +446,7 @@ mod tests {
             &f.dims,
             &f.flops,
             big_model_bytes,
-            &TgConfig { sync: crate::exec::SyncMode::ParameterServer, ..TgConfig::default() },
+            &TgConfig { sync: SyncMode::ParameterServer, ..TgConfig::default() },
         );
         // Total bytes match (2(m-1)·B both ways), but PS serializes all
         // of it through the server's NIC.

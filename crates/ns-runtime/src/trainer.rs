@@ -9,11 +9,11 @@ use ns_metrics::RunMetrics;
 use ns_net::fault::FaultPlan;
 use ns_net::membership::MembershipEvent;
 use ns_net::sim::{simulate, ResourceKind, SimReport};
-use ns_net::{ClusterSpec, ExecOptions};
+use ns_net::{ClusterSpec, ExecOptions, SyncMode};
 
 use crate::cost::{probe_threaded, CostFactors};
 use crate::error::{Result, RuntimeError};
-use crate::exec::{SyncMode, DEFAULT_RECV_TIMEOUT_MS};
+use crate::exec::DEFAULT_RECV_TIMEOUT_MS;
 use crate::hybrid::{partition_dependencies, HybridConfig, HybridInfo};
 use crate::memory::check_device_fit;
 use crate::plan::{build_plans, DepDecision, WorkerPlan};
@@ -71,7 +71,8 @@ pub struct TrainerConfig {
     pub vertex_weight: VertexWeight,
     /// Modeled cluster.
     pub cluster: ClusterSpec,
-    /// System-optimization toggles (ring / lock-free / overlap).
+    /// System-optimization toggles (ring / lock-free / overlap): inputs of
+    /// the simulated epoch only; the executor always runs all three.
     pub opts: ExecOptions,
     /// Adam's learning rate.
     pub lr: f32,
@@ -79,7 +80,8 @@ pub struct TrainerConfig {
     pub hybrid: HybridConfig,
     /// ROC-like whole-partition broadcast (used by the baselines crate).
     pub broadcast_full_partition: bool,
-    /// Gradient synchronization strategy.
+    /// Gradient synchronization pattern of the simulated epoch (the
+    /// executor always runs the ring all-reduce).
     pub sync: SyncMode,
     /// Enforce the projected device-memory check (on by default; the
     /// engine-equivalence tests disable it to run any engine anywhere).
@@ -624,6 +626,34 @@ mod tests {
             hybrid <= cache.max(comm) * 1.05,
             "hybrid {hybrid} vs cache {cache} / comm {comm}"
         );
+    }
+
+    #[test]
+    fn ablation_inputs_price_the_simulated_epoch_and_leave_training_untouched() {
+        let ds = dataset();
+        let m = model(&ds);
+        // Four workers, so the ring and ascending send orders differ, and
+        // the parameter server would sum in another order than the ring.
+        let full = Trainer::prepare(&ds, &m, cfg(EngineKind::DepComm, 4)).unwrap();
+        let mut c = cfg(EngineKind::DepComm, 4);
+        c.opts = ExecOptions::none();
+        c.sync = SyncMode::ParameterServer;
+        let raw = Trainer::prepare(&ds, &m, c).unwrap();
+        let (a, b) = (full.train(3).unwrap(), raw.train(3).unwrap());
+        assert_eq!(a.epochs.len(), b.epochs.len());
+        for (x, y) in a.epochs.iter().zip(&b.epochs) {
+            assert_eq!(x.loss.to_bits(), y.loss.to_bits(), "epoch {}", x.epoch);
+        }
+        for ((_, _, x), (_, _, y)) in a.final_params.iter().zip(b.final_params.iter()) {
+            assert_eq!(x.data(), y.data());
+        }
+        for w in a.metrics.worker_ids() {
+            let bytes = |r: &TrainingReport| r.metrics.frames[&w].counter("net.sent.bytes");
+            assert!(bytes(&a) > 0);
+            assert_eq!(bytes(&a), bytes(&b), "worker {w}");
+        }
+        let (fast, slow) = (full.simulate_epoch(), raw.simulate_epoch());
+        assert_ne!(fast.epoch_seconds, slow.epoch_seconds);
     }
 
     /// twitter's shape: R-MAT skew, 52 -> 32 -> 16.

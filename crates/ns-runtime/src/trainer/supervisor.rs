@@ -116,12 +116,7 @@ impl<'t, 'a> Supervisor<'t, 'a> {
         };
         Ok(Self {
             trainer,
-            exec_cfg: ExecConfig {
-                lr: cfg.lr,
-                ring_order: cfg.opts.ring,
-                lock_free: cfg.opts.lock_free,
-                sync: cfg.sync,
-            },
+            exec_cfg: ExecConfig { lr: cfg.lr },
             epochs,
             cadence,
             max_restarts,
