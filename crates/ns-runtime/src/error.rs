@@ -60,18 +60,6 @@ pub enum RuntimeError {
         /// Root cause.
         cause: FailureCause,
     },
-    /// Gradient synchronization (the ring all-reduce) timed out
-    /// past the receive deadline — the signature of a wedged (not dead) peer.
-    SyncTimeout {
-        /// The worker whose sync stalled.
-        worker: usize,
-        /// Epoch of the stall.
-        epoch: usize,
-        /// The peer that never answered.
-        peer: usize,
-        /// Milliseconds waited: the receive deadline.
-        waited_ms: u64,
-    },
     /// A checkpoint could not be restored during recovery.
     CheckpointCorrupt(String),
     /// The durable checkpoint store failed to persist a generation (disk
@@ -102,11 +90,6 @@ impl std::fmt::Display for RuntimeError {
             RuntimeError::WorkerFailed { worker, epoch, cause } => {
                 write!(f, "worker {worker} failed at epoch {epoch}: {cause}")
             }
-            RuntimeError::SyncTimeout { worker, epoch, peer, waited_ms } => write!(
-                f,
-                "worker {worker}: gradient sync with peer {peer} timed out at epoch \
-                 {epoch} after {waited_ms} ms"
-            ),
             RuntimeError::CheckpointCorrupt(msg) => {
                 write!(f, "checkpoint restore failed: {msg}")
             }
@@ -154,10 +137,5 @@ mod tests {
         assert!(s.contains("worker 2"), "{s}");
         assert!(s.contains("epoch 3"), "{s}");
         assert!(s.contains("peer 1 disconnected"), "{s}");
-
-        let t = RuntimeError::SyncTimeout { worker: 0, epoch: 1, peer: 2, waited_ms: 1500 }
-            .to_string();
-        assert!(t.contains("peer 2"), "{t}");
-        assert!(t.contains("1500 ms"), "{t}");
     }
 }

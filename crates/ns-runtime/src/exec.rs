@@ -29,8 +29,8 @@
 //! typed failure, the coordinator drains and joins *all* threads (a
 //! failed worker drops its endpoint, which cascades disconnects through
 //! the mesh and unblocks every survivor), and the root-cause failure
-//! surfaces as [`RuntimeError::WorkerFailed`] /
-//! [`RuntimeError::SyncTimeout`].
+//! surfaces as [`RuntimeError::WorkerFailed`] (a receive timeout in
+//! the all-reduce included, which recovery rolls back like any other).
 //! Deterministic fault injection and checkpoint-resume state ride in
 //! [`RunState`].
 
@@ -179,7 +179,6 @@ struct WorkerFailure {
     worker: usize,
     epoch: usize,
     cause: FailureCause,
-    in_sync: bool,
 }
 
 type WorkerResult<T> = std::result::Result<T, WorkerFailure>;
@@ -490,8 +489,8 @@ impl<'a> Worker<'a> {
         Duration::from_millis(self.run.recv_timeout_ms)
     }
 
-    fn fail(&self, cause: FailureCause, in_sync: bool) -> WorkerFailure {
-        WorkerFailure { worker: self.ep.id(), epoch: self.ep.epoch(), cause, in_sync }
+    fn fail(&self, cause: FailureCause) -> WorkerFailure {
+        WorkerFailure { worker: self.ep.id(), epoch: self.ep.epoch(), cause }
     }
 
     /// The training loop over all epochs, reporting each to the coordinator.
@@ -523,7 +522,7 @@ impl<'a> Worker<'a> {
         if self.run.fault.kill_epoch(me) == Some(abs_epoch) {
             // Injected crash: return without sending anything this epoch.
             // Dropping the endpoint disconnects every peer channel.
-            return Err(self.fail(FailureCause::Killed, false));
+            return Err(self.fail(FailureCause::Killed));
         }
         if self.run.fault.hang_epoch(me) == Some(abs_epoch) {
             // Injected hang: go silent with the endpoint still open, so no
@@ -537,7 +536,7 @@ impl<'a> Worker<'a> {
             for peer in (0..self.ep.world()).filter(|&p| !hung(p)) {
                 while self.ep.recv_from(peer).is_ok() {}
             }
-            return Err(self.fail(FailureCause::Hung, false));
+            return Err(self.fail(FailureCause::Hung));
         }
         Ok(())
     }
@@ -581,7 +580,7 @@ impl<'a> Worker<'a> {
             || grads.iter().any(|g| g.data().iter().any(|v| !v.is_finite()))
         {
             self.rec.incr("guard.nan_events", 1);
-            return Err(self.fail(FailureCause::Diverged, false));
+            return Err(self.fail(FailureCause::Diverged));
         }
         self.opt_step(&grads);
         self.export_epoch_meters();
@@ -618,7 +617,7 @@ impl<'a> Worker<'a> {
         self.rec.incr("dep.rows.local", lp.local_src.len() as u64);
         self.rec.incr("dep.rows.fetched", lp.recv_row_count() as u64);
         let _span = span!(self.rec, Phase::FwdComm, l);
-        let net = |e| self.fail(FailureCause::Net(e), false);
+        let net = |e| self.fail(FailureCause::Net(e));
         self.push(Dir::Fwd, l, act).map_err(net)?;
         // Scratch, not zeros: `plan::validate_plans` proves every input row
         // is written exactly once, by the local copy below or by `pull`.
@@ -678,7 +677,7 @@ impl<'a> Worker<'a> {
     /// rows join them in the previous layer's output gradient.
     fn bwd_comm(&self, l: usize, input_grad: &Tensor) -> WorkerResult<Tensor> {
         let _span = span!(self.rec, Phase::BwdComm, l);
-        let net = |e| self.fail(FailureCause::Net(e), false);
+        let net = |e| self.fail(FailureCause::Net(e));
         self.push(Dir::Bwd, l, input_grad).map_err(net)?;
         let prev_rows = self.plan.layers[l - 1].compute.len();
         // Zeros, unlike `fwd_comm`: gradient rows accumulate into it.
@@ -694,7 +693,7 @@ impl<'a> Worker<'a> {
     fn sync_wait(&self, grads: &mut [Tensor]) -> WorkerResult<()> {
         let _span = span!(self.rec, Phase::SyncWait);
         ring_allreduce(self.ep, self.recv_budget(), self.rec, grads)
-            .map_err(|e| self.fail(FailureCause::Net(e), true))
+            .map_err(|e| self.fail(FailureCause::Net(e)))
     }
 
     /// The identical optimizer step every replica applies.
@@ -902,16 +901,6 @@ pub(crate) fn run_workers(
         }
         if let Some(root) = root_failure(&failures) {
             return Err(match &root.cause {
-                FailureCause::Net(NetError::RecvTimeout { peer, waited_ms })
-                    if root.in_sync =>
-                {
-                    RuntimeError::SyncTimeout {
-                        worker: root.worker,
-                        epoch: root.epoch,
-                        peer: *peer,
-                        waited_ms: *waited_ms,
-                    }
-                }
                 FailureCause::Diverged => {
                     RuntimeError::Diverged { worker: root.worker, epoch: root.epoch }
                 }

@@ -12,22 +12,18 @@ use ns_net::policy::{BreakerState, BreakerStats, CircuitBreaker};
 use ns_net::sim::{ResourceKind, SimReport};
 use ns_net::{Endpoint, NetStats, KIND_NAMES};
 
-/// Resource label for each slot of `SimReport::busy[worker]`, matching
-/// the track names the trace sink renders.
-const RESOURCE_NAMES: [&str; 3] = ["device", "nic_out", "nic_in"];
-
 /// Converts a simulator report's busy intervals into trace spans on the
-/// modeled clock (microseconds). One span per busy interval, labeled
-/// `"device"`, `"nic_out"`, or `"nic_in"`, suitable for
+/// modeled clock (microseconds). One span per busy interval, labeled with
+/// its [`ResourceKind::name`], suitable for
 /// [`ns_metrics::RunMetrics::sim_spans`].
 pub fn sim_spans(report: &SimReport) -> Vec<SimSpan> {
     let mut out = Vec::new();
     for (worker, resources) in report.busy.iter().enumerate() {
-        for (ridx, intervals) in resources.iter().enumerate() {
+        for (kind, intervals) in ResourceKind::ALL.into_iter().zip(resources) {
             for &(start, end) in intervals {
                 out.push(SimSpan {
                     worker,
-                    resource: RESOURCE_NAMES[ridx],
+                    resource: kind.name(),
                     start_us: start * 1e6,
                     end_us: end * 1e6,
                 });
@@ -201,7 +197,6 @@ mod tests {
                 [vec![(0.0, 1.0)], vec![(0.5, 1.0)], vec![(1.0, 1.5)]],
                 [vec![(0.0, 2.0)], vec![], vec![(0.5, 1.0)]],
             ],
-            bytes_in: vec![vec![], vec![]],
         }
     }
 

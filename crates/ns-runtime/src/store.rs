@@ -30,11 +30,11 @@
 //! header metadata, either CRC, or payload — is always detected at load
 //! time; the torn-write tests assert this exhaustively.
 //!
-//! Writes are atomic: the generation is written to a temp file, `fsync`ed,
-//! renamed into place, the `MANIFEST` (one generation filename per line,
-//! oldest first) is rewritten the same way, and the directory is synced.
-//! A crash at any point leaves either the old state or the new state,
-//! never a half-written generation that the manifest points at.
+//! Writes are atomic: the generation is written to a `.tmp-` file,
+//! `fsync`ed, renamed into place, and the directory is synced. The
+//! directory is the generation list: a crash at any point leaves either
+//! the old state or the new state, and a half-written generation exists
+//! only under its `.tmp-` name, which is never read as a generation.
 //!
 //! Loads walk generations newest → oldest and *skip* any generation that
 //! is truncated, fails a CRC or does not decode, counting each skip as a
@@ -58,7 +58,6 @@ pub const SCHEMA_VERSION: u32 = 1;
 /// Fixed size of the generation header, bytes.
 pub const HEADER_BYTES: usize = 40;
 
-const MANIFEST: &str = "MANIFEST";
 const FLAG_HAS_OPT: u32 = 1;
 /// POSIX "no space left on device".
 const ENOSPC: i32 = 28;
@@ -112,7 +111,7 @@ pub struct SaveReceipt {
     pub path: PathBuf,
     /// Size of the generation file, bytes.
     pub bytes: u64,
-    /// Wall time spent in `fsync` calls (file, manifest, directory).
+    /// Wall time spent in `fsync` calls (file, directory).
     pub fsync_ns: u64,
     /// Extra wall time charged by an injected slow-disk fault.
     pub slow_penalty_ns: u64,
@@ -171,21 +170,18 @@ impl CheckpointStore {
     /// already present.
     pub fn open(dir: &Path, keep: usize) -> io::Result<Self> {
         fs::create_dir_all(dir)?;
-        let mut next_gen = 0;
-        for entry in fs::read_dir(dir)? {
-            if let Some(seq) = parse_gen_seq(&entry?.file_name().to_string_lossy()) {
-                next_gen = next_gen.max(seq + 1);
-            }
-        }
-        Ok(Self {
+        let mut store = Self {
             dir: dir.to_path_buf(),
             keep: keep.max(1),
-            next_gen,
+            next_gen: 0,
             injected_full: false,
             injected_hard: false,
             slow_factor: 1.0,
             squeezed: false,
-        })
+        };
+        let newest = store.generations()?.pop();
+        store.next_gen = newest.and_then(|n| parse_gen_seq(&n)).map_or(0, |seq| seq + 1);
+        Ok(store)
     }
 
     /// Root directory of the store.
@@ -212,7 +208,7 @@ impl CheckpointStore {
     /// Persists `ckpt` as the next generation and prunes past the
     /// retention depth. The payload and its CRC are the checkpoint's own;
     /// only the header is checksummed here. The write is atomic (temp
-    /// file → fsync → rename → manifest rewrite → directory sync).
+    /// file → fsync → rename → directory sync).
     pub fn save(&mut self, ckpt: &Checkpoint, world: usize) -> io::Result<SaveReceipt> {
         // Injected disk-full window: refuse the write with the same error
         // a real full filesystem produces, until the retention squeeze
@@ -228,8 +224,8 @@ impl CheckpointStore {
         let name = gen_name(self.next_gen, ckpt.next_epoch);
         let final_path = self.dir.join(&name);
         let tmp_path = self.dir.join(format!(".tmp-{name}"));
-        // Snapshot the generation list before the rename so the
-        // directory-scan fallback cannot double-count the new file.
+        // Snapshot the generation list before the rename so it cannot
+        // count the new file twice.
         let mut gens = self.generations()?;
         let mut fsync_ns = 0u64;
         {
@@ -246,14 +242,13 @@ impl CheckpointStore {
         fs::rename(&tmp_path, &final_path)?;
         self.next_gen += 1;
 
-        // Retention + manifest: keep the newest `keep` generations.
+        // Retention: keep the newest `keep` generations.
         gens.push(name);
         while gens.len() > self.keep {
             let evicted = gens.remove(0);
             // Best-effort: a missing file must not fail the save.
             let _ = fs::remove_file(self.dir.join(evicted));
         }
-        fsync_ns += self.write_manifest(&gens)?;
         fsync_ns += timed_sync(&File::open(&self.dir)?)?;
 
         // Injected slow disk: charge the extra fsync latency for real (so
@@ -325,43 +320,18 @@ impl CheckpointStore {
         self.keep = 1;
         self.squeezed = true;
         let mut gens = self.generations()?;
-        if gens.len() > 1 {
-            let keep_newest = gens.split_off(gens.len() - 1);
-            for evicted in gens {
-                let _ = fs::remove_file(self.dir.join(evicted));
-            }
-            self.write_manifest(&keep_newest)?;
+        gens.pop();
+        for evicted in gens {
+            let _ = fs::remove_file(self.dir.join(evicted));
         }
         Ok(())
     }
 
-    /// Generation filenames in manifest order (oldest first). Falls back
-    /// to a directory scan when the manifest is missing or unreadable.
+    /// Generation filenames, oldest first: the directory's `gen-*.ckpt`
+    /// files, whose zero-padded sequence numbers sort by name. Anything
+    /// else in the directory (`.tmp-` staging files, an older build's
+    /// `MANIFEST`) is ignored.
     pub fn generations(&self) -> io::Result<Vec<String>> {
-        match fs::read_to_string(self.dir.join(MANIFEST)) {
-            Ok(text) => {
-                // A corrupt manifest (garbage lines, no valid generation
-                // names) must not hide generations that are on disk:
-                // ignore unparseable lines and rescue via directory scan
-                // when nothing valid remains.
-                let names: Vec<String> = text
-                    .lines()
-                    .map(str::to_owned)
-                    .filter(|l| parse_gen_seq(l).is_some())
-                    .collect();
-                if names.is_empty() {
-                    self.scan_generations()
-                } else {
-                    Ok(names)
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => self.scan_generations(),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Directory-scan fallback for a missing or corrupt manifest.
-    fn scan_generations(&self) -> io::Result<Vec<String>> {
         let mut names: Vec<String> = fs::read_dir(&self.dir)?
             .filter_map(|e| e.ok())
             .map(|e| e.file_name().to_string_lossy().into_owned())
@@ -411,19 +381,6 @@ impl CheckpointStore {
         Ok(true)
     }
 
-    fn write_manifest(&self, gens: &[String]) -> io::Result<u64> {
-        let tmp = self.dir.join(".tmp-manifest");
-        let mut fsync_ns = 0;
-        {
-            let mut f = File::create(&tmp)?;
-            for name in gens {
-                writeln!(f, "{name}")?;
-            }
-            fsync_ns += timed_sync(&f)?;
-        }
-        fs::rename(&tmp, self.dir.join(MANIFEST))?;
-        Ok(fsync_ns)
-    }
 }
 
 fn gen_name(seq: u64, epoch: usize) -> String {
@@ -709,7 +666,6 @@ mod tests {
                 "{err:?}"
             );
         }
-        fs::remove_file(scratch.0.join(MANIFEST)).unwrap();
         let report = store.load_latest();
         assert_eq!(report.fallbacks, 2);
         assert_eq!(report.checkpoint.unwrap().next_epoch, 2);
@@ -787,29 +743,25 @@ mod tests {
         assert_eq!(store.load_latest().checkpoint.unwrap().next_epoch, 3);
     }
 
+    /// Older builds kept a `MANIFEST` beside the generations, and its
+    /// `.tmp-manifest` staging file after a crash; a store directory that
+    /// still holds both loads and saves as if they were not there.
     #[test]
-    fn missing_manifest_with_generations_present_loads_via_scan() {
-        let scratch = Scratch::new("nomanifest");
-        let mut store = CheckpointStore::open(&scratch.0, 3).unwrap();
+    fn an_older_builds_manifest_is_ignored() {
+        let scratch = Scratch::new("oldmanifest");
+        let mut store = CheckpointStore::open(&scratch.0, 2).unwrap();
         store.save(&Checkpoint::capture(2, &sample_store(), None), 2).unwrap();
         store.save(&Checkpoint::capture(4, &sample_store(), None), 2).unwrap();
-        fs::remove_file(scratch.0.join(MANIFEST)).unwrap();
+        let gens = store.generations().unwrap();
+        fs::write(scratch.0.join("MANIFEST"), format!("{}\n", gens[0])).unwrap();
+        fs::write(scratch.0.join(".tmp-manifest"), "garbage\n").unwrap();
+        let mut store = CheckpointStore::open(&scratch.0, 2).unwrap();
         let report = store.load_latest();
         assert_eq!(report.fallbacks, 0);
         assert_eq!(report.checkpoint.unwrap().next_epoch, 4);
-    }
-
-    #[test]
-    fn corrupt_manifest_with_generations_present_loads_via_scan() {
-        let scratch = Scratch::new("badmanifest");
-        let mut store = CheckpointStore::open(&scratch.0, 3).unwrap();
-        store.save(&Checkpoint::capture(2, &sample_store(), None), 2).unwrap();
-        store.save(&Checkpoint::capture(4, &sample_store(), None), 2).unwrap();
-        fs::write(scratch.0.join(MANIFEST), "garbage\n\u{fffd}\u{fffd}\nnot-a-gen\n")
-            .unwrap();
-        let report = store.load_latest();
-        assert_eq!(report.fallbacks, 0, "scan rescue must not burn fallbacks");
-        assert_eq!(report.checkpoint.unwrap().next_epoch, 4);
+        store.save(&Checkpoint::capture(6, &sample_store(), None), 2).unwrap();
+        assert_eq!(store.generations().unwrap(), vec![gens[1].clone(), gen_name(2, 6)]);
+        assert_eq!(store.load_latest().checkpoint.unwrap().next_epoch, 6);
     }
 
     #[test]

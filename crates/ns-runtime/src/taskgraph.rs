@@ -16,49 +16,33 @@
 //!   chunks ('R' slots in Fig. 8) and already-arrived chunks execute while
 //!   later chunks are in flight (disabled: a barrier separates each
 //!   layer's communication from all of its computation);
+//! * **lock-free enqueue** — disabled, the graph records a locked enqueue
+//!   ([`TaskGraph::locked_enqueue`]) and the simulator prices every send's
+//!   host-side work at the slower rate;
 //! * **ring all-reduce** of parameter gradients, `2(m-1)` rounds of
-//!   `bytes/m` messages.
+//!   `bytes/m` messages (or a parameter server's push and pull).
 
 use ns_net::sim::TaskId;
-use ns_net::{ExecOptions, SyncMode, TaskGraph};
+use ns_net::{SyncMode, TaskGraph};
 
 use crate::cost::LayerFlops;
 use crate::plan::WorkerPlan;
-
-/// Task-graph construction options.
-#[derive(Debug, Clone)]
-pub struct TgConfig {
-    /// Ring / lock-free / overlap toggles (lock-free only affects the
-    /// simulator's cost table, but is carried here for completeness).
-    pub opts: ExecOptions,
-    /// ROC-like communication: each worker ships its *entire* partition's
-    /// representations to every peer instead of the per-receiver chunks
-    /// ("the ROC worker does not differentiate the output messages with
-    /// various destinations and sends the whole messages block to all
-    /// workers", §5.3).
-    pub broadcast_full_partition: bool,
-    /// Gradient synchronization pattern.
-    pub sync: SyncMode,
-}
-
-impl Default for TgConfig {
-    fn default() -> Self {
-        Self {
-            opts: ExecOptions::all(),
-            broadcast_full_partition: false,
-            sync: SyncMode::AllReduce,
-        }
-    }
-}
+use crate::trainer::TrainerConfig;
 
 fn row_bytes(dim: usize) -> u64 {
     (4 * dim + 4) as u64
 }
 
+/// FLOPs of `n` units at `per_unit` each; at least 1, so every task costs
+/// a kernel launch.
+fn work(n: usize, per_unit: f64) -> u64 {
+    ((n as f64 * per_unit) as u64).max(1)
+}
+
 /// Per-(worker, layer) classification of edges by the origin of their
 /// source row: `counts[0]` = locally available rows, `counts[j + 1]` =
 /// rows received from peer `j`.
-fn edge_origin_counts(plan: &WorkerPlan, lz: usize, m: usize) -> Vec<u64> {
+fn edge_origin_counts(plan: &WorkerPlan, lz: usize, m: usize) -> Vec<usize> {
     let lp = &plan.layers[lz];
     let mut origin = vec![0u16; lp.input_ids.len()];
     for (j, rows) in lp.recv_rows.iter().enumerate() {
@@ -66,14 +50,16 @@ fn edge_origin_counts(plan: &WorkerPlan, lz: usize, m: usize) -> Vec<u64> {
             origin[r as usize] = (j + 1) as u16;
         }
     }
-    let mut counts = vec![0u64; m + 1];
+    let mut counts = vec![0; m + 1];
     for &s in lp.topo.edge_src.iter() {
         counts[origin[s as usize] as usize] += 1;
     }
     counts
 }
 
-/// Builds the full task DAG for one training epoch.
+/// Builds the full task DAG for one training epoch: the schedule
+/// `cfg.opts`, `cfg.sync` and `cfg.broadcast_full_partition` describe,
+/// with the enqueue discipline recorded in the graph.
 ///
 /// `dims` are the model's layer widths; `flops[lz]` the probed per-unit
 /// FLOP factors; `param_bytes` the size of one parameter-gradient
@@ -83,162 +69,128 @@ pub fn build_epoch_task_graph(
     dims: &[usize],
     flops: &[LayerFlops],
     param_bytes: u64,
-    cfg: &TgConfig,
+    cfg: &TrainerConfig,
 ) -> TaskGraph {
     let m = plans.len();
     let num_layers = plans[0].layers.len();
     let mut g = TaskGraph::new();
-
-    // fwd_done[i] = task producing worker i's current layer output.
-    let mut layer_done: Vec<Option<TaskId>> = vec![None; m];
-    // Keep per-layer send tasks so receivers can depend on them.
-    let mut fwd_outputs: Vec<Option<TaskId>> = vec![None; m];
-
-    for lz in 0..num_layers {
-        let d_in = dims[lz];
-        // 1. Sends (master -> mirror row sync), in ring or naive order.
-        let mut send_task = vec![vec![None::<TaskId>; m]; m];
-        for i in 0..m {
-            let deps = layer_done[i].map(|t| vec![t]).unwrap_or_default();
-            let order: Vec<usize> = if cfg.opts.ring {
+    g.locked_enqueue = !cfg.opts.lock_free;
+    // Worker i's peers in send order: the ring's i+1, i+2, …, or ascending,
+    // so every worker targets worker 0 first.
+    let order: Vec<Vec<usize>> = (0..m)
+        .map(|i| {
+            if cfg.opts.ring {
                 (1..m).map(|k| (i + k) % m).collect()
             } else {
                 (0..m).filter(|&j| j != i).collect()
-            };
-            for j in order {
-                let bytes = if cfg.broadcast_full_partition {
-                    // Whole-block transfer whenever anything at all moves
-                    // this layer.
-                    if plans[i].layers[lz].send_ids.iter().all(Vec::is_empty) {
-                        continue;
-                    }
-                    plans[i].owned.len() as u64 * row_bytes(d_in)
-                } else {
-                    let rows = plans[i].layers[lz].send_ids[j].len();
-                    if rows == 0 {
-                        continue;
-                    }
-                    rows as u64 * row_bytes(d_in)
-                };
-                send_task[i][j] = Some(g.send(i, j, bytes, deps.clone()));
+            }
+        })
+        .collect();
+    // counts[lz][i]: worker i's layer-lz edges by origin.
+    let counts: Vec<Vec<Vec<usize>>> = (0..num_layers)
+        .map(|lz| plans.iter().map(|p| edge_origin_counts(p, lz, m)).collect())
+        .collect();
+    // Rows a worker sends peer `j`: its chunk of `per_peer`, or, ROC-like,
+    // its whole `block` whenever anything at all moves this layer ("the ROC
+    // worker does not differentiate the output messages with various
+    // destinations and sends the whole messages block to all workers",
+    // §5.3).
+    let rows_to = |per_peer: &[Vec<u32>], j: usize, block: usize| {
+        if !cfg.broadcast_full_partition {
+            per_peer[j].len()
+        } else if per_peer.iter().all(Vec::is_empty) {
+            0
+        } else {
+            block
+        }
+    };
+
+    // done[i]: the task producing worker i's current layer output.
+    let mut done: Vec<Vec<TaskId>> = vec![Vec::new(); m];
+    for lz in 0..num_layers {
+        let f = &flops[lz];
+        // 1. Sends (master -> mirror row sync).
+        let mut sent = vec![vec![None::<TaskId>; m]; m];
+        for i in 0..m {
+            let lp = &plans[i].layers[lz];
+            for &j in &order[i] {
+                let rows = rows_to(&lp.send_ids, j, plans[i].owned.len());
+                if rows > 0 {
+                    let bytes = rows as u64 * row_bytes(dims[lz]);
+                    sent[i][j] = Some(g.send(i, j, bytes, done[i].clone()));
+                }
             }
         }
 
         // 2. Per-chunk compute, then the vertex function.
+        let mut next = Vec::with_capacity(m);
         for i in 0..m {
-            let lp = &plans[i].layers[lz];
-            let counts = edge_origin_counts(&plans[i], lz, m);
-            let base_dep = layer_done[i].map(|t| vec![t]).unwrap_or_default();
-
-            // Without overlap: one barrier after all of this worker's
-            // incoming transfers; every chunk waits for it.
-            let comm_barrier = if cfg.opts.overlap {
-                None
-            } else {
-                let incoming: Vec<TaskId> = (0..m)
-                    .filter_map(|j| send_task[j][i])
-                    .chain(base_dep.iter().copied())
-                    .collect();
-                Some(g.barrier(incoming))
-            };
-
+            let c = &counts[lz][i];
+            // Without overlap, one barrier after all of this worker's
+            // incoming transfers gates every chunk.
+            let barrier = (!cfg.opts.overlap).then(|| {
+                let incoming = (0..m).filter_map(|j| sent[j][i]);
+                g.barrier(incoming.chain(done[i].iter().copied()).collect())
+            });
+            let gate = |own: Vec<TaskId>| barrier.map_or(own, |b| vec![b]);
             let mut chunks = Vec::new();
             // Local chunk (DepCache rows and own-partition rows).
-            if counts[0] > 0 {
-                let deps = match comm_barrier {
-                    Some(b) => vec![b],
-                    None => base_dep.clone(),
-                };
-                let f = (counts[0] as f64 * flops[lz].edge_fwd) as u64;
-                chunks.push(g.compute_sparse(i, f.max(1), deps));
+            if c[0] > 0 {
+                chunks.push(g.compute_sparse(i, work(c[0], f.edge_fwd), gate(done[i].clone())));
             }
             // One chunk per sending peer.
-            for j in 0..m {
-                if counts[j + 1] == 0 {
-                    continue;
-                }
-                let deps = match comm_barrier {
-                    Some(b) => vec![b],
-                    None => send_task[j][i].map(|t| vec![t]).unwrap_or_default(),
-                };
-                let f = (counts[j + 1] as f64 * flops[lz].edge_fwd) as u64;
-                chunks.push(g.compute_sparse(i, f.max(1), deps));
+            for j in (0..m).filter(|&j| c[j + 1] > 0) {
+                let deps = gate(sent[j][i].into_iter().collect());
+                chunks.push(g.compute_sparse(i, work(c[j + 1], f.edge_fwd), deps));
             }
-            let vf = (lp.compute.len() as f64 * flops[lz].vertex_fwd) as u64;
-            let vertex = g.compute(i, vf.max(1), chunks);
-            fwd_outputs[i] = Some(vertex);
+            let vertex_fwd = work(plans[i].layers[lz].compute.len(), f.vertex_fwd);
+            next.push(vec![g.compute(i, vertex_fwd, chunks)]);
         }
-        layer_done.copy_from_slice(&fwd_outputs);
+        done = next;
     }
 
     // Prediction head (loss forward + gradient seed).
-    let mut bwd_seed: Vec<TaskId> = (0..m)
+    let mut seed: Vec<TaskId> = (0..m)
         .map(|i| {
-            let owned = plans[i].owned.len() as u64;
-            let f = owned * (dims[num_layers] as u64) * 8;
-            g.compute(i, f.max(1), vec![layer_done[i].unwrap()])
+            let f = plans[i].owned.len() as u64 * dims[num_layers] as u64 * 8;
+            g.compute(i, f.max(1), done[i].clone())
         })
         .collect();
 
     // Backward sweep (compute-synchronize).
     for lz in (0..num_layers).rev() {
-        let d_in = dims[lz];
-        let mut grad_send = vec![vec![None::<TaskId>; m]; m];
-        let mut local_chunk: Vec<Option<TaskId>> = vec![None; m];
+        let f = &flops[lz];
+        // seed_deps[i]: worker i's local edge-backward and every mirror
+        // gradient it receives; the next (lower) layer's seed waits on them.
+        let mut seed_deps: Vec<Vec<TaskId>> = vec![Vec::new(); m];
         for i in 0..m {
             let lp = &plans[i].layers[lz];
-            let counts = edge_origin_counts(&plans[i], lz, m);
-            let vb = (lp.compute.len() as f64 * flops[lz].vertex_bwd) as u64;
-            let vertex = g.compute(i, vb.max(1), vec![bwd_seed[i]]);
-            if counts[0] > 0 {
-                let f = (counts[0] as f64 * flops[lz].edge_bwd) as u64;
-                local_chunk[i] = Some(g.compute_sparse(i, f.max(1), vec![vertex]));
+            let c = &counts[lz][i];
+            let vertex = g.compute(i, work(lp.compute.len(), f.vertex_bwd), vec![seed[i]]);
+            let local = if c[0] > 0 {
+                g.compute_sparse(i, work(c[0], f.edge_bwd), vec![vertex])
             } else {
-                local_chunk[i] = Some(vertex);
+                vertex
+            };
+            seed_deps[i].push(local);
+            // Gradients of received rows return to their masters
+            // (PostToDepNbr); feature gradients (lz == 0) are unused.
+            if lz == 0 {
+                continue;
             }
-            if lz > 0 {
-                // Gradients of received rows return to their masters
-                // (PostToDepNbr); feature gradients (lz == 0) are unused.
-                let order: Vec<usize> = if cfg.opts.ring {
-                    (1..m).map(|k| (i + k) % m).collect()
-                } else {
-                    (0..m).filter(|&j| j != i).collect()
-                };
-                for j in order {
-                    let rows = if cfg.broadcast_full_partition {
-                        if lp.recv_ids.iter().all(Vec::is_empty) {
-                            continue;
-                        }
-                        lp.input_ids.len()
-                    } else {
-                        lp.recv_ids[j].len()
-                    };
-                    if rows == 0 {
-                        continue;
-                    }
-                    let f = (counts[j + 1].max(1) as f64 * flops[lz].edge_bwd) as u64;
-                    let chunk = g.compute_sparse(i, f.max(1), vec![vertex]);
-                    let bytes = rows as u64 * row_bytes(d_in);
-                    grad_send[i][j] = Some(g.send(i, j, bytes, vec![chunk]));
+            for &j in &order[i] {
+                let rows = rows_to(&lp.recv_ids, j, lp.input_ids.len());
+                if rows > 0 {
+                    let chunk = g.compute_sparse(i, work(c[j + 1].max(1), f.edge_bwd), vec![vertex]);
+                    seed_deps[j].push(g.send(i, j, rows as u64 * row_bytes(dims[lz]), vec![chunk]));
                 }
             }
         }
-        // Next (lower) layer's seed: local edge-backward plus every
-        // incoming mirror gradient.
-        for i in 0..m {
-            let mut deps: Vec<TaskId> = vec![local_chunk[i].unwrap()];
-            for j in 0..m {
-                if let Some(t) = grad_send[j][i] {
-                    deps.push(t);
-                }
-            }
-            bwd_seed[i] = g.barrier(deps);
-        }
+        seed = seed_deps.into_iter().map(|deps| g.barrier(deps)).collect();
     }
 
     // Gradient synchronization + optimizer step.
-    let entry = g.barrier(bwd_seed.clone());
-    let mut prev = entry;
+    let mut prev = g.barrier(seed);
     if m > 1 {
         match cfg.sync {
             SyncMode::AllReduce => {
@@ -279,11 +231,12 @@ mod tests {
     use super::*;
     use crate::cost::probe;
     use crate::plan::{build_plans, DepDecision};
+    use crate::EngineKind;
     use ns_gnn::{GnnModel, ModelKind};
     use ns_graph::generate::rmat;
     use ns_graph::{CsrGraph, Partitioner};
     use ns_net::sim::simulate;
-    use ns_net::ClusterSpec;
+    use ns_net::{ClusterSpec, ExecOptions};
 
     struct Fixture {
         plans_cache: Vec<WorkerPlan>,
@@ -291,7 +244,21 @@ mod tests {
         dims: Vec<usize>,
         flops: Vec<LayerFlops>,
         param_bytes: u64,
-        cluster: ClusterSpec,
+        cfg: TrainerConfig,
+    }
+
+    impl Fixture {
+        fn graph(&self, plans: &[WorkerPlan], cfg: &TrainerConfig) -> TaskGraph {
+            build_epoch_task_graph(plans, &self.dims, &self.flops, self.param_bytes, cfg)
+        }
+
+        fn epoch_s(&self, plans: &[WorkerPlan], cfg: &TrainerConfig) -> f64 {
+            simulate(&self.graph(plans, cfg), &cfg.cluster).makespan
+        }
+
+        fn with_opts(&self, opts: ExecOptions) -> TrainerConfig {
+            TrainerConfig { opts, ..self.cfg.clone() }
+        }
     }
 
     fn fixture() -> Fixture {
@@ -307,20 +274,14 @@ mod tests {
             dims: model.dims().to_vec(),
             flops: costs.flops.clone(),
             param_bytes: model.gradient_bytes(),
-            cluster,
+            cfg: TrainerConfig::new(EngineKind::DepComm, cluster),
         }
     }
 
     #[test]
     fn depcache_graph_moves_only_allreduce_bytes() {
         let f = fixture();
-        let tg = build_epoch_task_graph(
-            &f.plans_cache,
-            &f.dims,
-            &f.flops,
-            f.param_bytes,
-            &TgConfig::default(),
-        );
+        let tg = f.graph(&f.plans_cache, &f.cfg);
         let allreduce = 2 * 3 * 4 * (f.param_bytes / 4).max(1);
         assert_eq!(tg.total_bytes(), allreduce);
     }
@@ -328,20 +289,8 @@ mod tests {
     #[test]
     fn depcomm_graph_moves_dependency_bytes() {
         let f = fixture();
-        let tg = build_epoch_task_graph(
-            &f.plans_comm,
-            &f.dims,
-            &f.flops,
-            f.param_bytes,
-            &TgConfig::default(),
-        );
-        let tg_cache = build_epoch_task_graph(
-            &f.plans_cache,
-            &f.dims,
-            &f.flops,
-            f.param_bytes,
-            &TgConfig::default(),
-        );
+        let tg = f.graph(&f.plans_comm, &f.cfg);
+        let tg_cache = f.graph(&f.plans_cache, &f.cfg);
         assert!(tg.total_bytes() > tg_cache.total_bytes());
         // But DepCache burns more FLOPs (replicas).
         assert!(tg_cache.total_flops() > tg.total_flops());
@@ -351,57 +300,23 @@ mod tests {
     fn simulated_epochs_complete_for_both_engines() {
         let f = fixture();
         for plans in [&f.plans_cache, &f.plans_comm] {
-            let tg = build_epoch_task_graph(
-                plans,
-                &f.dims,
-                &f.flops,
-                f.param_bytes,
-                &TgConfig::default(),
-            );
-            let rep = simulate(&tg, &f.cluster, &ExecOptions::all());
-            assert!(rep.makespan > 0.0);
+            assert!(f.epoch_s(plans, &f.cfg) > 0.0);
         }
     }
 
     #[test]
     fn overlap_speeds_up_depcomm() {
         let f = fixture();
-        let mk = |overlap: bool| {
-            let cfg = TgConfig {
-                opts: ExecOptions { overlap, ..ExecOptions::all() },
-                ..TgConfig::default()
-            };
-            let tg = build_epoch_task_graph(
-                &f.plans_comm,
-                &f.dims,
-                &f.flops,
-                f.param_bytes,
-                &cfg,
-            );
-            simulate(&tg, &f.cluster, &ExecOptions::all()).makespan
-        };
+        let mk = |overlap| f.epoch_s(&f.plans_comm, &f.with_opts(ExecOptions { overlap, ..ExecOptions::all() }));
         let with = mk(true);
         let without = mk(false);
-        assert!(
-            with < without,
-            "overlap {with} should beat barrier {without}"
-        );
+        assert!(with < without, "overlap {with} should beat barrier {without}");
     }
 
     #[test]
     fn ring_order_beats_naive_order_under_incast() {
         let f = fixture();
-        let mk = |ring: bool| {
-            let opts = ExecOptions { ring, ..ExecOptions::all() };
-            let tg = build_epoch_task_graph(
-                &f.plans_comm,
-                &f.dims,
-                &f.flops,
-                f.param_bytes,
-                &TgConfig { opts, ..TgConfig::default() },
-            );
-            simulate(&tg, &f.cluster, &opts).makespan
-        };
+        let mk = |ring| f.epoch_s(&f.plans_comm, &f.with_opts(ExecOptions { ring, ..ExecOptions::all() }));
         let ring = mk(true);
         let naive = mk(false);
         assert!(ring <= naive, "ring {ring} vs naive {naive}");
@@ -410,20 +325,9 @@ mod tests {
     #[test]
     fn broadcast_mode_moves_more_bytes() {
         let f = fixture();
-        let chunked = build_epoch_task_graph(
-            &f.plans_comm,
-            &f.dims,
-            &f.flops,
-            f.param_bytes,
-            &TgConfig::default(),
-        );
-        let broadcast = build_epoch_task_graph(
-            &f.plans_comm,
-            &f.dims,
-            &f.flops,
-            f.param_bytes,
-            &TgConfig { broadcast_full_partition: true, ..TgConfig::default() },
-        );
+        let chunked = f.graph(&f.plans_comm, &f.cfg);
+        let cfg = TrainerConfig { broadcast_full_partition: true, ..f.cfg.clone() };
+        let broadcast = f.graph(&f.plans_comm, &cfg);
         assert!(broadcast.total_bytes() > chunked.total_bytes());
     }
 
@@ -433,46 +337,24 @@ mod tests {
         // Bandwidth regime (large model): ring's per-round chunks spread
         // across all NICs; PS funnels everything through the server. (For
         // tiny latency-bound payloads PS can win — fewer rounds.)
-        let big_model_bytes = f.param_bytes * 1000;
-        let ring = build_epoch_task_graph(
-            &f.plans_cache,
-            &f.dims,
-            &f.flops,
-            big_model_bytes,
-            &TgConfig::default(),
-        );
-        let ps = build_epoch_task_graph(
-            &f.plans_cache,
-            &f.dims,
-            &f.flops,
-            big_model_bytes,
-            &TgConfig { sync: SyncMode::ParameterServer, ..TgConfig::default() },
-        );
+        let f = Fixture { param_bytes: f.param_bytes * 1000, ..f };
+        let ps_cfg = TrainerConfig { sync: SyncMode::ParameterServer, ..f.cfg.clone() };
         // Total bytes match (2(m-1)·B both ways), but PS serializes all
         // of it through the server's NIC.
+        let (ring, ps) = (f.graph(&f.plans_cache, &f.cfg), f.graph(&f.plans_cache, &ps_cfg));
         assert_eq!(ps.total_bytes(), ring.total_bytes());
-        let tr = simulate(&ring, &f.cluster, &ExecOptions::all()).makespan;
-        let tp = simulate(&ps, &f.cluster, &ExecOptions::all()).makespan;
+        let tr = f.epoch_s(&f.plans_cache, &f.cfg);
+        let tp = f.epoch_s(&f.plans_cache, &ps_cfg);
         assert!(tp > tr, "ps {tp} should exceed ring {tr}");
     }
 
     #[test]
     fn lockfree_option_reduces_simulated_time_for_comm_heavy_graph() {
         let f = fixture();
-        let tg = build_epoch_task_graph(
-            &f.plans_comm,
-            &f.dims,
-            &f.flops,
-            f.param_bytes,
-            &TgConfig::default(),
-        );
-        let fast = simulate(&tg, &f.cluster, &ExecOptions::all()).makespan;
-        let slow = simulate(
-            &tg,
-            &f.cluster,
-            &ExecOptions { lock_free: false, ..ExecOptions::all() },
-        )
-        .makespan;
+        let locked = f.with_opts(ExecOptions { lock_free: false, ..ExecOptions::all() });
+        assert!(f.graph(&f.plans_comm, &locked).locked_enqueue);
+        let fast = f.epoch_s(&f.plans_comm, &f.cfg);
+        let slow = f.epoch_s(&f.plans_comm, &locked);
         assert!(slow >= fast);
     }
 }

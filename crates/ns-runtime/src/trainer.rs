@@ -19,7 +19,7 @@ use crate::memory::check_device_fit;
 use crate::plan::{build_plans, DepDecision, WorkerPlan};
 use crate::recovery::RecoveryConfig;
 use crate::store::StoreConfig;
-use crate::taskgraph::{build_epoch_task_graph, TgConfig};
+use crate::taskgraph::build_epoch_task_graph;
 use supervisor::Supervisor;
 
 /// Which dependency-management engine to run.
@@ -461,15 +461,11 @@ impl<'a> Trainer<'a> {
             self.model.dims(),
             &self.costs.flops,
             self.model.gradient_bytes(),
-            &TgConfig {
-                opts: self.cfg.opts,
-                broadcast_full_partition: self.cfg.broadcast_full_partition,
-                sync: self.cfg.sync,
-            },
+            &self.cfg,
         );
         let bytes = tg.total_bytes();
         let flops = tg.total_flops();
-        let report = simulate(&tg, &self.cfg.cluster, &self.cfg.opts);
+        let report = simulate(&tg, &self.cfg.cluster);
         SimSummary {
             epoch_seconds: report.makespan,
             bytes_per_epoch: bytes,
@@ -489,8 +485,7 @@ impl<'a> Trainer<'a> {
     /// checkpoint boundary may evict a straggler, re-admit missing members
     /// and replan. With recovery disabled the same loop runs one chunk of
     /// all the epochs with no restart budget, so failures surface as
-    /// [`RuntimeError::WorkerFailed`] / [`RuntimeError::SyncTimeout`] /
-    /// [`RuntimeError::Diverged`].
+    /// [`RuntimeError::WorkerFailed`] / [`RuntimeError::Diverged`].
     pub fn train(&self, epochs: usize) -> Result<TrainingReport> {
         let sim = self.simulate_epoch();
         let mut out = Supervisor::new(self, epochs)?.run()?;
@@ -825,6 +820,27 @@ mod tests {
         let coord = report.metrics.frames.get(&COORDINATOR).unwrap();
         assert_eq!(coord.counter("membership.hangs"), 1, "one hung worker was evicted");
         assert!(report.final_loss() < report.epochs[0].loss);
+    }
+
+    /// A one-way partition stalls a receive inside the gradient
+    /// all-reduce as often as one in the layer exchange; recovery rolls
+    /// either back. Repeated because which receive runs out its budget
+    /// first is a race.
+    #[test]
+    fn allreduce_receive_timeout_is_recovered() {
+        use ns_net::fault::parse_fault;
+        let ds = dataset();
+        let m = model(&ds);
+        let mut c = cfg(EngineKind::DepCache, 2);
+        c.fault = FaultPlan::default().with_fault(parse_fault("partition:w1->w0@e2-e3").unwrap());
+        c.recovery = RecoveryConfig::every(2);
+        c.recv_timeout_ms = 800;
+        let trainer = Trainer::prepare(&ds, &m, c).unwrap();
+        for run in 0..3 {
+            let report = trainer.train(4).unwrap_or_else(|e| panic!("run {run}: {e}"));
+            assert_eq!(report.epochs.len(), 4, "run {run}");
+            assert_eq!(report.recoveries.len(), 1, "run {run}");
+        }
     }
 
     #[test]

@@ -30,7 +30,6 @@
 #   ns-tensor/src/tensor.rs     5  GEMM panels cut by `chunks_exact`, NR-wide source
 #                                  rows of the register-blocked aggregation
 # Invariants the caller established:
-#   ns-runtime/src/taskgraph.rs 2  every worker's layer and local-chunk task exists
 #   ns-runtime/src/trainer/supervisor.rs 1  a finished chunk left its parameters
 #   ns-tensor/src/nn.rs         2  an MLP has a first and last layer
 #   ns-tensor/src/pool.rs       1  the bucket just found
@@ -57,7 +56,6 @@ crates/ns-runtime/src/exec.rs 6
 crates/ns-runtime/src/recovery.rs 1
 crates/ns-runtime/src/serve.rs 16
 crates/ns-runtime/src/store.rs 2
-crates/ns-runtime/src/taskgraph.rs 2
 crates/ns-runtime/src/trainer/supervisor.rs 1
 crates/ns-tensor/src/checkpoint.rs 4
 crates/ns-tensor/src/nn.rs 2

@@ -10,17 +10,15 @@
 # Fails on any such name not allowlisted below, and on an allowlisted
 # name that has since gained a caller, so the list stays exact.
 #
-# The four below are test hooks: each lets its own file's unit tests
+# The three below are test hooks: each lets its own file's unit tests
 # read or arm state nothing else needs.
 #
 #   ns-metrics/src/lib.rs    open_spans          span-nesting test counts open spans
-#   ns-net/src/sim.rs        total_bytes_in      the send test reads ingress bytes
 #   ns-runtime/src/store.rs  set_disk_fate_hard  arms a disk-full the post-squeeze retry hits too
 #   ns-gnn/src/layers.rs     num_heads           multi-head GAT test reads the head count
 set -eu
 ALLOW="
 crates/ns-metrics/src/lib.rs open_spans
-crates/ns-net/src/sim.rs total_bytes_in
 crates/ns-runtime/src/store.rs set_disk_fate_hard
 crates/ns-gnn/src/layers.rs num_heads
 "

@@ -14,7 +14,7 @@ use ns_gnn::{GnnModel, ModelKind};
 use ns_graph::generate::{erdos_renyi, rmat};
 use ns_graph::{CsrGraph, Partitioner};
 use ns_net::sim::{simulate, TaskGraph};
-use ns_net::{ClusterSpec, ExecOptions};
+use ns_net::ClusterSpec;
 use ns_rand::{check_cases, StdRng};
 use ns_runtime::cost::probe;
 use ns_runtime::hybrid::{partition_dependencies, HybridConfig};
@@ -140,7 +140,7 @@ fn simulator_bounds() {
             };
             prev = Some(t);
         }
-        let report = simulate(&g, &spec, &ExecOptions::all());
+        let report = simulate(&g, &spec);
         assert!(report.makespan >= max_single * 0.999,
             "makespan {} below longest task {}", report.makespan, max_single);
         assert!(report.makespan <= serial_sum * 1.001 + 1e-9,
