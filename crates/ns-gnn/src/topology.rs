@@ -45,6 +45,17 @@ impl LayerTopology {
         self.edge_src.len()
     }
 
+    /// Whether `other` is this topology's storage, shared through `Arc`
+    /// clones (so one [`Self::validate`] covers both).
+    pub fn shares_storage(&self, other: &Self) -> bool {
+        (self.n_src, self.n_dst) == (other.n_src, other.n_dst)
+            && Arc::ptr_eq(&self.edge_src, &other.edge_src)
+            && Arc::ptr_eq(&self.edge_dst, &other.edge_dst)
+            && Arc::ptr_eq(&self.dst_offsets, &other.dst_offsets)
+            && Arc::ptr_eq(&self.edge_weight, &other.edge_weight)
+            && Arc::ptr_eq(&self.dst_in_rows, &other.dst_in_rows)
+    }
+
     /// Checks all structural invariants; returns a description of the
     /// first violation.
     pub fn validate(&self) -> Result<(), String> {

@@ -107,30 +107,42 @@ impl Ord for Of64 {
 
 struct WorkerState<'a> {
     graph: &'a CsrGraph,
-    owned: FxHashSet<u32>,
-    /// `rep[k]`: vertices whose level-`k` representation (`k = 0` =>
-    /// features) is locally materialized — the paper's `V_rep`, layered.
-    rep: Vec<FxHashSet<u32>>,
+    owned: Vec<bool>,
+    /// `rep[k][v]`: `v`'s level-`k` representation (`k = 0` => features)
+    /// is locally materialized — the paper's `V_rep`, layered.
+    rep: Vec<Vec<bool>>,
+    /// `seen[v] == stamp`: the current `measure` call has reached `v`.
+    seen: Vec<u32>,
+    stamp: u32,
     dims: &'a [usize],
     costs: &'a CostFactors,
     ops: u64,
 }
 
-impl WorkerState<'_> {
+impl<'a> WorkerState<'a> {
+    fn new(graph: &'a CsrGraph, owned: &[u32], dims: &'a [usize], costs: &'a CostFactors) -> Self {
+        let n = graph.num_vertices();
+        let mut is_owned = vec![false; n];
+        owned.iter().for_each(|&v| is_owned[v as usize] = true);
+        let rep = vec![vec![false; n]; dims.len() - 1];
+        WorkerState { graph, owned: is_owned, rep, seen: vec![0; n], stamp: 0, dims, costs, ops: 0 }
+    }
+
     /// Measures `t_r^{lz+1}(u)`: the redundant-compute seconds of caching
     /// dependency `u` of layer `lz`'s inputs (u's `h^{(lz)}` computed
     /// locally), excluding already-available vertices.
     fn measure(&mut self, u: u32, lz: usize) -> f64 {
-        if lz == 0 {
-            return 0.0; // features need no compute (Eq. 1 sum is empty).
-        }
-        let mut cost = 0.0f64;
-        let mut frontier = vec![u];
-        let mut seen: FxHashSet<u32> = FxHashSet::default();
-        let mut level = lz; // h^{level} being produced
-        if self.owned.contains(&u) || self.rep[lz].contains(&u) {
+        // Features (Eq. 1's sum is empty) and available vertices cost nothing.
+        if lz == 0 || self.owned[u as usize] || self.rep[lz][u as usize] {
             return 0.0;
         }
+        self.stamp = self.stamp.checked_add(1).unwrap_or_else(|| {
+            self.seen.fill(0); // wrapped: forget every earlier call
+            1
+        });
+        let mut cost = 0.0f64;
+        let mut frontier = vec![u];
+        let mut level = lz; // h^{level} being produced
         while level >= 1 && !frontier.is_empty() {
             let mut next = Vec::new();
             for &w in &frontier {
@@ -140,11 +152,10 @@ impl WorkerState<'_> {
                 for &x in self.graph.in_neighbors(w) {
                     cost += self.costs.t_e[level - 1];
                     self.ops += 1;
-                    if level > 1
-                        && !self.owned.contains(&x)
-                        && !self.rep[level - 1].contains(&x)
-                        && seen.insert(x)
-                    {
+                    let xi = x as usize;
+                    let unseen = level > 1 && !self.owned[xi] && !self.rep[level - 1][xi];
+                    if unseen && self.seen[xi] != self.stamp {
+                        self.seen[xi] = self.stamp;
                         next.push(x);
                     }
                 }
@@ -161,48 +172,45 @@ impl WorkerState<'_> {
     fn cache(&mut self, u: u32, lz: usize) -> (u64, Vec<(usize, u32)>) {
         let mut bytes = 0u64;
         let mut added = Vec::new();
-        let mut add = |rep: &mut Vec<FxHashSet<u32>>, level: usize, v: u32, dims: &[usize]| -> u64 {
-            if rep[level].insert(v) {
-                added.push((level, v));
-                dims[level] as u64 * 4 + 8
-            } else {
-                0
+        let mut add = |rep: &mut Vec<Vec<bool>>, level: usize, v: u32, dims: &[usize]| -> u64 {
+            if std::mem::replace(&mut rep[level][v as usize], true) {
+                return 0;
             }
+            added.push((level, v));
+            dims[level] as u64 * 4 + 8
         };
-        if !self.owned.contains(&u) {
+        if !self.owned[u as usize] {
             bytes += add(&mut self.rep, lz, u, self.dims);
         }
-        if lz >= 1 {
-            let mut frontier = vec![u];
-            let mut level = lz;
-            while level >= 1 && !frontier.is_empty() {
-                let mut next = Vec::new();
-                for &w in &frontier {
-                    for &x in self.graph.in_neighbors(w) {
-                        bytes += 8; // replayed edge structure
-                        if self.owned.contains(&x) {
-                            continue;
-                        }
-                        let lower = level - 1;
-                        let b = add(&mut self.rep, lower, x, self.dims);
-                        if b > 0 {
-                            bytes += b;
-                            if lower >= 1 {
-                                next.push(x);
-                            }
+        let mut frontier = vec![u];
+        let mut level = lz;
+        while level >= 1 && !frontier.is_empty() {
+            let mut next = Vec::new();
+            for &w in &frontier {
+                for &x in self.graph.in_neighbors(w) {
+                    bytes += 8; // replayed edge structure
+                    if self.owned[x as usize] {
+                        continue;
+                    }
+                    let lower = level - 1;
+                    let b = add(&mut self.rep, lower, x, self.dims);
+                    if b > 0 {
+                        bytes += b;
+                        if lower >= 1 {
+                            next.push(x);
                         }
                     }
                 }
-                frontier = next;
-                level -= 1;
             }
+            frontier = next;
+            level -= 1;
         }
         (bytes, added)
     }
 
     fn rollback(&mut self, added: &[(usize, u32)]) {
         for &(level, v) in added {
-            self.rep[level].remove(&v);
+            self.rep[level][v as usize] = false;
         }
     }
 }
@@ -246,7 +254,6 @@ pub fn partition_dependencies(
 
     for i in 0..m {
         let owned_vec = part.part_vertices(i);
-        let owned: FxHashSet<u32> = owned_vec.iter().copied().collect();
         // Baseline working set (owned activations and edges), projected.
         let owned_edges: usize = owned_vec.iter().map(|&v| graph.in_degree(v)).sum();
         let base_bytes = owned_vec.len() as u64 * sum_dims * 8 + owned_edges as u64 * 16;
@@ -255,21 +262,14 @@ pub fn partition_dependencies(
         // Dependency sets from the full closure (paper's D_i^l):
         // inputs of layer lz under full caching are V_i^{lz}.
         let closure = ns_graph::khop::khop_in_closure(graph, &owned_vec, num_layers);
-        let mut state = WorkerState {
-            graph,
-            owned,
-            rep: vec![FxHashSet::default(); num_layers],
-            dims,
-            costs,
-            ops: 0,
-        };
+        let mut state = WorkerState::new(graph, &owned_vec, dims, costs);
 
         'layers: for lz in 0..num_layers {
             // V_i^{lz} = closure.layers[L - lz].
             let deps: Vec<u32> = closure.layers[num_layers - lz]
                 .iter()
                 .copied()
-                .filter(|u| !state.owned.contains(u))
+                .filter(|&u| !state.owned[u as usize])
                 .collect();
             let t_c = costs.t_c[lz];
 
@@ -319,7 +319,7 @@ pub fn partition_dependencies(
                         for rest in lz + 1..num_layers {
                             let d = closure.layers[num_layers - rest]
                                 .iter()
-                                .filter(|u| !state.owned.contains(u))
+                                .filter(|&&u| !state.owned[u as usize])
                                 .count();
                             comm_per_layer[rest] += d;
                         }
@@ -535,16 +535,9 @@ mod tests {
     fn measure_is_zero_for_already_replicated() {
         let (g, p, _, costs, _) = setup();
         let owned_vec = p.part_vertices(0);
-        let mut state = WorkerState {
-            graph: &g,
-            owned: owned_vec.iter().copied().collect(),
-            rep: vec![FxHashSet::default(); 2],
-            dims: &[64, 32, 8],
-            costs: &costs,
-            ops: 0,
-        };
+        let mut state = WorkerState::new(&g, &owned_vec, &[64, 32, 8], &costs);
         // Pick some remote vertex.
-        let u = (0..800u32).find(|v| !state.owned.contains(v)).unwrap();
+        let u = (0..800u32).find(|&v| !state.owned[v as usize]).unwrap();
         let before = state.measure(u, 1);
         assert!(before > 0.0);
         state.cache(u, 1);

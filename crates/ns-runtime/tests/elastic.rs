@@ -28,6 +28,11 @@ fn model(ds: &Dataset) -> GnnModel {
     GnnModel::two_layer(ModelKind::Gcn, ds.feature_dim(), 32, ds.num_classes, 5)
 }
 
+/// Known-intermittent until the chaos suite runs on a virtual clock
+/// (ROADMAP item 5(c)): drift is judged from wall-clock receive waits, so
+/// a loaded host can hide the injected 30 ms straggler ("a 30ms straggler
+/// must trigger at least one drift replan"). On 2 vCPUs it has failed up
+/// to one whole-binary debug run in twenty.
 #[test]
 fn straggler_shifts_its_dependencies_toward_caching() {
     let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
@@ -82,6 +87,11 @@ fn straggler_shifts_its_dependencies_toward_caching() {
     assert!(coord.counter("replan.moved_to_cached") >= 1);
 }
 
+/// Known-intermittent until the chaos suite runs on a virtual clock
+/// (ROADMAP item 5(c)): eviction is judged from wall-clock receive waits,
+/// so on a loaded host the flapped worker is sometimes not singled out
+/// ("the flapped worker must be evicted as a straggler: []"). On 2 vCPUs
+/// it has failed up to two whole-binary debug runs in twenty.
 #[test]
 fn flap_partitioned_worker_is_evicted_heals_and_rejoins() {
     // A worker whose every link is flapping (held, not lost, 90% of each

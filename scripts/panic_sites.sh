@@ -31,6 +31,7 @@
 #                                  rows of the register-blocked aggregation
 # Invariants the caller established:
 #   ns-runtime/src/trainer/supervisor.rs 1  a finished chunk left its parameters
+#   ns-runtime/src/plan.rs      1  a freshly collected `Arc` slice has one owner
 #   ns-tensor/src/nn.rs         2  an MLP has a first and last layer
 #   ns-tensor/src/pool.rs       1  the bucket just found
 #   ns-gnn/src/topology.rs      1  the offsets array is never empty
@@ -53,6 +54,7 @@ crates/ns-metrics/src/json.rs 9
 crates/ns-net/src/wire.rs 8
 crates/ns-par/src/lib.rs 10
 crates/ns-runtime/src/exec.rs 6
+crates/ns-runtime/src/plan.rs 1
 crates/ns-runtime/src/recovery.rs 1
 crates/ns-runtime/src/serve.rs 16
 crates/ns-runtime/src/store.rs 2
