@@ -34,20 +34,8 @@ pub struct InferenceResult {
 /// vertex is both source and destination; self rows are identity).
 pub fn full_graph_topology(dataset: &Dataset) -> LayerTopology {
     let n = dataset.graph.num_vertices();
-    let mut lists: Vec<Vec<(u32, f32)>> = Vec::with_capacity(n);
-    for v in 0..n as u32 {
-        lists.push(
-            dataset
-                .graph
-                .in_neighbors(v)
-                .iter()
-                .zip(dataset.graph.in_weights(v))
-                .map(|(&u, &w)| (u, w))
-                .collect(),
-        );
-    }
-    let self_rows = (0..n as u32).collect();
-    LayerTopology::from_adjacency(n, &lists, self_rows)
+    let all: Vec<u32> = (0..n as u32).collect();
+    LayerTopology::from_graph(&dataset.graph, &all, n, |v| v)
 }
 
 /// Runs the model forward over the full graph with the given parameters.
@@ -110,6 +98,45 @@ mod tests {
         let r = infer(&ds, &model, &model.fresh_store());
         // 7 classes: untrained accuracy should be nowhere near learned.
         assert!(r.test_acc < 0.6, "untrained acc {}", r.test_acc);
+    }
+
+    /// The adjacency-list builder `full_graph_topology` replaced, kept as
+    /// its reference: per-vertex `(source, weight)` lists copied through
+    /// `LayerTopology::from_adjacency`.
+    fn reference_full_graph_topology(dataset: &Dataset) -> LayerTopology {
+        let n = dataset.graph.num_vertices();
+        let mut lists: Vec<Vec<(u32, f32)>> = Vec::with_capacity(n);
+        for v in 0..n as u32 {
+            lists.push(
+                dataset
+                    .graph
+                    .in_neighbors(v)
+                    .iter()
+                    .zip(dataset.graph.in_weights(v))
+                    .map(|(&u, &w)| (u, w))
+                    .collect(),
+            );
+        }
+        let self_rows = (0..n as u32).collect();
+        LayerTopology::from_adjacency(n, &lists, self_rows)
+    }
+
+    /// Every field equals the reference's, edge weights by bits, on a
+    /// dataset with self-loops and on a graph without them.
+    #[test]
+    fn full_graph_topology_equals_the_adjacency_reference() {
+        let (mut ds, _) = setup();
+        let bare = ns_graph::generate::rmat(300, 1500, (0.5, 0.2, 0.2), 3);
+        let bare: Vec<_> = bare.into_iter().filter(|&(u, v)| u != v).collect();
+        for graph in [ds.graph.clone(), ns_graph::CsrGraph::from_edges(300, &bare, false)] {
+            ds.graph = graph;
+            let (got, want) = (full_graph_topology(&ds), reference_full_graph_topology(&ds));
+            assert_eq!((got.n_src, got.n_dst), (want.n_src, want.n_dst));
+            assert_eq!((&*got.edge_src, &*got.edge_dst), (&*want.edge_src, &*want.edge_dst));
+            assert_eq!((&*got.dst_offsets, &*got.dst_in_rows), (&*want.dst_offsets, &*want.dst_in_rows));
+            let bits = |ws: &[f32]| ws.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got.edge_weight), bits(&want.edge_weight));
+        }
     }
 
     #[test]

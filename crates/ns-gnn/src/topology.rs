@@ -8,7 +8,10 @@
 //! paper's `GetFromDepNbr` postcondition: after it, "the GNN propagation
 //! of each layer runs like in a single machine".
 
+use std::iter;
 use std::sync::Arc;
+
+use ns_graph::CsrGraph;
 
 /// Local edge structure for one layer's computation on one worker.
 ///
@@ -91,10 +94,43 @@ impl LayerTopology {
         Ok(())
     }
 
+    /// The in-edges of `compute` in `graph`, destination `d` being
+    /// `compute[d]`, with `row` mapping ids (edge sources, each destination's
+    /// own id) to the layer's `n_src` input rows. One CSC pass writes the
+    /// shared storage; `row` is generic so that it inlines into the caller.
+    pub fn from_graph(
+        graph: &CsrGraph,
+        compute: &[u32],
+        n_src: usize,
+        row: impl Fn(u32) -> u32,
+    ) -> Self {
+        let n_dst = compute.len();
+        let e = compute.iter().map(|&v| graph.in_degree(v)).sum();
+        let (mut edge_src, mut edge_dst, mut edge_weight) = (fresh(e), fresh(e), fresh(e));
+        let (mut dst_offsets, mut dst_in_rows) = (fresh(n_dst + 1), fresh(n_dst));
+        let (src, dst, weight) = (unique(&mut edge_src), unique(&mut edge_dst), unique(&mut edge_weight));
+        let (offsets, own) = (unique(&mut dst_offsets), unique(&mut dst_in_rows));
+        let mut k = 0;
+        for (d, &v) in compute.iter().enumerate() {
+            let nbrs = graph.in_neighbors(v);
+            let end = k + nbrs.len();
+            for (s, &u) in src[k..end].iter_mut().zip(nbrs) {
+                *s = row(u);
+            }
+            dst[k..end].fill(d as u32);
+            weight[k..end].copy_from_slice(graph.in_weights(v));
+            offsets[d + 1] = end;
+            own[d] = row(v);
+            k = end;
+        }
+        Self { n_src, n_dst, edge_src, edge_dst, dst_offsets, edge_weight, dst_in_rows }
+    }
+
     /// Builds a topology from per-destination adjacency lists given in
     /// destination order: `in_edges[d]` lists `(src_row, weight)` pairs
     /// for destination `d`. `dst_in_rows[d]` is each destination's own
-    /// input row.
+    /// input row. For adjacency no graph induces: sampled blocks, the cost
+    /// probe's random layers, tests.
     pub fn from_adjacency(
         n_src: usize,
         in_edges: &[Vec<(u32, f32)>],
@@ -128,6 +164,15 @@ impl LayerTopology {
         debug_assert_eq!(topo.validate(), Ok(()));
         topo
     }
+}
+
+/// `n` default values in fresh `Arc` storage, to be filled through [`unique`].
+fn fresh<T: Copy + Default>(n: usize) -> Arc<[T]> {
+    iter::repeat_n(T::default(), n).collect()
+}
+
+fn unique<T>(a: &mut Arc<[T]>) -> &mut [T] {
+    Arc::get_mut(a).expect("a fresh Arc has no other owner")
 }
 
 #[cfg(test)]

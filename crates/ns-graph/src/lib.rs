@@ -14,14 +14,16 @@
 //!   [`DatasetSpec`] materializes a scaled synthetic
 //!   instance with matched average degree, feature dimension, label count,
 //!   and hidden size.
-//! * [`fx`] — the deterministic Fx hasher behind every vertex-id set and
-//!   map (`FxHashSet`, `FxHashMap`).
+//! * [`fx`] — the deterministic Fx hasher behind the vertex-id sets and
+//!   maps that still hash (`FxHashSet`, `FxHashMap`).
 //! * [`partition`] — chunk-based (the paper's default), metis-like greedy
 //!   edge-cut, and Fennel streaming partitioners (§5.7 / Fig. 15).
-//! * [`khop`] — BFS k-hop in-neighborhood closures (`V_i^l` of
-//!   Algorithm 2).
+//! * [`khop`] — k-hop in-neighborhood closures (`V_i^l` of Algorithm 2)
+//!   and [`khop::Marks`], the reusable stamp array behind every
+//!   in-neighborhood the workspace forms: plan inputs, serving batches,
+//!   Algorithm 4's dependency sets.
 //! * [`stats`] — k-hop replication under a partitioning (the depth
-//!   ablation's diagnostic).
+//!   ablation's diagnostic), over the cumulative closure sets.
 
 pub mod csr;
 pub mod datasets;

@@ -3,7 +3,7 @@
 //! (the depth ablation reports it).
 
 use crate::csr::CsrGraph;
-use crate::khop::khop_in_closure;
+use crate::khop::Marks;
 use crate::partition::Partitioning;
 
 /// Per-partition replication statistics for a k-hop workload — the
@@ -26,10 +26,11 @@ pub fn replication_stats(
 ) -> ReplicationStats {
     let mut closure_sizes = Vec::with_capacity(part.num_parts());
     let mut owned_sizes = Vec::with_capacity(part.num_parts());
+    let mut marks = Marks::new(graph.num_vertices());
     for p in 0..part.num_parts() {
         let owned = part.part_vertices(p);
-        let closure = khop_in_closure(graph, &owned, hops);
-        closure_sizes.push(closure.all_vertices().len());
+        let closure = marks.cumulative(graph, &owned, hops);
+        closure_sizes.push(closure[hops].len());
         owned_sizes.push(owned.len());
     }
     let total: usize = closure_sizes.iter().sum();

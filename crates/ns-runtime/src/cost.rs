@@ -136,9 +136,8 @@ fn probe_topology(n_src: usize, n_dst: usize, edges: usize, seed: u64) -> LayerT
     let mut rng = StdRng::seed_from_u64(seed);
     let mut adj: Vec<Vec<(u32, f32)>> = vec![Vec::new(); n_dst];
     // Guarantee each destination at least one edge, then spread the rest.
-    for (d, list) in adj.iter_mut().enumerate() {
+    for list in &mut adj {
         list.push((rng.random_range(0..n_src) as u32, 1.0));
-        let _ = d;
     }
     for _ in n_dst..edges {
         let d = rng.random_range(0..n_dst);

@@ -17,6 +17,7 @@ use std::collections::BinaryHeap;
 use std::time::Instant;
 
 use ns_graph::fx::FxHashSet;
+use ns_graph::khop::khop_in_closure;
 use ns_graph::{CsrGraph, Partitioning};
 
 use crate::cost::CostFactors;
@@ -215,6 +216,22 @@ impl<'a> WorkerState<'a> {
     }
 }
 
+/// Worker `worker`'s remote dependencies `D_i^l`, per 0-based layer `lz`,
+/// sorted: the inputs of layer `lz` under full caching (`V_i^{lz}`, the
+/// owned set's closure layer `L - lz`) that the worker does not own.
+pub(crate) fn remote_deps(
+    graph: &CsrGraph,
+    part: &Partitioning,
+    worker: usize,
+    num_layers: usize,
+) -> Vec<Vec<u32>> {
+    let mut deps = khop_in_closure(graph, &part.part_vertices(worker), num_layers).layers;
+    deps.iter_mut().for_each(|layer| layer.retain(|&u| part.owner(u) != worker));
+    deps.reverse();
+    deps.pop(); // the seeds: all owned
+    deps
+}
+
 /// Runs Algorithm 4 for every worker and returns the dependency decision
 /// plus statistics.
 ///
@@ -259,18 +276,11 @@ pub fn partition_dependencies(
         let base_bytes = owned_vec.len() as u64 * sum_dims * 8 + owned_edges as u64 * 16;
         let mut cache_bytes = 0u64;
 
-        // Dependency sets from the full closure (paper's D_i^l):
-        // inputs of layer lz under full caching are V_i^{lz}.
-        let closure = ns_graph::khop::khop_in_closure(graph, &owned_vec, num_layers);
+        let remote = remote_deps(graph, part, i, num_layers);
         let mut state = WorkerState::new(graph, &owned_vec, dims, costs);
 
         'layers: for lz in 0..num_layers {
-            // V_i^{lz} = closure.layers[L - lz].
-            let deps: Vec<u32> = closure.layers[num_layers - lz]
-                .iter()
-                .copied()
-                .filter(|&u| !state.owned[u as usize])
-                .collect();
+            let deps = &remote[lz];
             let t_c = costs.t_c[lz];
 
             if let Some(ratio) = cfg.ratio_override {
@@ -317,11 +327,7 @@ pub fn partition_dependencies(
                         // Everything this worker has not decided yet is
                         // communicated (Alg. 4 returns immediately).
                         for rest in lz + 1..num_layers {
-                            let d = closure.layers[num_layers - rest]
-                                .iter()
-                                .filter(|&&u| !state.owned[u as usize])
-                                .count();
-                            comm_per_layer[rest] += d;
+                            comm_per_layer[rest] += remote[rest].len();
                         }
                         break 'layers;
                     }

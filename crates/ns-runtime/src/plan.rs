@@ -15,11 +15,9 @@
 //! `h^{(lz)}` (with `h^{(0)}` = input features) and produces `h^{(lz+1)}`.
 //! The paper's layer `l` is `lz + 1`.
 
-use std::iter;
-use std::sync::Arc;
-
 use ns_gnn::LayerTopology;
 use ns_graph::fx::FxHashSet;
+use ns_graph::khop::Marks;
 use ns_graph::{CsrGraph, Partitioning};
 
 use crate::error::{Result, RuntimeError};
@@ -131,37 +129,20 @@ impl WorkerPlan {
     }
 }
 
-/// Membership of one id set at a time: an id is in the current set when
-/// its stamp equals `cur`, so starting a new set clears nothing.
-struct Marks {
-    stamp: Vec<u32>,
-    cur: u32,
-}
-
-impl Marks {
-    /// `seeds` together with all their in-neighbors, ascending.
-    fn in_closure(&mut self, graph: &CsrGraph, seeds: &[u32]) -> Vec<u32> {
-        self.cur += 1;
-        for &v in seeds {
-            self.stamp[v as usize] = self.cur;
-            for &u in graph.in_neighbors(v) {
-                self.stamp[u as usize] = self.cur;
-            }
-        }
-        let cur = self.cur;
-        (0..self.stamp.len() as u32).filter(|&v| self.stamp[v as usize] == cur).collect()
-    }
-}
-
 /// Dense id → row map over one id list at a time; `NO_ROW` marks every id
 /// outside it.
-struct Rows(Vec<u32>);
+pub(crate) struct Rows(Vec<u32>);
 
 const NO_ROW: u32 = u32::MAX;
 
 impl Rows {
+    /// A map over the ids `0..num_vertices`, all unmapped.
+    pub(crate) fn new(num_vertices: usize) -> Self {
+        Rows(vec![NO_ROW; num_vertices])
+    }
+
     /// Runs `f` with `ids[r]` mapped to row `r`, then unmaps them.
-    fn over<R>(&mut self, ids: &[u32], f: impl FnOnce(&Self) -> R) -> R {
+    pub(crate) fn over<R>(&mut self, ids: &[u32], f: impl FnOnce(&Self) -> R) -> R {
         for (r, &id) in ids.iter().enumerate() {
             self.0[id as usize] = r as u32;
         }
@@ -173,46 +154,11 @@ impl Rows {
     }
 
     /// Row of `id` (panics if absent — plan invariant).
-    fn row(&self, id: u32) -> u32 {
+    pub(crate) fn row(&self, id: u32) -> u32 {
         let r = self.0[id as usize];
         assert!(r != NO_ROW, "id {id} missing from row index");
         r
     }
-}
-
-/// `n` default values in fresh `Arc` storage, to be filled through [`unique`].
-fn fresh<T: Copy + Default>(n: usize) -> Arc<[T]> {
-    iter::repeat_n(T::default(), n).collect()
-}
-
-fn unique<T>(a: &mut Arc<[T]>) -> &mut [T] {
-    Arc::get_mut(a).expect("a fresh Arc has no other owner")
-}
-
-/// The in-edges of `compute` in the row coordinates `rows` gives the
-/// layer's `n_src` input ids, written in one CSC pass straight into the
-/// topology's shared storage.
-fn topology(graph: &CsrGraph, compute: &[u32], n_src: usize, rows: &Rows) -> LayerTopology {
-    let n_dst = compute.len();
-    let e = compute.iter().map(|&v| graph.in_degree(v)).sum();
-    let (mut edge_src, mut edge_dst, mut edge_weight) = (fresh(e), fresh(e), fresh(e));
-    let (mut dst_offsets, mut dst_in_rows) = (fresh(n_dst + 1), fresh(n_dst));
-    let (src, dst, weight) = (unique(&mut edge_src), unique(&mut edge_dst), unique(&mut edge_weight));
-    let (offsets, own) = (unique(&mut dst_offsets), unique(&mut dst_in_rows));
-    let mut k = 0;
-    for (d, &v) in compute.iter().enumerate() {
-        let nbrs = graph.in_neighbors(v);
-        let end = k + nbrs.len();
-        for (s, &u) in src[k..end].iter_mut().zip(nbrs) {
-            *s = rows.row(u);
-        }
-        dst[k..end].fill(d as u32);
-        weight[k..end].copy_from_slice(graph.in_weights(v));
-        offsets[d + 1] = end;
-        own[d] = rows.row(v);
-        k = end;
-    }
-    LayerTopology { n_src, n_dst, edge_src, edge_dst, dst_offsets, edge_weight, dst_in_rows }
 }
 
 /// Builds per-worker plans for `num_layers` GNN layers under `decision`.
@@ -245,8 +191,8 @@ pub fn build_plans(
             "partitioning does not match graph".into(),
         ));
     }
-    let mut marks = Marks { stamp: vec![0; graph.num_vertices()], cur: 0 };
-    let mut rows = Rows(vec![NO_ROW; graph.num_vertices()]);
+    let mut marks = Marks::new(graph.num_vertices());
+    let mut rows = Rows::new(graph.num_vertices());
 
     let mut plans: Vec<WorkerPlan> = (0..m)
         .map(|i| {
@@ -269,12 +215,13 @@ pub fn build_plans(
                         recv_rows[owner].push(r as u32);
                     }
                 }
+                let n_src = input_ids.len();
                 let (topo, local_src) = rows.over(&input_ids, |rows| {
                     let topo = match layers.last() {
                         Some(above) if above.compute == compute && above.input_ids == input_ids => {
                             above.topo.clone()
                         }
-                        _ => topology(graph, &compute, input_ids.len(), rows),
+                        _ => LayerTopology::from_graph(graph, &compute, n_src, |u| rows.row(u)),
                     };
                     let local_src = local.iter().enumerate().map(|(p, &u)| (p as u32, rows.row(u)));
                     (topo, local_src.collect())
@@ -400,6 +347,8 @@ pub fn validate_plans(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use ns_graph::fx::FxHashMap;
     use ns_graph::generate::rmat;
@@ -637,7 +586,10 @@ mod tests {
             expect.dedup();
             assert_eq!(plan.layers[0].compute, expect);
             // Feature rows cover the full 2-hop closure.
-            assert_eq!(plan.feature_rows, closure.all_vertices());
+            let mut all = closure.layers.concat();
+            all.sort_unstable();
+            all.dedup();
+            assert_eq!(plan.feature_rows, all);
         }
     }
 
@@ -697,7 +649,7 @@ mod tests {
 
     #[test]
     fn row_lookup_panics_on_missing() {
-        let mut rows = Rows(vec![NO_ROW; 6]);
+        let mut rows = Rows::new(6);
         assert_eq!(rows.over(&[1, 3, 5], |r| r.row(5)), 2);
         assert_eq!(rows.0, vec![NO_ROW; 6], "`over` unmaps what it mapped");
         let r = std::panic::catch_unwind(move || rows.over(&[1, 3, 5], |r| r.row(4)));

@@ -6,9 +6,10 @@
 //! [`ServeDeployment`] spins up one frontend plus `S` shard workers on
 //! the same [`Fabric`] the training engines use. Each query names a seed
 //! vertex; the owning shard computes the seed's exact `L`-hop
-//! in-neighborhood closure (Algorithm 2's dependency retrieval, reused
-//! verbatim via [`khop_in_closure`]) and runs the model forward over the
-//! closure sub-topology, which yields bit-identical logits to a
+//! in-neighborhood closure (Algorithm 2's dependency retrieval, through
+//! the [`Marks`] and [`LayerTopology::from_graph`] that compile training
+//! plans) and runs the model forward over the closure sub-topology,
+//! which yields bit-identical logits to a
 //! full-graph [`ns_gnn::inference::infer`] pass for the seed rows: every
 //! row the forward *consumes* has its complete in-neighborhood inside
 //! the closure, and restricted adjacency preserves aggregation order.
@@ -46,7 +47,7 @@ use std::time::{Duration, Instant};
 
 use ns_gnn::{GnnModel, LayerInput, LayerTopology};
 use ns_graph::fx::FxHashMap;
-use ns_graph::khop::khop_in_closure;
+use ns_graph::khop::Marks;
 use ns_graph::{Dataset, Partitioner, Partitioning};
 use ns_metrics::{MetricsFrame, MetricsRecorder, RunMetrics};
 use ns_net::fabric::{Doorbell, Endpoint, Fabric, MessageKind, NetError};
@@ -55,6 +56,7 @@ use ns_net::policy::CircuitBreaker;
 use ns_tensor::{ParamStore, Tensor};
 
 use crate::obs::{export_breaker_stats, export_net_stats};
+use crate::plan::Rows;
 
 pub mod load;
 
@@ -877,6 +879,9 @@ struct Shard<'a> {
     rec: MetricsRecorder,
     cache: FeatureCache,
     health: PeerHealth,
+    /// Closure and row-map scratch over the graph, reused by every batch.
+    marks: Marks,
+    rows: Rows,
 }
 
 impl<'a> Shard<'a> {
@@ -887,6 +892,8 @@ impl<'a> Shard<'a> {
             rec: MetricsRecorder::new(ep.id(), origin),
             cache: FeatureCache::new(deploy.cfg.cache_rows),
             health: PeerHealth::new(ep.world(), &deploy.cfg),
+            marks: Marks::new(deploy.dataset.graph.num_vertices()),
+            rows: Rows::new(deploy.dataset.graph.num_vertices()),
             ep,
         }
     }
@@ -997,7 +1004,7 @@ impl<'a> Shard<'a> {
         let t0 = Instant::now();
         let cum = self.timed("serve.shard.closure_us", |s| s.closure(seeds));
         self.serve_peers(None);
-        let full = cum.last().expect("the closure has at least the seed layer");
+        let full = &cum[cum.len() - 1];
         let x = self.timed("serve.shard.gather_us", |s| s.gather(full));
         self.serve_peers(None);
         let classes = self.timed("serve.shard.forward_us", |s| s.forward(&cum, x, seeds));
@@ -1018,16 +1025,7 @@ impl<'a> Shard<'a> {
     /// destination's own input row is present for self terms.
     fn closure(&mut self, seeds: &[u32]) -> Vec<Vec<u32>> {
         let hops = self.deploy.model.num_layers();
-        let closure = khop_in_closure(&self.deploy.dataset.graph, seeds, hops);
-        let mut cum: Vec<Vec<u32>> = Vec::with_capacity(hops + 1);
-        cum.push(closure.layers[0].clone());
-        for h in 1..=hops {
-            let mut u = cum[h - 1].clone();
-            u.extend_from_slice(&closure.layers[h]);
-            u.sort_unstable();
-            u.dedup();
-            cum.push(u);
-        }
+        let cum = self.marks.cumulative(&self.deploy.dataset.graph, seeds, hops);
         self.rec.incr("serve.shard.closure_rows", cum[hops].len() as u64);
         cum
     }
@@ -1090,43 +1088,23 @@ impl<'a> Shard<'a> {
 
     /// Runs the layers over the cumulative closure sets, full closure
     /// inwards, and reads each seed's class off the last output.
-    fn forward(&self, cum: &[Vec<u32>], x: Tensor, seeds: &[u32]) -> Vec<u32> {
-        let model = self.deploy.model;
-        let graph = &self.deploy.dataset.graph;
-        let hops = model.num_layers();
+    fn forward(&mut self, cum: &[Vec<u32>], x: Tensor, seeds: &[u32]) -> Vec<u32> {
+        let deploy = self.deploy;
+        let hops = deploy.model.num_layers();
         let mut h = x;
         for lz in 0..hops {
-            let src_set = &cum[hops - lz];
-            let dst_set = &cum[hops - 1 - lz];
-            let row_of = |v: u32| -> u32 {
-                src_set.binary_search(&v).expect("closure invariant: source present")
-                    as u32
-            };
-            let lists: Vec<Vec<(u32, f32)>> = dst_set
-                .iter()
-                .map(|&v| {
-                    graph
-                        .in_neighbors(v)
-                        .iter()
-                        .zip(graph.in_weights(v))
-                        .map(|(&u, &w)| (row_of(u), w))
-                        .collect()
-                })
-                .collect();
-            let dst_in_rows: Vec<u32> = dst_set.iter().map(|&v| row_of(v)).collect();
-            let topo = LayerTopology::from_adjacency(src_set.len(), &lists, dst_in_rows);
-            h = model
-                .layer(lz)
-                .forward(&self.deploy.params, &topo, LayerInput::Constant(h))
-                .into_output();
+            let (src, dst) = (&cum[hops - lz], &cum[hops - 1 - lz]);
+            let topo = self.rows.over(src, |rows| {
+                LayerTopology::from_graph(&deploy.dataset.graph, dst, src.len(), |u| rows.row(u))
+            });
+            let layer = deploy.model.layer(lz);
+            h = layer.forward(&deploy.params, &topo, LayerInput::Constant(h)).into_output();
         }
-        // cum[0] is the sorted, deduped seed set; map each query seed to
-        // its row.
+        // cum[0] is the sorted, deduped seed set: one output row per seed.
         let preds = h.argmax_rows();
-        seeds
-            .iter()
-            .map(|s| preds[cum[0].binary_search(s).expect("seed row present")] as u32)
-            .collect()
+        self.rows.over(&cum[0], |rows| {
+            seeds.iter().map(|&s| preds[rows.row(s) as usize] as u32).collect()
+        })
     }
 
     /// Meters the batch and ships its answers. `Break` when the frontend
@@ -1245,6 +1223,7 @@ mod tests {
     use ns_gnn::inference::infer;
     use ns_gnn::{GnnModel, ModelKind};
     use ns_graph::datasets::by_name;
+    use ns_graph::khop::khop_in_closure;
 
     #[test]
     fn submit_queue_rejects_when_full_and_never_blocks() {

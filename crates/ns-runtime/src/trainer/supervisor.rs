@@ -19,7 +19,6 @@
 use std::borrow::Cow;
 use std::time::Instant;
 
-use ns_graph::fx::FxHashSet;
 use ns_graph::Partitioning;
 use ns_metrics::{span, MetricsRecorder, Phase, RunMetrics, COORDINATOR};
 use ns_net::fault::FaultPlan;
@@ -31,6 +30,7 @@ use crate::cost::CostFactors;
 use crate::error::{FailureCause, Result, RuntimeError};
 use crate::exec::{run_workers, EpochMetrics, ExecConfig, Layer0, Layer0Carry, RunState};
 use crate::feedback::{self, DecisionDelta, PeerWaitStats};
+use crate::hybrid;
 use crate::plan::{DepDecision, WorkerPlan};
 use crate::recovery::{Checkpoint, STRAGGLER_FACTOR};
 use crate::store::CheckpointStore;
@@ -463,18 +463,8 @@ impl<'t, 'a> Supervisor<'t, 'a> {
         let (graph, part) = (&self.trainer.dataset.graph, &self.active.part);
         let workers = part.num_parts();
         let num_layers = self.trainer.model.num_layers();
-        let deps: Vec<Vec<Vec<u32>>> = (0..workers)
-            .map(|i| {
-                let owned_vec = part.part_vertices(i);
-                let owned: FxHashSet<u32> = owned_vec.iter().copied().collect();
-                let closure = ns_graph::khop::khop_in_closure(graph, &owned_vec, num_layers);
-                let remote = |lz: usize| -> Vec<u32> {
-                    let layer = &closure.layers[num_layers - lz];
-                    layer.iter().copied().filter(|u| !owned.contains(u)).collect()
-                };
-                (0..num_layers).map(remote).collect()
-            })
-            .collect();
+        let deps: Vec<Vec<Vec<u32>>> =
+            (0..workers).map(|i| hybrid::remote_deps(graph, part, i, num_layers)).collect();
         let old = &self.active.decision;
         feedback::diff_decisions(old, new, workers, num_layers, &deps, |u| part.owner(u))
     }

@@ -11,10 +11,9 @@
 # another thread already had), and invariants of their own protocol:
 #   ns-par/src/lib.rs          10  pool state/condvar locks, the spawn lock, chunk
 #                                  slots; a worker that cannot spawn; a chunk claimed twice
-#   ns-runtime/src/serve.rs    16  admission-queue mutex (5), driver and shard joins (2),
+#   ns-runtime/src/serve.rs    13  admission-queue mutex (5), driver and shard joins (2),
 #                                  the model/class check's last dim (2), the frontend's
-#                                  endpoint, pending-query lookups (3), closure
-#                                  invariants (3)
+#                                  endpoint, pending-query lookups (3)
 #   ns-runtime/src/exec.rs      6  worker join, a model's last layer, one tape run per
 #                                  layer, layers above 0 track their input, layer 0's
 #                                  held features, at least one worker
@@ -31,10 +30,10 @@
 #                                  rows of the register-blocked aggregation
 # Invariants the caller established:
 #   ns-runtime/src/trainer/supervisor.rs 1  a finished chunk left its parameters
-#   ns-runtime/src/plan.rs      1  a freshly collected `Arc` slice has one owner
 #   ns-tensor/src/nn.rs         2  an MLP has a first and last layer
 #   ns-tensor/src/pool.rs       1  the bucket just found
-#   ns-gnn/src/topology.rs      1  the offsets array is never empty
+#   ns-gnn/src/topology.rs      2  the offsets array is never empty; a freshly collected
+#                                  `Arc` slice has one owner
 #   ns-graph/src/partition.rs   1  at least one part
 #   ns-baselines/src/distdgl.rs 1  layer 1 tracks its input
 #   ns-baselines/src/shared_memory.rs 1  the single-node plan builds
@@ -47,16 +46,15 @@ crates/bench/src/bin/experiments.rs 11
 crates/bench/src/lib.rs 2
 crates/ns-baselines/src/distdgl.rs 1
 crates/ns-baselines/src/shared_memory.rs 1
-crates/ns-gnn/src/topology.rs 1
+crates/ns-gnn/src/topology.rs 2
 crates/ns-graph/src/fx.rs 1
 crates/ns-graph/src/partition.rs 1
 crates/ns-metrics/src/json.rs 9
 crates/ns-net/src/wire.rs 8
 crates/ns-par/src/lib.rs 10
 crates/ns-runtime/src/exec.rs 6
-crates/ns-runtime/src/plan.rs 1
 crates/ns-runtime/src/recovery.rs 1
-crates/ns-runtime/src/serve.rs 16
+crates/ns-runtime/src/serve.rs 13
 crates/ns-runtime/src/store.rs 2
 crates/ns-runtime/src/trainer/supervisor.rs 1
 crates/ns-tensor/src/checkpoint.rs 4
