@@ -16,6 +16,10 @@
 //! first parameter bind. Over a constant input the prefix's values never
 //! change, so the backward pass hands them back as a [`LayerPrefix`] and a
 //! later `forward` can start from them ([`LayerInput::Prefix`]).
+//! A layer may first map each input row on its own ([`GnnLayer::transform`]:
+//! a narrowing GCN layer's `H·W`); a distributed caller records that map
+//! where the rows were computed ([`LayerRun::transform_for`]) and exchanges
+//! the mapped rows ([`LayerInput::Exchanged`]).
 
 use ns_rand::StdRng;
 use std::sync::Arc;
@@ -39,10 +43,16 @@ pub enum LayerInput {
     /// records these values instead of recomputing them, and everything it
     /// does compute is bitwise what `Constant` gives.
     Prefix(LayerPrefix),
+    /// Rows the dependency exchange assembled, this layer's
+    /// [`GnnLayer::transform`] already applied where each was computed: the
+    /// forward pass starts after it and the backward pass yields their
+    /// gradient. Without a transform this is `Tracked`.
+    Exchanged(Tensor),
 }
 
 /// The values of a layer's parameter-free prefix ([`GnnLayer::prefix`])
-/// over a constant input. They depend on the input rows and the topology
+/// over a constant input, or the input itself for a layer with a
+/// [`GnnLayer::transform`]. They depend on the input rows and the topology
 /// only, not on any parameter, so they can outlive the run that computed
 /// them for as long as both stay the same.
 pub struct LayerPrefix(Vec<Tensor>);
@@ -51,7 +61,7 @@ pub struct LayerPrefix(Vec<Tensor>);
 /// gradients it accumulated.
 pub struct LayerBackward {
     /// Gradient of the layer's input rows: `Some` iff the forward pass was
-    /// given [`LayerInput::Tracked`].
+    /// given [`LayerInput::Tracked`] or [`LayerInput::Exchanged`].
     pub input_grad: Option<Tensor>,
     /// FLOPs spent.
     pub flops: u64,
@@ -66,7 +76,7 @@ pub struct LayerBackward {
     /// (`ns_tensor::Tape::zero_rows`).
     pub zero_rows: u64,
     /// The prefix values the run computed or was given, moved out of its
-    /// tape: `Some` iff the input was not [`LayerInput::Tracked`].
+    /// tape: `Some` iff the input was `Constant` or `Prefix`.
     pub prefix: Option<LayerPrefix>,
 }
 
@@ -84,9 +94,23 @@ pub struct LayerRun {
 }
 
 impl LayerRun {
-    /// The layer's output values (`n_dst x out_dim`).
+    /// The layer's output values (`n_dst x out_dim`), or their transform
+    /// once [`LayerRun::transform_for`] recorded one.
     pub fn output(&self) -> &Tensor {
         self.tape.value(self.output)
+    }
+
+    /// Records `next`'s [`GnnLayer::transform`] on this run's tape, over
+    /// its output, which becomes the rows `next`'s exchange moves: the
+    /// backward pass then starts from their gradient and also yields the
+    /// transform's parameter gradients. A no-op without a transform.
+    pub fn transform_for(&mut self, next: &dyn GnnLayer, store: &ParamStore) {
+        let tape = &mut self.tape;
+        if let Some(rows) = next.transform(tape, &mut self.bindings, store, self.output) {
+            self.output = rows;
+            self.forward_flops = tape.flops();
+            (self.fwd_graph_ns, self.fwd_nn_ns) = (tape.graph_op_ns(), tape.nn_op_ns());
+        }
     }
 
     /// The layer's output values, moved out of a run that is done with
@@ -145,20 +169,36 @@ impl LayerRun {
 
 /// One GNN layer, in the paper's decoupled edge/vertex formulation.
 pub trait GnnLayer: Send + Sync {
-    /// Input representation width (`d^{(l-1)}` — also the width
-    /// communicated for this layer's dependencies).
+    /// Input representation width (`d^{(l-1)}`): the width of the rows the
+    /// layer below computes. The dependency exchange moves these rows, or
+    /// their [`GnnLayer::transform`].
     fn in_dim(&self) -> usize;
 
     /// Output representation width (`d^{(l)}`).
     fn out_dim(&self) -> usize;
 
+    /// Records the map this layer applies to each input row alone, before
+    /// any neighbour is read, and returns the rows the dependency exchange
+    /// moves; `None` (the default) exchanges the input rows. The layer's
+    /// one split around the exchange.
+    fn transform(
+        &self,
+        _tape: &mut Tape,
+        _binds: &mut Bindings,
+        _store: &ParamStore,
+        _input: Var,
+    ) -> Option<Var> {
+        None
+    }
+
     /// Records the layer's parameter-free prefix — every operator that
-    /// reads only `input` and `topo` — and returns the nodes [`body`]
-    /// continues from. The prefix ends where the layer binds its first
-    /// parameter; each layer says so here, once.
+    /// reads only `rows` (the input, or its [`GnnLayer::transform`]) and
+    /// `topo` — and returns the nodes [`body`] continues from. The prefix
+    /// ends where the layer binds its next parameter; each layer says so
+    /// here, once.
     ///
     /// [`body`]: GnnLayer::body
-    fn prefix(&self, tape: &mut Tape, input: Var, topo: &LayerTopology) -> Vec<Var>;
+    fn prefix(&self, tape: &mut Tape, rows: Var, topo: &LayerTopology) -> Vec<Var>;
 
     /// Records the rest of the layer, from the nodes [`GnnLayer::prefix`]
     /// returned to the output.
@@ -172,24 +212,46 @@ pub trait GnnLayer: Send + Sync {
     ) -> Var;
 
     /// Records the forward pass over `topo` with input rows `h`
-    /// (`topo.n_src x in_dim`): prefix, then body, on one tape. Given
-    /// [`LayerInput::Prefix`], the saved values stand in for the prefix.
+    /// (`topo.n_src x in_dim`): transform, prefix, then body, on one tape.
+    /// Given [`LayerInput::Prefix`], the saved values stand in for the
+    /// prefix (for the input, ahead of a transform); given
+    /// [`LayerInput::Exchanged`], the rows stand in for the transform.
     fn forward(&self, store: &ParamStore, topo: &LayerTopology, h: LayerInput) -> LayerRun {
         let (mut tape, mut bindings) = (Tape::new(), Bindings::new());
-        let record = |tape: &mut Tape, t: Tensor, tracked: bool| {
-            assert_eq!(t.cols(), self.in_dim(), "layer input width");
-            assert_eq!(t.rows(), topo.n_src, "layer input rows");
-            let input = if tracked { tape.leaf(t) } else { tape.constant(t) };
-            (Some(input), self.prefix(tape, input, topo))
-        };
-        let (input, prefix) = match h {
-            LayerInput::Tracked(t) => record(&mut tape, t, true),
-            LayerInput::Constant(t) => record(&mut tape, t, false),
+        let tracked = matches!(h, LayerInput::Tracked(_));
+        // `prefix`: what a constant input's run hands back, and `from`: what
+        // the body continues from. A transform binds a parameter, so a
+        // transforming layer hands back its input alone.
+        let (input, prefix, from) = match h {
+            LayerInput::Tracked(t) | LayerInput::Constant(t) => {
+                assert_eq!(t.cols(), self.in_dim(), "layer input width");
+                assert_eq!(t.rows(), topo.n_src, "layer input rows");
+                let input = if tracked { tape.leaf(t) } else { tape.constant(t) };
+                match self.transform(&mut tape, &mut bindings, store, input) {
+                    Some(rows) => (Some(input), vec![input], self.prefix(&mut tape, rows, topo)),
+                    None => {
+                        let prefix = self.prefix(&mut tape, input, topo);
+                        (Some(input), prefix.clone(), prefix)
+                    }
+                }
+            }
             LayerInput::Prefix(saved) => {
-                (None, saved.0.into_iter().map(|t| tape.constant(t)).collect())
+                let saved: Vec<Var> = saved.0.into_iter().map(|t| tape.constant(t)).collect();
+                // A transforming layer saved its input; any other records
+                // nothing here.
+                let from = match self.transform(&mut tape, &mut bindings, store, saved[0]) {
+                    Some(rows) => self.prefix(&mut tape, rows, topo),
+                    None => saved.clone(),
+                };
+                (None, saved, from)
+            }
+            LayerInput::Exchanged(t) => {
+                assert_eq!(t.rows(), topo.n_src, "layer input rows");
+                let input = tape.leaf(t);
+                (Some(input), Vec::new(), self.prefix(&mut tape, input, topo))
             }
         };
-        let output = self.body(&mut tape, &mut bindings, store, topo, &prefix);
+        let output = self.body(&mut tape, &mut bindings, store, topo, &from);
         let forward_flops = tape.flops();
         let (fwd_graph_ns, fwd_nn_ns) = (tape.graph_op_ns(), tape.nn_op_ns());
         LayerRun { tape, bindings, input, prefix, output, forward_flops, fwd_graph_ns, fwd_nn_ns }
@@ -216,7 +278,9 @@ pub trait GnnLayer: Send + Sync {
 /// `h' = σ(Σ_{u→v} w_uv · h_u · W + b)` with the pre-computed symmetric
 /// normalization `w_uv` (the entries of `Â`) as the (non-parameterized)
 /// edge function. The product is `(Â·H)·W` by default and `Â·(H·W)` when
-/// [`GcnLayer::transform_first`], whose aggregate moves `out_dim` columns.
+/// [`GcnLayer::transform_first`]: `H·W` is then the layer's
+/// [`GnnLayer::transform`], and its aggregate and exchange move `out_dim`
+/// columns.
 pub struct GcnLayer {
     lin: Linear,
     activation: bool,
@@ -238,9 +302,10 @@ impl GcnLayer {
         Self { lin, activation, transform_first: false }
     }
 
-    /// This layer with `H·W` recorded before the aggregate when `on`. Its
-    /// prefix is then the input alone, so a constant input's aggregate is
-    /// no longer reused: [`GnnModel::new`](crate::GnnModel::new) sets it above layer 0.
+    /// This layer with `H·W` as its transform, before the aggregate, when
+    /// `on`. A constant input's run then hands back the input alone, not
+    /// its aggregate: [`GnnModel::new`](crate::GnnModel::new) sets it on a
+    /// narrowing layer above layer 0.
     pub fn transform_first(self, on: bool) -> Self {
         Self { transform_first: on, ..self }
     }
@@ -255,14 +320,25 @@ impl GnnLayer for GcnLayer {
         self.lin.out_features()
     }
 
-    fn prefix(&self, tape: &mut Tape, input: Var, topo: &LayerTopology) -> Vec<Var> {
-        if self.transform_first {
-            return vec![input];
-        }
+    fn transform(
+        &self,
+        tape: &mut Tape,
+        binds: &mut Bindings,
+        store: &ParamStore,
+        input: Var,
+    ) -> Option<Var> {
+        // VertexForward's product, ahead of the aggregate.
+        self.transform_first.then(|| {
+            let w = binds.bind(tape, store, self.lin.param_ids().0);
+            tape.matmul(input, w)
+        })
+    }
+
+    fn prefix(&self, tape: &mut Tape, rows: Var, topo: &LayerTopology) -> Vec<Var> {
         // EdgeForward (weighted copy) fused with GatherByDst: the copy
         // edge function needs no materialized edge tensor, so it runs as
         // one SpMM — the fusion real GNN backends apply.
-        vec![ops::aggregate_neighbors(tape, input, topo, true)]
+        vec![ops::aggregate_neighbors(tape, rows, topo, true)]
     }
 
     fn body(
@@ -270,17 +346,14 @@ impl GnnLayer for GcnLayer {
         tape: &mut Tape,
         binds: &mut Bindings,
         store: &ParamStore,
-        topo: &LayerTopology,
+        _topo: &LayerTopology,
         prefix: &[Var],
     ) -> Var {
         // VertexForward: linear (+ ReLU). Transform-first adds the bias
         // after the aggregate: Σ w·(h·W + b) ≠ (Σ w·h)·W + b.
         let z = if self.transform_first {
-            let (w, b) = self.lin.param_ids();
-            let (w, b) = (binds.bind(tape, store, w), binds.bind(tape, store, b));
-            let hw = tape.matmul(prefix[0], w);
-            let agg = ops::aggregate_neighbors(tape, hw, topo, true);
-            tape.add_row_broadcast(agg, b)
+            let b = binds.bind(tape, store, self.lin.param_ids().1);
+            tape.add_row_broadcast(prefix[0], b)
         } else {
             self.lin.forward(tape, binds, store, prefix[0])
         };
@@ -1070,6 +1143,42 @@ mod tests {
             for (gb, ga) in grads_b.iter().zip(&grads_a) {
                 assert!(relative(gb, ga) <= 1e-5, "parameter gradient, {what}");
             }
+        }
+    }
+
+    /// A transform recorded on the layer below's tape, then the layer run
+    /// from the transformed rows, is the whole layer on one worker that
+    /// holds every row: same output, input and parameter gradients, FLOPs.
+    #[test]
+    fn split_around_the_exchange_equals_the_whole_layer() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let topo = random_topo(&mut rng, 12);
+        let x = random_tensor(&mut rng, 12, 6);
+        let coeff = random_tensor(&mut rng, 12, 3);
+        let mut store = ParamStore::new();
+        let l0 = gcn(&mut store, "l0", (6, 5), true, false, 1);
+        let l1 = gcn(&mut store, "l1", (5, 3), false, true, 2);
+        let train = |split: bool| {
+            let mut run0 = l0.forward(&store, &topo, LayerInput::Tracked(x.clone()));
+            let run1 = if split {
+                run0.transform_for(&l1, &store);
+                assert_eq!(run0.output().cols(), 3, "the transform ships out_dim");
+                l1.forward(&store, &topo, LayerInput::Exchanged(run0.output().clone()))
+            } else {
+                l1.forward(&store, &topo, LayerInput::Tracked(run0.output().clone()))
+            };
+            let (out, flops) = (run1.output().clone(), run0.forward_flops() + run1.forward_flops());
+            let mut grads = store.zero_grads();
+            let (g, _) = run1.backward(coeff.clone(), &mut grads);
+            let (gx, _) = run0.backward(g.expect("tracked"), &mut grads);
+            (out, flops, gx.expect("tracked"), grads)
+        };
+        let (whole, split) = (train(false), train(true));
+        assert_eq!(whole.0.data(), split.0.data());
+        assert_eq!(whole.1, split.1);
+        assert_eq!(whole.2.data(), split.2.data());
+        for (a, b) in whole.3.iter().zip(&split.3) {
+            assert_eq!(a.data(), b.data());
         }
     }
 

@@ -17,9 +17,11 @@
 //!   `backward` accepts the output gradient (arriving from the next layer
 //!   or from remote mirrors) and yields the input gradient — the
 //!   per-layer *synchronize-compute / compute-synchronize* contract of
-//!   §4.1 — when the caller asked for one ([`LayerInput`]). A layer is a
-//!   parameter-free prefix plus a body; over constant rows the prefix is
-//!   handed back ([`LayerPrefix`]) for the next `forward` to start from.
+//!   §4.1 — when the caller asked for one ([`LayerInput`]). A layer is an
+//!   optional per-row transform, which a distributed caller runs where the
+//!   rows were computed ([`LayerRun::transform_for`]), a parameter-free
+//!   prefix and a body; over constant rows the prefix is handed back
+//!   ([`LayerPrefix`]) for the next `forward` to start from.
 //! * [`model`] — layer stacks with the paper's 2-layer defaults.
 //! * [`loss`] — softmax cross-entropy prediction head and accuracy.
 

@@ -10,6 +10,9 @@ pub struct LossResult {
     pub loss: f64,
     /// `∇ logits` — the backward seed for the last layer's output.
     pub logit_grad: Tensor,
+    /// Every row's argmax, weighted or not: the first maximum, as
+    /// `Tensor::argmax_rows` picks it.
+    pub pred: Vec<usize>,
     /// FLOPs of the head's forward + backward.
     pub flops: u64,
 }
@@ -20,50 +23,54 @@ pub struct LossResult {
 /// worker typically uses `1 / total_train_vertices` so that the
 /// cluster-wide sum is the mean training loss).
 ///
-/// One pass, and only over the rows that count: a zero-weight row adds
-/// nothing to the loss and its gradient row is `+0.0`, so its log-softmax
-/// is never taken. Weighted rows go through the operations the tape's
-/// `log_softmax_rows` → `nll_loss` pair and their adjoints apply, in the
-/// same order, so loss and gradient equal that pair's bit for bit (the
-/// tests below hold the tape up as the oracle); `flops` is what the tape
-/// meters for it.
+/// One pass. It scans every row once for its maximum and argmax
+/// (`pred`); a zero-weight row adds nothing to the loss and its gradient
+/// row is `+0.0`, so it stops there. A weighted row takes one `exp` per
+/// logit, `e = exp(x - max)`, kept in its gradient slot: the loss is
+/// `x[y] - max - ln Σe`, and the gradient turns the NLL seed `s` (`-w` at
+/// the label) into `s - (e / Σe) · -w`. These are the operations the
+/// tape's `log_softmax_rows` → `nll_loss` pair and their adjoints apply,
+/// in the same order, so loss and gradient equal that pair's bit for bit
+/// (the tests below hold the tape up as the oracle); `flops` is what the
+/// tape meters for it.
 pub fn softmax_cross_entropy(logits: &Tensor, labels: &[u32], weights: &[f32]) -> LossResult {
     let (rows, cols) = logits.shape();
     assert_eq!(labels.len(), rows, "label count");
     assert_eq!(weights.len(), rows, "weight count");
     let mut logit_grad = Tensor::zeros(rows, cols);
+    let mut pred = Vec::with_capacity(rows);
     let mut loss = 0.0f32;
     for r in 0..rows {
+        let x = logits.row(r);
+        let (mut max, mut best) = (f32::NEG_INFINITY, (0, f32::NAN));
+        for (c, &a) in x.iter().enumerate() {
+            max = max.max(a);
+            if c == 0 || a > best.1 {
+                best = (c, a);
+            }
+        }
+        pred.push(best.0);
         let (w, y) = (weights[r], labels[r] as usize);
         if w == 0.0 {
             continue;
         }
-        // Forward: the row's log-softmax, built in its gradient slot.
-        let (x, g) = (logits.row(r), logit_grad.row_mut(r));
-        let max = x.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+        let g = logit_grad.row_mut(r);
         let mut sum = 0.0f32;
-        for (o, &a) in g.iter_mut().zip(x) {
-            *o = a - max;
-            sum += o.exp();
+        for (e, &a) in g.iter_mut().zip(x) {
+            *e = (a - max).exp();
+            sum += *e;
         }
-        let log_sum = sum.ln();
-        for o in g.iter_mut() {
-            *o -= log_sum;
-        }
-        loss -= w * g[y];
-        // Backward: the NLL adjoint seeds `-w` at the label and zero
-        // elsewhere (row sum `-w`); log-softmax's turns seed `s` into
-        // `s - softmax * rowsum`.
+        loss -= w * ((x[y] - max) - sum.ln());
         for (c, d) in g.iter_mut().enumerate() {
             let seed = if c == y { -w } else { 0.0 };
-            *d = seed - d.exp() * -w;
+            *d = seed - *d / sum * -w;
         }
     }
     let n = (rows * cols) as u64;
     // log-softmax 4n + NLL 2 per row forward; NLL 1 per row + log-softmax
     // 4n backward.
     let flops = 8 * n + 3 * rows as u64;
-    LossResult { loss: loss as f64, logit_grad, flops }
+    LossResult { loss: loss as f64, logit_grad, pred, flops }
 }
 
 /// Counts correct argmax predictions among rows where `mask` is true.
@@ -72,8 +79,9 @@ pub fn accuracy(logits: &Tensor, labels: &[u32], mask: &[bool]) -> (usize, usize
     count_correct(&logits.argmax_rows(), labels, mask)
 }
 
-/// [`accuracy`] over predictions already taken (`logits.argmax_rows()`),
-/// for a caller that scores several masks against one argmax.
+/// [`accuracy`] over predictions already taken (`logits.argmax_rows()`,
+/// or [`LossResult::pred`]), for a caller that scores several masks
+/// against one argmax.
 pub fn count_correct(pred: &[usize], labels: &[u32], mask: &[bool]) -> (usize, usize) {
     assert_eq!(labels.len(), pred.len());
     assert_eq!(mask.len(), pred.len());
@@ -105,7 +113,8 @@ mod tests {
         let value = tape.value(loss).scalar_value() as f64;
         tape.backward(loss);
         let flops = tape.flops();
-        LossResult { loss: value, logit_grad: tape.take_grad(x).unwrap(), flops }
+        let pred = logits.argmax_rows();
+        LossResult { loss: value, logit_grad: tape.take_grad(x).unwrap(), pred, flops }
     }
 
     #[test]
@@ -128,6 +137,86 @@ mod tests {
             let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&got.logit_grad), bits(&want.logit_grad));
         });
+    }
+
+    /// Weighted softmax cross-entropy in f64, written out from its
+    /// definition: `(loss, gradient)`. It shares no code with the head.
+    fn reference(logits: &Tensor, labels: &[u32], weights: &[f32]) -> (f64, Vec<f64>) {
+        let (rows, cols) = logits.shape();
+        let (mut loss, mut grad) = (0.0, vec![0.0; rows * cols]);
+        for r in 0..rows {
+            let w = weights[r] as f64;
+            let x: Vec<f64> = (0..cols).map(|c| logits.get(r, c) as f64).collect();
+            let shift = x.iter().cloned().fold(f64::MIN, f64::max);
+            let z: f64 = x.iter().map(|v| (v - shift).exp()).sum();
+            let y = labels[r] as usize;
+            loss += w * (z.ln() + shift - x[y]);
+            for c in 0..cols {
+                let p = (x[c] - shift).exp() / z;
+                grad[r * cols + c] = w * (p - (c == y) as u8 as f64);
+            }
+        }
+        (loss, grad)
+    }
+
+    #[test]
+    fn head_matches_an_f64_reference() {
+        ns_rand::check_cases(0..32, |rng| {
+            let (rows, cols) = (rng.random_range(2..40usize), rng.random_range(2..12usize));
+            let mut data: Vec<f32> =
+                (0..rows * cols).map(|_| 8.0 * rng.random::<f32>() - 4.0).collect();
+            // Row 0 sits 1e4 above the others: `exp` of it unshifted is inf.
+            for v in &mut data[..cols] {
+                *v += 1e4;
+            }
+            let logits = Tensor::from_vec(rows, cols, data);
+            let labels: Vec<u32> = (0..rows).map(|_| rng.random_range(0..cols as u32)).collect();
+            let mut weights: Vec<f32> = (0..rows)
+                .map(|_| if rng.random_bool(0.4) { 0.0 } else { rng.random::<f32>() / rows as f32 })
+                .collect();
+            weights[0] = 1.0 / rows as f32;
+            let got = softmax_cross_entropy(&logits, &labels, &weights);
+            let (loss, grad) = reference(&logits, &labels, &weights);
+            assert!(got.loss.is_finite());
+            assert!((got.loss - loss).abs() <= 1e-5 * (1.0 + loss.abs()), "{} vs {loss}", got.loss);
+            for r in 0..rows {
+                for c in 0..cols {
+                    let (g, want) = (got.logit_grad.get(r, c), grad[r * cols + c]);
+                    assert!(g.is_finite(), "row {r}");
+                    if weights[r] == 0.0 {
+                        assert_eq!(g.to_bits(), 0.0f32.to_bits(), "a zero-weight row is +0.0");
+                    } else {
+                        let tol = 1e-5 * weights[r] as f64;
+                        assert!((g as f64 - want).abs() <= tol, "({r}, {c}): {g} vs {want}");
+                    }
+                }
+            }
+            assert_eq!(got.pred, logits.argmax_rows());
+        });
+    }
+
+    /// The argmax the head takes in its pass is `argmax_rows`, weighted
+    /// row or not: the first of tied maxima, a leading NaN wins, a later
+    /// NaN never does.
+    #[test]
+    fn fused_argmax_is_argmax_rows_on_ties_and_nans() {
+        let nan = f32::NAN;
+        let rows = [
+            [1.0, 3.0, 3.0, 2.0],
+            [5.0, 5.0, 5.0, 5.0],
+            [nan, 1.0, 4.0, 2.0],
+            [0.5, nan, 4.0, 4.0],
+            [-2.0, -1.0, -1.0, nan],
+            [-0.0, 0.0, -1.0, -3.0],
+        ];
+        let logits = Tensor::from_vec(rows.len(), 4, rows.concat());
+        let want = logits.argmax_rows();
+        assert_eq!(want, [1, 0, 0, 2, 1, 0]);
+        for w in [0.0, 0.25] {
+            let weights = vec![w; rows.len()];
+            let got = softmax_cross_entropy(&logits, &[0, 1, 2, 3, 1, 0], &weights);
+            assert_eq!(got.pred, want, "weight {w}");
+        }
     }
 
     #[test]

@@ -4,7 +4,11 @@
 //! Each thread is a `Worker` whose `epoch()` is the phase list the
 //! ledger and the trace report: per layer `fwd_comm → fwd_compute`, then
 //! `head`, per layer `bwd_compute → bwd_comm`, then `sync_wait`,
-//! `opt_step`. Layer 0 is the exception after a worker's first epoch: its
+//! `opt_step`. A layer's `fwd_compute` also records the next layer's
+//! per-row transform, if it has one (`GnnLayer::transform`: a narrowing
+//! GCN layer's `H·W`), so that product runs once, at the rows' owner, and
+//! the next exchange moves it at `out_dim` instead of the input at
+//! `in_dim`. Layer 0 is the exception after a worker's first epoch: its
 //! input is the feature matrix, so its dependency exchange, input assembly
 //! and parameter-free prefix depend on the plan alone; they run once per
 //! plan and later epochs start the layer from the saved [`LayerPrefix`]
@@ -546,13 +550,16 @@ impl<'a> Worker<'a> {
     /// `bwd_compute → bwd_comm`, then `sync_wait` and `opt_step`. The
     /// ledger's `exec.*_s` metrics, the trace spans and the simulator's
     /// task DAG (`taskgraph.rs`) follow the same list (DESIGN.md §3.5).
+    /// Layer `l + 1`'s transform (`P = H·W`) ends layer `l`'s
+    /// `fwd_compute`, and its adjoints open layer `l`'s `bwd_compute`,
+    /// after `bwd_comm(l + 1)` has summed `dP` at the owner.
     fn epoch(&mut self) -> WorkerResult<WorkerReport> {
         let t0 = Instant::now();
         let num_layers = self.model.num_layers();
         let mut runs: Vec<LayerRun> = Vec::with_capacity(num_layers);
         for l in 0..num_layers {
             let input = match runs.last() {
-                Some(below) => LayerInput::Tracked(self.fwd_comm(l, below.output())?),
+                Some(below) => LayerInput::Exchanged(self.fwd_comm(l, below.output())?),
                 None => self.layer0_input()?,
             };
             runs.push(self.fwd_compute(l, input));
@@ -630,25 +637,31 @@ impl<'a> Worker<'a> {
     }
 
     /// Layer `l`'s tape forward pass over the assembled input, or from
-    /// layer 0's saved prefix on.
+    /// layer 0's saved prefix on, then layer `l + 1`'s transform, if any,
+    /// over the rows this worker computed.
     fn fwd_compute(&self, l: usize, input: LayerInput) -> LayerRun {
         let _span = span!(self.rec, Phase::FwdCompute, l);
-        self.model.layer(l).forward(&self.store, &self.plan.layers[l].topo, input)
+        let mut run = self.model.layer(l).forward(&self.store, &self.plan.layers[l].topo, input);
+        if l + 1 < self.model.num_layers() {
+            run.transform_for(self.model.layer(l + 1), &self.store);
+        }
+        run
     }
 
     /// Prediction head: loss over owned rows plus train/val/test accuracy.
     fn head(&self, logits: &Tensor) -> (LossResult, [(usize, usize); 3]) {
         let _span = span!(self.rec, Phase::Head);
         let head = softmax_cross_entropy(logits, &self.owned_labels, &self.loss_weights);
-        let pred = logits.argmax_rows();
-        let counts = [0, 1, 2].map(|k| count_correct(&pred, &self.owned_labels, &self.masks[k]));
+        let labels = &self.owned_labels;
+        let counts = [0, 1, 2].map(|k| count_correct(&head.pred, labels, &self.masks[k]));
         (head, counts)
     }
 
-    /// Layer `l`'s tape backward pass: accumulates parameter gradients
-    /// into `grads` and returns the gradient of the layer input, if the
-    /// forward pass tracked it (every layer but 0). Layer 0 instead hands
-    /// its constant prefix back for the next epoch.
+    /// Layer `l`'s tape backward pass, transform included: accumulates
+    /// parameter gradients into `grads` and returns the gradient of the
+    /// exchanged input rows, if the forward pass tracked them (every layer
+    /// but 0). Layer 0 instead hands its constant prefix back for the next
+    /// epoch.
     fn bwd_compute(
         &mut self,
         l: usize,
@@ -674,7 +687,8 @@ impl<'a> Worker<'a> {
 
     /// Backward dependency exchange for layer `l` (compute-synchronize):
     /// mirror gradients return to their masters and the locally-routed
-    /// rows join them in the previous layer's output gradient.
+    /// rows join them in the gradient of the rows layer `l - 1`'s run
+    /// output, at the exchange's width.
     fn bwd_comm(&self, l: usize, input_grad: &Tensor) -> WorkerResult<Tensor> {
         let _span = span!(self.rec, Phase::BwdComm, l);
         let net = |e| self.fail(FailureCause::Net(e));

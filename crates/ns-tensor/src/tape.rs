@@ -686,12 +686,19 @@ impl Tape {
                     dx
                 }),
                 Op::LogSoftmaxRows(x) => self.give(x, 4 * n, |t| {
-                    // dx = g - softmax(x) * rowsum(g)
-                    let y = &t.nodes[i].value;
-                    for r in 0..y.rows() {
+                    // dx = g - softmax(x) * rowsum(g), with the softmax
+                    // recomputed from the input as exp(x - max) / Σ.
+                    let vx = t.value(x);
+                    for r in 0..vx.rows() {
+                        let row = vx.row(r);
+                        let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+                        let mut sum = 0.0f32;
+                        for &a in row {
+                            sum += (a - max).exp();
+                        }
                         let gsum: f32 = g.row(r).iter().sum();
-                        for (d, &lsm) in g.row_mut(r).iter_mut().zip(y.row(r)) {
-                            *d -= lsm.exp() * gsum;
+                        for (d, &a) in g.row_mut(r).iter_mut().zip(row) {
+                            *d -= (a - max).exp() / sum * gsum;
                         }
                     }
                     g
